@@ -8,6 +8,7 @@ triple is bit-reproducible across runs and platforms.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -267,8 +268,9 @@ def load_csv(path, label_col: int | str | None = None):
 
     The first row is treated as a header when none of its cells parses as a
     number. ``label_col`` selects the label column by name (needs a header)
-    or by 0-based index. Missing or non-numeric feature values raise
-    DataError with the offending 1-based row number.
+    or by 0-based index. Missing, non-numeric or non-finite (``nan``,
+    ``inf``) feature values and non-finite labels raise DataError with the
+    offending 1-based row and column.
 
     Returns (X, y, feature_names) with X of shape d x n; y is None when no
     label column was requested.
@@ -276,7 +278,7 @@ def load_csv(path, label_col: int | str | None = None):
     try:
         with open(path, newline="") as handle:
             rows = [row for row in csv.reader(handle) if row]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: file is empty")
@@ -314,15 +316,22 @@ def load_csv(path, label_col: int | str | None = None):
             if cell == "":
                 raise DataError(f"{path}: row {row_no} has a missing value in column {i + 1}")
             try:
-                features[out_i, j] = float(cell)
+                value = float(cell)
             except ValueError:
                 raise DataError(
                     f"{path}: row {row_no} column {i + 1} is not numeric: {cell!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise DataError(f"{path}: row {row_no} column {i + 1} is not finite: {cell!r}")
+            features[out_i, j] = value
         if label_idx is not None:
             cell = row[label_idx].strip()
             if cell == "":
                 raise DataError(f"{path}: row {row_no} has a missing label")
+            if _is_float(cell) and not math.isfinite(float(cell)):
+                raise DataError(
+                    f"{path}: row {row_no} column {label_idx + 1} is not finite: {cell!r}"
+                )
             labels.append(cell)
 
     y = _parse_labels(labels) if label_idx is not None else None

@@ -7,9 +7,13 @@ R1 = W W' with
     W = Xc Upsilon                  when r1 = 1,
     W = [sqrt(r1) Xc Upsilon, sqrt(1 - r1) Xc]   otherwise,
 
-where Upsilon Upsilon' = K_y. The projection basis is recovered from the
-small-side factor: eigenvectors of W'W when that is the smaller problem,
-a truncated SVD of W otherwise. Embeddings and reconstructions never need
+where Upsilon Upsilon' = K_y. For class labels Upsilon is the n x c
+class-indicator matrix E, so W is d x (n + c) at most and no n x n array is
+built. For real-valued targets Upsilon comes from an eigendecomposition of
+the dense RBF label kernel (see :func:`roweis.rda.label_factor`).
+
+The projection basis is recovered from the small-side factor: eigenvectors
+of W'W when that is the smaller problem, a truncated SVD of W otherwise. Embeddings and reconstructions never need
 the d x d eigenproblem, which is the point when n << d.
 """
 
@@ -22,8 +26,8 @@ import numpy as np
 from . import kernels
 from ._util import as_matrix
 from .exceptions import ConfigError, NumericalError
-from .linalg import EIG_NOISE_RTOL, incomplete_svd, psd_factor, symmetric_eig
-from .rda import default_label_kernel
+from .linalg import EIG_NOISE_RTOL, incomplete_svd, symmetric_eig
+from .rda import default_label_kernel, label_factor
 
 # Singular values below this fraction of the largest are dropped before the
 # inversion used in projection.
@@ -86,9 +90,7 @@ def fit_dual(
         if labels.shape != (n,):
             raise ConfigError(f"labels must have length n={n}, got shape {labels.shape}")
         spec = kernels.resolve_label_kernel(label_kernel or default_label_kernel(labels), labels)
-        k_y = kernels.label_gram(spec, labels, labels)
-        upsilon = psd_factor(k_y).T
-        q = centered @ upsilon
+        q = centered @ label_factor(spec, labels)
         if r1 == 1.0:
             w = q
         else:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -105,11 +105,3 @@ def linear_regression_rmse(train_emb, train_y, test_emb, test_y) -> EvalReport:
     rmse = float(np.sqrt(np.mean((pred - test_y) ** 2))) if test_y.size else 0.0
     return EvalReport.from_values("rmse", [rmse])
 
-
-def repeat_experiment(run: Callable[[int], float], seeds: Sequence[int], metric: str = "rmse") -> EvalReport:
-    """Run a seeded experiment once per seed and aggregate mean and std."""
-    seeds = list(seeds)
-    if not seeds:
-        raise ConfigError("at least one seed is required")
-    values = [float(run(int(seed))) for seed in seeds]
-    return EvalReport.from_values(metric, values)

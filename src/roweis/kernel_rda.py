@@ -14,7 +14,17 @@ Two routes into the feature space:
 
 * The kernel-trick method rides the dual factorization and exists for the
   two corners r1 = 0 (kernel PCA) and r1 = 1 (kernel SPCA) of the r2 = 0
-  edge, where the data appear only through inner products.
+  edge, where the data appear only through inner products. Kernel SPCA
+  factors K_y = Upsilon Upsilon'; for class labels Upsilon is the n x c
+  class-indicator matrix, so its core Upsilon' Kc Upsilon is c x c. Any
+  other label kernel, such as the RBF over real targets, is built as a dense
+  n x n matrix and factored through its eigendecomposition.
+
+The direct method still builds the dense P = r1 K_y + (1 - r1) I, also for
+class labels. At r1 = 1 with two classes M has rank one, and a second
+requested component lies in the null space of M, where round-off alone sets
+its direction. A factored M moves that component by O(1) against the dense
+one, so the rewrite waits for the feature-map form of the direct method.
 
 Embeddings of new points use the kernel between the retained training matrix
 and the new points; the trick variants center that kernel with training
@@ -32,13 +42,14 @@ import numpy as np
 from . import kernels
 from ._util import as_matrix, as_square, sym
 from .exceptions import ConfigError, NumericalError
-from .linalg import RegPolicy, generalized_eig, psd_factor, symmetric_eig
+from .linalg import RegPolicy, generalized_eig, symmetric_eig
 from .rda import (
     RoweisConfig,
     blend_label_kernel,
     choose_dimensionality,
     count_valid,
     default_label_kernel,
+    label_factor,
 )
 from .scatter import ClassPartition
 
@@ -240,9 +251,9 @@ def fit_kernel_spca(
 ) -> KernelRdaModel:
     """Kernel-trick fit of the (1, 0) corner.
 
-    Factors the label kernel as Upsilon Upsilon' and eigendecomposes
-    Upsilon' Kc Upsilon, the small-side square of the feature-space factor
-    Phi_c(X) Upsilon.
+    Factors the label kernel as Upsilon Upsilon' (the n x c class indicator
+    for class labels) and eigendecomposes Upsilon' Kc Upsilon, the small-side
+    square of the feature-space factor Phi_c(X) Upsilon.
     """
     x = as_matrix(x, "X")
     n = x.shape[1]
@@ -257,8 +268,7 @@ def fit_kernel_spca(
     kernel_x = kernels.resolve_gamma(kernel_x, x)
     spec_y = kernels.resolve_label_kernel(kernel_y or default_label_kernel(labels), labels)
     k_x = sym(kernels.gram(kernel_x, x, x))
-    k_y = kernels.label_gram(spec_y, labels, labels)
-    upsilon = psd_factor(k_y).T
+    upsilon = label_factor(spec_y, labels)
     core = sym(upsilon.T @ kernels.double_center(k_x) @ upsilon)
     pair = symmetric_eig(core)
     right, sigma = _positive_directions(pair, n)

@@ -10,6 +10,7 @@ matrices reuse the training bandwidth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,8 +39,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown kernel family {self.family!r}, expected one of {FAMILIES}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ConfigError(f"gamma must be positive, got {self.gamma}")
+        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
+        if not math.isfinite(self.offset):
+            raise ConfigError(f"offset must be finite, got {self.offset}")
         if self.family == "polynomial" and self.degree < 1:
             raise ConfigError(f"polynomial degree must be >= 1, got {self.degree}")
 
@@ -130,16 +133,37 @@ def is_categorical(labels) -> bool:
     return False
 
 
+def _check_class_labels(y: np.ndarray, name: str) -> None:
+    if y.ndim != 1:
+        raise ConfigError(f"{name} expects 1-D label vectors")
+    if not is_categorical(y):
+        raise ConfigError(f"{name} needs categorical labels, got real-valued targets")
+
+
 def delta_kernel(y1, y2) -> np.ndarray:
     """Label-equality kernel: entry (i, j) is 1 when y1[i] == y2[j]."""
     y1 = np.asarray(y1)
     y2 = np.asarray(y2)
-    if y1.ndim != 1 or y2.ndim != 1:
-        raise ConfigError("delta_kernel expects 1-D label vectors")
     for y in (y1, y2):
-        if not is_categorical(y):
-            raise ConfigError("delta_kernel needs categorical labels, got real-valued targets")
+        _check_class_labels(y, "delta_kernel")
     return (y1[:, None] == y2[None, :]).astype(float)
+
+
+def class_indicator(labels) -> np.ndarray:
+    """n x c class-indicator matrix E with E @ E.T == delta_kernel(labels, labels).
+
+    Column j marks the samples of the j-th class in ``np.unique`` order, the
+    grouping :class:`roweis.scatter.ClassPartition` uses. This is the exact
+    low-rank factor of the delta label kernel, so supervised fits on class
+    labels never need the n x n kernel itself.
+    """
+    labels = np.asarray(labels)
+    _check_class_labels(labels, "class_indicator")
+    # return_inverse also keeps np.unique from importing numpy.ma (about 1 MB).
+    ids, inverse = np.unique(labels, return_inverse=True)
+    out = np.zeros((labels.size, ids.size))
+    out[np.arange(labels.size), inverse] = 1.0
+    return out
 
 
 def label_gram(spec: KernelSpec, y1, y2) -> np.ndarray:

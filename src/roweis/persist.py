@@ -99,8 +99,11 @@ def save_model(model, path) -> None:
 
 
 def _parse(path) -> tuple[dict, dict]:
-    with open(path) as handle:
-        lines = handle.read().splitlines()
+    try:
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
     if not lines or lines[0] != FORMAT_TAG:
         raise DataError(f"{path}: not a recognized model file (expected {FORMAT_TAG!r})")
     scalars: dict = {}

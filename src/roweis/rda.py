@@ -16,6 +16,19 @@ labels enter the objective and the constraint:
 
 Everything in between is a valid method; (r1 + r2) / 2 measures how strongly
 the labels are used. Fitting solves the generalized eigenproblem (R1, R2).
+
+How the label side is computed depends on the label kernel. For class labels
+(the delta kernel) K_y = E E' exactly, with E the n x c class-indicator
+matrix, so
+
+    R1 = r1 (Xc E)(Xc E)' + (1 - r1) Xc Xc'
+
+costs O(dn + d^2 c) and no n x n array is built; the second term is skipped
+at r1 = 1. Real-valued targets use an RBF label kernel, which has no such
+factor, and go through the dense P. :func:`blend_label_kernel` and
+:func:`objective_matrix` are that dense route and the oracle the factored one
+is tested against. :func:`label_factor` returns an n x k Upsilon with
+Upsilon Upsilon' = K_y for the dual and kernel-trick fits.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ import numpy as np
 from . import kernels, scatter
 from ._util import as_matrix, as_square, sym
 from .exceptions import ConfigError, NumericalError
-from .linalg import RegPolicy, generalized_eig, require_symmetric, symmetric_eig
+from .linalg import RegPolicy, generalized_eig, psd_factor, require_symmetric, symmetric_eig
 
 # Cumulative eigenvalue mass treated as the reliable part of a spectrum when
 # repairing a near-singular constraint matrix.
@@ -181,6 +194,29 @@ def _resolved_label_kernel(config: RoweisConfig, labels) -> kernels.KernelSpec:
     return kernels.resolve_label_kernel(spec, labels)
 
 
+def label_factor(spec: kernels.KernelSpec, labels) -> np.ndarray:
+    """Upsilon with Upsilon Upsilon' = K_y for a resolved label kernel.
+
+    The delta kernel gives the n x c class-indicator matrix. Any other kernel
+    is built densely and factored through an n x n eigendecomposition.
+    """
+    if spec.family == "delta":
+        return kernels.class_indicator(labels)
+    return psd_factor(kernels.label_gram(spec, labels, labels)).T
+
+
+def _label_objective(centered: np.ndarray, labels, spec: kernels.KernelSpec, r1: float) -> np.ndarray:
+    """R1 = Xc P Xc' for r1 > 0, from the class-indicator factor when K_y is delta."""
+    if spec.family != "delta":
+        p_mat = blend_label_kernel(kernels.label_gram(spec, labels, labels), r1)
+        return sym(centered @ p_mat @ centered.T)
+    q = centered @ kernels.class_indicator(labels)
+    r1_mat = q @ q.T
+    if r1 < 1.0:
+        r1_mat = r1 * r1_mat + (1.0 - r1) * (centered @ centered.T)
+    return sym(r1_mat)
+
+
 def count_valid(values: np.ndarray, threshold: float) -> int:
     """Eigenvalues above threshold * largest; 0 for an empty or non-positive spectrum."""
     if values.size == 0 or values[0] <= 0.0:
@@ -231,9 +267,7 @@ def fit(x, labels, config: RoweisConfig) -> RdaModel:
     resolved_spec = None
     if r1 > 0:
         resolved_spec = _resolved_label_kernel(config, labels)
-        k_y = kernels.label_gram(resolved_spec, labels, labels)
-        p_mat = blend_label_kernel(k_y, r1)
-        r1_mat = sym(centered @ p_mat @ centered.T)
+        r1_mat = _label_objective(centered, labels, resolved_spec, r1)
     else:
         r1_mat = sym(centered @ centered.T)
 

@@ -98,6 +98,14 @@ class TestFit:
     def test_missing_data_file_is_data_error(self, tmp_path):
         assert run("fit", "--data", tmp_path / "nope.csv", "--out", tmp_path / "m.txt") == 3
 
+    def test_non_finite_csv_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("f1,f2,label\n1.0,2.0,0\nnan,1.0,1\n2.0,inf,0\n0.5,0.5,1\n")
+        code = run("fit", "--data", path, "--label-col", "label", "--r1", 1, "--r2", 0,
+                   "--out", tmp_path / "m.txt")
+        assert code == 3
+        assert "row 3 column 1 is not finite" in capsys.readouterr().err
+
     def test_degenerate_data_is_numerical_error(self, tmp_path):
         path = tmp_path / "flat.csv"
         path.write_text("f1,f2\n" + "1.0,2.0\n" * 6)
@@ -145,6 +153,29 @@ class TestTransformReconstruct:
         x, _, _ = load_csv(xor_csv, label_col="label")
         got, _, _ = load_csv(rec_path)
         np.testing.assert_allclose(got, x, atol=1e-9)  # p = d, lossless
+
+    @pytest.mark.parametrize("command", ["transform", "reconstruct"])
+    def test_missing_model_file_is_data_error(self, tmp_path, xor_csv, capsys, command):
+        missing = tmp_path / "nope.txt"
+        code = run(command, "--model", missing, "--data", xor_csv, "--label-col", "label",
+                   "--out", tmp_path / "out.csv")
+        assert code == 3
+        assert "cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["transform", "reconstruct"])
+    def test_unreadable_model_file_is_data_error(self, tmp_path, xor_csv, command):
+        # A directory cannot be opened as a file, whatever the permissions.
+        code = run(command, "--model", tmp_path, "--data", xor_csv, "--label-col", "label",
+                   "--out", tmp_path / "out.csv")
+        assert code == 3
+
+    @pytest.mark.parametrize("command", ["transform", "reconstruct"])
+    def test_binary_model_file_is_data_error(self, tmp_path, xor_csv, command):
+        model = tmp_path / "model.bin"
+        model.write_bytes(b"\xff\xfe\x00binary")
+        code = run(command, "--model", model, "--data", xor_csv, "--label-col", "label",
+                   "--out", tmp_path / "out.csv")
+        assert code == 3
 
     def test_reconstruct_refuses_kernel_models(self, tmp_path, xor_csv, capsys):
         model_path = tmp_path / "kernel.txt"

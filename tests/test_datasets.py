@@ -212,11 +212,31 @@ class TestCsv:
         with pytest.raises(DataError, match="row 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_feature_reports_row_and_column(self, tmp_path, token):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f1,f2,label\n1.0,2.0,0\n3.0,{token},1\n")
+        with pytest.raises(DataError, match="row 3 column 2 is not finite"):
+            load_csv(path, label_col="label")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_label_reports_row_and_column(self, tmp_path, token):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f1,f2,label\n1.0,2.0,0.5\n3.0,4.0,{token}\n")
+        with pytest.raises(DataError, match="row 3 column 3 is not finite"):
+            load_csv(path, label_col="label")
+
     def test_unknown_label_column(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("f1,f2\n1.0,2.0\n")
         with pytest.raises(DataError):
             load_csv(path, label_col="missing")
+
+    def test_binary_file_is_data_error(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xff\xfe\x00binary")
+        with pytest.raises(DataError, match="cannot read"):
+            load_csv(path)
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from roweis.evaluate import EvalReport, knn_classify, linear_regression_rmse, repeat_experiment
+from roweis.evaluate import EvalReport, knn_classify, linear_regression_rmse
 from roweis.exceptions import ConfigError
 
 
@@ -83,26 +83,6 @@ class TestLinearRegression:
         assert np.isfinite(report.value)
 
 
-class TestRepeatExperiment:
-    def test_single_repetition_has_zero_std(self):
-        report = repeat_experiment(lambda seed: 2.5, [0])
-        assert report.std == 0.0 and report.mean == 2.5
-
-    def test_identical_seeds_identical_values(self):
-        report = repeat_experiment(lambda seed: float(seed % 3), [4, 4, 4])
-        assert len(set(report.per_seed_values)) == 1
-
-    def test_mean_is_exact_arithmetic_mean(self):
-        values = [0.25, 0.5, 1.0, 0.125]
-        report = repeat_experiment(lambda seed: values[seed], [0, 1, 2, 3])
-        assert report.mean == float(np.mean(values))
-        assert report.per_seed_values == tuple(values)
-
-    def test_requires_seeds(self):
-        with pytest.raises(ConfigError):
-            repeat_experiment(lambda seed: 0.0, [])
-
-
 class TestEvalReport:
     def test_error_rate_range_enforced(self):
         with pytest.raises(ConfigError):
@@ -115,3 +95,13 @@ class TestEvalReport:
     def test_population_std(self):
         report = EvalReport.from_values("rmse", [1.0, 3.0])
         assert report.std == 1.0
+
+    def test_single_repetition_has_zero_std(self):
+        report = EvalReport.from_values("rmse", [2.5])
+        assert report.std == 0.0 and report.mean == 2.5
+
+    def test_mean_is_exact_arithmetic_mean(self):
+        values = [0.25, 0.5, 1.0, 0.125]
+        report = EvalReport.from_values("rmse", values)
+        assert report.mean == float(np.mean(values))
+        assert report.per_seed_values == tuple(values)

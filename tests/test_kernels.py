@@ -8,6 +8,7 @@ from roweis.exceptions import ConfigError
 from roweis.kernels import (
     KernelSpec,
     center_test_kernel,
+    class_indicator,
     delta_kernel,
     double_center,
     gram,
@@ -16,6 +17,7 @@ from roweis.kernels import (
     median_heuristic_gamma,
     resolve_gamma,
 )
+from roweis.scatter import ClassPartition
 
 
 def poly_feature_map(x: np.ndarray, degree: int, offset: float) -> np.ndarray:
@@ -50,6 +52,16 @@ class TestKernelSpec:
     def test_rejects_nonpositive_gamma(self):
         with pytest.raises(ConfigError):
             KernelSpec(family="rbf", gamma=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_gamma(self, value):
+        with pytest.raises(ConfigError, match="gamma"):
+            KernelSpec(family="rbf", gamma=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_offset(self, value):
+        with pytest.raises(ConfigError, match="offset"):
+            KernelSpec(family="polynomial", offset=value)
 
     def test_rejects_degree_zero(self):
         with pytest.raises(ConfigError):
@@ -132,6 +144,38 @@ class TestDeltaKernel:
         assert is_categorical(np.array(["a", "b"]))
         assert is_categorical(np.array([0.0, 1.0, 2.0]))
         assert not is_categorical(np.array([0.1, 1.0]))
+
+
+class TestClassIndicator:
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array([0, 0, 1, 2, 1]),
+            np.array(["b", "a", "b", "c"]),
+            np.array([3.0, -7.0, 3.0, 10.0]),
+            np.array([10, -3, 10, 42, 7, 7]),
+            np.array([5]),
+        ],
+    )
+    def test_factors_the_delta_kernel(self, labels):
+        e = class_indicator(labels)
+        assert e.shape == (labels.size, np.unique(labels).size)
+        np.testing.assert_array_equal(e @ e.T, delta_kernel(labels, labels))
+
+    def test_columns_follow_the_class_partition(self):
+        labels = np.array(["z", "a", "m", "a", "z", "z"])
+        e = class_indicator(labels)
+        part = ClassPartition.from_labels(labels)
+        for j, idx in enumerate(part.index_sets):
+            np.testing.assert_array_equal(np.flatnonzero(e[:, j]), idx)
+
+    def test_rejects_regression_targets(self):
+        with pytest.raises(ConfigError):
+            class_indicator([0.5, 1.2])
+
+    def test_rejects_matrix_labels(self):
+        with pytest.raises(ConfigError):
+            class_indicator(np.zeros((2, 2), dtype=int))
 
 
 class TestDoubleCenter:
