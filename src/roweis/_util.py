@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import ConfigError
+from .exceptions import ConfigError, DataError
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -14,6 +14,14 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise ConfigError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
+    return arr
+
+
+def as_finite_matrix(a, name: str = "X") -> np.ndarray:
+    """:func:`as_matrix` for data a fit consumes: NaN or inf raises DataError."""
+    arr = as_matrix(a, name)
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"{name} holds non-finite values (nan or inf)")
     return arr
 
 

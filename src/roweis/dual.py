@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._util import as_matrix
+from ._util import as_finite_matrix, as_matrix
 from .exceptions import ConfigError, NumericalError
 from .linalg import EIG_NOISE_RTOL, incomplete_svd, symmetric_eig
 from .rda import default_label_kernel, label_factor
@@ -73,7 +73,7 @@ def fit_dual(
         raise ConfigError("the dual form exists only for r2 = 0")
     if not 0.0 <= r1 <= 1.0:
         raise ConfigError(f"r1 must lie in [0, 1], got {r1}")
-    x = as_matrix(x, "X")
+    x = as_finite_matrix(x, "X")
     d, n = x.shape
     if n < 2:
         raise ConfigError(f"fitting needs at least 2 samples, got {n}")

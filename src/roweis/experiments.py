@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import datasets, evaluate, kernel_rda, kernels, rda
+from .exceptions import ConfigError
 
 BENCH_R1_VALUES = (0.0, 0.5, 1.0)
 PANEL_R_VALUES = (0.0, 0.5, 1.0)
@@ -124,7 +125,7 @@ def embedding_panels(
     elif dataset_name == "rings":
         ds = datasets.gen_rings(n, seed)
     else:
-        raise ValueError(f"unknown panel dataset {dataset_name!r}")
+        raise ConfigError(f"unknown panel dataset {dataset_name!r}")
     train, test = datasets.train_test_split(ds, train_fraction, seed)
     kernel = kernels.resolve_gamma(kernels.KernelSpec(family="rbf"), train.X)
     panels = []

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._util import as_matrix, as_square, sym
+from ._util import as_finite_matrix, as_matrix, as_square, sym
 from .exceptions import ConfigError, NumericalError
 from .linalg import RegPolicy, generalized_eig, symmetric_eig
 from .rda import (
@@ -135,7 +135,7 @@ def kernel_constraint_matrix(n_mat, k_x, r2: float) -> np.ndarray:
 
 def fit_direct(x, labels, config: RoweisConfig, kernel: kernels.KernelSpec) -> KernelRdaModel:
     """Representation-theory fit, valid on the whole (r1, r2) square."""
-    x = as_matrix(x, "X")
+    x = as_finite_matrix(x, "X")
     d, n = x.shape
     if n < 2:
         raise ConfigError(f"fitting needs at least 2 samples, got {n}")
@@ -220,7 +220,7 @@ def fit_kernel_pca(x, kernel: kernels.KernelSpec, p: int | None = None) -> Kerne
     embedding is sigma * V' and new points go through the centered
     train-vs-new kernel.
     """
-    x = as_matrix(x, "X")
+    x = as_finite_matrix(x, "X")
     if x.shape[1] < 2:
         raise ConfigError(f"fitting needs at least 2 samples, got {x.shape[1]}")
     kernel = kernels.resolve_gamma(kernel, x)
@@ -255,7 +255,7 @@ def fit_kernel_spca(
     for class labels) and eigendecomposes Upsilon' Kc Upsilon, the small-side
     square of the feature-space factor Phi_c(X) Upsilon.
     """
-    x = as_matrix(x, "X")
+    x = as_finite_matrix(x, "X")
     n = x.shape[1]
     if n < 2:
         raise ConfigError(f"fitting needs at least 2 samples, got {n}")

@@ -9,11 +9,21 @@ regularizing its diagonal only when the factorization fails, so that the
 returned basis satisfies ``U.T @ B' @ U = I`` for the (possibly shifted)
 constraint ``B'``.
 
+A constraint that maps an m-dimensional subspace into itself and acts as a
+multiple of the identity on its complement can be handed over as its m x m
+block plus a :class:`Complement` (the multiple and the complement's
+dimension). The PSD check, the shift and the health test then see the full
+spectrum while the factorizations stay m x m.
+
+A ``LinAlgError`` escaping numpy's LAPACK wrappers is re-raised as
+:class:`~roweis.exceptions.NumericalError`.
+
 Everything here is pure and thread-safe.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +52,22 @@ CONSTRAINT_COND_MAX = 1e6
 
 
 @dataclass(frozen=True)
+class Complement:
+    """``count`` eigenvalues equal to ``value`` outside the block a matrix holds.
+
+    With Q (d x m) orthonormal, the d x d matrix ``Q B Q' + value * (I - Q Q')``
+    is held as its m x m block B plus ``Complement(value, d - m)``.
+    """
+
+    value: float
+    count: int
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ConfigError(f"a complement needs count >= 1, got {self.count}")
+
+
+@dataclass(frozen=True)
 class RegPolicy:
     """Diagonal-loading schedule for singular constraint matrices.
 
@@ -55,8 +81,12 @@ class RegPolicy:
     max_scale: float = 1e-2
     growth: float = 10.0
 
-    def unit(self, b: np.ndarray) -> float:
-        mean_diag = float(np.trace(b)) / b.shape[0]
+    def unit(self, b: np.ndarray, complement: Complement | None = None) -> float:
+        trace, order = float(np.trace(b)), b.shape[0]
+        if complement is not None:
+            trace += complement.value * complement.count
+            order += complement.count
+        mean_diag = trace / order
         return mean_diag if mean_diag > 0.0 else 1.0
 
 
@@ -81,6 +111,19 @@ class SvdFactor:
     left: np.ndarray
     singular: np.ndarray
     right: np.ndarray
+
+
+def _lapack_errors(fn):
+    """Re-raise numpy's LinAlgError from ``fn`` as NumericalError."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"{fn.__name__}: {exc}") from exc
+
+    return wrapper
 
 
 def centering_matrix(n: int) -> np.ndarray:
@@ -116,6 +159,7 @@ def _fix_signs(vectors: np.ndarray, companion: np.ndarray | None = None):
     return flipped
 
 
+@_lapack_errors
 def symmetric_eig(a) -> EigPair:
     """Full spectrum of a symmetric matrix, leading eigenvalue first."""
     a = as_square(a, "A")
@@ -134,13 +178,21 @@ def _check_psd_spectrum(values: np.ndarray, norm: float, name: str) -> None:
         )
 
 
-def generalized_eig(a, b, reg: RegPolicy | None = None) -> EigPair:
+@_lapack_errors
+def generalized_eig(a, b, reg: RegPolicy | None = None, complement: Complement | None = None) -> EigPair:
     """Solve ``A U = B' U diag(values)`` with ``U.T @ B' @ U = I``.
 
     ``B' = B + shift * I`` where the shift follows ``reg`` and is applied only
     when the Cholesky factorization of B fails. The solve goes through the
     symmetrized problem on ``L^{-1} A L^{-T}`` (B' = L L'), which is stabler
     than explicitly inverting B.
+
+    With ``complement``, A and B are the blocks of d x d matrices that are
+    ``0`` and ``complement.value * I`` on a ``complement.count``-dimensional
+    complement. The complement's eigenvalues enter the PSD check, the shift
+    unit and the health test, so the shift is the one the d x d problem
+    gets. Its eigenpairs (all zero) are not returned; the vectors are in the
+    block's coordinates.
     """
     reg = reg or RegPolicy()
     a = as_square(a, "A")
@@ -153,10 +205,14 @@ def generalized_eig(a, b, reg: RegPolicy | None = None) -> EigPair:
     b_s = sym(b)
 
     b_vals = np.linalg.eigvalsh(b_s)
-    _check_psd_spectrum(b_vals, float(np.linalg.norm(b_s, "fro")), "constraint matrix B")
+    b_norm = float(np.linalg.norm(b_s, "fro"))
+    if complement is not None:
+        b_vals = np.sort(np.append(b_vals, complement.value))
+        b_norm = float(np.hypot(b_norm, complement.value * np.sqrt(complement.count)))
+    _check_psd_spectrum(b_vals, b_norm, "constraint matrix B")
     lam_min, lam_max = float(b_vals[0]), float(b_vals[-1])
 
-    unit = reg.unit(b_s)
+    unit = reg.unit(b_s, complement)
     candidates = [0.0]
     shift = reg.base_scale * unit
     while shift <= reg.max_scale * unit * (1.0 + 1e-12):
@@ -196,6 +252,7 @@ def generalized_eig(a, b, reg: RegPolicy | None = None) -> EigPair:
     return EigPair(vectors=vectors, values=values, shift=shift)
 
 
+@_lapack_errors
 def psd_factor(s) -> np.ndarray:
     """Factor a PSD matrix as ``delta.T @ delta = S``.
 
@@ -212,6 +269,7 @@ def psd_factor(s) -> np.ndarray:
     return (vectors * np.sqrt(values)).T
 
 
+@_lapack_errors
 def incomplete_svd(w, k: int) -> SvdFactor:
     """Rank-k truncated SVD of a rectangular matrix.
 

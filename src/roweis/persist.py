@@ -2,7 +2,9 @@
 
 Layout: a format tag, one ``key: value`` line per scalar (values are JSON),
 then ``array <name> <rows> <cols>`` blocks holding row-major numbers written
-with shortest round-trip repr, so a save/load cycle is bit-exact.
+with shortest round-trip repr, so a save/load cycle is bit-exact. Optional
+scalars take a default when absent, so files written before a key existed
+still load (a primal file without ``route`` loads as ``"dense"``).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .exceptions import DataError
 from .kernel_rda import KernelRdaModel
 from .kernels import KernelSpec
 from .linalg import RegPolicy
-from .rda import RdaModel, RoweisConfig
+from .rda import ROUTES, RdaModel, RoweisConfig
 
 FORMAT_TAG = "roweis-model/1"
 
@@ -64,6 +66,7 @@ def save_model(model, path) -> None:
         _write_scalar(lines, "label_kernel", _kernel_dict(cfg.label_kernel))
         _write_scalar(lines, "shift", model.shift)
         _write_scalar(lines, "notes", list(model.notes))
+        _write_scalar(lines, "route", model.route)
         _write_array(lines, "mean", model.mean)
         _write_array(lines, "eigvals", model.eigvals)
         _write_array(lines, "basis", model.basis)
@@ -158,6 +161,9 @@ def load_model(path):
     variant = scalars.get("variant")
     notes = tuple(scalars.get("notes", []))
     if variant == "primal":
+        route = scalars.get("route", "dense")
+        if route not in ROUTES:
+            raise DataError(f"{path}: unknown route {route!r}")
         reg = scalars.get("reg", [1e-8, 1e-2, 10.0])
         config = RoweisConfig(
             r1=float(scalars["r1"]),
@@ -176,6 +182,7 @@ def load_model(path):
             config=config,
             shift=float(scalars.get("shift", 0.0)),
             notes=notes,
+            route=route,
         )
     if variant == "dual":
         return DualRdaModel(

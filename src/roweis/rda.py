@@ -29,6 +29,31 @@ factor, and go through the dense P. :func:`blend_label_kernel` and
 :func:`objective_matrix` are that dense route and the oracle the factored one
 is tested against. :func:`label_factor` returns an n x k Upsilon with
 Upsilon Upsilon' = K_y for the dual and kernel-trick fits.
+
+Which matrices the solver sees depends on the shape (the model's ``route``):
+
+* ``"dense"`` (d <= n): R1 and R2 are built d x d and solved as they are.
+* ``"span"`` (n < d): everything lives in span(Xc). Take an orthonormal Q
+  (d x n, thin QR of Xc; any Q whose span holds span(Xc) will do, so no rank
+  is decided) and Z = Q' Xc. Then R1 = Q R1(Z) Q', and S_W = Q S_W(Z) Q'
+  because every sample minus its class mean lies in span(Xc). So R2 maps
+  span(Q) into itself and is (1 - r2) I on the complement. Its spectrum is
+  the n x n block's plus d - n copies of 1 - r2, and R1 vanishes on the
+  complement. The n x n problem (R1(Z), R2(Z)) therefore has exactly the
+  nonzero eigenpairs of the d x d one, and U = Q U_Z. The complement is
+  handed to :func:`generalized_eig` and :func:`robustify` as a
+  :class:`~roweis.linalg.Complement`, so the PSD check, the diagonal shift
+  (its unit is trace / d), the health test and the robust 98% cut all see
+  the full spectrum and come out as on the dense route. This holds for
+  every (r1, r2), not only for the r2 = 0 slice the dual form covers.
+
+One case falls back to the dense route: a robust fit whose 98% cut lands
+strictly inside the cluster of eigenvalues tied with 1 - r2 (the minimum of
+R2, since S_W is PSD). Exactly, that tail holds only copies of 1 - r2 and the
+repair changes nothing; in floating point the dense route averages the
+round-off of those copies over whichever basis LAPACK returns for the tied
+eigenspace, which no block computation reproduces. An all-flat cluster (R2 =
+I at r2 = 0) has nothing to average and stays on the span route.
 """
 
 from __future__ import annotations
@@ -39,13 +64,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, scatter
-from ._util import as_matrix, as_square, sym
+from ._util import as_finite_matrix, as_matrix, as_square, sym
 from .exceptions import ConfigError, NumericalError
-from .linalg import RegPolicy, generalized_eig, psd_factor, require_symmetric, symmetric_eig
+from .linalg import (
+    Complement,
+    EigPair,
+    RegPolicy,
+    _fix_signs,
+    generalized_eig,
+    psd_factor,
+    require_symmetric,
+    symmetric_eig,
+)
 
 # Cumulative eigenvalue mass treated as the reliable part of a spectrum when
 # repairing a near-singular constraint matrix.
 SPECTRUM_MASS = 0.98
+
+# Eigenvalues within this fraction of the largest of a complement's value
+# count as tied with it when robustify places its cut.
+TIE_RTOL = 1e-10
+
+# How a primal fit was solved: on the d x d matrices, or in the span of the
+# centered data (n < d).
+ROUTES = ("dense", "span")
 
 DEFAULT_VALID_EIG_THRESHOLD = 1e-9
 DEFAULT_AUTO_DIM_RATIO = 0.01
@@ -83,7 +125,11 @@ class RoweisConfig:
 
 @dataclass(frozen=True)
 class RdaModel:
-    """Fitted projection basis plus the statistics needed out of sample."""
+    """Fitted projection basis plus the statistics needed out of sample.
+
+    ``shift`` is the diagonal loading the constraint needed and ``route`` the
+    solver route taken (one of ROUTES); neither affects projection.
+    """
 
     basis: np.ndarray
     eigvals: np.ndarray
@@ -91,6 +137,7 @@ class RdaModel:
     config: RoweisConfig
     shift: float = 0.0
     notes: tuple = ()
+    route: str = "dense"
 
     @property
     def n_features(self) -> int:
@@ -144,30 +191,56 @@ def constraint_matrix(s_w, r2: float) -> np.ndarray:
     return sym(r2 * s_w + (1.0 - r2) * np.eye(s_w.shape[0]))
 
 
-def robustify(s, reg: RegPolicy | None = None) -> np.ndarray:
+def robustify(s, reg: RegPolicy | None = None, complement: Complement | None = None):
     """Repair a near-singular PSD matrix by flattening its eigenvalue tail.
 
     The leading eigenvalues carrying SPECTRUM_MASS of the total are kept; the
     remaining ones are replaced by their mean, which makes the result full
     rank whenever the tail still carries mass. An all-zero spectrum returns a
     small multiple of the identity instead.
+
+    With ``complement``, ``s`` is the block of a larger matrix that is
+    ``complement.value * I`` elsewhere (see :class:`roweis.linalg.Complement`).
+    The cut and the tail mean are taken over the full spectrum, and the
+    repaired block comes back with the repaired complement. The result is
+    None when the cut lands strictly inside the cluster of eigenvalues tied
+    with ``complement.value`` and that cluster is not exactly flat: the full
+    repair then averages part of a degenerate eigenspace, and which part
+    depends on the basis an eigensolver picks for it.
     """
     reg = reg or RegPolicy()
     s = as_square(s, "S")
     require_symmetric(s, name="S")
     pair = symmetric_eig(s)
     values = np.clip(pair.values, 0.0, None)
-    total = float(values.sum())
+    count = 0 if complement is None else complement.count
+    tied = 0.0 if complement is None else max(complement.value, 0.0)
+    # The complement's copies go after every block eigenvalue >= their value.
+    at = int(np.count_nonzero(values >= tied)) if count else values.size
+    spectrum = np.concatenate([values[:at], np.full(count, tied), values[at:]])
+    total = float(spectrum.sum())
     if total <= 0.0:
-        return reg.base_scale * np.eye(s.shape[0])
-    ratios = np.cumsum(values) / total
+        small = reg.base_scale * np.eye(s.shape[0])
+        return small if complement is None else (small, Complement(reg.base_scale, count))
+    ratios = np.cumsum(spectrum) / total
     head = int(np.searchsorted(ratios, SPECTRUM_MASS) + 1)
-    if head >= values.size:
-        return sym(s)
-    tail_mean = float(values[head:].mean())
+    if head >= spectrum.size:
+        return sym(s) if complement is None else (sym(s), complement)
+    tail_mean = float(spectrum[head:].mean())
+    if complement is not None:
+        tol = TIE_RTOL * float(spectrum[0])
+        lo = int(np.count_nonzero(spectrum > tied + tol))
+        hi = int(np.count_nonzero(spectrum >= tied - tol))
+        if lo < head < hi and np.any(spectrum[lo:] != tied):
+            return None
+    position = np.arange(values.size)
+    position[at:] += count
     repaired = values.copy()
-    repaired[head:] = tail_mean
-    return sym((pair.vectors * repaired) @ pair.vectors.T)
+    repaired[position >= head] = tail_mean
+    out = sym((pair.vectors * repaired) @ pair.vectors.T)
+    if complement is None:
+        return out
+    return out, Complement(tail_mean if head <= at else complement.value, count)
 
 
 def choose_dimensionality(eigvals, ratio_threshold: float) -> int:
@@ -237,14 +310,45 @@ def _select_dimension(values, valid, cap, config) -> tuple[int, list]:
     return p, notes
 
 
+def _solve(centered, scatter_data, labels, spec, config, complement=None) -> EigPair | None:
+    """Build R1 and R2 from ``centered`` and solve them; None if the robust
+    repair cannot be done on a block (see :func:`robustify`).
+
+    ``scatter_data`` is what the within-class scatter is taken of: the raw
+    data on the dense route, the same coordinates as ``centered`` on the span
+    route (S_W does not depend on the mean).
+    """
+    r1, r2 = config.r1, config.r2
+    if r1 > 0:
+        r1_mat = _label_objective(centered, labels, spec, r1)
+    else:
+        r1_mat = sym(centered @ centered.T)
+
+    if r2 > 0:
+        part = scatter.ClassPartition.from_labels(labels)
+        r2_mat = constraint_matrix(scatter.within_scatter(scatter_data, part), r2)
+    else:
+        r2_mat = np.eye(centered.shape[0])
+    if config.robust and complement is None:
+        r2_mat = robustify(r2_mat, config.reg)
+    elif config.robust:
+        repaired = robustify(r2_mat, config.reg, complement)
+        if repaired is None:
+            return None
+        r2_mat, complement = repaired
+    return generalized_eig(r1_mat, r2_mat, config.reg, complement)
+
+
 def fit(x, labels, config: RoweisConfig) -> RdaModel:
     """Fit the projection basis for the given mixing factors.
 
     Labels are required as soon as r1 > 0 or r2 > 0, and must be class ids
     (not real targets) when r2 > 0, because the within-class scatter needs a
-    hard partition of the samples.
+    hard partition of the samples. With fewer samples than features the
+    problem is solved in the span of the centered data (route "span"),
+    otherwise on the full d x d matrices (route "dense").
     """
-    x = as_matrix(x, "X")
+    x = as_finite_matrix(x, "X")
     d, n = x.shape
     if n < 2:
         raise ConfigError(f"fitting needs at least 2 samples, got {n}")
@@ -263,23 +367,20 @@ def fit(x, labels, config: RoweisConfig) -> RdaModel:
 
     mean = x.mean(axis=1)
     centered = x - mean[:, None]
+    resolved_spec = _resolved_label_kernel(config, labels) if r1 > 0 else None
 
-    resolved_spec = None
-    if r1 > 0:
-        resolved_spec = _resolved_label_kernel(config, labels)
-        r1_mat = _label_objective(centered, labels, resolved_spec, r1)
-    else:
-        r1_mat = sym(centered @ centered.T)
+    pair, route = None, "dense"
+    if n < d:
+        # Any orthonormal Q whose span holds span(Xc) is exact: no rank cut.
+        q = np.linalg.qr(centered)[0]
+        z = q.T @ centered
+        block = _solve(z, z, labels, resolved_spec, config, Complement(1.0 - r2, d - n))
+        if block is not None:
+            pair = EigPair(_fix_signs(q @ block.vectors), block.values, block.shift)
+            route = "span"
+    if pair is None:
+        pair = _solve(centered, x, labels, resolved_spec, config)
 
-    if r2 > 0:
-        part = scatter.ClassPartition.from_labels(labels)
-        r2_mat = constraint_matrix(scatter.within_scatter(x, part), r2)
-    else:
-        r2_mat = np.eye(d)
-    if config.robust:
-        r2_mat = robustify(r2_mat, config.reg)
-
-    pair = generalized_eig(r1_mat, r2_mat, config.reg)
     valid = count_valid(pair.values, config.valid_eig_threshold)
     if valid == 0:
         raise NumericalError("no positive eigenvalues; the data carry no variance")
@@ -294,6 +395,7 @@ def fit(x, labels, config: RoweisConfig) -> RdaModel:
         config=fitted,
         shift=pair.shift,
         notes=tuple(notes),
+        route=route,
     )
 
 

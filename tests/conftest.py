@@ -37,3 +37,11 @@ def labeled_blobs(rng: np.random.Generator, d: int, n: int, c: int, spread: floa
     labels = np.arange(n) % c
     x = centers[:, labels] + rng.standard_normal((d, n))
     return x, labels
+
+
+def with_complement(block: np.ndarray, value: float, count: int) -> np.ndarray:
+    """The block-diagonal matrix diag(block, value * I_count)."""
+    m = block.shape[0]
+    full = value * np.eye(m + count)
+    full[:m, :m] = block
+    return full

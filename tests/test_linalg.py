@@ -3,6 +3,7 @@ import pytest
 
 from roweis.exceptions import ConfigError, NumericalError
 from roweis.linalg import (
+    Complement,
     EigPair,
     RegPolicy,
     centering_matrix,
@@ -13,7 +14,7 @@ from roweis.linalg import (
 )
 from roweis.scatter import ClassPartition, between_scatter, total_scatter, within_scatter
 
-from conftest import align_columns, random_psd
+from conftest import align_columns, random_psd, with_complement
 
 
 class TestCenteringMatrix:
@@ -207,6 +208,41 @@ class TestRegPolicy:
     def test_unit_falls_back_on_zero_trace(self):
         assert RegPolicy().unit(np.zeros((3, 3))) == 1.0
 
+    def test_unit_counts_the_complement(self):
+        # trace (2 + 4 + 3 * 0.5) over order 5
+        assert RegPolicy().unit(np.diag([2.0, 4.0]), Complement(0.5, 3)) == 1.5
+
     def test_eigpair_defaults(self):
         pair = EigPair(vectors=np.eye(2), values=np.array([1.0, 0.0]))
         assert pair.shift == 0.0
+
+
+class TestComplement:
+    """A block plus a complement against the block-diagonal d x d matrix."""
+
+    @pytest.mark.parametrize("value", [0.0, 0.3, 2.0])
+    def test_generalized_eig_matches_the_full_problem(self, rng, value):
+        a = random_psd(rng, 5, rank=3)
+        b = random_psd(rng, 5, rank=2) if value == 0.0 else random_psd(rng, 5)
+        got = generalized_eig(a, b, complement=Complement(value, 4))
+        want = generalized_eig(with_complement(a, 0.0, 4), with_complement(b, value, 4))
+        assert got.shift == pytest.approx(want.shift, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(got.values[:3], want.values[:3], rtol=1e-10)
+        lifted = np.vstack([got.vectors[:, :3], np.zeros((4, 3))])
+        np.testing.assert_allclose(
+            np.abs(lifted), np.abs(want.vectors[:, :3]), atol=1e-8 * np.abs(want.vectors).max()
+        )
+
+    def test_complement_enters_the_psd_check(self):
+        with pytest.raises(NumericalError):
+            generalized_eig(np.eye(2), np.eye(2), complement=Complement(-1.0, 3))
+
+    def test_complement_can_force_the_shift(self):
+        # The block alone is well conditioned; with a zero complement the
+        # full constraint is singular and must be shifted.
+        assert generalized_eig(np.eye(2), np.eye(2)).shift == 0.0
+        assert generalized_eig(np.eye(2), np.eye(2), complement=Complement(0.0, 3)).shift > 0.0
+
+    def test_needs_a_positive_count(self):
+        with pytest.raises(ConfigError):
+            Complement(1.0, 0)

@@ -77,6 +77,42 @@ class TestRoundTrips:
         assert np.array_equal(project_kernel(loaded, probe), project_kernel(model, probe))
 
 
+class TestRoute:
+    def test_span_route_round_trip(self, tmp_path, rng):
+        x, labels = labeled_blobs(rng, d=20, n=8, c=2)
+        model = fit(x, labels, RoweisConfig(0.5, 0.5, p=2))
+        assert model.route == "span"
+        path = tmp_path / "m.txt"
+        save_model(model, path)
+        assert 'route: "span"' in path.read_text().splitlines()
+        loaded = load_model(path)
+        assert loaded.route == "span"
+        assert np.array_equal(loaded.basis, model.basis)
+
+    def test_dense_route_round_trip(self, tmp_path, data):
+        x, labels = data
+        model = fit(x, labels, RoweisConfig(0.5, 0.5, p=2))
+        path = tmp_path / "m.txt"
+        save_model(model, path)
+        assert model.route == load_model(path).route == "dense"
+
+    def test_file_without_route_loads_as_dense(self, tmp_path, rng):
+        x, labels = labeled_blobs(rng, d=20, n=8, c=2)
+        path = tmp_path / "m.txt"
+        save_model(fit(x, labels, RoweisConfig(0.5, 0.5, p=2)), path)
+        lines = [line for line in path.read_text().splitlines() if not line.startswith("route: ")]
+        path.write_text("\n".join(lines) + "\n")
+        assert load_model(path).route == "dense"
+
+    def test_unknown_route_rejected(self, tmp_path, data):
+        x, labels = data
+        path = tmp_path / "m.txt"
+        save_model(fit(x, labels, RoweisConfig(0.0, 0.0, p=1)), path)
+        path.write_text(path.read_text().replace('route: "dense"', 'route: "sideways"'))
+        with pytest.raises(DataError):
+            load_model(path)
+
+
 class TestFormat:
     def test_format_tag_written(self, tmp_path, data):
         x, labels = data

@@ -3,7 +3,7 @@ import pytest
 
 from roweis import kernels
 from roweis.exceptions import ConfigError, NumericalError
-from roweis.linalg import centering_matrix, symmetric_eig
+from roweis.linalg import Complement, centering_matrix, symmetric_eig
 from roweis.rda import (
     RdaModel,
     RoweisConfig,
@@ -19,7 +19,7 @@ from roweis.rda import (
 )
 from roweis.scatter import ClassPartition, total_scatter, within_scatter
 
-from conftest import align_columns, align_rows, labeled_blobs
+from conftest import align_columns, align_rows, labeled_blobs, with_complement
 
 
 class TestBlendLabelKernel:
@@ -106,6 +106,36 @@ class TestRobustify:
         s = np.diag([1.0, 1.0, 0.0, 0.0])
         repaired = robustify(s)
         np.testing.assert_allclose(repaired, s, atol=1e-12)
+
+
+class TestRobustifyWithComplement:
+    """The block plus complement form against robustify of the full matrix."""
+
+    @pytest.mark.parametrize(
+        "spectrum, value, count",
+        [
+            ([97.0, 2.0, 0.9], 0.1, 1),  # complement in the flattened tail
+            ([60.0, 30.0, 0.5], 3.0, 2),  # complement kept in the head
+            ([5.0, 4.0, 3.0], 0.0, 2),  # zero complement below the cut
+        ],
+    )
+    def test_matches_the_full_repair(self, rng, spectrum, value, count):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        block = (q * spectrum) @ q.T
+        repaired, outside = robustify(block, complement=Complement(value, count))
+        full = robustify(with_complement(block, value, count))
+        np.testing.assert_allclose(with_complement(repaired, outside.value, count), full, atol=1e-9)
+
+    def test_exactly_flat_tie_is_left_alone(self):
+        repaired, outside = robustify(np.eye(3), complement=Complement(1.0, 200))
+        np.testing.assert_allclose(repaired, np.eye(3), atol=1e-12)
+        assert outside.value == 1.0
+
+    def test_cut_inside_a_noisy_tie_is_declined(self):
+        # 3 + 1e-14 and the 200 copies of 3 are tied; 2% of the mass sits
+        # inside them, so the full repair depends on the tied basis.
+        block = np.diag([10.0, 3.0 + 1e-14, 3.0])
+        assert robustify(block, complement=Complement(3.0, 200)) is None
 
 
 class TestSupervisionLevel:

@@ -1,0 +1,221 @@
+"""The span route of ``rda.fit`` (n < d) against the dense d x d oracle.
+
+The oracle builds the full problem the way the dense route does:
+``objective_matrix`` on the dense blended label kernel, ``constraint_matrix``
+on the within-class scatter, ``robustify`` on the d x d constraint, and
+``generalized_eig`` on the pair. Spectra must agree to 1e-10 relative to the
+leading eigenvalue, shifts to 1e-12 relative, and embeddings to 1e-8 up to
+sign. Embeddings are compared only for components whose eigenvalue is
+positive and separated from its neighbours: the directions of a zero or
+repeated eigenvalue are arbitrary on both routes. The fitted basis must keep
+the constraint residual ``max|U'(B + shift I)U - I| <= 1e-8`` against the
+dense B.
+"""
+
+import numpy as np
+import pytest
+
+from roweis import kernels, rda
+from roweis._util import sym
+from roweis.linalg import generalized_eig
+from roweis.rda import (
+    RoweisConfig,
+    blend_label_kernel,
+    constraint_matrix,
+    fit,
+    objective_matrix,
+    project,
+    robustify,
+)
+from roweis.scatter import ClassPartition, within_scatter
+
+from conftest import align_rows
+
+SPECTRUM_RTOL = 1e-10
+SHIFT_RTOL = 1e-12
+EMBEDDING_RTOL = 1e-8
+RESIDUAL_TOL = 1e-8
+# Eigenvalues closer than this (relative to the leading one) to a neighbour
+# or to zero have no well-defined direction to compare.
+SEPARATION_RTOL = 1e-6
+
+N = 60
+CLASSES = 3
+WIDTHS = {"n+1": N + 1, "2n": 2 * N, "8n": 8 * N}
+GRID = (0.0, 0.5, 1.0)
+
+
+def class_data(d: int, n: int, labels: np.ndarray, seed: int = 0) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    _, codes = np.unique(labels, return_inverse=True)
+    centers = 1.5 * rng.standard_normal((d, codes.max() + 1))
+    return centers[:, codes] + rng.standard_normal((d, n))
+
+
+def class_labels(n: int) -> np.ndarray:
+    return np.arange(n) % CLASSES
+
+
+def dense_problem(x, labels, config: RoweisConfig):
+    """The d x d constraint B and the dense solution of (R1, B)."""
+    d, n = x.shape
+    if config.r1 > 0:
+        spec = rda._resolved_label_kernel(config, labels)
+        p_mat = blend_label_kernel(kernels.label_gram(spec, labels, labels), config.r1)
+    else:
+        p_mat = np.eye(n)
+    r1_mat = objective_matrix(x, p_mat)
+    if config.r2 > 0:
+        b = constraint_matrix(within_scatter(x, ClassPartition.from_labels(labels)), config.r2)
+    else:
+        b = np.eye(d)
+    if config.robust:
+        b = robustify(b, config.reg)
+    return b, generalized_eig(r1_mat, b, config.reg)
+
+
+def separated(values: np.ndarray, p: int) -> np.ndarray:
+    """Indices among the first p whose eigenvalue is positive and isolated."""
+    tol = SEPARATION_RTOL * abs(float(values[0]))
+    keep = []
+    for i in range(p):
+        gaps = [abs(values[i] - values[j]) for j in (i - 1, i + 1) if 0 <= j < values.size]
+        if values[i] > tol and min(gaps, default=np.inf) > tol:
+            keep.append(i)
+    return np.array(keep, dtype=int)
+
+
+def assert_matches_dense(x, labels, config: RoweisConfig, route: str = "span"):
+    model = fit(x, labels, config)
+    assert model.route == route
+    b, pair = dense_problem(x, labels, config)
+    p = model.n_components
+    scale = abs(float(pair.values[0]))
+    assert np.max(np.abs(model.eigvals - pair.values[:p])) <= SPECTRUM_RTOL * scale
+    assert model.shift == pytest.approx(pair.shift, rel=SHIFT_RTOL, abs=0.0)
+
+    basis = model.basis
+    columns = np.arange(p)
+    assert np.all(basis[np.argmax(np.abs(basis), axis=0), columns] > 0)  # linalg's sign convention
+    residual = basis.T @ (b + model.shift * np.eye(b.shape[0])) @ basis - np.eye(p)
+    assert np.max(np.abs(residual)) <= RESIDUAL_TOL
+
+    keep = separated(pair.values, p)
+    assert keep.size >= 1
+    centered = x - x.mean(axis=1, keepdims=True)
+    want = (pair.vectors[:, keep].T @ centered)
+    got = align_rows(want, project(model, x)[keep])
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=EMBEDDING_RTOL * float(np.max(np.abs(want))))
+    return model
+
+
+@pytest.mark.parametrize("width", sorted(WIDTHS))
+@pytest.mark.parametrize("robust", (False, True))
+@pytest.mark.parametrize("r2", GRID)
+@pytest.mark.parametrize("r1", GRID)
+def test_class_labels_grid(width, robust, r1, r2):
+    labels = class_labels(N)
+    x = class_data(WIDTHS[width], N, labels)
+    assert_matches_dense(x, labels, RoweisConfig(r1=r1, r2=r2, robust=robust))
+
+
+@pytest.mark.parametrize("width", sorted(WIDTHS))
+@pytest.mark.parametrize("robust", (False, True))
+@pytest.mark.parametrize("r1", (0.5, 1.0))
+def test_rbf_regression_targets(width, robust, r1):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((WIDTHS[width], N))
+    targets = x[0] - 0.5 * x[1] ** 2 + 0.1 * rng.standard_normal(N)
+    assert_matches_dense(x, targets, RoweisConfig(r1=r1, robust=robust))
+
+
+@pytest.mark.parametrize("width", sorted(WIDTHS))
+@pytest.mark.parametrize("r1, r2", [(0.0, 0.0), (1.0, 0.5), (0.5, 1.0)])
+class TestDegenerateData:
+    def test_duplicate_points(self, width, r1, r2):
+        labels = class_labels(N)
+        x = class_data(WIDTHS[width], N, labels)
+        x[:, CLASSES:2 * N // 3] = x[:, : 2 * N // 3 - CLASSES]  # copies of same-class columns
+        assert np.linalg.matrix_rank(x - x.mean(axis=1, keepdims=True)) < N - 1
+        assert_matches_dense(x, labels, RoweisConfig(r1=r1, r2=r2))
+
+    def test_singleton_classes(self, width, r1, r2):
+        labels = class_labels(N)
+        labels[-1], labels[-2] = 7, 8
+        x = class_data(WIDTHS[width], N, labels)
+        assert_matches_dense(x, labels, RoweisConfig(r1=r1, r2=r2))
+
+    def test_p_above_the_rank(self, width, r1, r2):
+        labels = class_labels(N)
+        x = class_data(WIDTHS[width], N, labels)
+        x[:, N // 2:] = x[:, : N // 2]
+        config = RoweisConfig(r1=r1, r2=r2, p=N + 3)
+        model = assert_matches_dense(x, labels, config)
+        # The note the dense route writes for the same cap min(d, n - 1).
+        assert model.notes == (f"requested p={N + 3} exceeds the rank bound {N - 1}; truncated",)
+        assert model.n_components == N - 1
+
+
+def test_robust_cut_inside_the_tied_block_takes_the_dense_route():
+    """A robust fit whose 98% cut splits the eigenvalues tied at 1 - r2.
+
+    Here n - c is small, so the d - n copies of 1 - r2 carry more than 2% of
+    the constraint's spectrum and the cut lands among them. Exactly, the tail
+    then holds only copies of 1 - r2 and the repair is a no-op. In floating
+    point the dense repair averages the round-off of those copies in the
+    basis LAPACK picks for the degenerate eigenspace, which the n x n block
+    cannot reproduce. So the fit takes the dense route and must give the
+    dense arithmetic's result bit for bit.
+    """
+    n, r1, r2 = 12, 0.1, 0.2
+    labels = class_labels(n)
+    x = class_data(8 * n, n, labels, seed=5)
+    config = RoweisConfig(r1=r1, r2=r2, robust=True)
+    model = fit(x, labels, config)
+    assert model.route == "dense"
+
+    # The dense route's own arithmetic, step by step.
+    centered = x - x.mean(axis=1)[:, None]
+    q = centered @ kernels.class_indicator(labels)
+    r1_mat = sym(r1 * (q @ q.T) + (1.0 - r1) * (centered @ centered.T))
+    b = robustify(constraint_matrix(within_scatter(x, ClassPartition.from_labels(labels)), r2), config.reg)
+    pair = generalized_eig(r1_mat, b, config.reg)
+    p = model.n_components
+    assert np.array_equal(model.basis, pair.vectors[:, :p])
+    assert np.array_equal(model.eigvals, pair.values[:p])
+    assert model.shift == pair.shift
+
+
+def test_flat_tied_block_stays_on_the_span_route():
+    # r2 = 0 makes R2 = I: the cut splits the tied block, but every tied
+    # value is exactly 1, so the repair has nothing to average.
+    labels = class_labels(12)
+    x = class_data(96, 12, labels)
+    assert_matches_dense(x, labels, RoweisConfig(r1=0.5, r2=0.0, robust=True))
+
+
+def test_dense_route_when_d_is_at_most_n():
+    labels = class_labels(N)
+    for d in (N // 2, N):
+        assert fit(class_data(d, N, labels), labels, RoweisConfig(r1=0.5, r2=0.5)).route == "dense"
+
+
+@pytest.mark.parametrize("width", sorted(WIDTHS))
+def test_span_route_solves_at_most_an_n_by_n_problem(monkeypatch, width):
+    orders = []
+    solve = rda.generalized_eig
+
+    def recording(a, b, *args, **kwargs):
+        orders.append(np.asarray(a).shape[0])
+        return solve(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(rda, "generalized_eig", recording)
+    labels = class_labels(N)
+    x = class_data(WIDTHS[width], N, labels)
+    for r1 in GRID:
+        for r2 in GRID:
+            for robust in (False, True):
+                model = fit(x, labels, RoweisConfig(r1=r1, r2=r2, robust=robust))
+                assert model.route == "span"
+    assert len(orders) == 18
+    assert max(orders) <= N
