@@ -13,6 +13,7 @@ failure. The default seed comes from the ROWEIS_SEED environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -22,6 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__, datasets, dual, evaluate, experiments, kernel_rda, kernels, persist, rda
+from ._util import csv_cells, float_rows
 from .exceptions import ConfigError, DataError, NumericalError
 
 SEED_ENV = "ROWEIS_SEED"
@@ -67,18 +69,34 @@ def _write_manifest(command: str, config: dict, seed, inputs: list, outputs: lis
         raise DataError(f"cannot write manifest {path}: {exc}") from None
 
 
-def _write_rows(path: str, header: list, rows) -> None:
+@contextlib.contextmanager
+def _output(path: str, newline: str | None = None):
+    """A text file open for writing; an OSError on the way becomes DataError."""
     try:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
+        with open(path, "w", newline=newline) as handle:
+            yield handle
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from None
 
 
-def _float_cells(values) -> list:
-    return [repr(float(v)) for v in values]
+def _write_rows(path: str, header: list, rows) -> None:
+    with _output(path, newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_matrix(path: str, header: list, values, lead=None) -> None:
+    """A CSV with one row per column of ``values``; ``lead`` optionally holds
+    each row's text cells, written before its numbers. The header and the
+    text cells go through ``csv.writer`` (its quoting, its ``\\r\\n``)."""
+    rows = float_rows(np.asarray(values).T, ",")
+    if lead is not None:
+        # The empty cell stands for the numbers, so csv quotes the text as in the whole row.
+        rows = (csv_cells([*cells, ""]) + row for cells, row in zip(lead, rows))
+    with _output(path, newline="") as handle:
+        csv.writer(handle).writerow(header)
+        handle.writelines(row + "\r\n" for row in rows)
 
 
 # ---------------------------------------------------------------- kernels
@@ -220,8 +238,7 @@ def cmd_transform(args) -> int:
     x, _ = _load_features(args.data, args.label_col)
     emb = _project_any(model, x)
     out = args.out or "embedding.csv"
-    header = [f"e{i + 1}" for i in range(emb.shape[0])]
-    _write_rows(out, header, (_float_cells(emb[:, j]) for j in range(emb.shape[1])))
+    _write_matrix(out, [f"e{i + 1}" for i in range(emb.shape[0])], emb)
     _write_manifest("transform", {"label_col": args.label_col}, None, [args.model, args.data], [out])
     print(f"wrote {emb.shape[1]} embeddings ({emb.shape[0]} dimensions) to {out}")
     return 0
@@ -237,8 +254,7 @@ def cmd_reconstruct(args) -> int:
     x, _ = _load_features(args.data, args.label_col)
     rec = rda.reconstruct(model, x) if isinstance(model, rda.RdaModel) else dual.reconstruct_dual(model, x)
     out = args.out or "reconstruction.csv"
-    header = [f"f{i + 1}" for i in range(rec.shape[0])]
-    _write_rows(out, header, (_float_cells(rec[:, j]) for j in range(rec.shape[1])))
+    _write_matrix(out, [f"f{i + 1}" for i in range(rec.shape[0])], rec)
     _write_manifest("reconstruct", {"label_col": args.label_col}, None, [args.model, args.data], [out])
     print(f"wrote {rec.shape[1]} reconstructions to {out}")
     return 0
@@ -320,7 +336,7 @@ def cmd_experiments(args) -> int:
     ]
     _write_rows(table_csv, ["method", "r1", "benchmark", "rmse_mean", "rmse_std"], rows)
     table_txt = os.path.join(out_dir, "regression_table.txt")
-    with open(table_txt, "w") as handle:
+    with _output(table_txt) as handle:
         handle.write("\n".join(experiments.benchmark_table_lines(cells)) + "\n")
 
     outputs = [table_csv, table_txt]
@@ -328,12 +344,8 @@ def cmd_experiments(args) -> int:
         for panel in experiments.embedding_panels(name, n=args.panel_n, seed=args.seed):
             path = os.path.join(panel_dir, f"{name}_r1_{panel.r1:g}_r2_{panel.r2:g}.csv")
             header = ["split", "label"] + [f"e{i + 1}" for i in range(panel.train_emb.shape[0])]
-            out_rows = []
-            for j in range(panel.train_emb.shape[1]):
-                out_rows.append(["train", str(panel.train_y[j])] + _float_cells(panel.train_emb[:, j]))
-            for j in range(panel.test_emb.shape[1]):
-                out_rows.append(["test", str(panel.test_y[j])] + _float_cells(panel.test_emb[:, j]))
-            _write_rows(path, header, out_rows)
+            lead = [["train", str(y)] for y in panel.train_y] + [["test", str(y)] for y in panel.test_y]
+            _write_matrix(path, header, np.hstack([panel.train_emb, panel.test_emb]), lead)
             outputs.append(path)
 
     config_dict = {"reps": args.reps, "n": args.n, "panel_n": args.panel_n}

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import csv_cells, float_rows
 from .exceptions import ConfigError, DataError
 
 XOR_MARGIN = 0.05
@@ -235,21 +236,29 @@ def _is_float(token: str) -> bool:
     return True
 
 
+def _label_text(value) -> str:
+    return str(int(value)) if np.issubdtype(np.asarray(value).dtype, np.integer) else str(value)
+
+
 def save_csv(path, x: np.ndarray, y: np.ndarray | None = None) -> None:
-    """Write samples as rows with a header; floats use shortest round-trip repr."""
+    """Write samples as rows with a header; floats use shortest round-trip repr.
+
+    The header and the label cells go through ``csv.writer`` (its quoting and
+    its ``\\r\\n`` line end); the feature cells are formatted row by row.
+    """
     x = np.asarray(x)
+    header = [f"f{i + 1}" for i in range(x.shape[0])]
+    rows = float_rows(x.T, ",")
+    if y is not None:
+        header.append("label")
+        # A label cell after the features reads ",<cell>"; with no features
+        # it is the whole row, which csv quotes differently when it is empty.
+        lead = [""] if x.shape[0] else []
+        labels = (csv_cells(lead + [_label_text(y[j])]) for j in range(x.shape[1]))
+        rows = (row + label for row, label in zip(rows, labels))
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        header = [f"f{i + 1}" for i in range(x.shape[0])]
-        if y is not None:
-            header.append("label")
-        writer.writerow(header)
-        for j in range(x.shape[1]):
-            row = [repr(float(v)) for v in x[:, j]]
-            if y is not None:
-                value = y[j]
-                row.append(str(int(value)) if np.issubdtype(np.asarray(value).dtype, np.integer) else str(value))
-            writer.writerow(row)
+        csv.writer(handle).writerow(header)
+        handle.writelines(row + "\r\n" for row in rows)
 
 
 def _parse_labels(tokens: list[str]) -> np.ndarray:
@@ -263,6 +272,10 @@ def _parse_labels(tokens: list[str]) -> np.ndarray:
         return np.array(tokens)
 
 
+# Lines csv.reader turns into an empty row; load_csv skips them.
+_BLANK_LINES = ("\n", "\r\n", "\r")
+
+
 def load_csv(path, label_col: int | str | None = None):
     """Read a rows-are-samples CSV.
 
@@ -272,21 +285,27 @@ def load_csv(path, label_col: int | str | None = None):
     ``inf``) feature values and non-finite labels raise DataError with the
     offending 1-based row and column.
 
+    The data rows are parsed in one bulk call (:func:`_parse_bulk`). When that
+    refuses them, the cell-by-cell scan (:func:`_scan_rows`) decides: it
+    accepts what the bulk parse does not take (quoted cells, ``1_0``, Unicode
+    digits) and names the first bad cell otherwise.
+
     Returns (X, y, feature_names) with X of shape d x n; y is None when no
     label column was requested.
     """
     try:
         with open(path, newline="") as handle:
-            rows = [row for row in csv.reader(handle) if row]
+            lines = handle.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    if not rows:
+    reader = csv.reader(lines)
+    first = next((row for row in reader if row), None)
+    if first is None:
         raise DataError(f"{path}: file is empty")
 
-    has_header = not any(_is_float(cell) for cell in rows[0])
-    header = rows[0] if has_header else None
-    data_rows = rows[1:] if has_header else rows
-    width = len(rows[0])
+    has_header = not any(_is_float(cell) for cell in first)
+    header = first if has_header else None
+    width = len(first)
 
     label_idx = None
     if label_col is not None:
@@ -305,6 +324,65 @@ def load_csv(path, label_col: int | str | None = None):
     feature_idx = [i for i in range(width) if i != label_idx]
     names = [header[i] for i in feature_idx] if header else [f"f{i + 1}" for i in feature_idx]
 
+    # reader.line_num counts the lines the first row took, blank lines before it included.
+    data_lines = lines[reader.line_num if has_header else reader.line_num - 1:]
+    parsed = _parse_bulk(data_lines, width, feature_idx, label_idx)
+    if parsed is None:
+        data_rows = [row for row in reader if row]
+        if not has_header:
+            data_rows.insert(0, first)
+        parsed = _scan_rows(path, data_rows, has_header, width, feature_idx, label_idx)
+    features, labels = parsed
+    y = _parse_labels(labels) if label_idx is not None else None
+    return features, y, names
+
+
+def _parse_bulk(lines, width, feature_idx, label_idx):
+    """(features, label cells) of the data lines, or None to leave them to the scan.
+
+    Takes only lines csv would split on every comma: no quote character, no
+    NUL (csv refuses it on Python 3.10) and no line longer than csv's field
+    limit. The feature columns go through one ``np.loadtxt`` call, which reads
+    each cell as ``float(cell.strip())`` does, bit for bit, or refuses it.
+    Everything the scan would reject (a ragged row, an empty, non-numeric or
+    non-finite cell, an empty or non-finite label) returns None.
+    """
+    rows = [line for line in lines if line not in _BLANK_LINES]
+    if not rows or not feature_idx:
+        return None
+    limit = csv.field_size_limit()
+    for line in rows:
+        if line.count(",") != width - 1 or '"' in line or "\0" in line or len(line) > limit:
+            return None
+    try:
+        # loadtxt is faster on every column than with usecols, so numeric labels come along.
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        picked = feature_idx
+    except ValueError:
+        if label_idx is None:
+            return None
+        try:
+            table = np.loadtxt(rows, delimiter=",", comments=None, usecols=feature_idx, ndmin=2)
+        except ValueError:
+            return None
+        picked = slice(None)
+    # C order, as the scan builds X: reductions over samples must not change.
+    features = np.ascontiguousarray(table.T[picked])
+    if features.shape != (len(feature_idx), len(rows)) or not np.all(np.isfinite(features)):
+        return None
+    labels = None
+    if label_idx is not None:
+        # The label cell is the last field left after cutting off the fields behind it.
+        behind = width - 1 - label_idx
+        labels = [line.rsplit(",", behind)[0].rpartition(",")[2].strip() for line in rows]
+        for cell in labels:
+            if cell == "" or (_is_float(cell) and not math.isfinite(float(cell))):
+                return None
+    return features, labels
+
+
+def _scan_rows(path, data_rows, has_header, width, feature_idx, label_idx):
+    """Cell-by-cell parse of csv rows; the first bad cell raises DataError."""
     features = np.empty((len(feature_idx), len(data_rows)))
     labels: list[str] = []
     for j, row in enumerate(data_rows):
@@ -333,6 +411,4 @@ def load_csv(path, label_col: int | str | None = None):
                     f"{path}: row {row_no} column {label_idx + 1} is not finite: {cell!r}"
                 )
             labels.append(cell)
-
-    y = _parse_labels(labels) if label_idx is not None else None
-    return features, y, names
+    return features, labels

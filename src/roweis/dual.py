@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._util import as_finite_matrix, as_matrix
+from ._util import as_finite_matrix, as_labels, as_matrix
 from .exceptions import ConfigError, NumericalError
 from .linalg import EIG_NOISE_RTOL, incomplete_svd, symmetric_eig
 from .rda import default_label_kernel, label_factor
@@ -86,9 +86,7 @@ def fit_dual(
     if r1 == 0.0:
         w = centered
     else:
-        labels = np.asarray(labels)
-        if labels.shape != (n,):
-            raise ConfigError(f"labels must have length n={n}, got shape {labels.shape}")
+        labels = as_labels(labels, n)
         spec = kernels.resolve_label_kernel(label_kernel or default_label_kernel(labels), labels)
         q = centered @ label_factor(spec, labels)
         if r1 == 1.0:

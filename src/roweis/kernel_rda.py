@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._util import as_finite_matrix, as_matrix, as_square, sym
+from ._util import as_finite_matrix, as_labels, as_matrix, as_square, sym
 from .exceptions import ConfigError, NumericalError
 from .linalg import RegPolicy, generalized_eig, symmetric_eig
 from .rda import (
@@ -143,9 +143,7 @@ def fit_direct(x, labels, config: RoweisConfig, kernel: kernels.KernelSpec) -> K
     if (r1 > 0 or r2 > 0) and labels is None:
         raise ConfigError("labels are required when r1 > 0 or r2 > 0")
     if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape != (n,):
-            raise ConfigError(f"labels must have length n={n}, got shape {labels.shape}")
+        labels = as_labels(labels, n)
     if r2 > 0 and not kernels.is_categorical(labels):
         raise ConfigError(
             "r2 > 0 uses the within-class scatter, which needs class labels; "
@@ -261,9 +259,7 @@ def fit_kernel_spca(
         raise ConfigError(f"fitting needs at least 2 samples, got {n}")
     if labels is None:
         raise ConfigError("labels are required for the supervised corner")
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise ConfigError(f"labels must have length n={n}, got shape {labels.shape}")
+    labels = as_labels(labels, n)
 
     kernel_x = kernels.resolve_gamma(kernel_x, x)
     spec_y = kernels.resolve_label_kernel(kernel_y or default_label_kernel(labels), labels)

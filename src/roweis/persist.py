@@ -4,7 +4,8 @@ Layout: a format tag, one ``key: value`` line per scalar (values are JSON),
 then ``array <name> <rows> <cols>`` blocks holding row-major numbers written
 with shortest round-trip repr, so a save/load cycle is bit-exact. Optional
 scalars take a default when absent, so files written before a key existed
-still load (a primal file without ``route`` loads as ``"dense"``).
+still load (a primal file without ``route`` loads as ``"dense"``). An array
+holding NaN or inf does not load.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 
 import numpy as np
 
+from ._util import float_rows
 from .dual import DualRdaModel
 from .exceptions import DataError
 from .kernel_rda import KernelRdaModel
@@ -30,18 +32,13 @@ _VARIANT_NAMES = {
 _VARIANT_FROM_NAME = {v: k for k, v in _VARIANT_NAMES.items()}
 
 
-def _write_scalar(lines: list, key: str, value) -> None:
-    lines.append(f"{key}: {json.dumps(value)}")
-
-
-def _write_array(lines: list, name: str, arr: np.ndarray) -> None:
+def _write_array(handle, name: str, arr: np.ndarray) -> None:
     arr = np.asarray(arr, dtype=float)
     if arr.ndim == 1:
         arr = arr[None, :]
     rows, cols = arr.shape
-    lines.append(f"array {name} {rows} {cols}")
-    for i in range(rows):
-        lines.append(" ".join(repr(float(v)) for v in arr[i]))
+    handle.write(f"array {name} {rows} {cols}\n")
+    handle.writelines(line + "\n" for line in float_rows(arr, " "))
 
 
 def _kernel_dict(spec: KernelSpec | None):
@@ -52,53 +49,61 @@ def _kernel_from(value) -> KernelSpec | None:
     return None if value is None else KernelSpec.from_dict(value)
 
 
-def save_model(model, path) -> None:
-    lines = [FORMAT_TAG]
+def _fields(model) -> tuple[list, list]:
+    """The model's (key, value) scalars and (name, array) blocks, in file order."""
     if isinstance(model, RdaModel):
         cfg = model.config
-        _write_scalar(lines, "variant", "primal")
-        _write_scalar(lines, "r1", cfg.r1)
-        _write_scalar(lines, "r2", cfg.r2)
-        _write_scalar(lines, "robust", cfg.robust)
-        _write_scalar(lines, "valid_eig_threshold", cfg.valid_eig_threshold)
-        _write_scalar(lines, "auto_dim_ratio", cfg.auto_dim_ratio)
-        _write_scalar(lines, "reg", [cfg.reg.base_scale, cfg.reg.max_scale, cfg.reg.growth])
-        _write_scalar(lines, "label_kernel", _kernel_dict(cfg.label_kernel))
-        _write_scalar(lines, "shift", model.shift)
-        _write_scalar(lines, "notes", list(model.notes))
-        _write_scalar(lines, "route", model.route)
-        _write_array(lines, "mean", model.mean)
-        _write_array(lines, "eigvals", model.eigvals)
-        _write_array(lines, "basis", model.basis)
+        scalars = [
+            ("variant", "primal"),
+            ("r1", cfg.r1),
+            ("r2", cfg.r2),
+            ("robust", cfg.robust),
+            ("valid_eig_threshold", cfg.valid_eig_threshold),
+            ("auto_dim_ratio", cfg.auto_dim_ratio),
+            ("reg", [cfg.reg.base_scale, cfg.reg.max_scale, cfg.reg.growth]),
+            ("label_kernel", _kernel_dict(cfg.label_kernel)),
+            ("shift", model.shift),
+            ("notes", list(model.notes)),
+            ("route", model.route),
+        ]
+        arrays = [("mean", model.mean), ("eigvals", model.eigvals), ("basis", model.basis)]
     elif isinstance(model, DualRdaModel):
-        _write_scalar(lines, "variant", "dual")
-        _write_scalar(lines, "r1", model.r1)
-        _write_scalar(lines, "notes", list(model.notes))
-        _write_array(lines, "mean", model.mean)
-        _write_array(lines, "sigma", model.sigma)
-        _write_array(lines, "right_vectors", model.right_vectors)
-        _write_array(lines, "factor", model.factor)
+        scalars = [("variant", "dual"), ("r1", model.r1), ("notes", list(model.notes))]
+        arrays = [
+            ("mean", model.mean),
+            ("sigma", model.sigma),
+            ("right_vectors", model.right_vectors),
+            ("factor", model.factor),
+        ]
     elif isinstance(model, KernelRdaModel):
-        _write_scalar(lines, "variant", _VARIANT_NAMES[model.variant])
-        _write_scalar(lines, "r1", model.r1)
-        _write_scalar(lines, "r2", model.r2)
-        _write_scalar(lines, "kernel", _kernel_dict(model.kernel))
-        _write_scalar(lines, "label_kernel", _kernel_dict(model.label_kernel))
-        _write_scalar(lines, "shift", model.shift)
-        _write_scalar(lines, "notes", list(model.notes))
-        _write_array(lines, "eigvals", model.eigvals)
-        _write_array(lines, "train_x", model.train_x)
+        scalars = [
+            ("variant", _VARIANT_NAMES[model.variant]),
+            ("r1", model.r1),
+            ("r2", model.r2),
+            ("kernel", _kernel_dict(model.kernel)),
+            ("label_kernel", _kernel_dict(model.label_kernel)),
+            ("shift", model.shift),
+            ("notes", list(model.notes)),
+        ]
+        arrays = [("eigvals", model.eigvals), ("train_x", model.train_x)]
         if model.variant == "direct":
-            _write_array(lines, "coeffs", model.coeffs)
+            arrays.append(("coeffs", model.coeffs))
         else:
-            _write_array(lines, "sigma", model.sigma)
-            _write_array(lines, "right_vectors", model.right_vectors)
+            arrays += [("sigma", model.sigma), ("right_vectors", model.right_vectors)]
             if model.upsilon is not None:
-                _write_array(lines, "upsilon", model.upsilon)
+                arrays.append(("upsilon", model.upsilon))
     else:
         raise DataError(f"cannot persist object of type {type(model).__name__}")
+    return scalars, arrays
+
+
+def save_model(model, path) -> None:
+    scalars, arrays = _fields(model)
     with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(FORMAT_TAG + "\n")
+        handle.writelines(f"{key}: {json.dumps(value)}\n" for key, value in scalars)
+        for name, arr in arrays:
+            _write_array(handle, name, arr)
 
 
 def _parse(path) -> tuple[dict, dict]:
@@ -121,18 +126,12 @@ def _parse(path) -> tuple[dict, dict]:
             try:
                 _, name, rows, cols = line.split()
                 rows, cols = int(rows), int(cols)
+                if rows < 0 or cols < 0:
+                    raise ValueError
             except ValueError:
                 raise DataError(f"{path}: malformed array header {line!r}") from None
-            block = np.empty((rows, cols))
-            for r in range(rows):
-                if i >= len(lines):
-                    raise DataError(f"{path}: truncated array {name!r}")
-                values = lines[i].split()
-                if len(values) != cols:
-                    raise DataError(f"{path}: array {name!r} row {r} has {len(values)} values, expected {cols}")
-                block[r] = [float(v) for v in values]
-                i += 1
-            arrays[name] = block
+            arrays[name] = _parse_array(path, name, lines[i:i + rows], rows, cols)
+            i += rows
         elif ": " in line:
             key, raw = line.split(": ", 1)
             try:
@@ -142,6 +141,33 @@ def _parse(path) -> tuple[dict, dict]:
         else:
             raise DataError(f"{path}: unrecognized line {line!r}")
     return scalars, arrays
+
+
+def _parse_array(path, name: str, block: list, rows: int, cols: int) -> np.ndarray:
+    """One ``array`` block from its row lines: one bulk parse, and the
+    row-by-row scan, which names the first bad row, when that refuses it.
+    NaN or inf anywhere in the block raises DataError."""
+    values = None
+    if len(block) == rows and rows and cols:
+        try:
+            values = np.loadtxt(block, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if values is None or values.shape != (rows, cols):
+        values = np.empty((rows, cols))
+        for r in range(rows):
+            if r >= len(block):
+                raise DataError(f"{path}: truncated array {name!r}")
+            cells = block[r].split()
+            if len(cells) != cols:
+                raise DataError(f"{path}: array {name!r} row {r} has {len(cells)} values, expected {cols}")
+            try:
+                values[r] = [float(v) for v in cells]
+            except ValueError:
+                raise DataError(f"{path}: array {name!r} row {r} holds a non-numeric value") from None
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{path}: array {name!r} holds non-finite values (nan or inf)")
+    return values
 
 
 def _vec(arrays: dict, name: str, path) -> np.ndarray:

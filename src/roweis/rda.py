@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, scatter
-from ._util import as_finite_matrix, as_matrix, as_square, sym
+from ._util import as_finite_matrix, as_labels, as_matrix, as_square, sym
 from .exceptions import ConfigError, NumericalError
 from .linalg import (
     Complement,
@@ -356,9 +356,7 @@ def fit(x, labels, config: RoweisConfig) -> RdaModel:
     if (r1 > 0 or r2 > 0) and labels is None:
         raise ConfigError("labels are required when r1 > 0 or r2 > 0")
     if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape != (n,):
-            raise ConfigError(f"labels must have length n={n}, got shape {labels.shape}")
+        labels = as_labels(labels, n)
     if r2 > 0 and not kernels.is_categorical(labels):
         raise ConfigError(
             "r2 > 0 uses the within-class scatter, which needs class labels; "

@@ -177,6 +177,22 @@ class TestTransformReconstruct:
                    "--out", tmp_path / "out.csv")
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["transform", "reconstruct"])
+    def test_non_finite_model_array_is_data_error(self, tmp_path, xor_csv, capsys, command):
+        model_path = tmp_path / "model.txt"
+        run("fit", "--data", xor_csv, "--label-col", "label", "--r1", 0, "--r2", 0,
+            "--p", 2, "--out", model_path)
+        lines = model_path.read_text().splitlines()
+        row = lines.index("array mean 1 2") + 1
+        lines[row] = "nan " + lines[row].split()[1]
+        model_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.csv"
+        code = run(command, "--model", model_path, "--data", xor_csv, "--label-col", "label",
+                   "--out", out)
+        assert code == 3
+        assert "array 'mean' holds non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reconstruct_refuses_kernel_models(self, tmp_path, xor_csv, capsys):
         model_path = tmp_path / "kernel.txt"
         run("fit", "--data", xor_csv, "--label-col", "label", "--variant", "kernel",
@@ -241,3 +257,11 @@ class TestExperiments:
         header = panels[0].read_text().splitlines()[0]
         assert header.startswith("split,label,e1")
         assert (out_dir / "regression_table.txt").exists()
+
+    def test_unwritable_text_table_is_data_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        (out_dir / "regression_table.txt").mkdir(parents=True)
+        code = run("experiments", "--out-dir", out_dir, "--reps", 2, "--n", 60,
+                   "--panel-n", 40, "--seed", 1)
+        assert code == 3
+        assert "cannot write" in capsys.readouterr().err
