@@ -7,7 +7,7 @@ corner, in both the input space and a kernel feature space.
 
 __version__ = "0.1.0"
 
-from .dual import DualRdaModel, fit_dual, project_dual, reconstruct_dual
+from .dual import fit_dual
 from .exceptions import ConfigError, DataError, NumericalError, RoweisError
 from .kernel_rda import KernelRdaModel, fit_direct, fit_kernel_pca, fit_kernel_spca
 from .kernel_rda import project as project_kernel
@@ -19,7 +19,6 @@ from .rda import RdaModel, RoweisConfig, fit, project, reconstruct, supervision_
 __all__ = [
     "ConfigError",
     "DataError",
-    "DualRdaModel",
     "KernelRdaModel",
     "KernelSpec",
     "NumericalError",
@@ -34,10 +33,8 @@ __all__ = [
     "fit_kernel_spca",
     "load_model",
     "project",
-    "project_dual",
     "project_kernel",
     "reconstruct",
-    "reconstruct_dual",
     "save_model",
     "supervision_level",
     "__version__",

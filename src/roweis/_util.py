@@ -28,6 +28,15 @@ def as_finite_matrix(a, name: str = "X") -> np.ndarray:
     return arr
 
 
+def as_features(a, n_features: int) -> np.ndarray:
+    """:func:`as_matrix` for data a fitted model embeds: ConfigError unless
+    it has the model's ``n_features`` rows."""
+    arr = as_matrix(a, "X")
+    if arr.shape[0] != n_features:
+        raise ConfigError(f"model expects {n_features} features, data has {arr.shape[0]}")
+    return arr
+
+
 def as_labels(labels, n: int) -> np.ndarray:
     """A length-n label vector for a fit: NaN or inf in real-valued labels
     raises DataError, a wrong shape ConfigError."""
@@ -43,13 +52,6 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
     arr = as_matrix(a, name)
     if arr.shape[0] != arr.shape[1]:
         raise ConfigError(f"{name} must be square, got shape {arr.shape}")
-    return arr
-
-
-def as_vector(a, name: str = "vector") -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 1:
-        raise ConfigError(f"{name} must be 1-dimensional, got ndim={arr.ndim}")
     return arr
 
 

@@ -171,8 +171,6 @@ def cmd_fit(args) -> int:
     r1 = args.r1 if args.r1 is not None else (1.0 if variant == "kernel-spca" else 0.0)
     r2 = args.r2 if args.r2 is not None else 0.0
 
-    if variant == "dual" and r2 != 0.0:
-        raise ConfigError("the dual variant requires r2=0")
     if variant == "kernel-pca" and (r1 != 0.0 or r2 != 0.0):
         raise ConfigError("kernel-pca is the r1=0, r2=0 corner; drop --r1/--r2 or use --variant kernel")
     if variant == "kernel-spca" and (r1 != 1.0 or r2 != 0.0):
@@ -184,19 +182,14 @@ def cmd_fit(args) -> int:
 
     if variant == "primal":
         model = rda.fit(x, y, config)
-        spectrum = model.eigvals
     elif variant == "dual":
-        model = dual.fit_dual(x, y, r1, p=args.p, label_kernel=label_kernel)
-        spectrum = model.sigma**2
+        model = dual.fit_dual(x, y, r1, r2=r2, p=args.p, label_kernel=label_kernel)
     elif variant == "kernel":
         model = kernel_rda.fit_direct(x, y, config, data_kernel)
-        spectrum = model.eigvals
     elif variant == "kernel-pca":
         model = kernel_rda.fit_kernel_pca(x, data_kernel, p=args.p)
-        spectrum = model.eigvals
     elif variant == "kernel-spca":
         model = kernel_rda.fit_kernel_spca(x, y, data_kernel, label_kernel, p=args.p)
-        spectrum = model.eigvals
     else:
         raise ConfigError(f"unknown variant {variant!r}")
 
@@ -216,9 +209,9 @@ def cmd_fit(args) -> int:
         "label_col": args.label_col,
     }
     _write_manifest("fit", config_dict, None, [args.data], [out])
-    for note in getattr(model, "notes", ()):
+    for note in model.notes:
         print(f"note: {note}")
-    _print_spectrum(spectrum)
+    _print_spectrum(model.eigvals)
     print(f"wrote model to {out}")
     return 0
 
@@ -228,8 +221,6 @@ def cmd_fit(args) -> int:
 def _project_any(model, x):
     if isinstance(model, rda.RdaModel):
         return rda.project(model, x)
-    if isinstance(model, dual.DualRdaModel):
-        return dual.project_dual(model, x)
     return kernel_rda.project(model, x)
 
 
@@ -252,7 +243,7 @@ def cmd_reconstruct(args) -> int:
             "exist only through inner products and are not available"
         )
     x, _ = _load_features(args.data, args.label_col)
-    rec = rda.reconstruct(model, x) if isinstance(model, rda.RdaModel) else dual.reconstruct_dual(model, x)
+    rec = rda.reconstruct(model, x)
     out = args.out or "reconstruction.csv"
     _write_matrix(out, [f"f{i + 1}" for i in range(rec.shape[0])], rec)
     _write_manifest("reconstruct", {"label_col": args.label_col}, None, [args.model, args.data], [out])

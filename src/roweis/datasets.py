@@ -1,4 +1,4 @@
-"""Synthetic datasets, CSV ingestion, splitting, standardization.
+"""Synthetic datasets, CSV ingestion and splitting.
 
 All generators draw from numpy's default 64-bit generator (PCG64) seeded
 explicitly, with a documented draw order, so a given (generator, n, seed)
@@ -205,29 +205,6 @@ def train_test_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dat
     return train, test
 
 
-@dataclass(frozen=True)
-class StandardizeStats:
-    mean: np.ndarray
-    scale: np.ndarray
-
-
-def standardize(x_train, x_test=None):
-    """Zero-mean unit-variance per feature, with test data transformed by
-    the training statistics. Constant features are centered and left at
-    scale 1."""
-    x_train = np.asarray(x_train, dtype=float)
-    mean = x_train.mean(axis=1)
-    std = x_train.std(axis=1)
-    scale = np.where(std > 0.0, std, 1.0)
-    stats = StandardizeStats(mean=mean, scale=scale)
-    out_train = (x_train - mean[:, None]) / scale[:, None]
-    if x_test is None:
-        return out_train, None, stats
-    x_test = np.asarray(x_test, dtype=float)
-    out_test = (x_test - mean[:, None]) / scale[:, None]
-    return out_train, out_test, stats
-
-
 def _is_float(token: str) -> bool:
     try:
         float(token)
@@ -283,7 +260,8 @@ def load_csv(path, label_col: int | str | None = None):
     number. ``label_col`` selects the label column by name (needs a header)
     or by 0-based index. Missing, non-numeric or non-finite (``nan``,
     ``inf``) feature values and non-finite labels raise DataError with the
-    offending 1-based row and column.
+    offending 1-based row and column; so does a row csv cannot read, such as
+    one with a field longer than ``csv.field_size_limit()``.
 
     The data rows are parsed in one bulk call (:func:`_parse_bulk`). When that
     refuses them, the cell-by-cell scan (:func:`_scan_rows`) decides: it
@@ -299,7 +277,8 @@ def load_csv(path, label_col: int | str | None = None):
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     reader = csv.reader(lines)
-    first = next((row for row in reader if row), None)
+    rows = _csv_rows(path, reader)
+    first = next(rows, None)
     if first is None:
         raise DataError(f"{path}: file is empty")
 
@@ -328,13 +307,21 @@ def load_csv(path, label_col: int | str | None = None):
     data_lines = lines[reader.line_num if has_header else reader.line_num - 1:]
     parsed = _parse_bulk(data_lines, width, feature_idx, label_idx)
     if parsed is None:
-        data_rows = [row for row in reader if row]
+        data_rows = list(rows)
         if not has_header:
             data_rows.insert(0, first)
         parsed = _scan_rows(path, data_rows, has_header, width, feature_idx, label_idx)
     features, labels = parsed
     y = _parse_labels(labels) if label_idx is not None else None
     return features, y, names
+
+
+def _csv_rows(path, reader):
+    """The non-blank rows of a csv reader; a row csv refuses raises DataError."""
+    try:
+        yield from (row for row in reader if row)
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _parse_bulk(lines, width, feature_idx, label_idx):

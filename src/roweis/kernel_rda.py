@@ -40,15 +40,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._util import as_finite_matrix, as_labels, as_matrix, as_square, sym
+from ._util import as_features, as_square, sym
 from .exceptions import ConfigError, NumericalError
-from .linalg import RegPolicy, generalized_eig, symmetric_eig
+from .linalg import generalized_eig, symmetric_eig
 from .rda import (
     RoweisConfig,
+    _first_usable,
+    _fit_inputs,
+    _resolved_label_kernel,
+    _select_dimension,
     blend_label_kernel,
-    choose_dimensionality,
     count_valid,
-    default_label_kernel,
     label_factor,
 )
 from .scatter import ClassPartition
@@ -80,10 +82,6 @@ class KernelRdaModel:
     upsilon: np.ndarray | None = None
     shift: float = 0.0
     notes: tuple = ()
-
-    @property
-    def n_train(self) -> int:
-        return int(self.train_x.shape[1])
 
     @property
     def n_components(self) -> int:
@@ -135,32 +133,18 @@ def kernel_constraint_matrix(n_mat, k_x, r2: float) -> np.ndarray:
 
 def fit_direct(x, labels, config: RoweisConfig, kernel: kernels.KernelSpec) -> KernelRdaModel:
     """Representation-theory fit, valid on the whole (r1, r2) square."""
-    x = as_finite_matrix(x, "X")
-    d, n = x.shape
-    if n < 2:
-        raise ConfigError(f"fitting needs at least 2 samples, got {n}")
     r1, r2 = config.r1, config.r2
-    if (r1 > 0 or r2 > 0) and labels is None:
-        raise ConfigError("labels are required when r1 > 0 or r2 > 0")
-    if labels is not None:
-        labels = as_labels(labels, n)
-    if r2 > 0 and not kernels.is_categorical(labels):
-        raise ConfigError(
-            "r2 > 0 uses the within-class scatter, which needs class labels; "
-            "got real-valued targets"
-        )
+    x, labels = _fit_inputs(x, labels, r1, r2)
+    n = x.shape[1]
 
     kernel = kernels.resolve_gamma(kernel, x)
     k_x = sym(kernels.gram(kernel, x, x))
 
-    resolved_label = None
     if r1 > 0:
-        spec = config.label_kernel or default_label_kernel(labels)
-        resolved_label = kernels.resolve_label_kernel(spec, labels)
-        k_y = kernels.label_gram(resolved_label, labels, labels)
-        p_mat = blend_label_kernel(k_y, r1)
+        resolved_label = _resolved_label_kernel(config.label_kernel, labels)
+        p_mat = blend_label_kernel(kernels.label_gram(resolved_label, labels, labels), r1)
     else:
-        p_mat = np.eye(n)
+        resolved_label, p_mat = None, np.eye(n)
     m_mat = kernel_objective_matrix(k_x, p_mat)
 
     n_classes = None
@@ -176,16 +160,7 @@ def fit_direct(x, labels, config: RoweisConfig, kernel: kernels.KernelSpec) -> K
     if valid == 0:
         raise NumericalError("no positive eigenvalues; the kernel carries no usable variance")
     cap = min(n, n_classes) - 1 if r2 == 1.0 else n - 1
-
-    notes = []
-    if config.p is not None:
-        p = config.p
-        if p > cap:
-            notes.append(f"requested p={p} exceeds the rank bound {cap}; truncated")
-            p = cap
-    else:
-        usable = max(min(valid, cap), 1)
-        p = min(choose_dimensionality(np.clip(pair.values, 0.0, None), config.auto_dim_ratio), usable)
+    p, notes = _select_dimension(pair.values, valid, cap, config)
 
     return KernelRdaModel(
         variant="direct",
@@ -201,14 +176,16 @@ def fit_direct(x, labels, config: RoweisConfig, kernel: kernels.KernelSpec) -> K
     )
 
 
-def _positive_directions(pair, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Keep eigendirections whose singular value is numerically trustworthy."""
+def _leading_directions(pair, p: int | None) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(right vectors, sigma, notes) of the first p eigendirections whose
+    singular value is numerically trustworthy (all of them for p=None)."""
     values = np.clip(pair.values, 0.0, None)
     if values.size == 0 or values[0] <= 0.0:
         raise NumericalError("no positive eigenvalues; the centered kernel is degenerate")
     sigma = np.sqrt(values)
-    keep = sigma >= TRICK_SINGULAR_RTOL * sigma[0]
-    return pair.vectors[:, keep], sigma[keep]
+    # sigma is non-increasing, so the trustworthy directions lead.
+    p, notes = _first_usable(p, int(np.count_nonzero(sigma >= TRICK_SINGULAR_RTOL * sigma[0])))
+    return pair.vectors[:, :p], sigma[:p], notes
 
 
 def fit_kernel_pca(x, kernel: kernels.KernelSpec, p: int | None = None) -> KernelRdaModel:
@@ -218,14 +195,10 @@ def fit_kernel_pca(x, kernel: kernels.KernelSpec, p: int | None = None) -> Kerne
     embedding is sigma * V' and new points go through the centered
     train-vs-new kernel.
     """
-    x = as_finite_matrix(x, "X")
-    if x.shape[1] < 2:
-        raise ConfigError(f"fitting needs at least 2 samples, got {x.shape[1]}")
+    x, _ = _fit_inputs(x, None, 0.0, 0.0)
     kernel = kernels.resolve_gamma(kernel, x)
     k_x = sym(kernels.gram(kernel, x, x))
-    pair = symmetric_eig(kernels.double_center(k_x))
-    right, sigma = _positive_directions(pair, x.shape[1])
-    right, sigma, notes = _truncate_trick(right, sigma, p)
+    right, sigma, notes = _leading_directions(symmetric_eig(kernels.double_center(k_x)), p)
     return KernelRdaModel(
         variant="trick_pca",
         coeffs=right / sigma[None, :],
@@ -253,22 +226,13 @@ def fit_kernel_spca(
     for class labels) and eigendecomposes Upsilon' Kc Upsilon, the small-side
     square of the feature-space factor Phi_c(X) Upsilon.
     """
-    x = as_finite_matrix(x, "X")
-    n = x.shape[1]
-    if n < 2:
-        raise ConfigError(f"fitting needs at least 2 samples, got {n}")
-    if labels is None:
-        raise ConfigError("labels are required for the supervised corner")
-    labels = as_labels(labels, n)
-
+    x, labels = _fit_inputs(x, labels, 1.0, 0.0)
     kernel_x = kernels.resolve_gamma(kernel_x, x)
-    spec_y = kernels.resolve_label_kernel(kernel_y or default_label_kernel(labels), labels)
+    spec_y = _resolved_label_kernel(kernel_y, labels)
     k_x = sym(kernels.gram(kernel_x, x, x))
     upsilon = label_factor(spec_y, labels)
     core = sym(upsilon.T @ kernels.double_center(k_x) @ upsilon)
-    pair = symmetric_eig(core)
-    right, sigma = _positive_directions(pair, n)
-    right, sigma, notes = _truncate_trick(right, sigma, p)
+    right, sigma, notes = _leading_directions(symmetric_eig(core), p)
     return KernelRdaModel(
         variant="trick_spca",
         coeffs=(upsilon @ right) / sigma[None, :],
@@ -285,26 +249,9 @@ def fit_kernel_spca(
     )
 
 
-def _truncate_trick(right, sigma, p):
-    notes = []
-    if p is not None:
-        if p < 1:
-            raise ConfigError(f"p must be a positive integer, got {p}")
-        if p > sigma.size:
-            notes.append(f"requested p={p} exceeds the {sigma.size} usable directions; truncated")
-            p = sigma.size
-        right = right[:, :p]
-        sigma = sigma[:p]
-    return right, sigma, tuple(notes)
-
-
 def project(model: KernelRdaModel, x_any) -> np.ndarray:
     """Embed new points through the kernel against the training matrix."""
-    x_any = as_matrix(x_any, "X")
-    if x_any.shape[0] != model.train_x.shape[0]:
-        raise ConfigError(
-            f"model expects {model.train_x.shape[0]} features, data has {x_any.shape[0]}"
-        )
+    x_any = as_features(x_any, model.train_x.shape[0])
     k_new = kernels.gram(model.kernel, model.train_x, x_any)
     if model.variant != "direct":
         k_train = sym(kernels.gram(model.kernel, model.train_x, model.train_x))

@@ -4,8 +4,14 @@ Layout: a format tag, one ``key: value`` line per scalar (values are JSON),
 then ``array <name> <rows> <cols>`` blocks holding row-major numbers written
 with shortest round-trip repr, so a save/load cycle is bit-exact. Optional
 scalars take a default when absent, so files written before a key existed
-still load (a primal file without ``route`` loads as ``"dense"``). An array
-holding NaN or inf does not load.
+still load (a primal file without ``route`` loads as ``"dense"``). A missing
+required scalar, a scalar of the wrong type, or an array holding NaN or inf
+does not load.
+
+A dual fit is an RdaModel with route ``"dual"`` and is saved in the primal
+layout. Files of the earlier ``variant: dual`` layout, which held the factor
+W, its right singular vectors V and the singular values sigma, still load:
+the basis W V / sigma is formed once, at load time.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ import json
 import numpy as np
 
 from ._util import float_rows
-from .dual import DualRdaModel
 from .exceptions import DataError
 from .kernel_rda import KernelRdaModel
 from .kernels import KernelSpec
@@ -67,14 +72,6 @@ def _fields(model) -> tuple[list, list]:
             ("route", model.route),
         ]
         arrays = [("mean", model.mean), ("eigvals", model.eigvals), ("basis", model.basis)]
-    elif isinstance(model, DualRdaModel):
-        scalars = [("variant", "dual"), ("r1", model.r1), ("notes", list(model.notes))]
-        arrays = [
-            ("mean", model.mean),
-            ("sigma", model.sigma),
-            ("right_vectors", model.right_vectors),
-            ("factor", model.factor),
-        ]
     elif isinstance(model, KernelRdaModel):
         scalars = [
             ("variant", _VARIANT_NAMES[model.variant]),
@@ -170,54 +167,79 @@ def _parse_array(path, name: str, block: list, rows: int, cols: int) -> np.ndarr
     return values
 
 
-def _vec(arrays: dict, name: str, path) -> np.ndarray:
-    if name not in arrays:
-        raise DataError(f"{path}: missing array {name!r}")
-    return arrays[name].ravel()
-
-
 def _mat(arrays: dict, name: str, path) -> np.ndarray:
     if name not in arrays:
         raise DataError(f"{path}: missing array {name!r}")
     return arrays[name]
 
 
+def _vec(arrays: dict, name: str, path) -> np.ndarray:
+    return _mat(arrays, name, path).ravel()
+
+
+def _scalar(scalars: dict, key: str, path, convert, default=None):
+    """``convert`` of a scalar, ``default`` when it is absent (None: the
+    scalar is required); a missing required scalar or a value ``convert``
+    refuses raises DataError."""
+    if key not in scalars:
+        if default is None:
+            raise DataError(f"{path}: missing value {key!r}")
+        return default
+    try:
+        return convert(scalars[key])
+    except (TypeError, ValueError):
+        raise DataError(f"{path}: malformed value for {key!r}: {scalars[key]!r}") from None
+
+
+def _reg_policy(value) -> RegPolicy:
+    """RegPolicy from its [base_scale, max_scale, growth] list."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise TypeError
+    return RegPolicy(*[float(v) for v in value])
+
+
+def _from_dual_layout(scalars: dict, arrays: dict, path) -> tuple[dict, dict]:
+    """The scalars and arrays of an earlier ``variant: dual`` file in the
+    primal layout: basis W V / sigma, eigvals sigma^2, r2 = 0, route dual."""
+    sigma = _vec(arrays, "sigma", path)
+    factor = _mat(arrays, "factor", path)
+    right = _mat(arrays, "right_vectors", path)
+    if right.shape != (factor.shape[1], sigma.size):
+        raise DataError(f"{path}: arrays 'factor', 'right_vectors' and 'sigma' disagree in shape")
+    basis = (factor @ right) / sigma[None, :]
+    return ({**scalars, "variant": "primal", "r2": 0.0, "route": "dual"},
+            {"mean": _vec(arrays, "mean", path), "eigvals": sigma**2, "basis": basis})
+
+
 def load_model(path):
     scalars, arrays = _parse(path)
+    if scalars.get("variant") == "dual":
+        scalars, arrays = _from_dual_layout(scalars, arrays, path)
     variant = scalars.get("variant")
-    notes = tuple(scalars.get("notes", []))
+    notes = _scalar(scalars, "notes", path, tuple, ())
     if variant == "primal":
         route = scalars.get("route", "dense")
         if route not in ROUTES:
             raise DataError(f"{path}: unknown route {route!r}")
-        reg = scalars.get("reg", [1e-8, 1e-2, 10.0])
+        basis = _mat(arrays, "basis", path)
         config = RoweisConfig(
-            r1=float(scalars["r1"]),
-            r2=float(scalars["r2"]),
-            p=int(_mat(arrays, "basis", path).shape[1]),
+            r1=_scalar(scalars, "r1", path, float),
+            r2=_scalar(scalars, "r2", path, float),
+            p=int(basis.shape[1]),
             label_kernel=_kernel_from(scalars.get("label_kernel")),
             robust=bool(scalars.get("robust", False)),
-            reg=RegPolicy(*[float(v) for v in reg]),
-            valid_eig_threshold=float(scalars.get("valid_eig_threshold", 1e-9)),
-            auto_dim_ratio=float(scalars.get("auto_dim_ratio", 0.01)),
+            reg=_scalar(scalars, "reg", path, _reg_policy, RegPolicy()),
+            valid_eig_threshold=_scalar(scalars, "valid_eig_threshold", path, float, 1e-9),
+            auto_dim_ratio=_scalar(scalars, "auto_dim_ratio", path, float, 0.01),
         )
         return RdaModel(
-            basis=_mat(arrays, "basis", path),
+            basis=basis,
             eigvals=_vec(arrays, "eigvals", path),
             mean=_vec(arrays, "mean", path),
             config=config,
-            shift=float(scalars.get("shift", 0.0)),
+            shift=_scalar(scalars, "shift", path, float, 0.0),
             notes=notes,
             route=route,
-        )
-    if variant == "dual":
-        return DualRdaModel(
-            right_vectors=_mat(arrays, "right_vectors", path),
-            sigma=_vec(arrays, "sigma", path),
-            factor=_mat(arrays, "factor", path),
-            mean=_vec(arrays, "mean", path),
-            r1=float(scalars["r1"]),
-            notes=notes,
         )
     if variant in _VARIANT_FROM_NAME:
         kind = _VARIANT_FROM_NAME[variant]
@@ -227,9 +249,7 @@ def load_model(path):
         eigvals = _vec(arrays, "eigvals", path)
         if kind == "direct":
             coeffs = _mat(arrays, "coeffs", path)
-            sigma = None
-            right = None
-            upsilon = None
+            sigma = right = upsilon = None
         else:
             sigma = _vec(arrays, "sigma", path)
             right = _mat(arrays, "right_vectors", path)
@@ -242,13 +262,13 @@ def load_model(path):
             eigvals=eigvals,
             train_x=train_x,
             kernel=kernel,
-            r1=float(scalars.get("r1", 0.0)),
-            r2=float(scalars.get("r2", 0.0)),
+            r1=_scalar(scalars, "r1", path, float, 0.0),
+            r2=_scalar(scalars, "r2", path, float, 0.0),
             label_kernel=label_kernel,
             right_vectors=right,
             sigma=sigma,
             upsilon=upsilon,
-            shift=float(scalars.get("shift", 0.0)),
+            shift=_scalar(scalars, "shift", path, float, 0.0),
             notes=notes,
         )
     raise DataError(f"{path}: unknown model variant {variant!r}")

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, scatter
-from ._util import as_finite_matrix, as_labels, as_matrix, as_square, sym
+from ._util import as_features, as_finite_matrix, as_labels, as_matrix, as_square, sym
 from .exceptions import ConfigError, NumericalError
 from .linalg import (
     Complement,
@@ -85,9 +85,9 @@ SPECTRUM_MASS = 0.98
 # count as tied with it when robustify places its cut.
 TIE_RTOL = 1e-10
 
-# How a primal fit was solved: on the d x d matrices, or in the span of the
-# centered data (n < d).
-ROUTES = ("dense", "span")
+# How a fit was solved: on the d x d matrices, in the span of the centered
+# data (n < d), or from the small-side factor of R1 (:func:`roweis.dual.fit_dual`).
+ROUTES = ("dense", "span", "dual")
 
 DEFAULT_VALID_EIG_THRESHOLD = 1e-9
 DEFAULT_AUTO_DIM_RATIO = 0.01
@@ -262,9 +262,9 @@ def default_label_kernel(labels) -> kernels.KernelSpec:
     return kernels.KernelSpec(family="rbf")
 
 
-def _resolved_label_kernel(config: RoweisConfig, labels) -> kernels.KernelSpec:
-    spec = config.label_kernel or default_label_kernel(labels)
-    return kernels.resolve_label_kernel(spec, labels)
+def _resolved_label_kernel(spec: kernels.KernelSpec | None, labels) -> kernels.KernelSpec:
+    """``spec``, or the default for the labels when None, with its bandwidth resolved."""
+    return kernels.resolve_label_kernel(spec or default_label_kernel(labels), labels)
 
 
 def label_factor(spec: kernels.KernelSpec, labels) -> np.ndarray:
@@ -290,6 +290,30 @@ def _label_objective(centered: np.ndarray, labels, spec: kernels.KernelSpec, r1:
     return sym(r1_mat)
 
 
+def _fit_inputs(x, labels, r1: float, r2: float):
+    """(X, labels) checked as every fit entry point needs them.
+
+    X must be finite with at least 2 samples. Labels are required as soon as
+    r1 > 0 or r2 > 0, are checked whenever given, and must be class ids (not
+    real targets) when r2 > 0, because the within-class scatter needs a hard
+    partition of the samples.
+    """
+    x = as_finite_matrix(x, "X")
+    n = x.shape[1]
+    if n < 2:
+        raise ConfigError(f"fitting needs at least 2 samples, got {n}")
+    if (r1 > 0 or r2 > 0) and labels is None:
+        raise ConfigError("labels are required when r1 > 0 or r2 > 0")
+    if labels is not None:
+        labels = as_labels(labels, n)
+    if r2 > 0 and not kernels.is_categorical(labels):
+        raise ConfigError(
+            "r2 > 0 uses the within-class scatter, which needs class labels; "
+            "got real-valued targets"
+        )
+    return x, labels
+
+
 def count_valid(values: np.ndarray, threshold: float) -> int:
     """Eigenvalues above threshold * largest; 0 for an empty or non-positive spectrum."""
     if values.size == 0 or values[0] <= 0.0:
@@ -308,6 +332,18 @@ def _select_dimension(values, valid, cap, config) -> tuple[int, list]:
         usable = max(min(valid, cap), 1)
         p = min(choose_dimensionality(np.clip(values, 0.0, None), config.auto_dim_ratio), usable)
     return p, notes
+
+
+def _first_usable(p: int | None, usable: int) -> tuple[int, tuple]:
+    """How many of ``usable`` leading directions a dual or kernel-trick fit
+    keeps for a requested p (None keeps them all), noting a truncation."""
+    if p is None:
+        return usable, ()
+    if p < 1:
+        raise ConfigError(f"p must be a positive integer, got {p}")
+    if p > usable:
+        return usable, (f"requested p={p} exceeds the {usable} usable directions; truncated",)
+    return p, ()
 
 
 def _solve(centered, scatter_data, labels, spec, config, complement=None) -> EigPair | None:
@@ -342,30 +378,17 @@ def _solve(centered, scatter_data, labels, spec, config, complement=None) -> Eig
 def fit(x, labels, config: RoweisConfig) -> RdaModel:
     """Fit the projection basis for the given mixing factors.
 
-    Labels are required as soon as r1 > 0 or r2 > 0, and must be class ids
-    (not real targets) when r2 > 0, because the within-class scatter needs a
-    hard partition of the samples. With fewer samples than features the
-    problem is solved in the span of the centered data (route "span"),
-    otherwise on the full d x d matrices (route "dense").
+    The inputs are checked by :func:`_fit_inputs`. With fewer samples than
+    features the problem is solved in the span of the centered data (route
+    "span"), otherwise on the full d x d matrices (route "dense").
     """
-    x = as_finite_matrix(x, "X")
-    d, n = x.shape
-    if n < 2:
-        raise ConfigError(f"fitting needs at least 2 samples, got {n}")
     r1, r2 = config.r1, config.r2
-    if (r1 > 0 or r2 > 0) and labels is None:
-        raise ConfigError("labels are required when r1 > 0 or r2 > 0")
-    if labels is not None:
-        labels = as_labels(labels, n)
-    if r2 > 0 and not kernels.is_categorical(labels):
-        raise ConfigError(
-            "r2 > 0 uses the within-class scatter, which needs class labels; "
-            "got real-valued targets"
-        )
+    x, labels = _fit_inputs(x, labels, r1, r2)
+    d, n = x.shape
 
     mean = x.mean(axis=1)
     centered = x - mean[:, None]
-    resolved_spec = _resolved_label_kernel(config, labels) if r1 > 0 else None
+    resolved_spec = _resolved_label_kernel(config.label_kernel, labels) if r1 > 0 else None
 
     pair, route = None, "dense"
     if n < d:
@@ -397,23 +420,12 @@ def fit(x, labels, config: RoweisConfig) -> RdaModel:
     )
 
 
-def _check_width(model: RdaModel, x: np.ndarray) -> None:
-    if x.shape[0] != model.n_features:
-        raise ConfigError(
-            f"model expects {model.n_features} features, data has {x.shape[0]}"
-        )
-
-
 def project(model: RdaModel, x_any) -> np.ndarray:
     """Embed columns of x_any: U' (x - training mean)."""
-    x_any = as_matrix(x_any, "X")
-    _check_width(model, x_any)
+    x_any = as_features(x_any, model.n_features)
     return model.basis.T @ (x_any - model.mean[:, None])
 
 
 def reconstruct(model: RdaModel, x_any) -> np.ndarray:
     """Map back from the subspace: U U' (x - mean) + mean."""
-    x_any = as_matrix(x_any, "X")
-    _check_width(model, x_any)
-    centered = x_any - model.mean[:, None]
-    return model.basis @ (model.basis.T @ centered) + model.mean[:, None]
+    return model.basis @ project(model, x_any) + model.mean[:, None]

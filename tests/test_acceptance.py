@@ -25,7 +25,7 @@ import pytest
 
 from roweis import kernels
 from roweis.datasets import gen_regression_benchmark, gen_rings, gen_xor, train_test_split
-from roweis.dual import fit_dual, project_dual
+from roweis.dual import fit_dual
 from roweis.evaluate import knn_classify, linear_regression_rmse
 from roweis.experiments import _cell_seed, regression_benchmark_table
 from roweis.kernel_rda import (
@@ -251,7 +251,7 @@ def test_criterion_3_primal_dual_equivalence():
             p = min(primal.n_components, dual.n_components)
             for tag, data in (("train", x), ("test", x_new)):
                 a = project(primal, data)[:p]
-                b = align_rows(a, project_dual(dual, data)[:p])
+                b = align_rows(a, project(dual, data)[:p])
                 gap = float(np.max(np.abs(a - b)))
                 if gap > 1e-8:
                     violations.append(f"shape {(d, n)} r1={r1} {tag}: gap {gap:.2e}")
@@ -311,7 +311,7 @@ def test_criterion_5_kernel_trick_consistency():
     dual = fit_dual(x, labels, 1.0)
     p = min(trick_spca.n_components, dual.n_components)
     for tag, data in (("train", x), ("test", x_new)):
-        a = project_dual(dual, data)[:p]
+        a = project(dual, data)[:p]
         b = align_rows(a, project_kernel(trick_spca, data)[:p])
         gap = float(np.max(np.abs(a - b)))
         if gap > 1e-8:

@@ -106,6 +106,13 @@ class TestFit:
         assert code == 3
         assert "row 3 column 1 is not finite" in capsys.readouterr().err
 
+    def test_field_over_the_csv_limit_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("f1,label\n1,a\n2," + "b" * 140000 + "\n")
+        code = run("fit", "--data", path, "--label-col", "label", "--out", tmp_path / "m.txt")
+        assert code == 3
+        assert "line 3: field larger than field limit" in capsys.readouterr().err
+
     def test_degenerate_data_is_numerical_error(self, tmp_path):
         path = tmp_path / "flat.csv"
         path.write_text("f1,f2\n" + "1.0,2.0\n" * 6)
@@ -192,6 +199,37 @@ class TestTransformReconstruct:
         assert code == 3
         assert "array 'mean' holds non-finite values" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["transform", "reconstruct"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: None if line.startswith("r1: ") else line, "missing value 'r1'"),
+        (lambda line: 'reg: ["a", 0.01, 10.0]' if line.startswith("reg: ") else line,
+         "malformed value for 'reg'"),
+    ], ids=["missing r1", "malformed reg"])
+    def test_malformed_model_scalar_is_data_error(self, tmp_path, xor_csv, capsys, command, edit, message):
+        model_path = tmp_path / "model.txt"
+        run("fit", "--data", xor_csv, "--label-col", "label", "--r1", 0, "--r2", 0,
+            "--p", 2, "--out", model_path)
+        lines = [edit(line) for line in model_path.read_text().splitlines()]
+        model_path.write_text("\n".join(line for line in lines if line is not None) + "\n")
+        code = run(command, "--model", model_path, "--data", xor_csv, "--label-col", "label",
+                   "--out", tmp_path / "out.csv")
+        assert code == 3
+        assert message in capsys.readouterr().err
+
+    def test_dual_fit_is_saved_in_the_primal_layout(self, tmp_path, xor_csv):
+        model_path = tmp_path / "dual.txt"
+        assert run("fit", "--data", xor_csv, "--label-col", "label", "--variant", "dual",
+                   "--r1", 0.5, "--out", model_path) == 0
+        lines = model_path.read_text().splitlines()
+        assert 'variant: "primal"' in lines and 'route: "dual"' in lines
+        assert not any(line.startswith(("array factor", "array sigma")) for line in lines)
+        rec_path = tmp_path / "rec.csv"
+        assert run("reconstruct", "--model", model_path, "--data", xor_csv,
+                   "--label-col", "label", "--out", rec_path) == 0
+        x, _, _ = load_csv(xor_csv, label_col="label")
+        got, _, _ = load_csv(rec_path)
+        np.testing.assert_allclose(got, x, atol=1e-9)  # p = d, lossless
 
     def test_reconstruct_refuses_kernel_models(self, tmp_path, xor_csv, capsys):
         model_path = tmp_path / "kernel.txt"

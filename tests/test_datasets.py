@@ -8,7 +8,6 @@ from roweis.datasets import (
     gen_xor,
     load_csv,
     save_csv,
-    standardize,
     train_test_split,
     xor_class,
 )
@@ -138,34 +137,6 @@ class TestSplit:
         ds = gen_xor(20, 0)
         with pytest.raises(ConfigError):
             train_test_split(ds, 1.0, 0)
-
-
-class TestStandardize:
-    def test_training_moments(self, rng):
-        x = rng.standard_normal((3, 50)) * 4.0 + 2.0
-        out, _, _ = standardize(x)
-        np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-10)
-        np.testing.assert_allclose(out.std(axis=1), 1.0, atol=1e-10)
-
-    def test_constant_feature_centered_with_unit_scale(self):
-        x = np.vstack([np.full(5, 7.0), np.arange(5.0)])
-        out, _, stats = standardize(x)
-        np.testing.assert_allclose(out[0], 0.0)
-        assert stats.scale[0] == 1.0
-
-    def test_already_standardized_unchanged(self, rng):
-        x = rng.standard_normal((2, 400))
-        x = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
-        out, _, _ = standardize(x)
-        np.testing.assert_allclose(out, x, atol=1e-12)
-
-    def test_test_data_uses_training_statistics(self, rng):
-        x_train = rng.standard_normal((2, 30)) * 3.0 + 1.0
-        x_test = rng.standard_normal((2, 10))
-        _, out_test, stats = standardize(x_train, x_test)
-        np.testing.assert_allclose(
-            out_test, (x_test - stats.mean[:, None]) / stats.scale[:, None]
-        )
 
 
 class TestCsv:

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from roweis.dual import fit_dual, project_dual, reconstruct_dual
+from roweis.dual import fit_dual
 from roweis.exceptions import ConfigError
 from roweis.linalg import incomplete_svd
-from roweis.rda import RoweisConfig, fit, project, reconstruct
+from roweis.rda import RdaModel, RoweisConfig, fit, project, reconstruct
 
 from conftest import align_rows, labeled_blobs
+
+
+def right_vectors(model, x):
+    """V with W = Xc at r1 = 0: the training embedding sigma V' divided by sigma."""
+    return project(model, x).T / np.sqrt(model.eigvals)[None, :]
 
 
 class TestFitDual:
@@ -21,26 +26,30 @@ class TestFitDual:
     def test_unsupervised_factor_is_centered_data(self, rng):
         x = rng.standard_normal((3, 8))
         model = fit_dual(x, None, 0.0)
-        np.testing.assert_allclose(model.factor, x - x.mean(axis=1, keepdims=True))
+        assert isinstance(model, RdaModel) and model.route == "dual"
+        w = x - x.mean(axis=1, keepdims=True)
+        np.testing.assert_allclose(w @ (w.T @ model.basis), model.basis * model.eigvals, atol=1e-9)
 
     def test_training_projection_is_sigma_v(self, rng):
         x = rng.standard_normal((4, 10))
         model = fit_dual(x, None, 0.0)
-        expected = model.sigma[:, None] * model.right_vectors.T
-        np.testing.assert_allclose(project_dual(model, x), expected, atol=1e-9)
+        v = right_vectors(model, x)
+        np.testing.assert_allclose(v.T @ v, np.eye(model.n_components), atol=1e-9)
+        centered = x - model.mean[:, None]
+        np.testing.assert_allclose(centered @ v / np.sqrt(model.eigvals), model.basis, atol=1e-9)
 
     def test_projection_row_norms_equal_singulars(self, rng):
         x = rng.standard_normal((4, 12))
         model = fit_dual(x, None, 0.0)
-        emb = project_dual(model, x)
-        np.testing.assert_allclose(np.linalg.norm(emb, axis=1), model.sigma, rtol=1e-9)
+        emb = project(model, x)
+        np.testing.assert_allclose(np.linalg.norm(emb, axis=1), np.sqrt(model.eigvals), rtol=1e-9)
 
     def test_zero_singulars_truncated(self, rng):
         base = rng.standard_normal((4, 2))
         x = base @ rng.standard_normal((2, 10))  # rank 2 data
         model = fit_dual(x, None, 0.0)
         assert model.n_components <= 2
-        assert np.all(model.sigma > 0)
+        assert np.all(model.eigvals > 0)
 
     def test_requested_p_truncates(self, rng):
         x = rng.standard_normal((4, 10))
@@ -59,14 +68,14 @@ class TestPrimalDualAgreement:
         p = min(primal.n_components, dual.n_components)
         for data in (x, x_new):
             a = project(primal, data)[:p]
-            b = align_rows(a, project_dual(dual, data)[:p])
+            b = align_rows(a, project(dual, data)[:p])
             np.testing.assert_allclose(a, b, atol=1e-8)
 
     def test_duplicate_of_training_point_embeds_identically(self, rng):
         x = rng.standard_normal((3, 9))
         model = fit_dual(x, None, 0.0)
         np.testing.assert_allclose(
-            project_dual(model, x[:, 4:5]), project_dual(model, x)[:, 4:5], atol=1e-9
+            project(model, x[:, 4:5]), project(model, x)[:, 4:5], atol=1e-9
         )
 
     def test_reconstruction_matches_primal(self, rng):
@@ -75,7 +84,7 @@ class TestPrimalDualAgreement:
         primal = fit(x, labels, RoweisConfig(0.5, 0.0, p=3))
         dual = fit_dual(x, labels, 0.5, p=3)
         np.testing.assert_allclose(
-            reconstruct_dual(dual, x_new), reconstruct(primal, x_new), atol=1e-8
+            reconstruct(dual, x_new), reconstruct(primal, x_new), atol=1e-8
         )
 
 
@@ -84,21 +93,21 @@ class TestReconstructDual:
         x = rng.standard_normal((3, 10))
         model = fit_dual(x, None, 0.0)
         centered = x - model.mean[:, None]
-        v = model.right_vectors
+        v = np.linalg.svd(centered, full_matrices=False)[2].T
         expected = centered @ v @ v.T + model.mean[:, None]
-        np.testing.assert_allclose(reconstruct_dual(model, x), expected, atol=1e-9)
+        np.testing.assert_allclose(reconstruct(model, x), expected, atol=1e-9)
 
     def test_mean_is_fixed_point(self, rng):
         x = rng.standard_normal((3, 10))
         model = fit_dual(x, None, 0.0)
         np.testing.assert_allclose(
-            reconstruct_dual(model, model.mean[:, None])[:, 0], model.mean, atol=1e-12
+            reconstruct(model, model.mean[:, None])[:, 0], model.mean, atol=1e-12
         )
 
     def test_dimension_mismatch(self, rng):
         model = fit_dual(rng.standard_normal((3, 8)), None, 0.0)
         with pytest.raises(ConfigError):
-            project_dual(model, rng.standard_normal((5, 2)))
+            project(model, rng.standard_normal((5, 2)))
 
 
 class TestRouteEquivalence:
@@ -106,11 +115,13 @@ class TestRouteEquivalence:
         rng = np.random.default_rng(23)
         x = rng.standard_normal((30, 8))  # n < d triggers the eigen route
         model = fit_dual(x, None, 0.0)
-        fac = incomplete_svd(model.factor, k=min(model.factor.shape))
+        w = x - x.mean(axis=1, keepdims=True)
+        fac = incomplete_svd(w, k=min(w.shape))
         keep = fac.singular >= 1e-10 * fac.singular[0]
-        np.testing.assert_allclose(model.sigma, fac.singular[keep], atol=1e-9)
-        aligned = align_rows(model.right_vectors.T, fac.right[:, keep].T).T
-        np.testing.assert_allclose(model.right_vectors, aligned, atol=1e-7)
+        np.testing.assert_allclose(np.sqrt(model.eigvals), fac.singular[keep], atol=1e-9)
+        v = right_vectors(model, x)
+        aligned = align_rows(v.T, fac.right[:, keep].T).T
+        np.testing.assert_allclose(v, aligned, atol=1e-7)
 
     def test_tall_data_uses_eig_route_and_agrees_with_primal(self):
         rng = np.random.default_rng(29)
@@ -119,5 +130,5 @@ class TestRouteEquivalence:
         dual = fit_dual(x, None, 0.0)
         p = min(primal.n_components, dual.n_components)
         a = project(primal, x)[:p]
-        b = align_rows(a, project_dual(dual, x)[:p])
+        b = align_rows(a, project(dual, x)[:p])
         np.testing.assert_allclose(a, b, atol=1e-8)

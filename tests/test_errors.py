@@ -1,7 +1,8 @@
 """The library raises only RoweisError subclasses on bad input.
 
 Non-finite data and non-finite real-valued targets reach every fit entry
-point as DataError before any factorization runs; a LinAlgError escaping
+point as DataError before any factorization runs, and every entry point
+raises the same error for the same faulty input; a LinAlgError escaping
 LAPACK inside ``roweis.linalg`` surfaces as NumericalError; an unknown panel
 dataset is a ConfigError.
 """
@@ -56,6 +57,60 @@ def test_non_finite_targets_are_a_data_error(entry, bad, shape, rng):
     targets[4] = bad
     with pytest.raises(DataError, match="labels hold non-finite values"):
         TARGET_ENTRY_POINTS[entry](x, targets)
+
+
+# Each entry point with a well-formed supervised call: class labels, p and r2
+# as given. Kernel PCA takes no labels, kernel SPCA and the dual no r2.
+FITS = {
+    "rda.fit": lambda x, y, r2, p: fit(x, y, RoweisConfig(r1=0.5, r2=r2, p=p)),
+    "dual.fit_dual": lambda x, y, r2, p: fit_dual(x, y, 0.5, r2=r2, p=p),
+    "kernel_rda.fit_direct": lambda x, y, r2, p: fit_direct(x, y, RoweisConfig(r1=0.5, r2=r2, p=p), KERNEL),
+    "kernel_rda.fit_kernel_pca": lambda x, y, r2, p: fit_kernel_pca(x, KERNEL, p=p),
+    "kernel_rda.fit_kernel_spca": lambda x, y, r2, p: fit_kernel_spca(x, y, KERNEL, p=p),
+}
+LABELED = sorted(set(FITS) - {"kernel_rda.fit_kernel_pca"})
+WITH_R2 = ["dual.fit_dual", "kernel_rda.fit_direct", "rda.fit"]
+
+
+def _call(rng, d, n=10, labels="classes", r2=0.0, p=1):
+    x = rng.standard_normal((d, n))
+    y = {
+        "classes": np.arange(n) % 2,
+        "missing": None,
+        "short": np.arange(n - 1) % 2,
+        "targets": rng.standard_normal(n),
+    }[labels]
+    return x, y, r2, p
+
+
+# fault -> (arguments with exactly that fault, entry points it applies to, error)
+FAULTS = {
+    "n = 1": (dict(n=1), sorted(FITS), ConfigError),
+    "labels missing": (dict(labels="missing"), LABELED, ConfigError),
+    "wrong label length": (dict(labels="short"), LABELED, ConfigError),
+    "real targets with r2 > 0": (dict(labels="targets", r2=0.5), WITH_R2, ConfigError),
+    "p = 0": (dict(p=0), sorted(FITS), ConfigError),
+}
+CASES = [(fault, entry) for fault, (_, entries, _) in FAULTS.items() for entry in entries]
+
+
+@pytest.mark.parametrize("d", [3, 30], ids=["n>d", "n<d"])
+@pytest.mark.parametrize("fault, entry", CASES, ids=[f"{f}-{e}" for f, e in CASES])
+def test_one_fault_raises_the_same_error_everywhere(fault, entry, d, rng):
+    kwargs, _, error = FAULTS[fault]
+    with pytest.raises(error):
+        FITS[entry](*_call(rng, d, **kwargs))
+
+
+@pytest.mark.parametrize("d", [3, 30], ids=["n>d", "n<d"])
+@pytest.mark.parametrize("entry", sorted(FITS))
+def test_the_fault_free_call_fits(entry, d, rng):
+    assert FITS[entry](*_call(rng, d)).n_components == 1
+
+
+def test_unsupervised_dual_checks_the_labels_it_is_given(rng):
+    with pytest.raises(ConfigError, match="labels must have length n=10"):
+        fit_dual(rng.standard_normal((3, 10)), np.arange(9) % 2, 0.0)
 
 
 def test_linalg_error_becomes_numerical_error():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from roweis import kernels
-from roweis.dual import fit_dual, project_dual
+from roweis.dual import fit_dual
 from roweis.exceptions import ConfigError, NumericalError
 from roweis.kernel_rda import (
     fit_direct,
@@ -198,7 +198,7 @@ class TestKernelSpca:
         dual = fit_dual(x, labels, 1.0)
         p = min(trick.n_components, dual.n_components)
         for data in (x, x_new):
-            a = project_dual(dual, data)[:p]
+            a = project_primal(dual, data)[:p]
             b = align_rows(a, project(trick, data)[:p])
             np.testing.assert_allclose(a, b, atol=1e-8)
 

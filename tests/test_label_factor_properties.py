@@ -61,7 +61,7 @@ def test_dual_spectrum_matches_dense_factor(data, r1):
     x, labels = data
     model = fit_dual(x, labels, r1)
     _, singular, _ = dense_dual_svd(x, labels, r1)
-    assert spectrum_gap(model.sigma**2, singular**2) <= SPECTRUM_RTOL
+    assert spectrum_gap(model.eigvals, singular**2) <= SPECTRUM_RTOL
 
 
 @PROPERTY_SETTINGS

@@ -1,13 +1,16 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from roweis import kernels
-from roweis.dual import fit_dual, project_dual
+from roweis.dual import fit_dual
 from roweis.exceptions import DataError
 from roweis.kernel_rda import fit_direct, fit_kernel_pca, fit_kernel_spca
 from roweis.kernel_rda import project as project_kernel
 from roweis.persist import FORMAT_TAG, load_model, save_model
-from roweis.rda import RoweisConfig, fit, project
+from roweis.rda import RdaModel, RoweisConfig, fit, project, reconstruct
 
 from conftest import labeled_blobs
 
@@ -38,10 +41,13 @@ class TestRoundTrips:
         model = fit_dual(x, labels, 1.0)
         path = tmp_path / "dual.txt"
         save_model(model, path)
+        lines = path.read_text().splitlines()
+        assert 'variant: "primal"' in lines and 'route: "dual"' in lines
         loaded = load_model(path)
         probe = rng.standard_normal((3, 4))
-        assert np.array_equal(project_dual(loaded, probe), project_dual(model, probe))
-        assert loaded.r1 == 1.0
+        assert np.array_equal(project(loaded, probe), project(model, probe))
+        assert loaded.config.r1 == 1.0
+        assert loaded.route == "dual"
 
     def test_kernel_direct(self, tmp_path, data, rng):
         x, labels = data
@@ -133,4 +139,82 @@ class TestFormat:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]))
         with pytest.raises(DataError):
+            load_model(path)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+class TestDualLayout:
+    """Files of the earlier ``variant: dual`` layout (W, V and sigma) load as
+    primal models; the expected outputs were written by the code of that layout."""
+
+    def test_loads_as_a_dual_route_primal_model(self):
+        model = load_model(DATA / "dual_model_v1.txt")
+        assert isinstance(model, RdaModel)
+        assert model.route == "dual"
+        assert (model.config.r1, model.config.r2, model.n_components) == (0.5, 0.0, 4)
+        np.testing.assert_allclose(model.basis.T @ model.basis, np.eye(4), atol=1e-12)
+
+    @pytest.mark.parametrize("apply", [project, reconstruct], ids=["project", "reconstruct"])
+    def test_outputs_match_the_earlier_code(self, apply):
+        model = load_model(DATA / "dual_model_v1.txt")
+        expected = json.loads((DATA / "dual_model_v1_expected.json").read_text())
+        probe = np.array(expected["probe"]).T
+        want = np.array(expected[apply.__name__]).T
+        got = apply(model, probe)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_resaved_in_the_primal_layout(self, tmp_path):
+        model = load_model(DATA / "dual_model_v1.txt")
+        path = tmp_path / "m.txt"
+        save_model(model, path)
+        assert 'variant: "primal"' in path.read_text().splitlines()
+        loaded = load_model(path)
+        assert loaded.route == "dual"
+        assert np.array_equal(loaded.basis, model.basis)
+
+    def test_shape_mismatch_is_a_data_error(self, tmp_path):
+        text = (DATA / "dual_model_v1.txt").read_text()
+        path = tmp_path / "m.txt"
+        path.write_text(text.replace("array sigma 1 4", "array sigma 1 3").replace(
+            "4.125184559007413 2.1275199458579057 1.1968664078608795 0.5626455969145288",
+            "4.125184559007413 2.1275199458579057 1.1968664078608795"))
+        with pytest.raises(DataError, match="disagree in shape"):
+            load_model(path)
+
+
+def _primal_file(tmp_path, data, replace):
+    x, labels = data
+    path = tmp_path / "m.txt"
+    save_model(fit(x, labels, RoweisConfig(0.5, 0.5, p=2)), path)
+    lines = [replace(line) for line in path.read_text().splitlines()]
+    path.write_text("\n".join(line for line in lines if line is not None) + "\n")
+    return path
+
+
+class TestMalformedScalars:
+    @pytest.mark.parametrize("key", ["r1", "r2"])
+    def test_missing_required_scalar(self, tmp_path, data, key):
+        path = _primal_file(tmp_path, data, lambda line: None if line.startswith(f"{key}: ") else line)
+        with pytest.raises(DataError, match=f"missing value '{key}'"):
+            load_model(path)
+
+    def test_missing_r1_in_the_dual_layout(self, tmp_path):
+        path = tmp_path / "m.txt"
+        lines = (DATA / "dual_model_v1.txt").read_text().splitlines()
+        path.write_text("\n".join(line for line in lines if not line.startswith("r1: ")) + "\n")
+        with pytest.raises(DataError, match="missing value 'r1'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", ['["a", 0.01, 10.0]', "[1e-08, 0.01]", '"abc"', "5", "null"])
+    def test_malformed_reg(self, tmp_path, data, value):
+        path = _primal_file(tmp_path, data, lambda line: f"reg: {value}" if line.startswith("reg: ") else line)
+        with pytest.raises(DataError, match="malformed value for 'reg'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key, value", [("r1", '"half"'), ("shift", "[]"), ("notes", "3")])
+    def test_wrong_type(self, tmp_path, data, key, value):
+        path = _primal_file(tmp_path, data, lambda line: f"{key}: {value}" if line.startswith(f"{key}: ") else line)
+        with pytest.raises(DataError, match=f"malformed value for '{key}'"):
             load_model(path)

@@ -60,7 +60,7 @@ def dense_problem(x, labels, config: RoweisConfig):
     """The d x d constraint B and the dense solution of (R1, B)."""
     d, n = x.shape
     if config.r1 > 0:
-        spec = rda._resolved_label_kernel(config, labels)
+        spec = rda._resolved_label_kernel(config.label_kernel, labels)
         p_mat = blend_label_kernel(kernels.label_gram(spec, labels, labels), config.r1)
     else:
         p_mat = np.eye(n)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import text_io_oracle as oracle
-from roweis import cli, datasets, dual, experiments, persist, rda
+from roweis import cli, datasets, experiments, persist, rda
 from roweis.cli import main
 
 
@@ -95,12 +95,21 @@ for token in ("nan", "NaN", "inf", "-inf", "Infinity", "-Infinity"):
     TABLE[f"string labels and {token}"] = (f"f1,label\n1,a\n2,{token}\n", "label")
 
 
+# Rows where the oracle lets csv.Error escape and the loader raises DataError.
+CSV_ERRORS = {"field over the csv limit": "line 2: field larger than field limit"}
+
+
 @pytest.mark.parametrize("case", sorted(TABLE))
 def test_load_matches_the_oracle(tmp_path, case):
     content, label_col = TABLE[case]
     path = tmp_path / "data.csv"
     path.write_bytes(content.encode("utf-8"))
-    assert_same_load(path, label_col)
+    if case in CSV_ERRORS:
+        assert outcome(oracle.load_csv, path, label_col)[:2] == ("raised", "Error")
+        with pytest.raises(datasets.DataError, match=CSV_ERRORS[case]):
+            datasets.load_csv(path, label_col)
+    else:
+        assert_same_load(path, label_col)
 
 
 def test_error_names_row_and_column(tmp_path):
@@ -229,10 +238,8 @@ def test_model_and_outputs_match_the_oracle(tmp_path, xor_csv, variant):
 
     x, _, _ = oracle.load_csv(xor_csv, "label")
     outputs = [("transform", "e", cli._project_any(model, x))]
-    if variant == "primal":
+    if variant in ("primal", "dual"):
         outputs.append(("reconstruct", "f", rda.reconstruct(model, x)))
-    if variant == "dual":
-        outputs.append(("reconstruct", "f", dual.reconstruct_dual(model, x)))
     for command, prefix, values in outputs:
         out = tmp_path / f"{command}.csv"
         assert run(command, "--model", model_path, "--data", xor_csv, "--label-col", "label",

@@ -15,7 +15,6 @@ import math
 
 import numpy as np
 
-from roweis.dual import DualRdaModel
 from roweis.exceptions import DataError
 from roweis.kernel_rda import KernelRdaModel
 from roweis.rda import RdaModel
@@ -199,14 +198,6 @@ def save_model(model, path) -> None:
         _write_array(lines, "mean", model.mean)
         _write_array(lines, "eigvals", model.eigvals)
         _write_array(lines, "basis", model.basis)
-    elif isinstance(model, DualRdaModel):
-        _write_scalar(lines, "variant", "dual")
-        _write_scalar(lines, "r1", model.r1)
-        _write_scalar(lines, "notes", list(model.notes))
-        _write_array(lines, "mean", model.mean)
-        _write_array(lines, "sigma", model.sigma)
-        _write_array(lines, "right_vectors", model.right_vectors)
-        _write_array(lines, "factor", model.factor)
     elif isinstance(model, KernelRdaModel):
         _write_scalar(lines, "variant", _VARIANT_NAMES[model.variant])
         _write_scalar(lines, "r1", model.r1)
