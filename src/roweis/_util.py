@@ -29,9 +29,9 @@ def as_finite_matrix(a, name: str = "X") -> np.ndarray:
 
 
 def as_features(a, n_features: int) -> np.ndarray:
-    """:func:`as_matrix` for data a fitted model embeds: ConfigError unless
-    it has the model's ``n_features`` rows."""
-    arr = as_matrix(a, "X")
+    """:func:`as_finite_matrix` for data a fitted model embeds: ConfigError
+    unless it has the model's ``n_features`` rows."""
+    arr = as_finite_matrix(a, "X")
     if arr.shape[0] != n_features:
         raise ConfigError(f"model expects {n_features} features, data has {arr.shape[0]}")
     return arr
@@ -56,8 +56,14 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
 
 
 def sym(a: np.ndarray) -> np.ndarray:
-    """Explicitly symmetrize to wash out round-off from matrix products."""
-    return 0.5 * (a + a.T)
+    """Explicitly symmetrize to wash out round-off from matrix products.
+
+    The result is 0.5 * (a + a.T) bit for bit; the halving is done in place,
+    so no second n x n temporary is made.
+    """
+    out = a + a.T
+    out *= 0.5
+    return out
 
 
 # Rows converted to Python floats at a time by float_rows: large enough that

@@ -49,11 +49,6 @@ class Dataset:
         return int(self.X.shape[1])
 
 
-def xor_class(x1: float, x2: float) -> int:
-    """0 when the coordinates share a sign, 1 otherwise."""
-    return int((x1 > 0) != (x2 > 0))
-
-
 def gen_xor(n: int, seed: int, margin: float = XOR_MARGIN) -> Dataset:
     """Uniform points in [-1, 1]^2 with a band of width ``margin`` around the
     axes excluded; the class is the exclusive-or of the coordinate signs.

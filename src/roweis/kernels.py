@@ -66,12 +66,14 @@ class KernelSpec:
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    sq = (
-        np.sum(a * a, axis=0)[:, None]
-        + np.sum(b * b, axis=0)[None, :]
-        - 2.0 * (a.T @ b)
-    )
-    return np.clip(sq, 0.0, None)
+    """|a_i|^2 + |b_j|^2 - 2 a_i'b_j, clipped at 0. Every step after the
+    first works in place, so two result-sized arrays are the most alive."""
+    sq = np.sum(a * a, axis=0)[:, None] + np.sum(b * b, axis=0)[None, :]
+    cross = a.T @ b
+    cross *= 2.0
+    sq -= cross
+    del cross
+    return np.clip(sq, 0.0, None, out=sq)
 
 
 def median_heuristic_gamma(x) -> float:
@@ -111,9 +113,14 @@ def gram(spec: KernelSpec, a, b) -> np.ndarray:
     if spec.family == "rbf":
         if spec.gamma is None:
             raise ConfigError("rbf gamma is unresolved; call resolve_gamma on the training data first")
-        return np.exp(-spec.gamma * squared_distances(a, b))
+        k = squared_distances(a, b)
+        k *= -spec.gamma
+        return np.exp(k, out=k)
     if spec.family == "polynomial":
-        return (a.T @ b + spec.offset) ** spec.degree
+        k = a.T @ b
+        k += spec.offset
+        k **= spec.degree
+        return k
     raise ConfigError("delta kernels compare labels; use delta_kernel or label_gram")
 
 

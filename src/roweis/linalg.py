@@ -15,6 +15,13 @@ block plus a :class:`Complement` (the multiple and the complement's
 dimension). The PSD check, the shift and the health test then see the full
 spectrum while the factorizations stay m x m.
 
+The solvers copy no more than the factorizations need. An input that is
+exactly symmetric is used as it is (symmetrizing it would return an equal
+copy); only one within ``SYMMETRY_ATOL`` of symmetric is symmetrized first.
+The shifted constraint ``B + s I`` is built without an identity matrix, and
+each intermediate is dropped once the next is formed. The results are bit
+for bit those of the copying form.
+
 A ``LinAlgError`` escaping numpy's LAPACK wrappers is re-raised as
 :class:`~roweis.exceptions.NumericalError`.
 
@@ -126,20 +133,21 @@ def _lapack_errors(fn):
     return wrapper
 
 
-def centering_matrix(n: int) -> np.ndarray:
-    """Return the n x n matrix that subtracts the mean, I - (1/n) 11'.
-
-    Idempotent, symmetric, and annihilates constant vectors.
-    """
-    if n < 1:
-        raise ConfigError(f"centering matrix needs n >= 1, got {n}")
-    return np.eye(n) - np.full((n, n), 1.0 / n)
-
-
-def require_symmetric(a: np.ndarray, atol: float = SYMMETRY_ATOL, name: str = "matrix") -> None:
-    gap = float(np.max(np.abs(a - a.T))) if a.size else 0.0
+def require_symmetric(a: np.ndarray, atol: float = SYMMETRY_ATOL, name: str = "matrix") -> float:
+    """max |A - A.T|, the symmetry gap; ConfigError when it exceeds ``atol``."""
+    if not a.size:
+        return 0.0
+    gap = a - a.T
+    gap = float(np.max(np.abs(gap, out=gap)))
     if gap > atol:
         raise ConfigError(f"{name} is not symmetric: max |A - A.T| = {gap:.3e} > {atol:.1e}")
+    return gap
+
+
+def _symmetrized(a: np.ndarray, name: str) -> np.ndarray:
+    """``sym(a)`` after the symmetry check, or ``a`` itself when it is exactly
+    symmetric (then ``sym`` would return an equal copy)."""
+    return sym(a) if require_symmetric(a, name=name) else a
 
 
 def _fix_signs(vectors: np.ndarray, companion: np.ndarray | None = None):
@@ -162,9 +170,7 @@ def _fix_signs(vectors: np.ndarray, companion: np.ndarray | None = None):
 @_lapack_errors
 def symmetric_eig(a) -> EigPair:
     """Full spectrum of a symmetric matrix, leading eigenvalue first."""
-    a = as_square(a, "A")
-    require_symmetric(a, name="A")
-    values, vectors = np.linalg.eigh(sym(a))
+    values, vectors = np.linalg.eigh(_symmetrized(as_square(a, "A"), "A"))
     values = values[::-1].copy()
     vectors = _fix_signs(vectors[:, ::-1].copy())
     return EigPair(vectors=vectors, values=values)
@@ -176,6 +182,17 @@ def _check_psd_spectrum(values: np.ndarray, norm: float, name: str) -> None:
         raise NumericalError(
             f"{name} is not positive semidefinite: min eigenvalue {lo:.3e}"
         )
+
+
+def _shifted(b: np.ndarray, shift: float) -> np.ndarray:
+    """``b + shift * I`` bit for bit, without the n x n identity; ``b`` itself
+    at shift 0. Adding 0.0 off the diagonal turns -0.0 into 0.0, as adding
+    ``shift * 0.0`` does."""
+    if shift == 0.0:
+        return b
+    out = b + 0.0
+    out.flat[::out.shape[0] + 1] += shift
+    return out
 
 
 @_lapack_errors
@@ -199,10 +216,8 @@ def generalized_eig(a, b, reg: RegPolicy | None = None, complement: Complement |
     b = as_square(b, "B")
     if a.shape != b.shape:
         raise ConfigError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
-    require_symmetric(a, name="A")
-    require_symmetric(b, name="B")
-    a_s = sym(a)
-    b_s = sym(b)
+    a_s = _symmetrized(a, "A")
+    b_s = _symmetrized(b, "B")
 
     b_vals = np.linalg.eigvalsh(b_s)
     b_norm = float(np.linalg.norm(b_s, "fro"))
@@ -230,12 +245,12 @@ def generalized_eig(a, b, reg: RegPolicy | None = None, complement: Complement |
         if not healthy(candidate):
             continue
         try:
-            target = b_s if candidate == 0.0 else b_s + candidate * np.eye(b_s.shape[0])
-            chol = np.linalg.cholesky(target)
+            chol = np.linalg.cholesky(_shifted(b_s, candidate))
             shift = candidate
             break
         except np.linalg.LinAlgError:
             continue
+    del b_s
     if chol is None:
         raise NumericalError(
             "constraint matrix stayed singular up to the maximum "
@@ -244,12 +259,16 @@ def generalized_eig(a, b, reg: RegPolicy | None = None, complement: Complement |
 
     # C = L^{-1} A L^{-T}; A symmetric makes the second solve valid on Y.T.
     y = np.linalg.solve(chol, a_s)
-    c = sym(np.linalg.solve(chol, y.T))
+    del a_s
+    c = np.linalg.solve(chol, y.T)
+    del y
+    c = sym(c)
     values, q = np.linalg.eigh(c)
+    del c
     values = values[::-1].copy()
     vectors = np.linalg.solve(chol.T, q[:, ::-1])
-    vectors = _fix_signs(vectors)
-    return EigPair(vectors=vectors, values=values, shift=shift)
+    del q, chol
+    return EigPair(vectors=_fix_signs(vectors), values=values, shift=shift)
 
 
 @_lapack_errors

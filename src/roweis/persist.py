@@ -5,8 +5,9 @@ then ``array <name> <rows> <cols>`` blocks holding row-major numbers written
 with shortest round-trip repr, so a save/load cycle is bit-exact. Optional
 scalars take a default when absent, so files written before a key existed
 still load (a primal file without ``route`` loads as ``"dense"``). A missing
-required scalar, a scalar of the wrong type, or an array holding NaN or inf
-does not load.
+required scalar, a scalar of the wrong type, an array holding NaN or inf,
+arrays that disagree in shape, or a kernel model without a kernel it can
+embed with (a linear, polynomial, or rbf one with its gamma) does not load.
 
 A dual fit is an RdaModel with route ``"dual"`` and is saved in the primal
 layout. Files of the earlier ``variant: dual`` layout, which held the factor
@@ -21,7 +22,7 @@ import json
 import numpy as np
 
 from ._util import float_rows
-from .exceptions import DataError
+from .exceptions import ConfigError, DataError
 from .kernel_rda import KernelRdaModel
 from .kernels import KernelSpec
 from .linalg import RegPolicy
@@ -48,10 +49,6 @@ def _write_array(handle, name: str, arr: np.ndarray) -> None:
 
 def _kernel_dict(spec: KernelSpec | None):
     return None if spec is None else spec.to_dict()
-
-
-def _kernel_from(value) -> KernelSpec | None:
-    return None if value is None else KernelSpec.from_dict(value)
 
 
 def _fields(model) -> tuple[list, list]:
@@ -177,18 +174,47 @@ def _vec(arrays: dict, name: str, path) -> np.ndarray:
     return _mat(arrays, name, path).ravel()
 
 
-def _scalar(scalars: dict, key: str, path, convert, default=None):
-    """``convert`` of a scalar, ``default`` when it is absent (None: the
-    scalar is required); a missing required scalar or a value ``convert``
-    refuses raises DataError."""
+def _agree(path, what: str, size: int, other: str, expected: int) -> None:
+    """DataError unless two array dimensions that must match do."""
+    if size != expected:
+        raise DataError(f"{path}: arrays disagree in shape: {what} {size}, {other} {expected}")
+
+
+_REQUIRED = object()
+
+
+def _scalar(scalars: dict, key: str, path, convert, default=_REQUIRED):
+    """``convert`` of a scalar, ``default`` when it is absent (no default:
+    the scalar is required); a missing required scalar or a value
+    ``convert`` refuses raises DataError."""
     if key not in scalars:
-        if default is None:
+        if default is _REQUIRED:
             raise DataError(f"{path}: missing value {key!r}")
         return default
     try:
         return convert(scalars[key])
     except (TypeError, ValueError):
         raise DataError(f"{path}: malformed value for {key!r}: {scalars[key]!r}") from None
+
+
+def _kernel_spec(value) -> KernelSpec | None:
+    """KernelSpec from its JSON object, None from null."""
+    if value is None:
+        return None
+    if not isinstance(value, dict):
+        raise TypeError
+    try:
+        return KernelSpec.from_dict(value)
+    except ConfigError as exc:
+        raise ValueError from exc
+
+
+def _data_kernel(value) -> KernelSpec:
+    """The kernel of a kernel model: one that can embed new points."""
+    spec = _kernel_spec(value)
+    if spec is None or spec.family == "delta" or (spec.family == "rbf" and spec.gamma is None):
+        raise ValueError
+    return spec
 
 
 def _reg_policy(value) -> RegPolicy:
@@ -222,11 +248,14 @@ def load_model(path):
         if route not in ROUTES:
             raise DataError(f"{path}: unknown route {route!r}")
         basis = _mat(arrays, "basis", path)
+        mean, eigvals = _vec(arrays, "mean", path), _vec(arrays, "eigvals", path)
+        _agree(path, "'mean' entries", mean.size, "'basis' rows", basis.shape[0])
+        _agree(path, "'eigvals' entries", eigvals.size, "'basis' columns", basis.shape[1])
         config = RoweisConfig(
             r1=_scalar(scalars, "r1", path, float),
             r2=_scalar(scalars, "r2", path, float),
             p=int(basis.shape[1]),
-            label_kernel=_kernel_from(scalars.get("label_kernel")),
+            label_kernel=_scalar(scalars, "label_kernel", path, _kernel_spec, None),
             robust=bool(scalars.get("robust", False)),
             reg=_scalar(scalars, "reg", path, _reg_policy, RegPolicy()),
             valid_eig_threshold=_scalar(scalars, "valid_eig_threshold", path, float, 1e-9),
@@ -234,8 +263,8 @@ def load_model(path):
         )
         return RdaModel(
             basis=basis,
-            eigvals=_vec(arrays, "eigvals", path),
-            mean=_vec(arrays, "mean", path),
+            eigvals=eigvals,
+            mean=mean,
             config=config,
             shift=_scalar(scalars, "shift", path, float, 0.0),
             notes=notes,
@@ -243,19 +272,28 @@ def load_model(path):
         )
     if variant in _VARIANT_FROM_NAME:
         kind = _VARIANT_FROM_NAME[variant]
-        kernel = _kernel_from(scalars.get("kernel"))
-        label_kernel = _kernel_from(scalars.get("label_kernel"))
+        kernel = _scalar(scalars, "kernel", path, _data_kernel)
+        label_kernel = _scalar(scalars, "label_kernel", path, _kernel_spec, None)
         train_x = _mat(arrays, "train_x", path)
         eigvals = _vec(arrays, "eigvals", path)
+        n_train = ("'train_x' columns", train_x.shape[1])
         if kind == "direct":
             coeffs = _mat(arrays, "coeffs", path)
+            _agree(path, "'coeffs' rows", coeffs.shape[0], *n_train)
             sigma = right = upsilon = None
         else:
             sigma = _vec(arrays, "sigma", path)
             right = _mat(arrays, "right_vectors", path)
             upsilon = arrays.get("upsilon")
+            if upsilon is None:
+                _agree(path, "'right_vectors' rows", right.shape[0], *n_train)
+            else:
+                _agree(path, "'upsilon' rows", upsilon.shape[0], *n_train)
+                _agree(path, "'right_vectors' rows", right.shape[0], "'upsilon' columns", upsilon.shape[1])
+            _agree(path, "'sigma' entries", sigma.size, "'right_vectors' columns", right.shape[1])
             base = right if upsilon is None else upsilon @ right
             coeffs = base / sigma[None, :]
+        _agree(path, "'eigvals' entries", eigvals.size, "components", coeffs.shape[1])
         return KernelRdaModel(
             variant=kind,
             coeffs=coeffs,

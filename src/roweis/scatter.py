@@ -1,7 +1,7 @@
-"""Total, within-class, and between-class scatter matrices.
+"""Class partitions and the within-class scatter matrix.
 
-Samples are stored column-wise. All scatters are d x d, symmetric, and
-positive semidefinite, and they satisfy total = between + within.
+Samples are stored column-wise. The scatter is d x d, symmetric, and
+positive semidefinite.
 """
 
 from __future__ import annotations
@@ -52,22 +52,6 @@ def _check_partition(x: np.ndarray, part: ClassPartition) -> None:
         raise ConfigError("every class must contain at least one sample")
 
 
-def total_scatter(x) -> np.ndarray:
-    """Sum of outer products of deviations from the global mean."""
-    x = as_matrix(x, "X")
-    if x.shape[1] < 1:
-        raise ConfigError("total_scatter needs at least one sample")
-    centered = x - x.mean(axis=1, keepdims=True)
-    return sym(centered @ centered.T)
-
-
-def class_means(x, part: ClassPartition) -> np.ndarray:
-    """d x c matrix whose column j is the mean of class j."""
-    x = as_matrix(x, "X")
-    _check_partition(x, part)
-    return np.column_stack([x[:, idx].mean(axis=1) for idx in part.index_sets])
-
-
 def within_scatter(x, part: ClassPartition) -> np.ndarray:
     """Sum over classes of the scatter around each class mean."""
     x = as_matrix(x, "X")
@@ -77,16 +61,4 @@ def within_scatter(x, part: ClassPartition) -> np.ndarray:
         block = x[:, idx]
         centered = block - block.mean(axis=1, keepdims=True)
         out += centered @ centered.T
-    return sym(out)
-
-
-def between_scatter(x, part: ClassPartition) -> np.ndarray:
-    """Size-weighted scatter of the class means around the global mean."""
-    x = as_matrix(x, "X")
-    _check_partition(x, part)
-    mu = x.mean(axis=1)
-    out = np.zeros((x.shape[0], x.shape[0]))
-    for idx in part.index_sets:
-        gap = x[:, idx].mean(axis=1) - mu
-        out += idx.size * np.outer(gap, gap)
     return sym(out)

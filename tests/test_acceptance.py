@@ -35,7 +35,7 @@ from roweis.kernel_rda import (
     kernel_within_scatter,
 )
 from roweis.kernel_rda import project as project_kernel
-from roweis.linalg import centering_matrix, generalized_eig, symmetric_eig
+from roweis.linalg import generalized_eig, symmetric_eig
 from roweis.rda import (
     RoweisConfig,
     blend_label_kernel,
@@ -45,9 +45,10 @@ from roweis.rda import (
     project,
     robustify,
 )
-from roweis.scatter import ClassPartition, total_scatter, within_scatter
+from roweis.scatter import ClassPartition, within_scatter
 
 from conftest import align_columns, align_rows, labeled_blobs
+from oracle import centering_matrix, total_scatter
 from test_kernels import poly_feature_map
 
 # Fixed seed for the nonlinear-separation runs; chosen once so that the

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import roweis
 from roweis import kernels, persist, rda
 from roweis.cli import main
 from roweis.datasets import gen_rings, load_csv, train_test_split
@@ -21,6 +26,15 @@ def xor_csv(tmp_path):
     path = tmp_path / "xor.csv"
     assert run("gen", "xor", "--n", 120, "--seed", 7, "--out", path) == 0
     return path
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(roweis.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "roweis", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.strip() == f"roweis {roweis.__version__}"
 
 
 class TestGen:
@@ -121,6 +135,20 @@ class TestFit:
         assert code == 4
 
 
+def _longer_mean(lines: list) -> list:
+    """A primal model file whose mean has one entry more than the data."""
+    at = lines.index("array mean 1 2")
+    return lines[:at] + ["array mean 1 3", lines[at + 1] + " 0.0"] + lines[at + 2:]
+
+
+def _shorter_coeffs(lines: list) -> list:
+    """A kernel-direct model file with the last row of coeffs dropped."""
+    at = next(i for i, line in enumerate(lines) if line.startswith("array coeffs "))
+    _, name, rows, cols = lines[at].split()
+    rows = int(rows)
+    return lines[:at] + [f"array {name} {rows - 1} {cols}"] + lines[at + 1:at + rows] + lines[at + 1 + rows:]
+
+
 class TestTransformReconstruct:
     def test_transform_matches_library_projection(self, tmp_path, xor_csv):
         model_path = tmp_path / "model.txt"
@@ -216,6 +244,33 @@ class TestTransformReconstruct:
                    "--out", tmp_path / "out.csv")
         assert code == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["transform", "reconstruct"])
+    @pytest.mark.parametrize("fit_args, edit, message", [
+        (("--r1", 0), lambda lines: [
+            'label_kernel: "rbf"' if line.startswith("label_kernel: ") else line for line in lines],
+         "malformed value for 'label_kernel'"),
+        (("--r1", 0), _longer_mean, "arrays disagree in shape: 'mean' entries 3, 'basis' rows 2"),
+        (("--variant", "kernel-pca"), lambda lines: [
+            line for line in lines if not line.startswith("kernel: ")], "missing value 'kernel'"),
+        (("--variant", "kernel-pca"), lambda lines: [
+            'kernel: {"family": "rbf"}' if line.startswith("kernel: ") else line for line in lines],
+         "malformed value for 'kernel'"),
+        (("--variant", "kernel", "--r1", 1), _shorter_coeffs,
+         "arrays disagree in shape: 'coeffs' rows 119, 'train_x' columns 120"),
+    ], ids=["label kernel string", "long mean", "no kernel", "rbf without gamma", "short coeffs"])
+    def test_inconsistent_model_file_is_data_error(self, tmp_path, xor_csv, capsys, command,
+                                                   fit_args, edit, message):
+        model_path = tmp_path / "model.txt"
+        assert run("fit", "--data", xor_csv, "--label-col", "label", *fit_args, "--p", 2,
+                   "--out", model_path) == 0
+        model_path.write_text("\n".join(edit(model_path.read_text().splitlines())) + "\n")
+        out = tmp_path / "out.csv"
+        code = run(command, "--model", model_path, "--data", xor_csv, "--label-col", "label",
+                   "--out", out)
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dual_fit_is_saved_in_the_primal_layout(self, tmp_path, xor_csv):
         model_path = tmp_path / "dual.txt"

@@ -9,9 +9,10 @@ from roweis.datasets import (
     load_csv,
     save_csv,
     train_test_split,
-    xor_class,
 )
 from roweis.exceptions import ConfigError, DataError
+
+from oracle import xor_class
 
 
 class TestXor:

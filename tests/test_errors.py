@@ -2,7 +2,8 @@
 
 Non-finite data and non-finite real-valued targets reach every fit entry
 point as DataError before any factorization runs, and every entry point
-raises the same error for the same faulty input; a LinAlgError escaping
+raises the same error for the same faulty input; NaN or inf in the points a
+fitted model embeds is a DataError too; a LinAlgError escaping
 LAPACK inside ``roweis.linalg`` surfaces as NumericalError; an unknown panel
 dataset is a ConfigError.
 """
@@ -15,8 +16,9 @@ from roweis.dual import fit_dual
 from roweis.exceptions import ConfigError, DataError, NumericalError
 from roweis.experiments import embedding_panels
 from roweis.kernel_rda import fit_direct, fit_kernel_pca, fit_kernel_spca
+from roweis.kernel_rda import project as project_kernel
 from roweis.linalg import incomplete_svd
-from roweis.rda import RoweisConfig, fit
+from roweis.rda import RoweisConfig, fit, project, reconstruct
 
 KERNEL = kernels.KernelSpec("rbf", gamma=0.5)
 
@@ -57,6 +59,27 @@ def test_non_finite_targets_are_a_data_error(entry, bad, shape, rng):
     targets[4] = bad
     with pytest.raises(DataError, match="labels hold non-finite values"):
         TARGET_ENTRY_POINTS[entry](x, targets)
+
+
+# Each function that embeds new points: (fit on clean 3 x 10 data, embed).
+EMBEDDINGS = {
+    "rda.project": (lambda x, y: fit(x, y, RoweisConfig(r1=0.5, r2=0.5)), project),
+    "rda.reconstruct": (lambda x, y: fit(x, y, RoweisConfig(r1=0.5, r2=0.5)), reconstruct),
+    "kernel_rda.project[direct]": (
+        lambda x, y: fit_direct(x, y, RoweisConfig(r1=0.5, r2=0.5), KERNEL), project_kernel),
+    "kernel_rda.project[trick]": (lambda x, y: fit_kernel_pca(x, KERNEL), project_kernel),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", sorted(EMBEDDINGS))
+def test_non_finite_points_to_embed_are_a_data_error(entry, bad, rng):
+    fit_model, embed = EMBEDDINGS[entry]
+    model = fit_model(rng.standard_normal((3, 10)), np.arange(10) % 2)
+    x_new = rng.standard_normal((3, 4))
+    x_new[2, 1] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        embed(model, x_new)
 
 
 # Each entry point with a well-formed supervised call: class labels, p and r2

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from roweis import kernels
 from roweis.dual import fit_dual
 from roweis.exceptions import ConfigError, NumericalError
 from roweis.kernel_rda import (
+    PROJECT_BLOCK,
     fit_direct,
     fit_kernel_pca,
     fit_kernel_spca,
@@ -13,12 +16,12 @@ from roweis.kernel_rda import (
     kernel_within_scatter,
     project,
 )
-from roweis.linalg import centering_matrix
 from roweis.rda import RoweisConfig, fit
 from roweis.rda import project as project_primal
 from roweis.scatter import ClassPartition, within_scatter
 
 from conftest import align_rows, labeled_blobs
+from oracle import centering_matrix, project_kernel
 from test_kernels import poly_feature_map
 
 
@@ -250,3 +253,76 @@ class TestDimensionalityBound:
         import roweis.kernel_rda as module
 
         assert not hasattr(module, "reconstruct")
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while fn runs, above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def p2_models(rng, n: int) -> dict:
+    """One model per variant, each with p = 2, on three rbf-separable blobs."""
+    x, labels = labeled_blobs(rng, d=2, n=n, c=3)
+    kern = kernels.KernelSpec("rbf", gamma=0.3)
+    return {
+        "direct": fit_direct(x, labels, RoweisConfig(0.5, 0.5, p=2), kern),
+        "trick_pca": fit_kernel_pca(x, kern, p=2),
+        "trick_spca": fit_kernel_spca(x, labels, kern, p=2),
+    }
+
+
+VARIANTS = ["direct", "trick_pca", "trick_spca"]
+
+
+class TestBlockedProjection:
+    """project works PROJECT_BLOCK new points at a time; the one-shot formula
+    over all points, kept in tests/oracle.py, is the reference."""
+
+    @pytest.mark.parametrize("n_new", [1, PROJECT_BLOCK, 2 * PROJECT_BLOCK + 37],
+                             ids=["one point", "one block", "blocks and a tail"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_the_one_shot_formula(self, rng, variant, n_new):
+        model = p2_models(rng, 60)[variant]
+        x_new = 4.0 * rng.standard_normal((2, n_new))
+        got, want = project(model, x_new), project_kernel(model, x_new)
+        assert got.shape == want.shape == (2, n_new)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("variant", ["trick_pca", "trick_spca"])
+    def test_training_gram_is_built_at_most_once_per_model(self, rng, monkeypatch, variant):
+        model = p2_models(rng, 40)[variant]
+        shapes = []
+        real_gram = kernels.gram
+
+        def counting_gram(spec, a, b):
+            out = real_gram(spec, a, b)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(kernels, "gram", counting_gram)
+        for n_new in (1, 5, PROJECT_BLOCK + 3):
+            project(model, rng.standard_normal((2, n_new)))
+        assert shapes.count((40, 40)) <= 1
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_memory_stays_below_a_quarter_of_the_full_kernel(self, rng, variant):
+        n_train, n_new = 300, 20000
+        model = p2_models(rng, n_train)[variant]
+        x_new = rng.standard_normal((2, n_new))
+        assert traced_peak(lambda: project(model, x_new)) < n_train * n_new * 8 / 4
+
+
+class TestFitDirectMemory:
+    @pytest.mark.parametrize("r1, r2", [(0.5, 0.5), (1.0, 0.0), (0.0, 0.0)])
+    def test_peak_is_at_most_ten_gram_sized_arrays(self, r1, r2):
+        n = 400
+        x, labels = labeled_blobs(np.random.default_rng(3), d=2, n=n, c=2)
+        kern = kernels.KernelSpec("rbf", gamma=0.5)
+        peak = traced_peak(lambda: fit_direct(x, labels, RoweisConfig(r1, r2, p=2), kern))
+        assert peak <= 10 * n * n * 8

@@ -19,6 +19,8 @@ from roweis.kernels import (
 )
 from roweis.scatter import ClassPartition
 
+import oracle
+
 
 def poly_feature_map(x: np.ndarray, degree: int, offset: float) -> np.ndarray:
     """Explicit monomial feature map with (x'z + c)^D = phi(x)' phi(z).
@@ -278,3 +280,12 @@ class TestBandwidth:
     def test_label_gram_rbf_over_targets(self):
         k = label_gram(KernelSpec("rbf", gamma=1.0), [0.0], [1.0])
         np.testing.assert_allclose(k, [[0.36787944117144233]], rtol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("rbf", gamma=0.7), KernelSpec("polynomial"),
+                                  KernelSpec("polynomial", degree=3, offset=0.5)],
+                         ids=["linear", "rbf", "square", "cubic"])
+def test_gram_matches_the_out_of_place_builder_bit_for_bit(rng, spec):
+    x, y = rng.standard_normal((3, 40)), rng.standard_normal((3, 25))
+    for a, b in ((x, x), (x, y), (x, y[:, 7:8])):
+        assert gram(spec, a, b).tobytes() == oracle.gram(spec, a, b).tobytes()

@@ -6,15 +6,16 @@ from roweis.linalg import (
     Complement,
     EigPair,
     RegPolicy,
-    centering_matrix,
     generalized_eig,
     incomplete_svd,
     psd_factor,
     symmetric_eig,
 )
-from roweis.scatter import ClassPartition, between_scatter, total_scatter, within_scatter
+from roweis.scatter import ClassPartition, within_scatter
 
 from conftest import align_columns, random_psd, with_complement
+import oracle
+from oracle import between_scatter, centering_matrix, total_scatter
 
 
 class TestCenteringMatrix:
@@ -246,3 +247,46 @@ class TestComplement:
     def test_needs_a_positive_count(self):
         with pytest.raises(ConfigError):
             Complement(1.0, 0)
+
+
+def _nearly_symmetric(rng, m):
+    a = random_psd(rng, m)
+    a[0, 1] += 1e-13  # inside SYMMETRY_ATOL, so it is symmetrized, not refused
+    return a
+
+
+EIG_INPUTS = {
+    "psd": lambda rng: (random_psd(rng, 30), random_psd(rng, 30) + np.eye(30), None),
+    "singular constraint": lambda rng: (random_psd(rng, 30), random_psd(rng, 30, rank=12), None),
+    "zero constraint": lambda rng: (random_psd(rng, 8), np.zeros((8, 8)), None),
+    "nearly symmetric": lambda rng: (_nearly_symmetric(rng, 20), _nearly_symmetric(rng, 20), None),
+    "complement": lambda rng: (random_psd(rng, 12, rank=5), random_psd(rng, 12), Complement(0.3, 7)),
+    "zero complement": lambda rng: (random_psd(rng, 12, rank=5), random_psd(rng, 12), Complement(0.0, 7)),
+}
+
+
+class TestAgainstTheCopyingSolvers:
+    """The solvers as they were before they stopped copying (tests/oracle.py)
+    give the same bits, and neither version writes to its inputs."""
+
+    @pytest.mark.parametrize("case", sorted(EIG_INPUTS))
+    def test_generalized_eig_is_bit_identical(self, rng, case):
+        a, b, complement = EIG_INPUTS[case](rng)
+        a_before, b_before = a.copy(), b.copy()
+        got = generalized_eig(a, b, complement=complement)
+        want = oracle.generalized_eig(a, b, complement=complement)
+        assert got.shift == want.shift
+        assert (case in ("singular constraint", "zero constraint", "zero complement")) == (got.shift > 0)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+        assert a.tobytes() == a_before.tobytes() and b.tobytes() == b_before.tobytes()
+
+    @pytest.mark.parametrize("case", ["psd", "nearly symmetric", "rank deficient"])
+    def test_symmetric_eig_is_bit_identical(self, rng, case):
+        a = {"psd": random_psd(rng, 30), "nearly symmetric": _nearly_symmetric(rng, 30),
+             "rank deficient": random_psd(rng, 30, rank=4)}[case]
+        before = a.copy()
+        got, want = symmetric_eig(a), oracle.symmetric_eig(a)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+        assert a.tobytes() == before.tobytes()

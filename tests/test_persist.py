@@ -218,3 +218,92 @@ class TestMalformedScalars:
         path = _primal_file(tmp_path, data, lambda line: f"{key}: {value}" if line.startswith(f"{key}: ") else line)
         with pytest.raises(DataError, match=f"malformed value for '{key}'"):
             load_model(path)
+
+
+# One saved model per layout, fitted on 3 x 14 data with two classes and p = 2.
+SAVED = {
+    "primal": lambda x, y: fit(x, y, RoweisConfig(0.5, 0.5, p=2)),
+    "kernel-direct": lambda x, y: fit_direct(x, y, RoweisConfig(0.5, 0.5, p=2), kernels.KernelSpec("rbf", gamma=0.5)),
+    "kernel-pca": lambda x, y: fit_kernel_pca(x, kernels.KernelSpec("rbf", gamma=0.5), p=2),
+    "kernel-spca": lambda x, y: fit_kernel_spca(x, y, kernels.KernelSpec("polynomial"), p=2),
+}
+
+
+def _saved(tmp_path, data, layout) -> Path:
+    path = tmp_path / f"{layout}.txt"
+    save_model(SAVED[layout](*data), path)
+    return path
+
+
+def _set_scalar(path: Path, key: str, raw: str | None) -> None:
+    """Replace the ``key`` line by ``key: raw``, or drop it for raw=None."""
+    lines = path.read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith(f"{key}: "))
+    lines[i:i + 1] = [] if raw is None else [f"{key}: {raw}"]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _set_array(path: Path, name: str, change) -> None:
+    """Rewrite array ``name`` as ``change`` of its current value."""
+    lines = path.read_text().splitlines()
+    head = next(i for i, line in enumerate(lines) if line.startswith(f"array {name} "))
+    rows = int(lines[head].split()[2])
+    arr = change(np.array([[float(v) for v in line.split()] for line in lines[head + 1:head + 1 + rows]]))
+    block = [f"array {name} {arr.shape[0]} {arr.shape[1]}"] + [" ".join(map(repr, r)) for r in arr.tolist()]
+    lines[head:head + 1 + rows] = block
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestKernelScalars:
+    @pytest.mark.parametrize("layout, key, raw, message", [
+        ("primal", "label_kernel", '"rbf"', "malformed value for 'label_kernel'"),
+        ("primal", "label_kernel", '{"family": "rbf", "gamma": -1.0}', "malformed value for 'label_kernel'"),
+        ("kernel-spca", "label_kernel", "[1, 2]", "malformed value for 'label_kernel'"),
+        ("kernel-pca", "kernel", None, "missing value 'kernel'"),
+        ("kernel-pca", "kernel", "null", "malformed value for 'kernel'"),
+        ("kernel-pca", "kernel", '"rbf"', "malformed value for 'kernel'"),
+        ("kernel-direct", "kernel", '{"family": "rbf"}', "malformed value for 'kernel'"),
+        ("kernel-direct", "kernel", '{"family": "delta"}', "malformed value for 'kernel'"),
+        ("kernel-spca", "kernel", '{"family": "polynomial", "degree": "two"}', "malformed value for 'kernel'"),
+    ], ids=["label kernel string", "negative label gamma", "label kernel list", "no kernel", "null kernel",
+            "kernel string", "rbf without gamma", "delta data kernel", "non-integer degree"])
+    def test_unusable_kernel_is_a_data_error(self, tmp_path, data, layout, key, raw, message):
+        path = _saved(tmp_path, data, layout)
+        _set_scalar(path, key, raw)
+        with pytest.raises(DataError, match=message):
+            load_model(path)
+
+    def test_unresolved_rbf_label_kernel_of_an_r1_0_fit_loads(self, tmp_path, data):
+        x, labels = data
+        path = tmp_path / "m.txt"
+        save_model(fit(x, labels, RoweisConfig(0.0, 0.5, label_kernel=kernels.KernelSpec("rbf"))), path)
+        assert load_model(path).config.label_kernel == kernels.KernelSpec("rbf")
+
+
+class TestArrayShapes:
+    @pytest.mark.parametrize("layout, name, change, message", [
+        ("primal", "mean", lambda a: np.hstack([a, [[0.0]]]), "'mean' entries 4, 'basis' rows 3"),
+        ("primal", "mean", lambda a: a[:, :1], "'mean' entries 1, 'basis' rows 3"),
+        ("primal", "eigvals", lambda a: a[:, :1], "'eigvals' entries 1, 'basis' columns 2"),
+        ("kernel-direct", "coeffs", lambda a: a[:-1], "'coeffs' rows 13, 'train_x' columns 14"),
+        ("kernel-direct", "eigvals", lambda a: a[:, :1], "'eigvals' entries 1, components 2"),
+        ("kernel-pca", "right_vectors", lambda a: a[:-1], "'right_vectors' rows 13, 'train_x' columns 14"),
+        ("kernel-pca", "sigma", lambda a: a[:, :1], "'sigma' entries 1, 'right_vectors' columns 2"),
+        ("kernel-spca", "upsilon", lambda a: a[:-1], "'upsilon' rows 13, 'train_x' columns 14"),
+        ("kernel-spca", "right_vectors", lambda a: np.vstack([a, a[:1]]), "'right_vectors' rows 3, 'upsilon' columns 2"),
+    ], ids=["primal long mean", "primal mean of one", "primal short eigvals", "direct short coeffs",
+            "direct short eigvals", "pca short right vectors", "pca short sigma", "spca short upsilon",
+            "spca long right vectors"])
+    def test_disagreeing_arrays_are_a_data_error(self, tmp_path, data, layout, name, change, message):
+        path = _saved(tmp_path, data, layout)
+        _set_array(path, name, change)
+        with pytest.raises(DataError, match=f"arrays disagree in shape: {message}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("layout", sorted(SAVED))
+    def test_rewritten_but_unchanged_files_load(self, tmp_path, data, layout):
+        path = _saved(tmp_path, data, layout)
+        before = path.read_text()
+        _set_array(path, "eigvals", lambda a: a)
+        assert path.read_text() == before
+        assert load_model(path).eigvals.size >= 1
