@@ -253,19 +253,14 @@ def cmd_reconstruct(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-def _metric_for_split(variant, train, test, r1, r2, p, data_kernel, label_kernel):
-    config = rda.RoweisConfig(r1=r1, r2=r2, p=p, label_kernel=label_kernel)
+def _grid_embeddings(variant, train, test, configs, data_kernel):
+    """(train, test) embeddings of every config: one fit per config for the
+    primal variant, one grid fit sharing the per-split work for the kernel one."""
     if variant == "primal":
-        model = rda.fit(train.X, train.y, config)
-        emb_train, emb_test = rda.project(model, train.X), rda.project(model, test.X)
-    else:
-        model = kernel_rda.fit_direct(train.X, train.y, config, data_kernel)
-        emb_train, emb_test = kernel_rda.project(model, train.X), kernel_rda.project(model, test.X)
-    if train.kind == "classification":
-        report = evaluate.knn_classify(emb_train, train.y, emb_test, test.y, k=1)
-    else:
-        report = evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y)
-    return report.metric, report.value
+        models = [rda.fit(train.X, train.y, config) for config in configs]
+        return [(rda.project(model, train.X), rda.project(model, test.X)) for model in models]
+    models = kernel_rda.fit_direct_grid(train.X, train.y, configs, data_kernel)
+    return list(zip(kernel_rda.project_grid(models, train.X), kernel_rda.project_grid(models, test.X)))
 
 
 def cmd_sweep(args) -> int:
@@ -281,17 +276,28 @@ def cmd_sweep(args) -> int:
     data_kernel = _kernel_from_args(args.kernel, args.gamma, args.degree, args.offset)
     if args.variant == "kernel":
         data_kernel = kernels.resolve_gamma(data_kernel, train.X)
-    label_kernel = _label_kernel_from_args(args)
+    # Resolved once for the split, not once per grid point.
+    label_kernel = kernels.resolve_label_kernel(
+        _label_kernel_from_args(args) or rda.default_label_kernel(train.y), train.y
+    )
 
     values = np.linspace(0.0, 1.0, args.grid)
+    # The within-class scatter that r2 > 0 needs exists only for class labels.
+    r2_values = values if kind == "classification" else values[:1]
+    configs = [
+        rda.RoweisConfig(r1=float(r1), r2=float(r2), p=args.p, label_kernel=label_kernel)
+        for r1 in values for r2 in r2_values
+    ]
     rows = []
-    for r1 in values:
-        for r2 in values:
-            metric, value = _metric_for_split(
-                args.variant, train, test, float(r1), float(r2), args.p, data_kernel, label_kernel
-            )
-            s = rda.supervision_level(float(r1), float(r2))
-            rows.append([repr(float(r1)), repr(float(r2)), repr(s), metric, repr(value)])
+    for config, (emb_train, emb_test) in zip(
+        configs, _grid_embeddings(args.variant, train, test, configs, data_kernel)
+    ):
+        if kind == "classification":
+            report = evaluate.knn_classify(emb_train, train.y, emb_test, test.y, k=1)
+        else:
+            report = evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y)
+        s = rda.supervision_level(config.r1, config.r2)
+        rows.append([repr(config.r1), repr(config.r2), repr(s), report.metric, repr(report.value)])
     out = args.out or "sweep.csv"
     _write_rows(out, ["r1", "r2", "s", "metric", "value"], rows)
     config_dict = {
@@ -302,7 +308,11 @@ def cmd_sweep(args) -> int:
         "kernel": data_kernel.to_dict(),
         "label_col": args.label_col,
     }
+    if kind == "regression":
+        config_dict["r2_values"] = [0.0]
     _write_manifest("sweep", config_dict, args.seed, [args.data], [out])
+    if kind == "regression":
+        print("real-valued targets: swept r1 at r2 = 0 only (r2 > 0 needs class labels)")
     print(f"wrote {len(rows)} grid points to {out}")
     return 0
 

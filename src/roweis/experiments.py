@@ -9,6 +9,11 @@ training embedding, and aggregates test RMSE over repetitions.
 The embedding panels fit the kernelized method on the two synthetic
 classification sets over the 3 x 3 grid of mixing factors and export the
 leading embedding dimensions of the train and test splits.
+
+Both fit a split's whole kernel grid at once
+(:func:`roweis.kernel_rda.fit_direct_grid`, :func:`roweis.kernel_rda.project_grid`)
+and resolve each bandwidth once per split; the results are those of one fit
+per grid point, bit for bit.
 """
 
 from __future__ import annotations
@@ -37,21 +42,24 @@ def _cell_seed(base_seed: int, bench_id: int, rep: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def _rmse_for_split(train, test, method: str, r1: float) -> float:
-    reg_kernel = kernels.KernelSpec(family="rbf")
-    if method == "linear":
-        config = rda.RoweisConfig(r1=r1, r2=0.0, p=2, label_kernel=reg_kernel)
-        model = rda.fit(train.X, train.y if r1 > 0 else None, config)
-        emb_train = rda.project(model, train.X)
-        emb_test = rda.project(model, test.X)
-    else:
-        config = rda.RoweisConfig(r1=r1, r2=0.0, p=2, label_kernel=reg_kernel)
-        model = kernel_rda.fit_direct(
-            train.X, train.y if r1 > 0 else None, config, kernels.KernelSpec(family="rbf")
-        )
-        emb_train = kernel_rda.project(model, train.X)
-        emb_test = kernel_rda.project(model, test.X)
-    return evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y).value
+def _split_rmse(train, test, r1_values) -> list[tuple[str, float, float]]:
+    """(method, r1, test RMSE) of every method and r1 on one split; the RBF
+    label bandwidth is resolved once for both methods."""
+    label_kernel = kernels.resolve_label_kernel(kernels.KernelSpec(family="rbf"), train.y)
+    configs = [rda.RoweisConfig(r1=r1, r2=0.0, p=2, label_kernel=label_kernel) for r1 in r1_values]
+    embedded = []
+    for config in configs:
+        model = rda.fit(train.X, train.y if config.r1 > 0 else None, config)
+        embedded.append(("linear", config.r1, rda.project(model, train.X), rda.project(model, test.X)))
+    models = kernel_rda.fit_direct_grid(train.X, train.y, configs, kernels.KernelSpec(family="rbf"))
+    kernel_train = kernel_rda.project_grid(models, train.X)
+    kernel_test = kernel_rda.project_grid(models, test.X)
+    for config, emb_train, emb_test in zip(configs, kernel_train, kernel_test):
+        embedded.append(("kernel", config.r1, emb_train, emb_test))
+    return [
+        (method, r1, evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y).value)
+        for method, r1, emb_train, emb_test in embedded
+    ]
 
 
 def regression_benchmark_table(
@@ -71,9 +79,8 @@ def regression_benchmark_table(
             seed = _cell_seed(base_seed, bench_id, rep)
             ds = datasets.gen_regression_benchmark(bench_id, n, seed)
             train, test = datasets.train_test_split(ds, train_fraction, seed)
-            for method in ("linear", "kernel"):
-                for r1 in r1_values:
-                    cells[(method, r1, bench_id)].append(_rmse_for_split(train, test, method, r1))
+            for method, r1, value in _split_rmse(train, test, r1_values):
+                cells[(method, r1, bench_id)].append(value)
     return [
         BenchCell(method, r1, b, evaluate.EvalReport.from_values("rmse", values))
         for (method, r1, b), values in cells.items()
@@ -127,21 +134,11 @@ def embedding_panels(
     else:
         raise ConfigError(f"unknown panel dataset {dataset_name!r}")
     train, test = datasets.train_test_split(ds, train_fraction, seed)
-    kernel = kernels.resolve_gamma(kernels.KernelSpec(family="rbf"), train.X)
-    panels = []
-    for r1 in r_values:
-        for r2 in r_values:
-            config = rda.RoweisConfig(r1=r1, r2=r2, p=2)
-            model = kernel_rda.fit_direct(train.X, train.y, config, kernel)
-            panels.append(
-                Panel(
-                    dataset=dataset_name,
-                    r1=r1,
-                    r2=r2,
-                    train_emb=kernel_rda.project(model, train.X),
-                    test_emb=kernel_rda.project(model, test.X),
-                    train_y=train.y,
-                    test_y=test.y,
-                )
-            )
-    return panels
+    configs = [rda.RoweisConfig(r1=r1, r2=r2, p=2) for r1 in r_values for r2 in r_values]
+    models = kernel_rda.fit_direct_grid(train.X, train.y, configs, kernels.KernelSpec(family="rbf"))
+    train_embs = kernel_rda.project_grid(models, train.X)
+    test_embs = kernel_rda.project_grid(models, test.X)
+    return [
+        Panel(dataset_name, config.r1, config.r2, train_emb, test_emb, train.y, test.y)
+        for config, train_emb, test_emb in zip(configs, train_embs, test_embs)
+    ]

@@ -26,16 +26,24 @@ requested component lies in the null space of M, where round-off alone sets
 its direction. A factored M moves that component by O(1) against the dense
 one, so the rewrite waits for the feature-map form of the direct method.
 
-fit_direct drops K_x and P once M and L are built, and the solver copies
-neither M nor L, so the numpy arrays a fit holds peak at about six n x n
-(LAPACK's workspace comes on top).
+One training set is fitted at many (r1, r2) by :func:`fit_direct_grid`;
+:func:`fit_direct` is its one-config case. The input check, the data and
+label bandwidths, K_x and N are done once per training set. L depends only on
+r2 (and the shift policy), so the configs are solved grouped by it: each
+distinct L is built, factored once (:func:`roweis.linalg.factor_constraint`)
+and dropped, and every M of the group is solved against that factor. One
+factor and one M are held at a time; M goes to the solver with no reference
+kept, which frees it after the first triangular solve, and N and K_x are
+dropped once no L or M needs them. Every step runs the per-config functions
+on the same inputs, so each model equals a lone fit bit for bit.
 
 Embeddings of new points use the kernel between the retained training matrix
 and the new points; the trick variants center that kernel with training
 statistics (Schoelkopf, Smola & Mueller 1998) so the embedding agrees with
 projecting mean-centered feature vectors. :func:`project` builds, centers and
 multiplies out that kernel PROJECT_BLOCK new points at a time, so memory does
-not grow with the number of points. The centering statistics, the row means
+not grow with the number of points; :func:`project_grid` builds each block
+once for all the models of a grid. The centering statistics, the row means
 and grand mean of the training Gram matrix, are computed on a model's first
 projection and kept on the object (:attr:`KernelRdaModel.train_centering`),
 never in its model file. No reconstruction is offered: it would need the
@@ -52,7 +60,7 @@ import numpy as np
 from . import kernels
 from ._util import as_features, as_square, sym
 from .exceptions import ConfigError, NumericalError
-from .linalg import generalized_eig, symmetric_eig
+from .linalg import factor_constraint, generalized_eig, symmetric_eig
 from .rda import (
     RoweisConfig,
     _first_usable,
@@ -123,7 +131,13 @@ def kernel_objective_matrix(k_x, p) -> np.ndarray:
     p = as_square(p, "P")
     if p.shape != k_x.shape:
         raise ConfigError(f"shape mismatch: K_x is {k_x.shape}, P is {p.shape}")
-    return sym(k_x @ kernels.double_center(p) @ k_x)
+    # Each n x n intermediate is dropped once the next exists (P here only
+    # when the caller kept no reference to it).
+    m_mat = kernels.double_center(p)
+    del p
+    m_mat = k_x @ m_mat
+    m_mat = m_mat @ k_x
+    return sym(m_mat)
 
 
 def kernel_within_scatter(k_x, part: ClassPartition) -> np.ndarray:
@@ -157,54 +171,95 @@ def kernel_constraint_matrix(n_mat, k_x, r2: float) -> np.ndarray:
         return sym(k_x)
     if r2 == 1.0:
         return sym(n_mat)
-    return sym(r2 * n_mat + (1.0 - r2) * k_x)
+    l_mat = r2 * n_mat
+    l_mat += (1.0 - r2) * k_x
+    return sym(l_mat)
 
 
 def fit_direct(x, labels, config: RoweisConfig, kernel: kernels.KernelSpec) -> KernelRdaModel:
-    """Representation-theory fit, valid on the whole (r1, r2) square."""
-    r1, r2 = config.r1, config.r2
-    x, labels = _fit_inputs(x, labels, r1, r2)
+    """Representation-theory fit, valid on the whole (r1, r2) square.
+
+    The one-config case of :func:`fit_direct_grid`.
+    """
+    return fit_direct_grid(x, labels, [config], kernel)[0]
+
+
+def _label_side(spec: kernels.KernelSpec | None, labels, r1: float, n: int) -> np.ndarray:
+    """P = r1 K_y + (1 - r1) I, or I at r1 = 0."""
+    if r1 == 0:
+        return np.eye(n)
+    return blend_label_kernel(kernels.label_gram(spec, labels, labels), r1)
+
+
+def fit_direct_grid(x, labels, configs, kernel: kernels.KernelSpec) -> list[KernelRdaModel]:
+    """Direct fits of one training set at every config, in the configs' order.
+
+    Each result equals :func:`fit_direct` at its config bit for bit. The
+    work the configs share is done once (see the module docstring); the
+    inputs are checked against the largest r1 and r2, and every model shares
+    one copy of the training matrix.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ConfigError("fit_direct_grid needs at least one config")
+    x, labels = _fit_inputs(x, labels, max(c.r1 for c in configs), max(c.r2 for c in configs))
     n = x.shape[1]
 
     kernel = kernels.resolve_gamma(kernel, x)
+    train_x = x.copy()
     k_x = sym(kernels.gram(kernel, x, x))
-
-    if r1 > 0:
-        resolved_label = _resolved_label_kernel(config.label_kernel, labels)
-        p_mat = blend_label_kernel(kernels.label_gram(resolved_label, labels, labels), r1)
-    else:
-        resolved_label, p_mat = None, np.eye(n)
-    m_mat = kernel_objective_matrix(k_x, p_mat)
-    del p_mat
-
-    n_classes = None
-    if r2 > 0:
-        part = ClassPartition.from_labels(labels)
-        n_classes = part.n_classes
-        l_mat = kernel_constraint_matrix(kernel_within_scatter(k_x, part), k_x, r2)
-    else:
-        l_mat = k_x
-    del k_x
-
-    pair = generalized_eig(m_mat, l_mat, config.reg)
-    valid = count_valid(pair.values, config.valid_eig_threshold)
-    if valid == 0:
-        raise NumericalError("no positive eigenvalues; the kernel carries no usable variance")
-    cap = min(n, n_classes) - 1 if r2 == 1.0 else n - 1
-    p, notes = _select_dimension(pair.values, valid, cap, config)
-
-    return KernelRdaModel(
-        variant="direct",
-        coeffs=pair.vectors[:, :p].copy(),
-        eigvals=pair.values[:p].copy(),
-        train_x=x.copy(),
-        kernel=kernel,
-        r1=r1,
-        r2=r2,
-        label_kernel=resolved_label,
-        shift=pair.shift,
-        notes=tuple(notes),
-    )
+    groups: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault((config.r2, config.reg), []).append(i)
+    # N is built for the first group with r2 > 0 and dropped after the last.
+    last_scatter = max((g for g, (r2, _) in enumerate(groups) if r2 > 0), default=-1)
+    part = ClassPartition.from_labels(labels) if last_scatter >= 0 else None
+    n_mat = None
+    label_specs: dict = {}
+    models: list = [None] * len(configs)
+    left = len(configs)
+    for g, ((r2, reg), members) in enumerate(groups.items()):
+        if r2 > 0 and n_mat is None:
+            n_mat = kernel_within_scatter(k_x, part)
+        l_mat = kernel_constraint_matrix(n_mat, k_x, r2) if r2 > 0 else k_x
+        if g == last_scatter:
+            n_mat = None
+        factor = factor_constraint(l_mat, reg)
+        del l_mat
+        for i in members:
+            config = configs[i]
+            resolved_label = None
+            if config.r1 > 0:
+                if config.label_kernel not in label_specs:
+                    label_specs[config.label_kernel] = _resolved_label_kernel(config.label_kernel, labels)
+                resolved_label = label_specs[config.label_kernel]
+            m_mat = [kernel_objective_matrix(k_x, _label_side(resolved_label, labels, config.r1, n))]
+            left -= 1
+            if not left:
+                k_x = None
+            # Handed over with no reference kept here, so the solver frees M
+            # after its first triangular solve.
+            pair = generalized_eig(m_mat.pop(), factor)
+            valid = count_valid(pair.values, config.valid_eig_threshold)
+            if valid == 0:
+                raise NumericalError("no positive eigenvalues; the kernel carries no usable variance")
+            cap = min(n, part.n_classes) - 1 if r2 == 1.0 else n - 1
+            p, notes = _select_dimension(pair.values, valid, cap, config)
+            models[i] = KernelRdaModel(
+                variant="direct",
+                coeffs=pair.vectors[:, :p].copy(),
+                eigvals=pair.values[:p].copy(),
+                train_x=train_x,
+                kernel=kernel,
+                r1=config.r1,
+                r2=config.r2,
+                label_kernel=resolved_label,
+                shift=pair.shift,
+                notes=tuple(notes),
+            )
+            del pair  # its n x n vectors, before the next config's work
+        del factor
+    return models
 
 
 def _leading_directions(pair, p: int | None) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -283,21 +338,47 @@ def fit_kernel_spca(
 def project(model: KernelRdaModel, x_any) -> np.ndarray:
     """Embed new points through the kernel against the training matrix.
 
-    The train-vs-new kernel is built, centered and multiplied out
-    PROJECT_BLOCK columns at a time, so memory stays O(n_train * PROJECT_BLOCK)
-    whatever the number of new points.
+    The one-model case of :func:`project_grid`.
     """
-    x_any = as_features(x_any, model.train_x.shape[0])
-    out = np.empty((model.n_components, x_any.shape[1]))
+    return project_grid([model], x_any)[0]
+
+
+def project_grid(models, x_any) -> list[np.ndarray]:
+    """Embed new points with every model of a grid fitted on one training set.
+
+    The models must share the training matrix and the kernel, as the models
+    of :func:`fit_direct_grid` do. The train-vs-new kernel is built
+    PROJECT_BLOCK columns at a time, once per block for all the models, and
+    each model multiplies it out (after centering it, for the trick
+    variants), so memory stays O(n_train * PROJECT_BLOCK) whatever the
+    number of new points. Each embedding equals the model's own
+    :func:`project` bit for bit.
+    """
+    models = list(models)
+    if not models:
+        raise ConfigError("project_grid needs at least one model")
+    first = models[0]
+    for model in models[1:]:
+        if model.kernel != first.kernel or not (
+            model.train_x is first.train_x or np.array_equal(model.train_x, first.train_x)
+        ):
+            raise ConfigError("project_grid needs models fitted on one training set with one kernel")
+    x_any = as_features(x_any, first.train_x.shape[0])
+    outs = [np.empty((model.n_components, x_any.shape[1])) for model in models]
     for start in range(0, x_any.shape[1], PROJECT_BLOCK):
         cols = slice(start, start + PROJECT_BLOCK)
-        k_new = kernels.gram(model.kernel, model.train_x, x_any[:, cols])
-        if model.variant != "direct":
-            # kernels.center_test_kernel's arithmetic, in place, on the
-            # training statistics computed once per model.
-            row_means, grand_mean = model.train_centering
-            k_new -= k_new.mean(axis=0, keepdims=True)
-            k_new -= row_means
-            k_new += grand_mean
-        out[:, cols] = model.coeffs.T @ k_new
-    return out
+        k_new = kernels.gram(first.kernel, first.train_x, x_any[:, cols])
+        for i, (model, out) in enumerate(zip(models, outs)):
+            k_model = k_new
+            if model.variant != "direct":
+                # kernels.center_test_kernel's arithmetic, in place (on a copy
+                # while later models still need the block), on the training
+                # statistics computed once per model.
+                row_means, grand_mean = model.train_centering
+                if i < len(models) - 1:
+                    k_model = k_new.copy()
+                k_model -= k_model.mean(axis=0, keepdims=True)
+                k_model -= row_means
+                k_model += grand_mean
+            out[:, cols] = model.coeffs.T @ k_model
+    return outs

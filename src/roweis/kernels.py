@@ -197,7 +197,10 @@ def double_center(k) -> np.ndarray:
     k = as_square(k, "K")
     row = k.mean(axis=1, keepdims=True)
     col = k.mean(axis=0, keepdims=True)
-    return k - row - col + k.mean()
+    out = k - row
+    out -= col
+    out += k.mean()
+    return out
 
 
 def center_test_kernel(k_train, k_test) -> np.ndarray:

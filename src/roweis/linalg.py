@@ -9,6 +9,15 @@ regularizing its diagonal only when the factorization fails, so that the
 returned basis satisfies ``U.T @ B' @ U = I`` for the (possibly shifted)
 constraint ``B'``.
 
+:func:`factor_constraint` is the B side of the generalized solver: it checks,
+shifts and factors B once. :func:`generalized_eig` takes B as a matrix or as
+that :class:`FactoredConstraint`, so a caller with many objectives against
+one constraint factors it once, and every solve still goes through
+:func:`generalized_eig`. An exact identity B skips the eigendecomposition,
+the factorization and the triangular solves (``eigh(sym(A))``), with the
+bits of the factorization route: solves against I change nothing but the
+sign of some -0.0 entries, so they still run where a -0.0 is present.
+
 A constraint that maps an m-dimensional subspace into itself and acts as a
 multiple of the identity on its complement can be handed over as its m x m
 block plus a :class:`Complement` (the multiple and the complement's
@@ -30,6 +39,7 @@ Everything here is pure and thread-safe.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 
@@ -120,15 +130,22 @@ class SvdFactor:
     right: np.ndarray
 
 
+@contextlib.contextmanager
+def _numerical(name: str):
+    """Re-raise numpy's LinAlgError inside the block as NumericalError."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{name}: {exc}") from exc
+
+
 def _lapack_errors(fn):
     """Re-raise numpy's LinAlgError from ``fn`` as NumericalError."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        try:
+        with _numerical(fn.__name__):
             return fn(*args, **kwargs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"{fn.__name__}: {exc}") from exc
 
     return wrapper
 
@@ -158,7 +175,8 @@ def _fix_signs(vectors: np.ndarray, companion: np.ndarray | None = None):
     """
     if vectors.shape[1] == 0:
         return (vectors, companion) if companion is not None else vectors
-    idx = np.argmax(np.abs(vectors), axis=0)
+    # Column-major, so argmax walks each column in place instead of copying.
+    idx = np.argmax(np.abs(vectors, order="F"), axis=0)
     signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
     signs[signs == 0.0] = 1.0
     flipped = vectors * signs
@@ -195,28 +213,51 @@ def _shifted(b: np.ndarray, shift: float) -> np.ndarray:
     return out
 
 
-@_lapack_errors
-def generalized_eig(a, b, reg: RegPolicy | None = None, complement: Complement | None = None) -> EigPair:
-    """Solve ``A U = B' U diag(values)`` with ``U.T @ B' @ U = I``.
+@dataclass(frozen=True)
+class FactoredConstraint:
+    """A constraint ``B' = B + shift * I`` from :func:`factor_constraint`.
 
-    ``B' = B + shift * I`` where the shift follows ``reg`` and is applied only
-    when the Cholesky factorization of B fails. The solve goes through the
-    symmetrized problem on ``L^{-1} A L^{-T}`` (B' = L L'), which is stabler
-    than explicitly inverting B.
-
-    With ``complement``, A and B are the blocks of d x d matrices that are
-    ``0`` and ``complement.value * I`` on a ``complement.count``-dimensional
-    complement. The complement's eigenvalues enter the PSD check, the shift
-    unit and the health test, so the shift is the one the d x d problem
-    gets. Its eigenpairs (all zero) are not returned; the vectors are in the
-    block's coordinates.
+    ``chol`` is the Cholesky factor L of B' (``B' = L L'``), or None when B
+    is exactly the identity (and any complement holds ones).
     """
+
+    chol: np.ndarray | None
+    shift: float
+    order: int
+
+
+def _is_identity(b: np.ndarray, complement: Complement | None) -> bool:
+    """B is exactly I, signbits included, and any complement holds ones."""
+    n = b.shape[0]
+    if n == 0 or (complement is not None and complement.value != 1.0):
+        return False
+    # Every entry but the n diagonal ones must be +0.0 bit for bit.
+    return bool(np.all(b.diagonal() == 1.0)) and np.count_nonzero(b.view(np.int64)) == n
+
+
+def _has_negative_zero(x: np.ndarray) -> bool:
+    return bool(np.any(x.view(np.int64) == np.iinfo(np.int64).min))
+
+
+@_lapack_errors
+def factor_constraint(b, reg: RegPolicy | None = None, complement: Complement | None = None) -> FactoredConstraint:
+    """The B side of :func:`generalized_eig`: check, shift and factor B once,
+    for any number of solves against it.
+
+    The checks, the shift and the complement are those of
+    :func:`generalized_eig`. An exact identity (with a complement of ones,
+    if any) gets no eigendecomposition and no factorization: its solves are
+    ``eigh(sym(A))`` with shift 0.
+    """
+    return _factor(b, reg, complement)
+
+
+def _factor(b, reg: RegPolicy | None, complement: Complement | None) -> FactoredConstraint:
     reg = reg or RegPolicy()
-    a = as_square(a, "A")
     b = as_square(b, "B")
-    if a.shape != b.shape:
-        raise ConfigError(f"dimension mismatch: A is {a.shape}, B is {b.shape}")
-    a_s = _symmetrized(a, "A")
+    n = b.shape[0]
+    if _is_identity(b, complement):
+        return FactoredConstraint(chol=None, shift=0.0, order=n)
     b_s = _symmetrized(b, "B")
 
     b_vals = np.linalg.eigvalsh(b_s)
@@ -239,36 +280,79 @@ def generalized_eig(a, b, reg: RegPolicy | None = None, complement: Complement |
             return True  # the cap is used even if the bound is not met
         return lam_min + s > max(lam_max + s, 0.0) / CONSTRAINT_COND_MAX
 
-    chol = None
-    shift = 0.0
     for candidate in candidates:
         if not healthy(candidate):
             continue
         try:
             chol = np.linalg.cholesky(_shifted(b_s, candidate))
-            shift = candidate
-            break
         except np.linalg.LinAlgError:
             continue
-    del b_s
-    if chol is None:
-        raise NumericalError(
-            "constraint matrix stayed singular up to the maximum "
-            f"diagonal shift {reg.max_scale * unit:.3e}"
-        )
+        return FactoredConstraint(chol=chol, shift=candidate, order=n)
+    raise NumericalError(
+        "constraint matrix stayed singular up to the maximum "
+        f"diagonal shift {reg.max_scale * unit:.3e}"
+    )
 
-    # C = L^{-1} A L^{-T}; A symmetric makes the second solve valid on Y.T.
-    y = np.linalg.solve(chol, a_s)
-    del a_s
-    c = np.linalg.solve(chol, y.T)
-    del y
-    c = sym(c)
-    values, q = np.linalg.eigh(c)
-    del c
-    values = values[::-1].copy()
-    vectors = np.linalg.solve(chol.T, q[:, ::-1])
-    del q, chol
-    return EigPair(vectors=_fix_signs(vectors), values=values, shift=shift)
+
+def generalized_eig(a, b, reg: RegPolicy | None = None, complement: Complement | None = None) -> EigPair:
+    """Solve ``A U = B' U diag(values)`` with ``U.T @ B' @ U = I``.
+
+    ``B' = B + shift * I`` where the shift follows ``reg`` and is applied only
+    when the Cholesky factorization of B fails. The solve goes through the
+    symmetrized problem on ``L^{-1} A L^{-T}`` (B' = L L'), which is stabler
+    than explicitly inverting B. B may also come pre-factored, as the
+    :class:`FactoredConstraint` of :func:`factor_constraint` (which then took
+    ``reg`` and ``complement``). A is dropped after the first triangular
+    solve, so a caller that keeps no reference to it frees it there.
+
+    With ``complement``, A and B are the blocks of d x d matrices that are
+    ``0`` and ``complement.value * I`` on a ``complement.count``-dimensional
+    complement. The complement's eigenvalues enter the PSD check, the shift
+    unit and the health test, so the shift is the one the d x d problem
+    gets. Its eigenpairs (all zero) are not returned; the vectors are in the
+    block's coordinates.
+    """
+    with _numerical("generalized_eig"):
+        a = as_square(a, "A")
+        factored = isinstance(b, FactoredConstraint)
+        if factored and (reg is not None or complement is not None):
+            raise ConfigError("a factored constraint already carries its reg policy and complement")
+        order = b.order if factored else as_square(b, "B").shape[0]
+        if a.shape != (order, order):
+            raise ConfigError(f"dimension mismatch: A is {a.shape}, B is {(order, order)}")
+        a_s = _symmetrized(a, "A")
+        factor = b if factored else _factor(b, reg, complement)
+        del a, b
+        chol = factor.chol
+
+        if chol is None:
+            # L = I, and solves against I return every entry unchanged but
+            # may clear the sign of a -0.0 (which ones depends on the BLAS
+            # blocking), so they run only where a -0.0 is present.
+            if not _has_negative_zero(a_s):
+                c = sym(a_s)
+                del a_s
+                values, q = np.linalg.eigh(c)
+                del c
+                values = values[::-1].copy()
+                q = q[:, ::-1]
+                if _has_negative_zero(q):
+                    q = np.linalg.solve(np.eye(order), q)
+                return EigPair(vectors=_fix_signs(q), values=values, shift=0.0)
+            chol = np.eye(order)  # the Cholesky factor of I, bit for bit
+
+        # C = L^{-1} A L^{-T}; A symmetric makes the second solve valid on Y.T.
+        y = np.linalg.solve(chol, a_s)
+        del a_s
+        c = np.linalg.solve(chol, y.T)
+        del y
+        c = sym(c)
+        values, q = np.linalg.eigh(c)
+        del c
+        values = values[::-1].copy()
+        vectors = np.linalg.solve(chol.T, q[:, ::-1])
+        del q, chol
+        return EigPair(vectors=_fix_signs(vectors), values=values, shift=factor.shift)
 
 
 @_lapack_errors

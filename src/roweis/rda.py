@@ -165,7 +165,13 @@ def blend_label_kernel(k_y, r1: float) -> np.ndarray:
         return np.eye(k_y.shape[0])
     if r1 == 1.0:
         return sym(k_y)
-    return sym(r1 * k_y + (1.0 - r1) * np.eye(k_y.shape[0]))
+    # r1 K_y + (1 - r1) I bit for bit, without the identity: off the diagonal
+    # the identity term adds (1 - r1) * 0.0 = +0.0.
+    p = r1 * k_y
+    del k_y  # freed here when the caller kept no reference
+    p += 0.0
+    p.flat[::p.shape[0] + 1] += 1.0 - r1
+    return sym(p)
 
 
 def objective_matrix(x, p) -> np.ndarray:

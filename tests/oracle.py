@@ -8,10 +8,20 @@
   symmetric matrix, no n x n identity for the shift). The package must match
   them bit for bit.
 * ``squared_distances`` and ``gram`` are the kernel builders as they were
-  before they worked in place; the package must match them bit for bit.
+  before they worked in place; the package must match them bit for bit. So
+  are ``double_center``, ``blend_label_kernel``, ``kernel_objective_matrix``
+  and ``kernel_constraint_matrix``, which now work in place too.
 * ``project_kernel`` is kernel-model projection as one product over all new
   points, with the training Gram built on every call: the formula the
   blocked ``kernel_rda.project`` is checked against.
+* ``fit_direct`` is the kernel direct fit of one config as it was before
+  ``kernel_rda.fit_direct_grid`` shared the per-split work (here on this
+  module's ``generalized_eig``). ``sweep_rows``, ``regression_benchmark_table``
+  and ``embedding_panels`` are the CLI sweep and the experiments as
+  per-config loops over it: every grid point validates, resolves its
+  bandwidths, builds its Grams and factors its constraint anew. Below 1024
+  new points ``project_kernel`` equals the blocked projection bit for bit,
+  so these loops give the package's outputs byte for byte.
 
 Do not change them to match the package.
 """
@@ -20,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from roweis import kernels
+from roweis import datasets, evaluate, experiments, kernels, rda
 from roweis._util import as_features, as_matrix, as_square
 from roweis.exceptions import ConfigError, NumericalError
 from roweis.linalg import (
@@ -31,6 +41,8 @@ from roweis.linalg import (
     _fix_signs,
     _lapack_errors,
 )
+from roweis.kernel_rda import KernelRdaModel, kernel_within_scatter
+from roweis.rda import _fit_inputs, _resolved_label_kernel, _select_dimension, count_valid
 from roweis.scatter import ClassPartition, _check_partition
 
 
@@ -180,6 +192,31 @@ def gram(spec: kernels.KernelSpec, a, b) -> np.ndarray:
     raise ConfigError(f"no data kernel {spec.family!r}")
 
 
+def double_center(k) -> np.ndarray:
+    k = as_square(k, "K")
+    return k - k.mean(axis=1, keepdims=True) - k.mean(axis=0, keepdims=True) + k.mean()
+
+
+def blend_label_kernel(k_y, r1: float) -> np.ndarray:
+    if r1 == 0.0:
+        return np.eye(k_y.shape[0])
+    if r1 == 1.0:
+        return _sym(k_y)
+    return _sym(r1 * k_y + (1.0 - r1) * np.eye(k_y.shape[0]))
+
+
+def kernel_objective_matrix(k_x, p) -> np.ndarray:
+    return _sym(k_x @ double_center(p) @ k_x)
+
+
+def kernel_constraint_matrix(n_mat, k_x, r2: float) -> np.ndarray:
+    if r2 == 0.0:
+        return _sym(k_x)
+    if r2 == 1.0:
+        return _sym(n_mat)
+    return _sym(r2 * n_mat + (1.0 - r2) * k_x)
+
+
 def project_kernel(model, x_any) -> np.ndarray:
     """coeffs' K_new over all new points at once, K_new centered with the
     training Gram for the trick variants."""
@@ -189,3 +226,118 @@ def project_kernel(model, x_any) -> np.ndarray:
         k_train = _sym(gram(model.kernel, model.train_x, model.train_x))
         k_new = kernels.center_test_kernel(k_train, k_new)
     return model.coeffs.T @ k_new
+
+
+# ---------------------------------------------------------------- per-config loops
+
+def fit_direct(x, labels, config, kernel) -> KernelRdaModel:
+    r1, r2 = config.r1, config.r2
+    x, labels = _fit_inputs(x, labels, r1, r2)
+    n = x.shape[1]
+
+    kernel = kernels.resolve_gamma(kernel, x)
+    k_x = _sym(gram(kernel, x, x))
+
+    if r1 > 0:
+        resolved_label = _resolved_label_kernel(config.label_kernel, labels)
+        p_mat = blend_label_kernel(kernels.label_gram(resolved_label, labels, labels), r1)
+    else:
+        resolved_label, p_mat = None, np.eye(n)
+    m_mat = kernel_objective_matrix(k_x, p_mat)
+
+    n_classes = None
+    if r2 > 0:
+        part = ClassPartition.from_labels(labels)
+        n_classes = part.n_classes
+        l_mat = kernel_constraint_matrix(kernel_within_scatter(k_x, part), k_x, r2)
+    else:
+        l_mat = k_x
+
+    pair = generalized_eig(m_mat, l_mat, config.reg)
+    valid = count_valid(pair.values, config.valid_eig_threshold)
+    if valid == 0:
+        raise NumericalError("no positive eigenvalues; the kernel carries no usable variance")
+    cap = min(n, n_classes) - 1 if r2 == 1.0 else n - 1
+    p, notes = _select_dimension(pair.values, valid, cap, config)
+    return KernelRdaModel(
+        variant="direct",
+        coeffs=pair.vectors[:, :p].copy(),
+        eigvals=pair.values[:p].copy(),
+        train_x=x.copy(),
+        kernel=kernel,
+        r1=r1,
+        r2=r2,
+        label_kernel=resolved_label,
+        shift=pair.shift,
+        notes=tuple(notes),
+    )
+
+
+def sweep_rows(variant, train, test, r1_values, r2_values, p, data_kernel, label_kernel) -> list:
+    """The rows of ``roweis sweep``: one fit, two projections and one metric per point."""
+    rows = []
+    for r1 in r1_values:
+        for r2 in r2_values:
+            config = rda.RoweisConfig(r1=float(r1), r2=float(r2), p=p, label_kernel=label_kernel)
+            if variant == "primal":
+                model = rda.fit(train.X, train.y, config)
+                emb_train, emb_test = rda.project(model, train.X), rda.project(model, test.X)
+            else:
+                model = fit_direct(train.X, train.y, config, data_kernel)
+                emb_train, emb_test = project_kernel(model, train.X), project_kernel(model, test.X)
+            if train.kind == "classification":
+                report = evaluate.knn_classify(emb_train, train.y, emb_test, test.y, k=1)
+            else:
+                report = evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y)
+            s = rda.supervision_level(float(r1), float(r2))
+            rows.append([repr(float(r1)), repr(float(r2)), repr(s), report.metric, repr(report.value)])
+    return rows
+
+
+def _rmse_for_split(train, test, method: str, r1: float) -> float:
+    reg_kernel = kernels.KernelSpec(family="rbf")
+    config = rda.RoweisConfig(r1=r1, r2=0.0, p=2, label_kernel=reg_kernel)
+    if method == "linear":
+        model = rda.fit(train.X, train.y if r1 > 0 else None, config)
+        emb_train = rda.project(model, train.X)
+        emb_test = rda.project(model, test.X)
+    else:
+        model = fit_direct(train.X, train.y if r1 > 0 else None, config, kernels.KernelSpec(family="rbf"))
+        emb_train = project_kernel(model, train.X)
+        emb_test = project_kernel(model, test.X)
+    return evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y).value
+
+
+def regression_benchmark_table(bench_ids=(1, 2, 3), r1_values=experiments.BENCH_R1_VALUES,
+                               repetitions=50, n=100, train_fraction=0.7, base_seed=0) -> list:
+    cells = {(m, r1, b): [] for m in ("linear", "kernel") for r1 in r1_values for b in bench_ids}
+    for bench_id in bench_ids:
+        for rep in range(repetitions):
+            seed = experiments._cell_seed(base_seed, bench_id, rep)
+            ds = datasets.gen_regression_benchmark(bench_id, n, seed)
+            train, test = datasets.train_test_split(ds, train_fraction, seed)
+            for method in ("linear", "kernel"):
+                for r1 in r1_values:
+                    cells[(method, r1, bench_id)].append(_rmse_for_split(train, test, method, r1))
+    return [
+        experiments.BenchCell(m, r1, b, evaluate.EvalReport.from_values("rmse", values))
+        for (m, r1, b), values in cells.items()
+    ]
+
+
+def embedding_panels(dataset_name, n=400, seed=7, train_fraction=0.7,
+                     r_values=experiments.PANEL_R_VALUES) -> list:
+    generate = {"xor": datasets.gen_xor, "rings": datasets.gen_rings}[dataset_name]
+    ds = generate(n, seed)
+    train, test = datasets.train_test_split(ds, train_fraction, seed)
+    kernel = kernels.resolve_gamma(kernels.KernelSpec(family="rbf"), train.X)
+    panels = []
+    for r1 in r_values:
+        for r2 in r_values:
+            model = fit_direct(train.X, train.y, rda.RoweisConfig(r1=r1, r2=r2, p=2), kernel)
+            panels.append(experiments.Panel(
+                dataset=dataset_name, r1=r1, r2=r2,
+                train_emb=project_kernel(model, train.X), test_emb=project_kernel(model, test.X),
+                train_y=train.y, test_y=test.y,
+            ))
+    return panels

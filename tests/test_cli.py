@@ -331,6 +331,30 @@ class TestSweep:
         ).value
         assert rows[("1.0", "1.0")] == err
 
+    @pytest.mark.parametrize("variant", ["primal", "kernel"])
+    def test_real_targets_sweep_r1_at_r2_zero(self, tmp_path, capsys, variant):
+        # Real targets have no within-class scatter: r2 stays 0, and the run
+        # says so instead of failing at the first r2 > 0 point.
+        data = tmp_path / "bench.csv"
+        assert run("gen", "bench", "--id", 2, "--n", 50, "--seed", 3, "--out", data) == 0
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--data", data, "--label-col", "label", "--variant", variant,
+                   "--grid", 4, "--seed", 3, "--out", out) == 0
+        with open(out) as handle:
+            rows = list(csv.DictReader(handle))
+        assert [float(row["r1"]) for row in rows] == list(np.linspace(0.0, 1.0, 4))
+        assert all(row["r2"] == "0.0" and row["metric"] == "rmse" for row in rows)
+        assert "r2 = 0 only" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert manifest["config"]["r2_values"] == [0.0]
+
+    def test_class_label_manifest_has_no_r2_values(self, tmp_path, xor_csv):
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--data", xor_csv, "--label-col", "label", "--grid", 2,
+                   "--out", out) == 0
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert "r2_values" not in manifest["config"]
+
     def test_grid_too_small_rejected(self, tmp_path, xor_csv):
         assert run("sweep", "--data", xor_csv, "--label-col", "label", "--grid", 1,
                    "--out", tmp_path / "s.csv") == 2

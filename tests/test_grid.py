@@ -1,0 +1,246 @@
+"""Grid fits: one split's whole (r1, r2) grid from shared per-split work.
+
+``kernel_rda.fit_direct_grid`` and ``kernel_rda.project_grid`` must give each
+config's lone fit and projection bit for bit. The CLI sweep and the
+experiments, which now use them, must write the bytes of the per-config
+loops kept in ``tests/oracle.py``, and do the shared work once per split.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import oracle
+import text_io_oracle
+from roweis import datasets, experiments, kernel_rda, kernels
+from roweis.cli import main
+from roweis.exceptions import ConfigError
+from roweis.kernel_rda import fit_direct, fit_direct_grid, fit_kernel_pca, fit_kernel_spca, project, project_grid
+from roweis.rda import RoweisConfig
+
+from conftest import labeled_blobs
+
+
+def run(*argv) -> int:
+    return main([str(a) for a in argv])
+
+
+def assert_same_model(got, want):
+    assert got.variant == want.variant
+    for name in ("coeffs", "eigvals", "train_x"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.shift == want.shift
+    assert got.notes == want.notes
+    assert got.kernel == want.kernel
+    assert got.label_kernel == want.label_kernel
+    assert (got.r1, got.r2) == (want.r1, want.r2)
+
+
+# ---------------------------------------------------------------- fit_direct_grid
+
+class TestFitDirectGrid:
+    def test_edge_cases_match_the_per_config_oracle(self):
+        # r1 = 1 with two classes at p = 2 (a component set by round-off),
+        # r2 = 1 with p above the cap, and r2 not grouped in the config order.
+        ds = datasets.gen_rings(60, 3)
+        configs = [
+            RoweisConfig(1.0, 0.5, p=2), RoweisConfig(1.0, 1.0, p=5), RoweisConfig(0.0, 0.0, p=2),
+            RoweisConfig(1.0, 0.0, p=2), RoweisConfig(0.5, 1.0, p=2), RoweisConfig(0.0, 0.5, p=2),
+        ]
+        kernel = kernels.KernelSpec("rbf")
+        models = fit_direct_grid(ds.X, ds.y, configs, kernel)
+        assert models[1].n_components == 1 and models[1].notes
+        for config, model in zip(configs, models):
+            assert_same_model(model, oracle.fit_direct(ds.X, ds.y, config, kernel))
+            assert_same_model(model, fit_direct(ds.X, ds.y, config, kernel))
+
+    def test_real_targets_share_the_label_bandwidth(self, rng):
+        x = rng.standard_normal((3, 25))
+        y = rng.standard_normal(25)
+        configs = [RoweisConfig(r1, 0.0, p=2) for r1 in (0.0, 0.5, 1.0)]
+        models = fit_direct_grid(x, y, configs, kernels.KernelSpec("rbf"))
+        assert models[1].label_kernel is models[2].label_kernel
+        assert models[1].label_kernel.family == "rbf" and models[1].label_kernel.gamma
+        for config, model in zip(configs, models):
+            assert_same_model(model, oracle.fit_direct(x, y if config.r1 else None, config,
+                                                       kernels.KernelSpec("rbf")))
+
+    def test_models_share_one_training_copy(self, rng):
+        x, labels = labeled_blobs(rng, d=2, n=12, c=2)
+        models = fit_direct_grid(x, labels, [RoweisConfig(0.0, 0.0), RoweisConfig(1.0, 1.0)],
+                                 kernels.KernelSpec("rbf", gamma=0.5))
+        assert models[0].train_x is models[1].train_x
+        assert not np.shares_memory(models[0].train_x, x)
+
+    def test_checks_every_config_before_fitting(self, rng, monkeypatch):
+        x = rng.standard_normal((2, 10))
+        fits = []
+        monkeypatch.setattr(kernel_rda, "factor_constraint", lambda *a: fits.append(a))
+        with pytest.raises(ConfigError, match="class labels"):
+            fit_direct_grid(x, rng.standard_normal(10), [RoweisConfig(0.0, 0.0), RoweisConfig(0.0, 0.5)],
+                            kernels.KernelSpec("rbf"))
+        with pytest.raises(ConfigError, match="labels are required"):
+            fit_direct_grid(x, None, [RoweisConfig(0.0, 0.0), RoweisConfig(0.5, 0.0)],
+                            kernels.KernelSpec("rbf"))
+        with pytest.raises(ConfigError, match="at least one"):
+            fit_direct_grid(x, None, [], kernels.KernelSpec("rbf"))
+        assert not fits
+
+    def test_each_distinct_constraint_is_factored_once(self, rng, monkeypatch):
+        x, labels = labeled_blobs(rng, d=2, n=20, c=3)
+        factored = []
+        real = kernel_rda.factor_constraint
+
+        def counting(l_mat, reg):
+            factored.append(reg)
+            return real(l_mat, reg)
+
+        monkeypatch.setattr(kernel_rda, "factor_constraint", counting)
+        configs = [RoweisConfig(r1, r2) for r1 in (0.0, 0.5, 1.0) for r2 in (1.0, 0.0, 0.5)]
+        fit_direct_grid(x, labels, configs, kernels.KernelSpec("rbf", gamma=0.5))
+        assert len(factored) == 3
+
+
+class TestProjectGrid:
+    def test_equals_each_models_projection(self, rng):
+        x, labels = labeled_blobs(rng, d=2, n=40, c=3)
+        kern = kernels.KernelSpec("rbf", gamma=0.3)
+        models = fit_direct_grid(x, labels, [RoweisConfig(r1, r2, p=2) for r1 in (0.0, 1.0)
+                                             for r2 in (0.0, 0.5)], kern)
+        # Trick models (their own equal copy of X) are centered on a copy of
+        # the shared block, except the last, which may center it in place.
+        models += [fit_kernel_spca(x, labels, kern, p=2), fit_kernel_pca(x, kern, p=2)]
+        for n_new in (1, 7, kernel_rda.PROJECT_BLOCK + 5):
+            x_new = rng.standard_normal((2, n_new))
+            for model, emb in zip(models, project_grid(models, x_new)):
+                want = project(model, x_new)
+                assert emb.shape == want.shape and emb.tobytes() == want.tobytes()
+
+    def test_refuses_models_of_different_training_sets(self, rng):
+        kern = kernels.KernelSpec("rbf", gamma=0.3)
+        a = fit_kernel_pca(rng.standard_normal((2, 10)), kern, p=2)
+        b = fit_kernel_pca(rng.standard_normal((2, 10)), kern, p=2)
+        c = fit_kernel_pca(a.train_x, kernels.KernelSpec("rbf", gamma=0.4), p=2)
+        for models in ([a, b], [a, c], []):
+            with pytest.raises(ConfigError):
+                project_grid(models, a.train_x)
+
+
+# ---------------------------------------------------------------- the per-config loops
+
+def sweep_csv(tmp_path, data, variant, grid, seed):
+    out = tmp_path / f"sweep-{variant}.csv"
+    assert run("sweep", "--data", data, "--label-col", "label", "--variant", variant,
+               "--grid", grid, "--seed", seed, "--out", out) == 0
+    return out
+
+
+@pytest.mark.parametrize("variant", ["primal", "kernel"])
+@pytest.mark.parametrize("source", ["rings", "bench"])
+def test_sweep_writes_the_per_config_loops_bytes(tmp_path, variant, source):
+    data = tmp_path / "data.csv"
+    if source == "rings":
+        assert run("gen", "rings", "--n", 50, "--seed", 4, "--out", data) == 0
+    else:
+        assert run("gen", "bench", "--id", 3, "--n", 50, "--seed", 4, "--out", data) == 0
+    out = sweep_csv(tmp_path, data, variant, 3, 4)
+
+    x, y, _ = datasets.load_csv(data, "label")
+    kind = "classification" if kernels.is_categorical(y) else "regression"
+    train, test = datasets.train_test_split(datasets.Dataset(X=x, y=y, kind=kind, seed=4), 0.7, 4)
+    data_kernel = kernels.KernelSpec("rbf")
+    if variant == "kernel":
+        data_kernel = kernels.resolve_gamma(data_kernel, train.X)
+    values = np.linspace(0.0, 1.0, 3)
+    r2_values = values if kind == "classification" else [0.0]
+    rows = oracle.sweep_rows(variant, train, test, values, r2_values, 2, data_kernel, None)
+    expected = tmp_path / "expected.csv"
+    text_io_oracle.write_rows(expected, ["r1", "r2", "s", "metric", "value"], rows)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_experiments_write_the_per_config_loops_bytes(tmp_path):
+    out_dir = tmp_path / "results"
+    assert run("experiments", "--out-dir", out_dir, "--reps", 2, "--n", 40,
+               "--panel-n", 60, "--seed", 2) == 0
+    expected = tmp_path / "expected.csv"
+    cells = oracle.regression_benchmark_table(repetitions=2, n=40, base_seed=2)
+    rows = [[c.method, repr(c.r1), str(c.bench_id), repr(c.report.mean), repr(c.report.std)]
+            for c in cells]
+    text_io_oracle.write_rows(expected, ["method", "r1", "benchmark", "rmse_mean", "rmse_std"], rows)
+    assert (out_dir / "regression_table.csv").read_bytes() == expected.read_bytes()
+    for name in ("xor", "rings"):
+        for panel in oracle.embedding_panels(name, n=60, seed=2):
+            header = ["split", "label"] + [f"e{i + 1}" for i in range(panel.train_emb.shape[0])]
+            lead = ([("train", str(y)) for y in panel.train_y]
+                    + [("test", str(y)) for y in panel.test_y])
+            text_io_oracle.write_columns(expected, header, np.hstack([panel.train_emb, panel.test_emb]), lead)
+            path = out_dir / "panels" / f"{name}_r1_{panel.r1:g}_r2_{panel.r2:g}.csv"
+            assert path.read_bytes() == expected.read_bytes()
+
+
+# ---------------------------------------------------------------- work per split
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Call counts of kernels.median_heuristic_gamma and kernels.gram."""
+    counts = {"median_heuristic_gamma": 0, "gram": 0}
+    for name in counts:
+        real = getattr(kernels, name)
+
+        def counting(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(kernels, name, counting)
+    return counts
+
+
+def test_table_resolves_two_bandwidths_per_split(counted):
+    experiments.regression_benchmark_table(bench_ids=(1, 2), repetitions=3, n=30)
+    splits = 2 * 3
+    assert counted["median_heuristic_gamma"] == 2 * splits
+    # Per split: the linear r1 = 0.5 and 1 label Grams; the kernel K_x, its two
+    # label Grams, and one train and one test block.
+    assert counted["gram"] == 7 * splits
+
+
+@pytest.mark.parametrize("name", ["xor", "rings"])
+def test_panels_resolve_one_bandwidth_per_dataset(counted, name):
+    panels = experiments.embedding_panels(name, n=60, seed=1)
+    assert len(panels) == 9
+    assert counted["median_heuristic_gamma"] == 1
+    assert counted["gram"] == 3  # K_x, the training block, the test block
+
+
+def test_sweep_resolves_the_label_bandwidth_once(tmp_path, counted):
+    data = tmp_path / "bench.csv"
+    assert run("gen", "bench", "--id", 1, "--n", 40, "--seed", 2, "--out", data) == 0
+    counted["median_heuristic_gamma"] = 0
+    sweep_csv(tmp_path, data, "primal", 4, 2)
+    assert counted["median_heuristic_gamma"] == 1
+
+
+def test_grid_memory_does_not_grow_with_the_grid():
+    # Both grids mix r1 and r2 strictly inside (0, 1), so both blend P and
+    # hold K_x, N and one factor while solving; the 21 extra points of the
+    # 5 x 5 grid may add only their outputs (n x 2 coefficients each).
+    n = 300
+    x, labels = labeled_blobs(np.random.default_rng(5), d=2, n=n, c=3)
+    kern = kernels.KernelSpec("rbf", gamma=0.5)
+
+    def peak(values):
+        configs = [RoweisConfig(r1, r2, p=2) for r1 in values for r2 in values]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fit_direct_grid(x, labels, configs, kern)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak([0.25, 0.75]), peak(np.linspace(0.0, 1.0, 5))
+    assert large <= small + n * n * 8
+    assert large <= 6 * n * n * 8

@@ -16,11 +16,12 @@ from roweis.kernel_rda import (
     kernel_within_scatter,
     project,
 )
-from roweis.rda import RoweisConfig, fit
+from roweis.rda import RoweisConfig, blend_label_kernel, fit
 from roweis.rda import project as project_primal
 from roweis.scatter import ClassPartition, within_scatter
 
 from conftest import align_rows, labeled_blobs
+import oracle
 from oracle import centering_matrix, project_kernel
 from test_kernels import poly_feature_map
 
@@ -326,3 +327,29 @@ class TestFitDirectMemory:
         kern = kernels.KernelSpec("rbf", gamma=0.5)
         peak = traced_peak(lambda: fit_direct(x, labels, RoweisConfig(r1, r2, p=2), kern))
         assert peak <= 10 * n * n * 8
+
+
+class TestInPlaceBuilders:
+    """The builders that now work in place give the bits of the one-line
+    formulas kept in tests/oracle.py, and leave their inputs alone."""
+
+    @staticmethod
+    def gram_like(rng, n):
+        k = rng.standard_normal((n, n))
+        k[rng.random((n, n)) < 0.3] = 0.0
+        k[rng.random((n, n)) < 0.1] = -0.0
+        return k + k.T
+
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_bit_identical_to_the_formulas(self, n):
+        rng = np.random.default_rng(n)
+        k, other = self.gram_like(rng, n), self.gram_like(rng, n)
+        before = k.tobytes(), other.tobytes()
+        pairs = [(kernels.double_center(k), oracle.double_center(k)),
+                 (kernel_objective_matrix(k, other), oracle.kernel_objective_matrix(k, other))]
+        for r in (0.0, 0.3, 1.0):
+            pairs.append((blend_label_kernel(k, r), oracle.blend_label_kernel(k, r)))
+            pairs.append((kernel_constraint_matrix(other, k, r), oracle.kernel_constraint_matrix(other, k, r)))
+        for got, want in pairs:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert (k.tobytes(), other.tobytes()) == before

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from roweis.linalg import (
     Complement,
     EigPair,
     RegPolicy,
+    factor_constraint,
     generalized_eig,
     incomplete_svd,
     psd_factor,
@@ -290,3 +293,129 @@ class TestAgainstTheCopyingSolvers:
         assert got.values.tobytes() == want.values.tobytes()
         assert got.vectors.tobytes() == want.vectors.tobytes()
         assert a.tobytes() == before.tobytes()
+
+
+def _symmetric_with_zeros(rng, m):
+    """A random symmetric m x m matrix with exact zeros, some of them -0.0."""
+    a = rng.standard_normal((m, m))
+    a[rng.random((m, m)) < rng.random()] = 0.0
+    a[rng.random((m, m)) < 0.2 * rng.random()] = -0.0
+    return np.triu(a) + np.triu(a, 1).T if rng.random() < 0.5 else a + a.T
+
+
+def _same_bits(got, want) -> bool:
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestIdentityConstraint:
+    """B = I skips eigvalsh, Cholesky and the triangular solves and still
+    gives the copying solver's bits, signbits of zeros included."""
+
+    @pytest.mark.parametrize("complement", [None, Complement(1.0, 1), Complement(1.0, 6)],
+                             ids=["no complement", "complement of 1", "complement of 6"])
+    @pytest.mark.parametrize("m", [1, 2, 5, 12, 40])
+    def test_bit_identical_to_the_copying_solver(self, m, complement):
+        rng = np.random.default_rng(m)
+        for _ in range(60):
+            a = _symmetric_with_zeros(rng, m)
+            got = generalized_eig(a, np.eye(m), complement=complement)
+            want = oracle.generalized_eig(a, np.eye(m), complement=complement)
+            assert got.shift == want.shift == 0.0
+            assert _same_bits(got.values, want.values)
+            assert _same_bits(got.vectors, want.vectors)
+
+    def test_skips_the_factorization_and_the_solves(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called on the identity fast path")
+
+        for name in ("eigvalsh", "cholesky", "solve"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        a = random_psd(rng, 9)
+        for complement in (None, Complement(1.0, 4)):
+            pair = generalized_eig(a, np.eye(9), complement=complement)
+            assert pair.shift == 0.0
+            np.testing.assert_allclose(a @ pair.vectors, pair.vectors * pair.values, atol=1e-10)
+
+    @pytest.mark.parametrize("case", ["complement of 0.5", "-0.0 off the diagonal", "scaled identity"])
+    def test_near_identities_take_the_factorization(self, rng, monkeypatch, case):
+        b, complement = np.eye(6), None
+        if case == "complement of 0.5":
+            complement = Complement(0.5, 3)
+        elif case == "-0.0 off the diagonal":
+            b[0, 1] = b[1, 0] = -0.0
+        else:
+            b = 2.0 * b
+        calls = []
+        real = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or real(m))
+        a = _symmetric_with_zeros(rng, 6)
+        got = generalized_eig(a, b, complement=complement)
+        want = oracle.generalized_eig(a, b, complement=complement)
+        assert calls
+        assert _same_bits(got.values, want.values) and _same_bits(got.vectors, want.vectors)
+
+
+class TestFactoredConstraint:
+    """factor_constraint is the B side of generalized_eig: solving against its
+    result gives the bits of solving against the matrix."""
+
+    @pytest.mark.parametrize("case", sorted(EIG_INPUTS))
+    def test_solves_match_the_matrix_form(self, rng, case):
+        a, b, complement = EIG_INPUTS[case](rng)
+        factor = factor_constraint(b, None, complement)
+        want = generalized_eig(a, b, complement=complement)
+        for _ in range(2):  # a factor serves any number of solves
+            got = generalized_eig(a, factor)
+            assert got.shift == want.shift == factor.shift
+            assert _same_bits(got.values, want.values)
+            assert _same_bits(got.vectors, want.vectors)
+
+    def test_identity_has_no_factor(self):
+        factor = factor_constraint(np.eye(4), complement=Complement(1.0, 2))
+        assert factor.chol is None and factor.shift == 0.0 and factor.order == 4
+
+    def test_factor_carries_its_policy(self, rng):
+        factor = factor_constraint(random_psd(rng, 4) + np.eye(4))
+        with pytest.raises(ConfigError, match="already carries"):
+            generalized_eig(np.eye(4), factor, RegPolicy())
+        with pytest.raises(ConfigError, match="already carries"):
+            generalized_eig(np.eye(4), factor, complement=Complement(1.0, 2))
+        with pytest.raises(ConfigError, match="dimension mismatch"):
+            generalized_eig(np.eye(3), factor)
+
+    def test_checks_the_constraint(self):
+        with pytest.raises(ConfigError, match="not symmetric"):
+            factor_constraint(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(NumericalError, match="positive semidefinite"):
+            factor_constraint(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("identity", [True, False], ids=["identity", "factored"])
+    def test_objective_is_freed_after_the_first_solve(self, rng, monkeypatch, identity):
+        # A caller that hands A over without keeping it lets the solver free
+        # it once C = L^-1 A L^-T no longer needs it.
+        m = 8
+        b = np.eye(m) if identity else random_psd(rng, m) + np.eye(m)
+        factor = factor_constraint(b)
+        refs, alive_at = [], []
+        real_solve, real_eigh = np.linalg.solve, np.linalg.eigh
+
+        def objective():
+            a = random_psd(rng, m)
+            refs.append(weakref.ref(a))
+            return a
+
+        def solve(*args):
+            alive_at.append(("solve", refs[0]() is not None))
+            return real_solve(*args)
+
+        def eigh(*args):
+            alive_at.append(("eigh", refs[0]() is not None))
+            return real_eigh(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        generalized_eig(objective(), factor)
+        if identity:
+            assert alive_at == [("eigh", False)]
+        else:
+            assert alive_at == [("solve", True), ("solve", False), ("eigh", False), ("solve", False)]
