@@ -12,7 +12,6 @@ from .exceptions import ConfigError, DataError, NumericalError, RoweisError
 from .kernel_rda import KernelRdaModel, fit_direct, fit_kernel_pca, fit_kernel_spca
 from .kernel_rda import project as project_kernel
 from .kernels import KernelSpec
-from .linalg import RegPolicy
 from .persist import load_model, save_model
 from .rda import RdaModel, RoweisConfig, fit, project, reconstruct, supervision_level
 
@@ -23,7 +22,6 @@ __all__ = [
     "KernelSpec",
     "NumericalError",
     "RdaModel",
-    "RegPolicy",
     "RoweisConfig",
     "RoweisError",
     "fit",

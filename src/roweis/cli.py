@@ -37,7 +37,7 @@ def _default_seed() -> int:
     try:
         return int(os.environ.get(SEED_ENV, "0"))
     except ValueError:
-        return 0
+        raise ConfigError(f"{SEED_ENV} must be an integer seed, got {os.environ[SEED_ENV]!r}") from None
 
 
 def _sha256(path: str) -> str:
@@ -175,6 +175,8 @@ def cmd_fit(args) -> int:
         raise ConfigError("kernel-pca is the r1=0, r2=0 corner; drop --r1/--r2 or use --variant kernel")
     if variant == "kernel-spca" and (r1 != 1.0 or r2 != 0.0):
         raise ConfigError("kernel-spca is the r1=1, r2=0 corner; drop --r1/--r2 or use --variant kernel")
+    if args.robust and variant != "primal":
+        raise ConfigError(f"--robust repairs the primal constraint only; --variant {variant} has no robust form")
 
     label_kernel = _label_kernel_from_args(args)
     data_kernel = _kernel_from_args(args.kernel, args.gamma, args.degree, args.offset)
@@ -383,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a synthetic dataset CSV")
     p_gen.add_argument("generator", choices=["xor", "rings", "bench"])
     p_gen.add_argument("--n", type=int, default=400)
-    p_gen.add_argument("--seed", type=int, default=_default_seed())
+    p_gen.add_argument("--seed", type=int, help=f"default: ${SEED_ENV}, else 0")
     p_gen.add_argument("--out", default=None)
     p_gen.add_argument("--id", type=int, default=None, help="benchmark id (bench only)")
     p_gen.add_argument("--margin", type=float, default=datasets.XOR_MARGIN)
@@ -427,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--grid", type=int, default=3)
     p_sw.add_argument("--p", type=int, default=2)
     p_sw.add_argument("--train-fraction", type=float, default=0.7)
-    p_sw.add_argument("--seed", type=int, default=_default_seed())
+    p_sw.add_argument("--seed", type=int, help=f"default: ${SEED_ENV}, else 0")
     p_sw.add_argument("--out", default=None)
     _add_kernel_flags(p_sw)
     p_sw.set_defaults(func=cmd_sweep)
@@ -437,16 +439,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--reps", type=int, default=50)
     p_ex.add_argument("--n", type=int, default=100)
     p_ex.add_argument("--panel-n", type=int, default=400)
-    p_ex.add_argument("--seed", type=int, default=_default_seed())
+    p_ex.add_argument("--seed", type=int, help=f"default: ${SEED_ENV}, else 0")
     p_ex.set_defaults(func=cmd_experiments)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = _default_seed()
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

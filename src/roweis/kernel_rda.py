@@ -10,7 +10,8 @@ Two routes into the feature space:
       L = r2 * N + (1 - r2) * K_x,      N = sum_j K_j H_j K_j',
 
   where K_j collects the Gram columns of class j and H_j centers within the
-  class. This works for every (r1, r2). Embeddings are Theta' K.
+  class: N is :func:`roweis.scatter.within_scatter` with K_x's rows as the
+  samples' features. This works for every (r1, r2). Embeddings are Theta' K.
 
 * The kernel-trick method rides the dual factorization and exists for the
   two corners r1 = 0 (kernel PCA) and r1 = 1 (kernel SPCA) of the r2 = 0
@@ -29,7 +30,7 @@ one, so the rewrite waits for the feature-map form of the direct method.
 One training set is fitted at many (r1, r2) by :func:`fit_direct_grid`;
 :func:`fit_direct` is its one-config case. The input check, the data and
 label bandwidths, K_x and N are done once per training set. L depends only on
-r2 (and the shift policy), so the configs are solved grouped by it: each
+r2, so the configs are solved grouped by it: each
 distinct L is built, factored once (:func:`roweis.linalg.factor_constraint`)
 and dropped, and every M of the group is solved against that factor. One
 factor and one M are held at a time; M goes to the solver with no reference
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, scatter
 from ._util import as_features, as_square, sym
 from .exceptions import ConfigError, NumericalError
 from .linalg import factor_constraint, generalized_eig, symmetric_eig
@@ -71,7 +72,6 @@ from .rda import (
     count_valid,
     label_factor,
 )
-from .scatter import ClassPartition
 
 # Trick-variant directions with singular value below this fraction of the
 # largest are numerically meaningless (the projection divides by sigma).
@@ -140,25 +140,6 @@ def kernel_objective_matrix(k_x, p) -> np.ndarray:
     return sym(m_mat)
 
 
-def kernel_within_scatter(k_x, part: ClassPartition) -> np.ndarray:
-    """N = sum_j K_j H_j K_j'; the within-class scatter seen through the kernel.
-
-    K_j is the column slice of the training Gram matrix for class j, so no
-    kernel value is recomputed.
-    """
-    k_x = as_square(k_x, "K_x")
-    if part.n_samples != k_x.shape[0]:
-        raise ConfigError(
-            f"partition covers {part.n_samples} samples but K_x is {k_x.shape}"
-        )
-    out = np.zeros_like(k_x)
-    for idx in part.index_sets:
-        block = k_x[:, idx]
-        centered = block - block.mean(axis=1, keepdims=True)
-        out += centered @ centered.T
-    return sym(out)
-
-
 def kernel_constraint_matrix(n_mat, k_x, r2: float) -> np.ndarray:
     """L = r2 * N + (1 - r2) * K_x."""
     n_mat = as_square(n_mat, "N")
@@ -197,34 +178,36 @@ def fit_direct_grid(x, labels, configs, kernel: kernels.KernelSpec) -> list[Kern
     Each result equals :func:`fit_direct` at its config bit for bit. The
     work the configs share is done once (see the module docstring); the
     inputs are checked against the largest r1 and r2, and every model shares
-    one copy of the training matrix.
+    one copy of the training matrix. No config may be robust.
     """
     configs = list(configs)
     if not configs:
         raise ConfigError("fit_direct_grid needs at least one config")
+    if any(config.robust for config in configs):
+        raise ConfigError("the kernel direct fit has no robust form; robust=True applies to rda.fit only")
     x, labels = _fit_inputs(x, labels, max(c.r1 for c in configs), max(c.r2 for c in configs))
     n = x.shape[1]
 
     kernel = kernels.resolve_gamma(kernel, x)
     train_x = x.copy()
     k_x = sym(kernels.gram(kernel, x, x))
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[float, list[int]] = {}
     for i, config in enumerate(configs):
-        groups.setdefault((config.r2, config.reg), []).append(i)
+        groups.setdefault(config.r2, []).append(i)
     # N is built for the first group with r2 > 0 and dropped after the last.
-    last_scatter = max((g for g, (r2, _) in enumerate(groups) if r2 > 0), default=-1)
-    part = ClassPartition.from_labels(labels) if last_scatter >= 0 else None
+    last_scatter = max((g for g, r2 in enumerate(groups) if r2 > 0), default=-1)
+    part = scatter.ClassPartition.from_labels(labels) if last_scatter >= 0 else None
     n_mat = None
     label_specs: dict = {}
     models: list = [None] * len(configs)
     left = len(configs)
-    for g, ((r2, reg), members) in enumerate(groups.items()):
+    for g, (r2, members) in enumerate(groups.items()):
         if r2 > 0 and n_mat is None:
-            n_mat = kernel_within_scatter(k_x, part)
+            n_mat = scatter.within_scatter(k_x, part)
         l_mat = kernel_constraint_matrix(n_mat, k_x, r2) if r2 > 0 else k_x
         if g == last_scatter:
             n_mat = None
-        factor = factor_constraint(l_mat, reg)
+        factor = factor_constraint(l_mat)
         del l_mat
         for i in members:
             config = configs[i]
@@ -240,7 +223,7 @@ def fit_direct_grid(x, labels, configs, kernel: kernels.KernelSpec) -> list[Kern
             # Handed over with no reference kept here, so the solver frees M
             # after its first triangular solve.
             pair = generalized_eig(m_mat.pop(), factor)
-            valid = count_valid(pair.values, config.valid_eig_threshold)
+            valid = count_valid(pair.values)
             if valid == 0:
                 raise NumericalError("no positive eigenvalues; the kernel carries no usable variance")
             cap = min(n, part.n_classes) - 1 if r2 == 1.0 else n - 1

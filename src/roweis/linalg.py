@@ -5,9 +5,9 @@ float64 numpy arrays. Eigenpairs come back sorted by non-increasing
 eigenvalue, and eigenvector signs are fixed deterministically: the entry of
 largest absolute value in each column is made positive. The generalized
 solver factors the constraint matrix with a Cholesky decomposition,
-regularizing its diagonal only when the factorization fails, so that the
-returned basis satisfies ``U.T @ B' @ U = I`` for the (possibly shifted)
-constraint ``B'``.
+shifting its diagonal (by the fixed ``SHIFT_*`` ladder) only when needed,
+so that the returned basis satisfies ``U.T @ B' @ U = I`` for the (possibly
+shifted) constraint ``B'``.
 
 :func:`factor_constraint` is the B side of the generalized solver: it checks,
 shifts and factors B once. :func:`generalized_eig` takes B as a matrix or as
@@ -67,6 +67,12 @@ EIG_NOISE_RTOL = 1e-13
 # cannot hold the 1e-8 residual contract in double precision.
 CONSTRAINT_COND_MAX = 1e6
 
+# Shifts tried after 0 on a singular constraint, in units of _shift_unit:
+# from SHIFT_BASE_SCALE, times SHIFT_GROWTH per step, up to SHIFT_MAX_SCALE.
+SHIFT_BASE_SCALE = 1e-8
+SHIFT_MAX_SCALE = 1e-2
+SHIFT_GROWTH = 10.0
+
 
 @dataclass(frozen=True)
 class Complement:
@@ -84,27 +90,14 @@ class Complement:
             raise ConfigError(f"a complement needs count >= 1, got {self.count}")
 
 
-@dataclass(frozen=True)
-class RegPolicy:
-    """Diagonal-loading schedule for singular constraint matrices.
-
-    A shift of ``scale * trace(B) / m`` is added to the diagonal only after a
-    plain Cholesky factorization fails, starting at ``base_scale`` and growing
-    by ``growth`` per retry up to ``max_scale``. When the matrix has zero
-    trace the unit falls back to 1.0 so that a usable absolute shift exists.
-    """
-
-    base_scale: float = 1e-8
-    max_scale: float = 1e-2
-    growth: float = 10.0
-
-    def unit(self, b: np.ndarray, complement: Complement | None = None) -> float:
-        trace, order = float(np.trace(b)), b.shape[0]
-        if complement is not None:
-            trace += complement.value * complement.count
-            order += complement.count
-        mean_diag = trace / order
-        return mean_diag if mean_diag > 0.0 else 1.0
+def _shift_unit(b: np.ndarray, complement: Complement | None = None) -> float:
+    """B's mean diagonal, complement included; 1.0 if not positive, so a shift exists."""
+    trace, order = float(np.trace(b)), b.shape[0]
+    if complement is not None:
+        trace += complement.value * complement.count
+        order += complement.count
+    mean_diag = trace / order
+    return mean_diag if mean_diag > 0.0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -240,7 +233,7 @@ def _has_negative_zero(x: np.ndarray) -> bool:
 
 
 @_lapack_errors
-def factor_constraint(b, reg: RegPolicy | None = None, complement: Complement | None = None) -> FactoredConstraint:
+def factor_constraint(b, complement: Complement | None = None) -> FactoredConstraint:
     """The B side of :func:`generalized_eig`: check, shift and factor B once,
     for any number of solves against it.
 
@@ -249,11 +242,10 @@ def factor_constraint(b, reg: RegPolicy | None = None, complement: Complement | 
     if any) gets no eigendecomposition and no factorization: its solves are
     ``eigh(sym(A))`` with shift 0.
     """
-    return _factor(b, reg, complement)
+    return _factor(b, complement)
 
 
-def _factor(b, reg: RegPolicy | None, complement: Complement | None) -> FactoredConstraint:
-    reg = reg or RegPolicy()
+def _factor(b, complement: Complement | None) -> FactoredConstraint:
     b = as_square(b, "B")
     n = b.shape[0]
     if _is_identity(b, complement):
@@ -268,12 +260,12 @@ def _factor(b, reg: RegPolicy | None, complement: Complement | None) -> Factored
     _check_psd_spectrum(b_vals, b_norm, "constraint matrix B")
     lam_min, lam_max = float(b_vals[0]), float(b_vals[-1])
 
-    unit = reg.unit(b_s, complement)
+    unit = _shift_unit(b_s, complement)
     candidates = [0.0]
-    shift = reg.base_scale * unit
-    while shift <= reg.max_scale * unit * (1.0 + 1e-12):
+    shift = SHIFT_BASE_SCALE * unit
+    while shift <= SHIFT_MAX_SCALE * unit * (1.0 + 1e-12):
         candidates.append(shift)
-        shift *= reg.growth
+        shift *= SHIFT_GROWTH
 
     def healthy(s: float) -> bool:
         if s == candidates[-1] and s > 0.0:
@@ -290,19 +282,20 @@ def _factor(b, reg: RegPolicy | None, complement: Complement | None) -> Factored
         return FactoredConstraint(chol=chol, shift=candidate, order=n)
     raise NumericalError(
         "constraint matrix stayed singular up to the maximum "
-        f"diagonal shift {reg.max_scale * unit:.3e}"
+        f"diagonal shift {SHIFT_MAX_SCALE * unit:.3e}"
     )
 
 
-def generalized_eig(a, b, reg: RegPolicy | None = None, complement: Complement | None = None) -> EigPair:
+def generalized_eig(a, b, complement: Complement | None = None) -> EigPair:
     """Solve ``A U = B' U diag(values)`` with ``U.T @ B' @ U = I``.
 
-    ``B' = B + shift * I`` where the shift follows ``reg`` and is applied only
-    when the Cholesky factorization of B fails. The solve goes through the
+    ``B' = B + shift * I`` where the shift follows the SHIFT_* ladder and is
+    applied only when B is too ill conditioned or its Cholesky factorization
+    fails. The solve goes through the
     symmetrized problem on ``L^{-1} A L^{-T}`` (B' = L L'), which is stabler
     than explicitly inverting B. B may also come pre-factored, as the
     :class:`FactoredConstraint` of :func:`factor_constraint` (which then took
-    ``reg`` and ``complement``). A is dropped after the first triangular
+    the ``complement``). A is dropped after the first triangular
     solve, so a caller that keeps no reference to it frees it there.
 
     With ``complement``, A and B are the blocks of d x d matrices that are
@@ -315,13 +308,13 @@ def generalized_eig(a, b, reg: RegPolicy | None = None, complement: Complement |
     with _numerical("generalized_eig"):
         a = as_square(a, "A")
         factored = isinstance(b, FactoredConstraint)
-        if factored and (reg is not None or complement is not None):
-            raise ConfigError("a factored constraint already carries its reg policy and complement")
+        if factored and complement is not None:
+            raise ConfigError("a factored constraint already carries its complement")
         order = b.order if factored else as_square(b, "B").shape[0]
         if a.shape != (order, order):
             raise ConfigError(f"dimension mismatch: A is {a.shape}, B is {(order, order)}")
         a_s = _symmetrized(a, "A")
-        factor = b if factored else _factor(b, reg, complement)
+        factor = b if factored else _factor(b, complement)
         del a, b
         chol = factor.chol
 

@@ -4,10 +4,12 @@ Layout: a format tag, one ``key: value`` line per scalar (values are JSON),
 then ``array <name> <rows> <cols>`` blocks holding row-major numbers written
 with shortest round-trip repr, so a save/load cycle is bit-exact. Optional
 scalars take a default when absent, so files written before a key existed
-still load (a primal file without ``route`` loads as ``"dense"``). A missing
-required scalar, a scalar of the wrong type, an array holding NaN or inf,
-arrays that disagree in shape, or a kernel model without a kernel it can
-embed with (a linear, polynomial, or rbf one with its gamma) does not load.
+still load (a primal file without ``route`` loads as ``"dense"``), and the
+retired ``valid_eig_threshold``, ``auto_dim_ratio`` and ``reg`` lines are
+ignored. A missing required scalar, a scalar of the wrong type, an array
+holding NaN or inf, arrays that disagree in shape, or a kernel model without
+a kernel it can embed with (a linear, polynomial, or rbf one with its gamma)
+does not load.
 
 A dual fit is an RdaModel with route ``"dual"`` and is saved in the primal
 layout. Files of the earlier ``variant: dual`` layout, which held the factor
@@ -25,7 +27,6 @@ from ._util import float_rows
 from .exceptions import ConfigError, DataError
 from .kernel_rda import KernelRdaModel
 from .kernels import KernelSpec
-from .linalg import RegPolicy
 from .rda import ROUTES, RdaModel, RoweisConfig
 
 FORMAT_TAG = "roweis-model/1"
@@ -60,9 +61,6 @@ def _fields(model) -> tuple[list, list]:
             ("r1", cfg.r1),
             ("r2", cfg.r2),
             ("robust", cfg.robust),
-            ("valid_eig_threshold", cfg.valid_eig_threshold),
-            ("auto_dim_ratio", cfg.auto_dim_ratio),
-            ("reg", [cfg.reg.base_scale, cfg.reg.max_scale, cfg.reg.growth]),
             ("label_kernel", _kernel_dict(cfg.label_kernel)),
             ("shift", model.shift),
             ("notes", list(model.notes)),
@@ -217,11 +215,11 @@ def _data_kernel(value) -> KernelSpec:
     return spec
 
 
-def _reg_policy(value) -> RegPolicy:
-    """RegPolicy from its [base_scale, max_scale, growth] list."""
-    if not isinstance(value, list) or len(value) != 3:
+def _flag(value) -> bool:
+    """A JSON true or false, and nothing else."""
+    if not isinstance(value, bool):
         raise TypeError
-    return RegPolicy(*[float(v) for v in value])
+    return value
 
 
 def _from_dual_layout(scalars: dict, arrays: dict, path) -> tuple[dict, dict]:
@@ -256,10 +254,7 @@ def load_model(path):
             r2=_scalar(scalars, "r2", path, float),
             p=int(basis.shape[1]),
             label_kernel=_scalar(scalars, "label_kernel", path, _kernel_spec, None),
-            robust=bool(scalars.get("robust", False)),
-            reg=_scalar(scalars, "reg", path, _reg_policy, RegPolicy()),
-            valid_eig_threshold=_scalar(scalars, "valid_eig_threshold", path, float, 1e-9),
-            auto_dim_ratio=_scalar(scalars, "auto_dim_ratio", path, float, 0.01),
+            robust=_scalar(scalars, "robust", path, _flag, False),
         )
         return RdaModel(
             basis=basis,

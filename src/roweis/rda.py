@@ -25,12 +25,12 @@ matrix, so
 
 costs O(dn + d^2 c) and no n x n array is built; the second term is skipped
 at r1 = 1. Real-valued targets use an RBF label kernel, which has no such
-factor, and go through the dense P. :func:`blend_label_kernel` and
-:func:`objective_matrix` are that dense route and the oracle the factored one
-is tested against. :func:`label_factor` returns an n x k Upsilon with
+factor, and go through the dense P of :func:`blend_label_kernel`.
+:func:`label_factor` returns an n x k Upsilon with
 Upsilon Upsilon' = K_y for the dual and kernel-trick fits.
 
-Which matrices the solver sees depends on the shape (the model's ``route``):
+Which matrices the solver sees depends on the shape alone (the model's
+``route``), for every (r1, r2) and robust or not:
 
 * ``"dense"`` (d <= n): R1 and R2 are built d x d and solved as they are.
 * ``"span"`` (n < d): everything lives in span(Xc). Take an orthonormal Q
@@ -46,14 +46,10 @@ Which matrices the solver sees depends on the shape (the model's ``route``):
   (its unit is trace / d), the health test and the robust 98% cut all see
   the full spectrum and come out as on the dense route. This holds for
   every (r1, r2), not only for the r2 = 0 slice the dual form covers.
-
-One case falls back to the dense route: a robust fit whose 98% cut lands
-strictly inside the cluster of eigenvalues tied with 1 - r2 (the minimum of
-R2, since S_W is PSD). Exactly, that tail holds only copies of 1 - r2 and the
-repair changes nothing; in floating point the dense route averages the
-round-off of those copies over whichever basis LAPACK returns for the tied
-eigenspace, which no block computation reproduces. An all-flat cluster (R2 =
-I at r2 = 0) has nothing to average and stays on the span route.
+  When the robust 98% cut lands inside the eigenvalues tied with 1 - r2
+  (the bottom of R2's spectrum, since S_W is PSD), the tail holds only
+  copies of 1 - r2 and the exact repair changes nothing, so the block is
+  kept as it is.
 """
 
 from __future__ import annotations
@@ -64,12 +60,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, scatter
-from ._util import as_features, as_finite_matrix, as_labels, as_matrix, as_square, sym
+from ._util import as_features, as_finite_matrix, as_labels, as_square, sym
 from .exceptions import ConfigError, NumericalError
 from .linalg import (
+    SHIFT_BASE_SCALE,
     Complement,
     EigPair,
-    RegPolicy,
     _fix_signs,
     generalized_eig,
     psd_factor,
@@ -89,18 +85,20 @@ TIE_RTOL = 1e-10
 # data (n < d), or from the small-side factor of R1 (:func:`roweis.dual.fit_dual`).
 ROUTES = ("dense", "span", "dual")
 
+# Eigenvalues above this fraction of the largest count as valid, and p=None
+# keeps those whose share of the spectrum is at least DEFAULT_AUTO_DIM_RATIO.
 DEFAULT_VALID_EIG_THRESHOLD = 1e-9
 DEFAULT_AUTO_DIM_RATIO = 0.01
 
 
 @dataclass(frozen=True)
 class RoweisConfig:
-    """Fit configuration: mixing factors, target dimension, kernels, policies.
+    """Fit configuration: mixing factors, target dimension, label kernel, robust.
 
     p=None selects the dimensionality automatically from the eigenvalue
-    ratios (threshold ``auto_dim_ratio``). label_kernel=None picks the
-    equality kernel for class labels and an RBF with the median-heuristic
-    bandwidth for real-valued targets.
+    ratios (threshold ``DEFAULT_AUTO_DIM_RATIO``). label_kernel=None picks
+    the equality kernel for class labels and an RBF with the
+    median-heuristic bandwidth for real-valued targets.
     """
 
     r1: float = 0.0
@@ -108,9 +106,6 @@ class RoweisConfig:
     p: int | None = None
     label_kernel: kernels.KernelSpec | None = None
     robust: bool = False
-    reg: RegPolicy = RegPolicy()
-    valid_eig_threshold: float = DEFAULT_VALID_EIG_THRESHOLD
-    auto_dim_ratio: float = DEFAULT_AUTO_DIM_RATIO
 
     def __post_init__(self):
         for name in ("r1", "r2"):
@@ -119,8 +114,6 @@ class RoweisConfig:
                 raise ConfigError(f"{name} must lie in [0, 1], got {value}")
         if self.p is not None and self.p < 1:
             raise ConfigError(f"p must be a positive integer, got {self.p}")
-        if self.valid_eig_threshold <= 0:
-            raise ConfigError("valid_eig_threshold must be positive")
 
 
 @dataclass(frozen=True)
@@ -174,17 +167,6 @@ def blend_label_kernel(k_y, r1: float) -> np.ndarray:
     return sym(p)
 
 
-def objective_matrix(x, p) -> np.ndarray:
-    """R1 = Xc P Xc' with Xc centered by its own mean. Reduces to the total
-    scatter when P = I."""
-    x = as_matrix(x, "X")
-    p = as_square(p, "P")
-    if p.shape[0] != x.shape[1]:
-        raise ConfigError(f"P must be n x n with n={x.shape[1]}, got {p.shape}")
-    centered = x - x.mean(axis=1, keepdims=True)
-    return sym(centered @ p @ centered.T)
-
-
 def constraint_matrix(s_w, r2: float) -> np.ndarray:
     """R2 = r2 * S_W + (1 - r2) * I; the label side of the constraint."""
     s_w = as_square(s_w, "S_W")
@@ -197,7 +179,7 @@ def constraint_matrix(s_w, r2: float) -> np.ndarray:
     return sym(r2 * s_w + (1.0 - r2) * np.eye(s_w.shape[0]))
 
 
-def robustify(s, reg: RegPolicy | None = None, complement: Complement | None = None):
+def robustify(s, complement: Complement | None = None):
     """Repair a near-singular PSD matrix by flattening its eigenvalue tail.
 
     The leading eigenvalues carrying SPECTRUM_MASS of the total are kept; the
@@ -208,13 +190,12 @@ def robustify(s, reg: RegPolicy | None = None, complement: Complement | None = N
     With ``complement``, ``s`` is the block of a larger matrix that is
     ``complement.value * I`` elsewhere (see :class:`roweis.linalg.Complement`).
     The cut and the tail mean are taken over the full spectrum, and the
-    repaired block comes back with the repaired complement. The result is
-    None when the cut lands strictly inside the cluster of eigenvalues tied
-    with ``complement.value`` and that cluster is not exactly flat: the full
-    repair then averages part of a degenerate eigenspace, and which part
-    depends on the basis an eigensolver picks for it.
+    repaired block comes back with the repaired complement. A cut strictly
+    inside the cluster tied with ``complement.value`` (within TIE_RTOL) whose
+    tail lies wholly in that cluster is exactly a no-op: the symmetrized
+    block and the complement come back unchanged. Smaller eigenvalues after
+    such a cut raise ConfigError; R2 >= (1 - r2) I never has them.
     """
-    reg = reg or RegPolicy()
     s = as_square(s, "S")
     require_symmetric(s, name="S")
     pair = symmetric_eig(s)
@@ -226,8 +207,8 @@ def robustify(s, reg: RegPolicy | None = None, complement: Complement | None = N
     spectrum = np.concatenate([values[:at], np.full(count, tied), values[at:]])
     total = float(spectrum.sum())
     if total <= 0.0:
-        small = reg.base_scale * np.eye(s.shape[0])
-        return small if complement is None else (small, Complement(reg.base_scale, count))
+        small = SHIFT_BASE_SCALE * np.eye(s.shape[0])
+        return small if complement is None else (small, Complement(SHIFT_BASE_SCALE, count))
     ratios = np.cumsum(spectrum) / total
     head = int(np.searchsorted(ratios, SPECTRUM_MASS) + 1)
     if head >= spectrum.size:
@@ -237,8 +218,11 @@ def robustify(s, reg: RegPolicy | None = None, complement: Complement | None = N
         tol = TIE_RTOL * float(spectrum[0])
         lo = int(np.count_nonzero(spectrum > tied + tol))
         hi = int(np.count_nonzero(spectrum >= tied - tol))
+        # An exactly flat tie (R2 = I at r2 = 0) takes the repair below, as before.
         if lo < head < hi and np.any(spectrum[lo:] != tied):
-            return None
+            if hi < spectrum.size:
+                raise ConfigError("the robust cut splits the tied eigenvalues above smaller ones")
+            return sym(s), complement
     position = np.arange(values.size)
     position[at:] += count
     repaired = values.copy()
@@ -320,11 +304,11 @@ def _fit_inputs(x, labels, r1: float, r2: float):
     return x, labels
 
 
-def count_valid(values: np.ndarray, threshold: float) -> int:
-    """Eigenvalues above threshold * largest; 0 for an empty or non-positive spectrum."""
+def count_valid(values: np.ndarray) -> int:
+    """Eigenvalues above the valid threshold; 0 for an empty or non-positive spectrum."""
     if values.size == 0 or values[0] <= 0.0:
         return 0
-    return int(np.count_nonzero(values > threshold * values[0]))
+    return int(np.count_nonzero(values > DEFAULT_VALID_EIG_THRESHOLD * values[0]))
 
 
 def _select_dimension(values, valid, cap, config) -> tuple[int, list]:
@@ -336,7 +320,7 @@ def _select_dimension(values, valid, cap, config) -> tuple[int, list]:
             p = cap
     else:
         usable = max(min(valid, cap), 1)
-        p = min(choose_dimensionality(np.clip(values, 0.0, None), config.auto_dim_ratio), usable)
+        p = min(choose_dimensionality(np.clip(values, 0.0, None), DEFAULT_AUTO_DIM_RATIO), usable)
     return p, notes
 
 
@@ -352,9 +336,8 @@ def _first_usable(p: int | None, usable: int) -> tuple[int, tuple]:
     return p, ()
 
 
-def _solve(centered, scatter_data, labels, spec, config, complement=None) -> EigPair | None:
-    """Build R1 and R2 from ``centered`` and solve them; None if the robust
-    repair cannot be done on a block (see :func:`robustify`).
+def _solve(centered, scatter_data, labels, spec, config, complement=None) -> EigPair:
+    """Build R1 and R2 from ``centered`` and solve them.
 
     ``scatter_data`` is what the within-class scatter is taken of: the raw
     data on the dense route, the same coordinates as ``centered`` on the span
@@ -372,13 +355,10 @@ def _solve(centered, scatter_data, labels, spec, config, complement=None) -> Eig
     else:
         r2_mat = np.eye(centered.shape[0])
     if config.robust and complement is None:
-        r2_mat = robustify(r2_mat, config.reg)
+        r2_mat = robustify(r2_mat)
     elif config.robust:
-        repaired = robustify(r2_mat, config.reg, complement)
-        if repaired is None:
-            return None
-        r2_mat, complement = repaired
-    return generalized_eig(r1_mat, r2_mat, config.reg, complement)
+        r2_mat, complement = robustify(r2_mat, complement)
+    return generalized_eig(r1_mat, r2_mat, complement)
 
 
 def fit(x, labels, config: RoweisConfig) -> RdaModel:
@@ -396,19 +376,17 @@ def fit(x, labels, config: RoweisConfig) -> RdaModel:
     centered = x - mean[:, None]
     resolved_spec = _resolved_label_kernel(config.label_kernel, labels) if r1 > 0 else None
 
-    pair, route = None, "dense"
-    if n < d:
+    route = "span" if n < d else "dense"
+    if route == "span":
         # Any orthonormal Q whose span holds span(Xc) is exact: no rank cut.
         q = np.linalg.qr(centered)[0]
         z = q.T @ centered
         block = _solve(z, z, labels, resolved_spec, config, Complement(1.0 - r2, d - n))
-        if block is not None:
-            pair = EigPair(_fix_signs(q @ block.vectors), block.values, block.shift)
-            route = "span"
-    if pair is None:
+        pair = EigPair(_fix_signs(q @ block.vectors), block.values, block.shift)
+    else:
         pair = _solve(centered, x, labels, resolved_spec, config)
 
-    valid = count_valid(pair.values, config.valid_eig_threshold)
+    valid = count_valid(pair.values)
     if valid == 0:
         raise NumericalError("no positive eigenvalues; the data carry no variance")
     cap = min(d, n - 1)

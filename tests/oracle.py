@@ -1,12 +1,16 @@
 """Reference code the tests compare the package against.
 
 * ``centering_matrix``, ``total_scatter``, ``class_means``,
-  ``between_scatter`` and ``xor_class`` were library functions that nothing
-  in the package called; they live on here as test oracles.
+  ``between_scatter``, ``xor_class`` and ``objective_matrix`` (the dense
+  R1 = Xc P Xc') were library functions that nothing in the package called;
+  they live on here as test oracles.
+* ``kernel_within_scatter`` is the kernel direct fit's own copy of the
+  within-class scatter loop, which it now takes from
+  ``scatter.within_scatter``; the package must match it bit for bit.
 * ``symmetric_eig`` and ``generalized_eig`` are the eigensolvers as they were
   before they stopped copying their inputs (no ``sym`` of an exactly
-  symmetric matrix, no n x n identity for the shift). The package must match
-  them bit for bit.
+  symmetric matrix, no n x n identity for the shift), on the package's
+  shift ladder constants. The package must match them bit for bit.
 * ``squared_distances`` and ``gram`` are the kernel builders as they were
   before they worked in place; the package must match them bit for bit. So
   are ``double_center``, ``blend_label_kernel``, ``kernel_objective_matrix``
@@ -31,17 +35,20 @@ from __future__ import annotations
 import numpy as np
 
 from roweis import datasets, evaluate, experiments, kernels, rda
-from roweis._util import as_features, as_matrix, as_square
+from roweis._util import as_features, as_matrix, as_square, sym
 from roweis.exceptions import ConfigError, NumericalError
 from roweis.linalg import (
     CONSTRAINT_COND_MAX,
+    SHIFT_BASE_SCALE,
+    SHIFT_GROWTH,
+    SHIFT_MAX_SCALE,
     EigPair,
-    RegPolicy,
     _check_psd_spectrum,
     _fix_signs,
     _lapack_errors,
+    _shift_unit,
 )
-from roweis.kernel_rda import KernelRdaModel, kernel_within_scatter
+from roweis.kernel_rda import KernelRdaModel
 from roweis.rda import _fit_inputs, _resolved_label_kernel, _select_dimension, count_valid
 from roweis.scatter import ClassPartition, _check_partition
 
@@ -97,6 +104,36 @@ def xor_class(x1: float, x2: float) -> int:
 
 # ---------------------------------------------------------------- eigensolvers
 
+def objective_matrix(x, p) -> np.ndarray:
+    """R1 = Xc P Xc' with Xc centered by its own mean. Reduces to the total
+    scatter when P = I."""
+    x = as_matrix(x, "X")
+    p = as_square(p, "P")
+    if p.shape[0] != x.shape[1]:
+        raise ConfigError(f"P must be n x n with n={x.shape[1]}, got {p.shape}")
+    centered = x - x.mean(axis=1, keepdims=True)
+    return sym(centered @ p @ centered.T)
+
+
+def kernel_within_scatter(k_x, part: ClassPartition) -> np.ndarray:
+    """N = sum_j K_j H_j K_j'; the within-class scatter seen through the kernel.
+
+    K_j is the column slice of the training Gram matrix for class j, so no
+    kernel value is recomputed.
+    """
+    k_x = as_square(k_x, "K_x")
+    if part.n_samples != k_x.shape[0]:
+        raise ConfigError(
+            f"partition covers {part.n_samples} samples but K_x is {k_x.shape}"
+        )
+    out = np.zeros_like(k_x)
+    for idx in part.index_sets:
+        block = k_x[:, idx]
+        centered = block - block.mean(axis=1, keepdims=True)
+        out += centered @ centered.T
+    return sym(out)
+
+
 def _require_symmetric(a: np.ndarray, name: str) -> None:
     gap = float(np.max(np.abs(a - a.T))) if a.size else 0.0
     if gap > 1e-10:
@@ -114,8 +151,7 @@ def symmetric_eig(a) -> EigPair:
 
 
 @_lapack_errors
-def generalized_eig(a, b, reg: RegPolicy | None = None, complement=None) -> EigPair:
-    reg = reg or RegPolicy()
+def generalized_eig(a, b, complement=None) -> EigPair:
     a = as_square(a, "A")
     b = as_square(b, "B")
     if a.shape != b.shape:
@@ -133,12 +169,12 @@ def generalized_eig(a, b, reg: RegPolicy | None = None, complement=None) -> EigP
     _check_psd_spectrum(b_vals, b_norm, "constraint matrix B")
     lam_min, lam_max = float(b_vals[0]), float(b_vals[-1])
 
-    unit = reg.unit(b_s, complement)
+    unit = _shift_unit(b_s, complement)
     candidates = [0.0]
-    shift = reg.base_scale * unit
-    while shift <= reg.max_scale * unit * (1.0 + 1e-12):
+    shift = SHIFT_BASE_SCALE * unit
+    while shift <= SHIFT_MAX_SCALE * unit * (1.0 + 1e-12):
         candidates.append(shift)
-        shift *= reg.growth
+        shift *= SHIFT_GROWTH
 
     def healthy(s: float) -> bool:
         if s == candidates[-1] and s > 0.0:
@@ -253,8 +289,8 @@ def fit_direct(x, labels, config, kernel) -> KernelRdaModel:
     else:
         l_mat = k_x
 
-    pair = generalized_eig(m_mat, l_mat, config.reg)
-    valid = count_valid(pair.values, config.valid_eig_threshold)
+    pair = generalized_eig(m_mat, l_mat)
+    valid = count_valid(pair.values)
     if valid == 0:
         raise NumericalError("no positive eigenvalues; the kernel carries no usable variance")
     cap = min(n, n_classes) - 1 if r2 == 1.0 else n - 1

@@ -32,7 +32,6 @@ from roweis.kernel_rda import (
     fit_direct,
     fit_kernel_pca,
     fit_kernel_spca,
-    kernel_within_scatter,
 )
 from roweis.kernel_rda import project as project_kernel
 from roweis.linalg import generalized_eig, symmetric_eig
@@ -41,14 +40,13 @@ from roweis.rda import (
     blend_label_kernel,
     constraint_matrix,
     fit,
-    objective_matrix,
     project,
     robustify,
 )
 from roweis.scatter import ClassPartition, within_scatter
 
 from conftest import align_columns, align_rows, labeled_blobs
-from oracle import centering_matrix, total_scatter
+from oracle import centering_matrix, objective_matrix, total_scatter
 from test_kernels import poly_feature_map
 
 # Fixed seed for the nonlinear-separation runs; chosen once so that the
@@ -274,7 +272,7 @@ def test_criterion_4_feature_space_within_scatter_identity():
     ]
     for name, spec, feature_map in cases:
         k = kernels.gram(spec, x, x)
-        n_mat = kernel_within_scatter(k, part)
+        n_mat = within_scatter(k, part)  # N = sum_j K_j H_j K_j'
         phi = feature_map(x)
         s_w_phi = within_scatter(phi, part)
         for t in range(10):

@@ -76,8 +76,43 @@ class TestGen:
         manifest = json.loads((tmp_path / "env.csv.manifest.json").read_text())
         assert manifest["seed"] == 99
 
+    def test_unparsable_seed_env_is_config_error(self, tmp_path, xor_csv, monkeypatch, capsys):
+        monkeypatch.setenv("ROWEIS_SEED", "abc")
+        for argv in [
+            ("gen", "xor", "--n", 40, "--out", tmp_path / "g.csv"),
+            ("sweep", "--data", xor_csv, "--label-col", "label", "--out", tmp_path / "s.csv"),
+            ("experiments", "--reps", 1, "--n", 30, "--panel-n", 20, "--out-dir", tmp_path / "ex"),
+        ]:
+            assert run(*argv) == 2
+            err = capsys.readouterr().err
+            assert "ROWEIS_SEED" in err and "'abc'" in err
+        assert not any(p.name.startswith(("g.csv", "s.csv", "ex")) for p in tmp_path.iterdir())
+
+    def test_unparsable_seed_env_spares_seeded_and_seedless_commands(self, tmp_path, xor_csv, monkeypatch):
+        monkeypatch.setenv("ROWEIS_SEED", "abc")
+        out = tmp_path / "g.csv"
+        assert run("gen", "xor", "--n", 40, "--seed", 5, "--out", out) == 0
+        assert json.loads((tmp_path / "g.csv.manifest.json").read_text())["seed"] == 5
+        assert run("sweep", "--data", xor_csv, "--label-col", "label", "--grid", 2, "--seed", 1,
+                   "--out", tmp_path / "s.csv") == 0
+        model = tmp_path / "m.txt"
+        assert run("fit", "--data", xor_csv, "--label-col", "label", "--p", 2, "--out", model) == 0
+        assert run("transform", "--model", model, "--data", xor_csv, "--label-col", "label",
+                   "--out", tmp_path / "e.csv") == 0
+
 
 class TestFit:
+    @pytest.mark.parametrize("variant", ["dual", "kernel", "kernel-pca", "kernel-spca"])
+    def test_robust_is_refused_by_other_variants(self, tmp_path, xor_csv, capsys, variant):
+        # Only the primal fit repairs its constraint; the flag must not be
+        # dropped while the manifest records it.
+        out = tmp_path / "m.txt"
+        code = run("fit", "--data", xor_csv, "--label-col", "label", "--variant", variant,
+                   "--robust", "--out", out)
+        assert code == 2
+        assert "--robust" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "m.txt.manifest.json").exists()
+
     def test_fit_pca_writes_model_and_spectrum(self, tmp_path, xor_csv, capsys):
         model_path = tmp_path / "model.txt"
         code = run(
@@ -231,9 +266,9 @@ class TestTransformReconstruct:
     @pytest.mark.parametrize("command", ["transform", "reconstruct"])
     @pytest.mark.parametrize("edit, message", [
         (lambda line: None if line.startswith("r1: ") else line, "missing value 'r1'"),
-        (lambda line: 'reg: ["a", 0.01, 10.0]' if line.startswith("reg: ") else line,
-         "malformed value for 'reg'"),
-    ], ids=["missing r1", "malformed reg"])
+        (lambda line: 'robust: "no"' if line.startswith("robust: ") else line,
+         "malformed value for 'robust'"),
+    ], ids=["missing r1", "malformed robust"])
     def test_malformed_model_scalar_is_data_error(self, tmp_path, xor_csv, capsys, command, edit, message):
         model_path = tmp_path / "model.txt"
         run("fit", "--data", xor_csv, "--label-col", "label", "--r1", 0, "--r2", 0,

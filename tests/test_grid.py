@@ -88,14 +88,27 @@ class TestFitDirectGrid:
             fit_direct_grid(x, None, [], kernels.KernelSpec("rbf"))
         assert not fits
 
+    def test_refuses_robust_configs(self, rng, monkeypatch):
+        # The direct fit has no robust form; a robust config must not be
+        # fitted as if the flag were absent.
+        x, labels = labeled_blobs(rng, d=2, n=12, c=2)
+        kern = kernels.KernelSpec("rbf", gamma=0.5)
+        fits = []
+        monkeypatch.setattr(kernel_rda, "factor_constraint", lambda *a: fits.append(a))
+        with pytest.raises(ConfigError, match="robust"):
+            fit_direct_grid(x, labels, [RoweisConfig(0.5, 0.5), RoweisConfig(0.5, 0.5, robust=True)], kern)
+        with pytest.raises(ConfigError, match="robust"):
+            fit_direct(x, labels, RoweisConfig(0.0, 0.0, robust=True), kern)
+        assert not fits
+
     def test_each_distinct_constraint_is_factored_once(self, rng, monkeypatch):
         x, labels = labeled_blobs(rng, d=2, n=20, c=3)
         factored = []
         real = kernel_rda.factor_constraint
 
-        def counting(l_mat, reg):
-            factored.append(reg)
-            return real(l_mat, reg)
+        def counting(l_mat):
+            factored.append(l_mat.shape)
+            return real(l_mat)
 
         monkeypatch.setattr(kernel_rda, "factor_constraint", counting)
         configs = [RoweisConfig(r1, r2) for r1 in (0.0, 0.5, 1.0) for r2 in (1.0, 0.0, 0.5)]

@@ -1,7 +1,7 @@
 """Property version of the grid tests: ``fit_direct_grid`` equals one
 ``fit_direct`` per config, bit for bit, on random grids in random order
-(r2 and the shift policy not grouped, p up to above every rank cap, two
-classes at r1 = 1 among them).
+(r2 not grouped, p up to above every rank cap, two classes at r1 = 1 among
+them).
 
 Runs only where ``hypothesis`` is installed; it is a test extra, not a
 runtime dependency.
@@ -17,7 +17,6 @@ from hypothesis import strategies as st  # noqa: E402
 from roweis import kernels  # noqa: E402
 from roweis.exceptions import RoweisError  # noqa: E402
 from roweis.kernel_rda import fit_direct, fit_direct_grid  # noqa: E402
-from roweis.linalg import RegPolicy  # noqa: E402
 from roweis.rda import RoweisConfig  # noqa: E402
 
 from conftest import labeled_blobs  # noqa: E402
@@ -40,7 +39,6 @@ def grids(draw):
             r2=st.sampled_from([0.0, 0.5, 1.0]),
             p=st.sampled_from([None, 1, 2, c + 1, n + 3]),
             label_kernel=st.sampled_from([None, kernels.KernelSpec("delta")]),
-            reg=st.sampled_from([RegPolicy(), RegPolicy(base_scale=1e-6)]),
         ),
         min_size=1, max_size=7,
     ))

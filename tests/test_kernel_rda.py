@@ -13,7 +13,6 @@ from roweis.kernel_rda import (
     fit_kernel_spca,
     kernel_constraint_matrix,
     kernel_objective_matrix,
-    kernel_within_scatter,
     project,
 )
 from roweis.rda import RoweisConfig, blend_label_kernel, fit
@@ -59,18 +58,30 @@ class TestKernelObjectiveMatrix:
 
 
 class TestKernelWithinScatter:
+    """N = sum_j K_j H_j K_j' is ``scatter.within_scatter`` of the Gram matrix."""
+
+    @pytest.mark.parametrize("spec", [kernels.KernelSpec("rbf", gamma=0.4), kernels.KernelSpec("linear"),
+                                      kernels.KernelSpec("polynomial", degree=3)], ids=lambda s: s.family)
+    @pytest.mark.parametrize("n, c", [(1, 1), (7, 3), (40, 2), (65, 5)])
+    def test_equals_the_kernel_builder_bit_for_bit(self, rng, spec, n, c):
+        x = rng.standard_normal((3, n))
+        labels = rng.permutation(np.arange(n) % c)
+        k = kernels.gram(spec, x, x)
+        part = ClassPartition.from_labels(labels)
+        assert np.array_equal(within_scatter(k, part), oracle.kernel_within_scatter(k, part))
+
     def test_singleton_classes_vanish(self, rng):
         x = rng.standard_normal((2, 4))
         k = kernels.gram(kernels.KernelSpec("rbf", gamma=1.0), x, x)
         part = ClassPartition.from_labels([0, 1, 2, 3])
-        np.testing.assert_allclose(kernel_within_scatter(k, part), 0.0, atol=1e-12)
+        np.testing.assert_allclose(within_scatter(k, part), 0.0, atol=1e-12)
 
     def test_single_class_is_centered_square(self, rng):
         x = rng.standard_normal((2, 6))
         k = kernels.gram(kernels.KernelSpec("linear"), x, x)
         part = ClassPartition.from_labels(np.zeros(6, dtype=int))
         h = centering_matrix(6)
-        np.testing.assert_allclose(kernel_within_scatter(k, part), k @ h @ k, atol=1e-10)
+        np.testing.assert_allclose(within_scatter(k, part), k @ h @ k, atol=1e-10)
 
     def test_feature_space_quadratic_form(self, rng):
         # theta' N theta equals the explicit within-class scatter quadratic
@@ -79,7 +90,7 @@ class TestKernelWithinScatter:
         spec = kernels.KernelSpec("polynomial", degree=2, offset=1.0)
         k = kernels.gram(spec, x, x)
         part = ClassPartition.from_labels(labels)
-        n_mat = kernel_within_scatter(k, part)
+        n_mat = within_scatter(k, part)
         phi = poly_feature_map(x, 2, 1.0)
         s_w_phi = within_scatter(phi, part)
         for _ in range(10):
@@ -92,7 +103,7 @@ class TestKernelWithinScatter:
     def test_positive_semidefinite(self, rng):
         x, labels = labeled_blobs(rng, d=3, n=12, c=3)
         k = kernels.gram(kernels.KernelSpec("rbf", gamma=0.3), x, x)
-        n_mat = kernel_within_scatter(k, ClassPartition.from_labels(labels))
+        n_mat = within_scatter(k, ClassPartition.from_labels(labels))
         assert np.linalg.eigvalsh(n_mat).min() >= -1e-10 * max(np.trace(n_mat), 1.0)
 
 
@@ -131,7 +142,7 @@ class TestFitDirect:
         k = kernels.gram(kern, x, x)
         p_mat = 0.6 * kernels.delta_kernel(labels, labels) + 0.4 * np.eye(14)
         m_mat = kernel_objective_matrix(k, p_mat)
-        n_mat = kernel_within_scatter(k, ClassPartition.from_labels(labels))
+        n_mat = within_scatter(k, ClassPartition.from_labels(labels))
         l_eff = kernel_constraint_matrix(n_mat, k, 0.5) + model.shift * np.eye(14)
         residual = np.linalg.norm(
             m_mat @ model.coeffs - l_eff @ model.coeffs @ np.diag(model.eigvals), "fro"

@@ -7,7 +7,7 @@ from roweis.exceptions import ConfigError, NumericalError
 from roweis.linalg import (
     Complement,
     EigPair,
-    RegPolicy,
+    _shift_unit,
     factor_constraint,
     generalized_eig,
     incomplete_svd,
@@ -205,16 +205,16 @@ class TestIncompleteSvd:
             incomplete_svd(np.eye(3), 0)
 
 
-class TestRegPolicy:
+class TestShiftUnit:
     def test_unit_uses_mean_diagonal(self):
-        assert RegPolicy().unit(np.diag([2.0, 4.0])) == 3.0
+        assert _shift_unit(np.diag([2.0, 4.0])) == 3.0
 
     def test_unit_falls_back_on_zero_trace(self):
-        assert RegPolicy().unit(np.zeros((3, 3))) == 1.0
+        assert _shift_unit(np.zeros((3, 3))) == 1.0
 
     def test_unit_counts_the_complement(self):
         # trace (2 + 4 + 3 * 0.5) over order 5
-        assert RegPolicy().unit(np.diag([2.0, 4.0]), Complement(0.5, 3)) == 1.5
+        assert _shift_unit(np.diag([2.0, 4.0]), Complement(0.5, 3)) == 1.5
 
     def test_eigpair_defaults(self):
         pair = EigPair(vectors=np.eye(2), values=np.array([1.0, 0.0]))
@@ -362,7 +362,7 @@ class TestFactoredConstraint:
     @pytest.mark.parametrize("case", sorted(EIG_INPUTS))
     def test_solves_match_the_matrix_form(self, rng, case):
         a, b, complement = EIG_INPUTS[case](rng)
-        factor = factor_constraint(b, None, complement)
+        factor = factor_constraint(b, complement)
         want = generalized_eig(a, b, complement=complement)
         for _ in range(2):  # a factor serves any number of solves
             got = generalized_eig(a, factor)
@@ -376,8 +376,6 @@ class TestFactoredConstraint:
 
     def test_factor_carries_its_policy(self, rng):
         factor = factor_constraint(random_psd(rng, 4) + np.eye(4))
-        with pytest.raises(ConfigError, match="already carries"):
-            generalized_eig(np.eye(4), factor, RegPolicy())
         with pytest.raises(ConfigError, match="already carries"):
             generalized_eig(np.eye(4), factor, complement=Complement(1.0, 2))
         with pytest.raises(ConfigError, match="dimension mismatch"):

@@ -208,9 +208,16 @@ class TestMalformedScalars:
             load_model(path)
 
     @pytest.mark.parametrize("value", ['["a", 0.01, 10.0]', "[1e-08, 0.01]", '"abc"', "5", "null"])
-    def test_malformed_reg(self, tmp_path, data, value):
-        path = _primal_file(tmp_path, data, lambda line: f"reg: {value}" if line.startswith("reg: ") else line)
-        with pytest.raises(DataError, match="malformed value for 'reg'"):
+    def test_retired_reg_values_are_ignored(self, tmp_path, data, value):
+        # reg stopped being a fit setting; an old file's line loads whatever it holds.
+        path = _primal_file(tmp_path, data, lambda line: f"{line}\nreg: {value}" if line.startswith("robust: ") else line)
+        assert f"reg: {value}" in path.read_text().splitlines()
+        assert load_model(path).config == RoweisConfig(0.5, 0.5, p=2, label_kernel=kernels.KernelSpec("delta"))
+
+    @pytest.mark.parametrize("raw", ['"no"', '"false"', "0", "1", "null", "[]"])
+    def test_robust_must_be_a_json_boolean(self, tmp_path, data, raw):
+        path = _primal_file(tmp_path, data, lambda line: f"robust: {raw}" if line.startswith("robust: ") else line)
+        with pytest.raises(DataError, match="malformed value for 'robust'"):
             load_model(path)
 
     @pytest.mark.parametrize("key, value", [("r1", '"half"'), ("shift", "[]"), ("notes", "3")])
@@ -218,6 +225,46 @@ class TestMalformedScalars:
         path = _primal_file(tmp_path, data, lambda line: f"{key}: {value}" if line.startswith(f"{key}: ") else line)
         with pytest.raises(DataError, match=f"malformed value for '{key}'"):
             load_model(path)
+
+
+# The lines primal files carried while these were fit settings: their
+# defaults, and other values.
+RETIRED_LINES = {
+    "defaults": ["valid_eig_threshold: 1e-09", "auto_dim_ratio: 0.01", "reg: [1e-08, 0.01, 10.0]"],
+    "others": ["valid_eig_threshold: 0.5", "auto_dim_ratio: 0.9", "reg: [1e-06, 1.0, 2.0]"],
+}
+
+
+class TestRobustAndRetiredKeys:
+    @pytest.mark.parametrize("raw, want", [("true", True), ("false", False), (None, False)],
+                             ids=["true", "false", "absent"])
+    def test_robust_flag(self, tmp_path, data, raw, want):
+        edit = (lambda line: None) if raw is None else (lambda line: f"robust: {raw}")
+        path = _primal_file(tmp_path, data, lambda line: edit(line) if line.startswith("robust: ") else line)
+        assert load_model(path).config.robust is want
+
+    def test_saved_files_omit_the_retired_keys(self, tmp_path, data):
+        x, labels = data
+        path = tmp_path / "m.txt"
+        save_model(fit(x, labels, RoweisConfig(0.5, 0.5, p=2, robust=True)), path)
+        keys = [line.split(": ")[0] for line in path.read_text().splitlines() if ": " in line]
+        assert keys == ["variant", "r1", "r2", "robust", "label_kernel", "shift", "notes", "route"]
+
+    @pytest.mark.parametrize("retired", sorted(RETIRED_LINES))
+    def test_old_files_load_and_project_bit_identically(self, tmp_path, data, rng, retired):
+        x, labels = data
+        model = fit(x, labels, RoweisConfig(0.4, 0.6, p=2, robust=True))
+        path = tmp_path / "m.txt"
+        save_model(model, path)
+        lines = path.read_text().splitlines()
+        at = lines.index("robust: true") + 1
+        path.write_text("\n".join(lines[:at] + RETIRED_LINES[retired] + lines[at:]) + "\n")
+        loaded = load_model(path)
+        assert loaded.config == model.config
+        assert (loaded.shift, loaded.notes, loaded.route) == (model.shift, model.notes, model.route)
+        probe = rng.standard_normal((3, 5))
+        for apply in (project, reconstruct):
+            assert apply(loaded, probe).tobytes() == apply(model, probe).tobytes()
 
 
 # One saved model per layout, fitted on 3 x 14 data with two classes and p = 2.

@@ -11,7 +11,6 @@ from roweis.rda import (
     choose_dimensionality,
     constraint_matrix,
     fit,
-    objective_matrix,
     project,
     reconstruct,
     robustify,
@@ -20,7 +19,7 @@ from roweis.rda import (
 from roweis.scatter import ClassPartition, within_scatter
 
 from conftest import align_columns, align_rows, labeled_blobs, with_complement
-from oracle import centering_matrix, total_scatter
+from oracle import centering_matrix, objective_matrix, total_scatter
 
 
 class TestBlendLabelKernel:
@@ -132,11 +131,23 @@ class TestRobustifyWithComplement:
         np.testing.assert_allclose(repaired, np.eye(3), atol=1e-12)
         assert outside.value == 1.0
 
-    def test_cut_inside_a_noisy_tie_is_declined(self):
-        # 3 + 1e-14 and the 200 copies of 3 are tied; 2% of the mass sits
-        # inside them, so the full repair depends on the tied basis.
+    def test_cut_inside_a_noisy_tie_leaves_the_block(self):
+        # 3 + 1e-14 and the 200 copies of 3 are tied and end the spectrum;
+        # the cut lands inside them, so the exact repair is a no-op and the
+        # block and complement come back as they are, as the full repair
+        # gives them up to round-off.
         block = np.diag([10.0, 3.0 + 1e-14, 3.0])
-        assert robustify(block, complement=Complement(3.0, 200)) is None
+        repaired, outside = robustify(block, complement=Complement(3.0, 200))
+        assert np.array_equal(repaired, block) and outside == Complement(3.0, 200)
+        full = robustify(with_complement(block, 3.0, 200))
+        np.testing.assert_allclose(with_complement(repaired, outside.value, 200), full, atol=1e-12)
+
+    def test_cut_splitting_a_tie_above_smaller_values_is_refused(self):
+        # The cut lands among the copies of 3, and 1 follows them: no
+        # constraint R2 >= (1 - r2) I has a value below its complement's.
+        block = np.diag([10.0, 3.0 + 1e-14, 1.0])
+        with pytest.raises(ConfigError, match="robust cut"):
+            robustify(block, complement=Complement(3.0, 200))
 
 
 class TestSupervisionLevel:

@@ -1,7 +1,7 @@
 """The span route of ``rda.fit`` (n < d) against the dense d x d oracle.
 
 The oracle builds the full problem the way the dense route does:
-``objective_matrix`` on the dense blended label kernel, ``constraint_matrix``
+``oracle.objective_matrix`` on the dense blended label kernel, ``constraint_matrix``
 on the within-class scatter, ``robustify`` on the d x d constraint, and
 ``generalized_eig`` on the pair. Spectra must agree to 1e-10 relative to the
 leading eigenvalue, shifts to 1e-12 relative, and embeddings to 1e-8 up to
@@ -16,20 +16,19 @@ import numpy as np
 import pytest
 
 from roweis import kernels, rda
-from roweis._util import sym
 from roweis.linalg import generalized_eig
 from roweis.rda import (
     RoweisConfig,
     blend_label_kernel,
     constraint_matrix,
     fit,
-    objective_matrix,
     project,
     robustify,
 )
 from roweis.scatter import ClassPartition, within_scatter
 
 from conftest import align_rows
+from oracle import objective_matrix
 
 SPECTRUM_RTOL = 1e-10
 SHIFT_RTOL = 1e-12
@@ -70,8 +69,8 @@ def dense_problem(x, labels, config: RoweisConfig):
     else:
         b = np.eye(d)
     if config.robust:
-        b = robustify(b, config.reg)
-    return b, generalized_eig(r1_mat, b, config.reg)
+        b = robustify(b)
+    return b, generalized_eig(r1_mat, b)
 
 
 def separated(values: np.ndarray, p: int) -> np.ndarray:
@@ -156,34 +155,17 @@ class TestDegenerateData:
         assert model.n_components == N - 1
 
 
-def test_robust_cut_inside_the_tied_block_takes_the_dense_route():
+def test_robust_cut_inside_the_tied_block_stays_on_the_span_route():
     """A robust fit whose 98% cut splits the eigenvalues tied at 1 - r2.
 
     Here n - c is small, so the d - n copies of 1 - r2 carry more than 2% of
     the constraint's spectrum and the cut lands among them. Exactly, the tail
-    then holds only copies of 1 - r2 and the repair is a no-op. In floating
-    point the dense repair averages the round-off of those copies in the
-    basis LAPACK picks for the degenerate eigenspace, which the n x n block
-    cannot reproduce. So the fit takes the dense route and must give the
-    dense arithmetic's result bit for bit.
+    then holds only copies of 1 - r2 and the repair is a no-op, so the block
+    is solved unrepaired and must match the dense repair of the full matrix.
     """
-    n, r1, r2 = 12, 0.1, 0.2
-    labels = class_labels(n)
-    x = class_data(8 * n, n, labels, seed=5)
-    config = RoweisConfig(r1=r1, r2=r2, robust=True)
-    model = fit(x, labels, config)
-    assert model.route == "dense"
-
-    # The dense route's own arithmetic, step by step.
-    centered = x - x.mean(axis=1)[:, None]
-    q = centered @ kernels.class_indicator(labels)
-    r1_mat = sym(r1 * (q @ q.T) + (1.0 - r1) * (centered @ centered.T))
-    b = robustify(constraint_matrix(within_scatter(x, ClassPartition.from_labels(labels)), r2), config.reg)
-    pair = generalized_eig(r1_mat, b, config.reg)
-    p = model.n_components
-    assert np.array_equal(model.basis, pair.vectors[:, :p])
-    assert np.array_equal(model.eigvals, pair.values[:p])
-    assert model.shift == pair.shift
+    labels = class_labels(12)
+    x = class_data(8 * 12, 12, labels, seed=5)
+    assert_matches_dense(x, labels, RoweisConfig(r1=0.1, r2=0.2, robust=True))
 
 
 def test_flat_tied_block_stays_on_the_span_route():
@@ -200,8 +182,8 @@ def test_dense_route_when_d_is_at_most_n():
         assert fit(class_data(d, N, labels), labels, RoweisConfig(r1=0.5, r2=0.5)).route == "dense"
 
 
-@pytest.mark.parametrize("width", sorted(WIDTHS))
-def test_span_route_solves_at_most_an_n_by_n_problem(monkeypatch, width):
+def record_orders(monkeypatch) -> list:
+    """The order of every generalized eigenproblem ``rda.fit`` solves."""
     orders = []
     solve = rda.generalized_eig
 
@@ -210,6 +192,12 @@ def test_span_route_solves_at_most_an_n_by_n_problem(monkeypatch, width):
         return solve(a, b, *args, **kwargs)
 
     monkeypatch.setattr(rda, "generalized_eig", recording)
+    return orders
+
+
+@pytest.mark.parametrize("width", sorted(WIDTHS))
+def test_span_route_solves_at_most_an_n_by_n_problem(monkeypatch, width):
+    orders = record_orders(monkeypatch)
     labels = class_labels(N)
     x = class_data(WIDTHS[width], N, labels)
     for r1 in GRID:
@@ -219,3 +207,23 @@ def test_span_route_solves_at_most_an_n_by_n_problem(monkeypatch, width):
                 assert model.route == "span"
     assert len(orders) == 18
     assert max(orders) <= N
+
+
+# (d, n, classes): d = 8n at n = 12, and the bench's wide blobs. At r2 = 0.1,
+# 0.2 and 0.3 the robust cut of these constraints lands among the copies of
+# 1 - r2, where the robust fit used to leave the span route for a d x d solve.
+TIED_CUT_SHAPES = {"8n": (96, 12, 3), "wide": (800, 100, 4)}
+
+
+@pytest.mark.parametrize("r2", (0.1, 0.2, 0.3))
+@pytest.mark.parametrize("shape", sorted(TIED_CUT_SHAPES))
+def test_robust_fits_with_a_tied_cut_stay_on_the_span_route(monkeypatch, shape, r2):
+    d, n, c = TIED_CUT_SHAPES[shape]
+    labels = np.arange(n) % c
+    x = class_data(d, n, labels, seed=1)
+    orders = record_orders(monkeypatch)
+    r1_values = (0.0, 0.5, 1.0) if shape == "8n" else (0.5,)
+    for r1 in r1_values:
+        assert_matches_dense(x, labels, RoweisConfig(r1=r1, r2=r2, robust=True))
+    assert len(orders) == len(r1_values)
+    assert max(orders) <= n

@@ -5,6 +5,9 @@ These are copies of ``datasets.load_csv`` and ``save_csv`` (cell-by-cell),
 the CLI's ``_float_cells`` with ``csv.writer``, and ``persist._write_array``,
 ``save_model`` and ``_parse`` (value-by-value). Do not change them to match
 the package: the package must match them, byte for byte and bit for bit.
+The one change since: ``save_model`` no longer writes the
+``valid_eig_threshold``, ``auto_dim_ratio`` and ``reg`` lines, which stopped
+being fit settings.
 """
 
 from __future__ import annotations
@@ -188,9 +191,6 @@ def save_model(model, path) -> None:
         _write_scalar(lines, "r1", cfg.r1)
         _write_scalar(lines, "r2", cfg.r2)
         _write_scalar(lines, "robust", cfg.robust)
-        _write_scalar(lines, "valid_eig_threshold", cfg.valid_eig_threshold)
-        _write_scalar(lines, "auto_dim_ratio", cfg.auto_dim_ratio)
-        _write_scalar(lines, "reg", [cfg.reg.base_scale, cfg.reg.max_scale, cfg.reg.growth])
         _write_scalar(lines, "label_kernel", _kernel_dict(cfg.label_kernel))
         _write_scalar(lines, "shift", model.shift)
         _write_scalar(lines, "notes", list(model.notes))
