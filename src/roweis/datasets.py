@@ -49,6 +49,13 @@ class Dataset:
         return int(self.X.shape[1])
 
 
+def _checked_seed(seed: int) -> int:
+    """``seed``, or ConfigError for a negative one, which numpy refuses."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def gen_xor(n: int, seed: int, margin: float = XOR_MARGIN) -> Dataset:
     """Uniform points in [-1, 1]^2 with a band of width ``margin`` around the
     axes excluded; the class is the exclusive-or of the coordinate signs.
@@ -60,7 +67,7 @@ def gen_xor(n: int, seed: int, margin: float = XOR_MARGIN) -> Dataset:
         raise ConfigError(f"n must be at least 4, got {n}")
     if not 0.0 <= margin < 1.0:
         raise ConfigError(f"margin must lie in [0, 1), got {margin}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     cls = np.arange(n) % 2
     flip = rng.integers(0, 2, size=n)
     ax = rng.uniform(margin, 1.0, size=n)
@@ -85,7 +92,7 @@ def gen_rings(
     """
     if n < 4:
         raise ConfigError(f"n must be at least 4, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     cls = np.arange(n) % 2
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
     radial = rng.standard_normal(n) * noise
@@ -111,7 +118,7 @@ def gen_regression_benchmark(bench_id: int, n: int, seed: int, noise_scale: floa
     """
     if n < 1:
         raise ConfigError(f"n must be at least 1, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     if bench_id == 1:
         x = rng.standard_normal((4, n))
         eps = rng.standard_normal(n) * noise_scale
@@ -147,7 +154,7 @@ def train_test_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dat
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(f"train_fraction must lie in (0, 1), got {train_fraction}")
     n = ds.n
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     target = int(np.floor(train_fraction * n + 0.5))
     target = min(max(target, 1), n - 1)
 

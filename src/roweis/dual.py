@@ -14,7 +14,10 @@ the dense RBF label kernel (see :func:`roweis.rda.label_factor`).
 
 The basis is recovered from the small-side factor: eigenvectors V of W'W
 when that is the smaller problem, a truncated SVD of W otherwise, so the
-d x d eigenproblem is never formed, which is the point when n << d. The fit
+d x d eigenproblem is never formed, which is the point when n << d.
+:func:`leading_directions` is that W'W solve and its cut of the usable
+directions; the kernel-trick fits of :mod:`roweis.kernel_rda` use it too,
+on the Gram of their feature-space factor, with a coarser cut. The fit
 is an ordinary :class:`~roweis.rda.RdaModel` with route ``"dual"``: basis
 W V / sigma (orthonormal columns, the primal eigenvectors up to sign) and
 eigvals sigma^2. It projects, reconstructs and is saved like any primal
@@ -29,11 +32,44 @@ import numpy as np
 from . import kernels
 from .exceptions import ConfigError, NumericalError
 from .linalg import EIG_NOISE_RTOL, incomplete_svd, symmetric_eig
-from .rda import RdaModel, RoweisConfig, _first_usable, _fit_inputs, _resolved_label_kernel, label_factor
+from .rda import RdaModel, RoweisConfig, _fit_inputs, _resolved_label_kernel, label_factor
 
 # Singular values below this fraction of the largest are dropped before the
 # division that forms the basis.
 SINGULAR_RTOL = 1e-10
+
+
+def leading_directions(gram, rtol: float, p: int | None) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(V, sigma, notes) of the first p usable directions of a factor W, from
+    its Gram matrix W'W = V diag(sigma^2) V' (all usable ones for p=None).
+
+    A direction is usable when its sigma is at least ``rtol`` of the largest.
+    The square root would lift eigensolver noise on a rank-deficient Gram
+    above the cut, so eigenvalues below EIG_NOISE_RTOL of the largest are
+    zeroed first.
+    """
+    pair = symmetric_eig(gram)
+    values = np.clip(pair.values, 0.0, None)
+    if values.size and values[0] > 0.0:
+        values[values < EIG_NOISE_RTOL * values[0]] = 0.0
+    return _usable(pair.vectors, np.sqrt(values), rtol, p)
+
+
+def _usable(right: np.ndarray, sigma: np.ndarray, rtol: float, p: int | None):
+    """The cut of :func:`leading_directions`, on any non-increasing sigma."""
+    if sigma.size == 0 or sigma[0] <= 0.0:
+        raise NumericalError("no positive eigenvalues; the data carry no variance")
+    # sigma is non-increasing, so the usable directions lead.
+    usable = int(np.count_nonzero(sigma >= rtol * sigma[0]))
+    notes = ()
+    if p is None:
+        p = usable
+    elif p < 1:
+        raise ConfigError(f"p must be a positive integer, got {p}")
+    elif p > usable:
+        notes = (f"requested p={p} exceeds the {usable} usable directions; truncated",)
+        p = usable
+    return right[:, :p], sigma[:p], notes
 
 
 def fit_dual(
@@ -66,29 +102,15 @@ def fit_dual(
             w = np.hstack([np.sqrt(r1) * q, np.sqrt(1.0 - r1) * centered])
 
     if w.shape[1] < x.shape[0]:
-        pair = symmetric_eig(w.T @ w)
-        values = np.clip(pair.values, 0.0, None)
-        # The square root would lift eigensolver noise on a rank-deficient
-        # Gram matrix above the singular-value cutoff; zero it first.
-        if values.size and values[0] > 0.0:
-            values[values < EIG_NOISE_RTOL * values[0]] = 0.0
-        sigma = np.sqrt(values)
-        right = pair.vectors
+        right, sigma, notes = leading_directions(w.T @ w, SINGULAR_RTOL, p)
     else:
         fac = incomplete_svd(w, k=min(w.shape))
-        sigma = fac.singular
-        right = fac.right
-
-    if sigma.size == 0 or sigma[0] <= 0.0:
-        raise NumericalError("the data carry no variance; nothing to project onto")
-    # sigma is non-increasing, so the usable directions lead.
-    p, notes = _first_usable(p, int(np.count_nonzero(sigma >= SINGULAR_RTOL * sigma[0])))
-    sigma = sigma[:p]
+        right, sigma, notes = _usable(fac.right, fac.singular, SINGULAR_RTOL, p)
     return RdaModel(
-        basis=(w @ right[:, :p]) / sigma[None, :],
+        basis=(w @ right) / sigma[None, :],
         eigvals=sigma**2,
         mean=mean,
-        config=RoweisConfig(r1=r1, p=p, label_kernel=label_kernel),
+        config=RoweisConfig(r1=r1, p=sigma.size, label_kernel=label_kernel),
         notes=notes,
         route="dual",
     )

@@ -38,7 +38,7 @@ class BenchCell:
 
 
 def _cell_seed(base_seed: int, bench_id: int, rep: int) -> int:
-    seq = np.random.SeedSequence([int(base_seed), int(bench_id), int(rep)])
+    seq = np.random.SeedSequence([datasets._checked_seed(int(base_seed)), int(bench_id), int(rep)])
     return int(seq.generate_state(1)[0])
 
 
@@ -71,6 +71,8 @@ def regression_benchmark_table(
     base_seed: int = 0,
 ) -> list[BenchCell]:
     """Mean and spread of test RMSE per (method, r1, benchmark) cell."""
+    if repetitions < 1:
+        raise ConfigError(f"repetitions must be at least 1, got {repetitions}")
     cells: dict[tuple, list] = {
         (method, r1, b): [] for method in ("linear", "kernel") for r1 in r1_values for b in bench_ids
     }

@@ -15,11 +15,12 @@ Two routes into the feature space:
 
 * The kernel-trick method rides the dual factorization and exists for the
   two corners r1 = 0 (kernel PCA) and r1 = 1 (kernel SPCA) of the r2 = 0
-  edge, where the data appear only through inner products. Kernel SPCA
-  factors K_y = Upsilon Upsilon'; for class labels Upsilon is the n x c
-  class-indicator matrix, so its core Upsilon' Kc Upsilon is c x c. Any
-  other label kernel, such as the RBF over real targets, is built as a dense
-  n x n matrix and factored through its eigendecomposition.
+  edge, where the data appear only through inner products. Both solve the
+  core Upsilon' Kc Upsilon with :func:`roweis.dual.leading_directions`: kernel
+  PCA takes Upsilon = I, kernel SPCA factors K_y = Upsilon Upsilon'. For class
+  labels Upsilon is the n x c class-indicator matrix, so the core is c x c.
+  Any other label kernel, such as the RBF over real targets, is built as a
+  dense n x n matrix and factored through its eigendecomposition.
 
 The direct method still builds the dense P = r1 K_y + (1 - r1) I, also for
 class labels. At r1 = 1 with two classes M has rank one, and a second
@@ -61,10 +62,10 @@ import numpy as np
 from . import kernels, scatter
 from ._util import as_features, as_square, sym
 from .exceptions import ConfigError, NumericalError
-from .linalg import factor_constraint, generalized_eig, symmetric_eig
+from .dual import leading_directions
+from .linalg import factor_constraint, generalized_eig
 from .rda import (
     RoweisConfig,
-    _first_usable,
     _fit_inputs,
     _resolved_label_kernel,
     _select_dimension,
@@ -245,41 +246,9 @@ def fit_direct_grid(x, labels, configs, kernel: kernels.KernelSpec) -> list[Kern
     return models
 
 
-def _leading_directions(pair, p: int | None) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """(right vectors, sigma, notes) of the first p eigendirections whose
-    singular value is numerically trustworthy (all of them for p=None)."""
-    values = np.clip(pair.values, 0.0, None)
-    if values.size == 0 or values[0] <= 0.0:
-        raise NumericalError("no positive eigenvalues; the centered kernel is degenerate")
-    sigma = np.sqrt(values)
-    # sigma is non-increasing, so the trustworthy directions lead.
-    p, notes = _first_usable(p, int(np.count_nonzero(sigma >= TRICK_SINGULAR_RTOL * sigma[0])))
-    return pair.vectors[:, :p], sigma[:p], notes
-
-
 def fit_kernel_pca(x, kernel: kernels.KernelSpec, p: int | None = None) -> KernelRdaModel:
-    """Kernel-trick fit of the (0, 0) corner.
-
-    Eigendecomposes the double-centered training Gram matrix; the training
-    embedding is sigma * V' and new points go through the centered
-    train-vs-new kernel.
-    """
-    x, _ = _fit_inputs(x, None, 0.0, 0.0)
-    kernel = kernels.resolve_gamma(kernel, x)
-    k_x = sym(kernels.gram(kernel, x, x))
-    right, sigma, notes = _leading_directions(symmetric_eig(kernels.double_center(k_x)), p)
-    return KernelRdaModel(
-        variant="trick_pca",
-        coeffs=right / sigma[None, :],
-        eigvals=sigma**2,
-        train_x=x.copy(),
-        kernel=kernel,
-        r1=0.0,
-        r2=0.0,
-        right_vectors=right.copy(),
-        sigma=sigma.copy(),
-        notes=notes,
-    )
+    """Kernel-trick fit of the (0, 0) corner: the unlabeled case of :func:`_fit_trick`."""
+    return _fit_trick(x, None, 0.0, kernel, None, p)
 
 
 def fit_kernel_spca(
@@ -289,31 +258,39 @@ def fit_kernel_spca(
     kernel_y: kernels.KernelSpec | None = None,
     p: int | None = None,
 ) -> KernelRdaModel:
-    """Kernel-trick fit of the (1, 0) corner.
+    """Kernel-trick fit of the (1, 0) corner: the labeled case of :func:`_fit_trick`."""
+    return _fit_trick(x, labels, 1.0, kernel_x, kernel_y, p)
 
-    Factors the label kernel as Upsilon Upsilon' (the n x c class indicator
-    for class labels) and eigendecomposes Upsilon' Kc Upsilon, the small-side
-    square of the feature-space factor Phi_c(X) Upsilon.
+
+def _fit_trick(x, labels, r1: float, kernel, label_kernel, p) -> KernelRdaModel:
+    """The kernel-trick fit at (r1, 0): kernel PCA without labels (r1 = 0),
+    kernel SPCA with them (r1 = 1).
+
+    Solves the core Upsilon' Kc Upsilon (see the module docstring) with the
+    TRICK_SINGULAR_RTOL cut. The training embedding is sigma * V'; new points
+    go through the train-vs-new kernel centered with training statistics.
     """
-    x, labels = _fit_inputs(x, labels, 1.0, 0.0)
-    kernel_x = kernels.resolve_gamma(kernel_x, x)
-    spec_y = _resolved_label_kernel(kernel_y, labels)
-    k_x = sym(kernels.gram(kernel_x, x, x))
-    upsilon = label_factor(spec_y, labels)
-    core = sym(upsilon.T @ kernels.double_center(k_x) @ upsilon)
-    right, sigma, notes = _leading_directions(symmetric_eig(core), p)
+    x, labels = _fit_inputs(x, labels, r1, 0.0)
+    kernel = kernels.resolve_gamma(kernel, x)
+    gram = kernels.double_center(sym(kernels.gram(kernel, x, x)))
+    upsilon = None
+    if labels is not None:
+        label_kernel = _resolved_label_kernel(label_kernel, labels)
+        upsilon = label_factor(label_kernel, labels)
+        gram = sym(upsilon.T @ gram @ upsilon)
+    right, sigma, notes = leading_directions(gram, TRICK_SINGULAR_RTOL, p)
     return KernelRdaModel(
-        variant="trick_spca",
-        coeffs=(upsilon @ right) / sigma[None, :],
+        variant="trick_pca" if upsilon is None else "trick_spca",
+        coeffs=(right if upsilon is None else upsilon @ right) / sigma[None, :],
         eigvals=sigma**2,
         train_x=x.copy(),
-        kernel=kernel_x,
-        r1=1.0,
+        kernel=kernel,
+        r1=r1,
         r2=0.0,
-        label_kernel=spec_y,
+        label_kernel=label_kernel,
         right_vectors=right.copy(),
         sigma=sigma.copy(),
-        upsilon=upsilon.copy(),
+        upsilon=None if upsilon is None else upsilon.copy(),
         notes=notes,
     )
 

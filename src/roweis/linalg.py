@@ -13,10 +13,9 @@ shifted) constraint ``B'``.
 shifts and factors B once. :func:`generalized_eig` takes B as a matrix or as
 that :class:`FactoredConstraint`, so a caller with many objectives against
 one constraint factors it once, and every solve still goes through
-:func:`generalized_eig`. An exact identity B skips the eigendecomposition,
-the factorization and the triangular solves (``eigh(sym(A))``), with the
-bits of the factorization route: solves against I change nothing but the
-sign of some -0.0 entries, so they still run where a -0.0 is present.
+:func:`generalized_eig`. The plain problem (B = I) is not special-cased
+here: its callers know it from their configuration and call
+:func:`symmetric_eig`.
 
 A constraint that maps an m-dimensional subspace into itself and acts as a
 multiple of the identity on its complement can be handed over as its m x m
@@ -208,28 +207,12 @@ def _shifted(b: np.ndarray, shift: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FactoredConstraint:
-    """A constraint ``B' = B + shift * I`` from :func:`factor_constraint`.
+    """A constraint ``B' = B + shift * I`` from :func:`factor_constraint`;
+    ``chol`` is its Cholesky factor L (``B' = L L'``)."""
 
-    ``chol`` is the Cholesky factor L of B' (``B' = L L'``), or None when B
-    is exactly the identity (and any complement holds ones).
-    """
-
-    chol: np.ndarray | None
+    chol: np.ndarray
     shift: float
     order: int
-
-
-def _is_identity(b: np.ndarray, complement: Complement | None) -> bool:
-    """B is exactly I, signbits included, and any complement holds ones."""
-    n = b.shape[0]
-    if n == 0 or (complement is not None and complement.value != 1.0):
-        return False
-    # Every entry but the n diagonal ones must be +0.0 bit for bit.
-    return bool(np.all(b.diagonal() == 1.0)) and np.count_nonzero(b.view(np.int64)) == n
-
-
-def _has_negative_zero(x: np.ndarray) -> bool:
-    return bool(np.any(x.view(np.int64) == np.iinfo(np.int64).min))
 
 
 @_lapack_errors
@@ -238,18 +221,13 @@ def factor_constraint(b, complement: Complement | None = None) -> FactoredConstr
     for any number of solves against it.
 
     The checks, the shift and the complement are those of
-    :func:`generalized_eig`. An exact identity (with a complement of ones,
-    if any) gets no eigendecomposition and no factorization: its solves are
-    ``eigh(sym(A))`` with shift 0.
+    :func:`generalized_eig`.
     """
     return _factor(b, complement)
 
 
 def _factor(b, complement: Complement | None) -> FactoredConstraint:
     b = as_square(b, "B")
-    n = b.shape[0]
-    if _is_identity(b, complement):
-        return FactoredConstraint(chol=None, shift=0.0, order=n)
     b_s = _symmetrized(b, "B")
 
     b_vals = np.linalg.eigvalsh(b_s)
@@ -279,7 +257,7 @@ def _factor(b, complement: Complement | None) -> FactoredConstraint:
             chol = np.linalg.cholesky(_shifted(b_s, candidate))
         except np.linalg.LinAlgError:
             continue
-        return FactoredConstraint(chol=chol, shift=candidate, order=n)
+        return FactoredConstraint(chol=chol, shift=candidate, order=b.shape[0])
     raise NumericalError(
         "constraint matrix stayed singular up to the maximum "
         f"diagonal shift {SHIFT_MAX_SCALE * unit:.3e}"
@@ -317,23 +295,6 @@ def generalized_eig(a, b, complement: Complement | None = None) -> EigPair:
         factor = b if factored else _factor(b, complement)
         del a, b
         chol = factor.chol
-
-        if chol is None:
-            # L = I, and solves against I return every entry unchanged but
-            # may clear the sign of a -0.0 (which ones depends on the BLAS
-            # blocking), so they run only where a -0.0 is present.
-            if not _has_negative_zero(a_s):
-                c = sym(a_s)
-                del a_s
-                values, q = np.linalg.eigh(c)
-                del c
-                values = values[::-1].copy()
-                q = q[:, ::-1]
-                if _has_negative_zero(q):
-                    q = np.linalg.solve(np.eye(order), q)
-                return EigPair(vectors=_fix_signs(q), values=values, shift=0.0)
-            chol = np.eye(order)  # the Cholesky factor of I, bit for bit
-
         # C = L^{-1} A L^{-T}; A symmetric makes the second solve valid on Y.T.
         y = np.linalg.solve(chol, a_s)
         del a_s

@@ -16,6 +16,9 @@ labels enter the objective and the constraint:
 
 Everything in between is a valid method; (r1 + r2) / 2 measures how strongly
 the labels are used. Fitting solves the generalized eigenproblem (R1, R2).
+At r2 = 0 the constraint is I, so a fit that is not robust solves the plain
+eigenproblem of R1 (:func:`~roweis.linalg.symmetric_eig`) with no shift; a
+robust one repairs I and solves the generalized problem like any other.
 
 How the label side is computed depends on the label kernel. For class labels
 (the delta kernel) K_y = E E' exactly, with E the n x c class-indicator
@@ -324,20 +327,9 @@ def _select_dimension(values, valid, cap, config) -> tuple[int, list]:
     return p, notes
 
 
-def _first_usable(p: int | None, usable: int) -> tuple[int, tuple]:
-    """How many of ``usable`` leading directions a dual or kernel-trick fit
-    keeps for a requested p (None keeps them all), noting a truncation."""
-    if p is None:
-        return usable, ()
-    if p < 1:
-        raise ConfigError(f"p must be a positive integer, got {p}")
-    if p > usable:
-        return usable, (f"requested p={p} exceeds the {usable} usable directions; truncated",)
-    return p, ()
-
-
 def _solve(centered, scatter_data, labels, spec, config, complement=None) -> EigPair:
-    """Build R1 and R2 from ``centered`` and solve them.
+    """Build R1 and R2 from ``centered`` and solve them; at r2 = 0 (R2 = I)
+    a non-robust fit solves R1 alone with :func:`symmetric_eig`.
 
     ``scatter_data`` is what the within-class scatter is taken of: the raw
     data on the dense route, the same coordinates as ``centered`` on the span
@@ -352,8 +344,10 @@ def _solve(centered, scatter_data, labels, spec, config, complement=None) -> Eig
     if r2 > 0:
         part = scatter.ClassPartition.from_labels(labels)
         r2_mat = constraint_matrix(scatter.within_scatter(scatter_data, part), r2)
-    else:
+    elif config.robust:
         r2_mat = np.eye(centered.shape[0])
+    else:
+        return symmetric_eig(r1_mat)
     if config.robust and complement is None:
         r2_mat = robustify(r2_mat)
     elif config.robust:

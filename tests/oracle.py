@@ -15,6 +15,11 @@
   before they worked in place; the package must match them bit for bit. So
   are ``double_center``, ``blend_label_kernel``, ``kernel_objective_matrix``
   and ``kernel_constraint_matrix``, which now work in place too.
+* ``fit_dual``, ``fit_kernel_pca`` and ``fit_kernel_spca`` are the dual and
+  kernel-trick fits as they were before they shared one small-side solve
+  (``roweis.dual.leading_directions``): the dual's own W'W branch, and the
+  trick fits' ``_leading_directions``, which zeroed no eigensolver noise
+  before the square root. The package must match them bit for bit.
 * ``project_kernel`` is kernel-model projection as one product over all new
   points, with the training Gram built on every call: the formula the
   blocked ``kernel_rda.project`` is checked against.
@@ -37,8 +42,10 @@ import numpy as np
 from roweis import datasets, evaluate, experiments, kernels, rda
 from roweis._util import as_features, as_matrix, as_square, sym
 from roweis.exceptions import ConfigError, NumericalError
+from roweis.dual import SINGULAR_RTOL
 from roweis.linalg import (
     CONSTRAINT_COND_MAX,
+    EIG_NOISE_RTOL,
     SHIFT_BASE_SCALE,
     SHIFT_GROWTH,
     SHIFT_MAX_SCALE,
@@ -47,9 +54,10 @@ from roweis.linalg import (
     _fix_signs,
     _lapack_errors,
     _shift_unit,
+    incomplete_svd,
 )
-from roweis.kernel_rda import KernelRdaModel
-from roweis.rda import _fit_inputs, _resolved_label_kernel, _select_dimension, count_valid
+from roweis.kernel_rda import TRICK_SINGULAR_RTOL, KernelRdaModel
+from roweis.rda import _fit_inputs, _resolved_label_kernel, _select_dimension, count_valid, label_factor
 from roweis.scatter import ClassPartition, _check_partition
 
 
@@ -262,6 +270,89 @@ def project_kernel(model, x_any) -> np.ndarray:
         k_train = _sym(gram(model.kernel, model.train_x, model.train_x))
         k_new = kernels.center_test_kernel(k_train, k_new)
     return model.coeffs.T @ k_new
+
+
+# ---------------------------------------------------------------- small-side fits
+
+def _first_usable(p, usable: int) -> tuple[int, tuple]:
+    if p is None:
+        return usable, ()
+    if p < 1:
+        raise ConfigError(f"p must be a positive integer, got {p}")
+    if p > usable:
+        return usable, (f"requested p={p} exceeds the {usable} usable directions; truncated",)
+    return p, ()
+
+
+def fit_dual(x, labels=None, r1: float = 0.0, p=None, label_kernel=None) -> rda.RdaModel:
+    x, labels = _fit_inputs(x, labels, r1, 0.0)
+    mean = x.mean(axis=1)
+    centered = x - mean[:, None]
+    if r1 == 0.0:
+        w = centered
+    else:
+        label_kernel = _resolved_label_kernel(label_kernel, labels)
+        q = centered @ label_factor(label_kernel, labels)
+        w = q if r1 == 1.0 else np.hstack([np.sqrt(r1) * q, np.sqrt(1.0 - r1) * centered])
+
+    if w.shape[1] < x.shape[0]:
+        pair = symmetric_eig(w.T @ w)
+        values = np.clip(pair.values, 0.0, None)
+        if values.size and values[0] > 0.0:
+            values[values < EIG_NOISE_RTOL * values[0]] = 0.0
+        sigma = np.sqrt(values)
+        right = pair.vectors
+    else:
+        fac = incomplete_svd(w, k=min(w.shape))
+        sigma = fac.singular
+        right = fac.right
+    if sigma.size == 0 or sigma[0] <= 0.0:
+        raise NumericalError("the data carry no variance; nothing to project onto")
+    p, notes = _first_usable(p, int(np.count_nonzero(sigma >= SINGULAR_RTOL * sigma[0])))
+    sigma = sigma[:p]
+    return rda.RdaModel(
+        basis=(w @ right[:, :p]) / sigma[None, :],
+        eigvals=sigma**2,
+        mean=mean,
+        config=rda.RoweisConfig(r1=r1, p=p, label_kernel=label_kernel),
+        notes=notes,
+        route="dual",
+    )
+
+
+def _leading_directions(pair, p):
+    values = np.clip(pair.values, 0.0, None)
+    if values.size == 0 or values[0] <= 0.0:
+        raise NumericalError("no positive eigenvalues; the centered kernel is degenerate")
+    sigma = np.sqrt(values)
+    p, notes = _first_usable(p, int(np.count_nonzero(sigma >= TRICK_SINGULAR_RTOL * sigma[0])))
+    return pair.vectors[:, :p], sigma[:p], notes
+
+
+def fit_kernel_pca(x, kernel, p=None) -> KernelRdaModel:
+    x, _ = _fit_inputs(x, None, 0.0, 0.0)
+    kernel = kernels.resolve_gamma(kernel, x)
+    k_x = _sym(gram(kernel, x, x))
+    right, sigma, notes = _leading_directions(symmetric_eig(double_center(k_x)), p)
+    return KernelRdaModel(
+        variant="trick_pca", coeffs=right / sigma[None, :], eigvals=sigma**2, train_x=x.copy(),
+        kernel=kernel, r1=0.0, r2=0.0, right_vectors=right.copy(), sigma=sigma.copy(), notes=notes,
+    )
+
+
+def fit_kernel_spca(x, labels, kernel_x, kernel_y=None, p=None) -> KernelRdaModel:
+    x, labels = _fit_inputs(x, labels, 1.0, 0.0)
+    kernel_x = kernels.resolve_gamma(kernel_x, x)
+    spec_y = _resolved_label_kernel(kernel_y, labels)
+    k_x = _sym(gram(kernel_x, x, x))
+    upsilon = label_factor(spec_y, labels)
+    core = _sym(upsilon.T @ double_center(k_x) @ upsilon)
+    right, sigma, notes = _leading_directions(symmetric_eig(core), p)
+    return KernelRdaModel(
+        variant="trick_spca", coeffs=(upsilon @ right) / sigma[None, :], eigvals=sigma**2,
+        train_x=x.copy(), kernel=kernel_x, r1=1.0, r2=0.0, label_kernel=spec_y,
+        right_vectors=right.copy(), sigma=sigma.copy(), upsilon=upsilon.copy(), notes=notes,
+    )
 
 
 # ---------------------------------------------------------------- per-config loops

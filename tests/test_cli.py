@@ -88,6 +88,17 @@ class TestGen:
             assert "ROWEIS_SEED" in err and "'abc'" in err
         assert not any(p.name.startswith(("g.csv", "s.csv", "ex")) for p in tmp_path.iterdir())
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        assert run("gen", "xor", "--n", 20, "--seed", -1, "--out", out) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_env_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ROWEIS_SEED", "-1")
+        assert run("gen", "xor", "--n", 20, "--out", tmp_path / "g.csv") == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
     def test_unparsable_seed_env_spares_seeded_and_seedless_commands(self, tmp_path, xor_csv, monkeypatch):
         monkeypatch.setenv("ROWEIS_SEED", "abc")
         out = tmp_path / "g.csv"
@@ -390,6 +401,12 @@ class TestSweep:
         manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
         assert "r2_values" not in manifest["config"]
 
+    def test_negative_seed_is_config_error(self, tmp_path, xor_csv, capsys):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--data", xor_csv, "--label-col", "label", "--seed", -1, "--out", out) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_too_small_rejected(self, tmp_path, xor_csv):
         assert run("sweep", "--data", xor_csv, "--label-col", "label", "--grid", 1,
                    "--out", tmp_path / "s.csv") == 2
@@ -417,3 +434,18 @@ class TestExperiments:
                    "--panel-n", 40, "--seed", 1)
         assert code == 3
         assert "cannot write" in capsys.readouterr().err
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "results"
+        assert run("experiments", "--out-dir", out_dir, "--reps", 1, "--n", 30,
+                   "--panel-n", 20, "--seed", -3) == 2
+        assert "seed must be a non-negative integer, got -3" in capsys.readouterr().err
+        assert not (out_dir / "regression_table.csv").exists()
+
+    @pytest.mark.parametrize("reps", [0, -2])
+    def test_no_repetitions_is_config_error(self, tmp_path, capsys, reps):
+        out_dir = tmp_path / "results"
+        assert run("experiments", "--out-dir", out_dir, "--reps", reps, "--n", 30,
+                   "--panel-n", 20, "--seed", 1) == 2
+        assert f"repetitions must be at least 1, got {reps}" in capsys.readouterr().err
+        assert not (out_dir / "regression_table.csv").exists()

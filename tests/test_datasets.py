@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from roweis import experiments
 from roweis.datasets import (
     Dataset,
     gen_regression_benchmark,
@@ -138,6 +139,28 @@ class TestSplit:
         ds = gen_xor(20, 0)
         with pytest.raises(ConfigError):
             train_test_split(ds, 1.0, 0)
+
+
+class TestSeeds:
+    """numpy refuses a negative seed with a ValueError; every place a seed
+    enters it raises ConfigError naming the seed instead."""
+
+    @pytest.mark.parametrize("make", [
+        lambda seed: gen_xor(20, seed),
+        lambda seed: gen_rings(20, seed),
+        lambda seed: gen_regression_benchmark(1, 20, seed),
+        lambda seed: train_test_split(gen_xor(20, 0), 0.7, seed),
+        lambda seed: experiments._cell_seed(seed, 1, 0),
+    ], ids=["xor", "rings", "bench", "split", "cell seed"])
+    def test_negative_seed_is_config_error(self, make):
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -1"):
+            make(-1)
+        make(0)
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_table_needs_a_repetition(self, reps):
+        with pytest.raises(ConfigError, match=f"repetitions must be at least 1, got {reps}"):
+            experiments.regression_benchmark_table(repetitions=reps, n=20)
 
 
 class TestCsv:

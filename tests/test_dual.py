@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import oracle
+from roweis import kernels
 from roweis.dual import fit_dual
-from roweis.exceptions import ConfigError
+from roweis.exceptions import ConfigError, NumericalError
+from roweis.kernel_rda import fit_kernel_pca, fit_kernel_spca
 from roweis.linalg import incomplete_svd
 from roweis.rda import RdaModel, RoweisConfig, fit, project, reconstruct
 
@@ -132,3 +137,94 @@ class TestRouteEquivalence:
         a = project(primal, x)[:p]
         b = align_rows(a, project(dual, x)[:p])
         np.testing.assert_allclose(a, b, atol=1e-8)
+
+
+# The shared small-side solve against the fits as they were before it.
+
+DATA_KERNELS = {
+    "linear": kernels.KernelSpec("linear"),
+    "rbf median": kernels.KernelSpec("rbf"),
+    "rbf 0.7": kernels.KernelSpec("rbf", gamma=0.7),
+    "poly 2": kernels.KernelSpec("polynomial", degree=2),
+    "poly 3": kernels.KernelSpec("polynomial", degree=3, offset=0.5),
+}
+# (label kernel, real-valued targets?): None is the default for the labels.
+LABEL_KERNELS = {
+    "classes": (None, False),
+    "classes linear": (kernels.KernelSpec("linear"), False),
+    "targets rbf": (None, True),
+    "targets linear": (kernels.KernelSpec("linear"), True),
+    "targets poly": (kernels.KernelSpec("polynomial", degree=2), True),
+}
+PS = (None, 1, 3, 500)
+
+
+def small_side_data(seed: int, d: int, n: int, shape: str, targets: bool):
+    """(X, labels): full rank, rank 2, or with duplicated samples."""
+    rng = np.random.default_rng(seed)
+    x, labels = labeled_blobs(rng, d, n, 3)
+    if shape == "rank 2":
+        x = rng.standard_normal((d, 2)) @ rng.standard_normal((2, n))
+    elif shape == "duplicates":
+        x[:, n // 2:] = x[:, : n - n // 2]
+    if targets:
+        labels = np.round(x[0] - 0.5 * x[-1] ** 2, 1)  # real-valued, with ties
+    return x, labels
+
+
+def assert_same_model(got, want):
+    assert type(got) is type(want)
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
+SHAPES = ("full rank", "rank 2", "duplicates")
+
+
+class TestSharedSmallSideSolve:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("kernel", sorted(DATA_KERNELS))
+    def test_kernel_pca_is_bit_identical(self, kernel, shape):
+        x, _ = small_side_data(1, 4, 40, shape, False)
+        for p in PS:
+            want = oracle.fit_kernel_pca(x, DATA_KERNELS[kernel], p=p)
+            assert_same_model(fit_kernel_pca(x, DATA_KERNELS[kernel], p=p), want)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("labels", sorted(LABEL_KERNELS))
+    @pytest.mark.parametrize("kernel", sorted(DATA_KERNELS))
+    def test_kernel_spca_is_bit_identical(self, kernel, labels, shape):
+        label_kernel, targets = LABEL_KERNELS[labels]
+        x, y = small_side_data(2, 4, 40, shape, targets)
+        for p in PS:
+            want = oracle.fit_kernel_spca(x, y, DATA_KERNELS[kernel], label_kernel, p=p)
+            assert_same_model(fit_kernel_spca(x, y, DATA_KERNELS[kernel], label_kernel, p=p), want)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("labels", sorted(LABEL_KERNELS))
+    @pytest.mark.parametrize("r1", (0.0, 0.5, 1.0))
+    @pytest.mark.parametrize("d", (3, 30), ids=("svd of W", "eig of W'W"))
+    def test_dual_is_bit_identical(self, d, r1, labels, shape):
+        label_kernel, targets = LABEL_KERNELS[labels]
+        x, y = small_side_data(3, d, 12, shape, targets)
+        for p in PS:
+            want = oracle.fit_dual(x, y, r1, p=p, label_kernel=label_kernel)
+            assert_same_model(fit_dual(x, y, r1, p=p, label_kernel=label_kernel), want)
+
+    def test_no_variance_is_refused_alike(self):
+        x = np.ones((3, 10))
+        labels = np.arange(10) % 2
+        for fit_new, fit_old in [
+            (lambda: fit_dual(x), lambda: oracle.fit_dual(x)),
+            (lambda: fit_kernel_pca(x, DATA_KERNELS["linear"]),
+             lambda: oracle.fit_kernel_pca(x, DATA_KERNELS["linear"])),
+            (lambda: fit_kernel_spca(x, labels, DATA_KERNELS["linear"]),
+             lambda: oracle.fit_kernel_spca(x, labels, DATA_KERNELS["linear"])),
+        ]:
+            for fit_any in (fit_new, fit_old):
+                with pytest.raises(NumericalError):
+                    fit_any()

@@ -308,8 +308,9 @@ def _same_bits(got, want) -> bool:
 
 
 class TestIdentityConstraint:
-    """B = I skips eigvalsh, Cholesky and the triangular solves and still
-    gives the copying solver's bits, signbits of zeros included."""
+    """B = I is no special case: it is factored and solved like any other
+    constraint (fits at r2 = 0 call symmetric_eig instead, see test_rda.py),
+    with the copying solver's bits, signbits of zeros included."""
 
     @pytest.mark.parametrize("complement", [None, Complement(1.0, 1), Complement(1.0, 6)],
                              ids=["no complement", "complement of 1", "complement of 6"])
@@ -323,18 +324,6 @@ class TestIdentityConstraint:
             assert got.shift == want.shift == 0.0
             assert _same_bits(got.values, want.values)
             assert _same_bits(got.vectors, want.vectors)
-
-    def test_skips_the_factorization_and_the_solves(self, rng, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("called on the identity fast path")
-
-        for name in ("eigvalsh", "cholesky", "solve"):
-            monkeypatch.setattr(np.linalg, name, refuse)
-        a = random_psd(rng, 9)
-        for complement in (None, Complement(1.0, 4)):
-            pair = generalized_eig(a, np.eye(9), complement=complement)
-            assert pair.shift == 0.0
-            np.testing.assert_allclose(a @ pair.vectors, pair.vectors * pair.values, atol=1e-10)
 
     @pytest.mark.parametrize("case", ["complement of 0.5", "-0.0 off the diagonal", "scaled identity"])
     def test_near_identities_take_the_factorization(self, rng, monkeypatch, case):
@@ -370,9 +359,9 @@ class TestFactoredConstraint:
             assert _same_bits(got.values, want.values)
             assert _same_bits(got.vectors, want.vectors)
 
-    def test_identity_has_no_factor(self):
+    def test_identity_is_its_own_factor(self):
         factor = factor_constraint(np.eye(4), complement=Complement(1.0, 2))
-        assert factor.chol is None and factor.shift == 0.0 and factor.order == 4
+        assert _same_bits(factor.chol, np.eye(4)) and factor.shift == 0.0 and factor.order == 4
 
     def test_factor_carries_its_policy(self, rng):
         factor = factor_constraint(random_psd(rng, 4) + np.eye(4))
@@ -387,13 +376,11 @@ class TestFactoredConstraint:
         with pytest.raises(NumericalError, match="positive semidefinite"):
             factor_constraint(np.diag([1.0, -1.0]))
 
-    @pytest.mark.parametrize("identity", [True, False], ids=["identity", "factored"])
-    def test_objective_is_freed_after_the_first_solve(self, rng, monkeypatch, identity):
+    def test_objective_is_freed_after_the_first_solve(self, rng, monkeypatch):
         # A caller that hands A over without keeping it lets the solver free
         # it once C = L^-1 A L^-T no longer needs it.
         m = 8
-        b = np.eye(m) if identity else random_psd(rng, m) + np.eye(m)
-        factor = factor_constraint(b)
+        factor = factor_constraint(random_psd(rng, m) + np.eye(m))
         refs, alive_at = [], []
         real_solve, real_eigh = np.linalg.solve, np.linalg.eigh
 
@@ -413,7 +400,4 @@ class TestFactoredConstraint:
         monkeypatch.setattr(np.linalg, "solve", solve)
         monkeypatch.setattr(np.linalg, "eigh", eigh)
         generalized_eig(objective(), factor)
-        if identity:
-            assert alive_at == [("eigh", False)]
-        else:
-            assert alive_at == [("solve", True), ("solve", False), ("eigh", False), ("solve", False)]
+        assert alive_at == [("solve", True), ("solve", False), ("eigh", False), ("solve", False)]

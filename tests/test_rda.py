@@ -186,6 +186,26 @@ class TestFit:
             align_columns(oracle.vectors, model.basis), oracle.vectors, atol=1e-8
         )
 
+    @pytest.mark.parametrize("d, route", [(6, "dense"), (60, "span")])
+    @pytest.mark.parametrize("r1", [0.0, 0.5, 1.0])
+    def test_r2_zero_skips_the_factorization_and_the_solves(self, rng, monkeypatch, d, route, r1):
+        # R2 = I, so a fit that is not robust solves R1 alone: no constraint
+        # spectrum, no Cholesky factor, no triangular solves.
+        x, labels = labeled_blobs(rng, d, 30, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fit at r2 = 0 worked on its identity constraint")
+
+        for name in ("eigvalsh", "cholesky", "solve"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        model = fit(x, labels, RoweisConfig(r1=r1, r2=0.0, p=2))
+        monkeypatch.undo()
+        assert model.route == route and model.shift == 0.0
+        r1_mat = objective_matrix(x, blend_label_kernel(kernels.delta_kernel(labels, labels), r1))
+        scale = float(model.eigvals[0])
+        np.testing.assert_allclose(r1_mat @ model.basis, model.basis * model.eigvals, atol=1e-10 * scale)
+        np.testing.assert_allclose(model.basis.T @ model.basis, np.eye(2), atol=1e-12)
+
     def test_discriminant_corner_matches_direction_sweep(self):
         rng = np.random.default_rng(11)
         x, labels = labeled_blobs(rng, d=2, n=40, c=2, spread=4.0)

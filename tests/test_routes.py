@@ -12,6 +12,8 @@ the constraint residual ``max|U'(B + shift I)U - I| <= 1e-8`` against the
 dense B.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -183,15 +185,23 @@ def test_dense_route_when_d_is_at_most_n():
 
 
 def record_orders(monkeypatch) -> list:
-    """The order of every generalized eigenproblem ``rda.fit`` solves."""
+    """(solver, order) of every eigenproblem ``rda.fit`` solves: generalized,
+    or symmetric for a fit at r2 = 0 that is not robust. The symmetric
+    eigendecomposition inside ``robustify`` is a repair, not a solve."""
     orders = []
-    solve = rda.generalized_eig
 
-    def recording(a, b, *args, **kwargs):
-        orders.append(np.asarray(a).shape[0])
-        return solve(a, b, *args, **kwargs)
+    def recording(name):
+        solve = getattr(rda, name)
 
-    monkeypatch.setattr(rda, "generalized_eig", recording)
+        def record(a, *args, **kwargs):
+            if sys._getframe(1).f_code.co_name == "_solve":
+                orders.append((name, np.asarray(a).shape[0]))
+            return solve(a, *args, **kwargs)
+
+        return record
+
+    for name in ("generalized_eig", "symmetric_eig"):
+        monkeypatch.setattr(rda, name, recording(name))
     return orders
 
 
@@ -206,7 +216,10 @@ def test_span_route_solves_at_most_an_n_by_n_problem(monkeypatch, width):
                 model = fit(x, labels, RoweisConfig(r1=r1, r2=r2, robust=robust))
                 assert model.route == "span"
     assert len(orders) == 18
-    assert max(orders) <= N
+    assert max(order for _, order in orders) <= N
+    # r2 = 0 without robust, at each r1; a robust fit repairs I and solves
+    # the generalized problem.
+    assert [name for name, _ in orders].count("symmetric_eig") == len(GRID)
 
 
 # (d, n, classes): d = 8n at n = 12, and the bench's wide blobs. At r2 = 0.1,
@@ -226,4 +239,4 @@ def test_robust_fits_with_a_tied_cut_stay_on_the_span_route(monkeypatch, shape, 
     for r1 in r1_values:
         assert_matches_dense(x, labels, RoweisConfig(r1=r1, r2=r2, robust=True))
     assert len(orders) == len(r1_values)
-    assert max(orders) <= n
+    assert all(name == "generalized_eig" and order <= n for name, order in orders)
