@@ -322,6 +322,13 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------- experiments
 
 def cmd_experiments(args) -> int:
+    # Everything is computed before anything is created, so a refused run
+    # (--reps, --n, --panel-n or the seed) leaves no directory behind.
+    cells = experiments.regression_benchmark_table(
+        repetitions=args.reps, n=args.n, base_seed=args.seed
+    )
+    panels = [panel for name in ("xor", "rings")
+              for panel in experiments.embedding_panels(name, n=args.panel_n, seed=args.seed)]
     out_dir = args.out_dir
     panel_dir = os.path.join(out_dir, "panels")
     try:
@@ -329,9 +336,6 @@ def cmd_experiments(args) -> int:
     except OSError as exc:
         raise DataError(f"cannot create {out_dir}: {exc}") from None
 
-    cells = experiments.regression_benchmark_table(
-        repetitions=args.reps, n=args.n, base_seed=args.seed
-    )
     table_csv = os.path.join(out_dir, "regression_table.csv")
     rows = [
         [cell.method, repr(cell.r1), str(cell.bench_id), repr(cell.report.mean), repr(cell.report.std)]
@@ -343,13 +347,12 @@ def cmd_experiments(args) -> int:
         handle.write("\n".join(experiments.benchmark_table_lines(cells)) + "\n")
 
     outputs = [table_csv, table_txt]
-    for name in ("xor", "rings"):
-        for panel in experiments.embedding_panels(name, n=args.panel_n, seed=args.seed):
-            path = os.path.join(panel_dir, f"{name}_r1_{panel.r1:g}_r2_{panel.r2:g}.csv")
-            header = ["split", "label"] + [f"e{i + 1}" for i in range(panel.train_emb.shape[0])]
-            lead = [["train", str(y)] for y in panel.train_y] + [["test", str(y)] for y in panel.test_y]
-            _write_matrix(path, header, np.hstack([panel.train_emb, panel.test_emb]), lead)
-            outputs.append(path)
+    for panel in panels:
+        path = os.path.join(panel_dir, f"{panel.dataset}_r1_{panel.r1:g}_r2_{panel.r2:g}.csv")
+        header = ["split", "label"] + [f"e{i + 1}" for i in range(panel.train_emb.shape[0])]
+        lead = [["train", str(y)] for y in panel.train_y] + [["test", str(y)] for y in panel.test_y]
+        _write_matrix(path, header, np.hstack([panel.train_emb, panel.test_emb]), lead)
+        outputs.append(path)
 
     config_dict = {"reps": args.reps, "n": args.n, "panel_n": args.panel_n}
     _write_manifest("experiments", config_dict, args.seed, [], [os.path.join(out_dir, "run")])

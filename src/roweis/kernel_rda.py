@@ -35,7 +35,7 @@ r2, so the configs are solved grouped by it: each
 distinct L is built, factored once (:func:`roweis.linalg.factor_constraint`)
 and dropped, and every M of the group is solved against that factor. One
 factor and one M are held at a time; M goes to the solver with no reference
-kept, which frees it after the first triangular solve, and N and K_x are
+kept, which frees it after the first product, and N and K_x are
 dropped once no L or M needs them. Every step runs the per-config functions
 on the same inputs, so each model equals a lone fit bit for bit.
 
@@ -222,7 +222,7 @@ def fit_direct_grid(x, labels, configs, kernel: kernels.KernelSpec) -> list[Kern
             if not left:
                 k_x = None
             # Handed over with no reference kept here, so the solver frees M
-            # after its first triangular solve.
+            # after its first product.
             pair = generalized_eig(m_mat.pop(), factor)
             valid = count_valid(pair.values)
             if valid == 0:

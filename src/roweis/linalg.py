@@ -7,7 +7,9 @@ largest absolute value in each column is made positive. The generalized
 solver factors the constraint matrix with a Cholesky decomposition,
 shifting its diagonal (by the fixed ``SHIFT_*`` ladder) only when needed,
 so that the returned basis satisfies ``U.T @ B' @ U = I`` for the (possibly
-shifted) constraint ``B'``.
+shifted) constraint ``B'``. It inverts the triangular factor L once, in
+place, and never B itself; every solve against B' is then matrix products
+with L^{-1} (Golub & Van Loan, *Matrix Computations*, sec. 8.7).
 
 :func:`factor_constraint` is the B side of the generalized solver: it checks,
 shifts and factors B once. :func:`generalized_eig` takes B as a matrix or as
@@ -26,9 +28,9 @@ spectrum while the factorizations stay m x m.
 The solvers copy no more than the factorizations need. An input that is
 exactly symmetric is used as it is (symmetrizing it would return an equal
 copy); only one within ``SYMMETRY_ATOL`` of symmetric is symmetrized first.
-The shifted constraint ``B + s I`` is built without an identity matrix, and
-each intermediate is dropped once the next is formed. The results are bit
-for bit those of the copying form.
+The shifted constraint ``B + s I`` is built without an identity matrix, the
+factor is inverted in its own storage, and each intermediate is dropped
+once the next is formed.
 
 A ``LinAlgError`` escaping numpy's LAPACK wrappers is re-raised as
 :class:`~roweis.exceptions.NumericalError`.
@@ -39,7 +41,6 @@ Everything here is pure and thread-safe.
 from __future__ import annotations
 
 import contextlib
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +72,9 @@ CONSTRAINT_COND_MAX = 1e6
 SHIFT_BASE_SCALE = 1e-8
 SHIFT_MAX_SCALE = 1e-2
 SHIFT_GROWTH = 10.0
+
+# _invert_lower hands triangular blocks up to this order to np.linalg.inv.
+INVERT_LEAF = 64
 
 
 @dataclass(frozen=True)
@@ -124,22 +128,11 @@ class SvdFactor:
 
 @contextlib.contextmanager
 def _numerical(name: str):
-    """Re-raise numpy's LinAlgError inside the block as NumericalError."""
+    """Re-raise numpy's LinAlgError in the block, or the decorated function, as NumericalError."""
     try:
         yield
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"{name}: {exc}") from exc
-
-
-def _lapack_errors(fn):
-    """Re-raise numpy's LinAlgError from ``fn`` as NumericalError."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        with _numerical(fn.__name__):
-            return fn(*args, **kwargs)
-
-    return wrapper
 
 
 def require_symmetric(a: np.ndarray, atol: float = SYMMETRY_ATOL, name: str = "matrix") -> float:
@@ -159,31 +152,34 @@ def _symmetrized(a: np.ndarray, name: str) -> np.ndarray:
     return sym(a) if require_symmetric(a, name=name) else a
 
 
-def _fix_signs(vectors: np.ndarray, companion: np.ndarray | None = None):
-    """Make the largest-magnitude entry of each column positive.
-
-    ``companion`` gets the same flips applied (used to keep an SVD product
-    invariant when the left factor is re-signed).
-    """
+def _sign_flips(vectors: np.ndarray) -> np.ndarray:
+    """Per column, the sign (+1 or -1) that makes its largest-magnitude entry positive."""
     if vectors.shape[1] == 0:
-        return (vectors, companion) if companion is not None else vectors
+        return np.ones(0)
     # Column-major, so argmax walks each column in place instead of copying.
     idx = np.argmax(np.abs(vectors, order="F"), axis=0)
     signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
     signs[signs == 0.0] = 1.0
-    flipped = vectors * signs
-    if companion is not None:
-        return flipped, companion * signs
-    return flipped
+    return signs
 
 
-@_lapack_errors
+def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+    """Make the largest-magnitude entry of each column positive."""
+    return vectors * _sign_flips(vectors)
+
+
+def _leading_first(vectors: np.ndarray) -> np.ndarray:
+    """``_fix_signs(vectors[:, ::-1].copy())`` bit for bit, as one fresh array
+    (an ascending eigenbasis, leading column first); ``vectors`` is overwritten."""
+    vectors *= _sign_flips(vectors)
+    return vectors[:, ::-1].copy()
+
+
+@_numerical("symmetric_eig")
 def symmetric_eig(a) -> EigPair:
     """Full spectrum of a symmetric matrix, leading eigenvalue first."""
     values, vectors = np.linalg.eigh(_symmetrized(as_square(a, "A"), "A"))
-    values = values[::-1].copy()
-    vectors = _fix_signs(vectors[:, ::-1].copy())
-    return EigPair(vectors=vectors, values=values)
+    return EigPair(vectors=_leading_first(vectors), values=values[::-1].copy())
 
 
 def _check_psd_spectrum(values: np.ndarray, norm: float, name: str) -> None:
@@ -205,17 +201,38 @@ def _shifted(b: np.ndarray, shift: float) -> np.ndarray:
     return out
 
 
+def _invert_lower(l: np.ndarray) -> np.ndarray:
+    """Overwrite the lower-triangular ``l`` with its inverse, by matrix products.
+
+    [[A, 0], [C, D]]^{-1} = [[A^{-1}, 0], [-D^{-1} C A^{-1}, D^{-1}]]: both
+    diagonal blocks recursively, then C, through one fresh block-sized
+    product at a time (an ``out=`` view of ``l`` would make numpy copy).
+    The upper triangle stays exactly 0, and 0 - x keeps the zeros of I +0.0.
+    """
+    n = l.shape[0]
+    if n <= INVERT_LEAF:
+        l[...] = np.tril(np.linalg.inv(l))
+        return l
+    k = n // 2
+    a, c, d = l[:k, :k], l[k:, :k], l[k:, k:]
+    _invert_lower(a)
+    _invert_lower(d)
+    c[...] = c @ a
+    np.subtract(0.0, d @ c, out=c)
+    return l
+
+
 @dataclass(frozen=True)
 class FactoredConstraint:
     """A constraint ``B' = B + shift * I`` from :func:`factor_constraint`;
-    ``chol`` is its Cholesky factor L (``B' = L L'``)."""
+    ``chol_inv`` is the inverse of its Cholesky factor L (``B' = L L'``)."""
 
-    chol: np.ndarray
+    chol_inv: np.ndarray
     shift: float
     order: int
 
 
-@_lapack_errors
+@_numerical("factor_constraint")
 def factor_constraint(b, complement: Complement | None = None) -> FactoredConstraint:
     """The B side of :func:`generalized_eig`: check, shift and factor B once,
     for any number of solves against it.
@@ -257,7 +274,7 @@ def _factor(b, complement: Complement | None) -> FactoredConstraint:
             chol = np.linalg.cholesky(_shifted(b_s, candidate))
         except np.linalg.LinAlgError:
             continue
-        return FactoredConstraint(chol=chol, shift=candidate, order=b.shape[0])
+        return FactoredConstraint(chol_inv=_invert_lower(chol), shift=candidate, order=b.shape[0])
     raise NumericalError(
         "constraint matrix stayed singular up to the maximum "
         f"diagonal shift {SHIFT_MAX_SCALE * unit:.3e}"
@@ -270,11 +287,13 @@ def generalized_eig(a, b, complement: Complement | None = None) -> EigPair:
     ``B' = B + shift * I`` where the shift follows the SHIFT_* ladder and is
     applied only when B is too ill conditioned or its Cholesky factorization
     fails. The solve goes through the
-    symmetrized problem on ``L^{-1} A L^{-T}`` (B' = L L'), which is stabler
-    than explicitly inverting B. B may also come pre-factored, as the
-    :class:`FactoredConstraint` of :func:`factor_constraint` (which then took
-    the ``complement``). A is dropped after the first triangular
-    solve, so a caller that keeps no reference to it frees it there.
+    symmetrized problem on ``C = L^{-1} A L^{-T}`` (B' = L L'): matrix products
+    with the inverted triangular factor, one ``eigh(C)``, and
+    ``U = L^{-T} Q``; B itself is never inverted. B may also come
+    pre-factored, as the :class:`FactoredConstraint` of
+    :func:`factor_constraint` (which then took the ``complement``). A is
+    dropped after the first product, so a caller that keeps no reference to
+    it frees it there.
 
     With ``complement``, A and B are the blocks of d x d matrices that are
     ``0`` and ``complement.value * I`` on a ``complement.count``-dimensional
@@ -294,22 +313,21 @@ def generalized_eig(a, b, complement: Complement | None = None) -> EigPair:
         a_s = _symmetrized(a, "A")
         factor = b if factored else _factor(b, complement)
         del a, b
-        chol = factor.chol
-        # C = L^{-1} A L^{-T}; A symmetric makes the second solve valid on Y.T.
-        y = np.linalg.solve(chol, a_s)
+        inv = factor.chol_inv
+        # C = L^{-1} A L^{-T}, U = L^{-T} Q.
+        c = inv @ a_s
         del a_s
-        c = np.linalg.solve(chol, y.T)
-        del y
+        c = c @ inv.T
         c = sym(c)
         values, q = np.linalg.eigh(c)
         del c
         values = values[::-1].copy()
-        vectors = np.linalg.solve(chol.T, q[:, ::-1])
-        del q, chol
-        return EigPair(vectors=_fix_signs(vectors), values=values, shift=factor.shift)
+        vectors = inv.T @ q
+        del q
+        return EigPair(vectors=_leading_first(vectors), values=values, shift=factor.shift)
 
 
-@_lapack_errors
+@_numerical("psd_factor")
 def psd_factor(s) -> np.ndarray:
     """Factor a PSD matrix as ``delta.T @ delta = S``.
 
@@ -326,7 +344,7 @@ def psd_factor(s) -> np.ndarray:
     return (vectors * np.sqrt(values)).T
 
 
-@_lapack_errors
+@_numerical("incomplete_svd")
 def incomplete_svd(w, k: int) -> SvdFactor:
     """Rank-k truncated SVD of a rectangular matrix.
 
@@ -337,8 +355,6 @@ def incomplete_svd(w, k: int) -> SvdFactor:
     if not 1 <= k <= limit:
         raise ConfigError(f"k must be in [1, {limit}] for shape {w.shape}, got {k}")
     left, singular, right_t = np.linalg.svd(w, full_matrices=False)
-    left = left[:, :k].copy()
-    singular = singular[:k].copy()
-    right = right_t[:k].T.copy()
-    left, right = _fix_signs(left, right)
-    return SvdFactor(left=left, singular=singular, right=right)
+    signs = _sign_flips(left[:, :k])  # the right factor's too, so the product is unchanged
+    right = right_t[:k].T.copy() * signs
+    return SvdFactor(left=left[:, :k] * signs, singular=singular[:k].copy(), right=right)

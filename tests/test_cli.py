@@ -442,6 +442,13 @@ class TestExperiments:
         assert "seed must be a non-negative integer, got -3" in capsys.readouterr().err
         assert not (out_dir / "regression_table.csv").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--reps", 0), ("--seed", -3), ("--n", 0), ("--panel-n", 2)])
+    def test_refused_run_creates_no_directory(self, tmp_path, flag, value):
+        argv = {"--reps": 1, "--n": 30, "--panel-n": 20, "--seed": 1, flag: value}
+        out_dir = tmp_path / "results"
+        assert run("experiments", "--out-dir", out_dir, *[str(x) for kv in argv.items() for x in kv]) == 2
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("reps", [0, -2])
     def test_no_repetitions_is_config_error(self, tmp_path, capsys, reps):
         out_dir = tmp_path / "results"
