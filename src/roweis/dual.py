@@ -12,17 +12,20 @@ class-indicator matrix E, so W is d x (n + c) at most and no n x n array is
 built. For real-valued targets Upsilon comes from an eigendecomposition of
 the dense RBF label kernel (see :func:`roweis.rda.label_factor`).
 
-The basis is recovered from the small-side factor: eigenvectors V of W'W
-when that is the smaller problem, a truncated SVD of W otherwise, so the
-d x d eigenproblem is never formed, which is the point when n << d.
-:func:`leading_directions` is that W'W solve and its cut of the usable
-directions; the kernel-trick fits of :mod:`roweis.kernel_rda` use it too,
-on the Gram of their feature-space factor, with a coarser cut. The fit
-is an ordinary :class:`~roweis.rda.RdaModel` with route ``"dual"``: basis
-W V / sigma (orthonormal columns, the primal eigenvectors up to sign) and
-eigvals sigma^2. It projects, reconstructs and is saved like any primal
-model; model files of the earlier dual layout (W, V and sigma) are converted
-on load by :func:`roweis.persist.load_model`.
+When W has fewer columns than rows the basis is recovered from the
+small-side factor, eigenvectors V of W'W, so the d x d eigenproblem is never
+formed, which is the point when n << d. :func:`leading_directions` is that
+W'W solve; the kernel-trick fits of :mod:`roweis.kernel_rda` use it too, on
+the Gram of their feature-space factor. Such a fit is an ordinary
+:class:`~roweis.rda.RdaModel` with route ``"dual"``: basis W V / sigma
+(orthonormal columns, the primal eigenvectors up to sign) and eigvals
+sigma^2. Otherwise d x d is the smaller side, and the fit is the primal
+dense solve of W W' (route ``"dense"``). Either way
+:func:`roweis.rda.select_components` decides how many components are
+returned, on the eigenvalues, as for every fit. The model projects,
+reconstructs and is saved like any primal model; model files of the earlier
+dual layout (W, V and sigma) are converted on load by
+:func:`roweis.persist.load_model`, and keep the components they hold.
 """
 
 from __future__ import annotations
@@ -30,46 +33,19 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .exceptions import ConfigError, NumericalError
-from .linalg import EIG_NOISE_RTOL, incomplete_svd, symmetric_eig
-from .rda import RdaModel, RoweisConfig, _fit_inputs, _resolved_label_kernel, label_factor
-
-# Singular values below this fraction of the largest are dropped before the
-# division that forms the basis.
-SINGULAR_RTOL = 1e-10
+from .exceptions import ConfigError
+from .linalg import symmetric_eig
+from .rda import RdaModel, RoweisConfig, _fit_inputs, _resolved_label_kernel, label_factor, select_components
 
 
-def leading_directions(gram, rtol: float, p: int | None) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """(V, sigma, notes) of the first p usable directions of a factor W, from
-    its Gram matrix W'W = V diag(sigma^2) V' (all usable ones for p=None).
-
-    A direction is usable when its sigma is at least ``rtol`` of the largest.
-    The square root would lift eigensolver noise on a rank-deficient Gram
-    above the cut, so eigenvalues below EIG_NOISE_RTOL of the largest are
-    zeroed first.
-    """
+def leading_directions(gram, p: int | None) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(V, sigma, notes) of the leading directions of a factor W, from its
+    Gram matrix W'W = V diag(sigma^2) V'; :func:`roweis.rda.select_components`
+    picks them on sigma^2, with no rank cap beyond the Gram's order."""
     pair = symmetric_eig(gram)
-    values = np.clip(pair.values, 0.0, None)
-    if values.size and values[0] > 0.0:
-        values[values < EIG_NOISE_RTOL * values[0]] = 0.0
-    return _usable(pair.vectors, np.sqrt(values), rtol, p)
-
-
-def _usable(right: np.ndarray, sigma: np.ndarray, rtol: float, p: int | None):
-    """The cut of :func:`leading_directions`, on any non-increasing sigma."""
-    if sigma.size == 0 or sigma[0] <= 0.0:
-        raise NumericalError("no positive eigenvalues; the data carry no variance")
-    # sigma is non-increasing, so the usable directions lead.
-    usable = int(np.count_nonzero(sigma >= rtol * sigma[0]))
-    notes = ()
-    if p is None:
-        p = usable
-    elif p < 1:
-        raise ConfigError(f"p must be a positive integer, got {p}")
-    elif p > usable:
-        notes = (f"requested p={p} exceeds the {usable} usable directions; truncated",)
-        p = usable
-    return right[:, :p], sigma[:p], notes
+    sigma = np.sqrt(np.clip(pair.values, 0.0, None))
+    p, notes = select_components(sigma**2, sigma.size, p)
+    return pair.vectors[:, :p], sigma[:p], notes
 
 
 def fit_dual(
@@ -81,7 +57,7 @@ def fit_dual(
     p: int | None = None,
     label_kernel: kernels.KernelSpec | None = None,
 ) -> RdaModel:
-    """Fit through the small-side factor; only r2 = 0 has this form."""
+    """Fit through the factor W of R1 = W W'; only r2 = 0 has this form."""
     if r2 != 0.0:
         raise ConfigError("the dual form exists only for r2=0")
     if not 0.0 <= r1 <= 1.0:
@@ -102,15 +78,17 @@ def fit_dual(
             w = np.hstack([np.sqrt(r1) * q, np.sqrt(1.0 - r1) * centered])
 
     if w.shape[1] < x.shape[0]:
-        right, sigma, notes = leading_directions(w.T @ w, SINGULAR_RTOL, p)
+        right, sigma, notes = leading_directions(w.T @ w, p)
+        basis, eigvals, route = (w @ right) / sigma[None, :], sigma**2, "dual"
     else:
-        fac = incomplete_svd(w, k=min(w.shape))
-        right, sigma, notes = _usable(fac.right, fac.singular, SINGULAR_RTOL, p)
+        pair = symmetric_eig(w @ w.T)
+        p, notes = select_components(pair.values, pair.values.size, p)
+        basis, eigvals, route = pair.vectors[:, :p].copy(), pair.values[:p].copy(), "dense"
     return RdaModel(
-        basis=(w @ right) / sigma[None, :],
-        eigvals=sigma**2,
+        basis=basis,
+        eigvals=eigvals,
         mean=mean,
-        config=RoweisConfig(r1=r1, p=sigma.size, label_kernel=label_kernel),
+        config=RoweisConfig(r1=r1, p=eigvals.size, label_kernel=label_kernel),
         notes=notes,
-        route="dual",
+        route=route,
     )

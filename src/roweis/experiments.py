@@ -126,8 +126,9 @@ def embedding_panels(
 ) -> list[Panel]:
     """Two-dimensional kernel embeddings over the mixing-factor grid.
 
-    At r2 = 1 the usable dimensionality drops to one (class count minus one
-    for two classes), so those panels carry a single embedding row.
+    Both datasets have two classes. At r2 = 1 the rank cap is one (class
+    count minus one), and at r1 = 1 the objective has rank one, so those
+    panels carry a single embedding row.
     """
     if dataset_name == "xor":
         ds = datasets.gen_xor(n, seed)

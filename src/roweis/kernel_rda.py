@@ -22,11 +22,14 @@ Two routes into the feature space:
   Any other label kernel, such as the RBF over real targets, is built as a
   dense n x n matrix and factored through its eigendecomposition.
 
+Every fit keeps the components :func:`roweis.rda.select_components` allows
+on its eigenvalues (sigma^2 for the trick fits), as the primal and dual fits
+do. The direct fit's rank cap is min(n, c) - 1 at r2 = 1 and n - 1
+otherwise; the trick fits have none beyond the order of their core. So at
+r1 = 1 with two classes, where M has rank one, the direct fit returns one
+component: the directions of M's null space are set by round-off alone.
 The direct method still builds the dense P = r1 K_y + (1 - r1) I, also for
-class labels. At r1 = 1 with two classes M has rank one, and a second
-requested component lies in the null space of M, where round-off alone sets
-its direction. A factored M moves that component by O(1) against the dense
-one, so the rewrite waits for the feature-map form of the direct method.
+class labels.
 
 One training set is fitted at many (r1, r2) by :func:`fit_direct_grid`;
 :func:`fit_direct` is its one-config case. The input check, the data and
@@ -61,22 +64,17 @@ import numpy as np
 
 from . import kernels, scatter
 from ._util import as_features, as_square, sym
-from .exceptions import ConfigError, NumericalError
+from .exceptions import ConfigError
 from .dual import leading_directions
 from .linalg import factor_constraint, generalized_eig
 from .rda import (
     RoweisConfig,
     _fit_inputs,
     _resolved_label_kernel,
-    _select_dimension,
     blend_label_kernel,
-    count_valid,
     label_factor,
+    select_components,
 )
-
-# Trick-variant directions with singular value below this fraction of the
-# largest are numerically meaningless (the projection divides by sigma).
-TRICK_SINGULAR_RTOL = 1e-6
 
 # New points embedded at a time by project; keep it a multiple of 64. BLAS
 # picks its kernel by the product's shape, so a block's columns can differ
@@ -224,11 +222,8 @@ def fit_direct_grid(x, labels, configs, kernel: kernels.KernelSpec) -> list[Kern
             # Handed over with no reference kept here, so the solver frees M
             # after its first product.
             pair = generalized_eig(m_mat.pop(), factor)
-            valid = count_valid(pair.values)
-            if valid == 0:
-                raise NumericalError("no positive eigenvalues; the kernel carries no usable variance")
             cap = min(n, part.n_classes) - 1 if r2 == 1.0 else n - 1
-            p, notes = _select_dimension(pair.values, valid, cap, config)
+            p, notes = select_components(pair.values, cap, config.p)
             models[i] = KernelRdaModel(
                 variant="direct",
                 coeffs=pair.vectors[:, :p].copy(),
@@ -239,7 +234,7 @@ def fit_direct_grid(x, labels, configs, kernel: kernels.KernelSpec) -> list[Kern
                 r2=config.r2,
                 label_kernel=resolved_label,
                 shift=pair.shift,
-                notes=tuple(notes),
+                notes=notes,
             )
             del pair  # its n x n vectors, before the next config's work
         del factor
@@ -266,9 +261,9 @@ def _fit_trick(x, labels, r1: float, kernel, label_kernel, p) -> KernelRdaModel:
     """The kernel-trick fit at (r1, 0): kernel PCA without labels (r1 = 0),
     kernel SPCA with them (r1 = 1).
 
-    Solves the core Upsilon' Kc Upsilon (see the module docstring) with the
-    TRICK_SINGULAR_RTOL cut. The training embedding is sigma * V'; new points
-    go through the train-vs-new kernel centered with training statistics.
+    Solves the core Upsilon' Kc Upsilon (see the module docstring). The
+    training embedding is sigma * V'; new points go through the
+    train-vs-new kernel centered with training statistics.
     """
     x, labels = _fit_inputs(x, labels, r1, 0.0)
     kernel = kernels.resolve_gamma(kernel, x)
@@ -278,7 +273,7 @@ def _fit_trick(x, labels, r1: float, kernel, label_kernel, p) -> KernelRdaModel:
         label_kernel = _resolved_label_kernel(label_kernel, labels)
         upsilon = label_factor(label_kernel, labels)
         gram = sym(upsilon.T @ gram @ upsilon)
-    right, sigma, notes = leading_directions(gram, TRICK_SINGULAR_RTOL, p)
+    right, sigma, notes = leading_directions(gram, p)
     return KernelRdaModel(
         variant="trick_pca" if upsilon is None else "trick_spca",
         coeffs=(right if upsilon is None else upsilon @ right) / sigma[None, :],

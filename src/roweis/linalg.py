@@ -1,4 +1,4 @@
-"""Dense symmetric eigensolvers, PSD factorization, and truncated SVD.
+"""Dense symmetric eigensolvers and PSD factorization.
 
 This is the numerical substrate for every other module. All inputs are plain
 float64 numpy arrays. Eigenpairs come back sorted by non-increasing
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_matrix, as_square, sym
+from ._util import as_square, sym
 from .exceptions import ConfigError, NumericalError
 
 # Absolute tolerance for accepting a matrix as symmetric.
@@ -115,15 +115,6 @@ class EigPair:
     vectors: np.ndarray
     values: np.ndarray
     shift: float = 0.0
-
-
-@dataclass(frozen=True)
-class SvdFactor:
-    """Truncated singular value decomposition ``W ~ left @ diag(singular) @ right.T``."""
-
-    left: np.ndarray
-    singular: np.ndarray
-    right: np.ndarray
 
 
 @contextlib.contextmanager
@@ -342,19 +333,3 @@ def psd_factor(s) -> np.ndarray:
     if values.size and values[-1] > 0.0:
         values[values < EIG_NOISE_RTOL * values[-1]] = 0.0
     return (vectors * np.sqrt(values)).T
-
-
-@_numerical("incomplete_svd")
-def incomplete_svd(w, k: int) -> SvdFactor:
-    """Rank-k truncated SVD of a rectangular matrix.
-
-    Exact reconstruction when k >= rank(W).
-    """
-    w = as_matrix(w, "W")
-    limit = min(w.shape)
-    if not 1 <= k <= limit:
-        raise ConfigError(f"k must be in [1, {limit}] for shape {w.shape}, got {k}")
-    left, singular, right_t = np.linalg.svd(w, full_matrices=False)
-    signs = _sign_flips(left[:, :k])  # the right factor's too, so the product is unchanged
-    right = right_t[:k].T.copy() * signs
-    return SvdFactor(left=left[:, :k] * signs, singular=singular[:k].copy(), right=right)

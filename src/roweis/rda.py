@@ -53,6 +53,12 @@ Which matrices the solver sees depends on the shape alone (the model's
   (the bottom of R2's spectrum, since S_W is PSD), the tail holds only
   copies of 1 - r2 and the exact repair changes nothing, so the block is
   kept as it is.
+
+Which components a fit returns is decided by :func:`select_components`
+alone, for all five fit entry points (:func:`fit`,
+:func:`roweis.dual.fit_dual`, and the direct and kernel-trick fits of
+:mod:`roweis.kernel_rda`), each passing its spectrum and its shape's rank
+cap.
 """
 
 from __future__ import annotations
@@ -85,11 +91,12 @@ SPECTRUM_MASS = 0.98
 TIE_RTOL = 1e-10
 
 # How a fit was solved: on the d x d matrices, in the span of the centered
-# data (n < d), or from the small-side factor of R1 (:func:`roweis.dual.fit_dual`).
+# data (n < d), or from the n-side factor of R1 (:func:`roweis.dual.fit_dual`).
 ROUTES = ("dense", "span", "dual")
 
-# Eigenvalues above this fraction of the largest count as valid, and p=None
-# keeps those whose share of the spectrum is at least DEFAULT_AUTO_DIM_RATIO.
+# select_components: eigenvalues above this fraction of the largest count as
+# valid, and p=None keeps those whose share of the spectrum is at least
+# DEFAULT_AUTO_DIM_RATIO.
 DEFAULT_VALID_EIG_THRESHOLD = 1e-9
 DEFAULT_AUTO_DIM_RATIO = 0.01
 
@@ -99,7 +106,7 @@ class RoweisConfig:
     """Fit configuration: mixing factors, target dimension, label kernel, robust.
 
     p=None selects the dimensionality automatically from the eigenvalue
-    ratios (threshold ``DEFAULT_AUTO_DIM_RATIO``). label_kernel=None picks
+    shares (see :func:`select_components`). label_kernel=None picks
     the equality kernel for class labels and an RBF with the
     median-heuristic bandwidth for real-valued targets.
     """
@@ -236,18 +243,6 @@ def robustify(s, complement: Complement | None = None):
     return out, Complement(tail_mean if head <= at else complement.value, count)
 
 
-def choose_dimensionality(eigvals, ratio_threshold: float) -> int:
-    """Number of eigenvalues whose share of the total is at least the threshold."""
-    values = np.asarray(eigvals, dtype=float)
-    if np.any(values < 0):
-        raise ConfigError("eigenvalues must be non-negative")
-    total = float(values.sum())
-    if total <= 0.0:
-        raise NumericalError("spectrum has no positive eigenvalues")
-    p = int(np.count_nonzero(values / total >= ratio_threshold))
-    return max(p, 1)
-
-
 def default_label_kernel(labels) -> kernels.KernelSpec:
     """Equality kernel for class labels, RBF over the targets otherwise."""
     if kernels.is_categorical(labels):
@@ -307,24 +302,32 @@ def _fit_inputs(x, labels, r1: float, r2: float):
     return x, labels
 
 
-def count_valid(values: np.ndarray) -> int:
-    """Eigenvalues above the valid threshold; 0 for an empty or non-positive spectrum."""
+def select_components(values, cap: int, p: int | None) -> tuple[int, tuple]:
+    """(p, notes): how many leading eigenpairs a fit returns, and why fewer
+    than requested.
+
+    This is the one component rule of every fit entry point. ``values`` is
+    the non-increasing spectrum the fit solved (sigma^2 for the dual and
+    kernel-trick fits) and ``cap`` the rank bound of its shape. An
+    eigenvalue is valid when it exceeds DEFAULT_VALID_EIG_THRESHOLD of the
+    largest, and no fit returns more than min(valid, cap) components: past
+    them round-off sets the directions. p=None keeps the eigenvalues whose
+    share of the spectrum is at least DEFAULT_AUTO_DIM_RATIO (at least one);
+    a larger requested p is cut, with a note.
+    """
+    if p is not None and p < 1:
+        raise ConfigError(f"p must be a positive integer, got {p}")
+    values = np.asarray(values, dtype=float)
     if values.size == 0 or values[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(values > DEFAULT_VALID_EIG_THRESHOLD * values[0]))
-
-
-def _select_dimension(values, valid, cap, config) -> tuple[int, list]:
-    notes = []
-    if config.p is not None:
-        p = config.p
-        if p > cap:
-            notes.append(f"requested p={p} exceeds the rank bound {cap}; truncated")
-            p = cap
-    else:
-        usable = max(min(valid, cap), 1)
-        p = min(choose_dimensionality(np.clip(values, 0.0, None), DEFAULT_AUTO_DIM_RATIO), usable)
-    return p, notes
+        raise NumericalError("no positive eigenvalues; the data carry no variance")
+    usable = min(int(np.count_nonzero(values > DEFAULT_VALID_EIG_THRESHOLD * values[0])), cap)
+    if p is None:
+        positive = np.clip(values, 0.0, None)
+        share = positive / float(positive.sum())
+        return min(max(int(np.count_nonzero(share >= DEFAULT_AUTO_DIM_RATIO)), 1), usable), ()
+    if p > usable:
+        return usable, (f"requested p={p} exceeds the {usable} valid components; truncated",)
+    return p, ()
 
 
 def _solve(centered, scatter_data, labels, spec, config, complement=None) -> EigPair:
@@ -380,11 +383,7 @@ def fit(x, labels, config: RoweisConfig) -> RdaModel:
     else:
         pair = _solve(centered, x, labels, resolved_spec, config)
 
-    valid = count_valid(pair.values)
-    if valid == 0:
-        raise NumericalError("no positive eigenvalues; the data carry no variance")
-    cap = min(d, n - 1)
-    p, notes = _select_dimension(pair.values, valid, cap, config)
+    p, notes = select_components(pair.values, min(d, n - 1), config.p)
 
     fitted = dataclasses.replace(config, p=p, label_kernel=resolved_spec or config.label_kernel)
     return RdaModel(
@@ -393,7 +392,7 @@ def fit(x, labels, config: RoweisConfig) -> RdaModel:
         mean=mean,
         config=fitted,
         shift=pair.shift,
-        notes=tuple(notes),
+        notes=notes,
         route=route,
     )
 

@@ -21,15 +21,22 @@
   and ``kernel_constraint_matrix``, which now work in place too.
 * ``fit_dual``, ``fit_kernel_pca`` and ``fit_kernel_spca`` are the dual and
   kernel-trick fits as they were before they shared one small-side solve
-  (``roweis.dual.leading_directions``): the dual's own W'W branch, and the
-  trick fits' ``_leading_directions``, which zeroed no eigensolver noise
-  before the square root. The package must match them bit for bit.
+  (``roweis.dual.leading_directions``) and one component rule
+  (``roweis.rda.select_components``): the dual's own W'W branch and its
+  truncated SVD of W (``incomplete_svd``), the trick fits'
+  ``_leading_directions``, which zeroed no eigensolver noise before the
+  square root, and their own cuts (singular values below 1e-10 and 1e-6 of
+  the largest). The package returns at most their columns, each with their
+  eigenpair bit for bit, except on the dual's former SVD branch (W with at
+  least d columns), now the d x d eigenproblem of W W', which must agree
+  within tolerances.
 * ``project_kernel`` is kernel-model projection as one product over all new
   points, with the training Gram built on every call: the formula the
   blocked ``kernel_rda.project`` is checked against.
 * ``fit_direct`` is the kernel direct fit of one config as it was before
   ``kernel_rda.fit_direct_grid`` shared the per-split work, on the
-  package's ``generalized_eig`` so that only the sharing is compared.
+  package's ``generalized_eig`` and ``select_components`` so that only the
+  sharing is compared.
   ``sweep_rows``, ``regression_benchmark_table`` and ``embedding_panels``
   are the CLI sweep and the experiments as per-config loops over it: every
   grid point validates, resolves its bandwidths, builds its Grams and
@@ -42,12 +49,13 @@ Do not change them to match the package.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from roweis import datasets, evaluate, experiments, kernels, rda
 from roweis._util import as_features, as_matrix, as_square, sym
 from roweis.exceptions import ConfigError, NumericalError
-from roweis.dual import SINGULAR_RTOL
 from roweis.linalg import (
     CONSTRAINT_COND_MAX,
     EIG_NOISE_RTOL,
@@ -59,11 +67,11 @@ from roweis.linalg import (
     _fix_signs,
     _numerical,
     _shift_unit,
-    incomplete_svd,
+    _sign_flips,
 )
 from roweis.linalg import generalized_eig as package_generalized_eig
-from roweis.kernel_rda import TRICK_SINGULAR_RTOL, KernelRdaModel
-from roweis.rda import _fit_inputs, _resolved_label_kernel, _select_dimension, count_valid, label_factor
+from roweis.kernel_rda import KernelRdaModel
+from roweis.rda import _fit_inputs, _resolved_label_kernel, label_factor, select_components
 from roweis.scatter import ClassPartition, _check_partition
 
 
@@ -280,6 +288,37 @@ def project_kernel(model, x_any) -> np.ndarray:
 
 # ---------------------------------------------------------------- small-side fits
 
+# The dual's cut: singular values below this fraction of the largest.
+SINGULAR_RTOL = 1e-10
+# The trick fits' cut, coarser because embedding a new point divides by sigma.
+TRICK_SINGULAR_RTOL = 1e-6
+
+
+@dataclass(frozen=True)
+class SvdFactor:
+    """Truncated singular value decomposition ``W ~ left @ diag(singular) @ right.T``."""
+
+    left: np.ndarray
+    singular: np.ndarray
+    right: np.ndarray
+
+
+@_numerical("incomplete_svd")
+def incomplete_svd(w, k: int) -> SvdFactor:
+    """Rank-k truncated SVD of a rectangular matrix.
+
+    Exact reconstruction when k >= rank(W).
+    """
+    w = as_matrix(w, "W")
+    limit = min(w.shape)
+    if not 1 <= k <= limit:
+        raise ConfigError(f"k must be in [1, {limit}] for shape {w.shape}, got {k}")
+    left, singular, right_t = np.linalg.svd(w, full_matrices=False)
+    signs = _sign_flips(left[:, :k])  # the right factor's too, so the product is unchanged
+    right = right_t[:k].T.copy() * signs
+    return SvdFactor(left=left[:, :k] * signs, singular=singular[:k].copy(), right=right)
+
+
 def _first_usable(p, usable: int) -> tuple[int, tuple]:
     if p is None:
         return usable, ()
@@ -387,11 +426,8 @@ def fit_direct(x, labels, config, kernel) -> KernelRdaModel:
         l_mat = k_x
 
     pair = package_generalized_eig(m_mat, l_mat)
-    valid = count_valid(pair.values)
-    if valid == 0:
-        raise NumericalError("no positive eigenvalues; the kernel carries no usable variance")
     cap = min(n, n_classes) - 1 if r2 == 1.0 else n - 1
-    p, notes = _select_dimension(pair.values, valid, cap, config)
+    p, notes = select_components(pair.values, cap, config.p)
     return KernelRdaModel(
         variant="direct",
         coeffs=pair.vectors[:, :p].copy(),

@@ -11,7 +11,7 @@ import pytest
 import roweis
 from roweis import kernels, persist, rda
 from roweis.cli import main
-from roweis.datasets import gen_rings, load_csv, train_test_split
+from roweis.datasets import gen_rings, load_csv, save_csv, train_test_split
 from roweis.evaluate import knn_classify
 from roweis.kernel_rda import fit_direct
 from roweis.kernel_rda import project as project_kernel
@@ -318,19 +318,29 @@ class TestTransformReconstruct:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_dual_fit_is_saved_in_the_primal_layout(self, tmp_path, xor_csv):
+    @pytest.mark.parametrize("shape, route", [("xor", "dense"), ("wide", "dual")])
+    def test_dual_fit_is_saved_in_the_primal_layout(self, tmp_path, xor_csv, shape, route):
+        # XOR (d = 2) has fewer features than W has columns, so the fit is
+        # the d x d solve; 30 features and 10 samples take the n-side route.
+        data = xor_csv
+        if shape == "wide":
+            data = tmp_path / "wide.csv"
+            rng = np.random.default_rng(3)
+            save_csv(data, rng.standard_normal((30, 10)), np.arange(10) % 2)
         model_path = tmp_path / "dual.txt"
-        assert run("fit", "--data", xor_csv, "--label-col", "label", "--variant", "dual",
-                   "--r1", 0.5, "--out", model_path) == 0
+        assert run("fit", "--data", data, "--label-col", "label", "--variant", "dual",
+                   "--r1", 0.5, "--p", 12, "--out", model_path) == 0
         lines = model_path.read_text().splitlines()
-        assert 'variant: "primal"' in lines and 'route: "dual"' in lines
+        assert 'variant: "primal"' in lines and f'route: "{route}"' in lines
         assert not any(line.startswith(("array factor", "array sigma")) for line in lines)
         rec_path = tmp_path / "rec.csv"
-        assert run("reconstruct", "--model", model_path, "--data", xor_csv,
+        assert run("reconstruct", "--model", model_path, "--data", data,
                    "--label-col", "label", "--out", rec_path) == 0
-        x, _, _ = load_csv(xor_csv, label_col="label")
+        x, _, _ = load_csv(data, label_col="label")
         got, _, _ = load_csv(rec_path)
-        np.testing.assert_allclose(got, x, atol=1e-9)  # p = d, lossless
+        # Every valid component is kept (d on XOR, n - 1 on the wide data),
+        # so the training points reconstruct losslessly.
+        np.testing.assert_allclose(got, x, atol=1e-9)
 
     def test_reconstruct_refuses_kernel_models(self, tmp_path, xor_csv, capsys):
         model_path = tmp_path / "kernel.txt"

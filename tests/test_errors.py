@@ -17,7 +17,7 @@ from roweis.exceptions import ConfigError, DataError, NumericalError
 from roweis.experiments import embedding_panels
 from roweis.kernel_rda import fit_direct, fit_kernel_pca, fit_kernel_spca
 from roweis.kernel_rda import project as project_kernel
-from roweis.linalg import incomplete_svd
+from roweis.linalg import symmetric_eig
 from roweis.rda import RoweisConfig, fit, project, reconstruct
 
 KERNEL = kernels.KernelSpec("rbf", gamma=0.5)
@@ -131,16 +131,26 @@ def test_the_fault_free_call_fits(entry, d, rng):
     assert FITS[entry](*_call(rng, d)).n_components == 1
 
 
+@pytest.mark.parametrize("p", [0, -1])
+@pytest.mark.parametrize("d", [3, 30], ids=["n>d", "n<d"])
+@pytest.mark.parametrize("entry", sorted(FITS))
+def test_p_below_one_is_a_config_error(entry, d, p, rng):
+    with pytest.raises(ConfigError, match="p must be a positive integer"):
+        FITS[entry](*_call(rng, d, p=p))
+
+
 def test_unsupervised_dual_checks_the_labels_it_is_given(rng):
     with pytest.raises(ConfigError, match="labels must have length n=10"):
         fit_dual(rng.standard_normal((3, 10)), np.arange(9) % 2, 0.0)
 
 
-def test_linalg_error_becomes_numerical_error():
-    w = np.ones((4, 3))
-    w[0, 0] = np.nan
-    with pytest.raises(NumericalError, match="did not converge"):
-        incomplete_svd(w, 2)
+def test_linalg_error_becomes_numerical_error(monkeypatch):
+    def not_converging(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", not_converging)
+    with pytest.raises(NumericalError, match="symmetric_eig: Eigenvalues did not converge"):
+        symmetric_eig(np.eye(3))
 
 
 def test_unknown_panel_dataset_is_a_config_error():

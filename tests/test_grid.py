@@ -42,7 +42,8 @@ def assert_same_model(got, want):
 
 class TestFitDirectGrid:
     def test_edge_cases_match_the_per_config_oracle(self):
-        # r1 = 1 with two classes at p = 2 (a component set by round-off),
+        # r1 = 1 with two classes at p = 2 (the second component would be set
+        # by round-off, so only the valid one is returned, with a note),
         # r2 = 1 with p above the cap, and r2 not grouped in the config order.
         ds = datasets.gen_rings(60, 3)
         configs = [
@@ -52,6 +53,9 @@ class TestFitDirectGrid:
         kernel = kernels.KernelSpec("rbf")
         models = fit_direct_grid(ds.X, ds.y, configs, kernel)
         assert models[1].n_components == 1 and models[1].notes
+        for model in (models[0], models[3]):
+            assert model.n_components == 1
+            assert model.notes == ("requested p=2 exceeds the 1 valid components; truncated",)
         for config, model in zip(configs, models):
             assert_same_model(model, oracle.fit_direct(ds.X, ds.y, config, kernel))
             assert_same_model(model, fit_direct(ds.X, ds.y, config, kernel))

@@ -13,7 +13,6 @@ from roweis.linalg import (
     _shift_unit,
     factor_constraint,
     generalized_eig,
-    incomplete_svd,
     psd_factor,
     symmetric_eig,
 )
@@ -180,32 +179,34 @@ class TestPsdFactor:
 
 
 class TestIncompleteSvd:
+    """The oracle's truncated SVD, which the dual's d x d route is checked against."""
+
     def test_identity(self):
-        fac = incomplete_svd(np.eye(3), 3)
+        fac = oracle.incomplete_svd(np.eye(3), 3)
         np.testing.assert_allclose(fac.singular, [1.0, 1.0, 1.0])
 
     def test_rank_one(self, rng):
         a = rng.standard_normal(4)
         b = rng.standard_normal(6)
-        fac = incomplete_svd(np.outer(a, b), 1)
+        fac = oracle.incomplete_svd(np.outer(a, b), 1)
         np.testing.assert_allclose(fac.singular, [np.linalg.norm(a) * np.linalg.norm(b)], rtol=1e-12)
 
     def test_round_trip(self, rng):
         w = rng.standard_normal((4, 6))
-        fac = incomplete_svd(w, 4)
+        fac = oracle.incomplete_svd(w, 4)
         rebuilt = fac.left @ np.diag(fac.singular) @ fac.right.T
         assert np.linalg.norm(rebuilt - w, "fro") <= 1e-8 * np.linalg.norm(w, "fro")
 
     def test_orthonormal_factors(self, rng):
-        fac = incomplete_svd(rng.standard_normal((5, 7)), 3)
+        fac = oracle.incomplete_svd(rng.standard_normal((5, 7)), 3)
         np.testing.assert_allclose(fac.left.T @ fac.left, np.eye(3), atol=1e-8)
         np.testing.assert_allclose(fac.right.T @ fac.right, np.eye(3), atol=1e-8)
 
     def test_k_out_of_range(self):
         with pytest.raises(ConfigError):
-            incomplete_svd(np.eye(3), 4)
+            oracle.incomplete_svd(np.eye(3), 4)
         with pytest.raises(ConfigError):
-            incomplete_svd(np.eye(3), 0)
+            oracle.incomplete_svd(np.eye(3), 0)
 
 
 class TestShiftUnit:

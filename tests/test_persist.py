@@ -12,6 +12,7 @@ from roweis.kernel_rda import project as project_kernel
 from roweis.persist import FORMAT_TAG, load_model, save_model
 from roweis.rda import RdaModel, RoweisConfig, fit, project, reconstruct
 
+import oracle
 from conftest import labeled_blobs
 
 
@@ -182,6 +183,49 @@ class TestDualLayout:
             "4.125184559007413 2.1275199458579057 1.1968664078608795"))
         with pytest.raises(DataError, match="disagree in shape"):
             load_model(path)
+
+
+class TestComponentsBelowTheCut:
+    """Files written before the one component rule may hold components it no
+    longer returns (eigenvalues at or below 1e-9 of the largest). They load
+    as written, nothing is re-selected, and they embed bit for bit as the
+    model that was saved."""
+
+    @staticmethod
+    def assert_kept(model, tmp_path, probe, embed):
+        assert model.eigvals[-1] <= 1e-9 * model.eigvals[0]
+        path = tmp_path / "m.txt"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.n_components == model.n_components
+        assert loaded.eigvals.tobytes() == model.eigvals.tobytes()
+        assert embed(loaded, probe).tobytes() == embed(model, probe).tobytes()
+
+    def test_dual(self, tmp_path, rng):
+        # Centered data with singular values 1, 1e-2 and 1e-6 (eigenvalues
+        # down to 1e-12 of the largest) and d > n: the route of the W'W solve.
+        left = np.linalg.qr(rng.standard_normal((12, 3)))[0]
+        right = np.linalg.qr(np.hstack([np.ones((6, 1)), rng.standard_normal((6, 3))]))[0][:, 1:]
+        x = (left * [1.0, 1e-2, 1e-6]) @ right.T + 5.0
+        model = oracle.fit_dual(x)
+        assert model.n_components == 3 and fit_dual(x, p=3).n_components == 2
+        self.assert_kept(model, tmp_path, rng.standard_normal((12, 4)), project)
+        self.assert_kept(model, tmp_path, rng.standard_normal((12, 4)), reconstruct)
+
+    @pytest.mark.parametrize("spca", [False, True], ids=["kernel-pca", "kernel-spca"])
+    def test_trick(self, tmp_path, rng, spca):
+        # A wide RBF kernel on 2-d points: its spectrum decays below 1e-9 of
+        # the largest before the old 1e-6 cut on sigma.
+        x = rng.standard_normal((2, 30))
+        kern = kernels.KernelSpec("rbf", gamma=0.05)
+        if spca:
+            targets = x[0] + 0.1 * rng.standard_normal(30)
+            model = oracle.fit_kernel_spca(x, targets, kern)
+            assert fit_kernel_spca(x, targets, kern, p=30).n_components < model.n_components
+        else:
+            model = oracle.fit_kernel_pca(x, kern)
+            assert fit_kernel_pca(x, kern, p=30).n_components < model.n_components
+        self.assert_kept(model, tmp_path, rng.standard_normal((2, 7)), project_kernel)
 
 
 def _primal_file(tmp_path, data, replace):

@@ -8,12 +8,12 @@ from roweis.rda import (
     RdaModel,
     RoweisConfig,
     blend_label_kernel,
-    choose_dimensionality,
     constraint_matrix,
     fit,
     project,
     reconstruct,
     robustify,
+    select_components,
     supervision_level,
 )
 from roweis.scatter import ClassPartition, within_scatter
@@ -161,19 +161,41 @@ class TestSupervisionLevel:
             supervision_level(-0.1, 0.0)
 
 
-class TestChooseDimensionality:
-    def test_ratio_example(self):
-        assert choose_dimensionality([9.0, 1.0, 0.0, 0.0], 0.05) == 2
+class TestSelectComponents:
+    def test_share_rule_for_p_none(self):
+        # Shares 0.9, 0.095 and 0.005: the 1% rule keeps two.
+        assert select_components([90.0, 9.5, 0.5, 0.0], 4, None) == (2, ())
 
     def test_single_eigenvalue(self):
-        assert choose_dimensionality([3.0], 0.5) == 1
+        assert select_components([3.0], 1, None) == (1, ())
 
     def test_uniform_spectrum(self):
-        assert choose_dimensionality([1.0, 1.0, 1.0, 1.0], 0.25) == 4
+        assert select_components([1.0, 1.0, 1.0, 1.0], 4, None) == (4, ())
 
     def test_all_zero_rejected(self):
         with pytest.raises(NumericalError):
-            choose_dimensionality([0.0, 0.0], 0.1)
+            select_components([0.0, 0.0], 2, None)
+        with pytest.raises(NumericalError):
+            select_components([], 0, 1)
+
+    def test_requested_p_is_kept_up_to_the_valid_count(self):
+        values = [4.0, 2.0, 1.0, 1e-10, -1e-14]
+        assert select_components(values, 5, 2) == (2, ())
+        assert select_components(values, 5, 3) == (3, ())
+        # 1e-10 of the largest is not valid: round-off sets its direction.
+        assert select_components(values, 5, 4) == (3, ("requested p=4 exceeds the 3 valid components; truncated",))
+
+    def test_cap_bounds_the_valid_count(self):
+        assert select_components([4.0, 2.0, 1.0], 2, None) == (2, ())
+        assert select_components([4.0, 2.0, 1.0], 2, 3) == (2, ("requested p=3 exceeds the 2 valid components; truncated",))
+
+    def test_negative_eigenvalues_have_no_share(self):
+        assert select_components([1.0, 0.5, -0.5], 3, None) == (2, ())
+
+    @pytest.mark.parametrize("p", [0, -2])
+    def test_p_below_one_rejected(self, p):
+        with pytest.raises(ConfigError, match="positive integer"):
+            select_components([1.0], 1, p)
 
 
 class TestFit:

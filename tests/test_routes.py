@@ -152,9 +152,13 @@ class TestDegenerateData:
         x[:, N // 2:] = x[:, : N // 2]
         config = RoweisConfig(r1=r1, r2=r2, p=N + 3)
         model = assert_matches_dense(x, labels, config)
-        # The note the dense route writes for the same cap min(d, n - 1).
-        assert model.notes == (f"requested p={N + 3} exceeds the rank bound {N - 1}; truncated",)
-        assert model.n_components == N - 1
+        # The valid count of the dense spectrum, below the cap min(d, n - 1)
+        # here; the columns past it would be set by round-off.
+        values = dense_problem(x, labels, config)[1].values
+        valid = int(np.count_nonzero(values > 1e-9 * values[0]))
+        assert valid < N - 1
+        assert model.notes == (f"requested p={N + 3} exceeds the {valid} valid components; truncated",)
+        assert model.n_components == valid
 
 
 def test_robust_cut_inside_the_tied_block_stays_on_the_span_route():
