@@ -6,41 +6,42 @@ Two routes into the feature space:
   the pulled training points, phi(u) = Phi(X) theta, which turns the primal
   problem into the n x n generalized eigenproblem (M, L) with
 
-      M = K_x (H P H) K_x,
+      M = K_x (H P H) K_x = (K_x H) P (K_x H)',
       L = r2 * N + (1 - r2) * K_x,      N = sum_j K_j H_j K_j',
 
   where K_j collects the Gram columns of class j and H_j centers within the
   class: N is :func:`roweis.scatter.within_scatter` with K_x's rows as the
-  samples' features. This works for every (r1, r2). Embeddings are Theta' K.
+  samples' features. M is :func:`roweis.rda.objective` with K_x H as the
+  centered data, so class labels need no n x n P. This works for every
+  (r1, r2). Embeddings are Theta' K.
 
-* The kernel-trick method rides the dual factorization and exists for the
-  two corners r1 = 0 (kernel PCA) and r1 = 1 (kernel SPCA) of the r2 = 0
-  edge, where the data appear only through inner products. Both solve the
-  core Upsilon' Kc Upsilon with :func:`roweis.dual.leading_directions`: kernel
-  PCA takes Upsilon = I, kernel SPCA factors K_y = Upsilon Upsilon'. For class
-  labels Upsilon is the n x c class-indicator matrix, so the core is c x c.
-  Any other label kernel, such as the RBF over real targets, is built as a
-  dense n x n matrix and factored through its eigendecomposition.
+* The kernel-trick method exists for the two corners r1 = 0 (kernel PCA) and
+  r1 = 1 (kernel SPCA) of the r2 = 0 edge, where the data appear only
+  through inner products. Both solve the core Upsilon' Kc Upsilon with
+  :func:`leading_directions`: kernel PCA takes Upsilon = I, kernel SPCA
+  factors K_y = Upsilon Upsilon'. For class labels Upsilon is the n x c
+  class-indicator matrix, so the core is c x c. Any other label kernel, such
+  as the RBF over real targets, is built as a dense n x n matrix and factored
+  through its eigendecomposition.
 
 Every fit keeps the components :func:`roweis.rda.select_components` allows
-on its eigenvalues (sigma^2 for the trick fits), as the primal and dual fits
-do. The direct fit's rank cap is min(n, c) - 1 at r2 = 1 and n - 1
-otherwise; the trick fits have none beyond the order of their core. So at
-r1 = 1 with two classes, where M has rank one, the direct fit returns one
-component: the directions of M's null space are set by round-off alone.
-The direct method still builds the dense P = r1 K_y + (1 - r1) I, also for
-class labels.
+on its eigenvalues (sigma^2 for the trick fits), as the primal fit does. The
+direct fit's rank cap is min(n, c) - 1 at r2 = 1 and n - 1 otherwise; the
+trick fits have none beyond the order of their core. So at r1 = 1 with two
+classes, where M has rank one, the direct fit returns one component: the
+directions of M's null space are set by round-off alone.
 
 One training set is fitted at many (r1, r2) by :func:`fit_direct_grid`;
 :func:`fit_direct` is its one-config case. The input check, the data and
 label bandwidths, K_x and N are done once per training set. L depends only on
-r2, so the configs are solved grouped by it: each
-distinct L is built, factored once (:func:`roweis.linalg.factor_constraint`)
-and dropped, and every M of the group is solved against that factor. One
-factor and one M are held at a time; M goes to the solver with no reference
-kept, which frees it after the first product, and N and K_x are
-dropped once no L or M needs them. Every step runs the per-config functions
-on the same inputs, so each model equals a lone fit bit for bit.
+r2, so the configs are solved grouped by it: each distinct L is built,
+factored once (:func:`roweis.linalg.factor_constraint`) and dropped, and
+every M of the group is solved against that factor. One factor and one M
+are held at a time. K_x H and M are handed over with no reference kept, so
+each is freed after its last product; N and K_x are dropped once no L or M
+needs them, and the last config centers K_x in place. Every step runs the
+per-config functions on the same inputs, so each model equals a lone fit
+bit for bit.
 
 Embeddings of new points use the kernel between the retained training matrix
 and the new points; the trick variants center that kernel with training
@@ -65,14 +66,13 @@ import numpy as np
 from . import kernels, scatter
 from ._util import as_features, as_square, sym
 from .exceptions import ConfigError
-from .dual import leading_directions
-from .linalg import factor_constraint, generalized_eig
+from .linalg import factor_constraint, generalized_eig, symmetric_eig
 from .rda import (
     RoweisConfig,
     _fit_inputs,
     _resolved_label_kernel,
-    blend_label_kernel,
     label_factor,
+    objective,
     select_components,
 )
 
@@ -124,21 +124,6 @@ class KernelRdaModel:
         return k_train.mean(axis=1, keepdims=True), k_train.mean()
 
 
-def kernel_objective_matrix(k_x, p) -> np.ndarray:
-    """M = K_x (H P H) K_x; the feature-space objective in coefficient space."""
-    k_x = as_square(k_x, "K_x")
-    p = as_square(p, "P")
-    if p.shape != k_x.shape:
-        raise ConfigError(f"shape mismatch: K_x is {k_x.shape}, P is {p.shape}")
-    # Each n x n intermediate is dropped once the next exists (P here only
-    # when the caller kept no reference to it).
-    m_mat = kernels.double_center(p)
-    del p
-    m_mat = k_x @ m_mat
-    m_mat = m_mat @ k_x
-    return sym(m_mat)
-
-
 def kernel_constraint_matrix(n_mat, k_x, r2: float) -> np.ndarray:
     """L = r2 * N + (1 - r2) * K_x."""
     n_mat = as_square(n_mat, "N")
@@ -162,13 +147,6 @@ def fit_direct(x, labels, config: RoweisConfig, kernel: kernels.KernelSpec) -> K
     The one-config case of :func:`fit_direct_grid`.
     """
     return fit_direct_grid(x, labels, [config], kernel)[0]
-
-
-def _label_side(spec: kernels.KernelSpec | None, labels, r1: float, n: int) -> np.ndarray:
-    """P = r1 K_y + (1 - r1) I, or I at r1 = 0."""
-    if r1 == 0:
-        return np.eye(n)
-    return blend_label_kernel(kernels.label_gram(spec, labels, labels), r1)
 
 
 def fit_direct_grid(x, labels, configs, kernel: kernels.KernelSpec) -> list[KernelRdaModel]:
@@ -215,12 +193,15 @@ def fit_direct_grid(x, labels, configs, kernel: kernels.KernelSpec) -> list[Kern
                 if config.label_kernel not in label_specs:
                     label_specs[config.label_kernel] = _resolved_label_kernel(config.label_kernel, labels)
                 resolved_label = label_specs[config.label_kernel]
-            m_mat = [kernel_objective_matrix(k_x, _label_side(resolved_label, labels, config.r1, n))]
             left -= 1
-            if not left:
-                k_x = None
-            # Handed over with no reference kept here, so the solver frees M
-            # after its first product.
+            if left:
+                centered = [k_x - k_x.mean(axis=1, keepdims=True)]
+            else:  # the last config: center K_x in place
+                k_x -= k_x.mean(axis=1, keepdims=True)
+                centered, k_x = [k_x], None
+            # No reference to K_x H or M is kept here, so objective frees the
+            # one and the solver the other after their last product.
+            m_mat = [objective(centered.pop(), labels, resolved_label, config.r1)]
             pair = generalized_eig(m_mat.pop(), factor)
             cap = min(n, part.n_classes) - 1 if r2 == 1.0 else n - 1
             p, notes = select_components(pair.values, cap, config.p)
@@ -255,6 +236,16 @@ def fit_kernel_spca(
 ) -> KernelRdaModel:
     """Kernel-trick fit of the (1, 0) corner: the labeled case of :func:`_fit_trick`."""
     return _fit_trick(x, labels, 1.0, kernel_x, kernel_y, p)
+
+
+def leading_directions(gram, p: int | None) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(V, sigma, notes) of the leading directions of a factor W, from its
+    Gram matrix W'W = V diag(sigma^2) V'; :func:`roweis.rda.select_components`
+    picks them on sigma^2, with no rank cap beyond the Gram's order."""
+    pair = symmetric_eig(gram)
+    sigma = np.sqrt(np.clip(pair.values, 0.0, None))
+    p, notes = select_components(sigma**2, sigma.size, p)
+    return pair.vectors[:, :p], sigma[:p], notes
 
 
 def _fit_trick(x, labels, r1: float, kernel, label_kernel, p) -> KernelRdaModel:

@@ -20,6 +20,12 @@ from .exceptions import ConfigError
 
 FAMILIES = ("linear", "rbf", "polynomial", "delta")
 
+# median_heuristic_gamma recomputes, NEAR_BLOCK pairs at a time, the squared
+# distances within NEAR_RTOL * 2 max |a|^2, the expansion's round-off: equal
+# columns measured up to 13 eps (|a|^2 + |b|^2) at d <= 3000.
+NEAR_RTOL = 64 * np.finfo(float).eps
+NEAR_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -79,15 +85,24 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def median_heuristic_gamma(x) -> float:
     """gamma = 1 / (2 * median^2) over pairwise distances of the columns of x.
 
-    Falls back to 1.0 when no strictly positive distance exists.
+    Falls back to 1.0 when no strictly positive distance exists. Equal
+    columns get exactly 0 wherever they sit, so they never enter the median:
+    pairs within the expansion's round-off are recomputed from differences.
     """
     x = as_matrix(x, "X")
     n = x.shape[1]
     if n < 2:
         return 1.0
     d2 = squared_distances(x, x)
-    iu = np.triu_indices(n, k=1)
-    dists = np.sqrt(d2[iu])
+    i, j = np.triu_indices(n, k=1)
+    pairs = d2[i, j]
+    del d2
+    near = np.flatnonzero(pairs <= NEAR_RTOL * 2.0 * float(np.max(np.sum(x * x, axis=0))))
+    for start in range(0, near.size, NEAR_BLOCK):
+        block = near[start:start + NEAR_BLOCK]
+        diff = x[:, i[block]] - x[:, j[block]]
+        pairs[block] = np.sum(diff * diff, axis=0)
+    dists = np.sqrt(pairs, out=pairs)
     positive = dists[dists > 0.0]
     if positive.size == 0:
         return 1.0

@@ -11,10 +11,10 @@ holding NaN or inf, arrays that disagree in shape, or a kernel model without
 a kernel it can embed with (a linear, polynomial, or rbf one with its gamma)
 does not load.
 
-A dual fit is an RdaModel with route ``"dual"`` and is saved in the primal
-layout. Files of the earlier ``variant: dual`` layout, which held the factor
-W, its right singular vectors V and the singular values sigma, still load:
-the basis W V / sigma is formed once, at load time.
+Primal files with route ``"dual"`` (older dual fits) still load, as do files
+of the earlier ``variant: dual`` layout, which held the factor W, its right
+singular vectors V and the singular values sigma: the basis W V / sigma is
+formed once, at load time.
 """
 
 from __future__ import annotations

@@ -20,17 +20,12 @@ At r2 = 0 the constraint is I, so a fit that is not robust solves the plain
 eigenproblem of R1 (:func:`~roweis.linalg.symmetric_eig`) with no shift; a
 robust one repairs I and solves the generalized problem like any other.
 
-How the label side is computed depends on the label kernel. For class labels
-(the delta kernel) K_y = E E' exactly, with E the n x c class-indicator
-matrix, so
-
-    R1 = r1 (Xc E)(Xc E)' + (1 - r1) Xc Xc'
-
-costs O(dn + d^2 c) and no n x n array is built; the second term is skipped
-at r1 = 1. Real-valued targets use an RBF label kernel, which has no such
-factor, and go through the dense P of :func:`blend_label_kernel`.
-:func:`label_factor` returns an n x k Upsilon with
-Upsilon Upsilon' = K_y for the dual and kernel-trick fits.
+:func:`objective` builds R1 for every fit, the kernel direct fit's M
+included. For class labels (the delta kernel) K_y = E E' exactly, with E the
+n x c class-indicator matrix, so R1 = (1 - r1) Xc Xc' + r1 (Xc E)(Xc E)'
+costs O(dn + d^2 c) and no n x n array is built. Real-valued targets use an
+RBF label kernel, which has no such factor, and go through the dense P of
+:func:`blend_label_kernel`.
 
 Which matrices the solver sees depends on the shape alone (the model's
 ``route``), for every (r1, r2) and robust or not:
@@ -48,17 +43,14 @@ Which matrices the solver sees depends on the shape alone (the model's
   :class:`~roweis.linalg.Complement`, so the PSD check, the diagonal shift
   (its unit is trace / d), the health test and the robust 98% cut all see
   the full spectrum and come out as on the dense route. This holds for
-  every (r1, r2), not only for the r2 = 0 slice the dual form covers.
+  every (r1, r2); :func:`roweis.dual.fit_dual` is this fit at r2 = 0.
   When the robust 98% cut lands inside the eigenvalues tied with 1 - r2
   (the bottom of R2's spectrum, since S_W is PSD), the tail holds only
   copies of 1 - r2 and the exact repair changes nothing, so the block is
   kept as it is.
 
-Which components a fit returns is decided by :func:`select_components`
-alone, for all five fit entry points (:func:`fit`,
-:func:`roweis.dual.fit_dual`, and the direct and kernel-trick fits of
-:mod:`roweis.kernel_rda`), each passing its spectrum and its shape's rank
-cap.
+Every fit entry point takes its components from :func:`select_components`,
+on its spectrum and its shape's rank cap.
 """
 
 from __future__ import annotations
@@ -90,8 +82,8 @@ SPECTRUM_MASS = 0.98
 # count as tied with it when robustify places its cut.
 TIE_RTOL = 1e-10
 
-# How a fit was solved: on the d x d matrices, in the span of the centered
-# data (n < d), or from the n-side factor of R1 (:func:`roweis.dual.fit_dual`).
+# How a fit was solved: on the d x d matrices, or in the span of the centered
+# data (n < d). "dual" appears only in older model files.
 ROUTES = ("dense", "span", "dual")
 
 # select_components: eigenvalues above this fraction of the largest count as
@@ -256,7 +248,8 @@ def _resolved_label_kernel(spec: kernels.KernelSpec | None, labels) -> kernels.K
 
 
 def label_factor(spec: kernels.KernelSpec, labels) -> np.ndarray:
-    """Upsilon with Upsilon Upsilon' = K_y for a resolved label kernel.
+    """Upsilon with Upsilon Upsilon' = K_y for a resolved label kernel, for
+    the kernel-trick fits.
 
     The delta kernel gives the n x c class-indicator matrix. Any other kernel
     is built densely and factored through an n x n eigendecomposition.
@@ -266,16 +259,30 @@ def label_factor(spec: kernels.KernelSpec, labels) -> np.ndarray:
     return psd_factor(kernels.label_gram(spec, labels, labels)).T
 
 
-def _label_objective(centered: np.ndarray, labels, spec: kernels.KernelSpec, r1: float) -> np.ndarray:
-    """R1 = Xc P Xc' for r1 > 0, from the class-indicator factor when K_y is delta."""
-    if spec.family != "delta":
-        p_mat = blend_label_kernel(kernels.label_gram(spec, labels, labels), r1)
-        return sym(centered @ p_mat @ centered.T)
-    q = centered @ kernels.class_indicator(labels)
-    r1_mat = q @ q.T
-    if r1 < 1.0:
-        r1_mat = r1 * r1_mat + (1.0 - r1) * (centered @ centered.T)
-    return sym(r1_mat)
+def objective(centered: np.ndarray, labels, spec: kernels.KernelSpec | None, r1: float) -> np.ndarray:
+    """R1 = Xc P Xc' for every fit: Xc is the centered data, its span
+    coordinates, or K_x H for the kernel direct fit; ``spec`` is the resolved
+    label kernel (None at r1 = 0). ``centered`` is dropped after its last
+    product, so an array the caller kept no reference to is freed early."""
+    if r1 > 0 and spec.family != "delta":
+        out = centered @ blend_label_kernel(kernels.label_gram(spec, labels, labels), r1)
+        out = out @ centered.T
+        del centered
+        return sym(out)
+    q = centered @ kernels.class_indicator(labels) if r1 > 0 else None
+    out = centered @ centered.T if r1 < 1 else None
+    del centered
+    if q is None:
+        return sym(out)
+    part = q @ q.T
+    if out is None:
+        return sym(part)
+    # In place, and the bits of r1 q q' + (1 - r1) Xc Xc': IEEE addition commutes.
+    out *= 1.0 - r1
+    part *= r1
+    out += part
+    del part
+    return sym(out)
 
 
 def _fit_inputs(x, labels, r1: float, r2: float):
@@ -307,8 +314,8 @@ def select_components(values, cap: int, p: int | None) -> tuple[int, tuple]:
     than requested.
 
     This is the one component rule of every fit entry point. ``values`` is
-    the non-increasing spectrum the fit solved (sigma^2 for the dual and
-    kernel-trick fits) and ``cap`` the rank bound of its shape. An
+    the non-increasing spectrum the fit solved (sigma^2 for the kernel-trick
+    fits) and ``cap`` the rank bound of its shape. An
     eigenvalue is valid when it exceeds DEFAULT_VALID_EIG_THRESHOLD of the
     largest, and no fit returns more than min(valid, cap) components: past
     them round-off sets the directions. p=None keeps the eigenvalues whose
@@ -338,12 +345,8 @@ def _solve(centered, scatter_data, labels, spec, config, complement=None) -> Eig
     data on the dense route, the same coordinates as ``centered`` on the span
     route (S_W does not depend on the mean).
     """
-    r1, r2 = config.r1, config.r2
-    if r1 > 0:
-        r1_mat = _label_objective(centered, labels, spec, r1)
-    else:
-        r1_mat = sym(centered @ centered.T)
-
+    r2 = config.r2
+    r1_mat = objective(centered, labels, spec, config.r1)
     if r2 > 0:
         part = scatter.ClassPartition.from_labels(labels)
         r2_mat = constraint_matrix(scatter.within_scatter(scatter_data, part), r2)

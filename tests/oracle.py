@@ -17,26 +17,29 @@
   separated components and ``U' B' U = I`` within tolerances.
 * ``squared_distances`` and ``gram`` are the kernel builders as they were
   before they worked in place; the package must match them bit for bit. So
-  are ``double_center``, ``blend_label_kernel``, ``kernel_objective_matrix``
-  and ``kernel_constraint_matrix``, which now work in place too.
+  are ``double_center``, ``blend_label_kernel`` and
+  ``kernel_constraint_matrix``, which now work in place too.
 * ``fit_dual``, ``fit_kernel_pca`` and ``fit_kernel_spca`` are the dual and
   kernel-trick fits as they were before they shared one small-side solve
-  (``roweis.dual.leading_directions``) and one component rule
-  (``roweis.rda.select_components``): the dual's own W'W branch and its
-  truncated SVD of W (``incomplete_svd``), the trick fits'
+  (``roweis.kernel_rda.leading_directions``) and one component rule
+  (``roweis.rda.select_components``): the dual's own factor
+  W = [sqrt(r1) Xc Upsilon, sqrt(1 - r1) Xc], its W'W branch (basis W V /
+  sigma) and its truncated SVD of W (``incomplete_svd``), the trick fits'
   ``_leading_directions``, which zeroed no eigensolver noise before the
   square root, and their own cuts (singular values below 1e-10 and 1e-6 of
-  the largest). The package returns at most their columns, each with their
-  eigenpair bit for bit, except on the dual's former SVD branch (W with at
-  least d columns), now the d x d eigenproblem of W W', which must agree
-  within tolerances.
+  the largest). The trick fits return at most their columns, each with
+  their eigenpair bit for bit. The package's dual fit is now ``rda.fit`` at
+  r2 = 0 and must agree with this one within tolerances, on the components
+  the one rule keeps.
 * ``project_kernel`` is kernel-model projection as one product over all new
   points, with the training Gram built on every call: the formula the
   blocked ``kernel_rda.project`` is checked against.
 * ``fit_direct`` is the kernel direct fit of one config as it was before
   ``kernel_rda.fit_direct_grid`` shared the per-split work, on the
-  package's ``generalized_eig`` and ``select_components`` so that only the
-  sharing is compared.
+  package's ``rda.objective``, ``generalized_eig`` and ``select_components``
+  so that only the sharing is compared. ``kernel_objective_matrix`` is the
+  dense M = K_x (H P H) K_x the package built before ``rda.objective`` took
+  over; ``rda.objective`` of K_x H must agree with it within round-off.
   ``sweep_rows``, ``regression_benchmark_table`` and ``embedding_panels``
   are the CLI sweep and the experiments as per-config loops over it: every
   grid point validates, resolves its bandwidths, builds its Grams and
@@ -410,12 +413,8 @@ def fit_direct(x, labels, config, kernel) -> KernelRdaModel:
     kernel = kernels.resolve_gamma(kernel, x)
     k_x = _sym(gram(kernel, x, x))
 
-    if r1 > 0:
-        resolved_label = _resolved_label_kernel(config.label_kernel, labels)
-        p_mat = blend_label_kernel(kernels.label_gram(resolved_label, labels, labels), r1)
-    else:
-        resolved_label, p_mat = None, np.eye(n)
-    m_mat = kernel_objective_matrix(k_x, p_mat)
+    resolved_label = _resolved_label_kernel(config.label_kernel, labels) if r1 > 0 else None
+    m_mat = rda.objective(k_x - k_x.mean(axis=1, keepdims=True), labels, resolved_label, r1)
 
     n_classes = None
     if r2 > 0:

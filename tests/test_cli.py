@@ -318,10 +318,10 @@ class TestTransformReconstruct:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("shape, route", [("xor", "dense"), ("wide", "dual")])
+    @pytest.mark.parametrize("shape, route", [("xor", "dense"), ("wide", "span")])
     def test_dual_fit_is_saved_in_the_primal_layout(self, tmp_path, xor_csv, shape, route):
-        # XOR (d = 2) has fewer features than W has columns, so the fit is
-        # the d x d solve; 30 features and 10 samples take the n-side route.
+        # A dual fit is the primal fit at r2 = 0: XOR (d = 2) takes the d x d
+        # solve, 30 features and 10 samples the span of the centered data.
         data = xor_csv
         if shape == "wide":
             data = tmp_path / "wide.csv"

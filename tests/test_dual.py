@@ -27,10 +27,10 @@ class TestFitDual:
         with pytest.raises(ConfigError):
             fit_dual(rng.standard_normal((3, 8)), None, 0.7)
 
-    @pytest.mark.parametrize("shape, route", [((8, 3), "dual"), ((3, 8), "dense")])
+    @pytest.mark.parametrize("shape, route", [((8, 3), "span"), ((3, 8), "dense")])
     def test_unsupervised_factor_is_centered_data(self, rng, shape, route):
-        # W = Xc: n-side eigenvectors when W has fewer columns than rows,
-        # the d x d eigenproblem of W W' otherwise.
+        # W = Xc: the primal fit's span route when n < d, the d x d
+        # eigenproblem of W W' otherwise.
         x = rng.standard_normal(shape)
         model = fit_dual(x, None, 0.0)
         assert isinstance(model, RdaModel) and model.route == route
@@ -137,9 +137,9 @@ class TestReconstructDual:
 class TestRouteEquivalence:
     def test_small_side_eig_matches_svd(self):
         rng = np.random.default_rng(23)
-        x = rng.standard_normal((30, 8))  # n < d triggers the eigen route
+        x = rng.standard_normal((30, 8))  # n < d takes the span route
         model = fit_dual(x, None, 0.0)
-        assert model.route == "dual" and model.n_components == 7
+        assert model.route == "span" and model.n_components == 7
         w = x - x.mean(axis=1, keepdims=True)
         fac = oracle.incomplete_svd(w, k=min(w.shape))
         keep = slice(0, model.n_components)
@@ -207,12 +207,12 @@ def small_side_data(seed: int, d: int, n: int, shape: str, targets: bool):
 
 
 # Arrays with one entry or column per component.
-COMPONENT_ARRAYS = ("basis", "coeffs", "right_vectors", "eigvals", "sigma")
-# Arrays formed by a matrix product over the kept columns: the dual's
-# W V / sigma and kernel SPCA's Upsilon V / sigma. OpenBLAS takes another
-# kernel for a product with few columns, so with fewer columns kept than the
-# oracle's these may differ from its columns in the last bits.
-PRODUCTS = ("basis", "coeffs")
+COMPONENT_ARRAYS = ("coeffs", "right_vectors", "eigvals", "sigma")
+# Arrays formed by a matrix product over the kept columns: kernel SPCA's
+# Upsilon V / sigma. OpenBLAS takes another kernel for a product with few
+# columns, so with fewer columns kept than the oracle's these may differ
+# from its columns in the last bits.
+PRODUCTS = ("coeffs",)
 
 
 def assert_leading_columns(got, want, p):
@@ -234,8 +234,6 @@ def assert_leading_columns(got, want, p):
                 np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-15 * np.max(np.abs(b)), err_msg=field.name)
             else:
                 assert a.tobytes() == b.tobytes(), field.name
-        elif field.name == "config":
-            assert a == dataclasses.replace(b, p=k)
         else:
             assert a == b, field.name
 
@@ -266,11 +264,33 @@ class TestSharedSmallSideSolve:
     @pytest.mark.parametrize("labels", sorted(LABEL_KERNELS))
     @pytest.mark.parametrize("r1", (0.0, 0.5, 1.0))
     def test_dual_keeps_the_oracles_leading_columns(self, r1, labels, shape):
+        # The dual fit is now rda.fit at r2 = 0 (here on the span route): the
+        # same components as the oracle's W V / sigma, within round-off.
         label_kernel, targets = LABEL_KERNELS[labels]
         x, y = small_side_data(3, 30, 12, shape, targets)
         for p in PS:
             want = oracle.fit_dual(x, y, r1, p=p, label_kernel=label_kernel)
-            assert_leading_columns(fit_dual(x, y, r1, p=p, label_kernel=label_kernel), want, p)
+            got = fit_dual(x, y, r1, p=p, label_kernel=label_kernel)
+            assert got.route in ("span", "dense")
+            k = got.n_components
+            assert (k, got.notes) == select_components(want.eigvals, want.eigvals.size, p)
+            assert got.mean.tobytes() == want.mean.tobytes()
+            assert got.config == dataclasses.replace(want.config, p=k)
+            np.testing.assert_allclose(got.eigvals, want.eigvals[:k], rtol=0.0, atol=1e-12 * want.eigvals[0])
+            want_basis = want.basis[:, :k]
+            np.testing.assert_allclose(got.basis @ got.basis.T, want_basis @ want_basis.T, rtol=0.0, atol=1e-7)
+
+    @pytest.mark.parametrize("d", (3, 30), ids=["d<n", "d>n"])
+    def test_dual_is_the_primal_fit_at_r2_zero(self, d):
+        x, y = small_side_data(4, d, 12, "full rank", False)
+        for r1 in (0.0, 0.5, 1.0):
+            for p in (None, 2):
+                got = fit_dual(x, y, r1, p=p)
+                want = fit(x, y, RoweisConfig(r1, 0.0, p=p))
+                assert got.route == want.route == ("dense" if d < 12 else "span")
+                assert (got.config, got.notes, got.shift) == (want.config, want.notes, want.shift)
+                for name in ("basis", "eigvals", "mean"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("labels", sorted(LABEL_KERNELS))

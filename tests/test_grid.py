@@ -241,9 +241,10 @@ def test_sweep_resolves_the_label_bandwidth_once(tmp_path, counted):
 
 
 def test_grid_memory_does_not_grow_with_the_grid():
-    # Both grids mix r1 and r2 strictly inside (0, 1), so both blend P and
-    # hold K_x, N and one factor while solving; the 21 extra points of the
-    # 5 x 5 grid may add only their outputs (n x 2 coefficients each).
+    # Both grids mix r1 and r2 strictly inside (0, 1), so both blend the
+    # objective's two terms and hold K_x, N and one factor while solving;
+    # the 21 extra points of the 5 x 5 grid may add only their outputs
+    # (n x 2 coefficients each).
     n = 300
     x, labels = labeled_blobs(np.random.default_rng(5), d=2, n=n, c=3)
     kern = kernels.KernelSpec("rbf", gamma=0.5)

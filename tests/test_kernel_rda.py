@@ -3,19 +3,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from roweis import kernels
+from roweis import kernels, rda
 from roweis.dual import fit_dual
 from roweis.exceptions import ConfigError, NumericalError
 from roweis.kernel_rda import (
     PROJECT_BLOCK,
     fit_direct,
+    fit_direct_grid,
     fit_kernel_pca,
     fit_kernel_spca,
     kernel_constraint_matrix,
-    kernel_objective_matrix,
     project,
 )
-from roweis.rda import RoweisConfig, blend_label_kernel, fit
+from roweis.rda import RoweisConfig, blend_label_kernel, fit, objective
 from roweis.rda import project as project_primal
 from roweis.scatter import ClassPartition, within_scatter
 
@@ -36,25 +36,46 @@ def pairwise_distances(emb: np.ndarray) -> np.ndarray:
     return np.sqrt(kernels.squared_distances(emb, emb))
 
 
+def row_centered(k: np.ndarray) -> np.ndarray:
+    """K H: the Gram with its row means taken out, the direct fit's data."""
+    return k - k.mean(axis=1, keepdims=True)
+
+
 class TestKernelObjectiveMatrix:
+    """The direct fit's M = K_x (H P H) K_x is ``rda.objective`` of K_x H."""
+
     def test_identity_mix(self, rng):
         x = rng.standard_normal((2, 6))
         k = kernels.gram(kernels.KernelSpec("linear"), x, x)
         h = centering_matrix(6)
-        np.testing.assert_allclose(kernel_objective_matrix(k, np.eye(6)), k @ h @ k, atol=1e-10)
+        np.testing.assert_allclose(objective(row_centered(k), None, None, 0.0), k @ h @ k, atol=1e-10)
 
     def test_identity_gram(self, rng):
-        p = np.abs(rng.standard_normal((5, 5)))
-        p = 0.5 * (p + p.T)
+        labels = rng.permutation(np.arange(5) % 2)
+        p = 0.4 * kernels.delta_kernel(labels, labels) + 0.6 * np.eye(5)
         h = centering_matrix(5)
-        np.testing.assert_allclose(kernel_objective_matrix(np.eye(5), p), h @ p @ h, atol=1e-12)
+        got = objective(row_centered(np.eye(5)), labels, kernels.KernelSpec("delta"), 0.4)
+        np.testing.assert_allclose(got, h @ p @ h, atol=1e-12)
 
     def test_symmetric(self, rng):
         x, labels = labeled_blobs(rng, d=3, n=10, c=2)
         k = kernels.gram(kernels.KernelSpec("rbf", gamma=0.4), x, x)
-        p = kernels.delta_kernel(labels, labels)
-        m = kernel_objective_matrix(k, p)
+        m = objective(row_centered(k), labels, kernels.KernelSpec("delta"), 1.0)
         assert np.max(np.abs(m - m.T)) <= 1e-10
+
+    @pytest.mark.parametrize("r1", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("label_kernel", [
+        kernels.KernelSpec("delta"), kernels.KernelSpec("rbf", gamma=0.8), kernels.KernelSpec("linear"),
+        kernels.KernelSpec("polynomial", degree=2)], ids=lambda s: s.family)
+    def test_matches_the_dense_objective(self, rng, label_kernel, r1):
+        x, labels = labeled_blobs(rng, d=3, n=40, c=3)
+        if label_kernel.family != "delta":
+            labels = x[0] - 0.5 * x[1]
+        k = kernels.gram(kernels.KernelSpec("rbf", gamma=0.3), x, x)
+        p_mat = blend_label_kernel(kernels.label_gram(label_kernel, labels, labels), r1)
+        want = oracle.kernel_objective_matrix(k, p_mat)
+        got = objective(row_centered(k), labels, label_kernel, r1)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
 
 
 class TestKernelWithinScatter:
@@ -141,7 +162,7 @@ class TestFitDirect:
         model = fit_direct(x, labels, RoweisConfig(0.6, 0.5), kern)
         k = kernels.gram(kern, x, x)
         p_mat = 0.6 * kernels.delta_kernel(labels, labels) + 0.4 * np.eye(14)
-        m_mat = kernel_objective_matrix(k, p_mat)
+        m_mat = oracle.kernel_objective_matrix(k, p_mat)
         n_mat = within_scatter(k, ClassPartition.from_labels(labels))
         l_eff = kernel_constraint_matrix(n_mat, k, 0.5) + model.shift * np.eye(14)
         residual = np.linalg.norm(
@@ -339,6 +360,26 @@ class TestFitDirectMemory:
         peak = traced_peak(lambda: fit_direct(x, labels, RoweisConfig(r1, r2, p=2), kern))
         assert peak <= 10 * n * n * 8
 
+    @pytest.mark.parametrize("r1, r2", [(0.0, 0.0), (0.5, 0.0), (0.0, 1.0), (0.5, 0.5), (1.0, 1.0)])
+    def test_single_config_peak_stays_at_the_gram_sized_arrays_it_needs(self, r1, r2):
+        # K_x, its row-centered copy (in place for the last config), the
+        # constraint factor and M or the solver's arrays: no n x n P, and the
+        # centered copy is freed before the blend.
+        n = 300
+        x, labels = labeled_blobs(np.random.default_rng(3), d=2, n=n, c=3)
+        kern = kernels.KernelSpec("rbf", gamma=0.5)
+        peak = traced_peak(lambda: fit_direct_grid(x, labels, [RoweisConfig(r1, r2, p=2)], kern))
+        assert peak <= 4.3 * n * n * 8
+
+    def test_class_labels_build_no_label_gram(self, rng, monkeypatch):
+        calls = []
+        for module, name in ((kernels, "label_gram"), (rda, "blend_label_kernel")):
+            monkeypatch.setattr(module, name, lambda *a, _name=name: calls.append(_name))
+        x, labels = labeled_blobs(rng, d=2, n=30, c=3)
+        configs = [RoweisConfig(r1, r2, p=2) for r1 in (0.0, 0.5, 1.0) for r2 in (0.0, 0.5)]
+        fit_direct_grid(x, labels, configs, kernels.KernelSpec("rbf", gamma=0.5))
+        assert not calls
+
 
 class TestInPlaceBuilders:
     """The builders that now work in place give the bits of the one-line
@@ -356,8 +397,7 @@ class TestInPlaceBuilders:
         rng = np.random.default_rng(n)
         k, other = self.gram_like(rng, n), self.gram_like(rng, n)
         before = k.tobytes(), other.tobytes()
-        pairs = [(kernels.double_center(k), oracle.double_center(k)),
-                 (kernel_objective_matrix(k, other), oracle.kernel_objective_matrix(k, other))]
+        pairs = [(kernels.double_center(k), oracle.double_center(k))]
         for r in (0.0, 0.3, 1.0):
             pairs.append((blend_label_kernel(k, r), oracle.blend_label_kernel(k, r)))
             pairs.append((kernel_constraint_matrix(other, k, r), oracle.kernel_constraint_matrix(other, k, r)))

@@ -1,0 +1,38 @@
+"""Property: the median-heuristic bandwidth does not depend on sample order.
+
+Two equal samples are at distance exactly 0 wherever they sit, so they never
+enter the median. On centered data, where the expanded distances carry a
+round-off of a few eps relative, permuting the samples may then move gamma by
+round-off only. A duplicated sample whose distance came out as a round-off
+positive, depending on its place in the BLAS product, would add one more
+distance to the median and move gamma by percents.
+
+Runs only where ``hypothesis`` is installed; it is a test extra, not a
+runtime dependency.
+"""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from roweis.kernels import median_heuristic_gamma  # noqa: E402
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(2, 60),
+    n=st.integers(6, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gamma_ignores_the_order_of_duplicated_samples(d, n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((d, n))
+    source, target = rng.choice(n, size=2, replace=False)
+    x[:, target] = x[:, source]
+    x -= x.mean(axis=1, keepdims=True)
+    gamma = median_heuristic_gamma(x)
+    permuted = median_heuristic_gamma(x[:, rng.permutation(n)])
+    assert abs(permuted - gamma) <= 1e-13 * gamma

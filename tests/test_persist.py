@@ -43,12 +43,12 @@ class TestRoundTrips:
         path = tmp_path / "dual.txt"
         save_model(model, path)
         lines = path.read_text().splitlines()
-        assert 'variant: "primal"' in lines and 'route: "dual"' in lines
+        assert 'variant: "primal"' in lines and 'route: "dense"' in lines
         loaded = load_model(path)
         probe = rng.standard_normal((3, 4))
         assert np.array_equal(project(loaded, probe), project(model, probe))
         assert loaded.config.r1 == 1.0
-        assert loaded.route == "dual"
+        assert loaded.route == "dense"
 
     def test_kernel_direct(self, tmp_path, data, rng):
         x, labels = data
