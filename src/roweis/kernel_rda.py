@@ -11,7 +11,9 @@ Two routes into the feature space:
 
   where K_j collects the Gram columns of class j and H_j centers within the
   class: N is :func:`roweis.scatter.within_scatter` with K_x's rows as the
-  samples' features. M is :func:`roweis.rda.objective` with K_x H as the
+  samples' features, and L is :func:`roweis.rda.constraint` with K_x as both
+  the data and the metric (Mika et al. 1999, "Fisher discriminant analysis
+  with kernels"). M is :func:`roweis.rda.objective` with K_x H as the
   centered data, so class labels need no n x n P. This works for every
   (r1, r2). Embeddings are Theta' K.
 
@@ -33,15 +35,15 @@ directions of M's null space are set by round-off alone.
 
 One training set is fitted at many (r1, r2) by :func:`fit_direct_grid`;
 :func:`fit_direct` is its one-config case. The input check, the data and
-label bandwidths, K_x and N are done once per training set. L depends only on
-r2, so the configs are solved grouped by it: each distinct L is built,
-factored once (:func:`roweis.linalg.factor_constraint`) and dropped, and
-every M of the group is solved against that factor. One factor and one M
-are held at a time. K_x H and M are handed over with no reference kept, so
-each is freed after its last product; N and K_x are dropped once no L or M
-needs them, and the last config centers K_x in place. Every step runs the
-per-config functions on the same inputs, so each model equals a lone fit
-bit for bit.
+label bandwidths and K_x are done once per training set. L depends only on
+r2, so the configs are solved grouped by it: each distinct L is built (for
+r2 > 0 its N is built inside it and dies with it), factored once
+(:func:`roweis.linalg.factor_constraint`) and dropped, and every M of the
+group is solved against that factor. One factor and one M are held at a
+time. K_x H and M are handed over with no reference kept, so each is freed
+after its last product; K_x is dropped once no L or M needs it, and the last
+config centers K_x in place. Every step runs the per-config functions on the
+same inputs, so each model equals a lone fit bit for bit.
 
 Embeddings of new points use the kernel between the retained training matrix
 and the new points; the trick variants center that kernel with training
@@ -63,14 +65,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, scatter
-from ._util import as_features, as_square, sym
+from . import kernels
+from ._util import as_features, sym
 from .exceptions import ConfigError
 from .linalg import factor_constraint, generalized_eig, symmetric_eig
 from .rda import (
     RoweisConfig,
     _fit_inputs,
     _resolved_label_kernel,
+    constraint,
     label_factor,
     objective,
     select_components,
@@ -124,23 +127,6 @@ class KernelRdaModel:
         return k_train.mean(axis=1, keepdims=True), k_train.mean()
 
 
-def kernel_constraint_matrix(n_mat, k_x, r2: float) -> np.ndarray:
-    """L = r2 * N + (1 - r2) * K_x."""
-    n_mat = as_square(n_mat, "N")
-    k_x = as_square(k_x, "K_x")
-    if n_mat.shape != k_x.shape:
-        raise ConfigError(f"shape mismatch: N is {n_mat.shape}, K_x is {k_x.shape}")
-    if not 0.0 <= r2 <= 1.0:
-        raise ConfigError(f"r2 must lie in [0, 1], got {r2}")
-    if r2 == 0.0:
-        return sym(k_x)
-    if r2 == 1.0:
-        return sym(n_mat)
-    l_mat = r2 * n_mat
-    l_mat += (1.0 - r2) * k_x
-    return sym(l_mat)
-
-
 def fit_direct(x, labels, config: RoweisConfig, kernel: kernels.KernelSpec) -> KernelRdaModel:
     """Representation-theory fit, valid on the whole (r1, r2) square.
 
@@ -171,21 +157,13 @@ def fit_direct_grid(x, labels, configs, kernel: kernels.KernelSpec) -> list[Kern
     groups: dict[float, list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault(config.r2, []).append(i)
-    # N is built for the first group with r2 > 0 and dropped after the last.
-    last_scatter = max((g for g, r2 in enumerate(groups) if r2 > 0), default=-1)
-    part = scatter.ClassPartition.from_labels(labels) if last_scatter >= 0 else None
-    n_mat = None
     label_specs: dict = {}
     models: list = [None] * len(configs)
     left = len(configs)
-    for g, (r2, members) in enumerate(groups.items()):
-        if r2 > 0 and n_mat is None:
-            n_mat = scatter.within_scatter(k_x, part)
-        l_mat = kernel_constraint_matrix(n_mat, k_x, r2) if r2 > 0 else k_x
-        if g == last_scatter:
-            n_mat = None
-        factor = factor_constraint(l_mat)
-        del l_mat
+    for r2, members in groups.items():
+        factor = factor_constraint(constraint(k_x, labels, r2, metric=k_x))
+        # return_inverse also keeps np.unique from importing numpy.ma.
+        cap = np.unique(labels, return_inverse=True)[0].size - 1 if r2 == 1.0 else n - 1
         for i in members:
             config = configs[i]
             resolved_label = None
@@ -203,7 +181,6 @@ def fit_direct_grid(x, labels, configs, kernel: kernels.KernelSpec) -> list[Kern
             # one and the solver the other after their last product.
             m_mat = [objective(centered.pop(), labels, resolved_label, config.r1)]
             pair = generalized_eig(m_mat.pop(), factor)
-            cap = min(n, part.n_classes) - 1 if r2 == 1.0 else n - 1
             p, notes = select_components(pair.values, cap, config.p)
             models[i] = KernelRdaModel(
                 variant="direct",
@@ -317,8 +294,9 @@ def project_grid(models, x_any) -> list[np.ndarray]:
         for i, (model, out) in enumerate(zip(models, outs)):
             k_model = k_new
             if model.variant != "direct":
-                # kernels.center_test_kernel's arithmetic, in place (on a copy
-                # while later models still need the block), on the training
+                # K_new minus its column means and the training row means,
+                # plus the training grand mean: in place (on a copy while
+                # later models still need the block), on the training
                 # statistics computed once per model.
                 row_means, grand_mean = model.train_centering
                 if i < len(models) - 1:

@@ -175,7 +175,7 @@ def class_indicator(labels) -> np.ndarray:
     """n x c class-indicator matrix E with E @ E.T == delta_kernel(labels, labels).
 
     Column j marks the samples of the j-th class in ``np.unique`` order, the
-    grouping :class:`roweis.scatter.ClassPartition` uses. This is the exact
+    grouping :func:`roweis.scatter.within_scatter` uses. This is the exact
     low-rank factor of the delta label kernel, so supervised fits on class
     labels never need the n x n kernel itself.
     """
@@ -216,20 +216,3 @@ def double_center(k) -> np.ndarray:
     out -= col
     out += k.mean()
     return out
-
-
-def center_test_kernel(k_train, k_test) -> np.ndarray:
-    """Center a train-vs-test kernel with training statistics.
-
-    For an explicit feature map phi this reproduces the inner products of the
-    train-mean-centered features, phi_c(X).T @ phi_c(X_t).
-    """
-    k_train = as_square(k_train, "K_train")
-    k_test = as_matrix(k_test, "K_test")
-    if k_test.shape[0] != k_train.shape[0]:
-        raise ConfigError(
-            f"shape mismatch: K_train is {k_train.shape}, K_test has {k_test.shape[0]} rows"
-        )
-    col_test = k_test.mean(axis=0, keepdims=True)
-    row_train = k_train.mean(axis=1, keepdims=True)
-    return k_test - col_test - row_train + k_train.mean()

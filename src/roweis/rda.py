@@ -27,6 +27,10 @@ costs O(dn + d^2 c) and no n x n array is built. Real-valued targets use an
 RBF label kernel, which has no such factor, and go through the dense P of
 :func:`blend_label_kernel`.
 
+:func:`constraint` builds R2 for every generalized fit, the kernel direct
+fit's L = r2 * N + (1 - r2) * K_x included. S_W (or N) is built only for
+r2 > 0 and is scaled in place, so it dies with its R2.
+
 Which matrices the solver sees depends on the shape alone (the model's
 ``route``), for every (r1, r2) and robust or not:
 
@@ -169,18 +173,6 @@ def blend_label_kernel(k_y, r1: float) -> np.ndarray:
     return sym(p)
 
 
-def constraint_matrix(s_w, r2: float) -> np.ndarray:
-    """R2 = r2 * S_W + (1 - r2) * I; the label side of the constraint."""
-    s_w = as_square(s_w, "S_W")
-    if not 0.0 <= r2 <= 1.0:
-        raise ConfigError(f"r2 must lie in [0, 1], got {r2}")
-    if r2 == 0.0:
-        return np.eye(s_w.shape[0])
-    if r2 == 1.0:
-        return sym(s_w)
-    return sym(r2 * s_w + (1.0 - r2) * np.eye(s_w.shape[0]))
-
-
 def robustify(s, complement: Complement | None = None):
     """Repair a near-singular PSD matrix by flattening its eigenvalue tail.
 
@@ -285,6 +277,27 @@ def objective(centered: np.ndarray, labels, spec: kernels.KernelSpec | None, r1:
     return sym(out)
 
 
+def constraint(data, labels, r2: float, metric=None) -> np.ndarray:
+    """R2 = r2 * S_W + (1 - r2) * G: S_W is :func:`roweis.scatter.within_scatter`
+    of ``data``, G is I when ``metric`` is None and ``metric`` otherwise (the
+    kernel direct fit's L has data = metric = K_x). At r2 = 0 no S_W is
+    built, and a given metric comes back as it is, not copied."""
+    if r2 == 0:
+        return np.eye(data.shape[0]) if metric is None else metric
+    out = scatter.within_scatter(data, labels)
+    if r2 == 1:
+        return out
+    # In place, and the bits of r2 S_W + (1 - r2) G: for G = I, off the
+    # diagonal the identity term adds (1 - r2) * 0.0 = +0.0.
+    out *= r2
+    if metric is None:
+        out += 0.0
+        out.flat[::out.shape[0] + 1] += 1.0 - r2
+    else:
+        out += (1.0 - r2) * metric
+    return sym(out)
+
+
 def _fit_inputs(x, labels, r1: float, r2: float):
     """(X, labels) checked as every fit entry point needs them.
 
@@ -338,8 +351,9 @@ def select_components(values, cap: int, p: int | None) -> tuple[int, tuple]:
 
 
 def _solve(centered, scatter_data, labels, spec, config, complement=None) -> EigPair:
-    """Build R1 and R2 from ``centered`` and solve them; at r2 = 0 (R2 = I)
-    a non-robust fit solves R1 alone with :func:`symmetric_eig`.
+    """Build R1 from ``centered`` and R2 with :func:`constraint`, and solve
+    them; at r2 = 0 (R2 = I) a non-robust fit solves R1 alone with
+    :func:`symmetric_eig`.
 
     ``scatter_data`` is what the within-class scatter is taken of: the raw
     data on the dense route, the same coordinates as ``centered`` on the span
@@ -347,13 +361,9 @@ def _solve(centered, scatter_data, labels, spec, config, complement=None) -> Eig
     """
     r2 = config.r2
     r1_mat = objective(centered, labels, spec, config.r1)
-    if r2 > 0:
-        part = scatter.ClassPartition.from_labels(labels)
-        r2_mat = constraint_matrix(scatter.within_scatter(scatter_data, part), r2)
-    elif config.robust:
-        r2_mat = np.eye(centered.shape[0])
-    else:
+    if r2 == 0 and not config.robust:
         return symmetric_eig(r1_mat)
+    r2_mat = constraint(scatter_data, labels, r2)
     if config.robust and complement is None:
         r2_mat = robustify(r2_mat)
     elif config.robust:

@@ -4,9 +4,17 @@
   ``between_scatter``, ``xor_class`` and ``objective_matrix`` (the dense
   R1 = Xc P Xc') were library functions that nothing in the package called;
   they live on here as test oracles.
+* ``ClassPartition`` is the grouping of samples by label that the package
+  built and passed along before ``scatter.within_scatter`` took the labels
+  themselves; ``class_means``, ``between_scatter`` and
+  ``kernel_within_scatter`` take it.
 * ``kernel_within_scatter`` is the kernel direct fit's own copy of the
   within-class scatter loop, which it now takes from
   ``scatter.within_scatter``; the package must match it bit for bit.
+* ``constraint_matrix`` (R2 = r2 S_W + (1 - r2) I) and
+  ``kernel_constraint_matrix`` (L = r2 N + (1 - r2) K_x) are the two
+  constraint builders from a given scatter that ``rda.constraint`` replaced;
+  it must give their bits from the data and the labels.
 * ``symmetric_eig`` and ``generalized_eig`` are the eigensolvers as they were
   before they stopped copying their inputs (no ``sym`` of an exactly
   symmetric matrix, no n x n identity for the shift), on the package's
@@ -17,8 +25,8 @@
   separated components and ``U' B' U = I`` within tolerances.
 * ``squared_distances`` and ``gram`` are the kernel builders as they were
   before they worked in place; the package must match them bit for bit. So
-  are ``double_center``, ``blend_label_kernel`` and
-  ``kernel_constraint_matrix``, which now work in place too.
+  are ``double_center`` and ``blend_label_kernel``, which now work in
+  place too.
 * ``fit_dual``, ``fit_kernel_pca`` and ``fit_kernel_spca`` are the dual and
   kernel-trick fits as they were before they shared one small-side solve
   (``roweis.kernel_rda.leading_directions``) and one component rule
@@ -32,8 +40,10 @@
   r2 = 0 and must agree with this one within tolerances, on the components
   the one rule keeps.
 * ``project_kernel`` is kernel-model projection as one product over all new
-  points, with the training Gram built on every call: the formula the
-  blocked ``kernel_rda.project`` is checked against.
+  points, with the training Gram built on every call and the new points'
+  kernel centered by ``center_test_kernel``: the formula the blocked
+  ``kernel_rda.project`` is checked against, which does the centering in
+  place.
 * ``fit_direct`` is the kernel direct fit of one config as it was before
   ``kernel_rda.fit_direct_grid`` shared the per-split work, on the
   package's ``rda.objective``, ``generalized_eig`` and ``select_components``
@@ -75,7 +85,6 @@ from roweis.linalg import (
 from roweis.linalg import generalized_eig as package_generalized_eig
 from roweis.kernel_rda import KernelRdaModel
 from roweis.rda import _fit_inputs, _resolved_label_kernel, label_factor, select_components
-from roweis.scatter import ClassPartition, _check_partition
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -101,6 +110,44 @@ def total_scatter(x) -> np.ndarray:
         raise ConfigError("total_scatter needs at least one sample")
     centered = x - x.mean(axis=1, keepdims=True)
     return _sym(centered @ centered.T)
+
+
+@dataclass(frozen=True)
+class ClassPartition:
+    """Deterministic grouping of sample indices by class label."""
+
+    class_ids: np.ndarray
+    index_sets: tuple
+    sizes: np.ndarray
+
+    @classmethod
+    def from_labels(cls, labels) -> "ClassPartition":
+        labels = np.asarray(labels)
+        if labels.ndim != 1:
+            raise ConfigError("labels must be 1-dimensional")
+        if labels.size == 0:
+            raise ConfigError("labels are empty")
+        ids, inverse = np.unique(labels, return_inverse=True)
+        index_sets = tuple(np.flatnonzero(inverse == j) for j in range(ids.size))
+        sizes = np.array([idx.size for idx in index_sets])
+        return cls(class_ids=ids, index_sets=index_sets, sizes=sizes)
+
+    @property
+    def n_classes(self) -> int:
+        return int(self.sizes.size)
+
+    @property
+    def n_samples(self) -> int:
+        return int(self.sizes.sum())
+
+
+def _check_partition(x: np.ndarray, part: ClassPartition) -> None:
+    if part.n_samples != x.shape[1]:
+        raise ConfigError(
+            f"partition covers {part.n_samples} samples but X has {x.shape[1]} columns"
+        )
+    if np.any(part.sizes < 1):
+        raise ConfigError("every class must contain at least one sample")
 
 
 def class_means(x, part: ClassPartition) -> np.ndarray:
@@ -270,12 +317,38 @@ def kernel_objective_matrix(k_x, p) -> np.ndarray:
     return _sym(k_x @ double_center(p) @ k_x)
 
 
+def constraint_matrix(s_w, r2: float) -> np.ndarray:
+    s_w = as_square(s_w, "S_W")
+    if r2 == 0.0:
+        return np.eye(s_w.shape[0])
+    if r2 == 1.0:
+        return _sym(s_w)
+    return _sym(r2 * s_w + (1.0 - r2) * np.eye(s_w.shape[0]))
+
+
 def kernel_constraint_matrix(n_mat, k_x, r2: float) -> np.ndarray:
     if r2 == 0.0:
         return _sym(k_x)
     if r2 == 1.0:
         return _sym(n_mat)
     return _sym(r2 * n_mat + (1.0 - r2) * k_x)
+
+
+def center_test_kernel(k_train, k_test) -> np.ndarray:
+    """Center a train-vs-test kernel with training statistics.
+
+    For an explicit feature map phi this reproduces the inner products of the
+    train-mean-centered features, phi_c(X).T @ phi_c(X_t).
+    """
+    k_train = as_square(k_train, "K_train")
+    k_test = as_matrix(k_test, "K_test")
+    if k_test.shape[0] != k_train.shape[0]:
+        raise ConfigError(
+            f"shape mismatch: K_train is {k_train.shape}, K_test has {k_test.shape[0]} rows"
+        )
+    col_test = k_test.mean(axis=0, keepdims=True)
+    row_train = k_train.mean(axis=1, keepdims=True)
+    return k_test - col_test - row_train + k_train.mean()
 
 
 def project_kernel(model, x_any) -> np.ndarray:
@@ -285,7 +358,7 @@ def project_kernel(model, x_any) -> np.ndarray:
     k_new = gram(model.kernel, model.train_x, x_any)
     if model.variant != "direct":
         k_train = _sym(gram(model.kernel, model.train_x, model.train_x))
-        k_new = kernels.center_test_kernel(k_train, k_new)
+        k_new = center_test_kernel(k_train, k_new)
     return model.coeffs.T @ k_new
 
 

@@ -38,15 +38,14 @@ from roweis.linalg import generalized_eig, symmetric_eig
 from roweis.rda import (
     RoweisConfig,
     blend_label_kernel,
-    constraint_matrix,
     fit,
     project,
     robustify,
 )
-from roweis.scatter import ClassPartition, within_scatter
+from roweis.scatter import within_scatter
 
 from conftest import align_columns, align_rows, labeled_blobs
-from oracle import centering_matrix, objective_matrix, total_scatter
+from oracle import centering_matrix, constraint_matrix, objective_matrix, total_scatter
 from test_kernels import poly_feature_map
 
 # Fixed seed for the nonlinear-separation runs; chosen once so that the
@@ -212,8 +211,7 @@ def test_criterion_2_special_case_equivalence():
         n = int(rng_master.integers(max(25, d * 3), 41))
         rng = np.random.default_rng(1000 + trial)
         x, labels = labeled_blobs(rng, d=d, n=n, c=c)
-        part = ClassPartition.from_labels(labels)
-        s_t, s_w = total_scatter(x), within_scatter(x, part)
+        s_t, s_w = total_scatter(x), within_scatter(x, labels)
         k_y = kernels.delta_kernel(labels, labels)
         h = centering_matrix(n)
         dependence = x @ h @ k_y @ h @ x.T
@@ -261,7 +259,6 @@ def test_criterion_4_feature_space_within_scatter_identity():
     violations = []
     rng = np.random.default_rng(4)
     x, labels = labeled_blobs(rng, d=2, n=10, c=2, spread=1.0)
-    part = ClassPartition.from_labels(labels)
     cases = [
         ("linear", kernels.KernelSpec("linear"), lambda a: a),
         (
@@ -272,9 +269,9 @@ def test_criterion_4_feature_space_within_scatter_identity():
     ]
     for name, spec, feature_map in cases:
         k = kernels.gram(spec, x, x)
-        n_mat = within_scatter(k, part)  # N = sum_j K_j H_j K_j'
+        n_mat = within_scatter(k, labels)  # N = sum_j K_j H_j K_j'
         phi = feature_map(x)
-        s_w_phi = within_scatter(phi, part)
+        s_w_phi = within_scatter(phi, labels)
         for t in range(10):
             theta = rng.standard_normal(10)
             lhs = float(theta @ n_mat @ theta)
@@ -367,9 +364,8 @@ def test_criterion_7_rank_and_dimensionality_bounds():
 
     rng = np.random.default_rng(71)
     x, labels = labeled_blobs(rng, d=10, n=6, c=2)
-    part = ClassPartition.from_labels(labels)
     k_y = kernels.delta_kernel(labels, labels)
-    s_w = within_scatter(x, part)
+    s_w = within_scatter(x, labels)
     for r1 in (0.0, 0.5, 1.0):
         for r2 in (0.0, 0.5, 1.0):
             pair = generalized_eig(
@@ -408,8 +404,7 @@ def test_criterion_9_robust_fit():
     violations = []
     rng = np.random.default_rng(9)
     x, labels = labeled_blobs(rng, d=50, n=20, c=2)
-    part = ClassPartition.from_labels(labels)
-    s_w = within_scatter(x, part)
+    s_w = within_scatter(x, labels)
 
     plain = fit(x, labels, RoweisConfig(1.0, 1.0))
     if plain.shift <= 0:

@@ -242,9 +242,9 @@ def test_sweep_resolves_the_label_bandwidth_once(tmp_path, counted):
 
 def test_grid_memory_does_not_grow_with_the_grid():
     # Both grids mix r1 and r2 strictly inside (0, 1), so both blend the
-    # objective's two terms and hold K_x, N and one factor while solving;
-    # the 21 extra points of the 5 x 5 grid may add only their outputs
-    # (n x 2 coefficients each).
+    # objective's two terms and hold K_x and one factor while solving; N
+    # lives only while its L is built. The 21 extra points of the 5 x 5 grid
+    # may add only their outputs (n x 2 coefficients each).
     n = 300
     x, labels = labeled_blobs(np.random.default_rng(5), d=2, n=n, c=3)
     kern = kernels.KernelSpec("rbf", gamma=0.5)
@@ -262,3 +262,4 @@ def test_grid_memory_does_not_grow_with_the_grid():
     small, large = peak([0.25, 0.75]), peak(np.linspace(0.0, 1.0, 5))
     assert large <= small + n * n * 8
     assert large <= 6 * n * n * 8
+    assert large <= 4.5 * n * n * 8

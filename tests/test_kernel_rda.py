@@ -12,16 +12,15 @@ from roweis.kernel_rda import (
     fit_direct_grid,
     fit_kernel_pca,
     fit_kernel_spca,
-    kernel_constraint_matrix,
     project,
 )
 from roweis.rda import RoweisConfig, blend_label_kernel, fit, objective
 from roweis.rda import project as project_primal
-from roweis.scatter import ClassPartition, within_scatter
+from roweis.scatter import within_scatter
 
 from conftest import align_rows, labeled_blobs
 import oracle
-from oracle import centering_matrix, project_kernel
+from oracle import ClassPartition, centering_matrix, project_kernel
 from test_kernels import poly_feature_map
 
 
@@ -89,20 +88,18 @@ class TestKernelWithinScatter:
         labels = rng.permutation(np.arange(n) % c)
         k = kernels.gram(spec, x, x)
         part = ClassPartition.from_labels(labels)
-        assert np.array_equal(within_scatter(k, part), oracle.kernel_within_scatter(k, part))
+        assert np.array_equal(within_scatter(k, labels), oracle.kernel_within_scatter(k, part))
 
     def test_singleton_classes_vanish(self, rng):
         x = rng.standard_normal((2, 4))
         k = kernels.gram(kernels.KernelSpec("rbf", gamma=1.0), x, x)
-        part = ClassPartition.from_labels([0, 1, 2, 3])
-        np.testing.assert_allclose(within_scatter(k, part), 0.0, atol=1e-12)
+        np.testing.assert_allclose(within_scatter(k, [0, 1, 2, 3]), 0.0, atol=1e-12)
 
     def test_single_class_is_centered_square(self, rng):
         x = rng.standard_normal((2, 6))
         k = kernels.gram(kernels.KernelSpec("linear"), x, x)
-        part = ClassPartition.from_labels(np.zeros(6, dtype=int))
         h = centering_matrix(6)
-        np.testing.assert_allclose(within_scatter(k, part), k @ h @ k, atol=1e-10)
+        np.testing.assert_allclose(within_scatter(k, np.zeros(6, dtype=int)), k @ h @ k, atol=1e-10)
 
     def test_feature_space_quadratic_form(self, rng):
         # theta' N theta equals the explicit within-class scatter quadratic
@@ -110,10 +107,9 @@ class TestKernelWithinScatter:
         x, labels = labeled_blobs(rng, d=2, n=10, c=2)
         spec = kernels.KernelSpec("polynomial", degree=2, offset=1.0)
         k = kernels.gram(spec, x, x)
-        part = ClassPartition.from_labels(labels)
-        n_mat = within_scatter(k, part)
+        n_mat = within_scatter(k, labels)
         phi = poly_feature_map(x, 2, 1.0)
-        s_w_phi = within_scatter(phi, part)
+        s_w_phi = within_scatter(phi, labels)
         for _ in range(10):
             theta = rng.standard_normal(10)
             direction = phi @ theta
@@ -124,17 +120,19 @@ class TestKernelWithinScatter:
     def test_positive_semidefinite(self, rng):
         x, labels = labeled_blobs(rng, d=3, n=12, c=3)
         k = kernels.gram(kernels.KernelSpec("rbf", gamma=0.3), x, x)
-        n_mat = within_scatter(k, ClassPartition.from_labels(labels))
+        n_mat = within_scatter(k, labels)
         assert np.linalg.eigvalsh(n_mat).min() >= -1e-10 * max(np.trace(n_mat), 1.0)
 
 
-class TestKernelConstraintMatrix:
+class TestKernelConstraint:
+    """``rda.constraint`` with K_x as the metric: L = r2 * N + (1 - r2) * K_x."""
+
     def test_edges_and_midpoint(self, rng):
-        k = np.eye(3)
-        n_mat = np.zeros((3, 3))
-        np.testing.assert_allclose(kernel_constraint_matrix(n_mat, k, 0.0), k)
-        np.testing.assert_allclose(kernel_constraint_matrix(n_mat, k, 1.0), n_mat)
-        np.testing.assert_allclose(kernel_constraint_matrix(n_mat, k, 0.5), 0.5 * k)
+        k = np.eye(3)  # singleton classes, so N = 0
+        labels = [0, 1, 2]
+        assert rda.constraint(k, labels, 0.0, metric=k) is k
+        np.testing.assert_allclose(rda.constraint(k, labels, 1.0, metric=k), np.zeros((3, 3)))
+        np.testing.assert_allclose(rda.constraint(k, labels, 0.5, metric=k), 0.5 * k)
 
 
 class TestFitDirect:
@@ -163,8 +161,8 @@ class TestFitDirect:
         k = kernels.gram(kern, x, x)
         p_mat = 0.6 * kernels.delta_kernel(labels, labels) + 0.4 * np.eye(14)
         m_mat = oracle.kernel_objective_matrix(k, p_mat)
-        n_mat = within_scatter(k, ClassPartition.from_labels(labels))
-        l_eff = kernel_constraint_matrix(n_mat, k, 0.5) + model.shift * np.eye(14)
+        n_mat = within_scatter(k, labels)
+        l_eff = oracle.kernel_constraint_matrix(n_mat, k, 0.5) + model.shift * np.eye(14)
         residual = np.linalg.norm(
             m_mat @ model.coeffs - l_eff @ model.coeffs @ np.diag(model.eigvals), "fro"
         )
@@ -396,11 +394,17 @@ class TestInPlaceBuilders:
     def test_bit_identical_to_the_formulas(self, n):
         rng = np.random.default_rng(n)
         k, other = self.gram_like(rng, n), self.gram_like(rng, n)
+        labels = rng.integers(0, 3, size=n)
+        part = ClassPartition.from_labels(labels)
         before = k.tobytes(), other.tobytes()
         pairs = [(kernels.double_center(k), oracle.double_center(k))]
         for r in (0.0, 0.3, 1.0):
             pairs.append((blend_label_kernel(k, r), oracle.blend_label_kernel(k, r)))
-            pairs.append((kernel_constraint_matrix(other, k, r), oracle.kernel_constraint_matrix(other, k, r)))
+            pairs.append((
+                rda.constraint(other, labels, r, metric=k),
+                oracle.kernel_constraint_matrix(oracle.kernel_within_scatter(other, part), k, r),
+            ))
+            pairs.append((rda.constraint(other, labels, r), oracle.constraint_matrix(within_scatter(other, labels), r)))
         for got, want in pairs:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert (k.tobytes(), other.tobytes()) == before

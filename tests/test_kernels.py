@@ -7,7 +7,6 @@ import pytest
 from roweis.exceptions import ConfigError
 from roweis.kernels import (
     KernelSpec,
-    center_test_kernel,
     class_indicator,
     delta_kernel,
     double_center,
@@ -17,9 +16,8 @@ from roweis.kernels import (
     median_heuristic_gamma,
     resolve_gamma,
 )
-from roweis.scatter import ClassPartition
-
 import oracle
+from oracle import ClassPartition, center_test_kernel
 
 
 def poly_feature_map(x: np.ndarray, degree: int, offset: float) -> np.ndarray:

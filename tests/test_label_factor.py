@@ -19,15 +19,14 @@ from roweis.linalg import generalized_eig, psd_factor
 from roweis.rda import (
     RoweisConfig,
     blend_label_kernel,
-    constraint_matrix,
     fit,
     label_factor,
     project,
 )
-from roweis.scatter import ClassPartition, within_scatter
+from roweis.scatter import within_scatter
 
 from conftest import align_rows
-from oracle import objective_matrix
+from oracle import constraint_matrix, objective_matrix
 
 SPECTRUM_RTOL = 1e-10
 EMBEDDING_RTOL = 1e-8
@@ -95,7 +94,7 @@ def assert_rows_match(got: np.ndarray, want: np.ndarray) -> None:
 def dense_primal(x, labels, r1: float, r2: float):
     r1_mat = objective_matrix(x, blend_label_kernel(kernels.delta_kernel(labels, labels), r1))
     if r2 > 0:
-        r2_mat = constraint_matrix(within_scatter(x, ClassPartition.from_labels(labels)), r2)
+        r2_mat = constraint_matrix(within_scatter(x, labels), r2)
     else:
         r2_mat = np.eye(x.shape[0])
     return generalized_eig(r1_mat, r2_mat)

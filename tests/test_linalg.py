@@ -16,11 +16,11 @@ from roweis.linalg import (
     psd_factor,
     symmetric_eig,
 )
-from roweis.scatter import ClassPartition, within_scatter
+from roweis.scatter import within_scatter
 
 from conftest import align_columns, random_psd, with_complement
 import oracle
-from oracle import between_scatter, centering_matrix, total_scatter
+from oracle import ClassPartition, between_scatter, centering_matrix, total_scatter
 
 
 class TestCenteringMatrix:
@@ -106,7 +106,7 @@ class TestGeneralizedEig:
         x = np.hstack([c0, c1])
         labels = np.array([0] * 30 + [1] * 30)
         part = ClassPartition.from_labels(labels)
-        s_t, s_w, s_b = total_scatter(x), within_scatter(x, part), between_scatter(x, part)
+        s_t, s_w, s_b = total_scatter(x), within_scatter(x, labels), between_scatter(x, part)
 
         def criterion(u):
             return float(u @ s_b @ u) / float(u @ s_w @ u)

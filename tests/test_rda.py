@@ -8,7 +8,7 @@ from roweis.rda import (
     RdaModel,
     RoweisConfig,
     blend_label_kernel,
-    constraint_matrix,
+    constraint,
     fit,
     project,
     reconstruct,
@@ -16,10 +16,10 @@ from roweis.rda import (
     select_components,
     supervision_level,
 )
-from roweis.scatter import ClassPartition, within_scatter
+from roweis.scatter import within_scatter
 
 from conftest import align_columns, align_rows, labeled_blobs, with_complement
-from oracle import centering_matrix, objective_matrix, total_scatter
+from oracle import centering_matrix, constraint_matrix, objective_matrix, total_scatter
 
 
 class TestBlendLabelKernel:
@@ -58,18 +58,25 @@ class TestObjectiveMatrix:
         np.testing.assert_allclose(objective_matrix(x, k_y), expected, atol=1e-10)
 
 
-class TestConstraintMatrix:
+class TestConstraint:
+    # Class means 1 and 11 on the first feature, 0 on the second: S_W = diag(4, 0).
+    X = np.array([[0.0, 2.0, 10.0, 12.0], [0.0, 0.0, 0.0, 0.0]])
+    LABELS = [0, 0, 1, 1]
+
     def test_r2_zero(self):
-        np.testing.assert_allclose(constraint_matrix(np.diag([2.0, 3.0]), 0.0), np.eye(2))
+        np.testing.assert_allclose(constraint(self.X, self.LABELS, 0.0), np.eye(2))
+        metric = np.diag([2.0, 3.0])
+        assert constraint(self.X, self.LABELS, 0.0, metric=metric) is metric
 
     def test_r2_one(self):
-        s = np.diag([2.0, 3.0])
-        np.testing.assert_allclose(constraint_matrix(s, 1.0), s)
+        np.testing.assert_allclose(constraint(self.X, self.LABELS, 1.0), np.diag([4.0, 0.0]))
+        got = constraint(self.X, self.LABELS, 1.0, metric=np.diag([2.0, 3.0]))
+        np.testing.assert_allclose(got, np.diag([4.0, 0.0]))
 
     def test_midpoint(self):
-        np.testing.assert_allclose(
-            constraint_matrix(np.diag([2.0, 0.0]), 0.5), np.diag([1.5, 0.5])
-        )
+        np.testing.assert_allclose(constraint(self.X, self.LABELS, 0.5), np.diag([2.5, 0.5]))
+        got = constraint(self.X, self.LABELS, 0.5, metric=np.diag([2.0, 3.0]))
+        np.testing.assert_allclose(got, np.diag([3.0, 1.5]))
 
 
 class TestRobustify:
@@ -232,8 +239,7 @@ class TestFit:
         rng = np.random.default_rng(11)
         x, labels = labeled_blobs(rng, d=2, n=40, c=2, spread=4.0)
         model = fit(x, labels, RoweisConfig(0.0, 1.0, p=1))
-        part = ClassPartition.from_labels(labels)
-        s_t, s_w = total_scatter(x), within_scatter(x, part)
+        s_t, s_w = total_scatter(x), within_scatter(x, labels)
 
         def ratio(u):
             return float(u @ s_t @ u) / float(u @ s_w @ u)
@@ -251,8 +257,7 @@ class TestFit:
         k_y = kernels.delta_kernel(labels, labels)
         h = centering_matrix(24)
         r1_mat = x @ h @ k_y @ h @ x.T
-        part = ClassPartition.from_labels(labels)
-        r2_eff = within_scatter(x, part) + model.shift * np.eye(3)
+        r2_eff = within_scatter(x, labels) + model.shift * np.eye(3)
         residual = np.linalg.norm(
             r1_mat @ model.basis - r2_eff @ model.basis @ np.diag(model.eigvals), "fro"
         )
@@ -261,16 +266,14 @@ class TestFit:
     def test_constraint_is_normalized_at_fit_time(self, rng):
         x, labels = labeled_blobs(rng, d=4, n=40, c=2)
         model = fit(x, labels, RoweisConfig(0.3, 0.7))
-        part = ClassPartition.from_labels(labels)
-        r2 = constraint_matrix(within_scatter(x, part), 0.7) + model.shift * np.eye(4)
+        r2 = constraint_matrix(within_scatter(x, labels), 0.7) + model.shift * np.eye(4)
         gram = model.basis.T @ r2 @ model.basis
         np.testing.assert_allclose(gram, np.eye(model.n_components), atol=1e-8)
 
     def test_mixing_grid_keeps_matrices_psd(self, rng):
         x, labels = labeled_blobs(rng, d=3, n=20, c=2)
         k_y = kernels.delta_kernel(labels, labels)
-        part = ClassPartition.from_labels(labels)
-        s_w = within_scatter(x, part)
+        s_w = within_scatter(x, labels)
         for r1 in np.linspace(0, 1, 5):
             for r2 in np.linspace(0, 1, 5):
                 r1_mat = objective_matrix(x, blend_label_kernel(k_y, r1))

@@ -1,9 +1,9 @@
 """The span route of ``rda.fit`` (n < d) against the dense d x d oracle.
 
 The oracle builds the full problem the way the dense route does:
-``oracle.objective_matrix`` on the dense blended label kernel, ``constraint_matrix``
-on the within-class scatter, ``robustify`` on the d x d constraint, and
-``generalized_eig`` on the pair. Spectra must agree to 1e-10 relative to the
+``oracle.objective_matrix`` on the dense blended label kernel,
+``oracle.constraint_matrix`` on the within-class scatter, ``robustify`` on
+the d x d constraint, and ``generalized_eig`` on the pair. Spectra must agree to 1e-10 relative to the
 leading eigenvalue, shifts to 1e-12 relative, and embeddings to 1e-8 up to
 sign. Embeddings are compared only for components whose eigenvalue is
 positive and separated from its neighbours: the directions of a zero or
@@ -22,15 +22,14 @@ from roweis.linalg import generalized_eig
 from roweis.rda import (
     RoweisConfig,
     blend_label_kernel,
-    constraint_matrix,
     fit,
     project,
     robustify,
 )
-from roweis.scatter import ClassPartition, within_scatter
+from roweis.scatter import within_scatter
 
 from conftest import align_rows
-from oracle import objective_matrix
+from oracle import constraint_matrix, objective_matrix
 
 SPECTRUM_RTOL = 1e-10
 SHIFT_RTOL = 1e-12
@@ -67,7 +66,7 @@ def dense_problem(x, labels, config: RoweisConfig):
         p_mat = np.eye(n)
     r1_mat = objective_matrix(x, p_mat)
     if config.r2 > 0:
-        b = constraint_matrix(within_scatter(x, ClassPartition.from_labels(labels)), config.r2)
+        b = constraint_matrix(within_scatter(x, labels), config.r2)
     else:
         b = np.eye(d)
     if config.robust:
