@@ -48,6 +48,12 @@ def as_labels(labels, n: int) -> np.ndarray:
     return arr
 
 
+def classes(labels) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, inverse) of ``np.unique``: the class grouping every fit shares."""
+    # return_inverse also keeps np.unique from importing numpy.ma (about 1 MB).
+    return np.unique(labels, return_inverse=True)
+
+
 def as_square(a, name: str = "matrix") -> np.ndarray:
     arr = as_matrix(a, name)
     if arr.shape[0] != arr.shape[1]:

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._util import as_features, sym
+from ._util import as_features, classes, sym
 from .exceptions import ConfigError
 from .linalg import factor_constraint, generalized_eig, symmetric_eig
 from .rda import (
@@ -150,6 +150,7 @@ def fit_direct_grid(x, labels, configs, kernel: kernels.KernelSpec) -> list[Kern
         raise ConfigError("the kernel direct fit has no robust form; robust=True applies to rda.fit only")
     x, labels = _fit_inputs(x, labels, max(c.r1 for c in configs), max(c.r2 for c in configs))
     n = x.shape[1]
+    n_classes = classes(labels)[0].size
 
     kernel = kernels.resolve_gamma(kernel, x)
     train_x = x.copy()
@@ -162,8 +163,7 @@ def fit_direct_grid(x, labels, configs, kernel: kernels.KernelSpec) -> list[Kern
     left = len(configs)
     for r2, members in groups.items():
         factor = factor_constraint(constraint(k_x, labels, r2, metric=k_x))
-        # return_inverse also keeps np.unique from importing numpy.ma.
-        cap = np.unique(labels, return_inverse=True)[0].size - 1 if r2 == 1.0 else n - 1
+        cap = n_classes - 1 if r2 == 1.0 else n - 1
         for i in members:
             config = configs[i]
             resolved_label = None

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import as_matrix, as_square
+from ._util import as_matrix, as_square, classes
 from .exceptions import ConfigError
 
 FAMILIES = ("linear", "rbf", "polynomial", "delta")
@@ -181,8 +181,7 @@ def class_indicator(labels) -> np.ndarray:
     """
     labels = np.asarray(labels)
     _check_class_labels(labels, "class_indicator")
-    # return_inverse also keeps np.unique from importing numpy.ma (about 1 MB).
-    ids, inverse = np.unique(labels, return_inverse=True)
+    ids, inverse = classes(labels)
     out = np.zeros((labels.size, ids.size))
     out[np.arange(labels.size), inverse] = 1.0
     return out

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import as_matrix, sym
+from ._util import as_labels, as_matrix, classes, sym
 from .exceptions import ConfigError
 
 
@@ -17,15 +17,10 @@ def within_scatter(x, labels) -> np.ndarray:
     """Sum over the classes of ``labels`` (a non-empty 1-D vector, one label
     per column of X) of the scatter around each class mean."""
     x = as_matrix(x, "X")
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ConfigError("labels must be 1-dimensional")
+    labels = as_labels(labels, x.shape[1])
     if labels.size == 0:
         raise ConfigError("labels are empty")
-    if labels.size != x.shape[1]:
-        raise ConfigError(f"labels cover {labels.size} samples but X has {x.shape[1]} columns")
-    # return_inverse also keeps np.unique from importing numpy.ma (about 1 MB).
-    ids, inverse = np.unique(labels, return_inverse=True)
+    ids, inverse = classes(labels)
     out = np.zeros((x.shape[0], x.shape[0]))
     for j in range(ids.size):
         block = x[:, np.flatnonzero(inverse == j)]

@@ -2,12 +2,19 @@
 
 ``src/roweis`` is parsed with ``ast``. Every public module-level function
 (a name without a leading underscore) must be referenced from package code
-outside its own body, or be listed in ``roweis.__all__``. A builder whose
-last caller in the package went belongs in ``tests/oracle.py``, where the
-tests that still need it as a reference can import it.
+outside its own body, or be one of the objects ``roweis/__init__.py``
+exports in ``roweis.__all__``. A reference counts only when it names the
+function's own module: a bare name inside that module, ``module.name`` on a
+module imported with ``from . import module``, or a name brought in with
+``from .module import name``. So a dead ``project`` is not kept alive by
+another module's ``project``, nor a dead ``mean`` by ``x.mean()``. A
+builder whose last caller in the package went belongs in
+``tests/oracle.py``, where the tests that still need it as a reference can
+import it.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import roweis
@@ -15,44 +22,94 @@ import roweis
 PACKAGE = Path(roweis.__file__).resolve().parent
 
 
-def referenced_names(node) -> set:
-    """Names a subtree loads, as bare names or as attributes."""
-    names = set()
+def package_imports(tree, modules: set) -> tuple[dict, dict]:
+    """(module aliases, function aliases) a module's relative imports bind:
+    local name -> package module, and local name -> (module, name)."""
+    module_alias, name_alias = {}, {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if node.module is None and alias.name in modules:
+                module_alias[local] = alias.name
+            elif node.module in modules:
+                name_alias[local] = (node.module, alias.name)
+    return module_alias, name_alias
+
+
+def references(node, module: str, module_alias: dict, name_alias: dict) -> set:
+    """The (module, name) pairs a subtree of ``module`` refers to."""
+    out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-    return names
+            out.add(name_alias.get(sub.id, (module, sub.id)))
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id in module_alias:
+            out.add((module_alias[sub.value.id], sub.attr))
+    return out
 
 
-def scan() -> tuple:
-    """(public functions as (module, name), uses as (module, owner, names)):
-    the owner is the top-level function a statement defines, or None."""
-    defined, uses = [], []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+def scan(package: Path) -> tuple[list, set]:
+    """(public functions, referenced functions), each as (module, name).
+
+    ``__init__.py`` is left out: what it imports is the export list, which
+    :func:`exported` reads from the package itself. A function's references
+    to itself inside its own body do not count."""
+    paths = sorted(p for p in package.glob("*.py") if p.stem != "__init__")
+    modules = {p.stem for p in paths}
+    defined, referenced = [], set()
+    for path in paths:
+        module = path.stem
+        tree = ast.parse(path.read_text(), filename=str(path))
+        module_alias, name_alias = package_imports(tree, modules)
+        for stmt in tree.body:
             owner = None
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner = stmt.name
+                owner = (module, stmt.name)
                 if not stmt.name.startswith("_"):
-                    defined.append((path.stem, stmt.name))
-            uses.append((path.stem, owner, referenced_names(stmt)))
-    return defined, uses
+                    defined.append(owner)
+            referenced |= references(stmt, module, module_alias, name_alias) - {owner}
+    return defined, referenced
+
+
+def exported() -> set:
+    """The functions ``roweis.__all__`` exports, as (module, name) of their definition."""
+    out = set()
+    for name in roweis.__all__:
+        obj = getattr(roweis, name)
+        if inspect.isfunction(obj) and obj.__module__.startswith("roweis."):
+            out.add((obj.__module__.removeprefix("roweis."), obj.__name__))
+    return out
+
+
+def dead_functions(package: Path, exports: set) -> list:
+    defined, referenced = scan(package)
+    return [f"{module}.{name}" for module, name in defined if (module, name) not in referenced | exports]
 
 
 def test_the_scan_sees_the_package():
-    defined, _ = scan()
+    defined, referenced = scan(PACKAGE)
     assert ("rda", "objective") in defined and ("scatter", "within_scatter") in defined
+    assert ("scatter", "within_scatter") in referenced
+    assert {("rda", "project"), ("kernel_rda", "project"), ("rda", "fit")} <= exported()
+
+
+def test_references_are_qualified_by_module(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def project(x):\n    return project(x)\n\n\n"
+        "def mean(x):\n    return x\n\n\n"
+        "def used(x):\n    return x\n\n\n"
+        "def imported(x):\n    return x\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "import numpy as np\n\nfrom . import a\nfrom .a import imported as renamed\n\n\n"
+        "def project(x):\n    return np.mean(x) + a.used(x) + renamed(x)\n"
+    )
+    # a.project calls only itself, a.mean shares its name with np.mean, and
+    # b.project would be kept alive only by being exported.
+    assert dead_functions(tmp_path, set()) == ["a.project", "a.mean", "b.project"]
+    assert dead_functions(tmp_path, {("b", "project")}) == ["a.project", "a.mean"]
 
 
 def test_every_public_function_has_a_caller_or_is_exported():
-    defined, uses = scan()
-    exported = set(roweis.__all__)
-    dead = [
-        f"{module}.{name}"
-        for module, name in defined
-        if name not in exported
-        and not any(name in names for where, owner, names in uses if (where, owner) != (module, name))
-    ]
-    assert dead == []
+    assert dead_functions(PACKAGE, exported()) == []

@@ -30,6 +30,14 @@ class TestTotalScatter:
             total_scatter(np.empty((2, 0)))
 
 
+class TestClassPartition:
+    def test_from_labels(self):
+        part = ClassPartition.from_labels([1, 0, 1, 2])
+        assert part.n_classes == 3
+        assert part.sizes.tolist() == [1, 2, 1]
+        assert sorted(np.concatenate(part.index_sets).tolist()) == [0, 1, 2, 3]
+
+
 class TestClassMeans:
     def test_singleton_classes_return_points(self):
         x = np.array([[1.0, 5.0], [2.0, 6.0]])
