@@ -49,7 +49,8 @@ def as_labels(labels, n: int) -> np.ndarray:
 
 
 def classes(labels) -> tuple[np.ndarray, np.ndarray]:
-    """(ids, inverse) of ``np.unique``: the class grouping every fit shares."""
+    """(ids, inverse) of ``np.unique``: the class grouping every fit and the
+    stratified split share."""
     # return_inverse also keeps np.unique from importing numpy.ma (about 1 MB).
     return np.unique(labels, return_inverse=True)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import csv_cells, float_rows
+from ._util import classes, csv_cells, float_rows
 from .exceptions import ConfigError, DataError
 
 XOR_MARGIN = 0.05
@@ -160,7 +160,7 @@ def train_test_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dat
 
     stratify = ds.kind == "classification"
     if stratify:
-        ids, inverse = np.unique(ds.y, return_inverse=True)
+        ids, inverse = classes(ds.y)
         counts = np.bincount(inverse)
         if np.any(counts < 2):
             warnings.warn(

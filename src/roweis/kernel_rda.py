@@ -20,8 +20,8 @@ Two routes into the feature space:
 * The kernel-trick method exists for the two corners r1 = 0 (kernel PCA) and
   r1 = 1 (kernel SPCA) of the r2 = 0 edge, where the data appear only
   through inner products. Both solve the core Upsilon' Kc Upsilon with
-  :func:`leading_directions`: kernel PCA takes Upsilon = I, kernel SPCA
-  factors K_y = Upsilon Upsilon'. For class labels Upsilon is the n x c
+  :func:`roweis.linalg.symmetric_eig`: kernel PCA takes Upsilon = I, kernel
+  SPCA factors K_y = Upsilon Upsilon'. For class labels Upsilon is the n x c
   class-indicator matrix, so the core is c x c. Any other label kernel, such
   as the RBF over real targets, is built as a dense n x n matrix and factored
   through its eigendecomposition.
@@ -45,22 +45,21 @@ after its last product; K_x is dropped once no L or M needs it, and the last
 config centers K_x in place. Every step runs the per-config functions on the
 same inputs, so each model equals a lone fit bit for bit.
 
-Embeddings of new points use the kernel between the retained training matrix
-and the new points; the trick variants center that kernel with training
-statistics (Schoelkopf, Smola & Mueller 1998) so the embedding agrees with
-projecting mean-centered feature vectors. :func:`project` builds, centers and
-multiplies out that kernel PROJECT_BLOCK new points at a time, so memory does
-not grow with the number of points; :func:`project_grid` builds each block
-once for all the models of a grid. The centering statistics, the row means
-and grand mean of the training Gram matrix, are computed on a model's first
-projection and kept on the object (:attr:`KernelRdaModel.train_centering`),
-never in its model file. No reconstruction is offered: it would need the
-pulled training data, which a kernel never exposes.
+Every model embeds new points as coeffs' k(X, x) - offset, k(X, x) the kernel
+between the retained training matrix and the new points; the direct fit's
+offset is 0.0. The trick fits center k(X, x) with the training Gram's row
+means r and grand mean g (Schoelkopf, Smola & Mueller 1998), a fixed affine
+map: C' (k - colmeans(k) - r + g) = (H C)' k - (H C)' r for raw coefficients
+C. :func:`fold_centering` folds it into coeffs = H C and offset = (H C)' r
+once, at the fit and at load, so projecting builds no training Gram.
+:func:`project` works PROJECT_BLOCK new points at a time, and
+:func:`project_grid` builds each block once for all the models of a grid.
+No reconstruction is offered: it would need the pulled training data, which
+a kernel never exposes.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,11 +89,9 @@ PROJECT_BLOCK = 1024
 
 @dataclass(frozen=True)
 class KernelRdaModel:
-    """Fitted feature-space subspace.
-
-    coeffs (n x p) right-multiplied against the appropriate train-vs-new
-    kernel produces the embedding. The trick variants keep their raw pieces
-    (right_vectors, sigma, and the label-kernel factor upsilon) alongside.
+    """Fitted feature-space subspace: new points x embed as coeffs' k(X, x)
+    minus offset. The trick variants keep their raw pieces (right_vectors,
+    sigma, and the label-kernel factor upsilon), which their files hold.
     """
 
     variant: str  # direct | trick_pca | trick_spca
@@ -110,21 +107,11 @@ class KernelRdaModel:
     upsilon: np.ndarray | None = None
     shift: float = 0.0
     notes: tuple = ()
+    offset: np.ndarray | float = 0.0
 
     @property
     def n_components(self) -> int:
         return int(self.coeffs.shape[1])
-
-    @functools.cached_property
-    def train_centering(self) -> tuple[np.ndarray, float]:
-        """Row means (n x 1) and grand mean of the training Gram matrix.
-
-        The trick variants center every train-vs-new kernel with these.
-        They are computed on first use and kept on the object, never written
-        to the model file.
-        """
-        k_train = sym(kernels.gram(self.kernel, self.train_x, self.train_x))
-        return k_train.mean(axis=1, keepdims=True), k_train.mean()
 
 
 def fit_direct(x, labels, config: RoweisConfig, kernel: kernels.KernelSpec) -> KernelRdaModel:
@@ -215,46 +202,53 @@ def fit_kernel_spca(
     return _fit_trick(x, labels, 1.0, kernel_x, kernel_y, p)
 
 
-def leading_directions(gram, p: int | None) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """(V, sigma, notes) of the leading directions of a factor W, from its
-    Gram matrix W'W = V diag(sigma^2) V'; :func:`roweis.rda.select_components`
-    picks them on sigma^2, with no rank cap beyond the Gram's order."""
-    pair = symmetric_eig(gram)
-    sigma = np.sqrt(np.clip(pair.values, 0.0, None))
-    p, notes = select_components(sigma**2, sigma.size, p)
-    return pair.vectors[:, :p], sigma[:p], notes
+def fold_centering(right, sigma, upsilon, row_means) -> tuple[np.ndarray, np.ndarray]:
+    """(H C, (H C)' r) for a trick fit's raw coefficients C = Upsilon V / sigma
+    (V / sigma without Upsilon) and r its training Gram's row means; see the
+    module docstring. Centering Upsilon before the product rounds less."""
+    if upsilon is None:
+        coeffs = right - right.mean(axis=0)
+    else:
+        coeffs = (upsilon - upsilon.mean(axis=0)) @ right
+    coeffs /= sigma
+    return coeffs, row_means @ coeffs
 
 
 def _fit_trick(x, labels, r1: float, kernel, label_kernel, p) -> KernelRdaModel:
     """The kernel-trick fit at (r1, 0): kernel PCA without labels (r1 = 0),
-    kernel SPCA with them (r1 = 1).
-
-    Solves the core Upsilon' Kc Upsilon (see the module docstring). The
-    training embedding is sigma * V'; new points go through the
-    train-vs-new kernel centered with training statistics.
+    kernel SPCA with them (r1 = 1). Solves the core Upsilon' Kc Upsilon =
+    V diag(sigma^2) V' and keeps the components select_components allows on
+    sigma^2. The training embedding is sigma * V'.
     """
     x, labels = _fit_inputs(x, labels, r1, 0.0)
     kernel = kernels.resolve_gamma(kernel, x)
-    gram = kernels.double_center(sym(kernels.gram(kernel, x, x)))
+    gram = sym(kernels.gram(kernel, x, x))
+    row_means = gram.mean(axis=1)
+    gram = kernels.double_center(gram)
     upsilon = None
     if labels is not None:
         label_kernel = _resolved_label_kernel(label_kernel, labels)
         upsilon = label_factor(label_kernel, labels)
         gram = sym(upsilon.T @ gram @ upsilon)
-    right, sigma, notes = leading_directions(gram, p)
+    pair = symmetric_eig(gram)
+    sigma = np.sqrt(np.clip(pair.values, 0.0, None))
+    p, notes = select_components(sigma**2, sigma.size, p)
+    right, sigma = pair.vectors[:, :p].copy(), sigma[:p].copy()
+    coeffs, offset = fold_centering(right, sigma, upsilon, row_means)
     return KernelRdaModel(
         variant="trick_pca" if upsilon is None else "trick_spca",
-        coeffs=(right if upsilon is None else upsilon @ right) / sigma[None, :],
+        coeffs=coeffs,
         eigvals=sigma**2,
         train_x=x.copy(),
         kernel=kernel,
         r1=r1,
         r2=0.0,
         label_kernel=label_kernel,
-        right_vectors=right.copy(),
-        sigma=sigma.copy(),
-        upsilon=None if upsilon is None else upsilon.copy(),
+        right_vectors=right,
+        sigma=sigma,
+        upsilon=upsilon,
         notes=notes,
+        offset=offset,
     )
 
 
@@ -272,10 +266,9 @@ def project_grid(models, x_any) -> list[np.ndarray]:
     The models must share the training matrix and the kernel, as the models
     of :func:`fit_direct_grid` do. The train-vs-new kernel is built
     PROJECT_BLOCK columns at a time, once per block for all the models, and
-    each model multiplies it out (after centering it, for the trick
-    variants), so memory stays O(n_train * PROJECT_BLOCK) whatever the
-    number of new points. Each embedding equals the model's own
-    :func:`project` bit for bit.
+    each model multiplies it out and subtracts its offset, so memory stays
+    O(n_train * PROJECT_BLOCK) whatever the number of new points. Each
+    embedding equals the model's own :func:`project` bit for bit.
     """
     models = list(models)
     if not models:
@@ -291,18 +284,7 @@ def project_grid(models, x_any) -> list[np.ndarray]:
     for start in range(0, x_any.shape[1], PROJECT_BLOCK):
         cols = slice(start, start + PROJECT_BLOCK)
         k_new = kernels.gram(first.kernel, first.train_x, x_any[:, cols])
-        for i, (model, out) in enumerate(zip(models, outs)):
-            k_model = k_new
-            if model.variant != "direct":
-                # K_new minus its column means and the training row means,
-                # plus the training grand mean: in place (on a copy while
-                # later models still need the block), on the training
-                # statistics computed once per model.
-                row_means, grand_mean = model.train_centering
-                if i < len(models) - 1:
-                    k_model = k_new.copy()
-                k_model -= k_model.mean(axis=0, keepdims=True)
-                k_model -= row_means
-                k_model += grand_mean
-            out[:, cols] = model.coeffs.T @ k_model
+        for model, out in zip(models, outs):
+            out[:, cols] = model.coeffs.T @ k_new
+            out[:, cols] -= np.reshape(model.offset, (-1, 1))
     return outs

@@ -106,7 +106,9 @@ def median_heuristic_gamma(x) -> float:
     positive = dists[dists > 0.0]
     if positive.size == 0:
         return 1.0
-    med = float(np.median(positive))
+    # np.median's bits without np.median, which imports numpy.ma (about 1 MB).
+    low, high = (positive.size - 1) // 2, positive.size // 2
+    med = float(np.partition(positive, (low, high))[low:high + 1].mean())
     return 1.0 / (2.0 * med * med)
 
 

@@ -15,6 +15,10 @@ Primal files with route ``"dual"`` (older dual fits) still load, as do files
 of the earlier ``variant: dual`` layout, which held the factor W, its right
 singular vectors V and the singular values sigma: the basis W V / sigma is
 formed once, at load time.
+
+Kernel-trick files hold the fit's raw pieces (``right_vectors``, ``sigma``,
+``upsilon``), folded into coefficients and an offset once, at load time, from
+one training Gram (:func:`roweis.kernel_rda.fold_centering`).
 """
 
 from __future__ import annotations
@@ -23,10 +27,10 @@ import json
 
 import numpy as np
 
-from ._util import float_rows
+from ._util import float_rows, sym
 from .exceptions import ConfigError, DataError
-from .kernel_rda import KernelRdaModel
-from .kernels import KernelSpec
+from .kernel_rda import KernelRdaModel, fold_centering
+from .kernels import KernelSpec, gram
 from .rda import ROUTES, RdaModel, RoweisConfig
 
 FORMAT_TAG = "roweis-model/1"
@@ -273,7 +277,7 @@ def load_model(path):
         eigvals = _vec(arrays, "eigvals", path)
         n_train = ("'train_x' columns", train_x.shape[1])
         if kind == "direct":
-            coeffs = _mat(arrays, "coeffs", path)
+            coeffs, offset = _mat(arrays, "coeffs", path), 0.0
             _agree(path, "'coeffs' rows", coeffs.shape[0], *n_train)
             sigma = right = upsilon = None
         else:
@@ -286,8 +290,8 @@ def load_model(path):
                 _agree(path, "'upsilon' rows", upsilon.shape[0], *n_train)
                 _agree(path, "'right_vectors' rows", right.shape[0], "'upsilon' columns", upsilon.shape[1])
             _agree(path, "'sigma' entries", sigma.size, "'right_vectors' columns", right.shape[1])
-            base = right if upsilon is None else upsilon @ right
-            coeffs = base / sigma[None, :]
+            row_means = sym(gram(kernel, train_x, train_x)).mean(axis=1)
+            coeffs, offset = fold_centering(right, sigma, upsilon, row_means)
         _agree(path, "'eigvals' entries", eigvals.size, "components", coeffs.shape[1])
         return KernelRdaModel(
             variant=kind,
@@ -303,5 +307,6 @@ def load_model(path):
             upsilon=upsilon,
             shift=_scalar(scalars, "shift", path, float, 0.0),
             notes=notes,
+            offset=offset,
         )
     raise DataError(f"{path}: unknown model variant {variant!r}")

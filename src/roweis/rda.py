@@ -21,11 +21,11 @@ eigenproblem of R1 (:func:`~roweis.linalg.symmetric_eig`) with no shift; a
 robust one repairs I and solves the generalized problem like any other.
 
 :func:`objective` builds R1 for every fit, the kernel direct fit's M
-included. For class labels (the delta kernel) K_y = E E' exactly, with E the
-n x c class-indicator matrix, so R1 = (1 - r1) Xc Xc' + r1 (Xc E)(Xc E)'
-costs O(dn + d^2 c) and no n x n array is built. Real-valued targets use an
-RBF label kernel, which has no such factor, and go through the dense P of
-:func:`blend_label_kernel`.
+included, as the blend (1 - r1) Xc Xc' + r1 Xc K_y Xc'. For class labels
+(the delta kernel) K_y = E E' exactly, with E the n x c class-indicator
+matrix, so the label term (Xc E)(Xc E)' costs O(dn + d^2 c) and no n x n
+array is built. Real-valued targets use an RBF label kernel, which has no
+such factor: their label term is (Xc K_y) Xc', with K_y built n x n.
 
 :func:`constraint` builds R2 for every generalized fit, the kernel direct
 fit's L = r2 * N + (1 - r2) * K_x included. S_W (or N) is built only for
@@ -155,24 +155,6 @@ def supervision_level(r1: float, r2: float) -> float:
     return (r1 + r2) / 2.0
 
 
-def blend_label_kernel(k_y, r1: float) -> np.ndarray:
-    """P = r1 * K_y + (1 - r1) * I; the label side of the objective."""
-    k_y = as_square(k_y, "K_y")
-    if not 0.0 <= r1 <= 1.0:
-        raise ConfigError(f"r1 must lie in [0, 1], got {r1}")
-    if r1 == 0.0:
-        return np.eye(k_y.shape[0])
-    if r1 == 1.0:
-        return sym(k_y)
-    # r1 K_y + (1 - r1) I bit for bit, without the identity: off the diagonal
-    # the identity term adds (1 - r1) * 0.0 = +0.0.
-    p = r1 * k_y
-    del k_y  # freed here when the caller kept no reference
-    p += 0.0
-    p.flat[::p.shape[0] + 1] += 1.0 - r1
-    return sym(p)
-
-
 def robustify(s, complement: Complement | None = None):
     """Repair a near-singular PSD matrix by flattening its eigenvalue tail.
 
@@ -252,24 +234,26 @@ def label_factor(spec: kernels.KernelSpec, labels) -> np.ndarray:
 
 
 def objective(centered: np.ndarray, labels, spec: kernels.KernelSpec | None, r1: float) -> np.ndarray:
-    """R1 = Xc P Xc' for every fit: Xc is the centered data, its span
-    coordinates, or K_x H for the kernel direct fit; ``spec`` is the resolved
-    label kernel (None at r1 = 0). ``centered`` is dropped after its last
-    product, so an array the caller kept no reference to is freed early."""
-    if r1 > 0 and spec.family != "delta":
-        out = centered @ blend_label_kernel(kernels.label_gram(spec, labels, labels), r1)
-        out = out @ centered.T
-        del centered
-        return sym(out)
-    q = centered @ kernels.class_indicator(labels) if r1 > 0 else None
+    """R1 = (1 - r1) Xc Xc' + r1 Xc K_y Xc' for every fit: Xc is the centered
+    data, its span coordinates, or K_x H for the kernel direct fit; ``spec``
+    is the resolved label kernel (None at r1 = 0). The label term is
+    (Xc E)(Xc E)' for class labels, built after ``centered`` is dropped, and
+    (Xc K_y) Xc' otherwise, built (and K_y freed) before Xc Xc'."""
+    part = q = None
+    if r1 > 0 and spec.family == "delta":
+        q = centered @ kernels.class_indicator(labels)
+    elif r1 > 0:
+        part = centered @ kernels.label_gram(spec, labels, labels)
+        part = part @ centered.T
     out = centered @ centered.T if r1 < 1 else None
     del centered
-    if q is None:
+    if q is not None:
+        part = q @ q.T
+    if part is None:
         return sym(out)
-    part = q @ q.T
     if out is None:
         return sym(part)
-    # In place, and the bits of r1 q q' + (1 - r1) Xc Xc': IEEE addition commutes.
+    # In place, and the bits of r1 part + (1 - r1) Xc Xc': IEEE addition commutes.
     out *= 1.0 - r1
     part *= r1
     out += part

@@ -25,25 +25,32 @@
   separated components and ``U' B' U = I`` within tolerances.
 * ``squared_distances`` and ``gram`` are the kernel builders as they were
   before they worked in place; the package must match them bit for bit. So
-  are ``double_center`` and ``blend_label_kernel``, which now work in
-  place too.
+  must ``double_center``, which now works in place too.
+* ``median_heuristic_gamma`` is the package's bandwidth with its median
+  taken by ``np.median``, which the package no longer calls (it imports
+  ``numpy.ma``); the package must give its bits.
+* ``blend_label_kernel`` is P = r1 K_y + (1 - r1) I, the dense label side of
+  the objective that ``rda.objective`` built for real-valued targets before
+  it blended (Xc K_y) Xc' with Xc Xc'.
 * ``fit_dual``, ``fit_kernel_pca`` and ``fit_kernel_spca`` are the dual and
   kernel-trick fits as they were before they shared one small-side solve
-  (``roweis.kernel_rda.leading_directions``) and one component rule
-  (``roweis.rda.select_components``): the dual's own factor
-  W = [sqrt(r1) Xc Upsilon, sqrt(1 - r1) Xc], its W'W branch (basis W V /
+  (``leading_directions``, since folded into ``kernel_rda._fit_trick``) and
+  one component rule (``roweis.rda.select_components``): the dual's own
+  factor W = [sqrt(r1) Xc Upsilon, sqrt(1 - r1) Xc], its W'W branch (basis W V /
   sigma) and its truncated SVD of W (``incomplete_svd``), the trick fits'
   ``_leading_directions``, which zeroed no eigensolver noise before the
   square root, and their own cuts (singular values below 1e-10 and 1e-6 of
   the largest). The trick fits return at most their columns, each with
-  their eigenpair bit for bit. The package's dual fit is now ``rda.fit`` at
-  r2 = 0 and must agree with this one within tolerances, on the components
-  the one rule keeps.
+  their eigenpair bit for bit, and fold them into coeffs and offset with
+  the package's ``kernel_rda.fold_centering``, as a loaded model file is.
+  The package's dual fit is now ``rda.fit`` at r2 = 0 and must agree with
+  this one within tolerances, on the components the one rule keeps.
 * ``project_kernel`` is kernel-model projection as one product over all new
-  points, with the training Gram built on every call and the new points'
-  kernel centered by ``center_test_kernel``: the formula the blocked
-  ``kernel_rda.project`` is checked against, which does the centering in
-  place.
+  points. For the trick variants it takes the raw coefficients
+  Upsilon V / sigma against the new points' kernel centered by
+  ``center_test_kernel`` with the training Gram built on every call: the
+  formula the blocked ``kernel_rda.project``, which subtracts the folded
+  offset instead, is checked against.
 * ``fit_direct`` is the kernel direct fit of one config as it was before
   ``kernel_rda.fit_direct_grid`` shared the per-split work, on the
   package's ``rda.objective``, ``generalized_eig`` and ``select_components``
@@ -83,7 +90,7 @@ from roweis.linalg import (
     _sign_flips,
 )
 from roweis.linalg import generalized_eig as package_generalized_eig
-from roweis.kernel_rda import KernelRdaModel
+from roweis.kernel_rda import KernelRdaModel, fold_centering
 from roweis.rda import _fit_inputs, _resolved_label_kernel, label_factor, select_components
 
 
@@ -300,6 +307,24 @@ def gram(spec: kernels.KernelSpec, a, b) -> np.ndarray:
     raise ConfigError(f"no data kernel {spec.family!r}")
 
 
+def median_heuristic_gamma(x) -> float:
+    x = as_matrix(x, "X")
+    n = x.shape[1]
+    if n < 2:
+        return 1.0
+    i, j = np.triu_indices(n, k=1)
+    pairs = kernels.squared_distances(x, x)[i, j]
+    near = np.flatnonzero(pairs <= kernels.NEAR_RTOL * 2.0 * float(np.max(np.sum(x * x, axis=0))))
+    diff = x[:, i[near]] - x[:, j[near]]
+    pairs[near] = np.sum(diff * diff, axis=0)
+    dists = np.sqrt(pairs)
+    positive = dists[dists > 0.0]
+    if positive.size == 0:
+        return 1.0
+    med = float(np.median(positive))
+    return 1.0 / (2.0 * med * med)
+
+
 def double_center(k) -> np.ndarray:
     k = as_square(k, "K")
     return k - k.mean(axis=1, keepdims=True) - k.mean(axis=0, keepdims=True) + k.mean()
@@ -352,14 +377,16 @@ def center_test_kernel(k_train, k_test) -> np.ndarray:
 
 
 def project_kernel(model, x_any) -> np.ndarray:
-    """coeffs' K_new over all new points at once, K_new centered with the
-    training Gram for the trick variants."""
+    """coeffs' K_new over all new points at once for the direct variant; for
+    the trick variants the raw coefficients Upsilon V / sigma against K_new
+    centered with the training Gram."""
     x_any = as_features(x_any, model.train_x.shape[0])
     k_new = gram(model.kernel, model.train_x, x_any)
-    if model.variant != "direct":
-        k_train = _sym(gram(model.kernel, model.train_x, model.train_x))
-        k_new = center_test_kernel(k_train, k_new)
-    return model.coeffs.T @ k_new
+    if model.variant == "direct":
+        return model.coeffs.T @ k_new
+    k_train = _sym(gram(model.kernel, model.train_x, model.train_x))
+    right = model.right_vectors if model.upsilon is None else model.upsilon @ model.right_vectors
+    return (right / model.sigma[None, :]).T @ center_test_kernel(k_train, k_new)
 
 
 # ---------------------------------------------------------------- small-side fits
@@ -455,9 +482,10 @@ def fit_kernel_pca(x, kernel, p=None) -> KernelRdaModel:
     kernel = kernels.resolve_gamma(kernel, x)
     k_x = _sym(gram(kernel, x, x))
     right, sigma, notes = _leading_directions(symmetric_eig(double_center(k_x)), p)
+    coeffs, offset = fold_centering(right.copy(), sigma.copy(), None, k_x.mean(axis=1))
     return KernelRdaModel(
-        variant="trick_pca", coeffs=right / sigma[None, :], eigvals=sigma**2, train_x=x.copy(),
-        kernel=kernel, r1=0.0, r2=0.0, right_vectors=right.copy(), sigma=sigma.copy(), notes=notes,
+        variant="trick_pca", coeffs=coeffs, eigvals=sigma**2, train_x=x.copy(), kernel=kernel,
+        r1=0.0, r2=0.0, right_vectors=right.copy(), sigma=sigma.copy(), notes=notes, offset=offset,
     )
 
 
@@ -469,10 +497,11 @@ def fit_kernel_spca(x, labels, kernel_x, kernel_y=None, p=None) -> KernelRdaMode
     upsilon = label_factor(spec_y, labels)
     core = _sym(upsilon.T @ double_center(k_x) @ upsilon)
     right, sigma, notes = _leading_directions(symmetric_eig(core), p)
+    coeffs, offset = fold_centering(right.copy(), sigma.copy(), upsilon.copy(), k_x.mean(axis=1))
     return KernelRdaModel(
-        variant="trick_spca", coeffs=(upsilon @ right) / sigma[None, :], eigvals=sigma**2,
-        train_x=x.copy(), kernel=kernel_x, r1=1.0, r2=0.0, label_kernel=spec_y,
-        right_vectors=right.copy(), sigma=sigma.copy(), upsilon=upsilon.copy(), notes=notes,
+        variant="trick_spca", coeffs=coeffs, eigvals=sigma**2, train_x=x.copy(), kernel=kernel_x,
+        r1=1.0, r2=0.0, label_kernel=spec_y, right_vectors=right.copy(), sigma=sigma.copy(),
+        upsilon=upsilon.copy(), notes=notes, offset=offset,
     )
 
 

@@ -37,7 +37,6 @@ from roweis.kernel_rda import project as project_kernel
 from roweis.linalg import generalized_eig, symmetric_eig
 from roweis.rda import (
     RoweisConfig,
-    blend_label_kernel,
     fit,
     project,
     robustify,
@@ -45,7 +44,7 @@ from roweis.rda import (
 from roweis.scatter import within_scatter
 
 from conftest import align_columns, align_rows, labeled_blobs
-from oracle import centering_matrix, constraint_matrix, objective_matrix, total_scatter
+from oracle import blend_label_kernel, centering_matrix, constraint_matrix, objective_matrix, total_scatter
 from test_kernels import poly_feature_map
 
 # Fixed seed for the nonlinear-separation runs; chosen once so that the

@@ -7,7 +7,7 @@ import oracle
 from roweis import kernels
 from roweis.dual import fit_dual
 from roweis.exceptions import ConfigError, NumericalError
-from roweis.kernel_rda import fit_kernel_pca, fit_kernel_spca
+from roweis.kernel_rda import KernelRdaModel, fit_kernel_pca, fit_kernel_spca
 from roweis.rda import RdaModel, RoweisConfig, fit, project, reconstruct, select_components
 
 from conftest import align_columns, align_rows, labeled_blobs
@@ -207,21 +207,35 @@ def small_side_data(seed: int, d: int, n: int, shape: str, targets: bool):
 
 
 # Arrays with one entry or column per component.
-COMPONENT_ARRAYS = ("coeffs", "right_vectors", "eigvals", "sigma")
-# Arrays formed by a matrix product over the kept columns: kernel SPCA's
-# Upsilon V / sigma. OpenBLAS takes another kernel for a product with few
-# columns, so with fewer columns kept than the oracle's these may differ
-# from its columns in the last bits.
-PRODUCTS = ("coeffs",)
+COMPONENT_ARRAYS = ("coeffs", "offset", "right_vectors", "eigvals", "sigma")
+
+
+def product_scales(model, k: int) -> dict:
+    """{name: scale} of the arrays of a trick fit formed by a matrix product
+    over its first k columns: coeffs = (H Upsilon) V / sigma and offset =
+    r' coeffs, r the training Gram's row means. The scale is the largest
+    entry of the product of its factors' absolute values (|A| |B|, and
+    |r|' |A| |B| for the offset), which bounds its round-off.
+    OpenBLAS takes another kernel for a product with few columns, so with
+    fewer columns kept than the oracle's these may differ from its columns
+    in the last bits. Centering cancels the constant part of a component's
+    raw coefficients, so the scale can exceed the largest entry itself."""
+    right = np.abs(model.right_vectors[:, :k]) / model.sigma[:k]
+    n = right.shape[0] if model.upsilon is None else model.upsilon.shape[0]
+    factor = oracle.centering_matrix(n) if model.upsilon is None else model.upsilon - model.upsilon.mean(axis=0)
+    row_means = oracle._sym(oracle.gram(model.kernel, model.train_x, model.train_x)).mean(axis=1)
+    coeffs = np.abs(factor) @ right
+    return {"coeffs": float(np.max(coeffs)), "offset": float(np.max(np.abs(row_means) @ coeffs))}
 
 
 def assert_leading_columns(got, want, p):
     """``got`` returns the components the one rule keeps of ``want``'s
     spectrum: the solver's outputs for each bit for bit as ``want`` has them,
-    and the products formed from them to within 1e-15 of the largest entry."""
+    and the products formed from them to within 1e-15 of their scale."""
     assert type(got) is type(want)
     k = got.n_components
     assert (k, got.notes) == select_components(want.eigvals, want.eigvals.size, p)
+    scales = product_scales(want, k) if isinstance(want, KernelRdaModel) else {}
     for field in dataclasses.fields(want):
         a, b = getattr(got, field.name), getattr(want, field.name)
         if field.name == "notes":
@@ -230,8 +244,8 @@ def assert_leading_columns(got, want, p):
             if field.name in COMPONENT_ARRAYS:
                 b = b[..., :k]
             assert a.dtype == b.dtype and a.shape == b.shape, field.name
-            if field.name in PRODUCTS:
-                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-15 * np.max(np.abs(b)), err_msg=field.name)
+            if field.name in scales:
+                np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-15 * scales[field.name], err_msg=field.name)
             else:
                 assert a.tobytes() == b.tobytes(), field.name
         else:

@@ -1,9 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import roweis
 from roweis.exceptions import ConfigError
 from roweis.kernels import (
     KernelSpec,
@@ -264,6 +270,39 @@ class TestBandwidth:
 
     def test_degenerate_data_falls_back(self):
         assert median_heuristic_gamma(np.ones((2, 5))) == 1.0
+
+    def test_kernel_fits_leave_numpy_ma_unimported(self, tmp_path):
+        # np.median imports numpy.ma (about 1 MB); resolving a bandwidth from
+        # the data, for X and for real-valued targets, must not need it.
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from roweis import cli, kernel_rda
+            from roweis.kernels import KernelSpec
+            from roweis.rda import RoweisConfig
+            x = np.random.default_rng(0).standard_normal((2, 40))
+            classes, targets = (x[0] > 0).astype(int), x[0] + x[1]
+            rbf = KernelSpec("rbf")
+            models = [
+                kernel_rda.fit_kernel_pca(x, rbf),
+                kernel_rda.fit_kernel_spca(x, classes, rbf),
+                kernel_rda.fit_kernel_spca(x, targets, rbf),
+                kernel_rda.fit_direct(x, targets, RoweisConfig(0.5, 0.0), rbf),
+            ]
+            for model in models:
+                kernel_rda.project(model, x)
+            data, model = sys.argv[1] + "/rings.csv", sys.argv[1] + "/m.txt"
+            assert cli.main(["gen", "rings", "--n", "60", "--seed", "1", "--out", data]) == 0
+            assert cli.main(["fit", "--data", data, "--label-col", "label", "--variant", "kernel",
+                             "--r1", "0.5", "--r2", "0.5", "--out", model]) == 0
+            print("numpy.ma" in sys.modules)
+        """)
+        src = str(Path(roweis.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
     def test_resolve_gamma_pins_value(self, rng):
         x = rng.standard_normal((3, 10))

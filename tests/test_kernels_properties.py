@@ -1,4 +1,6 @@
-"""Property: the median-heuristic bandwidth does not depend on sample order.
+"""Properties of the median-heuristic bandwidth.
+
+It does not depend on sample order.
 
 Two equal samples are at distance exactly 0 wherever they sit, so they never
 enter the median. On centered data, where the expanded distances carry a
@@ -6,6 +8,10 @@ round-off of a few eps relative, permuting the samples may then move gamma by
 round-off only. A duplicated sample whose distance came out as a round-off
 positive, depending on its place in the BLAS product, would add one more
 distance to the median and move gamma by percents.
+
+It has the bits of the same bandwidth with its median taken by ``np.median``
+(``oracle.median_heuristic_gamma``): over odd and even counts of positive
+distances, tied distances and equal samples.
 
 Runs only where ``hypothesis`` is installed; it is a test extra, not a
 runtime dependency.
@@ -19,6 +25,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from roweis.kernels import median_heuristic_gamma  # noqa: E402
+
+import oracle  # noqa: E402
 
 
 @settings(max_examples=200, deadline=None)
@@ -36,3 +44,21 @@ def test_gamma_ignores_the_order_of_duplicated_samples(d, n, seed):
     gamma = median_heuristic_gamma(x)
     permuted = median_heuristic_gamma(x[:, rng.permutation(n)])
     assert abs(permuted - gamma) <= 1e-13 * gamma
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 5),
+    n=st.integers(1, 24),
+    grid=st.booleans(),
+    equal=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gamma_has_the_bits_of_np_median(d, n, grid, equal, seed):
+    rng = np.random.default_rng(seed)
+    # Points on a small integer grid tie many distances and repeat samples.
+    x = rng.integers(-2, 3, size=(d, n)).astype(float) if grid else rng.standard_normal((d, n))
+    for _ in range(equal if n > 1 else 0):
+        source, target = rng.choice(n, size=2, replace=False)
+        x[:, target] = x[:, source]
+    assert median_heuristic_gamma(x).hex() == oracle.median_heuristic_gamma(x).hex()

@@ -18,7 +18,6 @@ from roweis.kernel_rda import project as project_kernel
 from roweis.linalg import generalized_eig, psd_factor
 from roweis.rda import (
     RoweisConfig,
-    blend_label_kernel,
     fit,
     label_factor,
     project,
@@ -26,7 +25,7 @@ from roweis.rda import (
 from roweis.scatter import within_scatter
 
 from conftest import align_rows
-from oracle import constraint_matrix, objective_matrix
+from oracle import blend_label_kernel, constraint_matrix, objective_matrix
 
 SPECTRUM_RTOL = 1e-10
 EMBEDDING_RTOL = 1e-8

@@ -7,9 +7,9 @@ from roweis.linalg import Complement, symmetric_eig
 from roweis.rda import (
     RdaModel,
     RoweisConfig,
-    blend_label_kernel,
     constraint,
     fit,
+    objective,
     project,
     reconstruct,
     robustify,
@@ -19,24 +19,43 @@ from roweis.rda import (
 from roweis.scatter import within_scatter
 
 from conftest import align_columns, align_rows, labeled_blobs, with_complement
-from oracle import centering_matrix, constraint_matrix, objective_matrix, total_scatter
+from oracle import blend_label_kernel, centering_matrix, constraint_matrix, objective_matrix, total_scatter
 
 
 class TestBlendLabelKernel:
+    """rda.objective blends the label term (Xc K_y) Xc' with Xc Xc', for a
+    label kernel without a class factor, as P = r1 K_y + (1 - r1) I does."""
+
+    @staticmethod
+    def targets(rng):
+        x = rng.standard_normal((3, 12))
+        return x - x.mean(axis=1, keepdims=True), x[0] + 0.3 * rng.standard_normal(12)
+
     def test_r1_zero_gives_identity(self, rng):
-        k = kernels.delta_kernel([0, 1, 1], [0, 1, 1])
-        np.testing.assert_allclose(blend_label_kernel(k, 0.0), np.eye(3))
+        xc, y = self.targets(rng)
+        got = objective(xc, y, None, 0.0)
+        np.testing.assert_allclose(got, xc @ xc.T, rtol=0.0, atol=1e-14 * np.abs(got).max())
 
     def test_r1_one_gives_kernel(self, rng):
-        k = kernels.delta_kernel([0, 1, 1], [0, 1, 1])
-        np.testing.assert_allclose(blend_label_kernel(k, 1.0), k)
+        xc, y = self.targets(rng)
+        spec = kernels.KernelSpec("rbf", gamma=0.5)
+        got = objective(xc, y, spec, 1.0)
+        want = xc @ kernels.label_gram(spec, y, y) @ xc.T
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
 
-    def test_midpoint(self):
-        np.testing.assert_allclose(blend_label_kernel(2.0 * np.eye(2), 0.5), 1.5 * np.eye(2))
+    def test_midpoint(self, rng):
+        xc, y = self.targets(rng)
+        spec = kernels.KernelSpec("rbf", gamma=0.5)
+        for r1 in (0.3, 0.5):
+            want = objective_matrix(xc, blend_label_kernel(kernels.label_gram(spec, y, y), r1))
+            got = objective(xc, y, spec, r1)
+            assert np.array_equal(got, got.T)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
 
     def test_out_of_range(self):
+        # The range check on r1 is the config's.
         with pytest.raises(ConfigError):
-            blend_label_kernel(np.eye(2), 1.5)
+            RoweisConfig(r1=1.5)
 
 
 class TestObjectiveMatrix:

@@ -21,7 +21,6 @@ from roweis import kernels, rda
 from roweis.linalg import generalized_eig
 from roweis.rda import (
     RoweisConfig,
-    blend_label_kernel,
     fit,
     project,
     robustify,
@@ -29,7 +28,7 @@ from roweis.rda import (
 from roweis.scatter import within_scatter
 
 from conftest import align_rows
-from oracle import constraint_matrix, objective_matrix
+from oracle import blend_label_kernel, constraint_matrix, objective_matrix
 
 SPECTRUM_RTOL = 1e-10
 SHIFT_RTOL = 1e-12
