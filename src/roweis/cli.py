@@ -238,12 +238,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    model = persist.load_model(args.model)
-    if isinstance(model, kernel_rda.KernelRdaModel):
-        raise ConfigError(
-            "kernel models cannot reconstruct: the mapped training data Phi(X) "
-            "exist only through inner products and are not available"
-        )
+    model = persist.load_primal_model(args.model)
     x, _ = _load_features(args.data, args.label_col)
     rec = rda.reconstruct(model, x)
     out = args.out or "reconstruction.csv"

@@ -10,12 +10,22 @@ Two routes into the feature space:
       L = r2 * N + (1 - r2) * K_x,      N = sum_j K_j H_j K_j',
 
   where K_j collects the Gram columns of class j and H_j centers within the
-  class: N is :func:`roweis.scatter.within_scatter` with K_x's rows as the
-  samples' features, and L is :func:`roweis.rda.constraint` with K_x as both
-  the data and the metric (Mika et al. 1999, "Fisher discriminant analysis
-  with kernels"). M is :func:`roweis.rda.objective` with K_x H as the
-  centered data, so class labels need no n x n P. This works for every
-  (r1, r2). Embeddings are Theta' K.
+  class (Mika et al. 1999, "Fisher discriminant analysis with kernels").
+  It is solved in K_x's numerical range. One eigh(K_x) per training set
+  keeps the m eigenpairs (V_m, lambda_m) with |lambda| above
+  EIG_NOISE_RTOL of the largest. With G = V_m' K_x = Lambda_m V_m' and
+  theta = V_m z, the problem is m x m: V_m' M V_m is
+  :func:`roweis.rda.objective` of G H, so class labels need no n x n P, and
+  V_m' L V_m is :func:`roweis.rda.constraint` of G with the diagonal metric
+  lambda_m (V_m' N V_m is the within-class scatter of G). L is 0 on the
+  other n - m dimensions, so that complement goes to the solver as
+  Complement(0.0, n - m): the PSD check, the shift unit and the ladder see
+  L's full spectrum and shift as the n x n solve does (Schoelkopf et al.
+  1999, "Input space versus feature space in kernel-based methods"). This
+  works for every (r1, r2). Coefficients are theta = V_m z, and embeddings
+  are Theta' K. It saves work when K_x has low numerical rank (m much
+  smaller than n); at full rank it is the n x n problem in another basis,
+  plus the eigh, and V_m is held beside the solve.
 
 * The kernel-trick method exists for the two corners r1 = 0 (kernel PCA) and
   r1 = 1 (kernel SPCA) of the r2 = 0 edge, where the data appear only
@@ -28,22 +38,23 @@ Two routes into the feature space:
 
 Every fit keeps the components :func:`roweis.rda.select_components` allows
 on its eigenvalues (sigma^2 for the trick fits), as the primal fit does. The
-direct fit's rank cap is min(n, c) - 1 at r2 = 1 and n - 1 otherwise; the
-trick fits have none beyond the order of their core. So at r1 = 1 with two
-classes, where M has rank one, the direct fit returns one component: the
-directions of M's null space are set by round-off alone.
+direct fit's rank cap is min(n, c) - 1 at r2 = 1 and n - 1 otherwise, and
+it has at most m eigenvalues; the trick fits have no cap beyond the order
+of their core. So at r1 = 1 with two classes, where M has rank one, the
+direct fit returns one component: the directions of M's null space are set
+by round-off alone.
 
 One training set is fitted at many (r1, r2) by :func:`fit_direct_grid`;
 :func:`fit_direct` is its one-config case. The input check, the data and
-label bandwidths and K_x are done once per training set. L depends only on
-r2, so the configs are solved grouped by it: each distinct L is built (for
-r2 > 0 its N is built inside it and dies with it), factored once
-(:func:`roweis.linalg.factor_constraint`) and dropped, and every M of the
-group is solved against that factor. One factor and one M are held at a
-time. K_x H and M are handed over with no reference kept, so each is freed
-after its last product; K_x is dropped once no L or M needs it, and the last
-config centers K_x in place. Every step runs the per-config functions on the
-same inputs, so each model equals a lone fit bit for bit.
+label bandwidths, K_x and its eigh are done once per training set, and K_x
+dies once G H = V_m' (K_x H) is formed. So the cost is one n x n eigh per
+training set, then m x m work per r2 group and per config. L depends only
+on r2, so the configs are solved grouped by it: each distinct L is built,
+factored once (:func:`roweis.linalg.factor_constraint`) and dropped, and
+every M of the group is solved against that factor. M is handed over with
+no reference kept, and so is G H at the last config, so each is freed after
+its last product. Every step runs the per-config functions on the same
+inputs, so each model equals a lone fit bit for bit.
 
 Every model embeds new points as coeffs' k(X, x) - offset, k(X, x) the kernel
 between the retained training matrix and the new points; the direct fit's
@@ -67,7 +78,15 @@ import numpy as np
 from . import kernels
 from ._util import as_features, classes, sym
 from .exceptions import ConfigError
-from .linalg import factor_constraint, generalized_eig, symmetric_eig
+from .linalg import (
+    EIG_NOISE_RTOL,
+    Complement,
+    _fix_signs,
+    _numerical,
+    factor_constraint,
+    generalized_eig,
+    symmetric_eig,
+)
 from .rda import (
     RoweisConfig,
     _fit_inputs,
@@ -141,15 +160,17 @@ def fit_direct_grid(x, labels, configs, kernel: kernels.KernelSpec) -> list[Kern
 
     kernel = kernels.resolve_gamma(kernel, x)
     train_x = x.copy()
-    k_x = sym(kernels.gram(kernel, x, x))
+    vectors, values, g_c = _gram_range(kernel, x)
+    complement = Complement(0.0, n - values.size) if values.size < n else None
     groups: dict[float, list[int]] = {}
     for i, config in enumerate(configs):
         groups.setdefault(config.r2, []).append(i)
     label_specs: dict = {}
     models: list = [None] * len(configs)
-    left = len(configs)
+    shared, left = [g_c], len(configs)
+    del g_c
     for r2, members in groups.items():
-        factor = factor_constraint(constraint(k_x, labels, r2, metric=k_x))
+        factor = factor_constraint(constraint(shared[0], labels, r2, metric=values), complement)
         cap = n_classes - 1 if r2 == 1.0 else n - 1
         for i in members:
             config = configs[i]
@@ -159,19 +180,14 @@ def fit_direct_grid(x, labels, configs, kernel: kernels.KernelSpec) -> list[Kern
                     label_specs[config.label_kernel] = _resolved_label_kernel(config.label_kernel, labels)
                 resolved_label = label_specs[config.label_kernel]
             left -= 1
-            if left:
-                centered = [k_x - k_x.mean(axis=1, keepdims=True)]
-            else:  # the last config: center K_x in place
-                k_x -= k_x.mean(axis=1, keepdims=True)
-                centered, k_x = [k_x], None
-            # No reference to K_x H or M is kept here, so objective frees the
-            # one and the solver the other after their last product.
-            m_mat = [objective(centered.pop(), labels, resolved_label, config.r1)]
+            # No reference to M is kept here, nor to G H at the last config,
+            # so objective frees the one and the solver the other.
+            m_mat = [objective(shared[0] if left else shared.pop(), labels, resolved_label, config.r1)]
             pair = generalized_eig(m_mat.pop(), factor)
             p, notes = select_components(pair.values, cap, config.p)
             models[i] = KernelRdaModel(
                 variant="direct",
-                coeffs=pair.vectors[:, :p].copy(),
+                coeffs=_fix_signs(vectors @ pair.vectors[:, :p]),
                 eigvals=pair.values[:p].copy(),
                 train_x=train_x,
                 kernel=kernel,
@@ -181,9 +197,24 @@ def fit_direct_grid(x, labels, configs, kernel: kernels.KernelSpec) -> list[Kern
                 shift=pair.shift,
                 notes=notes,
             )
-            del pair  # its n x n vectors, before the next config's work
+            del pair  # its m x m vectors, before the next config's work
         del factor
     return models
+
+
+def _gram_range(kernel: kernels.KernelSpec, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V_m, lambda_m, G H): K_x's eigenpairs with |lambda| above
+    EIG_NOISE_RTOL of the largest, and G = V_m' K_x = Lambda_m V_m' with its
+    rows centered. G H is taken as V_m' (K_x H), so constant data, whose
+    K_x H is exactly 0, give G H = 0 and no components, as the n x n solve
+    did. K_x is centered in place and dies here."""
+    k_x = sym(kernels.gram(kernel, x, x))
+    with _numerical("fit_direct_grid"):
+        values, vectors = np.linalg.eigh(k_x)
+    keep = np.abs(values) > EIG_NOISE_RTOL * np.abs(values).max()
+    values, vectors = values[keep], vectors[:, keep]
+    k_x -= k_x.mean(axis=1, keepdims=True)
+    return vectors, values, vectors.T @ k_x
 
 
 def fit_kernel_pca(x, kernel: kernels.KernelSpec, p: int | None = None) -> KernelRdaModel:

@@ -19,6 +19,9 @@ formed once, at load time.
 Kernel-trick files hold the fit's raw pieces (``right_vectors``, ``sigma``,
 ``upsilon``), folded into coefficients and an offset once, at load time, from
 one training Gram (:func:`roweis.kernel_rda.fold_centering`).
+:func:`load_primal_model`, for the commands that need a basis in the input
+space, checks a kernel file as :func:`load_model` does and refuses it before
+that fold.
 """
 
 from __future__ import annotations
@@ -240,12 +243,31 @@ def _from_dual_layout(scalars: dict, arrays: dict, path) -> tuple[dict, dict]:
 
 
 def load_model(path):
+    return _model(path, *_parse(path))
+
+
+def load_primal_model(path) -> RdaModel:
+    """:func:`load_model` for a command that needs a basis in the input
+    space. A kernel file is checked as :func:`load_model` checks it, then
+    refused with ConfigError before its trick pieces are folded: the fold
+    alone would build the n x n training Gram."""
     scalars, arrays = _parse(path)
+    if scalars.get("variant") in _VARIANT_FROM_NAME:
+        _kernel_fields(path, scalars, arrays)  # a malformed file is a DataError first
+        raise ConfigError(
+            f"{path}: kernel models have no basis in the input space: the mapped "
+            "training data Phi(X) exist only through inner products and are not available"
+        )
+    return _model(path, scalars, arrays)
+
+
+def _model(path, scalars: dict, arrays: dict):
+    """The model of a parsed file's scalars and arrays."""
     if scalars.get("variant") == "dual":
         scalars, arrays = _from_dual_layout(scalars, arrays, path)
     variant = scalars.get("variant")
-    notes = _scalar(scalars, "notes", path, tuple, ())
     if variant == "primal":
+        notes = _scalar(scalars, "notes", path, tuple, ())
         route = scalars.get("route", "dense")
         if route not in ROUTES:
             raise DataError(f"{path}: unknown route {route!r}")
@@ -270,43 +292,48 @@ def load_model(path):
             route=route,
         )
     if variant in _VARIANT_FROM_NAME:
-        kind = _VARIANT_FROM_NAME[variant]
-        kernel = _scalar(scalars, "kernel", path, _data_kernel)
-        label_kernel = _scalar(scalars, "label_kernel", path, _kernel_spec, None)
-        train_x = _mat(arrays, "train_x", path)
-        eigvals = _vec(arrays, "eigvals", path)
-        n_train = ("'train_x' columns", train_x.shape[1])
-        if kind == "direct":
-            coeffs, offset = _mat(arrays, "coeffs", path), 0.0
-            _agree(path, "'coeffs' rows", coeffs.shape[0], *n_train)
-            sigma = right = upsilon = None
-        else:
-            sigma = _vec(arrays, "sigma", path)
-            right = _mat(arrays, "right_vectors", path)
-            upsilon = arrays.get("upsilon")
-            if upsilon is None:
-                _agree(path, "'right_vectors' rows", right.shape[0], *n_train)
-            else:
-                _agree(path, "'upsilon' rows", upsilon.shape[0], *n_train)
-                _agree(path, "'right_vectors' rows", right.shape[0], "'upsilon' columns", upsilon.shape[1])
-            _agree(path, "'sigma' entries", sigma.size, "'right_vectors' columns", right.shape[1])
-            row_means = sym(gram(kernel, train_x, train_x)).mean(axis=1)
-            coeffs, offset = fold_centering(right, sigma, upsilon, row_means)
-        _agree(path, "'eigvals' entries", eigvals.size, "components", coeffs.shape[1])
-        return KernelRdaModel(
-            variant=kind,
-            coeffs=coeffs,
-            eigvals=eigvals,
-            train_x=train_x,
-            kernel=kernel,
-            r1=_scalar(scalars, "r1", path, float, 0.0),
-            r2=_scalar(scalars, "r2", path, float, 0.0),
-            label_kernel=label_kernel,
-            right_vectors=right,
-            sigma=sigma,
-            upsilon=upsilon,
-            shift=_scalar(scalars, "shift", path, float, 0.0),
-            notes=notes,
-            offset=offset,
-        )
+        fields = _kernel_fields(path, scalars, arrays)
+        if fields["variant"] != "direct":
+            train_x = fields["train_x"]
+            row_means = sym(gram(fields["kernel"], train_x, train_x)).mean(axis=1)
+            fields["coeffs"], fields["offset"] = fold_centering(
+                fields["right_vectors"], fields["sigma"], fields["upsilon"], row_means)
+        return KernelRdaModel(**fields)
     raise DataError(f"{path}: unknown model variant {variant!r}")
+
+
+def _kernel_fields(path, scalars: dict, arrays: dict) -> dict:
+    """The checked :class:`KernelRdaModel` fields of a kernel file; a trick
+    file's raw pieces are not yet folded, so it has no coeffs or offset."""
+    kind = _VARIANT_FROM_NAME[scalars["variant"]]
+    fields = {
+        "variant": kind,
+        "notes": _scalar(scalars, "notes", path, tuple, ()),
+        "kernel": _scalar(scalars, "kernel", path, _data_kernel),
+        "label_kernel": _scalar(scalars, "label_kernel", path, _kernel_spec, None),
+        "train_x": _mat(arrays, "train_x", path),
+        "eigvals": _vec(arrays, "eigvals", path),
+    }
+    n_train = ("'train_x' columns", fields["train_x"].shape[1])
+    if kind == "direct":
+        coeffs = fields["coeffs"] = _mat(arrays, "coeffs", path)
+        _agree(path, "'coeffs' rows", coeffs.shape[0], *n_train)
+        components = coeffs.shape[1]
+    else:
+        sigma = fields["sigma"] = _vec(arrays, "sigma", path)
+        right = fields["right_vectors"] = _mat(arrays, "right_vectors", path)
+        upsilon = fields["upsilon"] = arrays.get("upsilon")
+        if upsilon is None:
+            _agree(path, "'right_vectors' rows", right.shape[0], *n_train)
+        else:
+            _agree(path, "'upsilon' rows", upsilon.shape[0], *n_train)
+            _agree(path, "'right_vectors' rows", right.shape[0], "'upsilon' columns", upsilon.shape[1])
+        _agree(path, "'sigma' entries", sigma.size, "'right_vectors' columns", right.shape[1])
+        components = right.shape[1]
+    _agree(path, "'eigvals' entries", fields["eigvals"].size, "components", components)
+    fields.update(
+        r1=_scalar(scalars, "r1", path, float, 0.0),
+        r2=_scalar(scalars, "r2", path, float, 0.0),
+        shift=_scalar(scalars, "shift", path, float, 0.0),
+    )
+    return fields

@@ -262,23 +262,22 @@ def objective(centered: np.ndarray, labels, spec: kernels.KernelSpec | None, r1:
 
 
 def constraint(data, labels, r2: float, metric=None) -> np.ndarray:
-    """R2 = r2 * S_W + (1 - r2) * G: S_W is :func:`roweis.scatter.within_scatter`
-    of ``data``, G is I when ``metric`` is None and ``metric`` otherwise (the
-    kernel direct fit's L has data = metric = K_x). At r2 = 0 no S_W is
-    built, and a given metric comes back as it is, not copied."""
+    """R2 = r2 * S_W + (1 - r2) * diag(metric): S_W is
+    :func:`roweis.scatter.within_scatter` of ``data``, and ``metric`` is a
+    vector, all ones (R2's identity) when None. The kernel direct fit passes
+    K_x's kept eigenvalues, the metric of its L in K_x's eigenbasis. At
+    r2 = 0 no S_W is built, and for r2 > 0 the metric is added on the
+    diagonal, not built as a matrix."""
     if r2 == 0:
-        return np.eye(data.shape[0]) if metric is None else metric
+        return np.eye(data.shape[0]) if metric is None else np.diag(metric)
     out = scatter.within_scatter(data, labels)
     if r2 == 1:
         return out
-    # In place, and the bits of r2 S_W + (1 - r2) G: for G = I, off the
-    # diagonal the identity term adds (1 - r2) * 0.0 = +0.0.
+    # In place, and the bits of r2 S_W + (1 - r2) diag(metric): off the
+    # diagonal the metric adds (1 - r2) * 0.0 = +0.0.
     out *= r2
-    if metric is None:
-        out += 0.0
-        out.flat[::out.shape[0] + 1] += 1.0 - r2
-    else:
-        out += (1.0 - r2) * metric
+    out += 0.0
+    out.flat[::out.shape[0] + 1] += (1.0 - r2) * (1.0 if metric is None else metric)
     return sym(out)
 
 

@@ -51,18 +51,21 @@
   ``center_test_kernel`` with the training Gram built on every call: the
   formula the blocked ``kernel_rda.project``, which subtracts the folded
   offset instead, is checked against.
-* ``fit_direct`` is the kernel direct fit of one config as it was before
-  ``kernel_rda.fit_direct_grid`` shared the per-split work, on the
-  package's ``rda.objective``, ``generalized_eig`` and ``select_components``
-  so that only the sharing is compared. ``kernel_objective_matrix`` is the
-  dense M = K_x (H P H) K_x the package built before ``rda.objective`` took
-  over; ``rda.objective`` of K_x H must agree with it within round-off.
+* ``fit_direct`` is the kernel direct fit of one config as the dense n x n
+  shifted solve (M, L) it was before ``kernel_rda.fit_direct_grid`` moved
+  into K_x's numerical range, on the package's ``rda.objective``,
+  ``generalized_eig`` and ``select_components``. The package must agree with
+  it within tolerances: its embeddings, spectrum and shift, and exactly in
+  dims and notes. ``kernel_objective_matrix`` is the dense
+  M = K_x (H P H) K_x the package built before ``rda.objective`` took over;
+  ``rda.objective`` of K_x H must agree with it within round-off.
   ``sweep_rows``, ``regression_benchmark_table`` and ``embedding_panels``
-  are the CLI sweep and the experiments as per-config loops over it: every
-  grid point validates, resolves its bandwidths, builds its Grams and
-  factors its constraint anew. Below 1024 new points ``project_kernel``
-  equals the blocked projection bit for bit, so these loops give the
-  package's outputs byte for byte.
+  are the CLI sweep and the experiments as per-config loops over the
+  package's one-config ``kernel_rda.fit_direct``: every grid point
+  validates, resolves its bandwidths, builds its Grams and factors its
+  constraint anew. Below 1024 new points ``project_kernel`` equals the
+  blocked projection bit for bit, so these loops give the package's outputs
+  byte for byte.
 
 Do not change them to match the package.
 """
@@ -73,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from roweis import datasets, evaluate, experiments, kernels, rda
+from roweis import datasets, evaluate, experiments, kernel_rda, kernels, rda
 from roweis._util import as_features, as_matrix, as_square, sym
 from roweis.exceptions import ConfigError, NumericalError
 from roweis.linalg import (
@@ -553,7 +556,7 @@ def sweep_rows(variant, train, test, r1_values, r2_values, p, data_kernel, label
                 model = rda.fit(train.X, train.y, config)
                 emb_train, emb_test = rda.project(model, train.X), rda.project(model, test.X)
             else:
-                model = fit_direct(train.X, train.y, config, data_kernel)
+                model = kernel_rda.fit_direct(train.X, train.y, config, data_kernel)
                 emb_train, emb_test = project_kernel(model, train.X), project_kernel(model, test.X)
             if train.kind == "classification":
                 report = evaluate.knn_classify(emb_train, train.y, emb_test, test.y, k=1)
@@ -572,7 +575,8 @@ def _rmse_for_split(train, test, method: str, r1: float) -> float:
         emb_train = rda.project(model, train.X)
         emb_test = rda.project(model, test.X)
     else:
-        model = fit_direct(train.X, train.y if r1 > 0 else None, config, kernels.KernelSpec(family="rbf"))
+        model = kernel_rda.fit_direct(train.X, train.y if r1 > 0 else None, config,
+                                      kernels.KernelSpec(family="rbf"))
         emb_train = project_kernel(model, train.X)
         emb_test = project_kernel(model, test.X)
     return evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y).value
@@ -604,7 +608,7 @@ def embedding_panels(dataset_name, n=400, seed=7, train_fraction=0.7,
     panels = []
     for r1 in r_values:
         for r2 in r_values:
-            model = fit_direct(train.X, train.y, rda.RoweisConfig(r1=r1, r2=r2, p=2), kernel)
+            model = kernel_rda.fit_direct(train.X, train.y, rda.RoweisConfig(r1=r1, r2=r2, p=2), kernel)
             panels.append(experiments.Panel(
                 dataset=dataset_name, r1=r1, r2=r2,
                 train_emb=project_kernel(model, train.X), test_emb=project_kernel(model, test.X),

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +351,29 @@ class TestTransformReconstruct:
                    "--label-col", "label", "--out", tmp_path / "r.csv")
         assert code == 2
         assert "not available" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["kernel-pca", "kernel-spca"])
+    def test_reconstruct_refuses_trick_files_before_their_training_gram(self, tmp_path, capsys, variant):
+        # The refusal comes from the file's variant, before loading would
+        # fold the trick fit's centering from the n x n training Gram.
+        n = 400
+        data, model_path = tmp_path / "rings.csv", tmp_path / "model.txt"
+        assert run("gen", "rings", "--n", n, "--seed", 1, "--out", data) == 0
+        assert run("fit", "--data", data, "--label-col", "label", "--variant", variant,
+                   "--out", model_path) == 0
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code = run("reconstruct", "--model", model_path, "--data", data, "--label-col", "label",
+                       "--out", tmp_path / "r.csv")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "not available" in capsys.readouterr().err
+        assert peak < n * n * 8
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestSweep:

@@ -1,11 +1,11 @@
 """Property: ``rda.constraint`` gives the bits of the two builders it replaced.
 
 R2 = r2 S_W + (1 - r2) I must equal ``oracle.constraint_matrix`` of the
-within-class scatter, and L = r2 N + (1 - r2) K must equal
-``oracle.kernel_constraint_matrix`` of ``oracle.kernel_within_scatter``, bit
-for bit, on random shapes with 1 to 5 classes (singleton classes included)
-and r2 at 0, at 1 and strictly between. At r2 = 0 the metric comes back as
-it is.
+within-class scatter, and with a metric vector (the kernel direct fit passes
+K_x's kept eigenvalues) r2 N + (1 - r2) diag(metric) must equal
+``oracle.kernel_constraint_matrix`` of ``oracle.kernel_within_scatter`` and
+the diagonal matrix, bit for bit, on random shapes with 1 to 5 classes
+(singleton classes included) and r2 at 0, at 1 and strictly between.
 
 Runs only where ``hypothesis`` is installed; it is a test extra, not a
 runtime dependency.
@@ -50,8 +50,7 @@ def test_constraint_is_bit_identical_to_the_old_builders(d, n, c, r2, family, se
 
     spec = kernels.KernelSpec(family, gamma=0.5) if family == "rbf" else kernels.KernelSpec(family)
     k = sym(kernels.gram(spec, x, x))
-    got = constraint(k, labels, r2, metric=k)
-    want = oracle.kernel_constraint_matrix(oracle.kernel_within_scatter(k, part), k, r2)
+    metric = np.diag(k).copy()
+    got = constraint(k, labels, r2, metric=metric)
+    want = oracle.kernel_constraint_matrix(oracle.kernel_within_scatter(k, part), np.diag(metric), r2)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    if r2 == 0.0:
-        assert got is k

@@ -1,9 +1,11 @@
 """Grid fits: one split's whole (r1, r2) grid from shared per-split work.
 
 ``kernel_rda.fit_direct_grid`` and ``kernel_rda.project_grid`` must give each
-config's lone fit and projection bit for bit. The CLI sweep and the
-experiments, which now use them, must write the bytes of the per-config
-loops kept in ``tests/oracle.py``, and do the shared work once per split.
+config's lone fit (``kernel_rda.fit_direct``) and projection bit for bit. The
+CLI sweep and the experiments, which now use them, must write the bytes of
+the per-config loops over that lone fit kept in ``tests/oracle.py``, and do
+the shared work once per split. The lone fit's agreement with the dense
+n x n solve, ``oracle.fit_direct``, is tested in ``test_kernel_rda.py``.
 """
 
 import tracemalloc
@@ -17,6 +19,7 @@ from roweis import datasets, experiments, kernel_rda, kernels
 from roweis.cli import main
 from roweis.exceptions import ConfigError
 from roweis.kernel_rda import fit_direct, fit_direct_grid, fit_kernel_pca, fit_kernel_spca, project, project_grid
+from roweis.linalg import EIG_NOISE_RTOL
 from roweis.rda import RoweisConfig
 
 from conftest import labeled_blobs
@@ -57,7 +60,6 @@ class TestFitDirectGrid:
             assert model.n_components == 1
             assert model.notes == ("requested p=2 exceeds the 1 valid components; truncated",)
         for config, model in zip(configs, models):
-            assert_same_model(model, oracle.fit_direct(ds.X, ds.y, config, kernel))
             assert_same_model(model, fit_direct(ds.X, ds.y, config, kernel))
 
     def test_real_targets_share_the_label_bandwidth(self, rng):
@@ -68,8 +70,7 @@ class TestFitDirectGrid:
         assert models[1].label_kernel is models[2].label_kernel
         assert models[1].label_kernel.family == "rbf" and models[1].label_kernel.gamma
         for config, model in zip(configs, models):
-            assert_same_model(model, oracle.fit_direct(x, y if config.r1 else None, config,
-                                                       kernels.KernelSpec("rbf")))
+            assert_same_model(model, fit_direct(x, y if config.r1 else None, config, kernels.KernelSpec("rbf")))
 
     def test_models_share_one_training_copy(self, rng):
         x, labels = labeled_blobs(rng, d=2, n=12, c=2)
@@ -106,18 +107,30 @@ class TestFitDirectGrid:
         assert not fits
 
     def test_each_distinct_constraint_is_factored_once(self, rng, monkeypatch):
-        x, labels = labeled_blobs(rng, d=2, n=20, c=3)
-        factored = []
+        # Each L is factored in K_x's numerical range, of order m, with the
+        # other n - m dimensions handed over as a zero complement. The linear
+        # Gram of 2-D points has m = 2.
+        n = 20
+        x, labels = labeled_blobs(rng, d=2, n=n, c=3)
         real = kernel_rda.factor_constraint
+        for spec in (kernels.KernelSpec("rbf", gamma=0.5), kernels.KernelSpec("linear")):
+            values = np.linalg.eigvalsh(kernels.gram(spec, x, x))
+            m = int(np.count_nonzero(np.abs(values) > EIG_NOISE_RTOL * np.abs(values).max()))
+            factored = []
 
-        def counting(l_mat):
-            factored.append(l_mat.shape)
-            return real(l_mat)
+            def counting(l_mat, complement):
+                factored.append((l_mat.shape, complement))
+                return real(l_mat, complement)
 
-        monkeypatch.setattr(kernel_rda, "factor_constraint", counting)
-        configs = [RoweisConfig(r1, r2) for r1 in (0.0, 0.5, 1.0) for r2 in (1.0, 0.0, 0.5)]
-        fit_direct_grid(x, labels, configs, kernels.KernelSpec("rbf", gamma=0.5))
-        assert len(factored) == 3
+            monkeypatch.setattr(kernel_rda, "factor_constraint", counting)
+            configs = [RoweisConfig(r1, r2) for r1 in (0.0, 0.5, 1.0) for r2 in (1.0, 0.0, 0.5)]
+            fit_direct_grid(x, labels, configs, spec)
+            assert len(factored) == 3
+            for (order, order_again), complement in factored:
+                assert order == order_again <= m
+                assert order + (0 if complement is None else complement.count) == n
+                assert complement is None or complement.value == 0.0
+            assert spec.family != "linear" or m == 2
 
 
 class TestProjectGrid:

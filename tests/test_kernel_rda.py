@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from roweis import kernels, rda
+from roweis import datasets, kernels, rda
 from roweis.dual import fit_dual
 from roweis.exceptions import ConfigError, NumericalError
 from roweis.kernel_rda import (
@@ -125,14 +125,19 @@ class TestKernelWithinScatter:
 
 
 class TestKernelConstraint:
-    """``rda.constraint`` with K_x as the metric: L = r2 * N + (1 - r2) * K_x."""
+    """``rda.constraint`` builds the direct fit's L = r2 * N + (1 - r2) * K_x
+    in K_x's eigenbasis: with G = Lambda V' = V' K_x and the eigenvalues as
+    the metric vector, it is V' L V."""
 
     def test_edges_and_midpoint(self, rng):
-        k = np.eye(3)  # singleton classes, so N = 0
-        labels = [0, 1, 2]
-        assert rda.constraint(k, labels, 0.0, metric=k) is k
-        np.testing.assert_allclose(rda.constraint(k, labels, 1.0, metric=k), np.zeros((3, 3)))
-        np.testing.assert_allclose(rda.constraint(k, labels, 0.5, metric=k), 0.5 * k)
+        x, labels = labeled_blobs(rng, d=2, n=15, c=3)
+        k = kernels.gram(kernels.KernelSpec("rbf", gamma=0.5), x, x)
+        n_mat = oracle.kernel_within_scatter(k, ClassPartition.from_labels(labels))
+        values, vectors = np.linalg.eigh(k)
+        for r2 in (0.0, 0.5, 1.0):
+            got = rda.constraint(values[:, None] * vectors.T, labels, r2, metric=values)
+            want = vectors.T @ oracle.kernel_constraint_matrix(n_mat, k, r2) @ vectors
+            np.testing.assert_allclose(got, want, atol=1e-10 * np.abs(want).max())
 
 
 class TestFitDirect:
@@ -272,6 +277,65 @@ class TestTrickDirectAgreement:
         np.testing.assert_allclose(d_trick, d_direct, atol=1e-6)
 
 
+class TestDenseShiftedSolveAgreement:
+    """The direct fit solves M theta = mu (L + s I) theta in K_x's numerical
+    range; ``oracle.fit_direct``, the dense n x n shifted solve, is the
+    reference. The two differ only by round-off, and the shift, through the
+    trace, only in its last bits."""
+
+    CASES = {
+        "rings-rbf": (datasets.gen_rings, kernels.KernelSpec("rbf")),
+        "xor-rbf": (datasets.gen_xor, kernels.KernelSpec("rbf")),
+        "xor-linear": (datasets.gen_xor, kernels.KernelSpec("linear")),
+        "xor-poly2": (datasets.gen_xor, kernels.KernelSpec("polynomial", degree=2)),
+    }
+
+    @pytest.mark.parametrize("r1", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("r2", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_the_dense_solve(self, case, r1, r2):
+        generate, kern = self.CASES[case]
+        ds = generate(300, 3)
+        config = RoweisConfig(r1, r2)
+        got = fit_direct(ds.X, ds.y, config, kern)
+        want = oracle.fit_direct(ds.X, ds.y, config, kern)
+        assert got.n_components == want.n_components
+        assert got.notes == want.notes
+        assert got.shift == pytest.approx(want.shift, rel=1e-12)
+        np.testing.assert_allclose(got.eigvals, want.eigvals, rtol=1e-10, atol=0.0)
+        emb_want = project(want, ds.X)
+        emb_got = align_rows(emb_want, project(got, ds.X))
+        scale = np.abs(emb_want).max(axis=1, keepdims=True)
+        assert np.all(np.abs(emb_got - emb_want) <= 1e-8 * scale)
+
+    def test_indefinite_kernel_fails_and_fits_where_the_dense_solve_does(self):
+        ds = datasets.gen_xor(300, 3)
+        kern = kernels.KernelSpec("polynomial", degree=3, offset=-1.0)
+        for r2 in (0.0, 0.5):
+            config = RoweisConfig(0.5, r2)
+            with pytest.raises(NumericalError, match="not positive semidefinite") as want:
+                oracle.fit_direct(ds.X, ds.y, config, kern)
+            with pytest.raises(NumericalError, match="not positive semidefinite") as got:
+                fit_direct(ds.X, ds.y, config, kern)
+            head, _, lowest = str(got.value).rpartition(" ")
+            want_head, _, want_lowest = str(want.value).rpartition(" ")
+            assert head == want_head and float(lowest) == pytest.approx(float(want_lowest), rel=1e-3)
+        config = RoweisConfig(0.5, 1.0)
+        got, want = fit_direct(ds.X, ds.y, config, kern), oracle.fit_direct(ds.X, ds.y, config, kern)
+        assert got.n_components == want.n_components
+        assert got.shift == pytest.approx(want.shift, rel=1e-12)
+        np.testing.assert_allclose(got.eigvals, want.eigvals, rtol=1e-10, atol=0.0)
+
+    def test_constant_data_carry_no_variance(self):
+        # K_x H is exactly 0, so the range's G H is too, as the dense M was.
+        x, labels = np.ones((2, 6)), np.arange(6) % 2
+        for config in (RoweisConfig(0.0, 0.0), RoweisConfig(0.5, 0.5), RoweisConfig(1.0, 1.0)):
+            with pytest.raises(NumericalError, match="no positive eigenvalues"):
+                oracle.fit_direct(x, labels, config, kernels.KernelSpec("rbf", gamma=1.0))
+            with pytest.raises(NumericalError, match="no positive eigenvalues"):
+                fit_direct(x, labels, config, kernels.KernelSpec("rbf", gamma=1.0))
+
+
 class TestDimensionalityBound:
     def test_valid_count_with_hard_constraint(self, rng):
         x, labels = labeled_blobs(rng, d=3, n=12, c=2)
@@ -362,9 +426,11 @@ class TestFitDirectMemory:
 
     @pytest.mark.parametrize("r1, r2", [(0.0, 0.0), (0.5, 0.0), (0.0, 1.0), (0.5, 0.5), (1.0, 1.0)])
     def test_single_config_peak_stays_at_the_gram_sized_arrays_it_needs(self, r1, r2):
-        # K_x, its row-centered copy (in place for the last config), the
-        # constraint factor and M or the solver's arrays: no n x n P, and the
-        # centered copy is freed before the blend.
+        # K_x and its eigh, then V_m and G H (m x n each, K_x freed once G H
+        # is formed) beside the m x m constraint factor and M or the solver's
+        # arrays: no n x n P. Here K_x keeps m = 260 of 300 eigenpairs, and
+        # the measured peak is 4.0 n^2 doubles at each config, under the 4.3
+        # bound; where K_x has full numerical rank (m = n) it is 5.0.
         n = 300
         x, labels = labeled_blobs(np.random.default_rng(3), d=2, n=n, c=3)
         kern = kernels.KernelSpec("rbf", gamma=0.5)
@@ -397,14 +463,15 @@ class TestInPlaceBuilders:
         k, other = self.gram_like(rng, n), self.gram_like(rng, n)
         labels = rng.integers(0, 3, size=n)
         part = ClassPartition.from_labels(labels)
-        before = k.tobytes(), other.tobytes()
+        metric = np.diag(k).copy()
+        before = k.tobytes(), other.tobytes(), metric.tobytes()
         pairs = [(kernels.double_center(k), oracle.double_center(k))]
         for r in (0.0, 0.3, 1.0):
             pairs.append((
-                rda.constraint(other, labels, r, metric=k),
-                oracle.kernel_constraint_matrix(oracle.kernel_within_scatter(other, part), k, r),
+                rda.constraint(other, labels, r, metric=metric),
+                oracle.kernel_constraint_matrix(oracle.kernel_within_scatter(other, part), np.diag(metric), r),
             ))
             pairs.append((rda.constraint(other, labels, r), oracle.constraint_matrix(within_scatter(other, labels), r)))
         for got, want in pairs:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert (k.tobytes(), other.tobytes()) == before
+        assert (k.tobytes(), other.tobytes(), metric.tobytes()) == before

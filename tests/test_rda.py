@@ -19,7 +19,14 @@ from roweis.rda import (
 from roweis.scatter import within_scatter
 
 from conftest import align_columns, align_rows, labeled_blobs, with_complement
-from oracle import blend_label_kernel, centering_matrix, constraint_matrix, objective_matrix, total_scatter
+from oracle import (
+    blend_label_kernel,
+    centering_matrix,
+    constraint_matrix,
+    kernel_constraint_matrix,
+    objective_matrix,
+    total_scatter,
+)
 
 
 class TestBlendLabelKernel:
@@ -84,18 +91,30 @@ class TestConstraint:
 
     def test_r2_zero(self):
         np.testing.assert_allclose(constraint(self.X, self.LABELS, 0.0), np.eye(2))
-        metric = np.diag([2.0, 3.0])
-        assert constraint(self.X, self.LABELS, 0.0, metric=metric) is metric
+        got = constraint(self.X, self.LABELS, 0.0, metric=np.array([2.0, 3.0]))
+        np.testing.assert_allclose(got, np.diag([2.0, 3.0]))
 
     def test_r2_one(self):
         np.testing.assert_allclose(constraint(self.X, self.LABELS, 1.0), np.diag([4.0, 0.0]))
-        got = constraint(self.X, self.LABELS, 1.0, metric=np.diag([2.0, 3.0]))
+        got = constraint(self.X, self.LABELS, 1.0, metric=np.array([2.0, 3.0]))
         np.testing.assert_allclose(got, np.diag([4.0, 0.0]))
 
     def test_midpoint(self):
         np.testing.assert_allclose(constraint(self.X, self.LABELS, 0.5), np.diag([2.5, 0.5]))
-        got = constraint(self.X, self.LABELS, 0.5, metric=np.diag([2.0, 3.0]))
+        got = constraint(self.X, self.LABELS, 0.5, metric=np.array([2.0, 3.0]))
         np.testing.assert_allclose(got, np.diag([3.0, 1.5]))
+
+    @pytest.mark.parametrize("r2", [0.0, 0.3, 0.5, 1.0])
+    def test_vector_metric_is_its_diagonal_matrix_bit_for_bit(self, rng, r2):
+        # The kernel direct fit's metric, K_x's kept eigenvalues, comes as a
+        # vector and is added on the diagonal in place: the bits of the
+        # one-line formula with the metric as a diagonal matrix.
+        x = rng.standard_normal((6, 20))
+        labels = rng.integers(0, 3, size=20)
+        metric = rng.random(6) + 0.5
+        got = constraint(x, labels, r2, metric=metric)
+        want = kernel_constraint_matrix(within_scatter(x, labels), np.diag(metric), r2)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestRobustify:
