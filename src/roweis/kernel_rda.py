@@ -18,12 +18,10 @@ Two routes into the feature space:
   :func:`roweis.rda.objective` of G H, so class labels need no n x n P, and
   V_m' L V_m is :func:`roweis.rda.constraint` of G with the diagonal metric
   lambda_m (V_m' N V_m is the within-class scatter of G). L is 0 on the
-  other n - m dimensions, so that complement goes to the solver as
-  Complement(0.0, n - m): the PSD check, the shift unit and the ladder see
-  L's full spectrum and shift as the n x n solve does (Schoelkopf et al.
-  1999, "Input space versus feature space in kernel-based methods"). This
-  works for every (r1, r2). Coefficients are theta = V_m z, and embeddings
-  are Theta' K. It saves work when K_x has low numerical rank (m much
+  other n - m dimensions, a zero complement, so the solve shifts as the
+  n x n one does (Schoelkopf et al. 1999, "Input space versus feature space
+  in kernel-based methods"). This works for every (r1, r2). Coefficients
+  are theta = V_m z. It saves work when K_x has low numerical rank (m much
   smaller than n); at full rank it is the n x n problem in another basis,
   plus the eigh, and V_m is held beside the solve.
 
@@ -44,17 +42,10 @@ of their core. So at r1 = 1 with two classes, where M has rank one, the
 direct fit returns one component: the directions of M's null space are set
 by round-off alone.
 
-One training set is fitted at many (r1, r2) by :func:`fit_direct_grid`;
-:func:`fit_direct` is its one-config case. The input check, the data and
-label bandwidths, K_x and its eigh are done once per training set, and K_x
-dies once G H = V_m' (K_x H) is formed. So the cost is one n x n eigh per
-training set, then m x m work per r2 group and per config. L depends only
-on r2, so the configs are solved grouped by it: each distinct L is built,
-factored once (:func:`roweis.linalg.factor_constraint`) and dropped, and
-every M of the group is solved against that factor. M is handed over with
-no reference kept, and so is G H at the last config, so each is freed after
-its last product. Every step runs the per-config functions on the same
-inputs, so each model equals a lone fit bit for bit.
+One training set is fitted at many (r1, r2) by :func:`fit_direct_grid`
+(:func:`fit_direct` is its one-config case): the input check, the
+bandwidths, K_x and its eigh once, then :func:`roweis.rda._solve_grid` on
+G H with the metric lambda_m, the zero complement and the lift V_m.
 
 Every model embeds new points as coeffs' k(X, x) - offset, k(X, x) the kernel
 between the retained training matrix and the new points; the direct fit's
@@ -78,24 +69,8 @@ import numpy as np
 from . import kernels
 from ._util import as_features, classes, sym
 from .exceptions import ConfigError
-from .linalg import (
-    EIG_NOISE_RTOL,
-    Complement,
-    _fix_signs,
-    _numerical,
-    factor_constraint,
-    generalized_eig,
-    symmetric_eig,
-)
-from .rda import (
-    RoweisConfig,
-    _fit_inputs,
-    _resolved_label_kernel,
-    constraint,
-    label_factor,
-    objective,
-    select_components,
-)
+from .linalg import EIG_NOISE_RTOL, _numerical, symmetric_eig
+from .rda import RoweisConfig, _fit_inputs, _resolved_label_kernel, _solve_grid, label_factor, select_components
 
 # New points embedded at a time by project; keep it a multiple of 64. BLAS
 # picks its kernel by the product's shape, so a block's columns can differ
@@ -160,46 +135,13 @@ def fit_direct_grid(x, labels, configs, kernel: kernels.KernelSpec) -> list[Kern
 
     kernel = kernels.resolve_gamma(kernel, x)
     train_x = x.copy()
-    vectors, values, g_c = _gram_range(kernel, x)
-    complement = Complement(0.0, n - values.size) if values.size < n else None
-    groups: dict[float, list[int]] = {}
-    for i, config in enumerate(configs):
-        groups.setdefault(config.r2, []).append(i)
-    label_specs: dict = {}
-    models: list = [None] * len(configs)
-    shared, left = [g_c], len(configs)
-    del g_c
-    for r2, members in groups.items():
-        factor = factor_constraint(constraint(shared[0], labels, r2, metric=values), complement)
-        cap = n_classes - 1 if r2 == 1.0 else n - 1
-        for i in members:
-            config = configs[i]
-            resolved_label = None
-            if config.r1 > 0:
-                if config.label_kernel not in label_specs:
-                    label_specs[config.label_kernel] = _resolved_label_kernel(config.label_kernel, labels)
-                resolved_label = label_specs[config.label_kernel]
-            left -= 1
-            # No reference to M is kept here, nor to G H at the last config,
-            # so objective frees the one and the solver the other.
-            m_mat = [objective(shared[0] if left else shared.pop(), labels, resolved_label, config.r1)]
-            pair = generalized_eig(m_mat.pop(), factor)
-            p, notes = select_components(pair.values, cap, config.p)
-            models[i] = KernelRdaModel(
-                variant="direct",
-                coeffs=_fix_signs(vectors @ pair.vectors[:, :p]),
-                eigvals=pair.values[:p].copy(),
-                train_x=train_x,
-                kernel=kernel,
-                r1=config.r1,
-                r2=config.r2,
-                label_kernel=resolved_label,
-                shift=pair.shift,
-                notes=notes,
-            )
-            del pair  # its m x m vectors, before the next config's work
-        del factor
-    return models
+    # g_c is a one-item list holding G H, so _solve_grid frees it after its last use.
+    vectors, values, *g_c = _gram_range(kernel, x)
+    solved = _solve_grid(g_c.pop(), labels, configs, lambda r2: n_classes - 1 if r2 == 1.0 else n - 1,
+                        lift=vectors, metric=values, count=n - values.size)
+    return [KernelRdaModel(variant="direct", coeffs=pair.vectors, eigvals=pair.values, train_x=train_x, kernel=kernel,
+                           r1=config.r1, r2=config.r2, label_kernel=spec, shift=pair.shift, notes=notes)
+            for config, (pair, _, notes, spec) in zip(configs, solved)]
 
 
 def _gram_range(kernel: kernels.KernelSpec, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -53,8 +53,10 @@ Which matrices the solver sees depends on the shape alone (the model's
   copies of 1 - r2 and the exact repair changes nothing, so the block is
   kept as it is.
 
-Every fit entry point takes its components from :func:`select_components`,
-on its spectrum and its shape's rank cap.
+Both routes, and the kernel direct fit's range, are configurations of one
+eigen core, :func:`_solve_grid`: coordinates, R2's metric, a complement and
+a lift. Every fit entry point takes its components from
+:func:`select_components`, on its spectrum and its shape's rank cap.
 """
 
 from __future__ import annotations
@@ -68,10 +70,13 @@ from . import kernels, scatter
 from ._util import as_features, as_finite_matrix, as_labels, as_square, sym
 from .exceptions import ConfigError, NumericalError
 from .linalg import (
+    EIG_NOISE_RTOL,
     SHIFT_BASE_SCALE,
     Complement,
     EigPair,
     _fix_signs,
+    _shift_unit,
+    factor_constraint,
     generalized_eig,
     psd_factor,
     require_symmetric,
@@ -221,6 +226,15 @@ def _resolved_label_kernel(spec: kernels.KernelSpec | None, labels) -> kernels.K
     return kernels.resolve_label_kernel(spec or default_label_kernel(labels), labels)
 
 
+def _label_kernel_scale(spec: kernels.KernelSpec, labels) -> float:
+    """max |K_y| without K_y: 1 for delta and RBF; a linear or polynomial
+    entry, a power of |y_i y_j + offset|, peaks on a pair of extreme labels."""
+    if spec.family in ("delta", "rbf"):
+        return 1.0
+    ends = np.array([np.min(labels), np.max(labels)], dtype=float)
+    return float(np.abs(kernels.label_gram(spec, ends, ends)).max())
+
+
 def label_factor(spec: kernels.KernelSpec, labels) -> np.ndarray:
     """Upsilon with Upsilon Upsilon' = K_y for a resolved label kernel, for
     the kernel-trick fits.
@@ -305,7 +319,7 @@ def _fit_inputs(x, labels, r1: float, r2: float):
     return x, labels
 
 
-def select_components(values, cap: int, p: int | None) -> tuple[int, tuple]:
+def select_components(values, cap: int, p: int | None, floor: float = 0.0) -> tuple[int, tuple]:
     """(p, notes): how many leading eigenpairs a fit returns, and why fewer
     than requested.
 
@@ -316,14 +330,15 @@ def select_components(values, cap: int, p: int | None) -> tuple[int, tuple]:
     largest, and no fit returns more than min(valid, cap) components: past
     them round-off sets the directions. p=None keeps the eigenvalues whose
     share of the spectrum is at least DEFAULT_AUTO_DIM_RATIO (at least one);
-    a larger requested p is cut, with a note.
+    a larger requested p is cut, with a note. Eigenvalues at or below
+    ``floor`` count as zero.
     """
     if p is not None and p < 1:
         raise ConfigError(f"p must be a positive integer, got {p}")
     values = np.asarray(values, dtype=float)
-    if values.size == 0 or values[0] <= 0.0:
+    if values.size == 0 or values[0] <= floor:
         raise NumericalError("no positive eigenvalues; the data carry no variance")
-    usable = min(int(np.count_nonzero(values > DEFAULT_VALID_EIG_THRESHOLD * values[0])), cap)
+    usable = min(int(np.count_nonzero(values > max(DEFAULT_VALID_EIG_THRESHOLD * values[0], floor))), cap)
     if p is None:
         positive = np.clip(values, 0.0, None)
         share = positive / float(positive.sum())
@@ -333,25 +348,73 @@ def select_components(values, cap: int, p: int | None) -> tuple[int, tuple]:
     return p, ()
 
 
-def _solve(centered, scatter_data, labels, spec, config, complement=None) -> EigPair:
-    """Build R1 from ``centered`` and R2 with :func:`constraint`, and solve
-    them; at r2 = 0 (R2 = I) a non-robust fit solves R1 alone with
-    :func:`symmetric_eig`.
+def _solve_grid(centered, labels, configs, cap, scatter_data=None, lift=None, metric=None, count=0) -> list:
+    """The one eigen core of the generalized fits: (EigPair, p, notes,
+    resolved label kernel) per config, in the configs' order.
 
-    ``scatter_data`` is what the within-class scatter is taken of: the raw
-    data on the dense route, the same coordinates as ``centered`` on the span
-    route (S_W does not depend on the mean).
+    ``centered`` are the coordinates a fit solves in: the centered data
+    (dense route), Z = Q' Xc (span route) or the kernel range's G H; S_W is
+    taken of ``scatter_data``, or of ``centered`` when None. The problem is
+    the block of one with ``count`` more dimensions, where R1 is 0 and R2 is
+    (1 - r2) I, or 0 with a ``metric`` (see :func:`constraint`); the solver
+    and :func:`robustify` see them as a :class:`~roweis.linalg.Complement`.
+    Each config keeps what :func:`select_components` allows under
+    ``cap(r2)``, and only those columns are lifted: ``lift @ U``, sign-fixed.
+
+    R2 depends only on (r2, robust), so the configs are solved grouped by it:
+    each distinct R2 is built (and robustified), factored once
+    (:func:`~roweis.linalg.factor_constraint`) and dropped, and every R1 of
+    the group is solved against that factor. A group that is not robust, at
+    r2 = 0 and without a metric, has R2 = I and solves R1 alone with
+    :func:`~roweis.linalg.symmetric_eig`. Label bandwidths are resolved once
+    per label kernel. R1 is handed over with no reference kept, and so is
+    ``centered`` at the last config, so each is freed after its last product
+    if the caller keeps none either. Each result equals a lone solve bit for
+    bit. Eigenvalues at or below EIG_NOISE_RTOL ||centered||_F^2
+    ((1 - r1) + r1 max|K_y|) / unit(R2), unit the mean diagonal of R2 and its
+    complement, are round-off at the scale of R1's inputs: a spectrum of them
+    is refused as one of zeros.
     """
-    r2 = config.r2
-    r1_mat = objective(centered, labels, spec, config.r1)
-    if r2 == 0 and not config.robust:
-        return symmetric_eig(r1_mat)
-    r2_mat = constraint(scatter_data, labels, r2)
-    if config.robust and complement is None:
-        r2_mat = robustify(r2_mat)
-    elif config.robust:
-        r2_mat, complement = robustify(r2_mat, complement)
-    return generalized_eig(r1_mat, r2_mat, complement)
+    configs = list(configs)
+    noise = EIG_NOISE_RTOL * float(np.vdot(centered, centered))
+    groups: dict = {}
+    for i, config in enumerate(configs):
+        groups.setdefault((config.r2, config.robust), []).append(i)
+    specs: dict = {}
+    out: list = [None] * len(configs)
+    shared, left = [centered], len(configs)
+    del centered
+    for (r2, robust), members in groups.items():
+        factor, unit = None, 1.0
+        if r2 > 0 or robust or metric is not None:
+            complement = Complement((1.0 - r2) * (metric is None), count) if count else None
+            r2_mat = constraint(shared[0] if scatter_data is None else scatter_data, labels, r2, metric)
+            if robust and complement is None:
+                r2_mat = robustify(r2_mat)
+            elif robust:
+                r2_mat, complement = robustify(r2_mat, complement)
+            unit = _shift_unit(r2_mat, complement)
+            factor = factor_constraint(r2_mat, complement)
+            del r2_mat
+        for i in members:
+            config, spec, scale = configs[i], None, 1.0
+            if config.r1 > 0:
+                if config.label_kernel not in specs:
+                    resolved = _resolved_label_kernel(config.label_kernel, labels)
+                    specs[config.label_kernel] = resolved, _label_kernel_scale(resolved, labels)
+                spec, scale = specs[config.label_kernel]
+            left -= 1
+            # No reference to R1 is kept here, nor to ``centered`` at the last
+            # config, so the solver frees the one and objective the other.
+            r1_mat = [objective(shared[0] if left else shared.pop(), labels, spec, config.r1)]
+            pair = symmetric_eig(r1_mat.pop()) if factor is None else generalized_eig(r1_mat.pop(), factor)
+            floor = noise * ((1.0 - config.r1) + config.r1 * scale) / unit
+            p, notes = select_components(pair.values, cap(r2), config.p, floor=floor)
+            vectors = pair.vectors[:, :p].copy() if lift is None else _fix_signs(lift @ pair.vectors[:, :p])
+            out[i] = (EigPair(vectors, pair.values[:p].copy(), pair.shift), p, notes, spec)
+            del pair  # its full eigenbasis, before the next config's work
+        del factor
+    return out
 
 
 def fit(x, labels, config: RoweisConfig) -> RdaModel:
@@ -361,30 +424,25 @@ def fit(x, labels, config: RoweisConfig) -> RdaModel:
     features the problem is solved in the span of the centered data (route
     "span"), otherwise on the full d x d matrices (route "dense").
     """
-    r1, r2 = config.r1, config.r2
-    x, labels = _fit_inputs(x, labels, r1, r2)
+    x, labels = _fit_inputs(x, labels, config.r1, config.r2)
     d, n = x.shape
 
     mean = x.mean(axis=1)
     centered = x - mean[:, None]
-    resolved_spec = _resolved_label_kernel(config.label_kernel, labels) if r1 > 0 else None
-
     route = "span" if n < d else "dense"
+    rank = min(d, n - 1)
     if route == "span":
         # Any orthonormal Q whose span holds span(Xc) is exact: no rank cut.
         q = np.linalg.qr(centered)[0]
-        z = q.T @ centered
-        block = _solve(z, z, labels, resolved_spec, config, Complement(1.0 - r2, d - n))
-        pair = EigPair(_fix_signs(q @ block.vectors), block.values, block.shift)
+        [(pair, p, notes, spec)] = _solve_grid(q.T @ centered, labels, [config], lambda r2: rank,
+                                               lift=q, count=d - n)
     else:
-        pair = _solve(centered, x, labels, resolved_spec, config)
+        [(pair, p, notes, spec)] = _solve_grid(centered, labels, [config], lambda r2: rank, scatter_data=x)
 
-    p, notes = select_components(pair.values, min(d, n - 1), config.p)
-
-    fitted = dataclasses.replace(config, p=p, label_kernel=resolved_spec or config.label_kernel)
+    fitted = dataclasses.replace(config, p=p, label_kernel=spec or config.label_kernel)
     return RdaModel(
-        basis=pair.vectors[:, :p].copy(),
-        eigvals=pair.values[:p].copy(),
+        basis=pair.vectors,
+        eigvals=pair.values,
         mean=mean,
         config=fitted,
         shift=pair.shift,

@@ -15,11 +15,11 @@ import pytest
 
 import oracle
 import text_io_oracle
-from roweis import datasets, experiments, kernel_rda, kernels
+from roweis import datasets, experiments, kernel_rda, kernels, rda
 from roweis.cli import main
 from roweis.exceptions import ConfigError
 from roweis.kernel_rda import fit_direct, fit_direct_grid, fit_kernel_pca, fit_kernel_spca, project, project_grid
-from roweis.linalg import EIG_NOISE_RTOL
+from roweis.linalg import EIG_NOISE_RTOL, Complement
 from roweis.rda import RoweisConfig
 
 from conftest import labeled_blobs
@@ -82,7 +82,7 @@ class TestFitDirectGrid:
     def test_checks_every_config_before_fitting(self, rng, monkeypatch):
         x = rng.standard_normal((2, 10))
         fits = []
-        monkeypatch.setattr(kernel_rda, "factor_constraint", lambda *a: fits.append(a))
+        monkeypatch.setattr(rda, "factor_constraint", lambda *a: fits.append(a))
         with pytest.raises(ConfigError, match="class labels"):
             fit_direct_grid(x, rng.standard_normal(10), [RoweisConfig(0.0, 0.0), RoweisConfig(0.0, 0.5)],
                             kernels.KernelSpec("rbf"))
@@ -99,7 +99,7 @@ class TestFitDirectGrid:
         x, labels = labeled_blobs(rng, d=2, n=12, c=2)
         kern = kernels.KernelSpec("rbf", gamma=0.5)
         fits = []
-        monkeypatch.setattr(kernel_rda, "factor_constraint", lambda *a: fits.append(a))
+        monkeypatch.setattr(rda, "factor_constraint", lambda *a: fits.append(a))
         with pytest.raises(ConfigError, match="robust"):
             fit_direct_grid(x, labels, [RoweisConfig(0.5, 0.5), RoweisConfig(0.5, 0.5, robust=True)], kern)
         with pytest.raises(ConfigError, match="robust"):
@@ -112,7 +112,7 @@ class TestFitDirectGrid:
         # Gram of 2-D points has m = 2.
         n = 20
         x, labels = labeled_blobs(rng, d=2, n=n, c=3)
-        real = kernel_rda.factor_constraint
+        real = rda.factor_constraint
         for spec in (kernels.KernelSpec("rbf", gamma=0.5), kernels.KernelSpec("linear")):
             values = np.linalg.eigvalsh(kernels.gram(spec, x, x))
             m = int(np.count_nonzero(np.abs(values) > EIG_NOISE_RTOL * np.abs(values).max()))
@@ -122,7 +122,7 @@ class TestFitDirectGrid:
                 factored.append((l_mat.shape, complement))
                 return real(l_mat, complement)
 
-            monkeypatch.setattr(kernel_rda, "factor_constraint", counting)
+            monkeypatch.setattr(rda, "factor_constraint", counting)
             configs = [RoweisConfig(r1, r2) for r1 in (0.0, 0.5, 1.0) for r2 in (1.0, 0.0, 0.5)]
             fit_direct_grid(x, labels, configs, spec)
             assert len(factored) == 3
@@ -131,6 +131,43 @@ class TestFitDirectGrid:
                 assert order + (0 if complement is None else complement.count) == n
                 assert complement is None or complement.value == 0.0
             assert spec.family != "linear" or m == 2
+
+    @pytest.mark.parametrize("d", (3, 40))
+    def test_rda_fit_factors_its_constraint_once(self, rng, monkeypatch, d):
+        # The primal fit goes through the same core. Dense route (d <= n):
+        # R2 of order d, no complement. Span route (n < d): the n x n block,
+        # with d - n copies of 1 - r2 (of the robust tail when robust) as its
+        # complement. At r2 = 0 a fit that is not robust factors nothing.
+        n = 20
+        x, labels = labeled_blobs(rng, d=d, n=n, c=3)
+        real_factor, real_robustify = rda.factor_constraint, rda.robustify
+        factored, repaired = [], []
+
+        def counting(r2_mat, complement):
+            factored.append((r2_mat.shape, complement))
+            return real_factor(r2_mat, complement)
+
+        def repairing(s, complement=None):
+            out = real_robustify(s, complement)
+            repaired.append(None if complement is None else out[1])
+            return out
+
+        monkeypatch.setattr(rda, "factor_constraint", counting)
+        monkeypatch.setattr(rda, "robustify", repairing)
+        for r2 in (0.0, 0.5, 1.0):
+            for robust in (False, True):
+                factored.clear()
+                repaired.clear()
+                rda.fit(x, labels, RoweisConfig(0.5, r2, robust=robust))
+                if r2 == 0.0 and not robust:
+                    assert factored == []
+                    continue
+                [(shape, complement)] = factored
+                if d <= n:
+                    assert shape == (d, d) and complement is None
+                else:
+                    assert shape == (n, n) and complement.count == d - n
+                    assert complement == (repaired[0] if robust else Complement(1.0 - r2, d - n))
 
 
 class TestProjectGrid:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from roweis import datasets, kernels, rda
+from roweis.cli import main
 from roweis.dual import fit_dual
 from roweis.exceptions import ConfigError, NumericalError
 from roweis.kernel_rda import (
@@ -334,6 +335,24 @@ class TestDenseShiftedSolveAgreement:
                 oracle.fit_direct(x, labels, config, kernels.KernelSpec("rbf", gamma=1.0))
             with pytest.raises(NumericalError, match="no positive eigenvalues"):
                 fit_direct(x, labels, config, kernels.KernelSpec("rbf", gamma=1.0))
+
+    @pytest.mark.parametrize("r2", (0.0, 1.0))
+    def test_a_round_off_spectrum_is_refused_as_the_primal_fit_refuses_it(self, tmp_path, r2):
+        # Each class holds one (0, 0) and one (1, 1), so the class means agree
+        # and R1 is 0 at r1 = 1. The direct fit's spectrum is round-off alone
+        # (about 6e-32 at r2 = 0 and 1e-26 at r2 = 1); it must be refused as a
+        # spectrum of zeros, by the fit and by the command line (exit 4).
+        x, labels = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, 1.0]]), np.array([0, 1, 0, 1])
+        config = RoweisConfig(1.0, r2)
+        with pytest.raises(NumericalError, match="no positive eigenvalues"):
+            fit(x, labels, config)
+        with pytest.raises(NumericalError, match="no positive eigenvalues"):
+            fit_direct(x, labels, config, kernels.KernelSpec("rbf", gamma=1.0))
+        path = tmp_path / "twins.csv"
+        path.write_text("f1,f2,label\n0,0,0\n0,0,1\n1,1,0\n1,1,1\n")
+        argv = ["fit", "--data", path, "--label-col", "label", "--variant", "kernel", "--kernel", "rbf",
+                "--gamma", 1, "--r1", 1, "--r2", r2, "--out", tmp_path / "m.txt"]
+        assert main([str(a) for a in argv]) == 4
 
 
 class TestDimensionalityBound:

@@ -1,0 +1,55 @@
+"""Every generalized solve goes through one eigen core, ``rda._solve_grid``.
+
+``src/roweis`` is parsed with ``ast``, and each reference to a guarded
+function is attributed to the module-level definition it sits in, with
+references qualified by module as in ``test_dead_code.py``. The builders
+and the generalized solver of the (R1, R2) problem may be referenced only
+from the core, so a second solve loop cannot grow back. ``symmetric_eig``
+also serves the robust repair and the kernel-trick fits, whose cores are
+plain eigenproblems.
+"""
+
+import ast
+from pathlib import Path
+
+from test_dead_code import PACKAGE, package_imports, references
+
+CORE = ("rda", "_solve_grid")
+ALLOWED = {
+    ("linalg", "generalized_eig"): {CORE},
+    ("linalg", "factor_constraint"): {CORE},
+    ("rda", "constraint"): {CORE},
+    ("rda", "objective"): {CORE},
+    ("linalg", "symmetric_eig"): {CORE, ("rda", "robustify"), ("kernel_rda", "_fit_trick")},
+}
+
+
+def callers(package: Path) -> dict:
+    """Guarded (module, name) -> the (module, owner) pairs referring to it;
+    owner is the module-level function or class a reference sits in, None
+    for a module-level statement."""
+    paths = sorted(package.glob("*.py"))
+    modules = {p.stem for p in paths}
+    out = {target: set() for target in ALLOWED}
+    for path in paths:
+        module = path.stem
+        tree = ast.parse(path.read_text(), filename=str(path))
+        module_alias, name_alias = package_imports(tree, modules)
+        for stmt in tree.body:
+            for target in references(stmt, module, module_alias, name_alias) & out.keys():
+                out[target].add((module, getattr(stmt, "name", None)))
+    return out
+
+
+def test_a_second_solve_loop_is_caught(tmp_path):
+    (tmp_path / "linalg.py").write_text("def generalized_eig(a, b):\n    return a\n")
+    (tmp_path / "kernel_rda.py").write_text(
+        "from . import linalg\nfrom .linalg import generalized_eig as solve\n\n\n"
+        "def fit(a, b):\n    return solve(a, b) + linalg.generalized_eig(b, a)\n\n\n"
+        "LOOP = solve\n"
+    )
+    assert callers(tmp_path)[("linalg", "generalized_eig")] == {("kernel_rda", "fit"), ("kernel_rda", None)}
+
+
+def test_the_solvers_are_referenced_only_where_allowed():
+    assert callers(PACKAGE) == ALLOWED

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from roweis import kernels
+from roweis import kernels, rda
 from roweis.exceptions import ConfigError, NumericalError
 from roweis.linalg import Complement, symmetric_eig
 from roweis.rda import (
@@ -272,6 +272,28 @@ class TestFit:
         scale = float(model.eigvals[0])
         np.testing.assert_allclose(r1_mat @ model.basis, model.basis * model.eigvals, atol=1e-10 * scale)
         np.testing.assert_allclose(model.basis.T @ model.basis, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("route, d", [("dense", 2), ("span", 12)])
+    def test_the_targets_units_do_not_change_what_a_fit_keeps(self, rng, route, d):
+        # With a linear label kernel R1 = (Xc y)(Xc y)' scales with the
+        # targets' square: at 1e-8 its eigenvalue is near 1e-15, far below a
+        # noise floor scaled by the data alone.
+        x, y = rng.standard_normal((d, 10)), rng.standard_normal(10)
+        config = RoweisConfig(1.0, 0.0, label_kernel=kernels.KernelSpec("linear"))
+        ref, small = fit(x, y, config), fit(x, 1e-8 * y, config)
+        assert small.route == ref.route == route
+        assert small.config.p == ref.config.p == 1
+        np.testing.assert_allclose(small.eigvals, 1e-16 * ref.eigvals, rtol=1e-10)
+        np.testing.assert_allclose(align_columns(ref.basis, small.basis), ref.basis, atol=1e-10)
+
+    @pytest.mark.parametrize("spec", [
+        kernels.KernelSpec("linear"),
+        kernels.KernelSpec("polynomial", degree=3, offset=-0.7),
+        kernels.KernelSpec("polynomial", degree=2, offset=2.0),
+    ])
+    def test_the_label_kernel_scale_is_its_largest_entry(self, rng, spec):
+        y = rng.standard_normal(15) + 0.3
+        assert rda._label_kernel_scale(spec, y) == pytest.approx(np.abs(kernels.label_gram(spec, y, y)).max())
 
     def test_discriminant_corner_matches_direction_sweep(self):
         rng = np.random.default_rng(11)

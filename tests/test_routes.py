@@ -196,7 +196,7 @@ def record_orders(monkeypatch) -> list:
         solve = getattr(rda, name)
 
         def record(a, *args, **kwargs):
-            if sys._getframe(1).f_code.co_name == "_solve":
+            if sys._getframe(1).f_code.co_name == "_solve_grid":
                 orders.append((name, np.asarray(a).shape[0]))
             return solve(a, *args, **kwargs)
 
