@@ -250,16 +250,6 @@ def cmd_reconstruct(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-def _grid_embeddings(variant, train, test, configs, data_kernel):
-    """(train, test) embeddings of every config: one fit per config for the
-    primal variant, one grid fit sharing the per-split work for the kernel one."""
-    if variant == "primal":
-        models = [rda.fit(train.X, train.y, config) for config in configs]
-        return [(rda.project(model, train.X), rda.project(model, test.X)) for model in models]
-    models = kernel_rda.fit_direct_grid(train.X, train.y, configs, data_kernel)
-    return list(zip(kernel_rda.project_grid(models, train.X), kernel_rda.project_grid(models, test.X)))
-
-
 def cmd_sweep(args) -> int:
     if args.grid < 2:
         raise ConfigError(f"--grid must be at least 2 per axis, got {args.grid}")
@@ -287,7 +277,7 @@ def cmd_sweep(args) -> int:
     ]
     rows = []
     for config, (emb_train, emb_test) in zip(
-        configs, _grid_embeddings(args.variant, train, test, configs, data_kernel)
+        configs, experiments.grid_embeddings(args.variant, train, test, configs, data_kernel)
     ):
         if kind == "classification":
             report = evaluate.knn_classify(emb_train, train.y, emb_test, test.y, k=1)

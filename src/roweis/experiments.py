@@ -10,10 +10,10 @@ The embedding panels fit the kernelized method on the two synthetic
 classification sets over the 3 x 3 grid of mixing factors and export the
 leading embedding dimensions of the train and test splits.
 
-Both fit a split's whole kernel grid at once
-(:func:`roweis.kernel_rda.fit_direct_grid`, :func:`roweis.kernel_rda.project_grid`)
-and resolve each bandwidth once per split; the results are those of one fit
-per grid point, bit for bit.
+Both, and the CLI sweep, fit and embed a split's whole grid with
+:func:`grid_embeddings`, which resolves each bandwidth and builds each label
+term once per split; the results are those of one fit per grid point, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -42,23 +42,28 @@ def _cell_seed(base_seed: int, bench_id: int, rep: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
+def grid_embeddings(variant, train, test, configs, data_kernel) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(train, test) embeddings of every config, from one grid fit on the
+    training split: :func:`roweis.rda.fit_grid` for the primal variant,
+    :func:`roweis.kernel_rda.fit_direct_grid` with ``data_kernel`` for the
+    kernel one."""
+    if variant == "primal":
+        models = rda.fit_grid(train.X, train.y, configs)
+        return [(rda.project(model, train.X), rda.project(model, test.X)) for model in models]
+    models = kernel_rda.fit_direct_grid(train.X, train.y, configs, data_kernel)
+    return list(zip(kernel_rda.project_grid(models, train.X), kernel_rda.project_grid(models, test.X)))
+
+
 def _split_rmse(train, test, r1_values) -> list[tuple[str, float, float]]:
     """(method, r1, test RMSE) of every method and r1 on one split; the RBF
     label bandwidth is resolved once for both methods."""
     label_kernel = kernels.resolve_label_kernel(kernels.KernelSpec(family="rbf"), train.y)
     configs = [rda.RoweisConfig(r1=r1, r2=0.0, p=2, label_kernel=label_kernel) for r1 in r1_values]
-    embedded = []
-    for config in configs:
-        model = rda.fit(train.X, train.y if config.r1 > 0 else None, config)
-        embedded.append(("linear", config.r1, rda.project(model, train.X), rda.project(model, test.X)))
-    models = kernel_rda.fit_direct_grid(train.X, train.y, configs, kernels.KernelSpec(family="rbf"))
-    kernel_train = kernel_rda.project_grid(models, train.X)
-    kernel_test = kernel_rda.project_grid(models, test.X)
-    for config, emb_train, emb_test in zip(configs, kernel_train, kernel_test):
-        embedded.append(("kernel", config.r1, emb_train, emb_test))
     return [
-        (method, r1, evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y).value)
-        for method, r1, emb_train, emb_test in embedded
+        (method, config.r1, evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y).value)
+        for method, variant in (("linear", "primal"), ("kernel", "kernel"))
+        for config, (emb_train, emb_test) in zip(
+            configs, grid_embeddings(variant, train, test, configs, kernels.KernelSpec(family="rbf")))
     ]
 
 
@@ -138,10 +143,8 @@ def embedding_panels(
         raise ConfigError(f"unknown panel dataset {dataset_name!r}")
     train, test = datasets.train_test_split(ds, train_fraction, seed)
     configs = [rda.RoweisConfig(r1=r1, r2=r2, p=2) for r1 in r_values for r2 in r_values]
-    models = kernel_rda.fit_direct_grid(train.X, train.y, configs, kernels.KernelSpec(family="rbf"))
-    train_embs = kernel_rda.project_grid(models, train.X)
-    test_embs = kernel_rda.project_grid(models, test.X)
     return [
         Panel(dataset_name, config.r1, config.r2, train_emb, test_emb, train.y, test.y)
-        for config, train_emb, test_emb in zip(configs, train_embs, test_embs)
+        for config, (train_emb, test_emb) in zip(
+            configs, grid_embeddings("kernel", train, test, configs, kernels.KernelSpec(family="rbf")))
     ]

@@ -25,7 +25,8 @@ included, as the blend (1 - r1) Xc Xc' + r1 Xc K_y Xc'. For class labels
 (the delta kernel) K_y = E E' exactly, with E the n x c class-indicator
 matrix, so the label term (Xc E)(Xc E)' costs O(dn + d^2 c) and no n x n
 array is built. Real-valued targets use an RBF label kernel, which has no
-such factor: their label term is (Xc K_y) Xc', with K_y built n x n.
+such factor: their label term is (Xc K_y) Xc', with K_y built n x n. The
+eigen core builds E or K_y once per grid and hands it to :func:`objective`.
 
 :func:`constraint` builds R2 for every generalized fit, the kernel direct
 fit's L = r2 * N + (1 - r2) * K_x included. S_W (or N) is built only for
@@ -55,7 +56,8 @@ Which matrices the solver sees depends on the shape alone (the model's
 
 Both routes, and the kernel direct fit's range, are configurations of one
 eigen core, :func:`_solve_grid`: coordinates, R2's metric, a complement and
-a lift. Every fit entry point takes its components from
+a lift; :func:`fit_grid` is the core at many configs, and :func:`fit` at
+one. Every fit entry point takes its components from
 :func:`select_components`, on its spectrum and its shape's rank cap.
 """
 
@@ -247,17 +249,17 @@ def label_factor(spec: kernels.KernelSpec, labels) -> np.ndarray:
     return psd_factor(kernels.label_gram(spec, labels, labels)).T
 
 
-def objective(centered: np.ndarray, labels, spec: kernels.KernelSpec | None, r1: float) -> np.ndarray:
+def objective(centered: np.ndarray, r1: float, factor=None, gram=None) -> np.ndarray:
     """R1 = (1 - r1) Xc Xc' + r1 Xc K_y Xc' for every fit: Xc is the centered
-    data, its span coordinates, or K_x H for the kernel direct fit; ``spec``
-    is the resolved label kernel (None at r1 = 0). The label term is
-    (Xc E)(Xc E)' for class labels, built after ``centered`` is dropped, and
-    (Xc K_y) Xc' otherwise, built (and K_y freed) before Xc Xc'."""
+    data, its span coordinates, or K_x H for the kernel direct fit. The label
+    term is (Xc F)(Xc F)' for a ``factor`` F with F F' = K_y (E for class
+    labels), built after ``centered`` is dropped, and (Xc K_y) Xc' for a
+    ``gram`` K_y, built before Xc Xc'. At r1 = 0 neither is needed."""
     part = q = None
-    if r1 > 0 and spec.family == "delta":
-        q = centered @ kernels.class_indicator(labels)
+    if r1 > 0 and factor is not None:
+        q = centered @ factor
     elif r1 > 0:
-        part = centered @ kernels.label_gram(spec, labels, labels)
+        part = centered @ gram
         part = part @ centered.T
     out = centered @ centered.T if r1 < 1 else None
     del centered
@@ -367,10 +369,11 @@ def _solve_grid(centered, labels, configs, cap, scatter_data=None, lift=None, me
     the group is solved against that factor. A group that is not robust, at
     r2 = 0 and without a metric, has R2 = I and solves R1 alone with
     :func:`~roweis.linalg.symmetric_eig`. Label bandwidths are resolved once
-    per label kernel. R1 is handed over with no reference kept, and so is
-    ``centered`` at the last config, so each is freed after its last product
-    if the caller keeps none either. Each result equals a lone solve bit for
-    bit. Eigenvalues at or below EIG_NOISE_RTOL ||centered||_F^2
+    per label kernel, and each distinct resolved one's term (E or K_y, see
+    :func:`objective`) is built once. R1 is handed over with no reference
+    kept, and so is ``centered`` at the last config, so each is freed after
+    its last product if the caller keeps none either. Each result equals a
+    lone solve bit for bit. Eigenvalues at or below EIG_NOISE_RTOL ||centered||_F^2
     ((1 - r1) + r1 max|K_y|) / unit(R2), unit the mean diagonal of R2 and its
     complement, are round-off at the scale of R1's inputs: a spectrum of them
     is refused as one of zeros.
@@ -381,6 +384,7 @@ def _solve_grid(centered, labels, configs, cap, scatter_data=None, lift=None, me
     for i, config in enumerate(configs):
         groups.setdefault((config.r2, config.robust), []).append(i)
     specs: dict = {}
+    terms: dict = {}
     out: list = [None] * len(configs)
     shared, left = [centered], len(configs)
     del centered
@@ -397,16 +401,19 @@ def _solve_grid(centered, labels, configs, cap, scatter_data=None, lift=None, me
             factor = factor_constraint(r2_mat, complement)
             del r2_mat
         for i in members:
-            config, spec, scale = configs[i], None, 1.0
-            if config.r1 > 0:
-                if config.label_kernel not in specs:
-                    resolved = _resolved_label_kernel(config.label_kernel, labels)
-                    specs[config.label_kernel] = resolved, _label_kernel_scale(resolved, labels)
-                spec, scale = specs[config.label_kernel]
+            config = configs[i]
+            if config.r1 > 0 and config.label_kernel not in specs:
+                spec = _resolved_label_kernel(config.label_kernel, labels)
+                if spec not in terms:
+                    terms[spec] = _label_kernel_scale(spec, labels), (
+                        {"factor": kernels.class_indicator(labels)} if spec.family == "delta"
+                        else {"gram": kernels.label_gram(spec, labels, labels)})
+                specs[config.label_kernel] = spec, *terms[spec]
+            spec, scale, term = specs[config.label_kernel] if config.r1 > 0 else (None, 1.0, {})
             left -= 1
             # No reference to R1 is kept here, nor to ``centered`` at the last
             # config, so the solver frees the one and objective the other.
-            r1_mat = [objective(shared[0] if left else shared.pop(), labels, spec, config.r1)]
+            r1_mat = [objective(shared[0] if left else shared.pop(), config.r1, **term)]
             pair = symmetric_eig(r1_mat.pop()) if factor is None else generalized_eig(r1_mat.pop(), factor)
             floor = noise * ((1.0 - config.r1) + config.r1 * scale) / unit
             p, notes = select_components(pair.values, cap(r2), config.p, floor=floor)
@@ -418,13 +425,20 @@ def _solve_grid(centered, labels, configs, cap, scatter_data=None, lift=None, me
 
 
 def fit(x, labels, config: RoweisConfig) -> RdaModel:
-    """Fit the projection basis for the given mixing factors.
+    """Fit the projection basis at one config: the one-config case of :func:`fit_grid`."""
+    return fit_grid(x, labels, [config])[0]
 
-    The inputs are checked by :func:`_fit_inputs`. With fewer samples than
-    features the problem is solved in the span of the centered data (route
-    "span"), otherwise on the full d x d matrices (route "dense").
-    """
-    x, labels = _fit_inputs(x, labels, config.r1, config.r2)
+
+def fit_grid(x, labels, configs) -> list[RdaModel]:
+    """Fits of one training set at every config, in the configs' order, each
+    equal to :func:`fit` at its config bit for bit. The inputs are checked
+    once (:func:`_fit_inputs`, at the largest r1 and r2); the mean, the route
+    ("span" when n < d, else "dense") and the span route's QR are taken once
+    for one :func:`_solve_grid` call."""
+    configs = list(configs)
+    if not configs:
+        raise ConfigError("fit_grid needs at least one config")
+    x, labels = _fit_inputs(x, labels, max(c.r1 for c in configs), max(c.r2 for c in configs))
     d, n = x.shape
 
     mean = x.mean(axis=1)
@@ -434,21 +448,13 @@ def fit(x, labels, config: RoweisConfig) -> RdaModel:
     if route == "span":
         # Any orthonormal Q whose span holds span(Xc) is exact: no rank cut.
         q = np.linalg.qr(centered)[0]
-        [(pair, p, notes, spec)] = _solve_grid(q.T @ centered, labels, [config], lambda r2: rank,
-                                               lift=q, count=d - n)
+        solved = _solve_grid(q.T @ centered, labels, configs, lambda r2: rank, lift=q, count=d - n)
     else:
-        [(pair, p, notes, spec)] = _solve_grid(centered, labels, [config], lambda r2: rank, scatter_data=x)
-
-    fitted = dataclasses.replace(config, p=p, label_kernel=spec or config.label_kernel)
-    return RdaModel(
-        basis=pair.vectors,
-        eigvals=pair.values,
-        mean=mean,
-        config=fitted,
-        shift=pair.shift,
-        notes=notes,
-        route=route,
-    )
+        solved = _solve_grid(centered, labels, configs, lambda r2: rank, scatter_data=x)
+    return [RdaModel(basis=pair.vectors, eigvals=pair.values, mean=mean,
+                     config=dataclasses.replace(config, p=p, label_kernel=spec or config.label_kernel),
+                     shift=pair.shift, notes=notes, route=route)
+            for config, (pair, p, notes, spec) in zip(configs, solved)]
 
 
 def project(model: RdaModel, x_any) -> np.ndarray:

@@ -32,6 +32,9 @@
 * ``blend_label_kernel`` is P = r1 K_y + (1 - r1) I, the dense label side of
   the objective that ``rda.objective`` built for real-valued targets before
   it blended (Xc K_y) Xc' with Xc Xc'.
+* ``label_term`` is the label term ``rda.objective`` built itself from the
+  resolved label kernel before the eigen core built it once per grid: the
+  class indicator E for the delta kernel, K_y otherwise, as its keywords.
 * ``fit_dual``, ``fit_kernel_pca`` and ``fit_kernel_spca`` are the dual and
   kernel-trick fits as they were before they shared one small-side solve
   (``leading_directions``, since folded into ``kernel_rda._fit_trick``) and
@@ -61,9 +64,9 @@
   ``rda.objective`` of K_x H must agree with it within round-off.
   ``sweep_rows``, ``regression_benchmark_table`` and ``embedding_panels``
   are the CLI sweep and the experiments as per-config loops over the
-  package's one-config ``kernel_rda.fit_direct``: every grid point
-  validates, resolves its bandwidths, builds its Grams and factors its
-  constraint anew. Below 1024 new points ``project_kernel`` equals the
+  package's one-config ``rda.fit`` and ``kernel_rda.fit_direct``: every
+  grid point validates, resolves its bandwidths, builds its Grams and
+  label terms and factors its constraint anew. Below 1024 new points ``project_kernel`` equals the
   blocked projection bit for bit, so these loops give the package's outputs
   byte for byte.
 
@@ -341,6 +344,14 @@ def blend_label_kernel(k_y, r1: float) -> np.ndarray:
     return _sym(r1 * k_y + (1.0 - r1) * np.eye(k_y.shape[0]))
 
 
+def label_term(spec, labels) -> dict:
+    if spec is None:
+        return {}
+    if spec.family == "delta":
+        return {"factor": kernels.class_indicator(labels)}
+    return {"gram": kernels.label_gram(spec, labels, labels)}
+
+
 def kernel_objective_matrix(k_x, p) -> np.ndarray:
     return _sym(k_x @ double_center(p) @ k_x)
 
@@ -519,7 +530,7 @@ def fit_direct(x, labels, config, kernel) -> KernelRdaModel:
     k_x = _sym(gram(kernel, x, x))
 
     resolved_label = _resolved_label_kernel(config.label_kernel, labels) if r1 > 0 else None
-    m_mat = rda.objective(k_x - k_x.mean(axis=1, keepdims=True), labels, resolved_label, r1)
+    m_mat = rda.objective(k_x - k_x.mean(axis=1, keepdims=True), r1, **label_term(resolved_label, labels))
 
     n_classes = None
     if r2 > 0:

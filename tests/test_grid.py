@@ -1,10 +1,11 @@
 """Grid fits: one split's whole (r1, r2) grid from shared per-split work.
 
-``kernel_rda.fit_direct_grid`` and ``kernel_rda.project_grid`` must give each
-config's lone fit (``kernel_rda.fit_direct``) and projection bit for bit. The
-CLI sweep and the experiments, which now use them, must write the bytes of
-the per-config loops over that lone fit kept in ``tests/oracle.py``, and do
-the shared work once per split. The lone fit's agreement with the dense
+``rda.fit_grid``, ``kernel_rda.fit_direct_grid`` and
+``kernel_rda.project_grid`` must give each config's lone fit (``rda.fit``,
+``kernel_rda.fit_direct``) and projection bit for bit. The CLI sweep and the
+experiments, which use them through ``experiments.grid_embeddings``, must
+write the bytes of the per-config loops over the lone fits kept in
+``tests/oracle.py``, and do the shared work once per split. The lone fit's agreement with the dense
 n x n solve, ``oracle.fit_direct``, is tested in ``test_kernel_rda.py``.
 """
 
@@ -27,6 +28,13 @@ from conftest import labeled_blobs
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def assert_same_rda_model(got, want):
+    for name in ("basis", "eigvals", "mean"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert (got.config, got.shift, got.notes, got.route) == (want.config, want.shift, want.notes, want.route)
 
 
 def assert_same_model(got, want):
@@ -170,6 +178,72 @@ class TestFitDirectGrid:
                     assert complement == (repaired[0] if robust else Complement(1.0 - r2, d - n))
 
 
+class TestFitGrid:
+    @pytest.mark.parametrize("d", (3, 40))
+    def test_edge_cases_match_the_per_config_fit(self, rng, d):
+        # Dense (d <= n) and span (n < d) routes; r2 not grouped in the config
+        # order, robust and not, p above the rank cap, and two label kernels
+        # that resolve to the same delta kernel.
+        x, labels = labeled_blobs(rng, d=d, n=20, c=3)
+        configs = [
+            RoweisConfig(1.0, 0.5, p=2), RoweisConfig(0.5, 1.0, p=30, robust=True), RoweisConfig(0.0, 0.0),
+            RoweisConfig(1.0, 0.0, p=2, label_kernel=kernels.KernelSpec("delta")),
+            RoweisConfig(0.5, 0.5, robust=True), RoweisConfig(0.0, 0.5, p=2), RoweisConfig(0.5, 0.0, robust=True),
+        ]
+        models = rda.fit_grid(x, labels, configs)
+        assert len(models) == len(configs)
+        assert {model.route for model in models} == {"dense" if d <= 20 else "span"}
+        assert models[1].notes
+        for config, model in zip(configs, models):
+            assert_same_rda_model(model, rda.fit(x, labels, config))
+
+    def test_checks_every_config_before_fitting(self, rng, monkeypatch):
+        x = rng.standard_normal((2, 10))
+        solves = []
+        monkeypatch.setattr(rda, "factor_constraint", lambda *a: solves.append(a))
+        monkeypatch.setattr(rda, "symmetric_eig", lambda *a: solves.append(a))
+        with pytest.raises(ConfigError, match="class labels"):
+            rda.fit_grid(x, rng.standard_normal(10), [RoweisConfig(0.0, 0.0), RoweisConfig(0.5, 0.0),
+                                                      RoweisConfig(0.0, 0.5)])
+        with pytest.raises(ConfigError, match="labels are required"):
+            rda.fit_grid(x, None, [RoweisConfig(0.0, 0.0), RoweisConfig(0.5, 0.0)])
+        with pytest.raises(ConfigError, match="at least one"):
+            rda.fit_grid(x, None, [])
+        assert not solves
+
+    @pytest.mark.parametrize("d", (3, 40))
+    def test_the_span_route_takes_one_qr_per_grid(self, rng, monkeypatch, d):
+        x, labels = labeled_blobs(rng, d=d, n=20, c=3)
+        real, calls = np.linalg.qr, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        rda.fit_grid(x, labels, [RoweisConfig(r1, r2, robust=r1 == 0.5) for r1 in (0.0, 0.5, 1.0)
+                                 for r2 in (0.0, 1.0)])
+        assert calls == ([] if d <= 20 else [(d, 20)])
+
+
+def test_grid_fits_build_the_label_gram_once(rng, monkeypatch):
+    x = rng.standard_normal((3, 25))
+    y = rng.standard_normal(25)
+    real, calls = kernels.label_gram, []
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "label_gram", counting)
+    configs = [RoweisConfig(r1, 0.0, p=2, label_kernel=kernels.KernelSpec("rbf")) for r1 in (0.0, 0.5, 1.0)]
+    for fit_grid in (rda.fit_grid, lambda *a: fit_direct_grid(*a, kernels.KernelSpec("rbf"))):
+        calls.clear()
+        models = fit_grid(x, y, configs)
+        assert len(calls) == 1 and calls[0].family == "rbf" and calls[0].gamma
+        assert len(models) == 3
+
+
 class TestProjectGrid:
     def test_equals_each_models_projection(self, rng):
         x, labels = labeled_blobs(rng, d=2, n=40, c=3)
@@ -269,9 +343,9 @@ def test_table_resolves_two_bandwidths_per_split(counted):
     experiments.regression_benchmark_table(bench_ids=(1, 2), repetitions=3, n=30)
     splits = 2 * 3
     assert counted["median_heuristic_gamma"] == 2 * splits
-    # Per split: the linear r1 = 0.5 and 1 label Grams; the kernel K_x, its two
-    # label Grams, and one train and one test block.
-    assert counted["gram"] == 7 * splits
+    # Per split: one label Gram for each of the two grid fits, plus the
+    # kernel fit's K_x and one train and one test block.
+    assert counted["gram"] == 5 * splits
 
 
 @pytest.mark.parametrize("name", ["xor", "rings"])

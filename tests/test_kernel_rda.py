@@ -48,19 +48,19 @@ class TestKernelObjectiveMatrix:
         x = rng.standard_normal((2, 6))
         k = kernels.gram(kernels.KernelSpec("linear"), x, x)
         h = centering_matrix(6)
-        np.testing.assert_allclose(objective(row_centered(k), None, None, 0.0), k @ h @ k, atol=1e-10)
+        np.testing.assert_allclose(objective(row_centered(k), 0.0), k @ h @ k, atol=1e-10)
 
     def test_identity_gram(self, rng):
         labels = rng.permutation(np.arange(5) % 2)
         p = 0.4 * kernels.delta_kernel(labels, labels) + 0.6 * np.eye(5)
         h = centering_matrix(5)
-        got = objective(row_centered(np.eye(5)), labels, kernels.KernelSpec("delta"), 0.4)
+        got = objective(row_centered(np.eye(5)), 0.4, factor=kernels.class_indicator(labels))
         np.testing.assert_allclose(got, h @ p @ h, atol=1e-12)
 
     def test_symmetric(self, rng):
         x, labels = labeled_blobs(rng, d=3, n=10, c=2)
         k = kernels.gram(kernels.KernelSpec("rbf", gamma=0.4), x, x)
-        m = objective(row_centered(k), labels, kernels.KernelSpec("delta"), 1.0)
+        m = objective(row_centered(k), 1.0, factor=kernels.class_indicator(labels))
         assert np.max(np.abs(m - m.T)) <= 1e-10
 
     @pytest.mark.parametrize("r1", [0.0, 0.3, 1.0])
@@ -74,7 +74,7 @@ class TestKernelObjectiveMatrix:
         k = kernels.gram(kernels.KernelSpec("rbf", gamma=0.3), x, x)
         p_mat = blend_label_kernel(kernels.label_gram(label_kernel, labels, labels), r1)
         want = oracle.kernel_objective_matrix(k, p_mat)
-        got = objective(row_centered(k), labels, label_kernel, r1)
+        got = objective(row_centered(k), r1, **oracle.label_term(label_kernel, labels))
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
 
 

@@ -6,7 +6,11 @@ references qualified by module as in ``test_dead_code.py``. The builders
 and the generalized solver of the (R1, R2) problem may be referenced only
 from the core, so a second solve loop cannot grow back. ``symmetric_eig``
 also serves the robust repair and the kernel-trick fits, whose cores are
-plain eigenproblems.
+plain eigenproblems. The label terms, the class indicator E and the label
+Gram K_y, are built once per grid by the core and handed to ``objective``;
+besides the core only the kernel-trick fits' ``label_factor`` and the noise
+floor's ``_label_kernel_scale`` may build them, so no per-config label build
+grows back in ``objective`` or a caller.
 """
 
 import ast
@@ -21,6 +25,8 @@ ALLOWED = {
     ("rda", "constraint"): {CORE},
     ("rda", "objective"): {CORE},
     ("linalg", "symmetric_eig"): {CORE, ("rda", "robustify"), ("kernel_rda", "_fit_trick")},
+    ("kernels", "label_gram"): {CORE, ("rda", "label_factor"), ("rda", "_label_kernel_scale")},
+    ("kernels", "class_indicator"): {CORE, ("rda", "label_factor")},
 }
 
 

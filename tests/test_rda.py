@@ -40,13 +40,13 @@ class TestBlendLabelKernel:
 
     def test_r1_zero_gives_identity(self, rng):
         xc, y = self.targets(rng)
-        got = objective(xc, y, None, 0.0)
+        got = objective(xc, 0.0)
         np.testing.assert_allclose(got, xc @ xc.T, rtol=0.0, atol=1e-14 * np.abs(got).max())
 
     def test_r1_one_gives_kernel(self, rng):
         xc, y = self.targets(rng)
         spec = kernels.KernelSpec("rbf", gamma=0.5)
-        got = objective(xc, y, spec, 1.0)
+        got = objective(xc, 1.0, gram=kernels.label_gram(spec, y, y))
         want = xc @ kernels.label_gram(spec, y, y) @ xc.T
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
 
@@ -55,7 +55,7 @@ class TestBlendLabelKernel:
         spec = kernels.KernelSpec("rbf", gamma=0.5)
         for r1 in (0.3, 0.5):
             want = objective_matrix(xc, blend_label_kernel(kernels.label_gram(spec, y, y), r1))
-            got = objective(xc, y, spec, r1)
+            got = objective(xc, r1, gram=kernels.label_gram(spec, y, y))
             assert np.array_equal(got, got.T)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
 
