@@ -92,8 +92,12 @@ def _write_matrix(path: str, header: list, values, lead=None) -> None:
     text cells go through ``csv.writer`` (its quoting, its ``\\r\\n``)."""
     rows = float_rows(np.asarray(values).T, ",")
     if lead is not None:
-        # The empty cell stands for the numbers, so csv quotes the text as in the whole row.
-        rows = (csv_cells([*cells, ""]) + row for cells, row in zip(lead, rows))
+        # The empty cell stands for the numbers, so csv quotes the text as in
+        # the whole row. Leads repeat (a split and a label), so each distinct
+        # one is quoted once.
+        lead = [tuple(cells) for cells in lead]
+        quoted = {cells: csv_cells([*cells, ""]) for cells in set(lead)}
+        rows = (quoted[cells] + row for cells, row in zip(lead, rows))
     with _output(path, newline="") as handle:
         csv.writer(handle).writerow(header)
         handle.writelines(row + "\r\n" for row in rows)

@@ -17,7 +17,10 @@ Two routes into the feature space:
   theta = V_m z, the problem is m x m: V_m' M V_m is
   :func:`roweis.rda.objective` of G H, so class labels need no n x n P, and
   V_m' L V_m is :func:`roweis.rda.constraint` of G with the diagonal metric
-  lambda_m (V_m' N V_m is the within-class scatter of G). L is 0 on the
+  lambda_m (V_m' N V_m is the within-class scatter of G). At r2 = 0 it is
+  diag(lambda_m) itself, which the solver takes as the vector lambda_m and
+  factors in closed form, 1 / sqrt(lambda_m + shift), so those solves
+  scale instead of multiplying by an m x m factor. L is 0 on the
   other n - m dimensions, a zero complement, so the solve shifts as the
   n x n one does (Schoelkopf et al. 1999, "Input space versus feature space
   in kernel-based methods"). This works for every (r1, r2). Coefficients

@@ -19,6 +19,14 @@ one constraint factors it once, and every solve still goes through
 here: its callers know it from their configuration and call
 :func:`symmetric_eig`.
 
+A diagonal constraint can be handed over as its diagonal, a 1-D array. It
+takes the same checks and shift ladder in closed form: its entries are its
+spectrum, its Cholesky factorization succeeds exactly when every shifted
+entry is positive, and the inverse factor is the vector
+``1 / sqrt(b + shift)``. The solve then scales rows and columns instead of
+multiplying by a triangular matrix. Every other term of those products is
+an exact zero, so each result has the bits of the dense form ``np.diag(b)``.
+
 A constraint that maps an m-dimensional subspace into itself and acts as a
 multiple of the identity on its complement can be handed over as its m x m
 block plus a :class:`Complement` (the multiple and the complement's
@@ -94,8 +102,9 @@ class Complement:
 
 
 def _shift_unit(b: np.ndarray, complement: Complement | None = None) -> float:
-    """B's mean diagonal, complement included; 1.0 if not positive, so a shift exists."""
-    trace, order = float(np.trace(b)), b.shape[0]
+    """B's mean diagonal (B given as a matrix or as its diagonal), complement
+    included; 1.0 if not positive, so a shift exists."""
+    trace, order = float(np.trace(b) if b.ndim == 2 else np.sum(b)), b.shape[0]
     if complement is not None:
         trace += complement.value * complement.count
         order += complement.count
@@ -216,7 +225,8 @@ def _invert_lower(l: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class FactoredConstraint:
     """A constraint ``B' = B + shift * I`` from :func:`factor_constraint`;
-    ``chol_inv`` is the inverse of its Cholesky factor L (``B' = L L'``)."""
+    ``chol_inv`` is the inverse of its Cholesky factor L (``B' = L L'``), or
+    that inverse's diagonal (a 1-D array) when B was given as its diagonal."""
 
     chol_inv: np.ndarray
     shift: float
@@ -229,17 +239,23 @@ def factor_constraint(b, complement: Complement | None = None) -> FactoredConstr
     for any number of solves against it.
 
     The checks, the shift and the complement are those of
-    :func:`generalized_eig`.
+    :func:`generalized_eig`. A 1-D ``b`` is the diagonal of a diagonal B
+    and is factored in closed form (no eigvalsh, Cholesky or inverse): its
+    sorted entries are the spectrum the checks see, its sum gives the shift
+    unit, and ``chol_inv`` is the vector ``1 / sqrt(b + shift)``, the
+    diagonal of the dense form's factor bit for bit.
     """
     return _factor(b, complement)
 
 
 def _factor(b, complement: Complement | None) -> FactoredConstraint:
-    b = as_square(b, "B")
-    b_s = _symmetrized(b, "B")
-
-    b_vals = np.linalg.eigvalsh(b_s)
-    b_norm = float(np.linalg.norm(b_s, "fro"))
+    b = np.asarray(b, dtype=float)
+    if b.ndim == 1:
+        b_s, b_vals, b_norm = b, np.sort(b), float(np.linalg.norm(b))
+    else:
+        b_s = _symmetrized(as_square(b, "B"), "B")
+        b_vals = np.linalg.eigvalsh(b_s)
+        b_norm = float(np.linalg.norm(b_s, "fro"))
     if complement is not None:
         b_vals = np.sort(np.append(b_vals, complement.value))
         b_norm = float(np.hypot(b_norm, complement.value * np.sqrt(complement.count)))
@@ -259,17 +275,29 @@ def _factor(b, complement: Complement | None) -> FactoredConstraint:
         return lam_min + s > max(lam_max + s, 0.0) / CONSTRAINT_COND_MAX
 
     for candidate in candidates:
-        if not healthy(candidate):
-            continue
-        try:
-            chol = np.linalg.cholesky(_shifted(b_s, candidate))
-        except np.linalg.LinAlgError:
-            continue
-        return FactoredConstraint(chol_inv=_invert_lower(chol), shift=candidate, order=b.shape[0])
+        if healthy(candidate) and (chol_inv := _inverse_factor(b_s, candidate)) is not None:
+            return FactoredConstraint(chol_inv=chol_inv, shift=candidate, order=b_s.shape[0])
     raise NumericalError(
         "constraint matrix stayed singular up to the maximum "
         f"diagonal shift {SHIFT_MAX_SCALE * unit:.3e}"
     )
+
+
+def _inverse_factor(b: np.ndarray, shift: float) -> np.ndarray | None:
+    """L^{-1} for ``B + shift * I = L L'``, None where the Cholesky
+    factorization fails. For B given as its diagonal it is the vector
+    ``1 / sqrt(b + shift)``: LAPACK's Cholesky of ``np.diag(b + shift)``
+    fails exactly when an entry is not positive, and otherwise takes those
+    square roots (every other term is an exact zero), as its inverse takes
+    their reciprocals."""
+    if b.ndim == 1:
+        shifted = b + shift
+        return 1.0 / np.sqrt(shifted) if np.all(shifted > 0.0) else None
+    try:
+        chol = np.linalg.cholesky(_shifted(b, shift))
+    except np.linalg.LinAlgError:
+        return None
+    return _invert_lower(chol)
 
 
 def generalized_eig(a, b, complement: Complement | None = None) -> EigPair:
@@ -286,6 +314,12 @@ def generalized_eig(a, b, complement: Complement | None = None) -> EigPair:
     dropped after the first product, so a caller that keeps no reference to
     it frees it there.
 
+    A diagonal B may come as its diagonal, a 1-D array (or as the factor of
+    one): ``L^{-1}`` is then the diagonal w, C is A with its rows and
+    columns scaled by w, and ``U = diag(w) Q`` is Q with its rows scaled.
+    The result has the bits of the solve against ``np.diag(b)``, without its
+    two m x m products or its m x m factor.
+
     With ``complement``, A and B are the blocks of d x d matrices that are
     ``0`` and ``complement.value * I`` on a ``complement.count``-dimensional
     complement. The complement's eigenvalues enter the PSD check, the shift
@@ -298,22 +332,39 @@ def generalized_eig(a, b, complement: Complement | None = None) -> EigPair:
         factored = isinstance(b, FactoredConstraint)
         if factored and complement is not None:
             raise ConfigError("a factored constraint already carries its complement")
-        order = b.order if factored else as_square(b, "B").shape[0]
+        if factored:
+            order = b.order
+        else:
+            b = np.asarray(b, dtype=float)
+            order = b.shape[0] if b.ndim == 1 else as_square(b, "B").shape[0]
         if a.shape != (order, order):
             raise ConfigError(f"dimension mismatch: A is {a.shape}, B is {(order, order)}")
         a_s = _symmetrized(a, "A")
         factor = b if factored else _factor(b, complement)
         del a, b
         inv = factor.chol_inv
-        # C = L^{-1} A L^{-T}, U = L^{-T} Q.
-        c = inv @ a_s
-        del a_s
-        c = c @ inv.T
+        if inv.ndim == 1:
+            # L^{-1} = diag(inv): the products below as row and column
+            # scalings. Adding 0.0 turns -0.0 into the +0.0 they give for a zero.
+            c = a_s * inv[:, None]
+            del a_s
+            c *= inv
+            c += 0.0
+        else:
+            # C = L^{-1} A L^{-T}, U = L^{-T} Q.
+            c = inv @ a_s
+            del a_s
+            c = c @ inv.T
         c = sym(c)
         values, q = np.linalg.eigh(c)
         del c
         values = values[::-1].copy()
-        vectors = inv.T @ q
+        if inv.ndim == 1:
+            q *= inv[:, None]
+            q += 0.0
+            vectors = q
+        else:
+            vectors = inv.T @ q
         del q
         return EigPair(vectors=_leading_first(vectors), values=values, shift=factor.shift)
 

@@ -30,7 +30,9 @@ eigen core builds E or K_y once per grid and hands it to :func:`objective`.
 
 :func:`constraint` builds R2 for every generalized fit, the kernel direct
 fit's L = r2 * N + (1 - r2) * K_x included. S_W (or N) is built only for
-r2 > 0 and is scaled in place, so it dies with its R2.
+r2 > 0 and is scaled in place, so it dies with its R2. The direct fit's
+L at r2 = 0 is diag(lambda_m): the eigen core hands the solver that vector
+itself, factored in closed form.
 
 Which matrices the solver sees depends on the shape alone (the model's
 ``route``), for every (r1, r2) and robust or not:
@@ -281,11 +283,15 @@ def constraint(data, labels, r2: float, metric=None) -> np.ndarray:
     """R2 = r2 * S_W + (1 - r2) * diag(metric): S_W is
     :func:`roweis.scatter.within_scatter` of ``data``, and ``metric`` is a
     vector, all ones (R2's identity) when None. The kernel direct fit passes
-    K_x's kept eigenvalues, the metric of its L in K_x's eigenbasis. At
-    r2 = 0 no S_W is built, and for r2 > 0 the metric is added on the
-    diagonal, not built as a matrix."""
+    K_x's kept eigenvalues, the metric of its L in K_x's eigenbasis, and is
+    added on the diagonal, not built as a matrix. At r2 = 0 R2 is I, built
+    without S_W; there a metric's R2 is diag(metric) alone, which
+    :func:`_solve_grid` hands to the solver as the vector itself, so this
+    takes none."""
     if r2 == 0:
-        return np.eye(data.shape[0]) if metric is None else np.diag(metric)
+        if metric is not None:
+            raise ConfigError("at r2 = 0 the constraint is diag(metric); hand over the metric itself")
+        return np.eye(data.shape[0])
     out = scatter.within_scatter(data, labels)
     if r2 == 1:
         return out
@@ -368,7 +374,10 @@ def _solve_grid(centered, labels, configs, cap, scatter_data=None, lift=None, me
     (:func:`~roweis.linalg.factor_constraint`) and dropped, and every R1 of
     the group is solved against that factor. A group that is not robust, at
     r2 = 0 and without a metric, has R2 = I and solves R1 alone with
-    :func:`~roweis.linalg.symmetric_eig`. Label bandwidths are resolved once
+    :func:`~roweis.linalg.symmetric_eig`. With a metric (the kernel range)
+    that group's R2 is diag(metric): the metric vector itself is factored,
+    in closed form, and each solve scales R1's rows and columns by the
+    factor instead of multiplying by it. Label bandwidths are resolved once
     per label kernel, and each distinct resolved one's term (E or K_y, see
     :func:`objective`) is built once. R1 is handed over with no reference
     kept, and so is ``centered`` at the last config, so each is freed after
@@ -392,7 +401,10 @@ def _solve_grid(centered, labels, configs, cap, scatter_data=None, lift=None, me
         factor, unit = None, 1.0
         if r2 > 0 or robust or metric is not None:
             complement = Complement((1.0 - r2) * (metric is None), count) if count else None
-            r2_mat = constraint(shared[0] if scatter_data is None else scatter_data, labels, r2, metric)
+            if r2 == 0 and metric is not None:
+                r2_mat = metric  # diag(metric), held as its diagonal
+            else:
+                r2_mat = constraint(shared[0] if scatter_data is None else scatter_data, labels, r2, metric)
             if robust and complement is None:
                 r2_mat = robustify(r2_mat)
             elif robust:

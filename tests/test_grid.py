@@ -16,7 +16,7 @@ import pytest
 
 import oracle
 import text_io_oracle
-from roweis import datasets, experiments, kernel_rda, kernels, rda
+from roweis import datasets, experiments, kernel_rda, kernels, linalg, rda
 from roweis.cli import main
 from roweis.exceptions import ConfigError
 from roweis.kernel_rda import fit_direct, fit_direct_grid, fit_kernel_pca, fit_kernel_spca, project, project_grid
@@ -117,7 +117,8 @@ class TestFitDirectGrid:
     def test_each_distinct_constraint_is_factored_once(self, rng, monkeypatch):
         # Each L is factored in K_x's numerical range, of order m, with the
         # other n - m dimensions handed over as a zero complement. The linear
-        # Gram of 2-D points has m = 2.
+        # Gram of 2-D points has m = 2. The r2 = 0 group's L is diag(lambda_m),
+        # handed over as that vector; the others are m x m matrices.
         n = 20
         x, labels = labeled_blobs(rng, d=2, n=n, c=3)
         real = rda.factor_constraint
@@ -134,11 +135,43 @@ class TestFitDirectGrid:
             configs = [RoweisConfig(r1, r2) for r1 in (0.0, 0.5, 1.0) for r2 in (1.0, 0.0, 0.5)]
             fit_direct_grid(x, labels, configs, spec)
             assert len(factored) == 3
-            for (order, order_again), complement in factored:
-                assert order == order_again <= m
+            assert [len(shape) for shape, _ in factored] == [2, 1, 2]  # r2 = 1, 0, 0.5
+            for shape, complement in factored:
+                order = shape[0]
+                assert shape in ((order,), (order, order)) and order <= m
                 assert order + (0 if complement is None else complement.count) == n
                 assert complement is None or complement.value == 0.0
             assert spec.family != "linear" or m == 2
+
+    def test_zero_r2_factors_the_metric_in_closed_form(self, rng, monkeypatch):
+        # At r2 = 0 the range's L is diag(lambda_m): no eigvalsh, Cholesky or
+        # inverse runs in roweis.linalg for it, and the fits have the bits of
+        # fits against its dense form. An r2 = 0.5 group still runs them.
+        x, labels = labeled_blobs(rng, d=2, n=40, c=3)
+        kern = kernels.KernelSpec("rbf", gamma=0.5)
+        configs = [RoweisConfig(r1, 0.0, p=2) for r1 in (0.0, 0.5, 1.0)]
+        real_factor = rda.factor_constraint
+        dense = []
+
+        def densified(l_mat, complement):
+            dense.append(l_mat.ndim)
+            return real_factor(np.diag(l_mat) if l_mat.ndim == 1 else l_mat, complement)
+
+        monkeypatch.setattr(rda, "factor_constraint", densified)
+        want = fit_direct_grid(x, labels, configs, kern)
+        monkeypatch.undo()
+        assert dense == [1]
+        calls = []
+        for name in ("eigvalsh", "cholesky", "inv"):
+            real = getattr(linalg.np.linalg, name)
+            monkeypatch.setattr(linalg.np.linalg, name,
+                                lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+        got = fit_direct_grid(x, labels, configs, kern)
+        assert calls == []
+        for g, w in zip(got, want):
+            assert_same_model(g, w)
+        fit_direct_grid(x, labels, [RoweisConfig(0.5, 0.5, p=2)], kern)
+        assert {"eigvalsh", "cholesky", "inv"} <= set(calls)
 
     @pytest.mark.parametrize("d", (3, 40))
     def test_rda_fit_factors_its_constraint_once(self, rng, monkeypatch, d):

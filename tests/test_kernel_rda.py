@@ -15,6 +15,7 @@ from roweis.kernel_rda import (
     fit_kernel_spca,
     project,
 )
+from roweis.linalg import EIG_NOISE_RTOL
 from roweis.rda import RoweisConfig, fit, objective
 from roweis.rda import project as project_primal
 from roweis.scatter import within_scatter
@@ -136,8 +137,11 @@ class TestKernelConstraint:
         n_mat = oracle.kernel_within_scatter(k, ClassPartition.from_labels(labels))
         values, vectors = np.linalg.eigh(k)
         for r2 in (0.0, 0.5, 1.0):
-            got = rda.constraint(values[:, None] * vectors.T, labels, r2, metric=values)
             want = vectors.T @ oracle.kernel_constraint_matrix(n_mat, k, r2) @ vectors
+            # At r2 = 0, L is diag(lambda) there, which the eigen core hands
+            # to the solver as the eigenvalues themselves.
+            got = np.diag(values) if r2 == 0.0 else rda.constraint(values[:, None] * vectors.T, labels, r2,
+                                                                   metric=values)
             np.testing.assert_allclose(got, want, atol=1e-10 * np.abs(want).max())
 
 
@@ -456,6 +460,20 @@ class TestFitDirectMemory:
         peak = traced_peak(lambda: fit_direct_grid(x, labels, [RoweisConfig(r1, r2, p=2)], kern))
         assert peak <= 4.3 * n * n * 8
 
+    def test_full_rank_zero_r2_grid_holds_no_dense_factor(self):
+        # Where K_x has full numerical rank (m = n), V_m is held beside the
+        # m x m solve; at r2 = 0 the factor is the vector 1 / sqrt(lambda_m)
+        # and the solve scales instead of multiplying by an m x m inverse,
+        # so the grid peaks at about 4.1 n^2 doubles (5.1 with a dense factor).
+        n = 300
+        x, labels = labeled_blobs(np.random.default_rng(3), d=2, n=n, c=3)
+        kern = kernels.KernelSpec("rbf", gamma=5.0)
+        values = np.linalg.eigvalsh(kernels.gram(kern, x, x))
+        assert np.count_nonzero(np.abs(values) > EIG_NOISE_RTOL * np.abs(values).max()) == n
+        configs = [RoweisConfig(r1, 0.0, p=2) for r1 in (0.0, 0.5, 1.0)]
+        peak = traced_peak(lambda: fit_direct_grid(x, labels, configs, kern))
+        assert peak <= 4.3 * n * n * 8
+
     def test_class_labels_build_no_label_gram(self, rng, monkeypatch):
         calls = []
         monkeypatch.setattr(kernels, "label_gram", lambda *a: calls.append(a))
@@ -486,10 +504,13 @@ class TestInPlaceBuilders:
         before = k.tobytes(), other.tobytes(), metric.tobytes()
         pairs = [(kernels.double_center(k), oracle.double_center(k))]
         for r in (0.0, 0.3, 1.0):
-            pairs.append((
-                rda.constraint(other, labels, r, metric=metric),
-                oracle.kernel_constraint_matrix(oracle.kernel_within_scatter(other, part), np.diag(metric), r),
-            ))
+            # At r2 = 0 a metric's constraint is the vector itself, which
+            # ``constraint`` refuses (test_rda.py::TestConstraint).
+            if r > 0.0:
+                pairs.append((
+                    rda.constraint(other, labels, r, metric=metric),
+                    oracle.kernel_constraint_matrix(oracle.kernel_within_scatter(other, part), np.diag(metric), r),
+                ))
             pairs.append((rda.constraint(other, labels, r), oracle.constraint_matrix(within_scatter(other, labels), r)))
         for got, want in pairs:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()

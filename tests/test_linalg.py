@@ -455,6 +455,93 @@ class TestFactoredConstraint:
         assert len(factors) == 2
 
 
+def _diagonal_input(rng, kind):
+    """(diagonal, complement) of a diagonal constraint."""
+    m = 40
+    v = rng.random(m) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if kind == "ladder shift":
+        v[m // 2:] *= 1e-12  # condition 1e12: the ladder must shift it
+    elif kind == "zero entries":
+        v[::3] = 0.0
+        v[1] = -0.0
+    elif kind == "zero complement":
+        return v, Complement(0.0, 25)
+    elif kind == "empty block":
+        return np.zeros(0), Complement(0.7, 5)
+    return v, None
+
+
+DIAGONAL_KINDS = ["random", "ladder shift", "zero entries", "zero complement", "empty block"]
+
+
+class TestDiagonalFactor:
+    """A constraint given by its diagonal (a 1-D array) is factored in closed
+    form: its factor is the diagonal of the dense form's, and every solve
+    against it has the dense form's bits."""
+
+    @staticmethod
+    def assert_same_factor(got, want):
+        order = got.chol_inv.shape[0]
+        assert got.chol_inv.shape == (order,) and want.chol_inv.shape == (order, order)
+        diag = np.diagonal(want.chol_inv)
+        assert got.chol_inv.tobytes() == diag.tobytes()
+        assert _same_bits(want.chol_inv, np.diag(diag))  # zeros elsewhere, none negative
+        assert (got.shift, got.order) == (want.shift, want.order)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kind", DIAGONAL_KINDS)
+    def test_factor_is_the_dense_factors_diagonal(self, kind, seed):
+        v, complement = _diagonal_input(np.random.default_rng(seed), kind)
+        got, want = factor_constraint(v, complement), factor_constraint(np.diag(v), complement)
+        self.assert_same_factor(got, want)
+        assert (got.shift > 0.0) == (kind in ("ladder shift", "zero entries", "zero complement"))
+
+    @staticmethod
+    def assert_same_solves(a, v, complement=None):
+        want = generalized_eig(a, factor_constraint(np.diag(v), complement))
+        for got in (generalized_eig(a, factor_constraint(v, complement)),
+                    generalized_eig(a, v, complement=complement)):
+            assert got.shift == want.shift
+            assert _same_bits(got.values, want.values) and _same_bits(got.vectors, want.vectors)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kind", DIAGONAL_KINDS)
+    def test_solves_have_the_dense_forms_bits(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        v, complement = _diagonal_input(rng, kind)
+        for a in (random_psd(rng, v.size), _symmetric_with_zeros(rng, v.size)):
+            self.assert_same_solves(a, v, complement)
+
+    @pytest.mark.parametrize("m", [6, 40])
+    def test_signed_zeros_come_out_as_from_the_dense_products(self, rng, m):
+        # The dense products give +0.0 for a zero. Two objectives would see
+        # -0.0 from plain scaling: -0.0 where eigh's first reflector reads
+        # it, and a block-diagonal A, whose eigenbasis holds exact zeros
+        # (of both signs at small orders).
+        v = rng.random(m) + 0.5
+        a = _symmetric_with_zeros(rng, m)
+        a[1, 0] = a[0, 1] = -0.0
+        blocks = rng.standard_normal((m, m))
+        blocks += blocks.T
+        blocks[m // 2:, :m // 2] = blocks[:m // 2, m // 2:] = 0.0
+        for objective in (a, blocks):
+            self.assert_same_solves(objective, v)
+
+    def test_negative_entry_raises_the_dense_forms_error(self):
+        v = np.array([3.0, 1.0, -0.5, 2.0])
+        with pytest.raises(NumericalError) as dense:
+            factor_constraint(np.diag(v))
+        with pytest.raises(NumericalError) as vector:
+            factor_constraint(v)
+        assert str(vector.value) == str(dense.value)
+        with pytest.raises(NumericalError, match="positive semidefinite"):
+            generalized_eig(np.eye(4), v)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ConfigError, match="dimension mismatch"):
+            generalized_eig(np.eye(3), np.ones(4))
+
+
 class TestInvertLower:
     """_invert_lower overwrites a Cholesky factor with its inverse."""
 

@@ -3,7 +3,7 @@ import pytest
 
 from roweis import kernels, rda
 from roweis.exceptions import ConfigError, NumericalError
-from roweis.linalg import Complement, symmetric_eig
+from roweis.linalg import Complement, factor_constraint, symmetric_eig
 from roweis.rda import (
     RdaModel,
     RoweisConfig,
@@ -91,8 +91,10 @@ class TestConstraint:
 
     def test_r2_zero(self):
         np.testing.assert_allclose(constraint(self.X, self.LABELS, 0.0), np.eye(2))
-        got = constraint(self.X, self.LABELS, 0.0, metric=np.array([2.0, 3.0]))
-        np.testing.assert_allclose(got, np.diag([2.0, 3.0]))
+        # A metric's R2 at r2 = 0 is diag(metric) alone; the eigen core
+        # factors the vector itself (test_linalg.py::TestDiagonalFactor).
+        with pytest.raises(ConfigError, match="metric itself"):
+            constraint(self.X, self.LABELS, 0.0, metric=np.array([2.0, 3.0]))
 
     def test_r2_one(self):
         np.testing.assert_allclose(constraint(self.X, self.LABELS, 1.0), np.diag([4.0, 0.0]))
@@ -108,12 +110,18 @@ class TestConstraint:
     def test_vector_metric_is_its_diagonal_matrix_bit_for_bit(self, rng, r2):
         # The kernel direct fit's metric, K_x's kept eigenvalues, comes as a
         # vector and is added on the diagonal in place: the bits of the
-        # one-line formula with the metric as a diagonal matrix.
+        # one-line formula with the metric as a diagonal matrix. At r2 = 0
+        # the formula is diag(metric), which is factored from the vector:
+        # the factor's bits are those of the matrix's.
         x = rng.standard_normal((6, 20))
         labels = rng.integers(0, 3, size=20)
         metric = rng.random(6) + 0.5
-        got = constraint(x, labels, r2, metric=metric)
         want = kernel_constraint_matrix(within_scatter(x, labels), np.diag(metric), r2)
+        if r2 == 0.0:
+            got, want = factor_constraint(metric), factor_constraint(want)
+            assert got.shift == want.shift and got.chol_inv.tobytes() == np.diag(want.chol_inv).tobytes()
+            return
+        got = constraint(x, labels, r2, metric=metric)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
