@@ -14,6 +14,14 @@ Both, and the CLI sweep, fit and embed a split's whole grid with
 :func:`grid_embeddings`, which resolves each bandwidth and builds each label
 term once per split; the results are those of one fit per grid point, bit
 for bit.
+
+The table's splits are independent, each seeded on its own, so they run
+side by side, one process per CPU in this process's affinity (see
+:func:`_map`), and are merged back in split order: every output is
+byte-identical to a run on one CPU. The table runs as a plain loop on one
+CPU, where ``os.fork`` or ``os.sched_getaffinity`` is missing, and in a
+process that already runs a second thread, which a fork could deadlock. The
+panels are two unequal fits and stay in the calling process.
 """
 
 from __future__ import annotations
@@ -54,17 +62,100 @@ def grid_embeddings(variant, train, test, configs, data_kernel) -> list[tuple[np
     return list(zip(kernel_rda.project_grid(models, train.X), kernel_rda.project_grid(models, test.X)))
 
 
-def _split_rmse(train, test, r1_values) -> list[tuple[str, float, float]]:
-    """(method, r1, test RMSE) of every method and r1 on one split; the RBF
-    label bandwidth is resolved once for both methods."""
+def _split_rmse(job) -> list[float]:
+    """Test RMSE of the linear, then the kernel method at each r1 of
+    ``r1_values``, on the split that ``job = (bench_id, n, seed,
+    train_fraction, r1_values)`` draws; the RBF label bandwidth is resolved
+    once for both methods."""
+    bench_id, n, seed, train_fraction, r1_values = job
+    ds = datasets.gen_regression_benchmark(bench_id, n, seed)
+    train, test = datasets.train_test_split(ds, train_fraction, seed)
     label_kernel = kernels.resolve_label_kernel(kernels.KernelSpec(family="rbf"), train.y)
     configs = [rda.RoweisConfig(r1=r1, r2=0.0, p=2, label_kernel=label_kernel) for r1 in r1_values]
+    data_kernel = kernels.KernelSpec(family="rbf")
     return [
-        (method, config.r1, evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y).value)
-        for method, variant in (("linear", "primal"), ("kernel", "kernel"))
-        for config, (emb_train, emb_test) in zip(
-            configs, grid_embeddings(variant, train, test, configs, kernels.KernelSpec(family="rbf")))
+        evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y).value
+        for variant in ("primal", "kernel")
+        for emb_train, emb_test in grid_embeddings(variant, train, test, configs, data_kernel)
     ]
+
+
+def _leading(fn, jobs: list, first: int, step: int) -> dict:
+    """{index: fn(jobs[index])} over ``range(first, len(jobs), step)``, up to
+    the first job that raises."""
+    done = {}
+    for index in range(first, len(jobs), step):
+        try:
+            done[index] = fn(jobs[index])
+        except Exception:  # the caller runs this job again in order, and raises its error there
+            break
+    return done
+
+
+def _map(fn, jobs: list) -> list:
+    """``[fn(job) for job in jobs]``, on one process per CPU in this process's
+    affinity.
+
+    With w workers, the parent forks w - 1 children; child k computes
+    ``jobs[k::w]``, sends its pickled results down its own pipe and leaves
+    by ``os._exit``, so buffered output and exit handlers run once, in the
+    parent. The parent computes ``jobs[0::w]``, reads every pipe and reaps
+    every child, killing the ones still running when it leaves by an
+    exception (``KeyboardInterrupt`` included). A share stops at its first
+    failing job. The parent then runs, in order, every job whose result it
+    does not hold: one that failed, or one whose child could not be started
+    or ended without a result. So the error raised is that of the earliest
+    failing job, as in the loop, with its own type and message.
+
+    It is the plain loop on one CPU, where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, and when another thread runs, since
+    forking a threaded process can deadlock. Importing nothing at module
+    level keeps the CLI's start-up as it was.
+    """
+    import os
+    import pickle
+    import threading
+
+    workers = min(len(os.sched_getaffinity(0)), len(jobs)) if hasattr(os, "sched_getaffinity") else 1
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(job) for job in jobs]
+    children = []  # (pid, read end) of every child started
+    payloads = []  # what each child sent; shorter than children when leaving by an exception
+    statuses = []
+    try:
+        for k in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the parent runs the shares left
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pickle.dump(_leading(fn, jobs, k, workers), pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        done = _leading(fn, jobs, 0, workers)
+        payloads = [pipe.read() for _, pipe in children]
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if len(payloads) < len(children):
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for status, payload in zip(statuses, payloads):
+        if status == 0:
+            done.update(pickle.loads(payload))
+    return [done[index] if index in done else fn(job) for index, job in enumerate(jobs)]
 
 
 def regression_benchmark_table(
@@ -81,13 +172,12 @@ def regression_benchmark_table(
     cells: dict[tuple, list] = {
         (method, r1, b): [] for method in ("linear", "kernel") for r1 in r1_values for b in bench_ids
     }
-    for bench_id in bench_ids:
-        for rep in range(repetitions):
-            seed = _cell_seed(base_seed, bench_id, rep)
-            ds = datasets.gen_regression_benchmark(bench_id, n, seed)
-            train, test = datasets.train_test_split(ds, train_fraction, seed)
-            for method, r1, value in _split_rmse(train, test, r1_values):
-                cells[(method, r1, bench_id)].append(value)
+    jobs = [(bench_id, n, _cell_seed(base_seed, bench_id, rep), train_fraction, r1_values)
+            for bench_id in bench_ids for rep in range(repetitions)]
+    methods = [(method, r1) for method in ("linear", "kernel") for r1 in r1_values]
+    for job, values in zip(jobs, _map(_split_rmse, jobs)):
+        for (method, r1), value in zip(methods, values):
+            cells[(method, r1, job[0])].append(value)
     return [
         BenchCell(method, r1, b, evaluate.EvalReport.from_values("rmse", values))
         for (method, r1, b), values in cells.items()

@@ -9,6 +9,7 @@ write the bytes of the per-config loops over the lone fits kept in
 n x n solve, ``oracle.fit_direct``, is tested in ``test_kernel_rda.py``.
 """
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -372,7 +373,9 @@ def counted(monkeypatch):
     return counts
 
 
-def test_table_resolves_two_bandwidths_per_split(counted):
+def test_table_resolves_two_bandwidths_per_split(counted, monkeypatch):
+    # One CPU, so every split runs in this process, where the counts are kept.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     experiments.regression_benchmark_table(bench_ids=(1, 2), repetitions=3, n=30)
     splits = 2 * 3
     assert counted["median_heuristic_gamma"] == 2 * splits
