@@ -268,9 +268,7 @@ def cmd_sweep(args) -> int:
     if args.variant == "kernel":
         data_kernel = kernels.resolve_gamma(data_kernel, train.X)
     # Resolved once for the split, not once per grid point.
-    label_kernel = kernels.resolve_label_kernel(
-        _label_kernel_from_args(args) or rda.default_label_kernel(train.y), train.y
-    )
+    label_kernel = kernels.resolve_label_kernel(_label_kernel_from_args(args), train.y)
 
     values = np.linspace(0.0, 1.0, args.grid)
     # The within-class scatter that r2 > 0 needs exists only for class labels.

@@ -172,23 +172,12 @@ def train_test_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dat
     if stratify:
         exact = train_fraction * counts
         takes = np.floor(exact).astype(int)
+        # The floors sum to at most f n, so to at most the target, and to at
+        # least f n - #classes; each is at most c_j - 1 (f < 1), also where the
+        # target is clamped to n - 1. So 0 <= remainder <= #classes, and every
+        # class can take one more.
         remainder = target - int(takes.sum())
-        if remainder > 0:
-            order = np.argsort(-(exact - takes), kind="stable")
-            for j in order:
-                if remainder == 0:
-                    break
-                if takes[j] < counts[j]:
-                    takes[j] += 1
-                    remainder -= 1
-        elif remainder < 0:
-            order = np.argsort(exact - takes, kind="stable")
-            for j in order:
-                if remainder == 0:
-                    break
-                if takes[j] > 0:
-                    takes[j] -= 1
-                    remainder += 1
+        takes[np.argsort(-(exact - takes), kind="stable")[:remainder]] += 1
         train_idx = []
         for j in range(ids.size):
             members = np.flatnonzero(inverse == j)

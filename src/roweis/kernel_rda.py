@@ -73,7 +73,7 @@ from . import kernels
 from ._util import as_features, classes, sym
 from .exceptions import ConfigError
 from .linalg import EIG_NOISE_RTOL, _numerical, symmetric_eig
-from .rda import RoweisConfig, _fit_inputs, _resolved_label_kernel, _solve_grid, label_factor, select_components
+from .rda import RoweisConfig, _fit_inputs, _solve_grid, label_factor, select_components
 
 # New points embedded at a time by project; keep it a multiple of 64. BLAS
 # picks its kernel by the product's shape, so a block's columns can differ
@@ -203,7 +203,7 @@ def _fit_trick(x, labels, r1: float, kernel, label_kernel, p) -> KernelRdaModel:
     gram = kernels.double_center(gram)
     upsilon = None
     if labels is not None:
-        label_kernel = _resolved_label_kernel(label_kernel, labels)
+        label_kernel = kernels.resolve_label_kernel(label_kernel, labels)
         upsilon = label_factor(label_kernel, labels)
         gram = sym(upsilon.T @ gram @ upsilon)
     pair = symmetric_eig(gram)

@@ -198,7 +198,12 @@ def label_gram(spec: KernelSpec, y1, y2) -> np.ndarray:
     return gram(spec, a, b)
 
 
-def resolve_label_kernel(spec: KernelSpec, labels) -> KernelSpec:
+def resolve_label_kernel(spec: KernelSpec | None, labels) -> KernelSpec:
+    """``spec``, or when None the default for the labels (the equality kernel
+    for class ids, an RBF over real targets), with an unresolved RBF
+    bandwidth pinned to the median heuristic over the labels."""
+    if spec is None:
+        spec = KernelSpec(family="delta" if is_categorical(labels) else "rbf")
     if spec.family == "rbf" and spec.gamma is None:
         return replace(spec, gamma=median_heuristic_gamma(np.asarray(labels, dtype=float)[None, :]))
     return spec

@@ -11,24 +11,24 @@ shifted) constraint ``B'``. It inverts the triangular factor L once, in
 place, and never B itself; every solve against B' is then matrix products
 with L^{-1} (Golub & Van Loan, *Matrix Computations*, sec. 8.7).
 
-:func:`factor_constraint` is the B side of the generalized solver: it checks,
-shifts and factors B once. :func:`generalized_eig` takes B as a matrix or as
-that :class:`FactoredConstraint`, so a caller with many objectives against
-one constraint factors it once, and every solve still goes through
-:func:`generalized_eig`. The plain problem (B = I) is not special-cased
-here: its callers know it from their configuration and call
+:func:`factor_constraint` is the B side of the generalized solver and the
+only code that checks, shifts and factors B. :func:`generalized_eig` takes
+the :class:`FactoredConstraint` it returns, so a caller with many
+objectives against one constraint factors it once, and every solve still
+goes through :func:`generalized_eig`. The plain problem (B = I) is not
+special-cased here: its callers know it from their configuration and call
 :func:`symmetric_eig`.
 
-A diagonal constraint can be handed over as its diagonal, a 1-D array. It
-takes the same checks and shift ladder in closed form: its entries are its
-spectrum, its Cholesky factorization succeeds exactly when every shifted
-entry is positive, and the inverse factor is the vector
-``1 / sqrt(b + shift)``. The solve then scales rows and columns instead of
-multiplying by a triangular matrix. Every other term of those products is
-an exact zero, so each result has the bits of the dense form ``np.diag(b)``.
+A diagonal B can be factored from its diagonal, a 1-D array, with the
+same checks and shift ladder in closed form: its entries are its spectrum,
+its Cholesky factorization succeeds exactly when every shifted entry is
+positive, and the inverse factor is the vector ``1 / sqrt(b + shift)``.
+The solve then scales rows and columns instead of multiplying by a
+triangular matrix. Every other term of those products is an exact zero,
+so each result has the bits of the dense form ``np.diag(b)``.
 
 A constraint that maps an m-dimensional subspace into itself and acts as a
-multiple of the identity on its complement can be handed over as its m x m
+multiple of the identity on its complement is factored from its m x m
 block plus a :class:`Complement` (the multiple and the complement's
 dimension). The PSD check, the shift and the health test then see the full
 spectrum while the factorizations stay m x m.
@@ -224,31 +224,31 @@ def _invert_lower(l: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FactoredConstraint:
-    """A constraint ``B' = B + shift * I`` from :func:`factor_constraint`;
-    ``chol_inv`` is the inverse of its Cholesky factor L (``B' = L L'``), or
-    that inverse's diagonal (a 1-D array) when B was given as its diagonal."""
+    """A constraint ``B' = B + shift * I`` of order ``order`` from
+    :func:`factor_constraint`; ``chol_inv`` is the inverse of its Cholesky
+    factor L (``B' = L L'``), or that inverse's diagonal (a 1-D array) when
+    B was given as its diagonal, and ``unit`` is the shift ladder's unit."""
 
     chol_inv: np.ndarray
     shift: float
     order: int
+    unit: float
 
 
 @_numerical("factor_constraint")
 def factor_constraint(b, complement: Complement | None = None) -> FactoredConstraint:
-    """The B side of :func:`generalized_eig`: check, shift and factor B once,
-    for any number of solves against it.
+    """The B side of :func:`generalized_eig` and the only code that checks,
+    shifts and factors B, once for any number of solves against it.
 
-    The checks, the shift and the complement are those of
-    :func:`generalized_eig`. A 1-D ``b`` is the diagonal of a diagonal B
-    and is factored in closed form (no eigvalsh, Cholesky or inverse): its
-    sorted entries are the spectrum the checks see, its sum gives the shift
-    unit, and ``chol_inv`` is the vector ``1 / sqrt(b + shift)``, the
-    diagonal of the dense form's factor bit for bit.
+    The shift follows the SHIFT_* ladder and is applied only when B is too
+    ill conditioned or its Cholesky factorization fails. A 1-D ``b`` is the
+    diagonal of a diagonal B, factored in closed form (no eigvalsh, Cholesky
+    or inverse): its sorted entries are the spectrum the checks see, and
+    ``chol_inv`` is the vector ``1 / sqrt(b + shift)``, the dense form's
+    factor bit for bit. With ``complement``, B is the block of a matrix that
+    is ``complement.value * I`` on ``complement.count`` more dimensions, and
+    the PSD check, the shift unit and the health test see the full spectrum.
     """
-    return _factor(b, complement)
-
-
-def _factor(b, complement: Complement | None) -> FactoredConstraint:
     b = np.asarray(b, dtype=float)
     if b.ndim == 1:
         b_s, b_vals, b_norm = b, np.sort(b), float(np.linalg.norm(b))
@@ -276,7 +276,7 @@ def _factor(b, complement: Complement | None) -> FactoredConstraint:
 
     for candidate in candidates:
         if healthy(candidate) and (chol_inv := _inverse_factor(b_s, candidate)) is not None:
-            return FactoredConstraint(chol_inv=chol_inv, shift=candidate, order=b_s.shape[0])
+            return FactoredConstraint(chol_inv=chol_inv, shift=candidate, order=b_s.shape[0], unit=unit)
     raise NumericalError(
         "constraint matrix stayed singular up to the maximum "
         f"diagonal shift {SHIFT_MAX_SCALE * unit:.3e}"
@@ -300,48 +300,32 @@ def _inverse_factor(b: np.ndarray, shift: float) -> np.ndarray | None:
     return _invert_lower(chol)
 
 
-def generalized_eig(a, b, complement: Complement | None = None) -> EigPair:
-    """Solve ``A U = B' U diag(values)`` with ``U.T @ B' @ U = I``.
+def generalized_eig(a, factor: FactoredConstraint) -> EigPair:
+    """Solve ``A U = B' U diag(values)`` with ``U.T @ B' @ U = I``, for the
+    constraint ``B' = B + shift * I`` that :func:`factor_constraint`
+    checked, shifted and factored.
 
-    ``B' = B + shift * I`` where the shift follows the SHIFT_* ladder and is
-    applied only when B is too ill conditioned or its Cholesky factorization
-    fails. The solve goes through the
-    symmetrized problem on ``C = L^{-1} A L^{-T}`` (B' = L L'): matrix products
-    with the inverted triangular factor, one ``eigh(C)``, and
-    ``U = L^{-T} Q``; B itself is never inverted. B may also come
-    pre-factored, as the :class:`FactoredConstraint` of
-    :func:`factor_constraint` (which then took the ``complement``). A is
-    dropped after the first product, so a caller that keeps no reference to
-    it frees it there.
+    The solve goes through the symmetrized problem on
+    ``C = L^{-1} A L^{-T}`` (B' = L L'): matrix products with the inverted
+    triangular factor, one ``eigh(C)``, and ``U = L^{-T} Q``; B itself is
+    never inverted. A is dropped after the first product, so a caller that
+    keeps no reference to it frees it there.
 
-    A diagonal B may come as its diagonal, a 1-D array (or as the factor of
-    one): ``L^{-1}`` is then the diagonal w, C is A with its rows and
-    columns scaled by w, and ``U = diag(w) Q`` is Q with its rows scaled.
-    The result has the bits of the solve against ``np.diag(b)``, without its
-    two m x m products or its m x m factor.
+    For a diagonal B factored from its diagonal, ``L^{-1}`` is the diagonal
+    w: C is A with its rows and columns scaled by w, and ``U = diag(w) Q``
+    is Q with its rows scaled. The result has the bits of the solve against
+    ``np.diag(b)``, without its two m x m products or its m x m factor.
 
-    With ``complement``, A and B are the blocks of d x d matrices that are
-    ``0`` and ``complement.value * I`` on a ``complement.count``-dimensional
-    complement. The complement's eigenvalues enter the PSD check, the shift
-    unit and the health test, so the shift is the one the d x d problem
-    gets. Its eigenpairs (all zero) are not returned; the vectors are in the
-    block's coordinates.
+    For a B factored with a complement, A is the block of a matrix that is
+    0 on the complement. The complement's eigenpairs (all zero) are not
+    returned; the vectors are in the block's coordinates.
     """
     with _numerical("generalized_eig"):
         a = as_square(a, "A")
-        factored = isinstance(b, FactoredConstraint)
-        if factored and complement is not None:
-            raise ConfigError("a factored constraint already carries its complement")
-        if factored:
-            order = b.order
-        else:
-            b = np.asarray(b, dtype=float)
-            order = b.shape[0] if b.ndim == 1 else as_square(b, "B").shape[0]
-        if a.shape != (order, order):
-            raise ConfigError(f"dimension mismatch: A is {a.shape}, B is {(order, order)}")
+        if a.shape != (factor.order, factor.order):
+            raise ConfigError(f"dimension mismatch: A is {a.shape}, B is {(factor.order,) * 2}")
         a_s = _symmetrized(a, "A")
-        factor = b if factored else _factor(b, complement)
-        del a, b
+        del a
         inv = factor.chol_inv
         if inv.ndim == 1:
             # L^{-1} = diag(inv): the products below as row and column

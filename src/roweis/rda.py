@@ -29,10 +29,10 @@ such factor: their label term is (Xc K_y) Xc', with K_y built n x n. The
 eigen core builds E or K_y once per grid and hands it to :func:`objective`.
 
 :func:`constraint` builds R2 for every generalized fit, the kernel direct
-fit's L = r2 * N + (1 - r2) * K_x included. S_W (or N) is built only for
-r2 > 0 and is scaled in place, so it dies with its R2. The direct fit's
-L at r2 = 0 is diag(lambda_m): the eigen core hands the solver that vector
-itself, factored in closed form.
+fit's L = r2 * N + (1 - r2) * K_x included, in the form the solver's
+factor takes. S_W (or N) is built only for r2 > 0 and is scaled in place,
+so it dies with its R2. The direct fit's L at r2 = 0 is diag(lambda_m),
+returned as the vector lambda_m itself and factored in closed form.
 
 Which matrices the solver sees depends on the shape alone (the model's
 ``route``), for every (r1, r2) and robust or not:
@@ -46,7 +46,7 @@ Which matrices the solver sees depends on the shape alone (the model's
   the n x n block's plus d - n copies of 1 - r2, and R1 vanishes on the
   complement. The n x n problem (R1(Z), R2(Z)) therefore has exactly the
   nonzero eigenpairs of the d x d one, and U = Q U_Z. The complement is
-  handed to :func:`generalized_eig` and :func:`robustify` as a
+  handed to :func:`robustify` and :func:`factor_constraint` as a
   :class:`~roweis.linalg.Complement`, so the PSD check, the diagonal shift
   (its unit is trace / d), the health test and the robust 98% cut all see
   the full spectrum and come out as on the dense route. This holds for
@@ -79,7 +79,6 @@ from .linalg import (
     Complement,
     EigPair,
     _fix_signs,
-    _shift_unit,
     factor_constraint,
     generalized_eig,
     psd_factor,
@@ -167,10 +166,11 @@ def supervision_level(r1: float, r2: float) -> float:
 def robustify(s, complement: Complement | None = None):
     """Repair a near-singular PSD matrix by flattening its eigenvalue tail.
 
-    The leading eigenvalues carrying SPECTRUM_MASS of the total are kept; the
-    remaining ones are replaced by their mean, which makes the result full
-    rank whenever the tail still carries mass. An all-zero spectrum returns a
-    small multiple of the identity instead.
+    Returns (repaired, complement), the complement None when none was
+    given. The leading eigenvalues carrying SPECTRUM_MASS of the total are
+    kept; the remaining ones are replaced by their mean, which makes the
+    result full rank whenever the tail still carries mass. An all-zero
+    spectrum returns a small multiple of the identity instead.
 
     With ``complement``, ``s`` is the block of a larger matrix that is
     ``complement.value * I`` elsewhere (see :class:`roweis.linalg.Complement`).
@@ -192,12 +192,12 @@ def robustify(s, complement: Complement | None = None):
     spectrum = np.concatenate([values[:at], np.full(count, tied), values[at:]])
     total = float(spectrum.sum())
     if total <= 0.0:
-        small = SHIFT_BASE_SCALE * np.eye(s.shape[0])
-        return small if complement is None else (small, Complement(SHIFT_BASE_SCALE, count))
+        complement = None if complement is None else Complement(SHIFT_BASE_SCALE, count)
+        return SHIFT_BASE_SCALE * np.eye(s.shape[0]), complement
     ratios = np.cumsum(spectrum) / total
     head = int(np.searchsorted(ratios, SPECTRUM_MASS) + 1)
     if head >= spectrum.size:
-        return sym(s) if complement is None else (sym(s), complement)
+        return sym(s), complement
     tail_mean = float(spectrum[head:].mean())
     if complement is not None:
         tol = TIE_RTOL * float(spectrum[0])
@@ -212,22 +212,9 @@ def robustify(s, complement: Complement | None = None):
     position[at:] += count
     repaired = values.copy()
     repaired[position >= head] = tail_mean
-    out = sym((pair.vectors * repaired) @ pair.vectors.T)
-    if complement is None:
-        return out
-    return out, Complement(tail_mean if head <= at else complement.value, count)
-
-
-def default_label_kernel(labels) -> kernels.KernelSpec:
-    """Equality kernel for class labels, RBF over the targets otherwise."""
-    if kernels.is_categorical(labels):
-        return kernels.KernelSpec(family="delta")
-    return kernels.KernelSpec(family="rbf")
-
-
-def _resolved_label_kernel(spec: kernels.KernelSpec | None, labels) -> kernels.KernelSpec:
-    """``spec``, or the default for the labels when None, with its bandwidth resolved."""
-    return kernels.resolve_label_kernel(spec or default_label_kernel(labels), labels)
+    if complement is not None:
+        complement = Complement(tail_mean if head <= at else complement.value, count)
+    return sym((pair.vectors * repaired) @ pair.vectors.T), complement
 
 
 def _label_kernel_scale(spec: kernels.KernelSpec, labels) -> float:
@@ -280,18 +267,15 @@ def objective(centered: np.ndarray, r1: float, factor=None, gram=None) -> np.nda
 
 
 def constraint(data, labels, r2: float, metric=None) -> np.ndarray:
-    """R2 = r2 * S_W + (1 - r2) * diag(metric): S_W is
+    """R2 = r2 * S_W + (1 - r2) * diag(metric), in the form
+    :func:`~roweis.linalg.factor_constraint` takes: S_W is
     :func:`roweis.scatter.within_scatter` of ``data``, and ``metric`` is a
     vector, all ones (R2's identity) when None. The kernel direct fit passes
     K_x's kept eigenvalues, the metric of its L in K_x's eigenbasis, and is
-    added on the diagonal, not built as a matrix. At r2 = 0 R2 is I, built
-    without S_W; there a metric's R2 is diag(metric) alone, which
-    :func:`_solve_grid` hands to the solver as the vector itself, so this
-    takes none."""
+    added on the diagonal, not built as a matrix. At r2 = 0 R2 is built
+    without S_W: I as a matrix, or diag(metric) as the metric vector itself."""
     if r2 == 0:
-        if metric is not None:
-            raise ConfigError("at r2 = 0 the constraint is diag(metric); hand over the metric itself")
-        return np.eye(data.shape[0])
+        return np.eye(data.shape[0]) if metric is None else metric
     out = scatter.within_scatter(data, labels)
     if r2 == 1:
         return out
@@ -364,18 +348,18 @@ def _solve_grid(centered, labels, configs, cap, scatter_data=None, lift=None, me
     (dense route), Z = Q' Xc (span route) or the kernel range's G H; S_W is
     taken of ``scatter_data``, or of ``centered`` when None. The problem is
     the block of one with ``count`` more dimensions, where R1 is 0 and R2 is
-    (1 - r2) I, or 0 with a ``metric`` (see :func:`constraint`); the solver
+    (1 - r2) I, or 0 with a ``metric`` (see :func:`constraint`); the factor
     and :func:`robustify` see them as a :class:`~roweis.linalg.Complement`.
     Each config keeps what :func:`select_components` allows under
     ``cap(r2)``, and only those columns are lifted: ``lift @ U``, sign-fixed.
 
     R2 depends only on (r2, robust), so the configs are solved grouped by it:
-    each distinct R2 is built (and robustified), factored once
-    (:func:`~roweis.linalg.factor_constraint`) and dropped, and every R1 of
-    the group is solved against that factor. A group that is not robust, at
-    r2 = 0 and without a metric, has R2 = I and solves R1 alone with
-    :func:`~roweis.linalg.symmetric_eig`. With a metric (the kernel range)
-    that group's R2 is diag(metric): the metric vector itself is factored,
+    each distinct R2 is built by one :func:`constraint` call (and
+    robustified), factored once (:func:`~roweis.linalg.factor_constraint`)
+    and dropped, and every R1 of the group is solved against that factor. A
+    group that is not robust, at r2 = 0 and without a metric, has R2 = I
+    and solves R1 alone with :func:`~roweis.linalg.symmetric_eig`. With a
+    metric (the kernel range) that group's R2 is the metric vector, factored
     in closed form, and each solve scales R1's rows and columns by the
     factor instead of multiplying by it. Label bandwidths are resolved once
     per label kernel, and each distinct resolved one's term (E or K_y, see
@@ -383,8 +367,8 @@ def _solve_grid(centered, labels, configs, cap, scatter_data=None, lift=None, me
     kept, and so is ``centered`` at the last config, so each is freed after
     its last product if the caller keeps none either. Each result equals a
     lone solve bit for bit. Eigenvalues at or below EIG_NOISE_RTOL ||centered||_F^2
-    ((1 - r1) + r1 max|K_y|) / unit(R2), unit the mean diagonal of R2 and its
-    complement, are round-off at the scale of R1's inputs: a spectrum of them
+    ((1 - r1) + r1 max|K_y|) / unit, the factor's unit (1 without a factor),
+    are round-off at the scale of R1's inputs: a spectrum of them
     is refused as one of zeros.
     """
     configs = list(configs)
@@ -398,24 +382,18 @@ def _solve_grid(centered, labels, configs, cap, scatter_data=None, lift=None, me
     shared, left = [centered], len(configs)
     del centered
     for (r2, robust), members in groups.items():
-        factor, unit = None, 1.0
+        factor = None
         if r2 > 0 or robust or metric is not None:
             complement = Complement((1.0 - r2) * (metric is None), count) if count else None
-            if r2 == 0 and metric is not None:
-                r2_mat = metric  # diag(metric), held as its diagonal
-            else:
-                r2_mat = constraint(shared[0] if scatter_data is None else scatter_data, labels, r2, metric)
-            if robust and complement is None:
-                r2_mat = robustify(r2_mat)
-            elif robust:
+            r2_mat = constraint(shared[0] if scatter_data is None else scatter_data, labels, r2, metric)
+            if robust:
                 r2_mat, complement = robustify(r2_mat, complement)
-            unit = _shift_unit(r2_mat, complement)
             factor = factor_constraint(r2_mat, complement)
             del r2_mat
         for i in members:
             config = configs[i]
             if config.r1 > 0 and config.label_kernel not in specs:
-                spec = _resolved_label_kernel(config.label_kernel, labels)
+                spec = kernels.resolve_label_kernel(config.label_kernel, labels)
                 if spec not in terms:
                     terms[spec] = _label_kernel_scale(spec, labels), (
                         {"factor": kernels.class_indicator(labels)} if spec.family == "delta"
@@ -427,7 +405,7 @@ def _solve_grid(centered, labels, configs, cap, scatter_data=None, lift=None, me
             # config, so the solver frees the one and objective the other.
             r1_mat = [objective(shared[0] if left else shared.pop(), config.r1, **term)]
             pair = symmetric_eig(r1_mat.pop()) if factor is None else generalized_eig(r1_mat.pop(), factor)
-            floor = noise * ((1.0 - config.r1) + config.r1 * scale) / unit
+            floor = noise * ((1.0 - config.r1) + config.r1 * scale) / (1.0 if factor is None else factor.unit)
             p, notes = select_components(pair.values, cap(r2), config.p, floor=floor)
             vectors = pair.vectors[:, :p].copy() if lift is None else _fix_signs(lift @ pair.vectors[:, :p])
             out[i] = (EigPair(vectors, pair.values[:p].copy(), pair.shift), p, notes, spec)

@@ -69,6 +69,12 @@
   label terms and factors its constraint anew. Below 1024 new points ``project_kernel`` equals the
   blocked projection bit for bit, so these loops give the package's outputs
   byte for byte.
+* ``stratified_train_indices`` is the stratified branch of
+  ``datasets.train_test_split`` with the leftover allocation it had before
+  it handed one more sample to the leading ``remainder`` classes in one
+  step: a loop that skipped full classes and a second loop that took
+  samples back when the floors overshot the target. The package must pick
+  the same training indices.
 
 Do not change them to match the package.
 """
@@ -95,9 +101,10 @@ from roweis.linalg import (
     _shift_unit,
     _sign_flips,
 )
+from roweis.linalg import factor_constraint
 from roweis.linalg import generalized_eig as package_generalized_eig
 from roweis.kernel_rda import KernelRdaModel, fold_centering
-from roweis.rda import _fit_inputs, _resolved_label_kernel, label_factor, select_components
+from roweis.rda import _fit_inputs, label_factor, select_components
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -453,7 +460,7 @@ def fit_dual(x, labels=None, r1: float = 0.0, p=None, label_kernel=None) -> rda.
     if r1 == 0.0:
         w = centered
     else:
-        label_kernel = _resolved_label_kernel(label_kernel, labels)
+        label_kernel = kernels.resolve_label_kernel(label_kernel, labels)
         q = centered @ label_factor(label_kernel, labels)
         w = q if r1 == 1.0 else np.hstack([np.sqrt(r1) * q, np.sqrt(1.0 - r1) * centered])
 
@@ -506,7 +513,7 @@ def fit_kernel_pca(x, kernel, p=None) -> KernelRdaModel:
 def fit_kernel_spca(x, labels, kernel_x, kernel_y=None, p=None) -> KernelRdaModel:
     x, labels = _fit_inputs(x, labels, 1.0, 0.0)
     kernel_x = kernels.resolve_gamma(kernel_x, x)
-    spec_y = _resolved_label_kernel(kernel_y, labels)
+    spec_y = kernels.resolve_label_kernel(kernel_y, labels)
     k_x = _sym(gram(kernel_x, x, x))
     upsilon = label_factor(spec_y, labels)
     core = _sym(upsilon.T @ double_center(k_x) @ upsilon)
@@ -529,7 +536,7 @@ def fit_direct(x, labels, config, kernel) -> KernelRdaModel:
     kernel = kernels.resolve_gamma(kernel, x)
     k_x = _sym(gram(kernel, x, x))
 
-    resolved_label = _resolved_label_kernel(config.label_kernel, labels) if r1 > 0 else None
+    resolved_label = kernels.resolve_label_kernel(config.label_kernel, labels) if r1 > 0 else None
     m_mat = rda.objective(k_x - k_x.mean(axis=1, keepdims=True), r1, **label_term(resolved_label, labels))
 
     n_classes = None
@@ -540,7 +547,7 @@ def fit_direct(x, labels, config, kernel) -> KernelRdaModel:
     else:
         l_mat = k_x
 
-    pair = package_generalized_eig(m_mat, l_mat)
+    pair = package_generalized_eig(m_mat, factor_constraint(l_mat))
     cap = min(n, n_classes) - 1 if r2 == 1.0 else n - 1
     p, notes = select_components(pair.values, cap, config.p)
     return KernelRdaModel(
@@ -626,3 +633,35 @@ def embedding_panels(dataset_name, n=400, seed=7, train_fraction=0.7,
                 train_y=train.y, test_y=test.y,
             ))
     return panels
+
+
+# ---------------------------------------------------------------- datasets
+
+def stratified_train_indices(labels, train_fraction: float, seed: int) -> np.ndarray:
+    """Sorted training indices of a stratified split (every class with at
+    least two members), leftover slots allocated one class at a time."""
+    labels = np.asarray(labels)
+    n = labels.size
+    rng = np.random.default_rng(seed)
+    target = min(max(int(np.floor(train_fraction * n + 0.5)), 1), n - 1)
+    ids, inverse = np.unique(labels, return_inverse=True)
+    counts = np.bincount(inverse)
+    exact = train_fraction * counts
+    takes = np.floor(exact).astype(int)
+    remainder = target - int(takes.sum())
+    if remainder > 0:
+        for j in np.argsort(-(exact - takes), kind="stable"):
+            if remainder == 0:
+                break
+            if takes[j] < counts[j]:
+                takes[j] += 1
+                remainder -= 1
+    elif remainder < 0:
+        for j in np.argsort(exact - takes, kind="stable"):
+            if remainder == 0:
+                break
+            if takes[j] > 0:
+                takes[j] -= 1
+                remainder += 1
+    train_idx = [rng.permutation(np.flatnonzero(inverse == j))[: takes[j]] for j in range(ids.size)]
+    return np.sort(np.concatenate(train_idx))

@@ -34,7 +34,7 @@ from roweis.kernel_rda import (
     fit_kernel_spca,
 )
 from roweis.kernel_rda import project as project_kernel
-from roweis.linalg import generalized_eig, symmetric_eig
+from roweis.linalg import factor_constraint, generalized_eig, symmetric_eig
 from roweis.rda import (
     RoweisConfig,
     fit,
@@ -217,7 +217,7 @@ def test_criterion_2_special_case_equivalence():
 
         cases = [
             ("pca", fit(x, None, RoweisConfig(0.0, 0.0, p=d)), symmetric_eig(s_t), d),
-            ("fda", fit(x, labels, RoweisConfig(0.0, 1.0, p=d)), generalized_eig(s_t, s_w), d),
+            ("fda", fit(x, labels, RoweisConfig(0.0, 1.0, p=d)), generalized_eig(s_t, factor_constraint(s_w)), d),
             ("spca", fit(x, labels, RoweisConfig(1.0, 0.0, p=d)), symmetric_eig(0.5 * (dependence + dependence.T)), c - 1),
         ]
         for name, model, oracle, k in cases:
@@ -369,7 +369,7 @@ def test_criterion_7_rank_and_dimensionality_bounds():
         for r2 in (0.0, 0.5, 1.0):
             pair = generalized_eig(
                 objective_matrix(x, blend_label_kernel(k_y, r1)),
-                constraint_matrix(s_w, r2),
+                factor_constraint(constraint_matrix(s_w, r2)),
             )
             valid = int(np.count_nonzero(pair.values > 1e-9 * max(pair.values[0], 1e-300)))
             if valid > min(10, 6 - 1):
@@ -409,7 +409,7 @@ def test_criterion_9_robust_fit():
     if plain.shift <= 0:
         violations.append("plain solve did not need regularization; case is too easy")
 
-    repaired = robustify(s_w)
+    repaired, _ = robustify(s_w)
     if np.linalg.eigvalsh(repaired).min() <= 0:
         violations.append("repaired constraint is not full rank")
 
@@ -429,7 +429,7 @@ def test_criterion_9_robust_fit():
         ([97.0, 2.0, 0.9, 0.1], [97.0, 2.0, 0.5, 0.5]),
         ([50.0, 30.0, 18.0, 1.5, 0.5], [50.0, 30.0, 18.0, 1.0, 1.0]),
     ):
-        out = np.linalg.eigvalsh(robustify(np.diag(spectrum)))[::-1]
+        out = np.linalg.eigvalsh(robustify(np.diag(spectrum))[0])[::-1]
         if not np.allclose(out, expected, atol=1e-9):
             violations.append(f"spectrum {spectrum} -> {out.tolist()}, expected {expected}")
     report("criterion 9 (robust constraint repair)", violations)

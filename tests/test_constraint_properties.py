@@ -6,9 +6,9 @@ K_x's kept eigenvalues) r2 N + (1 - r2) diag(metric) must equal
 ``oracle.kernel_constraint_matrix`` of ``oracle.kernel_within_scatter`` and
 the diagonal matrix, bit for bit, on random shapes with 1 to 5 classes
 (singleton classes included) and r2 at 0, at 1 and strictly between. At
-r2 = 0 a metric's constraint is diag(metric) alone, which the eigen core
-factors from the vector itself: ``constraint`` refuses the metric there, and
-the vector's closed-form factor must equal the oracle matrix's, bit for bit.
+r2 = 0 a metric's constraint is diag(metric) alone: ``constraint`` returns
+the metric vector itself, and its closed-form factor must equal the oracle
+matrix's, bit for bit.
 
 Runs only where ``hypothesis`` is installed; it is a test extra, not a
 runtime dependency.
@@ -23,7 +23,6 @@ from hypothesis import strategies as st  # noqa: E402
 
 from roweis import kernels  # noqa: E402
 from roweis._util import sym  # noqa: E402
-from roweis.exceptions import ConfigError  # noqa: E402
 from roweis.linalg import factor_constraint  # noqa: E402
 from roweis.rda import constraint  # noqa: E402
 from roweis.scatter import within_scatter  # noqa: E402
@@ -58,9 +57,9 @@ def test_constraint_is_bit_identical_to_the_old_builders(d, n, c, r2, family, se
     metric = np.diag(k).copy()
     want = oracle.kernel_constraint_matrix(oracle.kernel_within_scatter(k, part), np.diag(metric), r2)
     if r2 == 0:
-        with pytest.raises(ConfigError, match="metric itself"):
-            constraint(k, labels, r2, metric=metric)
-        got, want = factor_constraint(metric), factor_constraint(want)
+        got = constraint(k, labels, r2, metric=metric)
+        assert got is metric
+        got, want = factor_constraint(got), factor_constraint(want)
         assert got.shift == want.shift and got.chol_inv.tobytes() == np.diag(want.chol_inv).tobytes()
         return
     got = constraint(k, labels, r2, metric=metric)

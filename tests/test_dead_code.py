@@ -1,16 +1,16 @@
-"""No public function of the package is dead.
+"""No module-level function of the package is dead.
 
-``src/roweis`` is parsed with ``ast``. Every public module-level function
-(a name without a leading underscore) must be referenced from package code
-outside its own body, or be one of the objects ``roweis/__init__.py``
-exports in ``roweis.__all__``. A reference counts only when it names the
-function's own module: a bare name inside that module, ``module.name`` on a
-module imported with ``from . import module``, or a name brought in with
-``from .module import name``. So a dead ``project`` is not kept alive by
-another module's ``project``, nor a dead ``mean`` by ``x.mean()``. A
-builder whose last caller in the package went belongs in
-``tests/oracle.py``, where the tests that still need it as a reference can
-import it.
+``src/roweis`` is parsed with ``ast``. Every module-level function must be
+referenced from package code outside its own body; a public one (a name
+without a leading underscore) may instead be one of the objects
+``roweis/__init__.py`` exports in ``roweis.__all__``. A reference counts
+only when it names the function's own module: a bare name inside that
+module, ``module.name`` on a module imported with ``from . import
+module``, or a name brought in with ``from .module import name``. So a
+dead ``project`` is not kept alive by another module's ``project``, nor a
+dead ``mean`` by ``x.mean()``. A builder whose last caller in the package
+went belongs in ``tests/oracle.py``, where the tests that still need it as
+a reference can import it.
 """
 
 import ast
@@ -50,7 +50,7 @@ def references(node, module: str, module_alias: dict, name_alias: dict) -> set:
 
 
 def scan(package: Path) -> tuple[list, set]:
-    """(public functions, referenced functions), each as (module, name).
+    """(module-level functions, referenced functions), each as (module, name).
 
     ``__init__.py`` is left out: what it imports is the export list, which
     :func:`exported` reads from the package itself. A function's references
@@ -66,8 +66,7 @@ def scan(package: Path) -> tuple[list, set]:
             owner = None
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 owner = (module, stmt.name)
-                if not stmt.name.startswith("_"):
-                    defined.append(owner)
+                defined.append(owner)
             referenced |= references(stmt, module, module_alias, name_alias) - {owner}
     return defined, referenced
 
@@ -99,17 +98,22 @@ def test_references_are_qualified_by_module(tmp_path):
         "def project(x):\n    return project(x)\n\n\n"
         "def mean(x):\n    return x\n\n\n"
         "def used(x):\n    return x\n\n\n"
-        "def imported(x):\n    return x\n"
+        "def imported(x):\n    return x\n\n\n"
+        "def _private(x):\n    return _private(x)\n\n\n"
+        "def _helper(x):\n    return x\n\n\n"
+        "def _decorator(fn):\n    return fn\n\n\n"
+        "@_decorator\ndef decorated(x):\n    return _helper(x)\n"
     )
     (tmp_path / "b.py").write_text(
         "import numpy as np\n\nfrom . import a\nfrom .a import imported as renamed\n\n\n"
         "def project(x):\n    return np.mean(x) + a.used(x) + renamed(x)\n"
     )
-    # a.project calls only itself, a.mean shares its name with np.mean, and
-    # b.project would be kept alive only by being exported.
-    assert dead_functions(tmp_path, set()) == ["a.project", "a.mean", "b.project"]
-    assert dead_functions(tmp_path, {("b", "project")}) == ["a.project", "a.mean"]
+    # a.project and a._private call only themselves, a.mean shares its name
+    # with np.mean, b.project would be kept alive only by being exported,
+    # and a decorator counts as a reference.
+    assert dead_functions(tmp_path, set()) == ["a.project", "a.mean", "a._private", "a.decorated", "b.project"]
+    assert dead_functions(tmp_path, {("b", "project"), ("a", "decorated")}) == ["a.project", "a.mean", "a._private"]
 
 
-def test_every_public_function_has_a_caller_or_is_exported():
+def test_every_function_has_a_caller_or_is_exported():
     assert dead_functions(PACKAGE, exported()) == []

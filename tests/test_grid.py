@@ -191,7 +191,7 @@ class TestFitDirectGrid:
 
         def repairing(s, complement=None):
             out = real_robustify(s, complement)
-            repaired.append(None if complement is None else out[1])
+            repaired.append(out[1])
             return out
 
         monkeypatch.setattr(rda, "factor_constraint", counting)

@@ -15,7 +15,7 @@ from roweis import kernels
 from roweis.dual import fit_dual
 from roweis.kernel_rda import fit_kernel_spca
 from roweis.kernel_rda import project as project_kernel
-from roweis.linalg import generalized_eig, psd_factor
+from roweis.linalg import factor_constraint, generalized_eig, psd_factor
 from roweis.rda import (
     RoweisConfig,
     fit,
@@ -96,7 +96,7 @@ def dense_primal(x, labels, r1: float, r2: float):
         r2_mat = constraint_matrix(within_scatter(x, labels), r2)
     else:
         r2_mat = np.eye(x.shape[0])
-    return generalized_eig(r1_mat, r2_mat)
+    return generalized_eig(r1_mat, factor_constraint(r2_mat))
 
 
 def dense_dual_svd(x, labels, r1: float):

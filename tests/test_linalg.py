@@ -79,20 +79,20 @@ class TestGeneralizedEig:
     def test_identity_constraint_reduces_to_plain(self, rng):
         a = random_psd(rng, 5)
         plain = symmetric_eig(a)
-        general = generalized_eig(a, np.eye(5))
+        general = generalized_eig(a, factor_constraint(np.eye(5)))
         np.testing.assert_allclose(general.values, plain.values, atol=1e-8)
         np.testing.assert_allclose(
             align_columns(plain.vectors, general.vectors), plain.vectors, atol=1e-8
         )
 
     def test_diagonal_case(self):
-        pair = generalized_eig(np.diag([4.0, 1.0]), np.eye(2))
+        pair = generalized_eig(np.diag([4.0, 1.0]), factor_constraint(np.eye(2)))
         np.testing.assert_allclose(pair.values, [4.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(pair.vectors, np.eye(2), atol=1e-12)
 
     def test_one_by_one_hand_solve(self):
         # A u = lambda B u with A=2, B=4: lambda = 0.5; B-normalized u = 0.5.
-        pair = generalized_eig(np.array([[2.0]]), np.array([[4.0]]))
+        pair = generalized_eig(np.array([[2.0]]), factor_constraint(np.array([[4.0]])))
         np.testing.assert_allclose(pair.values, [0.5], atol=1e-12)
         np.testing.assert_allclose(pair.vectors, [[0.5]], atol=1e-12)
 
@@ -113,17 +113,17 @@ class TestGeneralizedEig:
 
         angles = np.deg2rad(np.arange(0.0, 180.0, 1.0))
         sweep = max(criterion(np.array([np.cos(t), np.sin(t)])) for t in angles)
-        lead = generalized_eig(s_t, s_w).vectors[:, 0]
+        lead = generalized_eig(s_t, factor_constraint(s_w)).vectors[:, 0]
         lead = lead / np.linalg.norm(lead)
         assert criterion(lead) >= sweep * (1.0 - 1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
-            generalized_eig(np.eye(3), np.eye(2))
+            generalized_eig(np.eye(3), factor_constraint(np.eye(2)))
 
     def test_indefinite_constraint_rejected(self):
         with pytest.raises(NumericalError):
-            generalized_eig(np.eye(2), np.diag([1.0, -1.0]))
+            generalized_eig(np.eye(2), factor_constraint(np.diag([1.0, -1.0])))
 
     def test_residual_and_b_orthonormality_random_pairs(self):
         rng = np.random.default_rng(99)
@@ -133,7 +133,7 @@ class TestGeneralizedEig:
             # Mix in singular constraints to exercise the shift schedule.
             rank = m if trial % 3 else max(1, m - 2)
             b = random_psd(rng, m, rank=rank)
-            pair = generalized_eig(a, b)
+            pair = generalized_eig(a, factor_constraint(b))
             b_eff = b + pair.shift * np.eye(m)
             residual = np.linalg.norm(a @ pair.vectors - b_eff @ pair.vectors @ np.diag(pair.values), "fro")
             assert residual <= 1e-8 * np.linalg.norm(a, "fro")
@@ -141,14 +141,14 @@ class TestGeneralizedEig:
             assert np.linalg.norm(gram - np.eye(m), "fro") <= 1e-8 * m
 
     def test_zero_constraint_falls_back_to_absolute_shift(self):
-        pair = generalized_eig(np.eye(3), np.zeros((3, 3)))
+        pair = generalized_eig(np.eye(3), factor_constraint(np.zeros((3, 3))))
         assert pair.shift > 0
         b_eff = pair.shift * np.eye(3)
         residual = np.linalg.norm(np.eye(3) @ pair.vectors - b_eff @ pair.vectors @ np.diag(pair.values))
         assert residual <= 1e-8 * np.sqrt(3)
 
     def test_shift_zero_for_well_conditioned(self, rng):
-        pair = generalized_eig(random_psd(rng, 4), random_psd(rng, 4) + np.eye(4))
+        pair = generalized_eig(random_psd(rng, 4), factor_constraint(random_psd(rng, 4) + np.eye(4)))
         assert pair.shift == 0.0
 
 
@@ -220,6 +220,11 @@ class TestShiftUnit:
         # trace (2 + 4 + 3 * 0.5) over order 5
         assert _shift_unit(np.diag([2.0, 4.0]), Complement(0.5, 3)) == 1.5
 
+    def test_factor_carries_the_unit(self):
+        assert factor_constraint(np.diag([2.0, 4.0])).unit == 3.0
+        assert factor_constraint(np.array([2.0, 4.0]), Complement(0.5, 3)).unit == 1.5
+        assert factor_constraint(np.zeros((3, 3))).unit == 1.0
+
     def test_eigpair_defaults(self):
         pair = EigPair(vectors=np.eye(2), values=np.array([1.0, 0.0]))
         assert pair.shift == 0.0
@@ -232,8 +237,8 @@ class TestComplement:
     def test_generalized_eig_matches_the_full_problem(self, rng, value):
         a = random_psd(rng, 5, rank=3)
         b = random_psd(rng, 5, rank=2) if value == 0.0 else random_psd(rng, 5)
-        got = generalized_eig(a, b, complement=Complement(value, 4))
-        want = generalized_eig(with_complement(a, 0.0, 4), with_complement(b, value, 4))
+        got = generalized_eig(a, factor_constraint(b, Complement(value, 4)))
+        want = generalized_eig(with_complement(a, 0.0, 4), factor_constraint(with_complement(b, value, 4)))
         assert got.shift == pytest.approx(want.shift, rel=1e-12, abs=0.0)
         np.testing.assert_allclose(got.values[:3], want.values[:3], rtol=1e-10)
         lifted = np.vstack([got.vectors[:, :3], np.zeros((4, 3))])
@@ -243,13 +248,13 @@ class TestComplement:
 
     def test_complement_enters_the_psd_check(self):
         with pytest.raises(NumericalError):
-            generalized_eig(np.eye(2), np.eye(2), complement=Complement(-1.0, 3))
+            generalized_eig(np.eye(2), factor_constraint(np.eye(2), Complement(-1.0, 3)))
 
     def test_complement_can_force_the_shift(self):
         # The block alone is well conditioned; with a zero complement the
         # full constraint is singular and must be shifted.
-        assert generalized_eig(np.eye(2), np.eye(2)).shift == 0.0
-        assert generalized_eig(np.eye(2), np.eye(2), complement=Complement(0.0, 3)).shift > 0.0
+        assert generalized_eig(np.eye(2), factor_constraint(np.eye(2))).shift == 0.0
+        assert generalized_eig(np.eye(2), factor_constraint(np.eye(2), Complement(0.0, 3))).shift > 0.0
 
     def test_needs_a_positive_count(self):
         with pytest.raises(ConfigError):
@@ -285,7 +290,7 @@ RESIDUAL_TOL = 1e-8
 
 def assert_matches_the_copying_solver(a, b, complement=None):
     """generalized_eig against oracle.generalized_eig, and U'B'U = I."""
-    got = generalized_eig(a, b, complement=complement)
+    got = generalized_eig(a, factor_constraint(b, complement))
     want = oracle.generalized_eig(a, b, complement=complement)
     assert got.shift == want.shift
     scale = float(np.max(np.abs(want.values)))
@@ -366,21 +371,21 @@ class TestIdentityConstraint:
         real = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(1) or real(m))
         a = _symmetric_with_zeros(rng, 6)
-        got = generalized_eig(a, b, complement=complement)
+        got = generalized_eig(a, factor_constraint(b, complement))
         want = oracle.generalized_eig(a, b, complement=complement)
         assert calls
         assert _same_bits(got.values, want.values) and _same_bits(got.vectors, want.vectors)
 
 
 class TestFactoredConstraint:
-    """factor_constraint is the B side of generalized_eig: solving against its
-    result gives the bits of solving against the matrix."""
+    """factor_constraint is the B side of generalized_eig: one factor serves
+    any number of solves, each with the bits of a solve against a fresh one."""
 
     @pytest.mark.parametrize("case", sorted(EIG_INPUTS))
     def test_solves_match_the_matrix_form(self, rng, case):
         a, b, complement = EIG_INPUTS[case](rng)
         factor = factor_constraint(b, complement)
-        want = generalized_eig(a, b, complement=complement)
+        want = generalized_eig(a, factor_constraint(b, complement))
         for _ in range(2):  # a factor serves any number of solves
             got = generalized_eig(a, factor)
             assert got.shift == want.shift == factor.shift
@@ -393,8 +398,6 @@ class TestFactoredConstraint:
 
     def test_factor_carries_its_policy(self, rng):
         factor = factor_constraint(random_psd(rng, 4) + np.eye(4))
-        with pytest.raises(ConfigError, match="already carries"):
-            generalized_eig(np.eye(4), factor, complement=Complement(1.0, 2))
         with pytest.raises(ConfigError, match="dimension mismatch"):
             generalized_eig(np.eye(3), factor)
 
@@ -451,7 +454,7 @@ class TestFactoredConstraint:
         factor = factor_constraint(b, complement)
         assert len(factors) == 1 and factor.chol_inv is factors[0]  # inverted in its own storage
         generalized_eig(a, factor)
-        generalized_eig(a, b, complement=complement)
+        generalized_eig(a, factor_constraint(b, complement))
         assert len(factors) == 2
 
 
@@ -499,10 +502,9 @@ class TestDiagonalFactor:
     @staticmethod
     def assert_same_solves(a, v, complement=None):
         want = generalized_eig(a, factor_constraint(np.diag(v), complement))
-        for got in (generalized_eig(a, factor_constraint(v, complement)),
-                    generalized_eig(a, v, complement=complement)):
-            assert got.shift == want.shift
-            assert _same_bits(got.values, want.values) and _same_bits(got.vectors, want.vectors)
+        got = generalized_eig(a, factor_constraint(v, complement))
+        assert got.shift == want.shift
+        assert _same_bits(got.values, want.values) and _same_bits(got.vectors, want.vectors)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("kind", DIAGONAL_KINDS)
@@ -535,11 +537,11 @@ class TestDiagonalFactor:
             factor_constraint(v)
         assert str(vector.value) == str(dense.value)
         with pytest.raises(NumericalError, match="positive semidefinite"):
-            generalized_eig(np.eye(4), v)
+            generalized_eig(np.eye(4), factor_constraint(v))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError, match="dimension mismatch"):
-            generalized_eig(np.eye(3), np.ones(4))
+            generalized_eig(np.eye(3), factor_constraint(np.ones(4)))
 
 
 class TestInvertLower:

@@ -4,7 +4,8 @@
 function is attributed to the module-level definition it sits in, with
 references qualified by module as in ``test_dead_code.py``. The builders
 and the generalized solver of the (R1, R2) problem may be referenced only
-from the core, so a second solve loop cannot grow back. ``symmetric_eig``
+from the core, so a second solve loop cannot grow back; so may the robust
+repair of R2, so the constraint's B side keeps one caller. ``symmetric_eig``
 also serves the robust repair and the kernel-trick fits, whose cores are
 plain eigenproblems. The label terms, the class indicator E and the label
 Gram K_y, are built once per grid by the core and handed to ``objective``;
@@ -23,6 +24,7 @@ ALLOWED = {
     ("linalg", "generalized_eig"): {CORE},
     ("linalg", "factor_constraint"): {CORE},
     ("rda", "constraint"): {CORE},
+    ("rda", "robustify"): {CORE},
     ("rda", "objective"): {CORE},
     ("linalg", "symmetric_eig"): {CORE, ("rda", "robustify"), ("kernel_rda", "_fit_trick")},
     ("kernels", "label_gram"): {CORE, ("rda", "label_factor"), ("rda", "_label_kernel_scale")},

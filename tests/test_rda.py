@@ -91,10 +91,11 @@ class TestConstraint:
 
     def test_r2_zero(self):
         np.testing.assert_allclose(constraint(self.X, self.LABELS, 0.0), np.eye(2))
-        # A metric's R2 at r2 = 0 is diag(metric) alone; the eigen core
-        # factors the vector itself (test_linalg.py::TestDiagonalFactor).
-        with pytest.raises(ConfigError, match="metric itself"):
-            constraint(self.X, self.LABELS, 0.0, metric=np.array([2.0, 3.0]))
+        # A metric's R2 at r2 = 0 is diag(metric) alone, returned as the
+        # vector itself, which is factored in closed form
+        # (test_linalg.py::TestDiagonalFactor).
+        metric = np.array([2.0, 3.0])
+        assert constraint(self.X, self.LABELS, 0.0, metric=metric) is metric
 
     def test_r2_one(self):
         np.testing.assert_allclose(constraint(self.X, self.LABELS, 1.0), np.diag([4.0, 0.0]))
@@ -111,14 +112,14 @@ class TestConstraint:
         # The kernel direct fit's metric, K_x's kept eigenvalues, comes as a
         # vector and is added on the diagonal in place: the bits of the
         # one-line formula with the metric as a diagonal matrix. At r2 = 0
-        # the formula is diag(metric), which is factored from the vector:
-        # the factor's bits are those of the matrix's.
+        # the formula is diag(metric), returned as the vector: its factor's
+        # bits are those of the matrix's.
         x = rng.standard_normal((6, 20))
         labels = rng.integers(0, 3, size=20)
         metric = rng.random(6) + 0.5
         want = kernel_constraint_matrix(within_scatter(x, labels), np.diag(metric), r2)
         if r2 == 0.0:
-            got, want = factor_constraint(metric), factor_constraint(want)
+            got, want = factor_constraint(constraint(x, labels, r2, metric=metric)), factor_constraint(want)
             assert got.shift == want.shift and got.chol_inv.tobytes() == np.diag(want.chol_inv).tobytes()
             return
         got = constraint(x, labels, r2, metric=metric)
@@ -131,33 +132,37 @@ class TestRobustify:
         # so the tail [0.9, 0.1] is replaced by its mean 0.5.
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         s = (q * [97.0, 2.0, 0.9, 0.1]) @ q.T
-        repaired = robustify(s)
+        repaired, complement = robustify(s)
         expected = (q * [97.0, 2.0, 0.5, 0.5]) @ q.T
         np.testing.assert_allclose(repaired, expected, atol=1e-9)
+        assert complement is None
 
     def test_well_conditioned_matrix_unchanged(self):
         s = np.diag([4.0, 3.0, 2.9])
-        np.testing.assert_allclose(robustify(s), s, atol=1e-9)
+        repaired, complement = robustify(s)
+        np.testing.assert_allclose(repaired, s, atol=1e-9)
+        assert complement is None
 
     def test_identity_unchanged(self):
-        np.testing.assert_allclose(robustify(np.eye(3)), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(robustify(np.eye(3))[0], np.eye(3), atol=1e-12)
 
     def test_zero_matrix_becomes_scaled_identity(self):
-        out = robustify(np.zeros((3, 3)))
+        out, complement = robustify(np.zeros((3, 3)))
         assert np.allclose(out, out[0, 0] * np.eye(3)) and out[0, 0] > 0
+        assert complement is None
 
     def test_full_rank_when_tail_keeps_mass(self, rng):
         # Rank 8 of 12 with comparable eigenvalues: the 98% mass point lands
         # before the rank, so the flattened tail mean is positive.
         g = rng.standard_normal((12, 8))
-        repaired = robustify(g @ g.T)
+        repaired, _ = robustify(g @ g.T)
         assert np.linalg.eigvalsh(repaired).min() > 0
 
     def test_exact_tail_of_zeros_stays_singular(self):
         # 98% of the mass needs both positive eigenvalues, so the replaced
         # tail is all zeros and its mean cannot repair the rank.
         s = np.diag([1.0, 1.0, 0.0, 0.0])
-        repaired = robustify(s)
+        repaired, _ = robustify(s)
         np.testing.assert_allclose(repaired, s, atol=1e-12)
 
 
@@ -176,7 +181,7 @@ class TestRobustifyWithComplement:
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         block = (q * spectrum) @ q.T
         repaired, outside = robustify(block, complement=Complement(value, count))
-        full = robustify(with_complement(block, value, count))
+        full, _ = robustify(with_complement(block, value, count))
         np.testing.assert_allclose(with_complement(repaired, outside.value, count), full, atol=1e-9)
 
     def test_exactly_flat_tie_is_left_alone(self):
@@ -192,7 +197,7 @@ class TestRobustifyWithComplement:
         block = np.diag([10.0, 3.0 + 1e-14, 3.0])
         repaired, outside = robustify(block, complement=Complement(3.0, 200))
         assert np.array_equal(repaired, block) and outside == Complement(3.0, 200)
-        full = robustify(with_complement(block, 3.0, 200))
+        full, _ = robustify(with_complement(block, 3.0, 200))
         np.testing.assert_allclose(with_complement(repaired, outside.value, 200), full, atol=1e-12)
 
     def test_cut_splitting_a_tie_above_smaller_values_is_refused(self):
@@ -293,6 +298,20 @@ class TestFit:
         assert small.config.p == ref.config.p == 1
         np.testing.assert_allclose(small.eigvals, 1e-16 * ref.eigvals, rtol=1e-10)
         np.testing.assert_allclose(align_columns(ref.basis, small.basis), ref.basis, atol=1e-10)
+
+    @pytest.mark.parametrize("route, d", [("dense", 3), ("span", 40)])
+    def test_the_datas_units_do_not_change_what_a_discriminant_fit_keeps(self, rng, route, d):
+        # At r2 = 1 R1 and R2 both scale with the data's square, so the
+        # spectrum does not move; the noise floor scales with the data too
+        # and is divided by the factor's unit, R2's mean diagonal. At 1e8
+        # the undivided floor would lie above the dense route's spectrum
+        # (the span route's singular R2 is shifted, which lifts its own).
+        x, labels = labeled_blobs(rng, d, 20, 3)
+        config = RoweisConfig(0.5, 1.0)
+        ref, big = fit(x, labels, config), fit(1e8 * x, labels, config)
+        assert big.route == ref.route == route
+        assert big.config.p == ref.config.p and big.eigvals.size == ref.eigvals.size
+        np.testing.assert_allclose(big.eigvals, ref.eigvals, rtol=1e-6)
 
     @pytest.mark.parametrize("spec", [
         kernels.KernelSpec("linear"),

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from roweis import kernels, rda
-from roweis.linalg import generalized_eig
+from roweis.linalg import factor_constraint, generalized_eig
 from roweis.rda import (
     RoweisConfig,
     fit,
@@ -59,7 +59,7 @@ def dense_problem(x, labels, config: RoweisConfig):
     """The d x d constraint B and the dense solution of (R1, B)."""
     d, n = x.shape
     if config.r1 > 0:
-        spec = rda._resolved_label_kernel(config.label_kernel, labels)
+        spec = kernels.resolve_label_kernel(config.label_kernel, labels)
         p_mat = blend_label_kernel(kernels.label_gram(spec, labels, labels), config.r1)
     else:
         p_mat = np.eye(n)
@@ -69,8 +69,8 @@ def dense_problem(x, labels, config: RoweisConfig):
     else:
         b = np.eye(d)
     if config.robust:
-        b = robustify(b)
-    return b, generalized_eig(r1_mat, b)
+        b, _ = robustify(b)
+    return b, generalized_eig(r1_mat, factor_constraint(b))
 
 
 def separated(values: np.ndarray, p: int) -> np.ndarray:
