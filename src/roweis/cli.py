@@ -261,7 +261,7 @@ def cmd_sweep(args) -> int:
     if y is None:
         raise ConfigError("sweep needs labels; pass --label-col")
     kind = "classification" if kernels.is_categorical(y) else "regression"
-    ds = datasets.Dataset(X=x, y=y, kind=kind, seed=args.seed)
+    ds = datasets.Dataset(X=x, y=y, kind=kind)
     train, test = datasets.train_test_split(ds, args.train_fraction, args.seed)
 
     data_kernel = _kernel_from_args(args.kernel, args.gamma, args.degree, args.offset)
@@ -282,7 +282,7 @@ def cmd_sweep(args) -> int:
         configs, experiments.grid_embeddings(args.variant, train, test, configs, data_kernel)
     ):
         if kind == "classification":
-            report = evaluate.knn_classify(emb_train, train.y, emb_test, test.y, k=1)
+            report = evaluate.knn_classify(emb_train, train.y, emb_test, test.y)
         else:
             report = evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y)
         s = rda.supervision_level(config.r1, config.r2)

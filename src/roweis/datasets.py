@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import classes, csv_cells, float_rows
+from ._util import as_labels, classes, csv_cells, float_rows
 from .exceptions import ConfigError, DataError
 
 XOR_MARGIN = 0.05
@@ -30,7 +30,6 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     kind: str  # classification | regression
-    seed: int
 
     def __post_init__(self):
         if self.X.ndim != 2:
@@ -43,6 +42,7 @@ class Dataset:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
         if not np.all(np.isfinite(self.X)):
             raise DataError("X contains NaN or Inf")
+        as_labels(self.y, self.X.shape[1])  # NaN or inf in real-valued labels raises DataError
 
     @property
     def n(self) -> int:
@@ -75,7 +75,7 @@ def gen_xor(n: int, seed: int, margin: float = XOR_MARGIN) -> Dataset:
     sx = np.where(flip == 0, 1.0, -1.0)
     sy = np.where(cls == 0, sx, -sx)
     x = np.vstack([sx * ax, sy * ay])
-    return Dataset(X=x, y=cls.astype(int), kind="classification", seed=int(seed))
+    return Dataset(X=x, y=cls.astype(int), kind="classification")
 
 
 def gen_rings(
@@ -92,13 +92,15 @@ def gen_rings(
     """
     if n < 4:
         raise ConfigError(f"n must be at least 4, got {n}")
+    if not (0.0 <= inner < outer < math.inf and 0.0 <= noise < math.inf):
+        raise ConfigError(f"need finite 0 <= inner < outer and noise >= 0, got {inner}, {outer}, {noise}")
     rng = np.random.default_rng(_checked_seed(seed))
     cls = np.arange(n) % 2
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
     radial = rng.standard_normal(n) * noise
     radius = np.where(cls == 0, inner, outer) + radial
     x = np.vstack([radius * np.cos(angles), radius * np.sin(angles)])
-    return Dataset(X=x, y=cls.astype(int), kind="classification", seed=int(seed))
+    return Dataset(X=x, y=cls.astype(int), kind="classification")
 
 
 def gen_regression_benchmark(bench_id: int, n: int, seed: int, noise_scale: float = 1.0) -> Dataset:
@@ -118,6 +120,8 @@ def gen_regression_benchmark(bench_id: int, n: int, seed: int, noise_scale: floa
     """
     if n < 1:
         raise ConfigError(f"n must be at least 1, got {n}")
+    if not 0.0 <= noise_scale < math.inf:
+        raise ConfigError(f"noise_scale must be a finite number >= 0, got {noise_scale}")
     rng = np.random.default_rng(_checked_seed(seed))
     if bench_id == 1:
         x = rng.standard_normal((4, n))
@@ -140,7 +144,7 @@ def gen_regression_benchmark(bench_id: int, n: int, seed: int, noise_scale: floa
         y = 0.5 * x[0] ** 2 * eps
     else:
         raise ConfigError(f"benchmark id must be 1, 2, or 3, got {bench_id}")
-    return Dataset(X=x, y=y.astype(float), kind="regression", seed=int(seed))
+    return Dataset(X=x, y=y.astype(float), kind="regression")
 
 
 def train_test_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -191,8 +195,8 @@ def train_test_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dat
     mask = np.zeros(n, dtype=bool)
     mask[train_idx] = True
     test_idx = np.flatnonzero(~mask)
-    train = Dataset(X=ds.X[:, train_idx], y=ds.y[train_idx], kind=ds.kind, seed=ds.seed)
-    test = Dataset(X=ds.X[:, test_idx], y=ds.y[test_idx], kind=ds.kind, seed=ds.seed)
+    train = Dataset(X=ds.X[:, train_idx], y=ds.y[train_idx], kind=ds.kind)
+    test = Dataset(X=ds.X[:, test_idx], y=ds.y[test_idx], kind=ds.kind)
     return train, test
 
 

@@ -44,37 +44,22 @@ class EvalReport:
         )
 
 
-def knn_classify(train_emb, train_y, test_emb, test_y, k: int = 1) -> EvalReport:
-    """Euclidean k-nearest-neighbor error rate on embedded data.
+def knn_classify(train_emb, train_y, test_emb, test_y) -> EvalReport:
+    """Euclidean 1-nearest-neighbor error rate on embedded data.
 
     Embeddings are p x n with samples in columns. Distance ties resolve to
-    the smallest training index (argmin / stable sort order).
+    the smallest training index (argmin order).
     """
     train_emb = as_matrix(train_emb, "train_emb")
     test_emb = as_matrix(test_emb, "test_emb")
     train_y = np.asarray(train_y)
     test_y = np.asarray(test_y)
-    n = train_emb.shape[1]
-    if n == 0:
+    if train_emb.shape[1] == 0:
         raise ConfigError("training embedding is empty")
-    if not 1 <= k <= n:
-        raise ConfigError(f"k must lie in [1, {n}], got {k}")
     if train_emb.shape[0] != test_emb.shape[0]:
         raise ConfigError("train and test embeddings have different dimensionality")
 
-    d2 = squared_distances(train_emb, test_emb)
-    if k == 1:
-        pred = train_y[np.argmin(d2, axis=0)]
-    else:
-        order = np.argsort(d2, axis=0, kind="stable")[:k, :]
-        pred = np.empty(test_emb.shape[1], dtype=train_y.dtype)
-        for j in range(test_emb.shape[1]):
-            votes = train_y[order[:, j]]
-            ids, counts = np.unique(votes, return_counts=True)
-            best = counts.max()
-            tied = set(ids[counts == best].tolist())
-            # First neighbor whose label is among the top vote-getters wins.
-            pred[j] = next(v for v in votes if v in tied)
+    pred = train_y[np.argmin(squared_distances(train_emb, test_emb), axis=0)]
     error = float(np.mean(pred != test_y)) if test_y.size else 0.0
     return EvalReport.from_values("error-rate", [error])
 

@@ -33,8 +33,11 @@ import numpy as np
 from . import datasets, evaluate, kernel_rda, kernels, rda
 from .exceptions import ConfigError
 
+BENCH_IDS = (1, 2, 3)
 BENCH_R1_VALUES = (0.0, 0.5, 1.0)
 PANEL_R_VALUES = (0.0, 0.5, 1.0)
+# Share of each sample that the table and the panels train on.
+TRAIN_FRACTION = 0.7
 
 
 @dataclass(frozen=True)
@@ -64,14 +67,13 @@ def grid_embeddings(variant, train, test, configs, data_kernel) -> list[tuple[np
 
 def _split_rmse(job) -> list[float]:
     """Test RMSE of the linear, then the kernel method at each r1 of
-    ``r1_values``, on the split that ``job = (bench_id, n, seed,
-    train_fraction, r1_values)`` draws; the RBF label bandwidth is resolved
-    once for both methods."""
-    bench_id, n, seed, train_fraction, r1_values = job
+    BENCH_R1_VALUES, on the split that ``job = (bench_id, n, seed)`` draws;
+    the RBF label bandwidth is resolved once for both methods."""
+    bench_id, n, seed = job
     ds = datasets.gen_regression_benchmark(bench_id, n, seed)
-    train, test = datasets.train_test_split(ds, train_fraction, seed)
+    train, test = datasets.train_test_split(ds, TRAIN_FRACTION, seed)
     label_kernel = kernels.resolve_label_kernel(kernels.KernelSpec(family="rbf"), train.y)
-    configs = [rda.RoweisConfig(r1=r1, r2=0.0, p=2, label_kernel=label_kernel) for r1 in r1_values]
+    configs = [rda.RoweisConfig(r1=r1, r2=0.0, p=2, label_kernel=label_kernel) for r1 in BENCH_R1_VALUES]
     data_kernel = kernels.KernelSpec(family="rbf")
     return [
         evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y).value
@@ -158,23 +160,15 @@ def _map(fn, jobs: list) -> list:
     return [done[index] if index in done else fn(job) for index, job in enumerate(jobs)]
 
 
-def regression_benchmark_table(
-    bench_ids=(1, 2, 3),
-    r1_values=BENCH_R1_VALUES,
-    repetitions: int = 50,
-    n: int = 100,
-    train_fraction: float = 0.7,
-    base_seed: int = 0,
-) -> list[BenchCell]:
-    """Mean and spread of test RMSE per (method, r1, benchmark) cell."""
+def regression_benchmark_table(repetitions: int = 50, n: int = 100, base_seed: int = 0) -> list[BenchCell]:
+    """Mean and spread of test RMSE per (method, r1, benchmark) cell, over
+    BENCH_IDS and BENCH_R1_VALUES."""
     if repetitions < 1:
         raise ConfigError(f"repetitions must be at least 1, got {repetitions}")
-    cells: dict[tuple, list] = {
-        (method, r1, b): [] for method in ("linear", "kernel") for r1 in r1_values for b in bench_ids
-    }
-    jobs = [(bench_id, n, _cell_seed(base_seed, bench_id, rep), train_fraction, r1_values)
-            for bench_id in bench_ids for rep in range(repetitions)]
-    methods = [(method, r1) for method in ("linear", "kernel") for r1 in r1_values]
+    methods = [(method, r1) for method in ("linear", "kernel") for r1 in BENCH_R1_VALUES]
+    cells: dict[tuple, list] = {(method, r1, b): [] for method, r1 in methods for b in BENCH_IDS}
+    jobs = [(bench_id, n, _cell_seed(base_seed, bench_id, rep))
+            for bench_id in BENCH_IDS for rep in range(repetitions)]
     for job, values in zip(jobs, _map(_split_rmse, jobs)):
         for (method, r1), value in zip(methods, values):
             cells[(method, r1, job[0])].append(value)
@@ -212,14 +206,9 @@ class Panel:
     test_y: np.ndarray
 
 
-def embedding_panels(
-    dataset_name: str,
-    n: int = 400,
-    seed: int = 7,
-    train_fraction: float = 0.7,
-    r_values=PANEL_R_VALUES,
-) -> list[Panel]:
-    """Two-dimensional kernel embeddings over the mixing-factor grid.
+def embedding_panels(dataset_name: str, n: int = 400, seed: int = 7) -> list[Panel]:
+    """Two-dimensional kernel embeddings over the mixing-factor grid,
+    PANEL_R_VALUES on each axis.
 
     Both datasets have two classes. At r2 = 1 the rank cap is one (class
     count minus one), and at r1 = 1 the objective has rank one, so those
@@ -231,8 +220,8 @@ def embedding_panels(
         ds = datasets.gen_rings(n, seed)
     else:
         raise ConfigError(f"unknown panel dataset {dataset_name!r}")
-    train, test = datasets.train_test_split(ds, train_fraction, seed)
-    configs = [rda.RoweisConfig(r1=r1, r2=r2, p=2) for r1 in r_values for r2 in r_values]
+    train, test = datasets.train_test_split(ds, TRAIN_FRACTION, seed)
+    configs = [rda.RoweisConfig(r1=r1, r2=r2, p=2) for r1 in PANEL_R_VALUES for r2 in PANEL_R_VALUES]
     return [
         Panel(dataset_name, config.r1, config.r2, train_emb, test_emb, train.y, test.y)
         for config, (train_emb, test_emb) in zip(

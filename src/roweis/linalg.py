@@ -75,7 +75,7 @@ EIG_NOISE_RTOL = 1e-13
 # cannot hold the 1e-8 residual contract in double precision.
 CONSTRAINT_COND_MAX = 1e6
 
-# Shifts tried after 0 on a singular constraint, in units of _shift_unit:
+# Shifts tried after 0 on a singular constraint, in units of B's mean diagonal:
 # from SHIFT_BASE_SCALE, times SHIFT_GROWTH per step, up to SHIFT_MAX_SCALE.
 SHIFT_BASE_SCALE = 1e-8
 SHIFT_MAX_SCALE = 1e-2
@@ -101,17 +101,6 @@ class Complement:
             raise ConfigError(f"a complement needs count >= 1, got {self.count}")
 
 
-def _shift_unit(b: np.ndarray, complement: Complement | None = None) -> float:
-    """B's mean diagonal (B given as a matrix or as its diagonal), complement
-    included; 1.0 if not positive, so a shift exists."""
-    trace, order = float(np.trace(b) if b.ndim == 2 else np.sum(b)), b.shape[0]
-    if complement is not None:
-        trace += complement.value * complement.count
-        order += complement.count
-    mean_diag = trace / order
-    return mean_diag if mean_diag > 0.0 else 1.0
-
-
 @dataclass(frozen=True)
 class EigPair:
     """Eigenvectors (columns) with non-increasing eigenvalues.
@@ -135,14 +124,14 @@ def _numerical(name: str):
         raise NumericalError(f"{name}: {exc}") from exc
 
 
-def require_symmetric(a: np.ndarray, atol: float = SYMMETRY_ATOL, name: str = "matrix") -> float:
-    """max |A - A.T|, the symmetry gap; ConfigError when it exceeds ``atol``."""
+def require_symmetric(a: np.ndarray, name: str = "matrix") -> float:
+    """max |A - A.T|, the symmetry gap; ConfigError when it exceeds SYMMETRY_ATOL."""
     if not a.size:
         return 0.0
     gap = a - a.T
     gap = float(np.max(np.abs(gap, out=gap)))
-    if gap > atol:
-        raise ConfigError(f"{name} is not symmetric: max |A - A.T| = {gap:.3e} > {atol:.1e}")
+    if gap > SYMMETRY_ATOL:
+        raise ConfigError(f"{name} is not symmetric: max |A - A.T| = {gap:.3e} > {SYMMETRY_ATOL:.1e}")
     return gap
 
 
@@ -224,14 +213,13 @@ def _invert_lower(l: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FactoredConstraint:
-    """A constraint ``B' = B + shift * I`` of order ``order`` from
-    :func:`factor_constraint`; ``chol_inv`` is the inverse of its Cholesky
-    factor L (``B' = L L'``), or that inverse's diagonal (a 1-D array) when
-    B was given as its diagonal, and ``unit`` is the shift ladder's unit."""
+    """A constraint ``B' = B + shift * I`` from :func:`factor_constraint`;
+    ``chol_inv`` is the inverse of its Cholesky factor L (``B' = L L'``), or
+    that inverse's diagonal (a 1-D array) when B was given as its diagonal,
+    so B's order is its length; ``unit`` is the shift ladder's unit."""
 
     chol_inv: np.ndarray
     shift: float
-    order: int
     unit: float
 
 
@@ -240,8 +228,9 @@ def factor_constraint(b, complement: Complement | None = None) -> FactoredConstr
     """The B side of :func:`generalized_eig` and the only code that checks,
     shifts and factors B, once for any number of solves against it.
 
-    The shift follows the SHIFT_* ladder and is applied only when B is too
-    ill conditioned or its Cholesky factorization fails. A 1-D ``b`` is the
+    The shift follows the SHIFT_* ladder, in units of B's mean diagonal (1
+    if not positive), applied only when B is too ill conditioned or its
+    Cholesky factorization fails. A 1-D ``b`` is the
     diagonal of a diagonal B, factored in closed form (no eigvalsh, Cholesky
     or inverse): its sorted entries are the spectrum the checks see, and
     ``chol_inv`` is the vector ``1 / sqrt(b + shift)``, the dense form's
@@ -262,7 +251,12 @@ def factor_constraint(b, complement: Complement | None = None) -> FactoredConstr
     _check_psd_spectrum(b_vals, b_norm, "constraint matrix B")
     lam_min, lam_max = float(b_vals[0]), float(b_vals[-1])
 
-    unit = _shift_unit(b_s, complement)
+    trace, order = float(np.trace(b_s) if b_s.ndim == 2 else np.sum(b_s)), b_s.shape[0]
+    if complement is not None:
+        trace += complement.value * complement.count
+        order += complement.count
+    unit = trace / order
+    unit = unit if unit > 0.0 else 1.0
     candidates = [0.0]
     shift = SHIFT_BASE_SCALE * unit
     while shift <= SHIFT_MAX_SCALE * unit * (1.0 + 1e-12):
@@ -276,7 +270,7 @@ def factor_constraint(b, complement: Complement | None = None) -> FactoredConstr
 
     for candidate in candidates:
         if healthy(candidate) and (chol_inv := _inverse_factor(b_s, candidate)) is not None:
-            return FactoredConstraint(chol_inv=chol_inv, shift=candidate, order=b_s.shape[0], unit=unit)
+            return FactoredConstraint(chol_inv=chol_inv, shift=candidate, unit=unit)
     raise NumericalError(
         "constraint matrix stayed singular up to the maximum "
         f"diagonal shift {SHIFT_MAX_SCALE * unit:.3e}"
@@ -322,8 +316,9 @@ def generalized_eig(a, factor: FactoredConstraint) -> EigPair:
     """
     with _numerical("generalized_eig"):
         a = as_square(a, "A")
-        if a.shape != (factor.order, factor.order):
-            raise ConfigError(f"dimension mismatch: A is {a.shape}, B is {(factor.order,) * 2}")
+        order = factor.chol_inv.shape[0]
+        if a.shape != (order, order):
+            raise ConfigError(f"dimension mismatch: A is {a.shape}, B is {(order, order)}")
         a_s = _symmetrized(a, "A")
         del a
         inv = factor.chol_inv

@@ -6,10 +6,11 @@ with shortest round-trip repr, so a save/load cycle is bit-exact. Optional
 scalars take a default when absent, so files written before a key existed
 still load (a primal file without ``route`` loads as ``"dense"``), and the
 retired ``valid_eig_threshold``, ``auto_dim_ratio`` and ``reg`` lines are
-ignored. A missing required scalar, a scalar of the wrong type, an array
-holding NaN or inf, arrays that disagree in shape, or a kernel model without
-a kernel it can embed with (a linear, polynomial, or rbf one with its gamma)
-does not load.
+ignored. A missing required scalar, a scalar of the wrong type or range
+(in both layouts r1 and r2 lie in [0, 1], shift is finite and >= 0, and
+notes is a list of strings), an array holding NaN or inf, arrays that
+disagree in shape, or a kernel model without a kernel it can embed with (a
+linear, polynomial, or rbf one with its gamma) does not load.
 
 Primal files with route ``"dual"`` (older dual fits) still load, as do files
 of the earlier ``variant: dual`` layout, which held the factor W, its right
@@ -27,6 +28,7 @@ that fold.
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -222,6 +224,27 @@ def _data_kernel(value) -> KernelSpec:
     return spec
 
 
+def _fraction(value) -> float:
+    """r1 or r2: a JSON number in [0, 1], not a boolean; other JSON values fail to compare."""
+    if isinstance(value, bool) or not 0.0 <= value <= 1.0:
+        raise ValueError
+    return float(value)
+
+
+def _shift(value) -> float:
+    """A finite JSON number >= 0, not a boolean; other JSON values fail to compare."""
+    if isinstance(value, bool) or not 0.0 <= value <= sys.float_info.max:
+        raise ValueError
+    return float(value)
+
+
+def _notes(value) -> tuple:
+    """A JSON list of strings, as a tuple."""
+    if not isinstance(value, list) or not all(isinstance(note, str) for note in value):
+        raise TypeError
+    return tuple(value)
+
+
 def _flag(value) -> bool:
     """A JSON true or false, and nothing else."""
     if not isinstance(value, bool):
@@ -267,7 +290,7 @@ def _model(path, scalars: dict, arrays: dict):
         scalars, arrays = _from_dual_layout(scalars, arrays, path)
     variant = scalars.get("variant")
     if variant == "primal":
-        notes = _scalar(scalars, "notes", path, tuple, ())
+        notes = _scalar(scalars, "notes", path, _notes, ())
         route = scalars.get("route", "dense")
         if route not in ROUTES:
             raise DataError(f"{path}: unknown route {route!r}")
@@ -276,8 +299,8 @@ def _model(path, scalars: dict, arrays: dict):
         _agree(path, "'mean' entries", mean.size, "'basis' rows", basis.shape[0])
         _agree(path, "'eigvals' entries", eigvals.size, "'basis' columns", basis.shape[1])
         config = RoweisConfig(
-            r1=_scalar(scalars, "r1", path, float),
-            r2=_scalar(scalars, "r2", path, float),
+            r1=_scalar(scalars, "r1", path, _fraction),
+            r2=_scalar(scalars, "r2", path, _fraction),
             p=int(basis.shape[1]),
             label_kernel=_scalar(scalars, "label_kernel", path, _kernel_spec, None),
             robust=_scalar(scalars, "robust", path, _flag, False),
@@ -287,7 +310,7 @@ def _model(path, scalars: dict, arrays: dict):
             eigvals=eigvals,
             mean=mean,
             config=config,
-            shift=_scalar(scalars, "shift", path, float, 0.0),
+            shift=_scalar(scalars, "shift", path, _shift, 0.0),
             notes=notes,
             route=route,
         )
@@ -308,7 +331,7 @@ def _kernel_fields(path, scalars: dict, arrays: dict) -> dict:
     kind = _VARIANT_FROM_NAME[scalars["variant"]]
     fields = {
         "variant": kind,
-        "notes": _scalar(scalars, "notes", path, tuple, ()),
+        "notes": _scalar(scalars, "notes", path, _notes, ()),
         "kernel": _scalar(scalars, "kernel", path, _data_kernel),
         "label_kernel": _scalar(scalars, "label_kernel", path, _kernel_spec, None),
         "train_x": _mat(arrays, "train_x", path),
@@ -332,8 +355,8 @@ def _kernel_fields(path, scalars: dict, arrays: dict) -> dict:
         components = right.shape[1]
     _agree(path, "'eigvals' entries", fields["eigvals"].size, "components", components)
     fields.update(
-        r1=_scalar(scalars, "r1", path, float, 0.0),
-        r2=_scalar(scalars, "r2", path, float, 0.0),
-        shift=_scalar(scalars, "shift", path, float, 0.0),
+        r1=_scalar(scalars, "r1", path, _fraction, 0.0),
+        r2=_scalar(scalars, "r2", path, _fraction, 0.0),
+        shift=_scalar(scalars, "shift", path, _shift, 0.0),
     )
     return fields

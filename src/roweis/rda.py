@@ -16,9 +16,9 @@ labels enter the objective and the constraint:
 
 Everything in between is a valid method; (r1 + r2) / 2 measures how strongly
 the labels are used. Fitting solves the generalized eigenproblem (R1, R2).
-At r2 = 0 the constraint is I, so a fit that is not robust solves the plain
-eigenproblem of R1 (:func:`~roweis.linalg.symmetric_eig`) with no shift; a
-robust one repairs I and solves the generalized problem like any other.
+At r2 = 0 the constraint is I, so a fit solves the plain eigenproblem of R1
+(:func:`~roweis.linalg.symmetric_eig`) with no shift, robust or not: the
+robust repair of an exact identity returns it bit for bit.
 
 :func:`objective` builds R1 for every fit, the kernel direct fit's M
 included, as the blend (1 - r1) Xc Xc' + r1 Xc K_y Xc'. For class labels
@@ -122,10 +122,7 @@ class RoweisConfig:
     robust: bool = False
 
     def __post_init__(self):
-        for name in ("r1", "r2"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+        supervision_level(self.r1, self.r2)  # r1 and r2 must lie in [0, 1]
         if self.p is not None and self.p < 1:
             raise ConfigError(f"p must be a positive integer, got {self.p}")
 
@@ -203,7 +200,7 @@ def robustify(s, complement: Complement | None = None):
         tol = TIE_RTOL * float(spectrum[0])
         lo = int(np.count_nonzero(spectrum > tied + tol))
         hi = int(np.count_nonzero(spectrum >= tied - tol))
-        # An exactly flat tie (R2 = I at r2 = 0) takes the repair below, as before.
+        # A tail exactly equal to the complement's value takes the repair below.
         if lo < head < hi and np.any(spectrum[lo:] != tied):
             if hi < spectrum.size:
                 raise ConfigError("the robust cut splits the tied eigenvalues above smaller ones")
@@ -272,10 +269,10 @@ def constraint(data, labels, r2: float, metric=None) -> np.ndarray:
     :func:`roweis.scatter.within_scatter` of ``data``, and ``metric`` is a
     vector, all ones (R2's identity) when None. The kernel direct fit passes
     K_x's kept eigenvalues, the metric of its L in K_x's eigenbasis, and is
-    added on the diagonal, not built as a matrix. At r2 = 0 R2 is built
-    without S_W: I as a matrix, or diag(metric) as the metric vector itself."""
+    added on the diagonal, not built as a matrix. At r2 = 0 it returns the
+    metric itself: diag(metric), or None for R2 = I, which needs no factor."""
     if r2 == 0:
-        return np.eye(data.shape[0]) if metric is None else metric
+        return metric
     out = scatter.within_scatter(data, labels)
     if r2 == 1:
         return out
@@ -353,29 +350,30 @@ def _solve_grid(centered, labels, configs, cap, scatter_data=None, lift=None, me
     Each config keeps what :func:`select_components` allows under
     ``cap(r2)``, and only those columns are lifted: ``lift @ U``, sign-fixed.
 
-    R2 depends only on (r2, robust), so the configs are solved grouped by it:
-    each distinct R2 is built by one :func:`constraint` call (and
-    robustified), factored once (:func:`~roweis.linalg.factor_constraint`)
-    and dropped, and every R1 of the group is solved against that factor. A
-    group that is not robust, at r2 = 0 and without a metric, has R2 = I
-    and solves R1 alone with :func:`~roweis.linalg.symmetric_eig`. With a
-    metric (the kernel range) that group's R2 is the metric vector, factored
-    in closed form, and each solve scales R1's rows and columns by the
-    factor instead of multiplying by it. Label bandwidths are resolved once
-    per label kernel, and each distinct resolved one's term (E or K_y, see
-    :func:`objective`) is built once. R1 is handed over with no reference
-    kept, and so is ``centered`` at the last config, so each is freed after
-    its last product if the caller keeps none either. Each result equals a
-    lone solve bit for bit. Eigenvalues at or below EIG_NOISE_RTOL ||centered||_F^2
-    ((1 - r1) + r1 max|K_y|) / unit, the factor's unit (1 without a factor),
-    are round-off at the scale of R1's inputs: a spectrum of them
-    is refused as one of zeros.
+    R2 depends only on (r2, robust and r2 > 0): the robust repair of I is I
+    bit for bit. So the configs are solved grouped by it: each distinct R2 is
+    built by one :func:`constraint` call (and robustified), factored once
+    (:func:`~roweis.linalg.factor_constraint`) and dropped, and every R1 of
+    the group is solved against that factor. A group at r2 = 0 without a
+    metric, robust or not, has R2 = I and solves R1 alone with
+    :func:`~roweis.linalg.symmetric_eig`. With a metric (the kernel range)
+    that group's R2 is the metric vector, factored in closed form, and each
+    solve scales R1's rows and columns by the factor instead of multiplying
+    by it. Label bandwidths are resolved once per label kernel, and each
+    distinct resolved one's term (E or K_y, see :func:`objective`) is built
+    once. R1 is handed over with no reference kept, and so is ``centered`` at
+    the last config, so each is freed after its last product if the caller
+    keeps none either. Each result equals a lone solve bit for bit.
+    Eigenvalues at or below EIG_NOISE_RTOL ||centered||_F^2 ((1 - r1) + r1
+    max|K_y|) / unit, the factor's unit (1 without a factor), are round-off
+    at the scale of R1's inputs: a spectrum of them is refused as one of
+    zeros.
     """
     configs = list(configs)
     noise = EIG_NOISE_RTOL * float(np.vdot(centered, centered))
     groups: dict = {}
     for i, config in enumerate(configs):
-        groups.setdefault((config.r2, config.robust), []).append(i)
+        groups.setdefault((config.r2, config.robust and config.r2 > 0), []).append(i)
     specs: dict = {}
     terms: dict = {}
     out: list = [None] * len(configs)
@@ -383,7 +381,7 @@ def _solve_grid(centered, labels, configs, cap, scatter_data=None, lift=None, me
     del centered
     for (r2, robust), members in groups.items():
         factor = None
-        if r2 > 0 or robust or metric is not None:
+        if r2 > 0 or metric is not None:
             complement = Complement((1.0 - r2) * (metric is None), count) if count else None
             r2_mat = constraint(shared[0] if scatter_data is None else scatter_data, labels, r2, metric)
             if robust:

@@ -98,7 +98,6 @@ from roweis.linalg import (
     _check_psd_spectrum,
     _fix_signs,
     _numerical,
-    _shift_unit,
     _sign_flips,
 )
 from roweis.linalg import factor_constraint
@@ -240,6 +239,16 @@ def symmetric_eig(a) -> EigPair:
     values = values[::-1].copy()
     vectors = _fix_signs(vectors[:, ::-1].copy())
     return EigPair(vectors=vectors, values=values)
+
+
+def _shift_unit(b: np.ndarray, complement=None) -> float:
+    """B's mean diagonal, complement included; 1.0 if not positive, so a shift exists."""
+    trace, order = float(np.trace(b)), b.shape[0]
+    if complement is not None:
+        trace += complement.value * complement.count
+        order += complement.count
+    mean_diag = trace / order
+    return mean_diag if mean_diag > 0.0 else 1.0
 
 
 @_numerical("generalized_eig")
@@ -577,7 +586,7 @@ def sweep_rows(variant, train, test, r1_values, r2_values, p, data_kernel, label
                 model = kernel_rda.fit_direct(train.X, train.y, config, data_kernel)
                 emb_train, emb_test = project_kernel(model, train.X), project_kernel(model, test.X)
             if train.kind == "classification":
-                report = evaluate.knn_classify(emb_train, train.y, emb_test, test.y, k=1)
+                report = evaluate.knn_classify(emb_train, train.y, emb_test, test.y)
             else:
                 report = evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y)
             s = rda.supervision_level(float(r1), float(r2))

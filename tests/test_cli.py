@@ -52,6 +52,18 @@ class TestGen:
         run("gen", "xor", "--n", 80, "--seed", 3, "--out", b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ("bench", "--id", 1, "--noise-scale", "inf"), ("bench", "--id", 2, "--noise-scale", "nan"),
+        ("rings", "--noise", "nan"), ("rings", "--noise", "inf"), ("rings", "--inner", "nan"),
+        ("rings", "--outer", "inf"), ("rings", "--inner", 3, "--outer", 1),
+    ], ids=["bench inf noise", "bench nan noise", "rings nan noise", "rings inf noise", "rings nan inner",
+            "rings inf outer", "rings swapped radii"])
+    def test_bad_generator_flag_is_a_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "data.csv"
+        assert run("gen", *argv, "--n", 20, "--out", out) == 2
+        assert "X contains" not in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_written_with_hash(self, xor_csv):
         manifest = json.loads((xor_csv.parent / "xor.csv.manifest.json").read_text())
         assert manifest["command"] == "gen"
@@ -280,7 +292,9 @@ class TestTransformReconstruct:
         (lambda line: None if line.startswith("r1: ") else line, "missing value 'r1'"),
         (lambda line: 'robust: "no"' if line.startswith("robust: ") else line,
          "malformed value for 'robust'"),
-    ], ids=["missing r1", "malformed robust"])
+        (lambda line: "r1: 2.0" if line.startswith("r1: ") else line, "malformed value for 'r1'"),
+        (lambda line: "shift: NaN" if line.startswith("shift: ") else line, "malformed value for 'shift'"),
+    ], ids=["missing r1", "malformed robust", "r1 out of range", "nan shift"])
     def test_malformed_model_scalar_is_data_error(self, tmp_path, xor_csv, capsys, command, edit, message):
         model_path = tmp_path / "model.txt"
         run("fit", "--data", xor_csv, "--label-col", "label", "--r1", 0, "--r2", 0,

@@ -8,7 +8,8 @@ the diagonal matrix, bit for bit, on random shapes with 1 to 5 classes
 (singleton classes included) and r2 at 0, at 1 and strictly between. At
 r2 = 0 a metric's constraint is diag(metric) alone: ``constraint`` returns
 the metric vector itself, and its closed-form factor must equal the oracle
-matrix's, bit for bit.
+matrix's, bit for bit. R2's identity there is the all-ones metric, whose
+factor must equal that of the oracle's I.
 
 Runs only where ``hypothesis`` is installed; it is a test extra, not a
 runtime dependency.
@@ -48,9 +49,16 @@ def test_constraint_is_bit_identical_to_the_old_builders(d, n, c, r2, family, se
     labels = rng.integers(0, c, size=n)
     part = oracle.ClassPartition.from_labels(labels)
 
-    got = constraint(x, labels, r2)
     want = oracle.constraint_matrix(within_scatter(x, labels), r2)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if r2 == 0:
+        ones = np.ones(d)
+        got = constraint(x, labels, r2, metric=ones)
+        assert got is ones
+        got, want = factor_constraint(got), factor_constraint(want)
+        assert got.shift == want.shift and got.chol_inv.tobytes() == np.diag(want.chol_inv).tobytes()
+    else:
+        got = constraint(x, labels, r2)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     spec = kernels.KernelSpec(family, gamma=0.5) if family == "rbf" else kernels.KernelSpec(family)
     k = sym(kernels.gram(spec, x, x))

@@ -60,6 +60,15 @@ class TestRings:
     def test_deterministic(self):
         np.testing.assert_array_equal(gen_rings(40, 8).X, gen_rings(40, 8).X)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"noise": float("nan")}, {"noise": float("inf")}, {"noise": -0.1},
+        {"inner": float("nan")}, {"inner": -1.0}, {"outer": float("inf")}, {"outer": 1.0}, {"inner": 4.0},
+    ], ids=["nan noise", "inf noise", "negative noise", "nan inner", "negative inner", "inf outer",
+            "outer at inner", "inner past outer"])
+    def test_bad_parameters_are_config_errors(self, kwargs):
+        with pytest.raises(ConfigError, match="inner < outer"):
+            gen_rings(20, 0, **kwargs)
+
 
 class TestRegressionBenchmarks:
     def test_first_surface_formula(self):
@@ -96,6 +105,43 @@ class TestRegressionBenchmarks:
         with pytest.raises(ConfigError):
             gen_regression_benchmark(4, 10, 0)
 
+    @pytest.mark.parametrize("noise_scale", [float("nan"), float("inf"), -1.0])
+    def test_bad_noise_scale_is_a_config_error(self, noise_scale):
+        with pytest.raises(ConfigError, match="noise_scale"):
+            gen_regression_benchmark(1, 10, 0, noise_scale=noise_scale)
+
+
+class TestDataset:
+    X = np.zeros((2, 3))
+
+    def test_accepts_class_ids_and_finite_targets(self):
+        assert Dataset(X=self.X, y=np.array(["a", "b", "a"]), kind="classification").n == 3
+        assert Dataset(X=self.X, y=np.array([0.5, -1.0, 2.0]), kind="regression").n == 3
+
+    def test_x_must_be_two_dimensional(self):
+        with pytest.raises(DataError, match="2-dimensional"):
+            Dataset(X=np.zeros(3), y=np.zeros(3), kind="regression")
+
+    def test_one_label_per_sample(self):
+        with pytest.raises(DataError, match="does not match 3 samples"):
+            Dataset(X=self.X, y=np.zeros(2), kind="regression")
+
+    def test_unknown_kind(self):
+        with pytest.raises(ConfigError, match="unknown dataset kind"):
+            Dataset(X=self.X, y=np.zeros(3), kind="ranking")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_x(self, bad):
+        x = self.X.copy()
+        x[1, 2] = bad
+        with pytest.raises(DataError, match="X contains NaN or Inf"):
+            Dataset(X=x, y=np.zeros(3), kind="regression")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_real_labels(self, bad):
+        with pytest.raises(DataError, match="non-finite"):
+            Dataset(X=self.X, y=np.array([0.0, bad, 1.0]), kind="regression")
+
 
 class TestSplit:
     def test_paper_sizes(self):
@@ -125,7 +171,7 @@ class TestSplit:
     def test_tiny_class_falls_back_with_warning(self):
         x = np.arange(10, dtype=float)[None, :]
         y = np.array([0] * 9 + [1])
-        ds = Dataset(X=x, y=y, kind="classification", seed=0)
+        ds = Dataset(X=x, y=y, kind="classification")
         with pytest.warns(UserWarning):
             train, test = train_test_split(ds, 0.7, 0)
         assert train.n + test.n == 10

@@ -32,7 +32,7 @@ import oracle  # noqa: E402
 )
 def test_train_indices_equal_the_loop_allocation(counts, fraction, seed, order_seed):
     labels = np.random.default_rng(order_seed).permutation(np.repeat(np.arange(len(counts)), counts))
-    ds = Dataset(X=np.arange(labels.size, dtype=float)[None, :], y=labels, kind="classification", seed=0)
+    ds = Dataset(X=np.arange(labels.size, dtype=float)[None, :], y=labels, kind="classification")
     train, test = train_test_split(ds, fraction, seed)
     want = oracle.stratified_train_indices(labels, fraction, seed)
     np.testing.assert_array_equal(train.X[0], want)

@@ -28,12 +28,6 @@ class TestKnn:
         report = knn_classify(train, np.array([0, 1]), np.array([[1.0]]), np.array([0]))
         assert report.value == 0.0  # equidistant: index 0 wins
 
-    def test_majority_vote_for_larger_k(self):
-        train = np.array([[0.0, 0.2, 0.4, 3.0]])
-        y = np.array([1, 1, 0, 0])
-        report = knn_classify(train, y, np.array([[0.1]]), np.array([1]), k=3)
-        assert report.value == 0.0
-
     def test_training_order_permutation_invariant_without_ties(self, rng):
         train = rng.standard_normal((2, 20))
         y = rng.integers(0, 2, 20)

@@ -9,6 +9,7 @@ write the bytes of the per-config loops over the lone fits kept in
 n x n solve, ``oracle.fit_direct``, is tested in ``test_kernel_rda.py``.
 """
 
+import dataclasses
 import os
 import tracemalloc
 
@@ -179,7 +180,8 @@ class TestFitDirectGrid:
         # The primal fit goes through the same core. Dense route (d <= n):
         # R2 of order d, no complement. Span route (n < d): the n x n block,
         # with d - n copies of 1 - r2 (of the robust tail when robust) as its
-        # complement. At r2 = 0 a fit that is not robust factors nothing.
+        # complement. At r2 = 0 a fit factors nothing and repairs nothing,
+        # robust or not.
         n = 20
         x, labels = labeled_blobs(rng, d=d, n=n, c=3)
         real_factor, real_robustify = rda.factor_constraint, rda.robustify
@@ -201,8 +203,8 @@ class TestFitDirectGrid:
                 factored.clear()
                 repaired.clear()
                 rda.fit(x, labels, RoweisConfig(0.5, r2, robust=robust))
-                if r2 == 0.0 and not robust:
-                    assert factored == []
+                if r2 == 0.0:
+                    assert factored == [] and repaired == []
                     continue
                 [(shape, complement)] = factored
                 if d <= n:
@@ -210,6 +212,25 @@ class TestFitDirectGrid:
                 else:
                     assert shape == (n, n) and complement.count == d - n
                     assert complement == (repaired[0] if robust else Complement(1.0 - r2, d - n))
+
+
+@pytest.mark.parametrize("d", (3, 40))
+@pytest.mark.parametrize("r1", (0.0, 0.5, 1.0))
+def test_a_robust_fit_at_r2_zero_is_the_plain_fit(rng, monkeypatch, d, r1):
+    # Dense route (d <= n) and span route (n < d): R2 = I, whose robust
+    # repair is I bit for bit, so the robust fit solves the plain problem
+    # and repairs, factors and solves nothing generalized.
+    x, labels = labeled_blobs(rng, d=d, n=20, c=3)
+    plain = rda.fit(x, labels, RoweisConfig(r1, 0.0))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a robust r2 = 0 fit took the generalized solve")
+
+    for name in ("robustify", "factor_constraint", "generalized_eig"):
+        monkeypatch.setattr(rda, name, forbidden)
+    robust = rda.fit(x, labels, RoweisConfig(r1, 0.0, robust=True))
+    assert robust.config.robust and plain.route == ("dense" if d <= 20 else "span")
+    assert_same_rda_model(robust, dataclasses.replace(plain, config=dataclasses.replace(plain.config, robust=True)))
 
 
 class TestFitGrid:
@@ -324,7 +345,7 @@ def test_sweep_writes_the_per_config_loops_bytes(tmp_path, variant, source):
 
     x, y, _ = datasets.load_csv(data, "label")
     kind = "classification" if kernels.is_categorical(y) else "regression"
-    train, test = datasets.train_test_split(datasets.Dataset(X=x, y=y, kind=kind, seed=4), 0.7, 4)
+    train, test = datasets.train_test_split(datasets.Dataset(X=x, y=y, kind=kind), 0.7, 4)
     data_kernel = kernels.KernelSpec("rbf")
     if variant == "kernel":
         data_kernel = kernels.resolve_gamma(data_kernel, train.X)
@@ -376,8 +397,8 @@ def counted(monkeypatch):
 def test_table_resolves_two_bandwidths_per_split(counted, monkeypatch):
     # One CPU, so every split runs in this process, where the counts are kept.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    experiments.regression_benchmark_table(bench_ids=(1, 2), repetitions=3, n=30)
-    splits = 2 * 3
+    experiments.regression_benchmark_table(repetitions=3, n=30)
+    splits = 3 * 3
     assert counted["median_heuristic_gamma"] == 2 * splits
     # Per split: one label Gram for each of the two grid fits, plus the
     # kernel fit's K_x and one train and one test block.

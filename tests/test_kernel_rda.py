@@ -503,14 +503,14 @@ class TestInPlaceBuilders:
         metric = np.diag(k).copy()
         before = k.tobytes(), other.tobytes(), metric.tobytes()
         pairs = [(kernels.double_center(k), oracle.double_center(k))]
-        for r in (0.0, 0.3, 1.0):
-            # At r2 = 0 a metric's constraint is the vector itself, which
-            # ``constraint`` refuses (test_rda.py::TestConstraint).
-            if r > 0.0:
-                pairs.append((
-                    rda.constraint(other, labels, r, metric=metric),
-                    oracle.kernel_constraint_matrix(oracle.kernel_within_scatter(other, part), np.diag(metric), r),
-                ))
+        # At r2 = 0 a metric's constraint is the vector itself
+        # (test_rda.py::TestConstraint), and no fit builds R2 = I.
+        assert rda.constraint(other, labels, 0.0, metric=metric) is metric
+        for r in (0.3, 1.0):
+            pairs.append((
+                rda.constraint(other, labels, r, metric=metric),
+                oracle.kernel_constraint_matrix(oracle.kernel_within_scatter(other, part), np.diag(metric), r),
+            ))
             pairs.append((rda.constraint(other, labels, r), oracle.constraint_matrix(within_scatter(other, labels), r)))
         for got, want in pairs:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()

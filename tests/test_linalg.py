@@ -10,7 +10,6 @@ from roweis.linalg import (
     Complement,
     EigPair,
     _invert_lower,
-    _shift_unit,
     factor_constraint,
     generalized_eig,
     psd_factor,
@@ -211,19 +210,20 @@ class TestIncompleteSvd:
 
 class TestShiftUnit:
     def test_unit_uses_mean_diagonal(self):
-        assert _shift_unit(np.diag([2.0, 4.0])) == 3.0
+        assert factor_constraint(np.diag([2.0, 4.0])).unit == 3.0
 
     def test_unit_falls_back_on_zero_trace(self):
-        assert _shift_unit(np.zeros((3, 3))) == 1.0
+        assert factor_constraint(np.zeros((3, 3))).unit == 1.0
 
     def test_unit_counts_the_complement(self):
         # trace (2 + 4 + 3 * 0.5) over order 5
-        assert _shift_unit(np.diag([2.0, 4.0]), Complement(0.5, 3)) == 1.5
+        assert factor_constraint(np.diag([2.0, 4.0]), Complement(0.5, 3)).unit == 1.5
 
     def test_factor_carries_the_unit(self):
-        assert factor_constraint(np.diag([2.0, 4.0])).unit == 3.0
+        # A diagonal B given as its 1-D diagonal has its matrix's unit.
+        assert factor_constraint(np.array([2.0, 4.0])).unit == 3.0
         assert factor_constraint(np.array([2.0, 4.0]), Complement(0.5, 3)).unit == 1.5
-        assert factor_constraint(np.zeros((3, 3))).unit == 1.0
+        assert factor_constraint(np.zeros(3)).unit == 1.0
 
     def test_eigpair_defaults(self):
         pair = EigPair(vectors=np.eye(2), values=np.array([1.0, 0.0]))
@@ -394,7 +394,7 @@ class TestFactoredConstraint:
 
     def test_identity_is_its_own_factor(self):
         factor = factor_constraint(np.eye(4), complement=Complement(1.0, 2))
-        assert _same_bits(factor.chol_inv, np.eye(4)) and factor.shift == 0.0 and factor.order == 4
+        assert _same_bits(factor.chol_inv, np.eye(4)) and factor.shift == 0.0 and factor.chol_inv.shape[0] == 4
 
     def test_factor_carries_its_policy(self, rng):
         factor = factor_constraint(random_psd(rng, 4) + np.eye(4))
@@ -489,7 +489,7 @@ class TestDiagonalFactor:
         diag = np.diagonal(want.chol_inv)
         assert got.chol_inv.tobytes() == diag.tobytes()
         assert _same_bits(want.chol_inv, np.diag(diag))  # zeros elsewhere, none negative
-        assert (got.shift, got.order) == (want.shift, want.order)
+        assert (got.shift, got.chol_inv.shape[0]) == (want.shift, want.chol_inv.shape[0])
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("kind", DIAGONAL_KINDS)

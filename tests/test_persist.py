@@ -270,6 +270,40 @@ class TestMalformedScalars:
         with pytest.raises(DataError, match=f"malformed value for '{key}'"):
             load_model(path)
 
+    # Both layouts check their scalars alike: r1 and r2 are JSON numbers in
+    # [0, 1], shift a finite number >= 0, notes a list of strings.
+    @pytest.mark.parametrize("layout", ["primal", "kernel-direct", "kernel-pca", "kernel-spca"])
+    @pytest.mark.parametrize("key, raw", [
+        ("r1", "2.0"), ("r1", "-3.0"), ("r1", "true"), ("r1", "NaN"), ("r1", "null"),
+        ("r2", "NaN"), ("r2", "1.5"), ("r2", "false"), ("r2", '"0.5"'),
+        ("shift", "NaN"), ("shift", "Infinity"), ("shift", "-1e-300"), ("shift", "true"), ("shift", "1e400"),
+        pytest.param("shift", "1" + "0" * 400, id="shift-400-digit-integer"),
+        ("notes", '"ab"'), ("notes", "[1]"), ("notes", "null"), ("notes", '{"a": "b"}'),
+    ])
+    def test_out_of_type_or_range_in_every_layout(self, tmp_path, data, layout, key, raw):
+        path = _saved(tmp_path, data, layout)
+        _set_scalar(path, key, raw)
+        with pytest.raises(DataError, match=f"malformed value for '{key}'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("layout", ["primal", "kernel-direct", "kernel-pca", "kernel-spca"])
+    def test_edges_of_the_ranges_load(self, tmp_path, data, layout):
+        path = _saved(tmp_path, data, layout)
+        for key, raw in (("r1", "1"), ("r2", "0"), ("shift", "0"), ("notes", '["a", ""]')):
+            _set_scalar(path, key, raw)
+        model = load_model(path)
+        r1, r2 = (model.config.r1, model.config.r2) if layout == "primal" else (model.r1, model.r2)
+        assert (r1, r2, model.shift, model.notes) == (1.0, 0.0, 0.0, ("a", ""))
+        assert all(type(value) is float for value in (r1, r2, model.shift))
+
+    @pytest.mark.parametrize("layout", ["kernel-direct", "kernel-pca", "kernel-spca"])
+    def test_kernel_files_default_an_absent_r1_and_r2_to_zero(self, tmp_path, data, layout):
+        path = _saved(tmp_path, data, layout)
+        _set_scalar(path, "r1", None)
+        _set_scalar(path, "r2", None)
+        model = load_model(path)
+        assert (model.r1, model.r2) == (0.0, 0.0)
+
 
 # The lines primal files carried while these were fit settings: their
 # defaults, and other values.

@@ -90,10 +90,12 @@ class TestConstraint:
     LABELS = [0, 0, 1, 1]
 
     def test_r2_zero(self):
-        np.testing.assert_allclose(constraint(self.X, self.LABELS, 0.0), np.eye(2))
         # A metric's R2 at r2 = 0 is diag(metric) alone, returned as the
         # vector itself, which is factored in closed form
-        # (test_linalg.py::TestDiagonalFactor).
+        # (test_linalg.py::TestDiagonalFactor); R2 = I is the all-ones metric.
+        ones = np.ones(2)
+        assert constraint(self.X, self.LABELS, 0.0, metric=ones) is ones
+        np.testing.assert_array_equal(factor_constraint(ones).chol_inv, np.ones(2))
         metric = np.array([2.0, 3.0])
         assert constraint(self.X, self.LABELS, 0.0, metric=metric) is metric
 
@@ -143,8 +145,15 @@ class TestRobustify:
         np.testing.assert_allclose(repaired, s, atol=1e-9)
         assert complement is None
 
-    def test_identity_unchanged(self):
-        np.testing.assert_allclose(robustify(np.eye(3))[0], np.eye(3), atol=1e-12)
+    @pytest.mark.parametrize("d, complement", [
+        (3, None), (50, None), (64, None), (65, None), (100, None), (300, None), (40, Complement(1.0, 260)),
+    ])
+    def test_identity_unchanged(self, d, complement):
+        # Bit for bit: eigh of an exact identity returns the identity basis,
+        # so the repair rebuilds I exactly. This is why a robust fit at
+        # r2 = 0, where R2 = I, solves the plain problem (test_grid.py).
+        repaired, outside = robustify(np.eye(d), complement)
+        assert repaired.tobytes() == np.eye(d).tobytes() and outside == complement
 
     def test_zero_matrix_becomes_scaled_identity(self):
         out, complement = robustify(np.zeros((3, 3)))

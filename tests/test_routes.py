@@ -188,7 +188,7 @@ def test_dense_route_when_d_is_at_most_n():
 
 def record_orders(monkeypatch) -> list:
     """(solver, order) of every eigenproblem ``rda.fit`` solves: generalized,
-    or symmetric for a fit at r2 = 0 that is not robust. The symmetric
+    or symmetric for a fit at r2 = 0, robust or not. The symmetric
     eigendecomposition inside ``robustify`` is a repair, not a solve."""
     orders = []
 
@@ -219,9 +219,9 @@ def test_span_route_solves_at_most_an_n_by_n_problem(monkeypatch, width):
                 assert model.route == "span"
     assert len(orders) == 18
     assert max(order for _, order in orders) <= N
-    # r2 = 0 without robust, at each r1; a robust fit repairs I and solves
-    # the generalized problem.
-    assert [name for name, _ in orders].count("symmetric_eig") == len(GRID)
+    # r2 = 0 at each r1, robust or not: the robust repair of I is I, so
+    # both solve the plain problem.
+    assert [name for name, _ in orders].count("symmetric_eig") == 2 * len(GRID)
 
 
 # (d, n, classes): d = 8n at n = 12, and the bench's wide blobs. At r2 = 0.1,
