@@ -10,7 +10,7 @@ import numpy as np
 from .exceptions import ConfigError, DataError
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
+def as_matrix(a, name: str) -> np.ndarray:
     """Coerce to a 2-D float64 array; 1-D input becomes a single row."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim == 1:
@@ -20,18 +20,18 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def as_finite_matrix(a, name: str = "X") -> np.ndarray:
-    """:func:`as_matrix` for data a fit consumes: NaN or inf raises DataError."""
-    arr = as_matrix(a, name)
+def as_finite_matrix(a) -> np.ndarray:
+    """:func:`as_matrix` for the data X a fit consumes: NaN or inf raises DataError."""
+    arr = as_matrix(a, "X")
     if not np.all(np.isfinite(arr)):
-        raise DataError(f"{name} holds non-finite values (nan or inf)")
+        raise DataError("X holds non-finite values (nan or inf)")
     return arr
 
 
 def as_features(a, n_features: int) -> np.ndarray:
     """:func:`as_finite_matrix` for data a fitted model embeds: ConfigError
     unless it has the model's ``n_features`` rows."""
-    arr = as_finite_matrix(a, "X")
+    arr = as_finite_matrix(a)
     if arr.shape[0] != n_features:
         raise ConfigError(f"model expects {n_features} features, data has {arr.shape[0]}")
     return arr
@@ -55,7 +55,7 @@ def classes(labels) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(labels, return_inverse=True)
 
 
-def as_square(a, name: str = "matrix") -> np.ndarray:
+def as_square(a, name: str) -> np.ndarray:
     arr = as_matrix(a, name)
     if arr.shape[0] != arr.shape[1]:
         raise ConfigError(f"{name} must be square, got shape {arr.shape}")

@@ -282,11 +282,11 @@ def cmd_sweep(args) -> int:
         configs, experiments.grid_embeddings(args.variant, train, test, configs, data_kernel)
     ):
         if kind == "classification":
-            report = evaluate.knn_classify(emb_train, train.y, emb_test, test.y)
+            metric, value = "error-rate", evaluate.knn_classify(emb_train, train.y, emb_test, test.y)
         else:
-            report = evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y)
+            metric, value = "rmse", evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y)
         s = rda.supervision_level(config.r1, config.r2)
-        rows.append([repr(config.r1), repr(config.r2), repr(s), report.metric, repr(report.value)])
+        rows.append([repr(config.r1), repr(config.r2), repr(s), metric, repr(value)])
     out = args.out or "sweep.csv"
     _write_rows(out, ["r1", "r2", "s", "metric", "value"], rows)
     config_dict = {
@@ -325,7 +325,7 @@ def cmd_experiments(args) -> int:
 
     table_csv = os.path.join(out_dir, "regression_table.csv")
     rows = [
-        [cell.method, repr(cell.r1), str(cell.bench_id), repr(cell.report.mean), repr(cell.report.std)]
+        [cell.method, repr(cell.r1), str(cell.bench_id), repr(cell.mean), repr(cell.std)]
         for cell in cells
     ]
     _write_rows(table_csv, ["method", "r1", "benchmark", "rmse_mean", "rmse_std"], rows)

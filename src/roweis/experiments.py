@@ -42,10 +42,15 @@ TRAIN_FRACTION = 0.7
 
 @dataclass(frozen=True)
 class BenchCell:
+    """Test RMSE of one (method, r1, benchmark) cell: the value of each
+    repetition, their mean and their population standard deviation."""
+
     method: str  # linear | kernel
     r1: float
     bench_id: int
-    report: evaluate.EvalReport
+    values: tuple
+    mean: float
+    std: float
 
 
 def _cell_seed(base_seed: int, bench_id: int, rep: int) -> int:
@@ -76,7 +81,7 @@ def _split_rmse(job) -> list[float]:
     configs = [rda.RoweisConfig(r1=r1, r2=0.0, p=2, label_kernel=label_kernel) for r1 in BENCH_R1_VALUES]
     data_kernel = kernels.KernelSpec(family="rbf")
     return [
-        evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y).value
+        evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y)
         for variant in ("primal", "kernel")
         for emb_train, emb_test in grid_embeddings(variant, train, test, configs, data_kernel)
     ]
@@ -173,7 +178,7 @@ def regression_benchmark_table(repetitions: int = 50, n: int = 100, base_seed: i
         for (method, r1), value in zip(methods, values):
             cells[(method, r1, job[0])].append(value)
     return [
-        BenchCell(method, r1, b, evaluate.EvalReport.from_values("rmse", values))
+        BenchCell(method, r1, b, tuple(values), float(np.mean(values)), float(np.std(values)))
         for (method, r1, b), values in cells.items()
     ]
 
@@ -181,7 +186,7 @@ def regression_benchmark_table(repetitions: int = 50, n: int = 100, base_seed: i
 def benchmark_table_lines(cells: list[BenchCell]) -> list[str]:
     """Aligned text rows: one line per (method, r1), one column per benchmark."""
     bench_ids = sorted({c.bench_id for c in cells})
-    lookup = {(c.method, c.r1, c.bench_id): c.report for c in cells}
+    lookup = {(c.method, c.r1, c.bench_id): c for c in cells}
     header = f"{'method':<8} {'r1':>4}  " + "  ".join(f"{'benchmark ' + str(b):>17}" for b in bench_ids)
     lines = [header]
     for method in ("linear", "kernel"):

@@ -91,7 +91,7 @@ class KernelRdaModel:
     sigma, and the label-kernel factor upsilon), which their files hold.
     """
 
-    variant: str  # direct | trick_pca | trick_spca
+    variant: str  # kernel-direct | kernel-pca | kernel-spca
     coeffs: np.ndarray
     eigvals: np.ndarray
     train_x: np.ndarray
@@ -142,8 +142,9 @@ def fit_direct_grid(x, labels, configs, kernel: kernels.KernelSpec) -> list[Kern
     vectors, values, *g_c = _gram_range(kernel, x)
     solved = _solve_grid(g_c.pop(), labels, configs, lambda r2: n_classes - 1 if r2 == 1.0 else n - 1,
                         lift=vectors, metric=values, count=n - values.size)
-    return [KernelRdaModel(variant="direct", coeffs=pair.vectors, eigvals=pair.values, train_x=train_x, kernel=kernel,
-                           r1=config.r1, r2=config.r2, label_kernel=spec, shift=pair.shift, notes=notes)
+    return [KernelRdaModel(variant="kernel-direct", coeffs=pair.vectors, eigvals=pair.values, train_x=train_x,
+                           kernel=kernel, r1=config.r1, r2=config.r2, label_kernel=spec, shift=pair.shift,
+                           notes=notes)
             for config, (pair, _, notes, spec) in zip(configs, solved)]
 
 
@@ -212,7 +213,7 @@ def _fit_trick(x, labels, r1: float, kernel, label_kernel, p) -> KernelRdaModel:
     right, sigma = pair.vectors[:, :p].copy(), sigma[:p].copy()
     coeffs, offset = fold_centering(right, sigma, upsilon, row_means)
     return KernelRdaModel(
-        variant="trick_pca" if upsilon is None else "trick_spca",
+        variant="kernel-pca" if upsilon is None else "kernel-spca",
         coeffs=coeffs,
         eigvals=sigma**2,
         train_x=x.copy(),

@@ -33,8 +33,8 @@ class KernelSpec:
 
     gamma applies to rbf (None means "median heuristic, not yet resolved"),
     degree and offset apply to polynomial. The delta family compares labels
-    for equality and is only valid through :func:`delta_kernel` /
-    :func:`label_gram`.
+    for equality; it is a label kernel only, and enters a fit as its exact
+    factor, :func:`class_indicator`.
     """
 
     family: str = "linear"
@@ -138,7 +138,7 @@ def gram(spec: KernelSpec, a, b) -> np.ndarray:
         k += spec.offset
         k **= spec.degree
         return k
-    raise ConfigError("delta kernels compare labels; use delta_kernel or label_gram")
+    raise ConfigError("delta kernels compare labels; a fit takes them through class_indicator")
 
 
 def is_categorical(labels) -> bool:
@@ -157,24 +157,9 @@ def is_categorical(labels) -> bool:
     return False
 
 
-def _check_class_labels(y: np.ndarray, name: str) -> None:
-    if y.ndim != 1:
-        raise ConfigError(f"{name} expects 1-D label vectors")
-    if not is_categorical(y):
-        raise ConfigError(f"{name} needs categorical labels, got real-valued targets")
-
-
-def delta_kernel(y1, y2) -> np.ndarray:
-    """Label-equality kernel: entry (i, j) is 1 when y1[i] == y2[j]."""
-    y1 = np.asarray(y1)
-    y2 = np.asarray(y2)
-    for y in (y1, y2):
-        _check_class_labels(y, "delta_kernel")
-    return (y1[:, None] == y2[None, :]).astype(float)
-
-
 def class_indicator(labels) -> np.ndarray:
-    """n x c class-indicator matrix E with E @ E.T == delta_kernel(labels, labels).
+    """n x c class-indicator matrix E: (E E')[i, j] is 1 when labels i and j
+    are equal, the delta label kernel.
 
     Column j marks the samples of the j-th class in ``np.unique`` order, the
     grouping :func:`roweis.scatter.within_scatter` uses. This is the exact
@@ -182,7 +167,10 @@ def class_indicator(labels) -> np.ndarray:
     labels never need the n x n kernel itself.
     """
     labels = np.asarray(labels)
-    _check_class_labels(labels, "class_indicator")
+    if labels.ndim != 1:
+        raise ConfigError("class_indicator expects 1-D label vectors")
+    if not is_categorical(labels):
+        raise ConfigError("class_indicator needs categorical labels, got real-valued targets")
     ids, inverse = classes(labels)
     out = np.zeros((labels.size, ids.size))
     out[np.arange(labels.size), inverse] = 1.0
@@ -190,9 +178,8 @@ def class_indicator(labels) -> np.ndarray:
 
 
 def label_gram(spec: KernelSpec, y1, y2) -> np.ndarray:
-    """Kernel matrix over label vectors, treating each label as a 1-D point."""
-    if spec.family == "delta":
-        return delta_kernel(y1, y2)
+    """Kernel matrix over label vectors, treating each label as a 1-D point;
+    the delta family has none here (see :func:`class_indicator`)."""
     a = np.asarray(y1, dtype=float)[None, :]
     b = np.asarray(y2, dtype=float)[None, :]
     return gram(spec, a, b)

@@ -40,12 +40,8 @@ from .rda import ROUTES, RdaModel, RoweisConfig
 
 FORMAT_TAG = "roweis-model/1"
 
-_VARIANT_NAMES = {
-    "direct": "kernel-direct",
-    "trick_pca": "kernel-pca",
-    "trick_spca": "kernel-spca",
-}
-_VARIANT_FROM_NAME = {v: k for k, v in _VARIANT_NAMES.items()}
+# The kernel models' variants, as KernelRdaModel.variant and the file name them.
+_KERNEL_VARIANTS = ("kernel-direct", "kernel-pca", "kernel-spca")
 
 
 def _write_array(handle, name: str, arr: np.ndarray) -> None:
@@ -78,7 +74,7 @@ def _fields(model) -> tuple[list, list]:
         arrays = [("mean", model.mean), ("eigvals", model.eigvals), ("basis", model.basis)]
     elif isinstance(model, KernelRdaModel):
         scalars = [
-            ("variant", _VARIANT_NAMES[model.variant]),
+            ("variant", model.variant),
             ("r1", model.r1),
             ("r2", model.r2),
             ("kernel", _kernel_dict(model.kernel)),
@@ -87,7 +83,7 @@ def _fields(model) -> tuple[list, list]:
             ("notes", list(model.notes)),
         ]
         arrays = [("eigvals", model.eigvals), ("train_x", model.train_x)]
-        if model.variant == "direct":
+        if model.variant == "kernel-direct":
             arrays.append(("coeffs", model.coeffs))
         else:
             arrays += [("sigma", model.sigma), ("right_vectors", model.right_vectors)]
@@ -275,7 +271,7 @@ def load_primal_model(path) -> RdaModel:
     refused with ConfigError before its trick pieces are folded: the fold
     alone would build the n x n training Gram."""
     scalars, arrays = _parse(path)
-    if scalars.get("variant") in _VARIANT_FROM_NAME:
+    if scalars.get("variant") in _KERNEL_VARIANTS:
         _kernel_fields(path, scalars, arrays)  # a malformed file is a DataError first
         raise ConfigError(
             f"{path}: kernel models have no basis in the input space: the mapped "
@@ -314,9 +310,9 @@ def _model(path, scalars: dict, arrays: dict):
             notes=notes,
             route=route,
         )
-    if variant in _VARIANT_FROM_NAME:
+    if variant in _KERNEL_VARIANTS:
         fields = _kernel_fields(path, scalars, arrays)
-        if fields["variant"] != "direct":
+        if fields["variant"] != "kernel-direct":
             train_x = fields["train_x"]
             row_means = sym(gram(fields["kernel"], train_x, train_x)).mean(axis=1)
             fields["coeffs"], fields["offset"] = fold_centering(
@@ -328,9 +324,9 @@ def _model(path, scalars: dict, arrays: dict):
 def _kernel_fields(path, scalars: dict, arrays: dict) -> dict:
     """The checked :class:`KernelRdaModel` fields of a kernel file; a trick
     file's raw pieces are not yet folded, so it has no coeffs or offset."""
-    kind = _VARIANT_FROM_NAME[scalars["variant"]]
+    variant = scalars["variant"]
     fields = {
-        "variant": kind,
+        "variant": variant,
         "notes": _scalar(scalars, "notes", path, _notes, ()),
         "kernel": _scalar(scalars, "kernel", path, _data_kernel),
         "label_kernel": _scalar(scalars, "label_kernel", path, _kernel_spec, None),
@@ -338,7 +334,7 @@ def _kernel_fields(path, scalars: dict, arrays: dict) -> dict:
         "eigvals": _vec(arrays, "eigvals", path),
     }
     n_train = ("'train_x' columns", fields["train_x"].shape[1])
-    if kind == "direct":
+    if variant == "kernel-direct":
         coeffs = fields["coeffs"] = _mat(arrays, "coeffs", path)
         _agree(path, "'coeffs' rows", coeffs.shape[0], *n_train)
         components = coeffs.shape[1]

@@ -200,8 +200,7 @@ def robustify(s, complement: Complement | None = None):
         tol = TIE_RTOL * float(spectrum[0])
         lo = int(np.count_nonzero(spectrum > tied + tol))
         hi = int(np.count_nonzero(spectrum >= tied - tol))
-        # A tail exactly equal to the complement's value takes the repair below.
-        if lo < head < hi and np.any(spectrum[lo:] != tied):
+        if lo < head < hi:
             if hi < spectrum.size:
                 raise ConfigError("the robust cut splits the tied eigenvalues above smaller ones")
             return sym(s), complement
@@ -292,7 +291,7 @@ def _fit_inputs(x, labels, r1: float, r2: float):
     real targets) when r2 > 0, because the within-class scatter needs a hard
     partition of the samples.
     """
-    x = as_finite_matrix(x, "X")
+    x = as_finite_matrix(x)
     n = x.shape[1]
     if n < 2:
         raise ConfigError(f"fitting needs at least 2 samples, got {n}")

@@ -32,6 +32,11 @@
 * ``blend_label_kernel`` is P = r1 K_y + (1 - r1) I, the dense label side of
   the objective that ``rda.objective`` built for real-valued targets before
   it blended (Xc K_y) Xc' with Xc Xc'.
+* ``delta_kernel`` is the dense n x n label-equality kernel the package
+  built before every delta label kernel went through its exact factor,
+  ``kernels.class_indicator``, and ``label_gram`` the package's
+  ``kernels.label_gram`` with the delta branch it had then: the dense K_y
+  of any label kernel.
 * ``label_term`` is the label term ``rda.objective`` built itself from the
   resolved label kernel before the eigen core built it once per grid: the
   class indicator E for the delta kernel, K_y otherwise, as its keywords.
@@ -66,7 +71,9 @@
   are the CLI sweep and the experiments as per-config loops over the
   package's one-config ``rda.fit`` and ``kernel_rda.fit_direct``: every
   grid point validates, resolves its bandwidths, builds its Grams and
-  label terms and factors its constraint anew. Below 1024 new points ``project_kernel`` equals the
+  label terms and factors its constraint anew, and the table's cells take
+  their mean and population standard deviation as the package's one-score
+  report did. Below 1024 new points ``project_kernel`` equals the
   blocked projection bit for bit, so these loops give the package's outputs
   byte for byte.
 * ``stratified_train_indices`` is the stratified branch of
@@ -360,6 +367,16 @@ def blend_label_kernel(k_y, r1: float) -> np.ndarray:
     return _sym(r1 * k_y + (1.0 - r1) * np.eye(k_y.shape[0]))
 
 
+def delta_kernel(y1, y2) -> np.ndarray:
+    return (np.asarray(y1)[:, None] == np.asarray(y2)[None, :]).astype(float)
+
+
+def label_gram(spec, y1, y2) -> np.ndarray:
+    if spec.family == "delta":
+        return delta_kernel(y1, y2)
+    return kernels.label_gram(spec, y1, y2)
+
+
 def label_term(spec, labels) -> dict:
     if spec is None:
         return {}
@@ -412,7 +429,7 @@ def project_kernel(model, x_any) -> np.ndarray:
     centered with the training Gram."""
     x_any = as_features(x_any, model.train_x.shape[0])
     k_new = gram(model.kernel, model.train_x, x_any)
-    if model.variant == "direct":
+    if model.variant == "kernel-direct":
         return model.coeffs.T @ k_new
     k_train = _sym(gram(model.kernel, model.train_x, model.train_x))
     right = model.right_vectors if model.upsilon is None else model.upsilon @ model.right_vectors
@@ -514,7 +531,7 @@ def fit_kernel_pca(x, kernel, p=None) -> KernelRdaModel:
     right, sigma, notes = _leading_directions(symmetric_eig(double_center(k_x)), p)
     coeffs, offset = fold_centering(right.copy(), sigma.copy(), None, k_x.mean(axis=1))
     return KernelRdaModel(
-        variant="trick_pca", coeffs=coeffs, eigvals=sigma**2, train_x=x.copy(), kernel=kernel,
+        variant="kernel-pca", coeffs=coeffs, eigvals=sigma**2, train_x=x.copy(), kernel=kernel,
         r1=0.0, r2=0.0, right_vectors=right.copy(), sigma=sigma.copy(), notes=notes, offset=offset,
     )
 
@@ -529,7 +546,7 @@ def fit_kernel_spca(x, labels, kernel_x, kernel_y=None, p=None) -> KernelRdaMode
     right, sigma, notes = _leading_directions(symmetric_eig(core), p)
     coeffs, offset = fold_centering(right.copy(), sigma.copy(), upsilon.copy(), k_x.mean(axis=1))
     return KernelRdaModel(
-        variant="trick_spca", coeffs=coeffs, eigvals=sigma**2, train_x=x.copy(), kernel=kernel_x,
+        variant="kernel-spca", coeffs=coeffs, eigvals=sigma**2, train_x=x.copy(), kernel=kernel_x,
         r1=1.0, r2=0.0, label_kernel=spec_y, right_vectors=right.copy(), sigma=sigma.copy(),
         upsilon=upsilon.copy(), notes=notes, offset=offset,
     )
@@ -560,7 +577,7 @@ def fit_direct(x, labels, config, kernel) -> KernelRdaModel:
     cap = min(n, n_classes) - 1 if r2 == 1.0 else n - 1
     p, notes = select_components(pair.values, cap, config.p)
     return KernelRdaModel(
-        variant="direct",
+        variant="kernel-direct",
         coeffs=pair.vectors[:, :p].copy(),
         eigvals=pair.values[:p].copy(),
         train_x=x.copy(),
@@ -586,11 +603,11 @@ def sweep_rows(variant, train, test, r1_values, r2_values, p, data_kernel, label
                 model = kernel_rda.fit_direct(train.X, train.y, config, data_kernel)
                 emb_train, emb_test = project_kernel(model, train.X), project_kernel(model, test.X)
             if train.kind == "classification":
-                report = evaluate.knn_classify(emb_train, train.y, emb_test, test.y)
+                metric, value = "error-rate", evaluate.knn_classify(emb_train, train.y, emb_test, test.y)
             else:
-                report = evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y)
+                metric, value = "rmse", evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y)
             s = rda.supervision_level(float(r1), float(r2))
-            rows.append([repr(float(r1)), repr(float(r2)), repr(s), report.metric, repr(report.value)])
+            rows.append([repr(float(r1)), repr(float(r2)), repr(s), metric, repr(value)])
     return rows
 
 
@@ -606,7 +623,7 @@ def _rmse_for_split(train, test, method: str, r1: float) -> float:
                                       kernels.KernelSpec(family="rbf"))
         emb_train = project_kernel(model, train.X)
         emb_test = project_kernel(model, test.X)
-    return evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y).value
+    return evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y)
 
 
 def regression_benchmark_table(bench_ids=(1, 2, 3), r1_values=experiments.BENCH_R1_VALUES,
@@ -620,10 +637,11 @@ def regression_benchmark_table(bench_ids=(1, 2, 3), r1_values=experiments.BENCH_
             for method in ("linear", "kernel"):
                 for r1 in r1_values:
                     cells[(method, r1, bench_id)].append(_rmse_for_split(train, test, method, r1))
-    return [
-        experiments.BenchCell(m, r1, b, evaluate.EvalReport.from_values("rmse", values))
-        for (m, r1, b), values in cells.items()
-    ]
+    out = []
+    for (m, r1, b), values in cells.items():
+        arr = np.asarray(values, dtype=float)
+        out.append(experiments.BenchCell(m, r1, b, tuple(float(v) for v in arr), float(arr.mean()), float(arr.std())))
+    return out
 
 
 def embedding_panels(dataset_name, n=400, seed=7, train_fraction=0.7,

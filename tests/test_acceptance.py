@@ -44,7 +44,14 @@ from roweis.rda import (
 from roweis.scatter import within_scatter
 
 from conftest import align_columns, align_rows, labeled_blobs
-from oracle import blend_label_kernel, centering_matrix, constraint_matrix, objective_matrix, total_scatter
+from oracle import (
+    blend_label_kernel,
+    centering_matrix,
+    constraint_matrix,
+    delta_kernel,
+    objective_matrix,
+    total_scatter,
+)
 from test_kernels import poly_feature_map
 
 # Fixed seed for the nonlinear-separation runs; chosen once so that the
@@ -101,7 +108,7 @@ def benchmark_cells():
         n=TABLE_N,
         base_seed=TABLE_BASE_SEED,
     )
-    return {(c.method, c.r1, c.bench_id): c.report for c in cells}
+    return {(c.method, c.r1, c.bench_id): c for c in cells}
 
 
 def _window_violations(cells, bench_ids, sigmas):
@@ -151,7 +158,7 @@ def _raw_input_ols_rmse(bench_id: int) -> np.ndarray:
         seed = _cell_seed(TABLE_BASE_SEED, bench_id, rep)
         ds = gen_regression_benchmark(bench_id, TABLE_N, seed)
         train, test = train_test_split(ds, TABLE_TRAIN_FRACTION, seed)
-        values.append(linear_regression_rmse(train.X, train.y, test.X, test.y).value)
+        values.append(linear_regression_rmse(train.X, train.y, test.X, test.y))
     return np.array(values)
 
 
@@ -179,7 +186,7 @@ def test_criterion_1_regression_table_benchmark_2(benchmark_cells):
     # one that does has seen the test targets.
     floors = {"linear": _bench2_affine_floor(), "kernel": BENCH2_NOISE_SD}
     for (method, r1), cell in cells.items():
-        lowest = floors[method] - 2.0 * _standard_error(cell.per_seed_values)
+        lowest = floors[method] - 2.0 * _standard_error(cell.values)
         if cell.mean < lowest:
             violations.append(
                 f"{method} r1={r1}: mean {cell.mean:.4f} below floor "
@@ -188,7 +195,7 @@ def test_criterion_1_regression_table_benchmark_2(benchmark_cells):
 
     # Sufficient direction: the fully supervised 2-D linear embedding keeps
     # what least squares on the raw 4-D inputs finds, paired per split.
-    gap = np.asarray(cells[("linear", 1.0)].per_seed_values) - _raw_input_ols_rmse(2)
+    gap = np.asarray(cells[("linear", 1.0)].values) - _raw_input_ols_rmse(2)
     tolerance = 2.0 * _standard_error(gap)
     if abs(gap.mean()) > tolerance:
         violations.append(
@@ -212,7 +219,7 @@ def test_criterion_2_special_case_equivalence():
         rng = np.random.default_rng(1000 + trial)
         x, labels = labeled_blobs(rng, d=d, n=n, c=c)
         s_t, s_w = total_scatter(x), within_scatter(x, labels)
-        k_y = kernels.delta_kernel(labels, labels)
+        k_y = delta_kernel(labels, labels)
         h = centering_matrix(n)
         dependence = x @ h @ k_y @ h @ x.T
 
@@ -335,7 +342,7 @@ def test_criterion_6_nonlinear_separation():
             err = knn_classify(
                 project_kernel(model, train.X), train.y,
                 project_kernel(model, test.X), test.y,
-            ).value
+            )
             if err > 0.05:
                 violations.append(f"{label} on {name}: error {err:.3f} > 0.05")
         # Plain PCA at the matched dimensionality (the hard-constraint kernel
@@ -343,7 +350,7 @@ def test_criterion_6_nonlinear_separation():
         pca = fit(train.X, None, RoweisConfig(0.0, 0.0, p=1))
         err = knn_classify(
             project(pca, train.X), train.y, project(pca, test.X), test.y
-        ).value
+        )
         if err <= 0.25:
             violations.append(f"plain PCA on {name}: error {err:.3f} not above 0.25")
     report("criterion 6 (nonlinear separation ordering)", violations)
@@ -364,7 +371,7 @@ def test_criterion_7_rank_and_dimensionality_bounds():
 
     rng = np.random.default_rng(71)
     x, labels = labeled_blobs(rng, d=10, n=6, c=2)
-    k_y = kernels.delta_kernel(labels, labels)
+    k_y = delta_kernel(labels, labels)
     s_w = within_scatter(x, labels)
     for r1 in (0.0, 0.5, 1.0):
         for r2 in (0.0, 0.5, 1.0):
@@ -415,7 +422,7 @@ def test_criterion_9_robust_fit():
         violations.append("repaired constraint is not full rank")
 
     robust = fit(x, labels, RoweisConfig(1.0, 1.0, robust=True))
-    k_y = kernels.delta_kernel(labels, labels)
+    k_y = delta_kernel(labels, labels)
     h = centering_matrix(20)
     r1_mat = x @ h @ k_y @ h @ x.T
     r2_eff = repaired + robust.shift * np.eye(50)

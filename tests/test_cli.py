@@ -166,7 +166,18 @@ class TestFit:
         )
         assert code == 0
         model = persist.load_model(model_path)
-        assert model.variant == "direct"
+        assert model.variant == "kernel-direct"
+
+    @pytest.mark.parametrize("variant", ["primal", "kernel", "kernel-spca"])
+    def test_label_kernel_flags_reach_the_model_and_the_manifest(self, tmp_path, xor_csv, variant):
+        model_path = tmp_path / "model.txt"
+        assert run("fit", "--data", xor_csv, "--label-col", "label", "--variant", variant, "--r1", 1,
+                   "--label-kernel", "rbf", "--label-gamma", 0.5, "--out", model_path) == 0
+        spec = kernels.KernelSpec("rbf", gamma=0.5)
+        model = persist.load_model(model_path)
+        assert (model.config.label_kernel if variant == "primal" else model.label_kernel) == spec
+        manifest = json.loads((tmp_path / "model.txt.manifest.json").read_text())
+        assert manifest["config"]["label_kernel"] == spec.to_dict()
 
     def test_missing_data_file_is_data_error(self, tmp_path):
         assert run("fit", "--data", tmp_path / "nope.csv", "--out", tmp_path / "m.txt") == 3
@@ -422,7 +433,7 @@ class TestSweep:
         model = fit_direct(train.X, train.y, rda.RoweisConfig(1.0, 1.0, p=2), kern)
         err = knn_classify(
             project_kernel(model, train.X), train.y, project_kernel(model, test.X), test.y
-        ).value
+        )
         assert rows[("1.0", "1.0")] == err
 
     @pytest.mark.parametrize("variant", ["primal", "kernel"])

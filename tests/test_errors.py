@@ -3,7 +3,8 @@
 Non-finite data and non-finite real-valued targets reach every fit entry
 point as DataError before any factorization runs, and every entry point
 raises the same error for the same faulty input; NaN or inf in the points a
-fitted model embeds is a DataError too; a LinAlgError escaping
+fitted model embeds is a DataError too; data with more than two axes is a
+ConfigError; a LinAlgError escaping
 LAPACK inside ``roweis.linalg`` surfaces as NumericalError; an unknown panel
 dataset is a ConfigError.
 """
@@ -142,6 +143,12 @@ def test_p_below_one_is_a_config_error(entry, d, p, rng):
 def test_unsupervised_dual_checks_the_labels_it_is_given(rng):
     with pytest.raises(ConfigError, match="labels must have length n=10"):
         fit_dual(rng.standard_normal((3, 10)), np.arange(9) % 2, 0.0)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_data_with_more_than_two_axes_is_a_config_error(entry, rng):
+    with pytest.raises(ConfigError, match="X must be 2-dimensional, got ndim=3"):
+        ENTRY_POINTS[entry](rng.standard_normal((2, 3, 4)), np.arange(4) % 2)
 
 
 def test_linalg_error_becomes_numerical_error(monkeypatch):

@@ -326,10 +326,10 @@ class TestProjectGrid:
 
 # ---------------------------------------------------------------- the per-config loops
 
-def sweep_csv(tmp_path, data, variant, grid, seed):
+def sweep_csv(tmp_path, data, variant, grid, seed, *flags):
     out = tmp_path / f"sweep-{variant}.csv"
     assert run("sweep", "--data", data, "--label-col", "label", "--variant", variant,
-               "--grid", grid, "--seed", seed, "--out", out) == 0
+               "--grid", grid, "--seed", seed, *flags, "--out", out) == 0
     return out
 
 
@@ -357,13 +357,34 @@ def test_sweep_writes_the_per_config_loops_bytes(tmp_path, variant, source):
     assert out.read_bytes() == expected.read_bytes()
 
 
+@pytest.mark.parametrize("variant", ["primal", "kernel"])
+def test_sweep_fits_with_the_label_kernel_flags(tmp_path, variant):
+    data = tmp_path / "data.csv"
+    assert run("gen", "bench", "--id", 3, "--n", 50, "--seed", 4, "--out", data) == 0
+    out = sweep_csv(tmp_path, data, variant, 3, 4, "--label-kernel", "rbf", "--label-gamma", 0.5)
+
+    x, y, _ = datasets.load_csv(data, "label")
+    train, test = datasets.train_test_split(datasets.Dataset(X=x, y=y, kind="regression"), 0.7, 4)
+    data_kernel = kernels.KernelSpec("rbf")
+    if variant == "kernel":
+        data_kernel = kernels.resolve_gamma(data_kernel, train.X)
+    values = np.linspace(0.0, 1.0, 3)
+    label_kernel = kernels.KernelSpec("rbf", gamma=0.5)
+    rows = oracle.sweep_rows(variant, train, test, values, [0.0], 2, data_kernel, label_kernel)
+    expected = tmp_path / "expected.csv"
+    text_io_oracle.write_rows(expected, ["r1", "r2", "s", "metric", "value"], rows)
+    assert out.read_bytes() == expected.read_bytes()
+    # The flags matter: the default label kernel, the median-heuristic RBF, scores otherwise.
+    assert rows != oracle.sweep_rows(variant, train, test, values, [0.0], 2, data_kernel, None)
+
+
 def test_experiments_write_the_per_config_loops_bytes(tmp_path):
     out_dir = tmp_path / "results"
     assert run("experiments", "--out-dir", out_dir, "--reps", 2, "--n", 40,
                "--panel-n", 60, "--seed", 2) == 0
     expected = tmp_path / "expected.csv"
     cells = oracle.regression_benchmark_table(repetitions=2, n=40, base_seed=2)
-    rows = [[c.method, repr(c.r1), str(c.bench_id), repr(c.report.mean), repr(c.report.std)]
+    rows = [[c.method, repr(c.r1), str(c.bench_id), repr(c.mean), repr(c.std)]
             for c in cells]
     text_io_oracle.write_rows(expected, ["method", "r1", "benchmark", "rmse_mean", "rmse_std"], rows)
     assert (out_dir / "regression_table.csv").read_bytes() == expected.read_bytes()

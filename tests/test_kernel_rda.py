@@ -22,7 +22,7 @@ from roweis.scatter import within_scatter
 
 from conftest import align_rows, labeled_blobs
 import oracle
-from oracle import ClassPartition, blend_label_kernel, centering_matrix, project_kernel
+from oracle import ClassPartition, blend_label_kernel, centering_matrix, delta_kernel, project_kernel
 from test_kernels import poly_feature_map
 
 
@@ -53,7 +53,7 @@ class TestKernelObjectiveMatrix:
 
     def test_identity_gram(self, rng):
         labels = rng.permutation(np.arange(5) % 2)
-        p = 0.4 * kernels.delta_kernel(labels, labels) + 0.6 * np.eye(5)
+        p = 0.4 * delta_kernel(labels, labels) + 0.6 * np.eye(5)
         h = centering_matrix(5)
         got = objective(row_centered(np.eye(5)), 0.4, factor=kernels.class_indicator(labels))
         np.testing.assert_allclose(got, h @ p @ h, atol=1e-12)
@@ -73,7 +73,7 @@ class TestKernelObjectiveMatrix:
         if label_kernel.family != "delta":
             labels = x[0] - 0.5 * x[1]
         k = kernels.gram(kernels.KernelSpec("rbf", gamma=0.3), x, x)
-        p_mat = blend_label_kernel(kernels.label_gram(label_kernel, labels, labels), r1)
+        p_mat = blend_label_kernel(oracle.label_gram(label_kernel, labels, labels), r1)
         want = oracle.kernel_objective_matrix(k, p_mat)
         got = objective(row_centered(k), r1, **oracle.label_term(label_kernel, labels))
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
@@ -169,7 +169,7 @@ class TestFitDirect:
         kern = kernels.KernelSpec("rbf", gamma=0.5)
         model = fit_direct(x, labels, RoweisConfig(0.6, 0.5), kern)
         k = kernels.gram(kern, x, x)
-        p_mat = 0.6 * kernels.delta_kernel(labels, labels) + 0.4 * np.eye(14)
+        p_mat = 0.6 * delta_kernel(labels, labels) + 0.4 * np.eye(14)
         m_mat = oracle.kernel_objective_matrix(k, p_mat)
         n_mat = within_scatter(k, labels)
         l_eff = oracle.kernel_constraint_matrix(n_mat, k, 0.5) + model.shift * np.eye(14)

@@ -14,7 +14,6 @@ from roweis.exceptions import ConfigError
 from roweis.kernels import (
     KernelSpec,
     class_indicator,
-    delta_kernel,
     double_center,
     gram,
     is_categorical,
@@ -22,6 +21,7 @@ from roweis.kernels import (
     median_heuristic_gamma,
     resolve_gamma,
 )
+from roweis.rda import RoweisConfig, fit
 import oracle
 from oracle import ClassPartition, center_test_kernel
 
@@ -121,29 +121,33 @@ class TestGram:
             gram(KernelSpec("delta"), np.eye(2), np.eye(2))
 
 
+def delta_of(labels) -> np.ndarray:
+    """The delta label kernel as the fits take it: E E' of the class indicator."""
+    e = class_indicator(labels)
+    return e @ e.T
+
+
 class TestDeltaKernel:
     def test_three_point_example(self):
-        k = delta_kernel([0, 0, 1], [0, 0, 1])
-        np.testing.assert_allclose(k, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+        np.testing.assert_array_equal(delta_of([0, 0, 1]), [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
 
     def test_all_equal_gives_ones(self):
-        np.testing.assert_allclose(delta_kernel([3, 3, 3], [3, 3, 3]), np.ones((3, 3)))
+        np.testing.assert_array_equal(delta_of([3, 3, 3]), np.ones((3, 3)))
 
     def test_all_distinct_gives_identity(self):
-        np.testing.assert_allclose(delta_kernel([1, 2, 3], [1, 2, 3]), np.eye(3))
+        np.testing.assert_array_equal(delta_of([1, 2, 3]), np.eye(3))
 
     def test_string_labels(self):
-        k = delta_kernel(np.array(["a", "b"]), np.array(["b", "b"]))
-        np.testing.assert_allclose(k, [[0, 0], [1, 1]])
+        np.testing.assert_array_equal(delta_of(np.array(["a", "b", "b"])), [[1, 0, 0], [0, 1, 1], [0, 1, 1]])
 
     def test_rejects_regression_targets(self):
+        x = np.arange(8.0).reshape(2, 4)
+        config = RoweisConfig(r1=1.0, label_kernel=KernelSpec("delta"))
         with pytest.raises(ConfigError):
-            delta_kernel([0.5, 1.2], [0.5, 1.2])
+            fit(x, np.array([0.5, 1.2, 0.5, 2.0]), config)
 
     def test_positive_semidefinite(self, rng):
-        labels = rng.integers(0, 3, size=20)
-        k = delta_kernel(labels, labels)
-        assert np.linalg.eigvalsh(k).min() >= -1e-10
+        assert np.linalg.eigvalsh(delta_of(rng.integers(0, 3, size=20))).min() >= -1e-10
 
     def test_is_categorical(self):
         assert is_categorical([0, 1, 2])
@@ -166,7 +170,7 @@ class TestClassIndicator:
     def test_factors_the_delta_kernel(self, labels):
         e = class_indicator(labels)
         assert e.shape == (labels.size, np.unique(labels).size)
-        np.testing.assert_array_equal(e @ e.T, delta_kernel(labels, labels))
+        np.testing.assert_array_equal(e @ e.T, oracle.delta_kernel(labels, labels))
 
     def test_columns_follow_the_class_partition(self):
         labels = np.array(["z", "a", "m", "a", "z", "z"])
@@ -310,9 +314,10 @@ class TestBandwidth:
         assert resolved.gamma == pytest.approx(median_heuristic_gamma(x))
         assert resolve_gamma(resolved, rng.standard_normal((3, 4))).gamma == resolved.gamma
 
-    def test_label_gram_delta_dispatch(self):
-        k = label_gram(KernelSpec("delta"), [0, 1], [0, 1])
-        np.testing.assert_allclose(k, np.eye(2))
+    def test_label_gram_refuses_delta(self):
+        # The delta kernel enters a fit only as its factor, class_indicator.
+        with pytest.raises(ConfigError, match="class_indicator"):
+            label_gram(KernelSpec("delta"), [0, 1], [0, 1])
 
     def test_label_gram_rbf_over_targets(self):
         k = label_gram(KernelSpec("rbf", gamma=1.0), [0.0], [1.0])

@@ -25,7 +25,7 @@ from roweis.rda import (
 from roweis.scatter import within_scatter
 
 from conftest import align_rows
-from oracle import blend_label_kernel, constraint_matrix, objective_matrix
+from oracle import blend_label_kernel, constraint_matrix, delta_kernel, objective_matrix
 
 SPECTRUM_RTOL = 1e-10
 EMBEDDING_RTOL = 1e-8
@@ -71,7 +71,7 @@ def case(kind: str, shape: str, seed: int = 0):
 
 
 def dense_label_factor(labels) -> np.ndarray:
-    return psd_factor(kernels.delta_kernel(labels, labels)).T
+    return psd_factor(delta_kernel(labels, labels)).T
 
 
 def spectrum_gap(got: np.ndarray, want: np.ndarray) -> float:
@@ -91,7 +91,7 @@ def assert_rows_match(got: np.ndarray, want: np.ndarray) -> None:
 
 
 def dense_primal(x, labels, r1: float, r2: float):
-    r1_mat = objective_matrix(x, blend_label_kernel(kernels.delta_kernel(labels, labels), r1))
+    r1_mat = objective_matrix(x, blend_label_kernel(delta_kernel(labels, labels), r1))
     if r2 > 0:
         r2_mat = constraint_matrix(within_scatter(x, labels), r2)
     else:
@@ -168,9 +168,9 @@ def test_class_label_fits_never_build_the_delta_kernel(monkeypatch):
     x, labels = case("noncontiguous", "tall")
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the n x n delta kernel was built")
+        raise AssertionError("an n x n label kernel was built")
 
-    monkeypatch.setattr(kernels, "delta_kernel", forbidden)
+    monkeypatch.setattr(kernels, "label_gram", forbidden)
     assert fit(x, labels, RoweisConfig(r1=0.5, r2=0.5)).n_components >= 1
     assert fit(x, labels, RoweisConfig(r1=1.0, r2=0.0)).n_components >= 1
     assert fit_dual(x, labels, 0.5).n_components >= 1

@@ -23,6 +23,7 @@ from oracle import (
     blend_label_kernel,
     centering_matrix,
     constraint_matrix,
+    delta_kernel,
     kernel_constraint_matrix,
     objective_matrix,
     total_scatter,
@@ -78,7 +79,7 @@ class TestObjectiveMatrix:
 
     def test_matches_dependence_form_with_explicit_centering(self, rng):
         x, labels = labeled_blobs(rng, d=3, n=12, c=3)
-        k_y = kernels.delta_kernel(labels, labels)
+        k_y = delta_kernel(labels, labels)
         h = centering_matrix(12)
         expected = x @ h @ k_y @ h @ x.T
         np.testing.assert_allclose(objective_matrix(x, k_y), expected, atol=1e-10)
@@ -209,6 +210,14 @@ class TestRobustifyWithComplement:
         full, _ = robustify(with_complement(block, 3.0, 200))
         np.testing.assert_allclose(with_complement(repaired, outside.value, 200), full, atol=1e-12)
 
+    def test_cut_inside_an_exact_tie_leaves_the_block(self):
+        # As with a tie that is not exact: the cut lands after the first 0.1,
+        # and the tail mean of three copies of 0.1 is not 0.1 bit for bit,
+        # so a repair would change both the block and the complement.
+        block = np.diag([15.0, 0.1, 0.1])
+        repaired, outside = robustify(block, complement=Complement(0.1, 2))
+        assert np.array_equal(repaired, block) and outside == Complement(0.1, 2)
+
     def test_cut_splitting_a_tie_above_smaller_values_is_refused(self):
         # The cut lands among the copies of 3, and 1 follows them: no
         # constraint R2 >= (1 - r2) I has a value below its complement's.
@@ -266,6 +275,12 @@ class TestSelectComponents:
 
 
 class TestFit:
+    def test_one_dimensional_data_is_one_feature(self, rng):
+        x = rng.standard_normal(12)
+        got, want = fit(x, None, RoweisConfig()), fit(x[None, :], None, RoweisConfig())
+        assert got.n_features == 1
+        assert np.array_equal(got.basis, want.basis) and np.array_equal(got.mean, want.mean)
+
     def test_unsupervised_corner_is_pca(self, rng):
         x = rng.standard_normal((5, 30))
         model = fit(x, None, RoweisConfig(0.0, 0.0, p=5))
@@ -290,7 +305,7 @@ class TestFit:
         model = fit(x, labels, RoweisConfig(r1=r1, r2=0.0, p=2))
         monkeypatch.undo()
         assert model.route == route and model.shift == 0.0
-        r1_mat = objective_matrix(x, blend_label_kernel(kernels.delta_kernel(labels, labels), r1))
+        r1_mat = objective_matrix(x, blend_label_kernel(delta_kernel(labels, labels), r1))
         scale = float(model.eigvals[0])
         np.testing.assert_allclose(r1_mat @ model.basis, model.basis * model.eigvals, atol=1e-10 * scale)
         np.testing.assert_allclose(model.basis.T @ model.basis, np.eye(2), atol=1e-12)
@@ -350,7 +365,7 @@ class TestFit:
     def test_double_supervised_corner_solves_its_pencil(self, rng):
         x, labels = labeled_blobs(rng, d=3, n=24, c=3)
         model = fit(x, labels, RoweisConfig(1.0, 1.0))
-        k_y = kernels.delta_kernel(labels, labels)
+        k_y = delta_kernel(labels, labels)
         h = centering_matrix(24)
         r1_mat = x @ h @ k_y @ h @ x.T
         r2_eff = within_scatter(x, labels) + model.shift * np.eye(3)
@@ -368,7 +383,7 @@ class TestFit:
 
     def test_mixing_grid_keeps_matrices_psd(self, rng):
         x, labels = labeled_blobs(rng, d=3, n=20, c=2)
-        k_y = kernels.delta_kernel(labels, labels)
+        k_y = delta_kernel(labels, labels)
         s_w = within_scatter(x, labels)
         for r1 in np.linspace(0, 1, 5):
             for r2 in np.linspace(0, 1, 5):

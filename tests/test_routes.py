@@ -28,6 +28,7 @@ from roweis.rda import (
 from roweis.scatter import within_scatter
 
 from conftest import align_rows
+import oracle
 from oracle import blend_label_kernel, constraint_matrix, objective_matrix
 
 SPECTRUM_RTOL = 1e-10
@@ -60,7 +61,7 @@ def dense_problem(x, labels, config: RoweisConfig):
     d, n = x.shape
     if config.r1 > 0:
         spec = kernels.resolve_label_kernel(config.label_kernel, labels)
-        p_mat = blend_label_kernel(kernels.label_gram(spec, labels, labels), config.r1)
+        p_mat = blend_label_kernel(oracle.label_gram(spec, labels, labels), config.r1)
     else:
         p_mat = np.eye(n)
     r1_mat = objective_matrix(x, p_mat)

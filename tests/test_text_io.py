@@ -254,7 +254,7 @@ def test_experiments_outputs_match_the_oracle(tmp_path):
                "--panel-n", 40, "--seed", 1) == 0
     expected = tmp_path / "expected.csv"
     cells = experiments.regression_benchmark_table(repetitions=2, n=60, base_seed=1)
-    rows = [[c.method, repr(c.r1), str(c.bench_id), repr(c.report.mean), repr(c.report.std)]
+    rows = [[c.method, repr(c.r1), str(c.bench_id), repr(c.mean), repr(c.std)]
             for c in cells]
     oracle.write_rows(expected, ["method", "r1", "benchmark", "rmse_mean", "rmse_std"], rows)
     assert (out_dir / "regression_table.csv").read_bytes() == expected.read_bytes()

@@ -5,9 +5,10 @@ These are copies of ``datasets.load_csv`` and ``save_csv`` (cell-by-cell),
 the CLI's ``_float_cells`` with ``csv.writer``, and ``persist._write_array``,
 ``save_model`` and ``_parse`` (value-by-value). Do not change them to match
 the package: the package must match them, byte for byte and bit for bit.
-The one change since: ``save_model`` no longer writes the
+The changes since: ``save_model`` no longer writes the
 ``valid_eig_threshold``, ``auto_dim_ratio`` and ``reg`` lines, which stopped
-being fit settings.
+being fit settings, and it writes a kernel model's ``variant`` as the model
+holds it, since the model takes the file's names.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from roweis.kernel_rda import KernelRdaModel
 from roweis.rda import RdaModel
 
 FORMAT_TAG = "roweis-model/1"
-_VARIANT_NAMES = {"direct": "kernel-direct", "trick_pca": "kernel-pca", "trick_spca": "kernel-spca"}
 
 
 # ---------------------------------------------------------------- datasets
@@ -199,7 +199,7 @@ def save_model(model, path) -> None:
         _write_array(lines, "eigvals", model.eigvals)
         _write_array(lines, "basis", model.basis)
     elif isinstance(model, KernelRdaModel):
-        _write_scalar(lines, "variant", _VARIANT_NAMES[model.variant])
+        _write_scalar(lines, "variant", model.variant)
         _write_scalar(lines, "r1", model.r1)
         _write_scalar(lines, "r2", model.r2)
         _write_scalar(lines, "kernel", _kernel_dict(model.kernel))
@@ -208,7 +208,7 @@ def save_model(model, path) -> None:
         _write_scalar(lines, "notes", list(model.notes))
         _write_array(lines, "eigvals", model.eigvals)
         _write_array(lines, "train_x", model.train_x)
-        if model.variant == "direct":
+        if model.variant == "kernel-direct":
             _write_array(lines, "coeffs", model.coeffs)
         else:
             _write_array(lines, "sigma", model.sigma)
