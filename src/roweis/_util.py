@@ -73,6 +73,29 @@ def sym(a: np.ndarray) -> np.ndarray:
     return out
 
 
+# sym_in_place works on tiles of this order, so its temporaries stay small.
+SYM_TILE = 128
+
+
+def sym_in_place(a: np.ndarray) -> np.ndarray:
+    """:func:`sym` of a square array written over it, which is returned.
+
+    Each pair of mirrored tiles becomes 0.5 * (a_ij + a_ji) from one
+    tile-sized temporary; IEEE addition commutes, so both halves get the
+    bits of ``sym(a)`` and no n x n copy is made.
+    """
+    n = a.shape[0]
+    for i in range(0, n, SYM_TILE):
+        rows = slice(i, i + SYM_TILE)
+        for j in range(i, n, SYM_TILE):
+            cols = slice(j, j + SYM_TILE)
+            tile = a[rows, cols] + a[cols, rows].T
+            tile *= 0.5
+            a[rows, cols] = tile
+            a[cols, rows] = tile.T
+    return a
+
+
 # Rows converted to Python floats at a time by float_rows: large enough that
 # the per-chunk overhead vanishes, small enough to bound the memory it holds.
 ROW_CHUNK = 1024

@@ -267,8 +267,9 @@ def cmd_sweep(args) -> int:
     data_kernel = _kernel_from_args(args.kernel, args.gamma, args.degree, args.offset)
     if args.variant == "kernel":
         data_kernel = kernels.resolve_gamma(data_kernel, train.X)
+    requested = _label_kernel_from_args(args)
     # Resolved once for the split, not once per grid point.
-    label_kernel = kernels.resolve_label_kernel(_label_kernel_from_args(args), train.y)
+    label_kernel = kernels.resolve_label_kernel(requested, train.y)
 
     values = np.linspace(0.0, 1.0, args.grid)
     # The within-class scatter that r2 > 0 needs exists only for class labels.
@@ -295,6 +296,7 @@ def cmd_sweep(args) -> int:
         "p": args.p,
         "train_fraction": args.train_fraction,
         "kernel": data_kernel.to_dict(),
+        "label_kernel": requested.to_dict() if requested else None,
         "label_col": args.label_col,
     }
     if kind == "regression":

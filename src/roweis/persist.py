@@ -32,7 +32,7 @@ import sys
 
 import numpy as np
 
-from ._util import float_rows, sym
+from ._util import float_rows, sym_in_place
 from .exceptions import ConfigError, DataError
 from .kernel_rda import KernelRdaModel, fold_centering
 from .kernels import KernelSpec, gram
@@ -314,7 +314,7 @@ def _model(path, scalars: dict, arrays: dict):
         fields = _kernel_fields(path, scalars, arrays)
         if fields["variant"] != "kernel-direct":
             train_x = fields["train_x"]
-            row_means = sym(gram(fields["kernel"], train_x, train_x)).mean(axis=1)
+            row_means = sym_in_place(gram(fields["kernel"], train_x, train_x)).mean(axis=1)
             fields["coeffs"], fields["offset"] = fold_centering(
                 fields["right_vectors"], fields["sigma"], fields["upsilon"], row_means)
         return KernelRdaModel(**fields)

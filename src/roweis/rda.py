@@ -218,7 +218,8 @@ def _label_kernel_scale(spec: kernels.KernelSpec, labels) -> float:
     entry, a power of |y_i y_j + offset|, peaks on a pair of extreme labels."""
     if spec.family in ("delta", "rbf"):
         return 1.0
-    ends = np.array([np.min(labels), np.max(labels)], dtype=float)
+    points = kernels.label_points(spec, labels)
+    ends = np.array([points.min(), points.max()])
     return float(np.abs(kernels.label_gram(spec, ends, ends)).max())
 
 

@@ -28,7 +28,17 @@
   must ``double_center``, which now works in place too.
 * ``median_heuristic_gamma`` is the package's bandwidth with its median
   taken by ``np.median``, which the package no longer calls (it imports
-  ``numpy.ma``); the package must give its bits.
+  ``numpy.ma``), on this file's ``squared_distances``; the package must
+  give its bits.
+* ``sym_copying``, ``squared_distances_copying``, ``double_center_copying``
+  and ``median_heuristic_gamma_copying`` are ``_util.sym`` and the kernel
+  builders as they were before the kernel fits kept one n x n array: the
+  symmetrized copy, the norms' sum and the doubled product as two
+  result-sized arrays, the centered copy of K, and the bandwidth over
+  ``np.triu_indices``' index arrays and a copy of the positive distances.
+  ``_util.sym_in_place``, ``kernels.squared_distances``,
+  ``kernels.double_center`` and ``kernels.median_heuristic_gamma`` must
+  give their bits.
 * ``blend_label_kernel`` is P = r1 K_y + (1 - r1) I, the dense label side of
   the objective that ``rda.objective`` built for real-valued targets before
   it blended (Xc K_y) Xc' with Xc Xc'.
@@ -342,7 +352,7 @@ def median_heuristic_gamma(x) -> float:
     if n < 2:
         return 1.0
     i, j = np.triu_indices(n, k=1)
-    pairs = kernels.squared_distances(x, x)[i, j]
+    pairs = squared_distances(x, x)[i, j]
     near = np.flatnonzero(pairs <= kernels.NEAR_RTOL * 2.0 * float(np.max(np.sum(x * x, axis=0))))
     diff = x[:, i[near]] - x[:, j[near]]
     pairs[near] = np.sum(diff * diff, axis=0)
@@ -357,6 +367,56 @@ def median_heuristic_gamma(x) -> float:
 def double_center(k) -> np.ndarray:
     k = as_square(k, "K")
     return k - k.mean(axis=1, keepdims=True) - k.mean(axis=0, keepdims=True) + k.mean()
+
+
+# ---------------------------------------------------------------- kernel builders that copy
+
+def sym_copying(a: np.ndarray) -> np.ndarray:
+    out = a + a.T
+    out *= 0.5
+    return out
+
+
+def squared_distances_copying(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    sq = np.sum(a * a, axis=0)[:, None] + np.sum(b * b, axis=0)[None, :]
+    cross = a.T @ b
+    cross *= 2.0
+    sq -= cross
+    del cross
+    return np.clip(sq, 0.0, None, out=sq)
+
+
+def double_center_copying(k) -> np.ndarray:
+    k = as_square(k, "K")
+    row = k.mean(axis=1, keepdims=True)
+    col = k.mean(axis=0, keepdims=True)
+    out = k - row
+    out -= col
+    out += k.mean()
+    return out
+
+
+def median_heuristic_gamma_copying(x) -> float:
+    x = as_matrix(x, "X")
+    n = x.shape[1]
+    if n < 2:
+        return 1.0
+    d2 = squared_distances_copying(x, x)
+    i, j = np.triu_indices(n, k=1)
+    pairs = d2[i, j]
+    del d2
+    near = np.flatnonzero(pairs <= kernels.NEAR_RTOL * 2.0 * float(np.max(np.sum(x * x, axis=0))))
+    for start in range(0, near.size, kernels.NEAR_BLOCK):
+        block = near[start:start + kernels.NEAR_BLOCK]
+        diff = x[:, i[block]] - x[:, j[block]]
+        pairs[block] = np.sum(diff * diff, axis=0)
+    dists = np.sqrt(pairs, out=pairs)
+    positive = dists[dists > 0.0]
+    if positive.size == 0:
+        return 1.0
+    low, high = (positive.size - 1) // 2, positive.size // 2
+    med = float(np.partition(positive, (low, high))[low:high + 1].mean())
+    return 1.0 / (2.0 * med * med)
 
 
 def blend_label_kernel(k_y, r1: float) -> np.ndarray:

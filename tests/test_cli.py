@@ -179,6 +179,17 @@ class TestFit:
         manifest = json.loads((tmp_path / "model.txt.manifest.json").read_text())
         assert manifest["config"]["label_kernel"] == spec.to_dict()
 
+    @pytest.mark.parametrize("variant", ["primal", "kernel-spca"])
+    @pytest.mark.parametrize("gamma", [["--label-gamma", 0.5], []], ids=["given", "median heuristic"])
+    def test_rbf_label_kernel_on_string_labels_is_config_error(self, tmp_path, capsys, variant, gamma):
+        path = tmp_path / "s.csv"
+        path.write_text("f1,f2,label\n0.1,0.2,a\n0.5,0.1,b\n0.9,0.7,c\n0.3,0.8,a\n0.6,0.4,b\n0.2,0.9,c\n")
+        code = run("fit", "--data", path, "--label-col", "label", "--variant", variant, "--r1", 1,
+                   "--label-kernel", "rbf", *gamma, "--out", tmp_path / "m.txt")
+        assert code == 2
+        assert "the rbf label kernel needs numeric labels" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
     def test_missing_data_file_is_data_error(self, tmp_path):
         assert run("fit", "--data", tmp_path / "nope.csv", "--out", tmp_path / "m.txt") == 3
 
@@ -459,6 +470,23 @@ class TestSweep:
                    "--out", out) == 0
         manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
         assert "r2_values" not in manifest["config"]
+
+    def test_manifest_records_the_label_kernel(self, tmp_path):
+        # A sweep's scores depend on the label kernel, so its manifest
+        # records it as fit's does: the requested kernel, or null.
+        data = tmp_path / "bench.csv"
+        assert run("gen", "bench", "--id", 3, "--n", 40, "--seed", 3, "--out", data) == 0
+        manifests = []
+        for flags in ([], ["--label-kernel", "rbf", "--label-gamma", 0.5],
+                      ["--label-kernel", "rbf", "--label-gamma", 2.0]):
+            out = tmp_path / f"sweep{len(manifests)}.csv"
+            assert run("sweep", "--data", data, "--label-col", "label", "--grid", 2, "--seed", 3,
+                       *flags, "--out", out) == 0
+            manifests.append(json.loads((tmp_path / f"{out.name}.manifest.json").read_text()))
+        assert [m["config"]["label_kernel"] for m in manifests] == [
+            None, {"family": "rbf", "gamma": 0.5}, {"family": "rbf", "gamma": 2.0}]
+        first, second = ({k: v for k, v in m.items() if k != "outputs"} for m in manifests[1:])
+        assert first != second
 
     def test_negative_seed_is_config_error(self, tmp_path, xor_csv, capsys):
         out = tmp_path / "s.csv"

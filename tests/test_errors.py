@@ -4,7 +4,8 @@ Non-finite data and non-finite real-valued targets reach every fit entry
 point as DataError before any factorization runs, and every entry point
 raises the same error for the same faulty input; NaN or inf in the points a
 fitted model embeds is a DataError too; data with more than two axes is a
-ConfigError; a LinAlgError escaping
+ConfigError, and so is a linear, polynomial or RBF label kernel over labels
+that are not numbers; a LinAlgError escaping
 LAPACK inside ``roweis.linalg`` surfaces as NumericalError; an unknown panel
 dataset is a ConfigError.
 """
@@ -49,6 +50,24 @@ TARGET_ENTRY_POINTS = {
     "kernel_rda.fit_direct": lambda x, y: fit_direct(x, y, RoweisConfig(r1=1), KERNEL),
     "kernel_rda.fit_kernel_spca": lambda x, y: fit_kernel_spca(x, y, KERNEL),
 }
+
+
+LABEL_KERNEL_ENTRY_POINTS = {
+    "rda.fit": lambda x, y, spec: fit(x, y, RoweisConfig(r1=1, label_kernel=spec)),
+    "dual.fit_dual": lambda x, y, spec: fit_dual(x, y, 1.0, label_kernel=spec),
+    "kernel_rda.fit_direct": lambda x, y, spec: fit_direct(x, y, RoweisConfig(r1=1, label_kernel=spec), KERNEL),
+    "kernel_rda.fit_kernel_spca": lambda x, y, spec: fit_kernel_spca(x, y, KERNEL, spec),
+}
+
+
+@pytest.mark.parametrize("spec", [kernels.KernelSpec("rbf"), kernels.KernelSpec("rbf", gamma=0.5),
+                                  kernels.KernelSpec("linear"), kernels.KernelSpec("polynomial")],
+                         ids=["rbf median heuristic", "rbf", "linear", "polynomial"])
+@pytest.mark.parametrize("entry", sorted(LABEL_KERNEL_ENTRY_POINTS))
+def test_a_label_kernel_over_numbers_refuses_string_labels(entry, spec, rng):
+    labels = np.array(["a", "b", "c"] * 4)
+    with pytest.raises(ConfigError, match="label kernel needs numeric labels"):
+        LABEL_KERNEL_ENTRY_POINTS[entry](rng.standard_normal((3, 12)), labels, spec)
 
 
 @pytest.mark.parametrize("shape", [(3, 10), (30, 10)], ids=["n>d", "n<d"])

@@ -485,7 +485,8 @@ class TestFitDirectMemory:
 
 class TestInPlaceBuilders:
     """The builders that now work in place give the bits of the one-line
-    formulas kept in tests/oracle.py, and leave their inputs alone."""
+    formulas kept in tests/oracle.py, and leave their inputs alone, except
+    double_center, which centers the array it is given and returns it."""
 
     @staticmethod
     def gram_like(rng, n):
@@ -502,7 +503,9 @@ class TestInPlaceBuilders:
         part = ClassPartition.from_labels(labels)
         metric = np.diag(k).copy()
         before = k.tobytes(), other.tobytes(), metric.tobytes()
-        pairs = [(kernels.double_center(k), oracle.double_center(k))]
+        owned = k.copy()
+        pairs = [(kernels.double_center(owned), oracle.double_center(k))]
+        assert pairs[0][0] is owned
         # At r2 = 0 a metric's constraint is the vector itself
         # (test_rda.py::TestConstraint), and no fit builds R2 = I.
         assert rda.constraint(other, labels, 0.0, metric=metric) is metric

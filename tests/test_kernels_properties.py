@@ -13,6 +13,10 @@ It has the bits of the same bandwidth with its median taken by ``np.median``
 (``oracle.median_heuristic_gamma``): over odd and even counts of positive
 distances, tied distances and equal samples.
 
+It and the other kernel builders that keep one n x n array have the bits of
+their copying forms (``oracle.*_copying``), on drawn shapes and layouts of
+the points of ``test_one_array.py``.
+
 Runs only where ``hypothesis`` is installed; it is a test extra, not a
 runtime dependency.
 """
@@ -24,9 +28,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from roweis.kernels import median_heuristic_gamma  # noqa: E402
+from roweis._util import sym_in_place  # noqa: E402
+from roweis.kernels import double_center, median_heuristic_gamma, squared_distances  # noqa: E402
 
 import oracle  # noqa: E402
+from test_one_array import DIMS, LAYOUTS, gram_like, points, same_bits  # noqa: E402
 
 
 @settings(max_examples=200, deadline=None)
@@ -62,3 +68,21 @@ def test_gamma_has_the_bits_of_np_median(d, n, grid, equal, seed):
         source, target = rng.choice(n, size=2, replace=False)
         x[:, target] = x[:, source]
     assert median_heuristic_gamma(x).hex() == oracle.median_heuristic_gamma(x).hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.sampled_from(DIMS),
+    n=st.integers(1, 300),
+    m=st.integers(1, 300),
+    layout=st.sampled_from(LAYOUTS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_builder_keeps_its_bits(d, n, m, layout, seed):
+    rng = np.random.default_rng(seed)
+    a, b = points(rng, d, n, layout), points(rng, d, m, layout)
+    assert same_bits(squared_distances(a, b), oracle.squared_distances_copying(a, b))
+    assert median_heuristic_gamma(a).hex() == oracle.median_heuristic_gamma_copying(a).hex()
+    k = gram_like(rng, n)
+    assert same_bits(sym_in_place(k.copy()), oracle.sym_copying(k))
+    assert same_bits(double_center(k.copy()), oracle.double_center_copying(k))
