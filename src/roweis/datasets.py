@@ -247,6 +247,11 @@ def _parse_labels(tokens: list[str]) -> np.ndarray:
 # Lines csv.reader turns into an empty row; load_csv skips them.
 _BLANK_LINES = ("\n", "\r\n", "\r")
 
+# Characters of text the bulk parse reads per block (``readlines`` hint): large
+# enough that the per-block cost vanishes, small enough that the text and the
+# table of one block stay small beside X, whether its rows are wide or short.
+PARSE_BLOCK = 1 << 18
+
 
 def load_csv(path, label_col: int | str | None = None):
     """Read a rows-are-samples CSV.
@@ -256,24 +261,34 @@ def load_csv(path, label_col: int | str | None = None):
     or by 0-based index. Missing, non-numeric or non-finite (``nan``,
     ``inf``) feature values and non-finite labels raise DataError with the
     offending 1-based row and column; so does a row csv cannot read, such as
-    one with a field longer than ``csv.field_size_limit()``.
+    one with a field longer than ``csv.field_size_limit()``, and a file that
+    is not UTF-8 text.
 
-    The data rows are parsed in one bulk call (:func:`_parse_bulk`). When that
-    refuses them, the cell-by-cell scan (:func:`_scan_rows`) decides: it
-    accepts what the bulk parse does not take (quoted cells, ``1_0``, Unicode
-    digits) and names the first bad cell otherwise.
+    A first pass decodes the whole file and counts its rows. The data rows
+    are then parsed block by block (:func:`_parse_bulk`) into one
+    preallocated X, so the file's text is never held whole. When any block
+    refuses, the cell-by-cell scan (:func:`_scan_rows`) reads the file again
+    and decides: it accepts what the bulk parse does not take (quoted cells,
+    ``1_0``, Unicode digits) and names the first bad cell otherwise.
 
     Returns (X, y, feature_names) with X of shape d x n; y is None when no
     label column was requested.
     """
     try:
         with open(path, newline="") as handle:
-            lines = handle.readlines()
+            # Counting decodes the whole file, so a byte that is not UTF-8 is
+            # refused before any row is read, as it was when the file was read whole.
+            n_rows = sum(line not in _BLANK_LINES for line in handle)
+            handle.seek(0)
+            return _load_handle(path, handle, n_rows, label_col)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    reader = csv.reader(lines)
-    rows = _csv_rows(path, reader)
-    first = next(rows, None)
+
+
+def _load_handle(path, handle, n_rows, label_col):
+    """:func:`load_csv` of an open ``handle`` at its start that holds ``n_rows`` non-blank lines."""
+    reader = csv.reader(handle)
+    first = next(_csv_rows(path, reader), None)
     if first is None:
         raise DataError(f"{path}: file is empty")
 
@@ -299,12 +314,15 @@ def load_csv(path, label_col: int | str | None = None):
     names = [header[i] for i in feature_idx] if header else [f"f{i + 1}" for i in feature_idx]
 
     # reader.line_num counts the lines the first row took, blank lines before it included.
-    data_lines = lines[reader.line_num if has_header else reader.line_num - 1:]
-    parsed = _parse_bulk(data_lines, width, feature_idx, label_idx)
+    handle.seek(0)
+    for _ in range(reader.line_num if has_header else reader.line_num - 1):
+        n_rows -= handle.readline() not in _BLANK_LINES
+    parsed = _parse_bulk(handle, n_rows, width, feature_idx, label_idx)
     if parsed is None:
-        data_rows = list(rows)
-        if not has_header:
-            data_rows.insert(0, first)
+        handle.seek(0)
+        data_rows = list(_csv_rows(path, csv.reader(handle)))
+        if has_header:
+            del data_rows[0]
         parsed = _scan_rows(path, data_rows, has_header, width, feature_idx, label_idx)
     features, labels = parsed
     y = _parse_labels(labels) if label_idx is not None else None
@@ -319,47 +337,65 @@ def _csv_rows(path, reader):
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
-def _parse_bulk(lines, width, feature_idx, label_idx):
-    """(features, label cells) of the data lines, or None to leave them to the scan.
+def _loadtxt(rows, usecols):
+    """``np.loadtxt`` of the lines ``rows``, or None where it refuses them."""
+    try:
+        return np.loadtxt(rows, delimiter=",", comments=None, usecols=usecols, ndmin=2)
+    except ValueError:
+        return None
 
-    Takes only lines csv would split on every comma: no quote character, no
-    NUL (csv refuses it on Python 3.10) and no line longer than csv's field
-    limit. The feature columns go through one ``np.loadtxt`` call, which reads
-    each cell as ``float(cell.strip())`` does, bit for bit, or refuses it.
+
+def _parse_bulk(handle, n_rows, width, feature_idx, label_idx):
+    """(features, label cells) of the ``n_rows`` data lines left in ``handle``,
+    or None to leave them to the scan.
+
+    Reads ``PARSE_BLOCK`` characters of lines at a time and writes each
+    block's columns into one d x n array. Takes only lines csv would split on
+    every comma: no quote character, no NUL (csv refuses it on Python 3.10)
+    and no line longer than csv's field limit. Each block's feature columns
+    go through ``np.loadtxt``, which reads each cell as ``float(cell.strip())``
+    does, bit for bit, or refuses it; so the block size changes no bit.
     Everything the scan would reject (a ragged row, an empty, non-numeric or
     non-finite cell, an empty or non-finite label) returns None.
     """
-    rows = [line for line in lines if line not in _BLANK_LINES]
-    if not rows or not feature_idx:
+    if not n_rows or not feature_idx:
         return None
     limit = csv.field_size_limit()
-    for line in rows:
-        if line.count(",") != width - 1 or '"' in line or "\0" in line or len(line) > limit:
-            return None
-    try:
-        # loadtxt is faster on every column than with usecols, so numeric labels come along.
-        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-        picked = feature_idx
-    except ValueError:
-        if label_idx is None:
-            return None
-        try:
-            table = np.loadtxt(rows, delimiter=",", comments=None, usecols=feature_idx, ndmin=2)
-        except ValueError:
-            return None
-        picked = slice(None)
     # C order, as the scan builds X: reductions over samples must not change.
-    features = np.ascontiguousarray(table.T[picked])
-    if features.shape != (len(feature_idx), len(rows)) or not np.all(np.isfinite(features)):
-        return None
-    labels = None
-    if label_idx is not None:
-        # The label cell is the last field left after cutting off the fields behind it.
-        behind = width - 1 - label_idx
-        labels = [line.rsplit(",", behind)[0].rpartition(",")[2].strip() for line in rows]
-        for cell in labels:
-            if cell == "" or (_is_float(cell) and not math.isfinite(float(cell))):
+    features = np.empty((len(feature_idx), n_rows))
+    labels = None if label_idx is None else []
+    # loadtxt is faster on every column than with usecols, so numeric labels
+    # come along until a block holds one it cannot read.
+    usecols = None
+    done = 0
+    while block := handle.readlines(PARSE_BLOCK):
+        rows = [line for line in block if line not in _BLANK_LINES]
+        if not rows:
+            continue
+        for line in rows:
+            if line.count(",") != width - 1 or '"' in line or "\0" in line or len(line) > limit:
                 return None
+        table = _loadtxt(rows, usecols)
+        if table is None and usecols is None and label_idx is not None:
+            usecols = feature_idx
+            table = _loadtxt(rows, usecols)
+        if table is None:
+            return None
+        part = table.T if usecols else table.T[feature_idx]
+        if part.shape != (len(feature_idx), len(rows)) or not np.all(np.isfinite(part)):
+            return None
+        features[:, done:done + len(rows)] = part
+        done += len(rows)
+        if labels is not None:
+            # The label cell is the last field left after cutting off the fields behind it.
+            behind = width - 1 - label_idx
+            cells = [line.rsplit(",", behind)[0].rpartition(",")[2].strip() for line in rows]
+            for cell in cells:
+                if cell == "" or (_is_float(cell) and not math.isfinite(float(cell))):
+                    return None
+            labels += cells
+        # Let this block go before the next is read: one block is live at a time.
+        del block, rows, table, part
     return features, labels
 
 

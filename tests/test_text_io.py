@@ -4,7 +4,7 @@
 model-file parser as they were before the bulk parse. Every writer must give
 the oracle's bytes, and every load the oracle's arrays bit for bit (values,
 dtype and memory order), its feature names and, for a malformed file, the
-same error text.
+same error text, whatever the loader's block size.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 import text_io_oracle as oracle
 from roweis import cli, datasets, experiments, persist, rda
 from roweis.cli import main
+from test_kernel_rda import traced_peak
 
 
 def outcome(load, path, label_col=None):
@@ -99,10 +100,8 @@ for token in ("nan", "NaN", "inf", "-inf", "Infinity", "-Infinity"):
 CSV_ERRORS = {"field over the csv limit": "line 2: field larger than field limit"}
 
 
-@pytest.mark.parametrize("case", sorted(TABLE))
-def test_load_matches_the_oracle(tmp_path, case):
+def assert_table_case(path, case):
     content, label_col = TABLE[case]
-    path = tmp_path / "data.csv"
     path.write_bytes(content.encode("utf-8"))
     if case in CSV_ERRORS:
         assert outcome(oracle.load_csv, path, label_col)[:2] == ("raised", "Error")
@@ -110,6 +109,11 @@ def test_load_matches_the_oracle(tmp_path, case):
             datasets.load_csv(path, label_col)
     else:
         assert_same_load(path, label_col)
+
+
+@pytest.mark.parametrize("case", sorted(TABLE))
+def test_load_matches_the_oracle(tmp_path, case):
+    assert_table_case(tmp_path / "data.csv", case)
 
 
 def test_error_names_row_and_column(tmp_path):
@@ -125,14 +129,12 @@ PLAIN_FILES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(PLAIN_FILES))
-def test_bulk_parse_takes_plain_files(tmp_path, monkeypatch, case):
-    """Files without quotes or malformed cells never reach the cell-by-cell scan."""
+def assert_bulk_takes(path, monkeypatch, case):
+    """The plain file ``case`` at ``path`` loads as the oracle loads it, without the scan."""
 
     def refuse(*args):
         raise AssertionError("the scan ran")
 
-    path = tmp_path / "data.csv"
     label_col = 0 if case.startswith("label first") else "label"
     if PLAIN_FILES[case] is None:
         rng = np.random.default_rng(0)
@@ -143,6 +145,109 @@ def test_bulk_parse_takes_plain_files(tmp_path, monkeypatch, case):
     assert expected[0] == "loaded"
     monkeypatch.setattr(datasets, "_scan_rows", refuse)
     assert outcome(datasets.load_csv, path, label_col) == expected
+
+
+@pytest.mark.parametrize("case", sorted(PLAIN_FILES))
+def test_bulk_parse_takes_plain_files(tmp_path, monkeypatch, case):
+    """Files without quotes or malformed cells never reach the cell-by-cell scan."""
+    assert_bulk_takes(tmp_path / "data.csv", monkeypatch, case)
+
+
+# ---------------------------------------------------------------- block boundaries
+
+# load_csv's block size, in characters of text: one line per block, seven
+# lines of four characters ("1,2\n") per block, and the whole file at once.
+BLOCKS = {"one line": 1, "seven short lines": 25, "whole file": 1 << 30}
+
+
+@pytest.fixture(params=sorted(BLOCKS))
+def block(request, monkeypatch):
+    monkeypatch.setattr(datasets, "PARSE_BLOCK", BLOCKS[request.param])
+    return BLOCKS[request.param]
+
+
+@pytest.mark.parametrize("case", sorted(TABLE))
+def test_load_in_blocks_matches_the_oracle(tmp_path, block, case):
+    assert_table_case(tmp_path / "data.csv", case)
+
+
+@pytest.mark.parametrize("case", sorted(PLAIN_FILES))
+def test_bulk_parse_takes_plain_files_in_blocks(tmp_path, monkeypatch, block, case):
+    assert_bulk_takes(tmp_path / "data.csv", monkeypatch, case)
+
+
+def many_blocks_text(n: int, tail: str) -> str:
+    """A header, ``n`` rows of three features and an integer label, and ``tail`` as the last row."""
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((n, 3)).tolist()
+    rows = [",".join(map(repr, row)) + f",{j % 3}" for j, row in enumerate(values)]
+    return "\n".join(["f1,f2,f3,label", *rows, tail]) + "\n"
+
+
+LAST_ROW_FAULTS = {
+    "bad cell": ("1,abc,2,0", "column 2 is not numeric: 'abc'"),
+    "ragged row": ("1,2,0", "has 3 fields, expected 4"),
+    "quote": ('1,2,"3e400",0', "column 3 is not finite: '3e400'"),
+    "nul": ("1,2\x00,3,0", "column 2 is not numeric: '2\\x00'"),
+    "non-finite label": ("1,2,3,-inf", "column 4 is not finite: '-inf'"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LAST_ROW_FAULTS))
+def test_refusal_in_the_last_block_keeps_its_message(tmp_path, monkeypatch, fault):
+    tail, message = LAST_ROW_FAULTS[fault]
+    monkeypatch.setattr(datasets, "PARSE_BLOCK", 1 << 12)
+    text = many_blocks_text(400, tail)
+    assert len(text) > 5 * datasets.PARSE_BLOCK
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = assert_same_load(path, "label")
+    assert expected[:2] == ("raised", "DataError")
+    assert expected[2] == f"{path}: row 402 {message}"
+
+
+def test_bytes_not_utf8_past_the_first_block_exit_3(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    text = many_blocks_text(6000, "1,2,3,0").encode("utf-8")
+    assert len(text) > datasets.PARSE_BLOCK
+    data.write_bytes(text[:-4] + b"\xff,0\n")
+    model = tmp_path / "model.txt"
+    assert run("fit", "--data", data, "--label-col", "label", "--out", model) == 3
+    assert "cannot read" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+
+def test_load_peaks_near_x(tmp_path):
+    """The parse holds X and one block beside it, not the file's text or a copy of X."""
+    path = tmp_path / "data.csv"
+    rng = np.random.default_rng(1)
+    datasets.save_csv(path, rng.standard_normal((20, 20000)), np.arange(20000) % 3)
+    x_bytes = 20 * 20000 * 8
+    assert traced_peak(lambda: datasets.load_csv(path, "label")) <= x_bytes + (1 << 20)
+
+
+def test_cli_outputs_do_not_depend_on_the_block(tmp_path, monkeypatch):
+    data = tmp_path / "data.csv"
+    rng = np.random.default_rng(3)
+    labels = np.arange(1000) % 4
+    datasets.save_csv(data, rng.standard_normal((40, 1000)) + labels, labels)
+    assert data.stat().st_size > 2 * datasets.PARSE_BLOCK
+    outputs = ["model.txt", "model.txt.manifest.json", "emb.csv", "emb.csv.manifest.json"]
+
+    def fit_and_transform():
+        model, emb = tmp_path / "model.txt", tmp_path / "emb.csv"
+        assert run("fit", "--data", data, "--label-col", "label", "--r1", 0.5, "--r2", 0.5,
+                   "--out", model) == 0
+        assert run("transform", "--model", model, "--data", data, "--label-col", "label",
+                   "--out", emb) == 0
+        written = {name: (tmp_path / name).read_bytes() for name in outputs}
+        for name in outputs:
+            (tmp_path / name).unlink()
+        return written
+
+    expected = fit_and_transform()
+    monkeypatch.setattr(datasets, "PARSE_BLOCK", 1)
+    assert fit_and_transform() == expected
 
 
 # ---------------------------------------------------------------- model files

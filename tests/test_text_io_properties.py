@@ -5,7 +5,8 @@ included), the CSV writers and the model-array writer must give the bytes of
 the cell-by-cell code kept in ``text_io_oracle``, and the CSV loader and the
 model parser must return what it returns, bit for bit, or raise the same
 error text. The CSV texts vary the cell format, spacing, quoting, line ends,
-blank lines, the header, the label column and one corrupted cell. Runs only
+blank lines, the header, the label column and one corrupted cell, and the
+loader's block size varies from one line to the whole file. Runs only
 where ``hypothesis`` is installed; it is a test extra.
 """
 
@@ -155,4 +156,7 @@ def test_load_csv_matches_the_oracle(tmp_path_factory, data):
                                          + (["label"] if lines and lines[0] == ",".join(names) else [])))
     path = tmp_path_factory.mktemp("load") / "data.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert outcome(datasets.load_csv, path, label_col) == outcome(oracle.load_csv, path, label_col)
+    block = draw(st.one_of(st.integers(1, 64), st.just(datasets.PARSE_BLOCK)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datasets, "PARSE_BLOCK", block)
+        assert outcome(datasets.load_csv, path, label_col) == outcome(oracle.load_csv, path, label_col)
