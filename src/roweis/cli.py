@@ -8,6 +8,13 @@ reruns with identical inputs reproduce outputs byte for byte.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure. The default seed comes from the ROWEIS_SEED environment variable.
+
+Memory: starting Python and importing numpy costs about 27 MB of RSS. The
+manifest's input hashes import ``hashlib``, which maps OpenSSL (about 3.6
+MB), so it is imported only when the manifest is written, after a fit's
+arrays are freed; ``numpy.random`` imports it anyway, so gen, sweep and
+experiments hold it from their first draw. A kernel fit peaks at ``K_x``
+plus ``eigh``'s buffers, about 5 n^2 doubles.
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import json
 import os
 import sys
@@ -41,6 +47,13 @@ def _default_seed() -> int:
 
 
 def _sha256(path: str) -> str:
+    """Hex SHA-256 of the file's bytes, for the manifest's ``inputs``.
+
+    Imports ``hashlib`` here, not at module level, so that OpenSSL's pages
+    come in after a fit's arrays are freed (see the module docstring).
+    """
+    import hashlib
+
     digest = hashlib.sha256()
     try:
         with open(path, "rb") as handle:

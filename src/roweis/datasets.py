@@ -252,6 +252,9 @@ _BLANK_LINES = ("\n", "\r\n", "\r")
 # table of one block stay small beside X, whether its rows are wide or short.
 PARSE_BLOCK = 1 << 18
 
+# Bytes the row count reads per chunk.
+COUNT_CHUNK = 1 << 16
+
 
 def load_csv(path, label_col: int | str | None = None):
     """Read a rows-are-samples CSV.
@@ -264,7 +267,7 @@ def load_csv(path, label_col: int | str | None = None):
     one with a field longer than ``csv.field_size_limit()``, and a file that
     is not UTF-8 text.
 
-    A first pass decodes the whole file and counts its rows. The data rows
+    A first pass counts the file's rows (:func:`_count_rows`). The data rows
     are then parsed block by block (:func:`_parse_bulk`) into one
     preallocated X, so the file's text is never held whole. When any block
     refuses, the cell-by-cell scan (:func:`_scan_rows`) reads the file again
@@ -276,13 +279,34 @@ def load_csv(path, label_col: int | str | None = None):
     """
     try:
         with open(path, newline="") as handle:
-            # Counting decodes the whole file, so a byte that is not UTF-8 is
-            # refused before any row is read, as it was when the file was read whole.
-            n_rows = sum(line not in _BLANK_LINES for line in handle)
-            handle.seek(0)
-            return _load_handle(path, handle, n_rows, label_col)
+            return _load_handle(path, handle, _count_rows(handle), label_col)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+
+
+def _count_rows(handle):
+    """The non-blank lines of the text file ``handle``, which it leaves at its start.
+
+    While the bytes are ASCII, and so UTF-8, counts them ``COUNT_CHUNK`` at a
+    time: a non-blank line starts at each byte that is not a line end (CR or
+    LF) and follows one or the file's start, whichever of CRLF, CR and LF ends
+    its lines. A file with any other byte is decoded in full and counted line by
+    line, so a byte that is not UTF-8 raises UnicodeDecodeError before any row
+    is read.
+    """
+    rows = 0
+    after_line_end = True  # a line starts at the file's first byte
+    while chunk := handle.buffer.read(COUNT_CHUNK):
+        if not chunk.isascii():
+            handle.seek(0)
+            rows = sum(line not in _BLANK_LINES for line in handle)
+            break
+        codes = np.frombuffer(chunk, np.uint8)
+        line_end = (codes == ord("\n")) | (codes == ord("\r"))
+        rows += np.count_nonzero(line_end[:-1] > line_end[1:]) + (after_line_end and not line_end[0])
+        after_line_end = line_end[-1]
+    handle.seek(0)
+    return int(rows)
 
 
 def _load_handle(path, handle, n_rows, label_col):

@@ -7,6 +7,8 @@ dtype and memory order), its feature names and, for a malformed file, the
 same error text, whatever the loader's block size.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,52 @@ def test_cli_outputs_do_not_depend_on_the_block(tmp_path, monkeypatch):
     expected = fit_and_transform()
     monkeypatch.setattr(datasets, "PARSE_BLOCK", 1)
     assert fit_and_transform() == expected
+
+
+# ---------------------------------------------------------------- row count
+
+COUNT_CASES = {
+    "blank lines at the start": "\n\n1,2\n3,4\n",
+    "blank lines in the middle": "1,2\n\n\n3,4\n",
+    "blank lines at the end": "1,2\n3,4\n\n\n",
+    "no final line end": "1,2\n3,4",
+    "crlf line ends": "1,2\r\n\r\n3,4\r\n",
+    "cr line ends": "\r1,2\r\r3,4\r",
+    "mixed line ends": "\r\n1,2\r\n3,4\n\r5,6\r\r\n7",
+    "whitespace-only lines": "1,2\n \n\t\n\x0b\n\x0c\n",
+    "non-ascii utf-8": "f1,f\u00e9\n1,2\n\n3,4\n",
+    "non-ascii past the first chunks": "1,2\r\n" * 40 + "\n\u00e9,3\n\n4,5",
+    "blank lines only": "\n\r\n\r\n",
+    "empty": "",
+}
+COUNT_CASES.update({f"table: {case}": TABLE[case][0] for case in TABLE})
+
+
+def text_pass_rows(path) -> int:
+    """The rows of ``path`` as load_csv counted them by decoding every line."""
+    with open(path, newline="") as handle:
+        return sum(line not in ("\n", "\r\n", "\r") for line in handle)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 16])
+@pytest.mark.parametrize("case", sorted(COUNT_CASES))
+def test_row_count_matches_the_text_pass(tmp_path, monkeypatch, chunk, case):
+    path = tmp_path / "data.csv"
+    path.write_bytes(COUNT_CASES[case].encode("utf-8"))
+    monkeypatch.setattr(datasets, "COUNT_CHUNK", chunk)
+    with open(path, newline="") as handle:
+        assert datasets._count_rows(handle) == text_pass_rows(path)
+        assert handle.read() == COUNT_CASES[case]  # left at the start
+
+
+def test_byte_not_utf8_past_the_first_chunk_is_refused(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"f1,f2\r\n" + b"1,2\r\n" * 40 + b"\xff,3\r\n")
+    monkeypatch.setattr(datasets, "COUNT_CHUNK", 16)
+    with open(path, newline="") as handle, pytest.raises(UnicodeDecodeError):
+        datasets._count_rows(handle)
+    with pytest.raises(datasets.DataError, match=f"^cannot read {re.escape(str(path))}: "):
+        datasets.load_csv(path)
 
 
 # ---------------------------------------------------------------- model files
