@@ -12,7 +12,6 @@ from .exceptions import ConfigError, DataError, NumericalError, RoweisError
 from .kernel_rda import KernelRdaModel, fit_direct, fit_kernel_pca, fit_kernel_spca
 from .kernel_rda import project as project_kernel
 from .kernels import KernelSpec
-from .persist import load_model, save_model
 from .rda import RdaModel, RoweisConfig, fit, project, reconstruct, supervision_level
 
 __all__ = [
@@ -37,3 +36,13 @@ __all__ = [
     "supervision_level",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    """``load_model`` and ``save_model``, whose module is imported on first
+    use, so a command that reads or writes no model file does not hold it."""
+    if name in ("load_model", "save_model"):
+        from . import persist
+
+        return getattr(persist, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

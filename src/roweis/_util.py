@@ -96,9 +96,10 @@ def sym_in_place(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Rows converted to Python floats at a time by float_rows: large enough that
-# the per-chunk overhead vanishes, small enough to bound the memory it holds.
-ROW_CHUNK = 1024
+# Cells converted to Python floats at a time by float_rows (at least one row):
+# large enough that the per-chunk overhead vanishes, small enough that the
+# floats it holds (about 32 bytes a cell) stay near 0.5 MB, however wide the rows.
+FLOAT_CELLS = 1 << 14
 
 
 def float_rows(matrix, sep: str):
@@ -106,12 +107,13 @@ def float_rows(matrix, sep: str):
 
     Every cell is exactly ``repr(float(v))``, the shortest string that reads
     back as the same double, and cells are joined by ``sep``. Rows are turned
-    into Python floats ``ROW_CHUNK`` at a time, so a caller that writes each
-    line as it comes never holds the whole file as text.
+    into Python floats about ``FLOAT_CELLS`` cells at a time, so a caller
+    that writes each line as it comes never holds the whole file as text.
     """
     matrix = np.asarray(matrix, dtype=float)
-    for start in range(0, matrix.shape[0], ROW_CHUNK):
-        for row in matrix[start:start + ROW_CHUNK].tolist():
+    rows = max(1, FLOAT_CELLS // max(matrix.shape[1], 1))
+    for start in range(0, matrix.shape[0], rows):
+        for row in matrix[start:start + rows].tolist():
             yield sep.join(map(repr, row))
 
 

@@ -13,8 +13,20 @@ Memory: starting Python and importing numpy costs about 27 MB of RSS. The
 manifest's input hashes import ``hashlib``, which maps OpenSSL (about 3.6
 MB), so it is imported only when the manifest is written, after a fit's
 arrays are freed; ``numpy.random`` imports it anyway, so gen, sweep and
-experiments hold it from their first draw. A kernel fit peaks at ``K_x``
+experiments hold it from their first draw. Likewise ``persist`` (model
+files) and ``experiments`` and ``evaluate`` are imported by the commands
+that use them, not by every command. A kernel fit peaks at ``K_x``
 plus ``eigh``'s buffers, about 5 n^2 doubles.
+
+A primal or dual fit on the ``"classes"`` route (see :mod:`roweis.rda`)
+streams the CSV: the parse's blocks go, re-sliced into the slabs
+``rda.fit_grid`` takes of X, into each class's count, mean and scatter, so
+the fit holds O(c d^2) and one block, never X nor a label per row (flat in
+n: about 39 MB max RSS at n = 200 000, d = 50). Every other fit, and one the
+stream cannot reproduce bit for bit (see :func:`_streamed_fit`), loads X
+with ``load_csv`` and fits it, as ``rda.fit`` does. The commands that load
+X (the other fits, transform, reconstruct, sweep) drop it, its labels and
+what they computed from it before they write their CSV and manifest.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, datasets, dual, evaluate, experiments, kernel_rda, kernels, persist, rda
+from . import __version__, datasets, dual, kernel_rda, kernels, rda
 from ._util import csv_cells, float_rows
 from .exceptions import ConfigError, DataError, NumericalError
 
@@ -182,35 +194,114 @@ def _print_spectrum(values) -> None:
         print(f"{i:>9}  {v:>14.6e}  {share:>7.4f}")
 
 
-def cmd_fit(args) -> int:
-    x, y = _load_features(args.data, args.label_col)
+def _fit_settings(args, r1: float, r2: float):
+    """(label kernel, data kernel, config) of ``fit``'s arguments, or the
+    ConfigError a fit of them raises before it reads the data."""
     variant = args.variant
-    r1 = args.r1 if args.r1 is not None else (1.0 if variant == "kernel-spca" else 0.0)
-    r2 = args.r2 if args.r2 is not None else 0.0
-
     if variant == "kernel-pca" and (r1 != 0.0 or r2 != 0.0):
         raise ConfigError("kernel-pca is the r1=0, r2=0 corner; drop --r1/--r2 or use --variant kernel")
     if variant == "kernel-spca" and (r1 != 1.0 or r2 != 0.0):
         raise ConfigError("kernel-spca is the r1=1, r2=0 corner; drop --r1/--r2 or use --variant kernel")
     if args.robust and variant != "primal":
         raise ConfigError(f"--robust repairs the primal constraint only; --variant {variant} has no robust form")
-
     label_kernel = _label_kernel_from_args(args)
     data_kernel = _kernel_from_args(args.kernel, args.gamma, args.degree, args.offset)
     config = rda.RoweisConfig(r1=r1, r2=r2, p=args.p, label_kernel=label_kernel, robust=args.robust)
+    return label_kernel, data_kernel, config
 
+
+def _streamed_fit(args, config: rda.RoweisConfig):
+    """The primal or dual fit of ``config`` from class statistics streamed
+    out of ``args.data``, never holding X or a label per row; None wherever
+    it would not be ``rda.fit`` of ``load_csv``'s X and labels bit for bit,
+    and the caller makes that call instead.
+
+    The parse's blocks (:func:`roweis.datasets.csv_blocks`) are re-sliced
+    into the STATS_BLOCK-column slabs ``rda.fit_grid`` takes of X, and each
+    slab is merged by label cell (:func:`roweis.rda.merge_slab`), or as one
+    group when the fit uses no labels. The distinct cells are then read as
+    ``load_csv`` reads the label column, and :func:`roweis.rda.fit_classes`
+    solves in their ``np.unique`` order. It gives up on a fit that is not
+    on the ``"classes"`` route (the span route, a label Gram, many classes),
+    a fit the library refuses, a block the bulk parse refuses (the scan
+    decides), and a class spelled two ways (``1`` and ``01``).
+    """
+    if args.variant not in ("primal", "dual") or (args.variant == "dual" and config.r2 != 0.0):
+        return None
+    by_class = config.r1 > 0 or config.r2 > 0
+    if by_class and (args.label_col is None or not rda.class_factor(config)):
+        return None
+    groups: dict = {}
+    # Raises what load_csv raises, as the header and the blocks are its own.
+    with datasets.csv_blocks(args.data, args.label_col) as (n, d, blocks):
+        if n < max(d, 2):
+            return None
+        slab = np.empty((d, min(n, rda.STATS_BLOCK)))
+        keys: list = []
+        filled = seen = 0
+        for part, cells in blocks:
+            seen += part.shape[1]
+            at = 0
+            while at < part.shape[1]:
+                take = min(slab.shape[1] - filled, part.shape[1] - at)
+                slab[:, filled:filled + take] = part[:, at:at + take]
+                if by_class:
+                    keys += cells[at:at + take]
+                filled, at = filled + take, at + take
+                if filled == slab.shape[1]:
+                    rda.merge_slab(groups, slab, keys if by_class else None)
+                    filled, keys = 0, []
+                    if len(groups) * d > n:  # too many classes: X's route
+                        return None
+            del part, cells  # one block live at a time
+        if filled:
+            rda.merge_slab(groups, slab[:, :filled], keys if by_class else None)
+    if seen < n:
+        return None
+    if not by_class:
+        return rda.fit_classes([groups[None]], None, [config])[0]
+    spellings = list(groups)
+    ids, inverse = np.unique(datasets._parse_labels(spellings), return_inverse=True)
+    if ids.size < len(spellings) or rda.class_grouping(config, ids, d, n) != "classes":
+        return None
+    ordered = [None] * ids.size
+    for cell, k in zip(spellings, inverse.tolist()):
+        ordered[k] = groups[cell]
+    return rda.fit_classes(ordered, ids, [config])[0]
+
+
+def _fit_data(variant, x, y, config, data_kernel):
+    """The fit of ``variant`` on the loaded X and labels."""
     if variant == "primal":
-        model = rda.fit(x, y, config)
-    elif variant == "dual":
-        model = dual.fit_dual(x, y, r1, r2=r2, p=args.p, label_kernel=label_kernel)
-    elif variant == "kernel":
-        model = kernel_rda.fit_direct(x, y, config, data_kernel)
-    elif variant == "kernel-pca":
-        model = kernel_rda.fit_kernel_pca(x, data_kernel, p=args.p)
-    elif variant == "kernel-spca":
-        model = kernel_rda.fit_kernel_spca(x, y, data_kernel, label_kernel, p=args.p)
-    else:
-        raise ConfigError(f"unknown variant {variant!r}")
+        return rda.fit(x, y, config)
+    if variant == "dual":
+        return dual.fit_dual(x, y, config.r1, r2=config.r2, p=config.p, label_kernel=config.label_kernel)
+    if variant == "kernel":
+        return kernel_rda.fit_direct(x, y, config, data_kernel)
+    if variant == "kernel-pca":
+        return kernel_rda.fit_kernel_pca(x, data_kernel, p=config.p)
+    if variant == "kernel-spca":
+        return kernel_rda.fit_kernel_spca(x, y, data_kernel, config.label_kernel, p=config.p)
+    raise ConfigError(f"unknown variant {variant!r}")
+
+
+def cmd_fit(args) -> int:
+    variant = args.variant
+    r1 = args.r1 if args.r1 is not None else (1.0 if variant == "kernel-spca" else 0.0)
+    r2 = args.r2 if args.r2 is not None else 0.0
+    try:
+        label_kernel, data_kernel, config = _fit_settings(args, r1, r2)
+    except ConfigError:
+        # A bad file is reported before bad arguments, as when X is read first.
+        _load_features(args.data, args.label_col)
+        raise
+    model = _streamed_fit(args, config)
+    if model is None:
+        x, y = _load_features(args.data, args.label_col)
+        model = _fit_data(variant, x, y, config, data_kernel)
+        del x, y  # not beside the model file's text nor the manifest's OpenSSL
+
+    from . import persist
 
     out = args.out or "model.txt"
     try:
@@ -243,25 +334,33 @@ def _project_any(model, x):
     return kernel_rda.project(model, x)
 
 
+def _apply(apply, model, args, out: str, prefix: str) -> tuple:
+    """Write ``apply(model, X)`` for the X of ``args.data`` to ``out``, one
+    row per sample under columns ``prefix1``, ``prefix2``, ..., and return
+    its shape. X dies before the CSV is written, and the result before the
+    caller writes its manifest."""
+    values = apply(model, _load_features(args.data, args.label_col)[0])
+    _write_matrix(out, [f"{prefix}{i + 1}" for i in range(values.shape[0])], values)
+    return values.shape
+
+
 def cmd_transform(args) -> int:
-    model = persist.load_model(args.model)
-    x, _ = _load_features(args.data, args.label_col)
-    emb = _project_any(model, x)
+    from . import persist
+
     out = args.out or "embedding.csv"
-    _write_matrix(out, [f"e{i + 1}" for i in range(emb.shape[0])], emb)
+    dims, rows = _apply(_project_any, persist.load_model(args.model), args, out, "e")
     _write_manifest("transform", {"label_col": args.label_col}, None, [args.model, args.data], [out])
-    print(f"wrote {emb.shape[1]} embeddings ({emb.shape[0]} dimensions) to {out}")
+    print(f"wrote {rows} embeddings ({dims} dimensions) to {out}")
     return 0
 
 
 def cmd_reconstruct(args) -> int:
-    model = persist.load_primal_model(args.model)
-    x, _ = _load_features(args.data, args.label_col)
-    rec = rda.reconstruct(model, x)
+    from . import persist
+
     out = args.out or "reconstruction.csv"
-    _write_matrix(out, [f"f{i + 1}" for i in range(rec.shape[0])], rec)
+    _, rows = _apply(rda.reconstruct, persist.load_primal_model(args.model), args, out, "f")
     _write_manifest("reconstruct", {"label_col": args.label_col}, None, [args.model, args.data], [out])
-    print(f"wrote {rec.shape[1]} reconstructions to {out}")
+    print(f"wrote {rows} reconstructions to {out}")
     return 0
 
 
@@ -270,6 +369,33 @@ def cmd_reconstruct(args) -> int:
 def cmd_sweep(args) -> int:
     if args.grid < 2:
         raise ConfigError(f"--grid must be at least 2 per axis, got {args.grid}")
+    rows, kind, data_kernel, requested = _sweep_rows(args)
+    out = args.out or "sweep.csv"
+    _write_rows(out, ["r1", "r2", "s", "metric", "value"], rows)
+    config_dict = {
+        "variant": args.variant,
+        "grid": args.grid,
+        "p": args.p,
+        "train_fraction": args.train_fraction,
+        "kernel": data_kernel.to_dict(),
+        "label_kernel": requested.to_dict() if requested else None,
+        "label_col": args.label_col,
+    }
+    if kind == "regression":
+        config_dict["r2_values"] = [0.0]
+    _write_manifest("sweep", config_dict, args.seed, [args.data], [out])
+    if kind == "regression":
+        print("real-valued targets: swept r1 at r2 = 0 only (r2 > 0 needs class labels)")
+    print(f"wrote {len(rows)} grid points to {out}")
+    return 0
+
+
+def _sweep_rows(args):
+    """(rows, kind, data kernel, requested label kernel) of a sweep; the data,
+    the split and the embeddings die on return, before the sweep's CSV is
+    written."""
+    from . import evaluate, experiments  # here, so the other commands do not hold them
+
     x, y = _load_features(args.data, args.label_col)
     if y is None:
         raise ConfigError("sweep needs labels; pass --label-col")
@@ -301,29 +427,14 @@ def cmd_sweep(args) -> int:
             metric, value = "rmse", evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y)
         s = rda.supervision_level(config.r1, config.r2)
         rows.append([repr(config.r1), repr(config.r2), repr(s), metric, repr(value)])
-    out = args.out or "sweep.csv"
-    _write_rows(out, ["r1", "r2", "s", "metric", "value"], rows)
-    config_dict = {
-        "variant": args.variant,
-        "grid": args.grid,
-        "p": args.p,
-        "train_fraction": args.train_fraction,
-        "kernel": data_kernel.to_dict(),
-        "label_kernel": requested.to_dict() if requested else None,
-        "label_col": args.label_col,
-    }
-    if kind == "regression":
-        config_dict["r2_values"] = [0.0]
-    _write_manifest("sweep", config_dict, args.seed, [args.data], [out])
-    if kind == "regression":
-        print("real-valued targets: swept r1 at r2 = 0 only (r2 > 0 needs class labels)")
-    print(f"wrote {len(rows)} grid points to {out}")
-    return 0
+    return rows, kind, data_kernel, requested
 
 
 # ---------------------------------------------------------------- experiments
 
 def cmd_experiments(args) -> int:
+    from . import experiments  # here, so the other commands do not hold it
+
     # Everything is computed before anything is created, so a refused run
     # (--reps, --n, --panel-n or the seed) leaves no directory behind.
     cells = experiments.regression_benchmark_table(

@@ -7,6 +7,7 @@ triple is bit-reproducible across runs and platforms.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import warnings
@@ -273,13 +274,48 @@ def load_csv(path, label_col: int | str | None = None):
     refuses, the cell-by-cell scan (:func:`_scan_rows`) reads the file again
     and decides: it accepts what the bulk parse does not take (quoted cells,
     ``1_0``, Unicode digits) and names the first bad cell otherwise.
+    :func:`csv_blocks` hands the same blocks to a reader that keeps no X.
 
     Returns (X, y, feature_names) with X of shape d x n; y is None when no
     label column was requested.
     """
+    with _reading(path) as handle:
+        n_rows, width, feature_idx, label_idx, names, has_header = _layout(path, handle, label_col)
+        parsed = _parse_all(_parse_bulk(handle, n_rows, width, feature_idx, label_idx), n_rows, len(feature_idx),
+                            label_idx is not None)
+        if parsed is None:
+            handle.seek(0)
+            data_rows = list(_csv_rows(path, csv.reader(handle)))
+            if has_header:
+                del data_rows[0]
+            parsed = _scan_rows(path, data_rows, has_header, width, feature_idx, label_idx)
+    features, labels = parsed
+    y = _parse_labels(labels) if label_idx is not None else None
+    return features, y, names
+
+
+@contextlib.contextmanager
+def csv_blocks(path, label_col):
+    """The parse of :func:`load_csv`, block by block, for a reader that keeps
+    no X: yields (n, d, blocks) with n and d the shape of the X that
+    ``load_csv`` would return, known before any row is parsed, and
+    ``blocks`` the :func:`_parse_bulk` generator of (features, label cells).
+    ``blocks`` ends early where the bulk parse refuses a block, so its
+    columns then number fewer than n and ``load_csv`` would have gone to the
+    scan. The file stays open, and its errors are raised, as in ``load_csv``.
+    """
+    with _reading(path) as handle:
+        n_rows, width, feature_idx, label_idx, _, _ = _layout(path, handle, label_col)
+        yield n_rows, len(feature_idx), _parse_bulk(handle, n_rows, width, feature_idx, label_idx)
+
+
+@contextlib.contextmanager
+def _reading(path):
+    """``path`` open as text for reading; an OSError or a byte that is not
+    UTF-8 on the way raises DataError ``cannot read ...``."""
     try:
         with open(path, newline="") as handle:
-            return _load_handle(path, handle, _count_rows(handle), label_col)
+            yield handle
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
 
@@ -309,8 +345,12 @@ def _count_rows(handle):
     return int(rows)
 
 
-def _load_handle(path, handle, n_rows, label_col):
-    """:func:`load_csv` of an open ``handle`` at its start that holds ``n_rows`` non-blank lines."""
+def _layout(path, handle, label_col):
+    """What the header row of the text file ``handle`` fixes, as (data rows,
+    fields per row, feature fields, label field, feature names, whether
+    there is a header); counts the rows first (:func:`_count_rows`) and
+    leaves ``handle`` at the first data line."""
+    n_rows = _count_rows(handle)
     reader = csv.reader(handle)
     first = next(_csv_rows(path, reader), None)
     if first is None:
@@ -341,16 +381,7 @@ def _load_handle(path, handle, n_rows, label_col):
     handle.seek(0)
     for _ in range(reader.line_num if has_header else reader.line_num - 1):
         n_rows -= handle.readline() not in _BLANK_LINES
-    parsed = _parse_bulk(handle, n_rows, width, feature_idx, label_idx)
-    if parsed is None:
-        handle.seek(0)
-        data_rows = list(_csv_rows(path, csv.reader(handle)))
-        if has_header:
-            del data_rows[0]
-        parsed = _scan_rows(path, data_rows, has_header, width, feature_idx, label_idx)
-    features, labels = parsed
-    y = _parse_labels(labels) if label_idx is not None else None
-    return features, y, names
+    return n_rows, width, feature_idx, label_idx, names, has_header
 
 
 def _csv_rows(path, reader):
@@ -369,58 +400,72 @@ def _loadtxt(rows, usecols):
         return None
 
 
-def _parse_bulk(handle, n_rows, width, feature_idx, label_idx):
-    """(features, label cells) of the ``n_rows`` data lines left in ``handle``,
-    or None to leave them to the scan.
+def _parse_all(blocks, n_rows, d, labelled):
+    """(features, label cells) of the :func:`_parse_bulk` ``blocks`` of
+    ``n_rows`` lines, written into one d x n array, or None to leave the
+    file to the scan."""
+    # C order, as the scan builds X: reductions over samples must not change.
+    features = np.empty((d, n_rows))
+    labels = [] if labelled else None
+    done = 0
+    for part, cells in blocks:
+        features[:, done:done + part.shape[1]] = part
+        done += part.shape[1]
+        if labelled:
+            labels += cells
+        del part, cells  # one block live at a time
+    return (features, labels) if done == n_rows else None
 
-    Reads ``PARSE_BLOCK`` characters of lines at a time and writes each
-    block's columns into one d x n array. Takes only lines csv would split on
-    every comma: no quote character, no NUL (csv refuses it on Python 3.10)
-    and no line longer than csv's field limit. Each block's feature columns
-    go through ``np.loadtxt``, which reads each cell as ``float(cell.strip())``
-    does, bit for bit, or refuses it; so the block size changes no bit.
-    Everything the scan would reject (a ragged row, an empty, non-numeric or
-    non-finite cell, an empty or non-finite label) returns None.
+
+def _parse_bulk(handle, n_rows, width, feature_idx, label_idx):
+    """Yield (features, label cells) for each block of the data lines left in
+    ``handle``: a d x k array and a list of k cells (None without a label
+    column). Stops early, with no more blocks, where the bulk parse refuses
+    one, to leave the file to the scan.
+
+    Reads ``PARSE_BLOCK`` characters of lines at a time. Takes only lines csv
+    would split on every comma: no quote character, no NUL (csv refuses it
+    on Python 3.10) and no line longer than csv's field limit. Each block's
+    feature columns go through ``np.loadtxt``, which reads each cell as
+    ``float(cell.strip())`` does, bit for bit, or refuses it; so the block
+    size changes no bit. Everything the scan would reject (a ragged row, an
+    empty, non-numeric or non-finite cell, an empty or non-finite label)
+    refuses, as does a file with no data rows or no feature columns.
     """
     if not n_rows or not feature_idx:
-        return None
+        return
     limit = csv.field_size_limit()
-    # C order, as the scan builds X: reductions over samples must not change.
-    features = np.empty((len(feature_idx), n_rows))
-    labels = None if label_idx is None else []
     # loadtxt is faster on every column than with usecols, so numeric labels
     # come along until a block holds one it cannot read.
     usecols = None
-    done = 0
     while block := handle.readlines(PARSE_BLOCK):
         rows = [line for line in block if line not in _BLANK_LINES]
         if not rows:
             continue
         for line in rows:
             if line.count(",") != width - 1 or '"' in line or "\0" in line or len(line) > limit:
-                return None
+                return
         table = _loadtxt(rows, usecols)
         if table is None and usecols is None and label_idx is not None:
             usecols = feature_idx
             table = _loadtxt(rows, usecols)
         if table is None:
-            return None
+            return
         part = table.T if usecols else table.T[feature_idx]
         if part.shape != (len(feature_idx), len(rows)) or not np.all(np.isfinite(part)):
-            return None
-        features[:, done:done + len(rows)] = part
-        done += len(rows)
-        if labels is not None:
+            return
+        cells = None
+        if label_idx is not None:
             # The label cell is the last field left after cutting off the fields behind it.
             behind = width - 1 - label_idx
             cells = [line.rsplit(",", behind)[0].rpartition(",")[2].strip() for line in rows]
             for cell in cells:
                 if cell == "" or (_is_float(cell) and not math.isfinite(float(cell))):
-                    return None
-            labels += cells
+                    return
+        del block, rows, table
+        yield part, cells
         # Let this block go before the next is read: one block is live at a time.
-        del block, rows, table, part
-    return features, labels
+        del part, cells
 
 
 def _scan_rows(path, data_rows, has_header, width, feature_idx, label_idx):

@@ -34,10 +34,24 @@ factor takes. S_W (or N) is built only for r2 > 0 and is scaled in place,
 so it dies with its R2. The direct fit's L at r2 = 0 is diag(lambda_m),
 returned as the vector lambda_m itself and factored in closed form.
 
-Which matrices the solver sees depends on the shape alone (the model's
-``route``), for every (r1, r2) and robust or not:
+Which matrices the solver sees depends on the shapes and the config's label
+kernel alone (the model's ``route``, :func:`class_grouping`), robust or not:
 
-* ``"dense"`` (d <= n): R1 and R2 are built d x d and solved as they are.
+* ``"classes"`` (d <= n; r1 = r2 = 0, or the label term the class factor E
+  or none with c d <= n): R1 and R2 are sums of three d x d terms, the
+  total scatter S_T = Xc Xc', the within-class scatter S_W and the
+  class-mean term (Xc E)(Xc E)', and Xc E = (M - mu 1') diag(n_c) for the
+  d x c class means M. So the fit needs only each class's count n_c, mean
+  and scatter M2_c (:class:`ClassMoments`), never X itself. They are
+  merged over STATS_BLOCK-column slabs of X in row order with the pairwise
+  update of Chan, Golub & LeVeque 1983 ("Algorithms for computing the
+  sample variance", Am. Stat.; :func:`merge_slab`), and :func:`fit_classes`
+  solves from them. At r1 = r2 = 0 the whole set is one class. The command
+  line streams a CSV into the same slabs, so its fit never holds X (see
+  :mod:`roweis.cli`).
+* ``"dense"`` (d <= n otherwise: a label Gram K_y, real-valued targets, or
+  c d > n): R1 and R2 are built d x d from the centered data and solved as
+  they are.
 * ``"span"`` (n < d): everything lives in span(Xc). Take an orthonormal Q
   (d x n, thin QR of Xc; any Q whose span holds span(Xc) will do, so no rank
   is decided) and Z = Q' Xc. Then R1 = Q R1(Z) Q', and S_W = Q S_W(Z) Q'
@@ -56,7 +70,7 @@ Which matrices the solver sees depends on the shape alone (the model's
   copies of 1 - r2 and the exact repair changes nothing, so the block is
   kept as it is.
 
-Both routes, and the kernel direct fit's range, are configurations of one
+All three routes, and the kernel direct fit's range, are configurations of one
 eigen core, :func:`_solve_grid`: coordinates, R2's metric, a complement and
 a lift; :func:`fit_grid` is the core at many configs, and :func:`fit` at
 one. Every fit entry point takes its components from
@@ -71,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, scatter
-from ._util import as_features, as_finite_matrix, as_labels, as_square, sym
+from ._util import as_features, as_finite_matrix, as_labels, as_square, classes, sym
 from .exceptions import ConfigError, NumericalError
 from .linalg import (
     EIG_NOISE_RTOL,
@@ -94,9 +108,15 @@ SPECTRUM_MASS = 0.98
 # count as tied with it when robustify places its cut.
 TIE_RTOL = 1e-10
 
-# How a fit was solved: on the d x d matrices, or in the span of the centered
-# data (n < d). "dual" appears only in older model files.
-ROUTES = ("dense", "span", "dual")
+# How a fit was solved: from class statistics, on the d x d matrices, or in
+# the span of the centered data (n < d). "dual" appears only in older model
+# files.
+ROUTES = ("classes", "dense", "span", "dual")
+
+# Columns of X per slab of the class statistics: the slabs, and so the bits of
+# a "classes" fit, are the same whether X is held (fit_grid) or streamed (the
+# command line).
+STATS_BLOCK = 1024
 
 # select_components: eigenvalues above this fraction of the largest count as
 # valid, and p=None keeps those whose share of the spectrum is at least
@@ -150,6 +170,21 @@ class RdaModel:
     @property
     def n_components(self) -> int:
         return int(self.basis.shape[1])
+
+
+class ClassMoments:
+    """The second moments of the centered data Xc that a ``"classes"`` fit
+    solves from: ``scatter_total`` = Xc Xc' (S_T), ``scatter_within`` = S_W
+    and ``class_sums`` = Xc E, the d x c sums of Xc over each class. The eigen
+    core takes them in place of Xc, with the class ids as its labels: over
+    the classes the delta kernel is I, so its factor is I_c and the label
+    term is (Xc E)(Xc E)'. (A plain class: a dataclass costs every command
+    about 9 KB more at import.)"""
+
+    __slots__ = ("scatter_total", "scatter_within", "class_sums")
+
+    def __init__(self, scatter_total, scatter_within, class_sums):
+        self.scatter_total, self.scatter_within, self.class_sums = scatter_total, scatter_within, class_sums
 
 
 def supervision_level(r1: float, r2: float) -> float:
@@ -235,19 +270,25 @@ def label_factor(spec: kernels.KernelSpec, labels) -> np.ndarray:
     return psd_factor(kernels.label_gram(spec, labels, labels)).T
 
 
-def objective(centered: np.ndarray, r1: float, factor=None, gram=None) -> np.ndarray:
+def objective(centered, r1: float, factor=None, gram=None) -> np.ndarray:
     """R1 = (1 - r1) Xc Xc' + r1 Xc K_y Xc' for every fit: Xc is the centered
     data, its span coordinates, or K_x H for the kernel direct fit. The label
     term is (Xc F)(Xc F)' for a ``factor`` F with F F' = K_y (E for class
     labels), built after ``centered`` is dropped, and (Xc K_y) Xc' for a
-    ``gram`` K_y, built before Xc Xc'. At r1 = 0 neither is needed."""
+    ``gram`` K_y, built before Xc Xc'. At r1 = 0 neither is needed. For
+    :class:`ClassMoments` Xc Xc' is their S_T and Xc F their class sums
+    times the factor in class coordinates."""
     part = q = None
-    if r1 > 0 and factor is not None:
-        q = centered @ factor
-    elif r1 > 0:
-        part = centered @ gram
-        part = part @ centered.T
-    out = centered @ centered.T if r1 < 1 else None
+    if isinstance(centered, ClassMoments):
+        q = centered.class_sums @ factor if r1 > 0 else None
+        out = centered.scatter_total.copy() if r1 < 1 else None
+    else:
+        if r1 > 0 and factor is not None:
+            q = centered @ factor
+        elif r1 > 0:
+            part = centered @ gram
+            part = part @ centered.T
+        out = centered @ centered.T if r1 < 1 else None
     del centered
     if q is not None:
         part = q @ q.T
@@ -270,10 +311,14 @@ def constraint(data, labels, r2: float, metric=None) -> np.ndarray:
     vector, all ones (R2's identity) when None. The kernel direct fit passes
     K_x's kept eigenvalues, the metric of its L in K_x's eigenbasis, and is
     added on the diagonal, not built as a matrix. At r2 = 0 it returns the
-    metric itself: diag(metric), or None for R2 = I, which needs no factor."""
+    metric itself: diag(metric), or None for R2 = I, which needs no factor.
+    For :class:`ClassMoments` S_W is theirs."""
     if r2 == 0:
         return metric
-    out = scatter.within_scatter(data, labels)
+    if isinstance(data, ClassMoments):
+        out = data.scatter_within.copy()
+    else:
+        out = scatter.within_scatter(data, labels)
     if r2 == 1:
         return out
     # In place, and the bits of r2 S_W + (1 - r2) diag(metric): off the
@@ -342,7 +387,8 @@ def _solve_grid(centered, labels, configs, cap, scatter_data=None, lift=None, me
     resolved label kernel) per config, in the configs' order.
 
     ``centered`` are the coordinates a fit solves in: the centered data
-    (dense route), Z = Q' Xc (span route) or the kernel range's G H; S_W is
+    (dense route), Z = Q' Xc (span route), the kernel range's G H, or the
+    :class:`ClassMoments` of the centered data ("classes" route); S_W is
     taken of ``scatter_data``, or of ``centered`` when None. The problem is
     the block of one with ``count`` more dimensions, where R1 is 0 and R2 is
     (1 - r2) I, or 0 with a ``metric`` (see :func:`constraint`); the factor
@@ -367,10 +413,13 @@ def _solve_grid(centered, labels, configs, cap, scatter_data=None, lift=None, me
     Eigenvalues at or below EIG_NOISE_RTOL ||centered||_F^2 ((1 - r1) + r1
     max|K_y|) / unit, the factor's unit (1 without a factor), are round-off
     at the scale of R1's inputs: a spectrum of them is refused as one of
-    zeros.
+    zeros. For class moments ||Xc||_F^2 is tr(S_T).
     """
     configs = list(configs)
-    noise = EIG_NOISE_RTOL * float(np.vdot(centered, centered))
+    if isinstance(centered, ClassMoments):
+        noise = EIG_NOISE_RTOL * float(np.trace(centered.scatter_total))
+    else:
+        noise = EIG_NOISE_RTOL * float(np.vdot(centered, centered))
     groups: dict = {}
     for i, config in enumerate(configs):
         groups.setdefault((config.r2, config.robust and config.r2 > 0), []).append(i)
@@ -420,29 +469,153 @@ def fit(x, labels, config: RoweisConfig) -> RdaModel:
 def fit_grid(x, labels, configs) -> list[RdaModel]:
     """Fits of one training set at every config, in the configs' order, each
     equal to :func:`fit` at its config bit for bit. The inputs are checked
-    once (:func:`_fit_inputs`, at the largest r1 and r2); the mean, the route
-    ("span" when n < d, else "dense") and the span route's QR are taken once
-    for one :func:`_solve_grid` call."""
+    once (:func:`_fit_inputs`, at the largest r1 and r2). The configs are
+    parted by :func:`class_grouping`, and each part is solved by one
+    :func:`_solve_grid` call: from one pass of class statistics
+    (:func:`fit_classes`), or from X with the mean, and the span route's
+    QR, taken once."""
     configs = list(configs)
     if not configs:
         raise ConfigError("fit_grid needs at least one config")
     x, labels = _fit_inputs(x, labels, max(c.r1 for c in configs), max(c.r2 for c in configs))
     d, n = x.shape
+    ids = keys = None
+    if any(config.r1 > 0 or config.r2 > 0 for config in configs):
+        ids, keys = classes(labels)
+    parts: dict = {}
+    for i, config in enumerate(configs):
+        parts.setdefault(class_grouping(config, ids, d, n), []).append(i)
+    models: list = [None] * len(configs)
+    for grouping, members in parts.items():
+        part = [configs[i] for i in members]
+        if grouping is None:
+            fitted = _fit_data(x, labels, part)
+        else:
+            by_class = grouping == "classes"
+            groups: dict = {}
+            for start in range(0, n, STATS_BLOCK):
+                stop = start + STATS_BLOCK
+                merge_slab(groups, x[:, start:stop], keys[start:stop] if by_class else None)
+            order = range(ids.size) if by_class else [None]
+            fitted = fit_classes([groups[k] for k in order], ids if by_class else None, part)
+        for i, model in zip(members, fitted):
+            models[i] = model
+    return models
 
+
+def _fit_data(x, labels, configs) -> list[RdaModel]:
+    """The fits that hold X: the mean and the centered data once, then the
+    span route's QR (n < d) or the d x d matrices ("dense")."""
+    d, n = x.shape
     mean = x.mean(axis=1)
     centered = x - mean[:, None]
-    route = "span" if n < d else "dense"
     rank = min(d, n - 1)
-    if route == "span":
+    if n < d:
         # Any orthonormal Q whose span holds span(Xc) is exact: no rank cut.
         q = np.linalg.qr(centered)[0]
         solved = _solve_grid(q.T @ centered, labels, configs, lambda r2: rank, lift=q, count=d - n)
-    else:
-        solved = _solve_grid(centered, labels, configs, lambda r2: rank, scatter_data=x)
+        return _models(configs, solved, mean, "span")
+    solved = _solve_grid(centered, labels, configs, lambda r2: rank, scatter_data=x)
+    return _models(configs, solved, mean, "dense")
+
+
+def _models(configs, solved, mean, route) -> list[RdaModel]:
+    """The RdaModel of each config from its :func:`_solve_grid` result."""
     return [RdaModel(basis=pair.vectors, eigvals=pair.values, mean=mean,
                      config=dataclasses.replace(config, p=p, label_kernel=spec or config.label_kernel),
                      shift=pair.shift, notes=notes, route=route)
             for config, (pair, p, notes, spec) in zip(configs, solved)]
+
+
+def class_grouping(config: RoweisConfig, ids, d: int, n: int) -> str | None:
+    """How a fit of ``config`` on d x n data groups its samples for the
+    ``"classes"`` route, or None when it must hold X.
+
+    "all" (one group) when it uses no labels (r1 = r2 = 0); "classes" when
+    its label term is the class factor E or none and c d <= n for the c
+    classes ``ids`` (the distinct labels, in ``np.unique`` order); never
+    when n < d (the span route). A label Gram K_y, real-valued targets
+    under the delta kernel (which the dense route refuses) and many classes
+    keep X.
+    """
+    if n < d:
+        return None
+    if config.r1 == 0 and config.r2 == 0:
+        return "all"
+    if not class_factor(config) or not kernels.is_categorical(ids) or ids.size * d > n:
+        return None
+    return "classes"
+
+
+def class_factor(config: RoweisConfig) -> bool:
+    """Whether the label term of ``config`` is the class factor E or none:
+    r1 = 0, or a delta label kernel (given, or the default for class ids)."""
+    return config.r1 == 0 or config.label_kernel is None or config.label_kernel.family == "delta"
+
+
+def merge_slab(groups: dict, slab, keys) -> None:
+    """Merge the columns of the d x m ``slab`` into the running (count, mean,
+    M2) of ``groups``, one entry per distinct value of ``keys`` (one per
+    column; None puts every column in the entry None).
+
+    Each group's columns of the slab are taken as one C-ordered block, their
+    mean and scatter M2 = Bc Bc' computed, and merged into the group's entry
+    with the pairwise update (Chan, Golub & LeVeque 1983): for counts a and
+    b, means m_a and m_b and delta = m_b - m_a, the merged mean is
+    m_a + delta b / (a + b) and M2 = M2_a + M2_b + (a b / (a + b)) delta
+    delta'. So the bits depend only on which columns each slab holds, in
+    which order, whatever the slab's own layout.
+    """
+    if keys is None:
+        blocks = [(None, np.ascontiguousarray(slab))]
+    else:
+        values, inverse = classes(np.asarray(keys))
+        # compress returns a new C-ordered array, whatever slab's strides.
+        blocks = [(key, slab.compress(inverse == i, axis=1)) for i, key in enumerate(values.tolist())]
+    for key, block in blocks:
+        count = block.shape[1]
+        mean = block.mean(axis=1)
+        block = block - mean[:, None]
+        m2 = block @ block.T
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [count, mean, m2]
+            continue
+        total = group[0] + count
+        delta = mean - group[1]
+        group[1] = group[1] + delta * (count / total)
+        # w (delta_i delta_j) is the same for (i, j) and (j, i): M2 stays symmetric.
+        m2 += (group[0] * count / total) * np.outer(delta, delta)
+        group[2] += m2
+        group[0] = total
+
+
+def fit_classes(groups, ids, configs) -> list[RdaModel]:
+    """Fits at every config from class statistics (route ``"classes"``).
+
+    ``groups`` holds each class's [count, mean, M2] in the order of ``ids``
+    (the class ids, or None for one class over every sample), as
+    :func:`merge_slab` leaves them. With the class means M (d x c) and the
+    counts n_c: mu = M n_c / n, Xc E = (M - mu 1') diag(n_c), S_W = sum_c
+    M2_c and S_T = S_W + (Xc E)(M - mu 1')'. The configs go to
+    :func:`_solve_grid` as they are from :func:`fit_grid`, so R1 comes from
+    :func:`objective` and R2 from :func:`constraint`, with rank cap
+    min(d, n - 1).
+    """
+    counts = np.array([group[0] for group in groups], dtype=float)
+    means = np.column_stack([group[1] for group in groups])
+    d, n = means.shape[0], int(counts.sum())
+    mean = means @ (counts / counts.sum())
+    deltas = means - mean[:, None]
+    sums = deltas * counts
+    within = groups[0][2].copy()
+    for group in groups[1:]:
+        within += group[2]
+    total = within + sums @ deltas.T
+    moments = ClassMoments(scatter_total=sym(total), scatter_within=sym(within), class_sums=sums)
+    rank = min(d, n - 1)
+    solved = _solve_grid(moments, ids, configs, lambda r2: rank)
+    return _models(configs, solved, mean, "classes")
 
 
 def project(model: RdaModel, x_any) -> np.ndarray:

@@ -355,10 +355,11 @@ class TestTransformReconstruct:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("shape, route", [("xor", "dense"), ("wide", "span")])
+    @pytest.mark.parametrize("shape, route", [("xor", "classes"), ("wide", "span")])
     def test_dual_fit_is_saved_in_the_primal_layout(self, tmp_path, xor_csv, shape, route):
         # A dual fit is the primal fit at r2 = 0: XOR (d = 2) takes the d x d
-        # solve, 30 features and 10 samples the span of the centered data.
+        # solve from class statistics, 30 features and 10 samples the span of
+        # the centered data.
         data = xor_csv
         if shape == "wide":
             data = tmp_path / "wide.csv"

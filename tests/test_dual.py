@@ -27,10 +27,10 @@ class TestFitDual:
         with pytest.raises(ConfigError):
             fit_dual(rng.standard_normal((3, 8)), None, 0.7)
 
-    @pytest.mark.parametrize("shape, route", [((8, 3), "span"), ((3, 8), "dense")])
+    @pytest.mark.parametrize("shape, route", [((8, 3), "span"), ((3, 8), "classes")])
     def test_unsupervised_factor_is_centered_data(self, rng, shape, route):
         # W = Xc: the primal fit's span route when n < d, the d x d
-        # eigenproblem of W W' otherwise.
+        # eigenproblem of W W' (from the statistics of one class) otherwise.
         x = rng.standard_normal(shape)
         model = fit_dual(x, None, 0.0)
         assert isinstance(model, RdaModel) and model.route == route
@@ -164,7 +164,7 @@ class TestRouteEquivalence:
             right = np.linalg.qr(np.hstack([np.ones((n, 1)), rng.standard_normal((n, d))]))[0][:, 1:]
             x = (left * sigma) @ right.T + rng.standard_normal((d, 1))
             got, want = fit_dual(x, p=d), oracle.fit_dual(x, p=d)
-            assert got.route == "dense"
+            assert got.route == "classes"
             k = got.n_components
             assert k == select_components(want.eigvals, want.eigvals.size, d)[0]
             value_gap = max(value_gap, np.max(np.abs(got.eigvals - want.eigvals[:k])) / want.eigvals[0])
@@ -301,7 +301,7 @@ class TestSharedSmallSideSolve:
             for p in (None, 2):
                 got = fit_dual(x, y, r1, p=p)
                 want = fit(x, y, RoweisConfig(r1, 0.0, p=p))
-                assert got.route == want.route == ("dense" if d < 12 else "span")
+                assert got.route == want.route == ("classes" if d < 12 else "span")
                 assert (got.config, got.notes, got.shift) == (want.config, want.notes, want.shift)
                 for name in ("basis", "eigvals", "mean"):
                     assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -311,16 +311,19 @@ class TestSharedSmallSideSolve:
     @pytest.mark.parametrize("r1", (0.0, 0.5, 1.0))
     def test_dual_dense_route_agrees_with_the_oracles_svd(self, r1, labels, shape):
         # W has at least d columns: the d x d eigenproblem of W W' replaced
-        # the oracle's SVD of W.
+        # the oracle's SVD of W. With no label term or the class factor E it
+        # is solved from class statistics, whose mean is the sample mean to
+        # round-off.
         label_kernel, targets = LABEL_KERNELS[labels]
         x, y = small_side_data(3, 3, 12, shape, targets)
+        route = "classes" if r1 == 0 or labels == "classes" else "dense"
         for p in PS:
             want = oracle.fit_dual(x, y, r1, p=p, label_kernel=label_kernel)
             got = fit_dual(x, y, r1, p=p, label_kernel=label_kernel)
-            assert got.route == "dense" and want.route == "dual"
+            assert got.route == route and want.route == "dual"
             k = got.n_components
             assert k == select_components(want.eigvals, want.eigvals.size, p)[0]
-            assert got.mean.tobytes() == want.mean.tobytes()
+            np.testing.assert_allclose(got.mean, want.mean, rtol=0.0, atol=1e-15 * np.abs(x).max())
             assert got.config == dataclasses.replace(want.config, p=k)
             np.testing.assert_allclose(got.eigvals, want.eigvals[:k], rtol=0.0, atol=1e-14 * want.eigvals[0])
             basis = align_columns(want.basis[:, :k], got.basis)

@@ -217,7 +217,7 @@ class TestFitDirectGrid:
 @pytest.mark.parametrize("d", (3, 40))
 @pytest.mark.parametrize("r1", (0.0, 0.5, 1.0))
 def test_a_robust_fit_at_r2_zero_is_the_plain_fit(rng, monkeypatch, d, r1):
-    # Dense route (d <= n) and span route (n < d): R2 = I, whose robust
+    # Classes route (d <= n) and span route (n < d): R2 = I, whose robust
     # repair is I bit for bit, so the robust fit solves the plain problem
     # and repairs, factors and solves nothing generalized.
     x, labels = labeled_blobs(rng, d=d, n=20, c=3)
@@ -229,16 +229,16 @@ def test_a_robust_fit_at_r2_zero_is_the_plain_fit(rng, monkeypatch, d, r1):
     for name in ("robustify", "factor_constraint", "generalized_eig"):
         monkeypatch.setattr(rda, name, forbidden)
     robust = rda.fit(x, labels, RoweisConfig(r1, 0.0, robust=True))
-    assert robust.config.robust and plain.route == ("dense" if d <= 20 else "span")
+    assert robust.config.robust and plain.route == ("classes" if d <= 20 else "span")
     assert_same_rda_model(robust, dataclasses.replace(plain, config=dataclasses.replace(plain.config, robust=True)))
 
 
 class TestFitGrid:
     @pytest.mark.parametrize("d", (3, 40))
     def test_edge_cases_match_the_per_config_fit(self, rng, d):
-        # Dense (d <= n) and span (n < d) routes; r2 not grouped in the config
-        # order, robust and not, p above the rank cap, and two label kernels
-        # that resolve to the same delta kernel.
+        # Classes (d <= n) and span (n < d) routes; r2 not grouped in the
+        # config order, robust and not, p above the rank cap, and two label
+        # kernels that resolve to the same delta kernel.
         x, labels = labeled_blobs(rng, d=d, n=20, c=3)
         configs = [
             RoweisConfig(1.0, 0.5, p=2), RoweisConfig(0.5, 1.0, p=30, robust=True), RoweisConfig(0.0, 0.0),
@@ -247,7 +247,7 @@ class TestFitGrid:
         ]
         models = rda.fit_grid(x, labels, configs)
         assert len(models) == len(configs)
-        assert {model.route for model in models} == {"dense" if d <= 20 else "span"}
+        assert {model.route for model in models} == {"classes" if d <= 20 else "span"}
         assert models[1].notes
         for config, model in zip(configs, models):
             assert_same_rda_model(model, rda.fit(x, labels, config))

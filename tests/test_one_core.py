@@ -12,6 +12,14 @@ Gram K_y, are built once per grid by the core and handed to ``objective``;
 besides the core only the kernel-trick fits' ``label_factor`` and the noise
 floor's ``_label_kernel_scale`` may build them, so no per-config label build
 grows back in ``objective`` or a caller.
+
+The "classes" route solves from ``rda.ClassMoments`` through the same core:
+``_solve_grid`` is called only by the fits that hold X (``_fit_data``), by
+``fit_classes`` and by the kernel direct fit, and ``fit_classes`` only by
+``fit_grid`` and the command line's streamed fit. The moments' fields are
+read only where R1 and R2 are built: S_T and the class sums by
+``objective`` (S_T's trace also by the core, for its noise floor) and S_W
+by ``constraint``.
 """
 
 import ast
@@ -29,6 +37,13 @@ ALLOWED = {
     ("linalg", "symmetric_eig"): {CORE, ("rda", "robustify"), ("kernel_rda", "_fit_trick")},
     ("kernels", "label_gram"): {CORE, ("rda", "label_factor"), ("rda", "_label_kernel_scale")},
     ("kernels", "class_indicator"): {CORE, ("rda", "label_factor")},
+    CORE: {("rda", "_fit_data"), ("rda", "fit_classes"), ("kernel_rda", "fit_direct_grid")},
+    ("rda", "fit_classes"): {("rda", "fit_grid"), ("cli", "_streamed_fit")},
+}
+MOMENTS = {
+    "scatter_total": {("rda", "objective"), CORE},
+    "class_sums": {("rda", "objective")},
+    "scatter_within": {("rda", "constraint")},
 }
 
 
@@ -61,3 +76,30 @@ def test_a_second_solve_loop_is_caught(tmp_path):
 
 def test_the_solvers_are_referenced_only_where_allowed():
     assert callers(PACKAGE) == ALLOWED
+
+
+def moment_readers(package: Path) -> dict:
+    """ClassMoments field -> the (module, owner) pairs reading it as an
+    attribute (its constructor's stores do not count)."""
+    out = {name: set() for name in MOMENTS}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in out:
+                    out[node.attr].add((path.stem, getattr(stmt, "name", None)))
+    return out
+
+
+def test_a_second_reader_of_the_moments_is_caught(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "def fit(moments, x):\n    return moments.scatter_total @ x\n\n\n"
+        "def build(moments):\n    return ClassMoments(scatter_total=moments, class_sums=moments)\n\n\n"
+        "class ClassMoments:\n    def __init__(self, a):\n        self.scatter_within = a\n"
+    )
+    assert moment_readers(tmp_path) == {"scatter_total": {("cli", "fit")}, "class_sums": set(),
+                                        "scatter_within": set()}
+
+
+def test_the_moments_are_read_only_where_r1_and_r2_are_built():
+    assert moment_readers(PACKAGE) == MOMENTS

@@ -43,12 +43,12 @@ class TestRoundTrips:
         path = tmp_path / "dual.txt"
         save_model(model, path)
         lines = path.read_text().splitlines()
-        assert 'variant: "primal"' in lines and 'route: "dense"' in lines
+        assert 'variant: "primal"' in lines and 'route: "classes"' in lines
         loaded = load_model(path)
         probe = rng.standard_normal((3, 4))
         assert np.array_equal(project(loaded, probe), project(model, probe))
         assert loaded.config.r1 == 1.0
-        assert loaded.route == "dense"
+        assert loaded.route == "classes"
 
     def test_kernel_direct(self, tmp_path, data, rng):
         x, labels = data
@@ -96,12 +96,15 @@ class TestRoute:
         assert loaded.route == "span"
         assert np.array_equal(loaded.basis, model.basis)
 
-    def test_dense_route_round_trip(self, tmp_path, data):
+    @pytest.mark.parametrize("label_kernel, route", [(None, "classes"), (kernels.KernelSpec("linear"), "dense")])
+    def test_dense_route_round_trip(self, tmp_path, data, label_kernel, route):
+        # Class labels under the delta kernel are fitted from class
+        # statistics; a label Gram holds X.
         x, labels = data
-        model = fit(x, labels, RoweisConfig(0.5, 0.5, p=2))
+        model = fit(x, labels, RoweisConfig(0.5, 0.5, p=2, label_kernel=label_kernel))
         path = tmp_path / "m.txt"
         save_model(model, path)
-        assert model.route == load_model(path).route == "dense"
+        assert model.route == load_model(path).route == route
 
     def test_file_without_route_loads_as_dense(self, tmp_path, rng):
         x, labels = labeled_blobs(rng, d=20, n=8, c=2)
@@ -115,7 +118,7 @@ class TestRoute:
         x, labels = data
         path = tmp_path / "m.txt"
         save_model(fit(x, labels, RoweisConfig(0.0, 0.0, p=1)), path)
-        path.write_text(path.read_text().replace('route: "dense"', 'route: "sideways"'))
+        path.write_text(path.read_text().replace('route: "classes"', 'route: "sideways"'))
         with pytest.raises(DataError):
             load_model(path)
 

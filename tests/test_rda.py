@@ -290,7 +290,9 @@ class TestFit:
             align_columns(oracle.vectors, model.basis), oracle.vectors, atol=1e-8
         )
 
-    @pytest.mark.parametrize("d, route", [(6, "dense"), (60, "span")])
+    # d = 12: 3 classes of 12 features hold more than 30 samples, so the fit
+    # at r1 > 0 keeps X ("dense").
+    @pytest.mark.parametrize("d, route", [(6, "classes"), (12, "dense"), (60, "span")])
     @pytest.mark.parametrize("r1", [0.0, 0.5, 1.0])
     def test_r2_zero_skips_the_factorization_and_the_solves(self, rng, monkeypatch, d, route, r1):
         # R2 = I, so a fit that is not robust solves R1 alone: no constraint
@@ -304,7 +306,7 @@ class TestFit:
             monkeypatch.setattr(np.linalg, name, refuse)
         model = fit(x, labels, RoweisConfig(r1=r1, r2=0.0, p=2))
         monkeypatch.undo()
-        assert model.route == route and model.shift == 0.0
+        assert model.route == ("classes" if r1 == 0 and d <= 30 else route) and model.shift == 0.0
         r1_mat = objective_matrix(x, blend_label_kernel(delta_kernel(labels, labels), r1))
         scale = float(model.eigvals[0])
         np.testing.assert_allclose(r1_mat @ model.basis, model.basis * model.eigvals, atol=1e-10 * scale)
@@ -323,7 +325,7 @@ class TestFit:
         np.testing.assert_allclose(small.eigvals, 1e-16 * ref.eigvals, rtol=1e-10)
         np.testing.assert_allclose(align_columns(ref.basis, small.basis), ref.basis, atol=1e-10)
 
-    @pytest.mark.parametrize("route, d", [("dense", 3), ("span", 40)])
+    @pytest.mark.parametrize("route, d", [("classes", 3), ("dense", 12), ("span", 40)])
     def test_the_datas_units_do_not_change_what_a_discriminant_fit_keeps(self, rng, route, d):
         # At r2 = 1 R1 and R2 both scale with the data's square, so the
         # spectrum does not move; the noise floor scales with the data too

@@ -3,7 +3,7 @@
 For random shapes on both sides of d = n, every fitted basis must satisfy
 ``max|U'(B + shift I)U - I| <= 1e-8`` against the dense d x d constraint B
 (robustified when the fit is robust), and the fit must report the route its
-shape selects. Runs only where ``hypothesis`` is installed; it is a test
+shape selects: with d <= n, "classes" unless it uses labels and c d > n. Runs only where ``hypothesis`` is installed; it is a test
 extra, not a runtime dependency.
 """
 
@@ -48,7 +48,8 @@ def test_constraint_residual_against_the_dense_constraint(problem):
     d, n = x.shape
     model = fit(x, labels, config)
     if d <= n:
-        assert model.route == "dense"
+        uses_x = (config.r1 > 0 or config.r2 > 0) and np.unique(labels).size * d > n
+        assert model.route == ("dense" if uses_x else "classes")
     elif not config.robust:
         assert model.route == "span"
     b, _ = dense_problem(x, labels, config)

@@ -1,0 +1,226 @@
+"""``roweis fit`` from streamed class statistics against ``rda.fit`` of ``load_csv``.
+
+On the "classes" route the primal and dual fits read the CSV block by block
+(``datasets.csv_blocks``) and merge each STATS_BLOCK-column slab into the
+class statistics (``rda.merge_slab``), holding neither X nor a label per
+row. Wherever that cannot give what ``rda.fit(load_csv(...))`` gives, bit
+for bit, the command makes that call instead. So every run here is
+compared with the same command whose streamed fit is switched off: exit
+code, stdout, stderr and every byte written.
+"""
+
+import weakref
+
+import numpy as np
+import pytest
+
+from roweis import cli, datasets, rda
+from roweis.cli import main
+
+from test_kernel_rda import traced_peak
+from test_text_io import TABLE
+
+
+def outcome(tmp_path, capsys, argv) -> tuple:
+    """(exit code, stdout, stderr, written files) of one command, whose
+    outputs are then removed. An exception that escapes ``main`` stands for
+    the exit code: a file with no feature columns still raises IndexError
+    at r2 > 0, on either path."""
+    before = set(tmp_path.iterdir())
+    try:
+        rc = main([str(a) for a in argv])
+    except Exception as exc:
+        rc = (type(exc).__name__, str(exc))
+    captured = capsys.readouterr()
+    written = {}
+    for path in sorted(set(tmp_path.iterdir()) - before):
+        written[path.name] = path.read_bytes()
+        path.unlink()
+    return rc, captured.out, captured.err, written
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """The number of ``load_csv`` calls, which only the fallback makes."""
+    calls = []
+    load = datasets.load_csv
+    monkeypatch.setattr(datasets, "load_csv", lambda *args: calls.append(args) or load(*args))
+    return calls
+
+
+def assert_like_the_library(tmp_path, capsys, monkeypatch, argv, streamed: bool, loads):
+    """The command's outcome equals the library fit's; ``streamed`` says
+    whether it took the streamed route (no ``load_csv`` call)."""
+    got = outcome(tmp_path, capsys, argv)
+    assert (len(loads) == 0) == streamed, (len(loads), got[:3])
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_streamed_fit", lambda args, config: None)
+        want = outcome(tmp_path, capsys, argv)
+    assert got == want
+    return got
+
+
+def blob_file(path, n=300, d=5, c=3, seed=0, labels=None):
+    rng = np.random.default_rng(seed)
+    y = rng.permutation(np.arange(n) % c) if labels is None else labels
+    centers = 2.0 * rng.standard_normal((d, max(c, 1)))
+    codes = np.unique(y, return_inverse=True)[1] % centers.shape[1]
+    datasets.save_csv(path, centers[:, codes] + rng.standard_normal((d, n)), y)
+    return path
+
+
+FITS = {
+    "pca": ("--r1", 0, "--r2", 0),
+    "pca, no labels": ("--r1", 0),
+    "spca": ("--r1", 1, "--r2", 0),
+    "fda": ("--r1", 0, "--r2", 1),
+    "double": ("--r1", 1, "--r2", 1),
+    "robust": ("--r1", 0.5, "--r2", 0.5, "--robust"),
+    "delta given": ("--r1", 0.5, "--r2", 0.25, "--label-kernel", "delta", "--p", 2),
+    "dual": ("--variant", "dual", "--r1", 0.5),
+}
+
+
+def fit_argv(data, fit, out):
+    flags = FITS[fit]
+    label = [] if fit == "pca, no labels" else ["--label-col", "label"]
+    return ["fit", "--data", data, *label, *flags, "--out", out]
+
+
+# PARSE_BLOCK in characters: one line per block, about seven of the blob
+# file's lines (under 110 characters each), the default and the whole file.
+PARSE_BLOCKS = {"one line": 1, "seven lines": 7 * 100, "default": datasets.PARSE_BLOCK, "whole file": 1 << 30}
+
+
+@pytest.mark.parametrize("stats_block", [7, rda.STATS_BLOCK], ids=["7-column slabs", "default slabs"])
+@pytest.mark.parametrize("block", sorted(PARSE_BLOCKS))
+@pytest.mark.parametrize("fit", sorted(FITS))
+def test_the_streamed_fit_is_the_library_fit(tmp_path, capsys, monkeypatch, loads, fit, block, stats_block):
+    monkeypatch.setattr(datasets, "PARSE_BLOCK", PARSE_BLOCKS[block])
+    monkeypatch.setattr(rda, "STATS_BLOCK", stats_block)
+    data = blob_file(tmp_path / "data.csv")
+    rc, out, _, written = assert_like_the_library(tmp_path, capsys, monkeypatch,
+                                                  fit_argv(data, fit, tmp_path / "m.txt"), True, loads)
+    assert rc == 0 and 'route: "classes"' in written["m.txt"].decode().splitlines()
+
+
+@pytest.mark.parametrize("labels", ["strings", "whole floats", "negative ints"])
+def test_label_cells_are_read_as_load_csv_reads_them(tmp_path, capsys, monkeypatch, loads, labels):
+    n = 200
+    y = {"strings": np.array(["cat", "dog", "emu", "ant"])[np.arange(n) % 4],
+         "whole floats": (np.arange(n) % 3 - 1.0) * 2.0,
+         "negative ints": -(np.arange(n) % 3)}[labels]
+    data = blob_file(tmp_path / "data.csv", n=n, labels=y)
+    rc, *_ = assert_like_the_library(tmp_path, capsys, monkeypatch, fit_argv(data, "double", tmp_path / "m.txt"),
+                                     True, loads)
+    assert rc == 0
+
+
+FALLBACKS = {
+    # A quoted cell: the bulk parse refuses the block and the scan reads it.
+    "block the bulk parse refuses": ('f1,f2,label\n1,2,0\n"3",4,1\n5,7,0\n2,9,1\n', ("--r1", 0.5)),
+    "bad cell": ("f1,f2,label\n1,2,0\n3,x,1\n5,7,0\n", ("--r1", 0.5)),
+    "real targets under the rbf label kernel": (None, ("--r1", 0.5)),
+    "gram label kernel": (None, ("--r1", 0.5, "--label-kernel", "linear")),
+    "one class spelled two ways": ("f1,f2,label\n1,2,1\n3,4,01\n5,7,1\n2,9,2\n4,4,2\n", ("--r1", 0.5)),
+    "float class spelled two ways": ("f1,f2,label\n1,2,1.0\n3,4,1.00\n5,7,2.0\n2,9,2\n", ("--r2", 1)),
+    "more classes than c d <= n allows": ("f1,f2,label\n1,2,0\n3,4,1\n5,7,2\n2,9,3\n", ("--r1", 0.5)),
+    "n < d": ("f1,f2,f3,label\n1,2,3,0\n3,4,4,1\n", ("--r1", 0.5)),
+    "one sample": ("f1,label\n1,0\n", ("--r1", 0.5)),
+    "labels missing": ("f1,f2\n1,2\n3,4\n5,6\n", ("--r1", 0.5)),
+    "r2 on real targets": ("f1,label\n1,0.5\n2,1.5\n3,0.5\n", ("--r2", 0.5)),
+    "dual at r2 > 0": (None, ("--variant", "dual", "--r2", 0.5)),
+    "kernel variant": (None, ("--variant", "kernel", "--r1", 0.5, "--gamma", 0.5)),
+    "bad arguments and a bad file": ("f1,label\n1,0\nx,1\n", ("--r1", 2)),
+    "bad arguments": (None, ("--r1", 2)),
+}
+
+
+def test_a_refusal_of_the_statistics_fit_is_the_librarys(tmp_path, capsys, monkeypatch, loads):
+    # Streamed to the end, then refused by the solver as the library refuses it.
+    data = tmp_path / "data.csv"
+    data.write_text("f1,label\n1,0\n1,1\n1,0\n1,1\n")
+    rc, _, err, _ = assert_like_the_library(
+        tmp_path, capsys, monkeypatch, ["fit", "--data", data, "--label-col", "label", "--out", tmp_path / "m.txt"],
+        True, loads)
+    assert rc == 4 and "no positive eigenvalues" in err
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACKS))
+def test_each_fallback_is_the_library_fit(tmp_path, capsys, monkeypatch, loads, case):
+    text, flags = FALLBACKS[case]
+    data = tmp_path / "data.csv"
+    if case == "real targets under the rbf label kernel":
+        blob_file(data, n=60, labels=np.round(np.linspace(-2.0, 2.0, 60) ** 2, 3))
+    elif text is None:
+        blob_file(data, n=60)
+    else:
+        data.write_text(text)
+    label = [] if case == "labels missing" else ["--label-col", "label"]
+    assert_like_the_library(tmp_path, capsys, monkeypatch,
+                            ["fit", "--data", data, *label, *flags, "--out", tmp_path / "m.txt"], False, loads)
+
+
+@pytest.mark.parametrize("case", sorted(TABLE))
+@pytest.mark.parametrize("flags", [("--r1", 0.5, "--r2", 0.5), ("--r1", 0)], ids=["supervised", "pca"])
+def test_every_text_io_case_fits_as_the_library_does(tmp_path, capsys, monkeypatch, case, flags):
+    content, label_col = TABLE[case]
+    data = tmp_path / "data.csv"
+    data.write_bytes(content.encode("utf-8"))
+    label = [] if label_col is None else ["--label-col", label_col]
+    argv = ["fit", "--data", data, *label, *flags, "--out", tmp_path / "m.txt"]
+    got = outcome(tmp_path, capsys, argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_streamed_fit", lambda args, config: None)
+        assert got == outcome(tmp_path, capsys, argv)
+
+
+def test_a_streamed_fit_allocates_less_than_x(tmp_path):
+    path = tmp_path / "data.csv"
+    rng = np.random.default_rng(1)
+    n, d = 20000, 20
+    labels = np.arange(n) % 3
+    datasets.save_csv(path, rng.standard_normal((d, n)) + labels, labels)
+    out = tmp_path / "m.txt"
+    argv = ["fit", "--data", str(path), "--label-col", "label", "--r1", "0.5", "--r2", "0.5", "--out", str(out)]
+    assert main(argv) == 0  # imports and caches warm, outside the trace
+    assert traced_peak(lambda: main(argv)) < d * n * 8
+
+
+# ---------------------------------------------------------------- inputs released
+
+COMMANDS = {
+    "fit on the span route": ["fit", "--data", "wide.csv", "--label-col", "label", "--r1", 0.5, "--out", "m2.txt"],
+    "fit with a label Gram": ["fit", "--data", "tall.csv", "--label-col", "label", "--r1", 0.5,
+                              "--label-kernel", "linear", "--out", "m2.txt"],
+    "transform": ["transform", "--model", "m.txt", "--data", "tall.csv", "--label-col", "label", "--out", "e.csv"],
+    "reconstruct": ["reconstruct", "--model", "m.txt", "--data", "tall.csv", "--label-col", "label",
+                    "--out", "r.csv"],
+    "sweep": ["sweep", "--data", "tall.csv", "--label-col", "label", "--out", "s.csv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_the_loaded_arrays_are_dead_when_the_manifest_is_written(tmp_path, monkeypatch, capsys, command):
+    blob_file(tmp_path / "tall.csv", n=120, d=4)
+    blob_file(tmp_path / "wide.csv", n=12, d=30)
+    monkeypatch.chdir(tmp_path)
+    assert main(["fit", "--data", "tall.csv", "--label-col", "label", "--r1", "0.5", "--out", "m.txt"]) == 0
+    refs = []
+    load = datasets.load_csv
+
+    def tracked(*args):
+        x, y, names = load(*args)
+        refs.extend(weakref.ref(a) for a in (x, y))
+        return x, y, names
+
+    manifest = cli._write_manifest
+
+    def checked(*args):
+        assert refs and all(ref() is None for ref in refs)
+        manifest(*args)
+
+    monkeypatch.setattr(datasets, "load_csv", tracked)
+    monkeypatch.setattr(cli, "_write_manifest", checked)
+    assert main([str(a) for a in COMMANDS[command]]) == 0
+    assert len(refs) == 2

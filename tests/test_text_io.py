@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import text_io_oracle as oracle
-from roweis import cli, datasets, experiments, persist, rda
+from roweis import _util, cli, datasets, experiments, persist, rda
 from roweis.cli import main
 from test_kernel_rda import traced_peak
 
@@ -421,3 +421,32 @@ def test_experiments_outputs_match_the_oracle(tmp_path):
             oracle.write_columns(expected, header, np.hstack([panel.train_emb, panel.test_emb]), lead)
             path = out_dir / "panels" / f"{name}_r1_{panel.r1:g}_r2_{panel.r2:g}.csv"
             assert path.read_bytes() == expected.read_bytes()
+
+
+# ---------------------------------------------------------------- float rows
+
+def wide_values(rows: int = 100, cols: int = 800) -> np.ndarray:
+    """``rows`` x ``cols`` doubles with every kind of cell: tiny, huge, negative zero, subnormal."""
+    values = np.random.default_rng(5).standard_normal((rows, cols)) * 10.0 ** np.arange(-6, 6).repeat(70)[:cols]
+    values[0, :4] = [-0.0, 5e-324, 1e300, 0.1]
+    return values
+
+
+@pytest.mark.parametrize("chunk", ["one row", "seven rows", "default", "whole matrix"])
+def test_float_rows_do_not_depend_on_the_chunk(monkeypatch, chunk):
+    values = wide_values()
+    cells = {"one row": 800, "seven rows": 7 * 800, "default": _util.FLOAT_CELLS, "whole matrix": 100 * 800}
+    monkeypatch.setattr(_util, "FLOAT_CELLS", cells[chunk])
+    expected = [",".join(oracle.float_cells(row)) for row in values]
+    assert list(_util.float_rows(values, ",")) == expected
+
+
+def test_a_wide_write_holds_one_chunk_of_floats(tmp_path):
+    # 100 rows of 800 cells, as reconstruct writes wide data: 80 000 cells
+    # as Python floats at once would trace about 2.6 MB.
+    values = wide_values().T
+    path = tmp_path / "rec.csv"
+    assert traced_peak(lambda: cli._write_matrix(path, [f"f{i + 1}" for i in range(800)], values)) < 1 << 20
+    expected = tmp_path / "expected.csv"
+    oracle.write_columns(expected, [f"f{i + 1}" for i in range(800)], values)
+    assert path.read_bytes() == expected.read_bytes()
