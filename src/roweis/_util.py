@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
-
 import numpy as np
 
 from .exceptions import ConfigError, DataError
@@ -116,9 +113,3 @@ def float_rows(matrix, sep: str):
         for row in matrix[start:start + rows].tolist():
             yield sep.join(map(repr, row))
 
-
-def csv_cells(cells) -> str:
-    """One CSV row as ``csv.writer`` writes it (its quoting), without the line end."""
-    buffer = io.StringIO()
-    csv.writer(buffer).writerow(cells)
-    return buffer.getvalue()[:-2]

@@ -18,15 +18,15 @@ files) and ``experiments`` and ``evaluate`` are imported by the commands
 that use them, not by every command. A kernel fit peaks at ``K_x``
 plus ``eigh``'s buffers, about 5 n^2 doubles.
 
-A primal or dual fit on the ``"classes"`` route (see :mod:`roweis.rda`)
-streams the CSV: the parse's blocks go, re-sliced into the slabs
-``rda.fit_grid`` takes of X, into each class's count, mean and scatter, so
-the fit holds O(c d^2) and one block, never X nor a label per row (flat in
-n: about 39 MB max RSS at n = 200 000, d = 50). Every other fit, and one the
-stream cannot reproduce bit for bit (see :func:`_streamed_fit`), loads X
-with ``load_csv`` and fits it, as ``rda.fit`` does. The commands that load
-X (the other fits, transform, reconstruct, sweep) drop it, its labels and
-what they computed from it before they write their CSV and manifest.
+``fit`` reads the CSV's layout once (:func:`roweis.datasets.csv_session`).
+A primal or dual fit on the ``"classes"`` route streams its parse blocks to
+:func:`roweis.rda.fit_blocks`, which owns the slabs and the route's rules,
+so it holds O(c d^2) and one block, never X nor a label per row (flat in n:
+about 39 MB max RSS at n = 200 000, d = 50). Every other fit, and one the
+stream cannot reproduce bit for bit (see :func:`_streamed_fit`), collects X
+from the same session and fits it. The commands that load X (the other
+fits, transform, reconstruct, sweep) drop it, its labels and what they
+computed from it before they write their CSV and manifest.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import sys
 import numpy as np
 
 from . import __version__, datasets, dual, kernel_rda, kernels, rda
-from ._util import csv_cells, float_rows
 from .exceptions import ConfigError, DataError, NumericalError
 
 SEED_ENV = "ROWEIS_SEED"
@@ -111,23 +110,6 @@ def _write_rows(path: str, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_matrix(path: str, header: list, values, lead=None) -> None:
-    """A CSV with one row per column of ``values``; ``lead`` optionally holds
-    each row's text cells, written before its numbers. The header and the
-    text cells go through ``csv.writer`` (its quoting, its ``\\r\\n``)."""
-    rows = float_rows(np.asarray(values).T, ",")
-    if lead is not None:
-        # The empty cell stands for the numbers, so csv quotes the text as in
-        # the whole row. Leads repeat (a split and a label), so each distinct
-        # one is quoted once.
-        lead = [tuple(cells) for cells in lead]
-        quoted = {cells: csv_cells([*cells, ""]) for cells in set(lead)}
-        rows = (quoted[cells] + row for cells, row in zip(lead, rows))
-    with _output(path, newline="") as handle:
-        csv.writer(handle).writerow(header)
-        handle.writelines(row + "\r\n" for row in rows)
-
-
 # ---------------------------------------------------------------- kernels
 
 def _kernel_from_args(family: str, gamma, degree, offset) -> kernels.KernelSpec:
@@ -180,11 +162,6 @@ def cmd_gen(args) -> int:
 
 # ---------------------------------------------------------------- fit
 
-def _load_features(path: str, label_col):
-    x, y, _ = datasets.load_csv(path, label_col)
-    return x, y
-
-
 def _print_spectrum(values) -> None:
     values = np.asarray(values, dtype=float)
     total = values.sum()
@@ -210,64 +187,17 @@ def _fit_settings(args, r1: float, r2: float):
     return label_kernel, data_kernel, config
 
 
-def _streamed_fit(args, config: rda.RoweisConfig):
-    """The primal or dual fit of ``config`` from class statistics streamed
-    out of ``args.data``, never holding X or a label per row; None wherever
-    it would not be ``rda.fit`` of ``load_csv``'s X and labels bit for bit,
-    and the caller makes that call instead.
-
-    The parse's blocks (:func:`roweis.datasets.csv_blocks`) are re-sliced
-    into the STATS_BLOCK-column slabs ``rda.fit_grid`` takes of X, and each
-    slab is merged by label cell (:func:`roweis.rda.merge_slab`), or as one
-    group when the fit uses no labels. The distinct cells are then read as
-    ``load_csv`` reads the label column, and :func:`roweis.rda.fit_classes`
-    solves in their ``np.unique`` order. It gives up on a fit that is not
-    on the ``"classes"`` route (the span route, a label Gram, many classes),
-    a fit the library refuses, a block the bulk parse refuses (the scan
-    decides), and a class spelled two ways (``1`` and ``01``).
-    """
+def _streamed_fit(args, session, config: rda.RoweisConfig):
+    """The primal or dual fit of ``config`` from the CSV ``session``'s blocks
+    (:func:`roweis.rda.fit_blocks`); None where it would not be the library
+    fit of the collected X bit for bit: where ``fit_blocks`` gives up, on
+    the kernel variants, the dual at r2 > 0 and labels without a column."""
     if args.variant not in ("primal", "dual") or (args.variant == "dual" and config.r2 != 0.0):
         return None
-    by_class = config.r1 > 0 or config.r2 > 0
-    if by_class and (args.label_col is None or not rda.class_factor(config)):
+    if (config.r1 > 0 or config.r2 > 0) and args.label_col is None:
         return None
-    groups: dict = {}
-    # Raises what load_csv raises, as the header and the blocks are its own.
-    with datasets.csv_blocks(args.data, args.label_col) as (n, d, blocks):
-        if n < max(d, 2):
-            return None
-        slab = np.empty((d, min(n, rda.STATS_BLOCK)))
-        keys: list = []
-        filled = seen = 0
-        for part, cells in blocks:
-            seen += part.shape[1]
-            at = 0
-            while at < part.shape[1]:
-                take = min(slab.shape[1] - filled, part.shape[1] - at)
-                slab[:, filled:filled + take] = part[:, at:at + take]
-                if by_class:
-                    keys += cells[at:at + take]
-                filled, at = filled + take, at + take
-                if filled == slab.shape[1]:
-                    rda.merge_slab(groups, slab, keys if by_class else None)
-                    filled, keys = 0, []
-                    if len(groups) * d > n:  # too many classes: X's route
-                        return None
-            del part, cells  # one block live at a time
-        if filled:
-            rda.merge_slab(groups, slab[:, :filled], keys if by_class else None)
-    if seen < n:
-        return None
-    if not by_class:
-        return rda.fit_classes([groups[None]], None, [config])[0]
-    spellings = list(groups)
-    ids, inverse = np.unique(datasets._parse_labels(spellings), return_inverse=True)
-    if ids.size < len(spellings) or rda.class_grouping(config, ids, d, n) != "classes":
-        return None
-    ordered = [None] * ids.size
-    for cell, k in zip(spellings, inverse.tolist()):
-        ordered[k] = groups[cell]
-    return rda.fit_classes(ordered, ids, [config])[0]
+    models = rda.fit_blocks(session.blocks(), session.n, session.d, [config], session.read_labels)
+    return None if models is None else models[0]
 
 
 def _fit_data(variant, x, y, config, data_kernel):
@@ -289,17 +219,18 @@ def cmd_fit(args) -> int:
     variant = args.variant
     r1 = args.r1 if args.r1 is not None else (1.0 if variant == "kernel-spca" else 0.0)
     r2 = args.r2 if args.r2 is not None else 0.0
-    try:
-        label_kernel, data_kernel, config = _fit_settings(args, r1, r2)
-    except ConfigError:
-        # A bad file is reported before bad arguments, as when X is read first.
-        _load_features(args.data, args.label_col)
-        raise
-    model = _streamed_fit(args, config)
-    if model is None:
-        x, y = _load_features(args.data, args.label_col)
-        model = _fit_data(variant, x, y, config, data_kernel)
-        del x, y  # not beside the model file's text nor the manifest's OpenSSL
+    with datasets.csv_session(args.data, args.label_col) as session:
+        try:
+            label_kernel, data_kernel, config = _fit_settings(args, r1, r2)
+        except ConfigError:
+            # A bad file is reported before bad arguments, as when X is read first.
+            session.collect()
+            raise
+        model = _streamed_fit(args, session, config)
+        if model is None:
+            x, y, _ = session.collect()
+            model = _fit_data(variant, x, y, config, data_kernel)
+            del x, y  # not beside the model file's text nor the manifest's OpenSSL
 
     from . import persist
 
@@ -339,8 +270,9 @@ def _apply(apply, model, args, out: str, prefix: str) -> tuple:
     row per sample under columns ``prefix1``, ``prefix2``, ..., and return
     its shape. X dies before the CSV is written, and the result before the
     caller writes its manifest."""
-    values = apply(model, _load_features(args.data, args.label_col)[0])
-    _write_matrix(out, [f"{prefix}{i + 1}" for i in range(values.shape[0])], values)
+    values = apply(model, datasets.load_csv(args.data, args.label_col)[0])
+    with _output(out, newline="") as handle:
+        datasets.write_csv(handle, [f"{prefix}{i + 1}" for i in range(values.shape[0])], values)
     return values.shape
 
 
@@ -396,7 +328,7 @@ def _sweep_rows(args):
     written."""
     from . import evaluate, experiments  # here, so the other commands do not hold them
 
-    x, y = _load_features(args.data, args.label_col)
+    x, y, _ = datasets.load_csv(args.data, args.label_col)
     if y is None:
         raise ConfigError("sweep needs labels; pass --label-col")
     kind = "classification" if kernels.is_categorical(y) else "regression"
@@ -464,7 +396,8 @@ def cmd_experiments(args) -> int:
         path = os.path.join(panel_dir, f"{panel.dataset}_r1_{panel.r1:g}_r2_{panel.r2:g}.csv")
         header = ["split", "label"] + [f"e{i + 1}" for i in range(panel.train_emb.shape[0])]
         lead = [["train", str(y)] for y in panel.train_y] + [["test", str(y)] for y in panel.test_y]
-        _write_matrix(path, header, np.hstack([panel.train_emb, panel.test_emb]), lead)
+        with _output(path, newline="") as handle:
+            datasets.write_csv(handle, header, np.hstack([panel.train_emb, panel.test_emb]), lead)
         outputs.append(path)
 
     config_dict = {"reps": args.reps, "n": args.n, "panel_n": args.panel_n}

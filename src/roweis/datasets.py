@@ -3,19 +3,27 @@
 All generators draw from numpy's default 64-bit generator (PCG64) seeded
 explicitly, with a documented draw order, so a given (generator, n, seed)
 triple is bit-reproducible across runs and platforms.
+
+A CSV is read through one session (:func:`csv_session`), which reads its
+layout once and then parses its rows block by block, either into X
+(:func:`load_csv` is the one-call form) or for a reader that keeps no X,
+such as the command line's streamed fit, whose slabs and class statistics
+are :func:`roweis.rda.fit_blocks`'. :func:`write_csv` is the one CSV writer
+of data files, embeddings, reconstructions and experiment panels.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_labels, classes, csv_cells, float_rows
+from ._util import as_labels, classes, float_rows
 from .exceptions import ConfigError, DataError
 
 XOR_MARGIN = 0.05
@@ -214,35 +222,44 @@ def _label_text(value) -> str:
 
 
 def save_csv(path, x: np.ndarray, y: np.ndarray | None = None) -> None:
-    """Write samples as rows with a header; floats use shortest round-trip repr.
-
-    The header and the label cells go through ``csv.writer`` (its quoting and
-    its ``\\r\\n`` line end); the feature cells are formatted row by row.
-    """
+    """Write samples as rows under the header f1, f2, ... (and ``label``),
+    with the labels after the features (:func:`write_csv`)."""
     x = np.asarray(x)
     header = [f"f{i + 1}" for i in range(x.shape[0])]
-    rows = float_rows(x.T, ",")
+    cells = None
     if y is not None:
         header.append("label")
-        # A label cell after the features reads ",<cell>"; with no features
-        # it is the whole row, which csv quotes differently when it is empty.
-        lead = [""] if x.shape[0] else []
-        labels = (csv_cells(lead + [_label_text(y[j])]) for j in range(x.shape[1]))
-        rows = (row + label for row, label in zip(rows, labels))
+        cells = [(_label_text(y[j]),) for j in range(x.shape[1])]
     with open(path, "w", newline="") as handle:
-        csv.writer(handle).writerow(header)
-        handle.writelines(row + "\r\n" for row in rows)
+        write_csv(handle, header, x, cells, after=True)
 
 
-def _parse_labels(tokens: list[str]) -> np.ndarray:
-    try:
-        return np.array([int(t) for t in tokens])
-    except ValueError:
-        pass
-    try:
-        return np.array([float(t) for t in tokens])
-    except ValueError:
-        return np.array(tokens)
+def write_csv(handle, header: list, values, cells=None, after: bool = False) -> None:
+    """Write a CSV with one row per column of the 2-D ``values`` to the text
+    file ``handle`` (opened with ``newline=""``). Each number is the shortest
+    repr that reads back as the same double. ``cells`` optionally holds each
+    row's text cells, written before its numbers, or after them with
+    ``after``. The header and the text cells go through ``csv.writer`` (its
+    quoting, its ``\\r\\n``); the numbers are formatted row by row."""
+    values = np.asarray(values)
+    rows = float_rows(values.T, ",")
+    if cells is not None:
+        # An empty cell stands for the numbers, so csv quotes the text as in
+        # the whole row; with no numbers the text is the whole row. Cells
+        # repeat (a split and a label), so each distinct tuple is quoted once.
+        cells = [tuple(row_cells) for row_cells in cells]
+        numbers = [""] if values.shape[0] else []
+        quoted = {key: _csv_cells([*numbers, *key] if after else [*key, *numbers]) for key in set(cells)}
+        rows = (row + quoted[key] if after else quoted[key] + row for key, row in zip(cells, rows))
+    csv.writer(handle).writerow(header)
+    handle.writelines(row + "\r\n" for row in rows)
+
+
+def _csv_cells(cells) -> str:
+    """One CSV row as ``csv.writer`` writes it (its quoting), without the line end."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(cells)
+    return buffer.getvalue()[:-2]
 
 
 # Lines csv.reader turns into an empty row; load_csv skips them.
@@ -258,7 +275,7 @@ COUNT_CHUNK = 1 << 16
 
 
 def load_csv(path, label_col: int | str | None = None):
-    """Read a rows-are-samples CSV.
+    """Read a rows-are-samples CSV: the one-call form of :func:`csv_session`.
 
     The first row is treated as a header when none of its cells parses as a
     number. ``label_col`` selects the label column by name (needs a header)
@@ -268,56 +285,118 @@ def load_csv(path, label_col: int | str | None = None):
     one with a field longer than ``csv.field_size_limit()``, and a file that
     is not UTF-8 text.
 
-    A first pass counts the file's rows (:func:`_count_rows`). The data rows
-    are then parsed block by block (:func:`_parse_bulk`) into one
-    preallocated X, so the file's text is never held whole. When any block
-    refuses, the cell-by-cell scan (:func:`_scan_rows`) reads the file again
-    and decides: it accepts what the bulk parse does not take (quoted cells,
-    ``1_0``, Unicode digits) and names the first bad cell otherwise.
-    :func:`csv_blocks` hands the same blocks to a reader that keeps no X.
-
     Returns (X, y, feature_names) with X of shape d x n; y is None when no
     label column was requested.
     """
-    with _reading(path) as handle:
-        n_rows, width, feature_idx, label_idx, names, has_header = _layout(path, handle, label_col)
-        parsed = _parse_all(_parse_bulk(handle, n_rows, width, feature_idx, label_idx), n_rows, len(feature_idx),
-                            label_idx is not None)
-        if parsed is None:
-            handle.seek(0)
-            data_rows = list(_csv_rows(path, csv.reader(handle)))
-            if has_header:
-                del data_rows[0]
-            parsed = _scan_rows(path, data_rows, has_header, width, feature_idx, label_idx)
-    features, labels = parsed
-    y = _parse_labels(labels) if label_idx is not None else None
-    return features, y, names
+    with csv_session(path, label_col) as session:
+        return session.collect()
 
 
 @contextlib.contextmanager
-def csv_blocks(path, label_col):
-    """The parse of :func:`load_csv`, block by block, for a reader that keeps
-    no X: yields (n, d, blocks) with n and d the shape of the X that
-    ``load_csv`` would return, known before any row is parsed, and
-    ``blocks`` the :func:`_parse_bulk` generator of (features, label cells).
-    ``blocks`` ends early where the bulk parse refuses a block, so its
-    columns then number fewer than n and ``load_csv`` would have gone to the
-    scan. The file stays open, and its errors are raised, as in ``load_csv``.
-    """
-    with _reading(path) as handle:
-        n_rows, width, feature_idx, label_idx, _, _ = _layout(path, handle, label_col)
-        yield n_rows, len(feature_idx), _parse_bulk(handle, n_rows, width, feature_idx, label_idx)
-
-
-@contextlib.contextmanager
-def _reading(path):
-    """``path`` open as text for reading; an OSError or a byte that is not
-    UTF-8 on the way raises DataError ``cannot read ...``."""
+def csv_session(path, label_col):
+    """A :class:`CsvSession` of ``path``, open while the context lasts; an
+    OSError or a byte that is not UTF-8 on the way raises DataError
+    ``cannot read ...``."""
     try:
         with open(path, newline="") as handle:
-            yield handle
+            yield CsvSession(path, handle, label_col)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+
+
+class CsvSession:
+    """One open CSV, its layout read once on opening: the rows counted
+    (:func:`_count_rows`), and the fields, the header, the label field and
+    the feature names fixed by the first row. ``n`` and ``d`` are the shape
+    of its X, known before any row is parsed.
+
+    :meth:`blocks` hands out the bulk parse's blocks (:func:`_parse_bulk`)
+    to a reader that keeps no X; :meth:`collect` writes them into one
+    preallocated X. Where a block refuses, the cell-by-cell scan
+    (:func:`_scan_rows`) reads the file again and decides: it accepts what
+    the bulk parse does not take (quoted cells, ``1_0``, Unicode digits) and
+    names the first bad cell otherwise. Either may follow the other on the
+    one handle, so the file is counted once.
+    """
+
+    def __init__(self, path, handle, label_col):
+        self.path, self.handle = path, handle
+        n_rows = _count_rows(handle)
+        reader = csv.reader(handle)
+        first = next(_csv_rows(path, reader), None)
+        if first is None:
+            raise DataError(f"{path}: file is empty")
+
+        self.has_header = not any(_is_float(cell) for cell in first)
+        header = first if self.has_header else None
+        self.width = width = len(first)
+
+        label_idx = None
+        if label_col is not None:
+            if isinstance(label_col, str) and not label_col.lstrip("-").isdigit():
+                if header is None:
+                    raise DataError(f"{path}: label column {label_col!r} needs a header row")
+                if label_col not in header:
+                    raise DataError(f"{path}: no column named {label_col!r}")
+                label_idx = header.index(label_col)
+            else:
+                label_idx = int(label_col)
+                if not -width <= label_idx < width:
+                    raise DataError(f"{path}: label column index {label_idx} out of range")
+                label_idx %= width
+        self.label_idx = label_idx
+        self.feature_idx = [i for i in range(width) if i != label_idx]
+        self.names = [header[i] for i in self.feature_idx] if header else [f"f{i + 1}" for i in self.feature_idx]
+        self.d = len(self.feature_idx)
+
+        # reader.line_num counts the lines the first row took, blank lines before it included.
+        handle.seek(0)
+        for _ in range(reader.line_num if self.has_header else reader.line_num - 1):
+            n_rows -= handle.readline() not in _BLANK_LINES
+        self.n = n_rows
+        self.start = handle.tell()
+
+    def blocks(self):
+        """The :func:`_parse_bulk` blocks of (features, label cells) from the
+        first data line; fewer than ``n`` columns where the bulk parse refuses."""
+        self.handle.seek(self.start)
+        return _parse_bulk(self.handle, self.n, self.width, self.feature_idx, self.label_idx)
+
+    def collect(self):
+        """(X, y, feature_names) of the file; y is None without a label column."""
+        labelled = self.label_idx is not None
+        # C order, as the scan builds X: reductions over samples must not change.
+        features = np.empty((self.d, self.n))
+        labels = [] if labelled else None
+        done = 0
+        for part, cells in self.blocks():
+            features[:, done:done + part.shape[1]] = part
+            done += part.shape[1]
+            if labelled:
+                labels += cells
+            del part, cells  # one block live at a time
+        if done < self.n:
+            del features, labels  # before the scan builds its own
+            self.handle.seek(0)
+            data_rows = list(_csv_rows(self.path, csv.reader(self.handle)))
+            if self.has_header:
+                del data_rows[0]
+            features, labels = _scan_rows(self.path, data_rows, self.has_header, self.width, self.feature_idx,
+                                          self.label_idx)
+        return features, self.read_labels(labels) if labelled else None, self.names
+
+    @staticmethod
+    def read_labels(cells: list[str]) -> np.ndarray:
+        """The labels of label cells: ints if every cell reads as one, else
+        floats if every cell does, else the text."""
+        try:
+            return np.array([int(t) for t in cells])
+        except ValueError:
+            pass
+        try:
+            return np.array([float(t) for t in cells])
+        except ValueError:
+            return np.array(cells)
 
 
 def _count_rows(handle):
@@ -345,45 +424,6 @@ def _count_rows(handle):
     return int(rows)
 
 
-def _layout(path, handle, label_col):
-    """What the header row of the text file ``handle`` fixes, as (data rows,
-    fields per row, feature fields, label field, feature names, whether
-    there is a header); counts the rows first (:func:`_count_rows`) and
-    leaves ``handle`` at the first data line."""
-    n_rows = _count_rows(handle)
-    reader = csv.reader(handle)
-    first = next(_csv_rows(path, reader), None)
-    if first is None:
-        raise DataError(f"{path}: file is empty")
-
-    has_header = not any(_is_float(cell) for cell in first)
-    header = first if has_header else None
-    width = len(first)
-
-    label_idx = None
-    if label_col is not None:
-        if isinstance(label_col, str) and not label_col.lstrip("-").isdigit():
-            if header is None:
-                raise DataError(f"{path}: label column {label_col!r} needs a header row")
-            if label_col not in header:
-                raise DataError(f"{path}: no column named {label_col!r}")
-            label_idx = header.index(label_col)
-        else:
-            label_idx = int(label_col)
-            if not -width <= label_idx < width:
-                raise DataError(f"{path}: label column index {label_idx} out of range")
-            label_idx %= width
-
-    feature_idx = [i for i in range(width) if i != label_idx]
-    names = [header[i] for i in feature_idx] if header else [f"f{i + 1}" for i in feature_idx]
-
-    # reader.line_num counts the lines the first row took, blank lines before it included.
-    handle.seek(0)
-    for _ in range(reader.line_num if has_header else reader.line_num - 1):
-        n_rows -= handle.readline() not in _BLANK_LINES
-    return n_rows, width, feature_idx, label_idx, names, has_header
-
-
 def _csv_rows(path, reader):
     """The non-blank rows of a csv reader; a row csv refuses raises DataError."""
     try:
@@ -398,23 +438,6 @@ def _loadtxt(rows, usecols):
         return np.loadtxt(rows, delimiter=",", comments=None, usecols=usecols, ndmin=2)
     except ValueError:
         return None
-
-
-def _parse_all(blocks, n_rows, d, labelled):
-    """(features, label cells) of the :func:`_parse_bulk` ``blocks`` of
-    ``n_rows`` lines, written into one d x n array, or None to leave the
-    file to the scan."""
-    # C order, as the scan builds X: reductions over samples must not change.
-    features = np.empty((d, n_rows))
-    labels = [] if labelled else None
-    done = 0
-    for part, cells in blocks:
-        features[:, done:done + part.shape[1]] = part
-        done += part.shape[1]
-        if labelled:
-            labels += cells
-        del part, cells  # one block live at a time
-    return (features, labels) if done == n_rows else None
 
 
 def _parse_bulk(handle, n_rows, width, feature_idx, label_idx):

@@ -46,9 +46,10 @@ kernel alone (the model's ``route``, :func:`class_grouping`), robust or not:
   merged over STATS_BLOCK-column slabs of X in row order with the pairwise
   update of Chan, Golub & LeVeque 1983 ("Algorithms for computing the
   sample variance", Am. Stat.; :func:`merge_slab`), and :func:`fit_classes`
-  solves from them. At r1 = r2 = 0 the whole set is one class. The command
-  line streams a CSV into the same slabs, so its fit never holds X (see
-  :mod:`roweis.cli`).
+  solves from them. At r1 = r2 = 0 the whole set is one class.
+  :func:`fit_blocks` owns the slabs and this route's rules: it takes X in
+  column blocks, as one block from :func:`fit_grid` or as a CSV's parse
+  blocks from the command line, whose fit so never holds X.
 * ``"dense"`` (d <= n otherwise: a label Gram K_y, real-valued targets, or
   c d > n): R1 and R2 are built d x d from the centered data and solved as
   they are.
@@ -86,7 +87,7 @@ import numpy as np
 
 from . import kernels, scatter
 from ._util import as_features, as_finite_matrix, as_labels, as_square, classes, sym
-from .exceptions import ConfigError, NumericalError
+from .exceptions import ConfigError, DataError, NumericalError
 from .linalg import (
     EIG_NOISE_RTOL,
     SHIFT_BASE_SCALE,
@@ -113,9 +114,9 @@ TIE_RTOL = 1e-10
 # files.
 ROUTES = ("classes", "dense", "span", "dual")
 
-# Columns of X per slab of the class statistics: the slabs, and so the bits of
-# a "classes" fit, are the same whether X is held (fit_grid) or streamed (the
-# command line).
+# Columns of X per slab of the class statistics: fit_blocks re-slices any
+# blocks into these, so the bits of a "classes" fit do not depend on how X
+# comes in, held (fit_grid) or streamed (the command line).
 STATS_BLOCK = 1024
 
 # select_components: eigenvalues above this fraction of the largest count as
@@ -332,7 +333,8 @@ def constraint(data, labels, r2: float, metric=None) -> np.ndarray:
 def _fit_inputs(x, labels, r1: float, r2: float):
     """(X, labels) checked as every fit entry point needs them.
 
-    X must be finite with at least 2 samples. Labels are required as soon as
+    X must be finite with at least 2 samples and at least one feature (a
+    0 x n X raises DataError). Labels are required as soon as
     r1 > 0 or r2 > 0, are checked whenever given, and must be class ids (not
     real targets) when r2 > 0, because the within-class scatter needs a hard
     partition of the samples.
@@ -341,6 +343,8 @@ def _fit_inputs(x, labels, r1: float, r2: float):
     n = x.shape[1]
     if n < 2:
         raise ConfigError(f"fitting needs at least 2 samples, got {n}")
+    if x.shape[0] == 0:
+        raise DataError("X has no features: fitting needs at least one")
     if (r1 > 0 or r2 > 0) and labels is None:
         raise ConfigError("labels are required when r1 > 0 or r2 > 0")
     if labels is not None:
@@ -472,8 +476,8 @@ def fit_grid(x, labels, configs) -> list[RdaModel]:
     once (:func:`_fit_inputs`, at the largest r1 and r2). The configs are
     parted by :func:`class_grouping`, and each part is solved by one
     :func:`_solve_grid` call: from one pass of class statistics
-    (:func:`fit_classes`), or from X with the mean, and the span route's
-    QR, taken once."""
+    (:func:`fit_blocks`, with X as one block), or from X with the mean, and
+    the span route's QR, taken once."""
     configs = list(configs)
     if not configs:
         raise ConfigError("fit_grid needs at least one config")
@@ -491,13 +495,8 @@ def fit_grid(x, labels, configs) -> list[RdaModel]:
         if grouping is None:
             fitted = _fit_data(x, labels, part)
         else:
-            by_class = grouping == "classes"
-            groups: dict = {}
-            for start in range(0, n, STATS_BLOCK):
-                stop = start + STATS_BLOCK
-                merge_slab(groups, x[:, start:stop], keys[start:stop] if by_class else None)
-            order = range(ids.size) if by_class else [None]
-            fitted = fit_classes([groups[k] for k in order], ids if by_class else None, part)
+            # The keys are class positions, so they read as ids[positions].
+            fitted = fit_blocks([(x, keys)], n, d, part, lambda found: ids[found])
         for i, model in zip(members, fitted):
             models[i] = model
     return models
@@ -545,6 +544,57 @@ def class_grouping(config: RoweisConfig, ids, d: int, n: int) -> str | None:
     if not class_factor(config) or not kernels.is_categorical(ids) or ids.size * d > n:
         return None
     return "classes"
+
+
+def fit_blocks(blocks, n: int, d: int, configs, read_keys) -> list[RdaModel] | None:
+    """Fits at every config on the ``"classes"`` route from a d x n X given
+    in column blocks, in the configs' order; None where that route would not
+    give :func:`fit_grid`'s fits of X bit for bit, and the caller fits X.
+
+    ``blocks`` yields (features, keys) in column order: a d x k array and
+    the k columns' class keys, any hashable spelling of their labels
+    (ignored when every config is at r1 = r2 = 0). They are re-sliced into
+    STATS_BLOCK-column slabs, each merged by key (:func:`merge_slab`), so
+    the bits do not depend on the blocks. ``read_keys`` turns the list of
+    distinct keys into their labels, and :func:`fit_classes` solves in the
+    labels' ``np.unique`` order. Gives up on a label Gram, on n < max(d, 2),
+    as soon as c d > n, on blocks of fewer than n columns, on two keys that
+    read as one label, and wherever :func:`class_grouping` refuses.
+    """
+    configs = list(configs)
+    by_class = any(config.r1 > 0 or config.r2 > 0 for config in configs)
+    if n < max(d, 2) or not all(class_factor(config) for config in configs):
+        return None
+    groups: dict = {}
+    slab = np.empty((d, min(n, STATS_BLOCK)))
+    pieces: list = []
+    filled = seen = 0
+    for part, keys in blocks:
+        seen += part.shape[1]
+        at = 0
+        while at < part.shape[1]:
+            take = min(slab.shape[1] - filled, part.shape[1] - at)
+            slab[:, filled:filled + take] = part[:, at:at + take]
+            if by_class:
+                pieces.append(keys[at:at + take])
+            filled, at = filled + take, at + take
+            if filled == slab.shape[1]:
+                merge_slab(groups, slab, np.concatenate(pieces) if by_class else None)
+                filled, pieces = 0, []
+                if len(groups) * d > n:  # too many classes: X's route
+                    return None
+        del part, keys  # one block live at a time
+    if filled:
+        merge_slab(groups, slab[:, :filled], np.concatenate(pieces) if by_class else None)
+    if seen < n:
+        return None
+    if not by_class:
+        return fit_classes([groups[None]], None, configs)
+    found = list(groups)
+    ids, inverse = classes(read_keys(found))
+    if ids.size < len(found) or any(class_grouping(config, ids, d, n) != "classes" for config in configs):
+        return None
+    return fit_classes([groups[found[i]] for i in np.argsort(inverse).tolist()], ids, configs)
 
 
 def class_factor(config: RoweisConfig) -> bool:

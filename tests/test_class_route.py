@@ -122,7 +122,7 @@ def test_the_moments_are_the_scatters_of_x(rng):
 
 
 def test_a_slab_is_merged_alike_whatever_its_layout(rng):
-    # fit_grid merges views of X; the command line merges a C-ordered buffer.
+    # fit_blocks merges slabs of a C-ordered buffer; the bits do not depend on that layout.
     x, labels = labeled_blobs(rng, d=5, n=300, c=3)
     views, copies = {}, {}
     fortran = np.asfortranarray(x)

@@ -3,7 +3,9 @@
 Every manifest records the SHA-256 of each input file. ``hashlib`` maps
 OpenSSL (``_hashlib``, about 3.6 MB resident), so the CLI imports it only to
 write the manifest, after a fit's buffers are freed: importing ``roweis.cli``
-or asking for ``--version`` loads neither module.
+or asking for ``--version`` loads neither module. Importing ``roweis.cli``
+loads a pinned set of the package's modules, and none of ``persist``,
+``experiments`` and ``evaluate``, which the commands that use them import.
 """
 
 import hashlib
@@ -51,6 +53,22 @@ HASH_MODULES = "print(sorted(m for m in sys.modules if m in ('hashlib', '_hashli
 
 def test_cli_import_loads_no_hashlib():
     assert probe("import sys, roweis.cli; " + HASH_MODULES) == "[]"
+
+
+# What ``import roweis.cli`` loads of the package: every command pays for it
+# before it parses its arguments, so a module added here is start-up time.
+CLI_IMPORTS = ["roweis", "roweis._util", "roweis.cli", "roweis.datasets", "roweis.dual", "roweis.exceptions",
+               "roweis.kernel_rda", "roweis.kernels", "roweis.linalg", "roweis.rda", "roweis.scatter"]
+
+
+def test_cli_import_loads_exactly_its_modules():
+    code = ("import json, sys, roweis.cli; print(json.dumps(["
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'roweis'),"
+            "sorted(m for m in ('roweis.persist', 'roweis.experiments', 'roweis.evaluate', 'hashlib')"
+            " if m in sys.modules)]))")
+    loaded, lazy = json.loads(probe(code))
+    assert loaded == CLI_IMPORTS
+    assert lazy == []
 
 
 def test_version_loads_no_hashlib():

@@ -15,11 +15,14 @@ grows back in ``objective`` or a caller.
 
 The "classes" route solves from ``rda.ClassMoments`` through the same core:
 ``_solve_grid`` is called only by the fits that hold X (``_fit_data``), by
-``fit_classes`` and by the kernel direct fit, and ``fit_classes`` only by
-``fit_grid`` and the command line's streamed fit. The moments' fields are
-read only where R1 and R2 are built: S_T and the class sums by
-``objective`` (S_T's trace also by the core, for its noise floor) and S_W
-by ``constraint``.
+``fit_classes`` and by the kernel direct fit. The route itself has one
+home, ``rda.fit_blocks``, which both ``fit_grid`` and the command line's
+streamed fit call: it alone merges slabs (``merge_slab``) and calls
+``fit_classes``, and ``cli`` refers to neither, nor to the slab width or
+the label reading of ``datasets``. The bulk CSV parse, ``_parse_bulk``,
+is read only through the CSV session. The moments' fields are read only
+where R1 and R2 are built: S_T and the class sums by ``objective`` (S_T's
+trace also by the core, for its noise floor) and S_W by ``constraint``.
 """
 
 import ast
@@ -38,8 +41,12 @@ ALLOWED = {
     ("kernels", "label_gram"): {CORE, ("rda", "label_factor"), ("rda", "_label_kernel_scale")},
     ("kernels", "class_indicator"): {CORE, ("rda", "label_factor")},
     CORE: {("rda", "_fit_data"), ("rda", "fit_classes"), ("kernel_rda", "fit_direct_grid")},
-    ("rda", "fit_classes"): {("rda", "fit_grid"), ("cli", "_streamed_fit")},
+    ("rda", "fit_classes"): {("rda", "fit_blocks")},
+    ("rda", "merge_slab"): {("rda", "fit_blocks")},
+    ("datasets", "_parse_bulk"): {("datasets", "CsvSession")},
 }
+# What the command line leaves to rda.fit_blocks and the CSV session.
+NOT_IN_CLI = {("rda", "merge_slab"), ("rda", "STATS_BLOCK"), ("rda", "fit_classes"), ("datasets", "_parse_labels")}
 MOMENTS = {
     "scatter_total": {("rda", "objective"), CORE},
     "class_sums": {("rda", "objective")},
@@ -76,6 +83,24 @@ def test_a_second_solve_loop_is_caught(tmp_path):
 
 def test_the_solvers_are_referenced_only_where_allowed():
     assert callers(PACKAGE) == ALLOWED
+
+
+def module_references(package: Path, name: str) -> set:
+    """Every (module, name) pair the module ``name`` of ``package`` refers to."""
+    modules = {p.stem for p in package.glob("*.py")}
+    tree = ast.parse((package / f"{name}.py").read_text())
+    module_alias, name_alias = package_imports(tree, modules)
+    return references(tree, name, module_alias, name_alias)
+
+
+def test_a_slab_loop_in_the_cli_is_caught(tmp_path):
+    (tmp_path / "rda.py").write_text("STATS_BLOCK = 4\n")
+    (tmp_path / "cli.py").write_text("from . import rda\n\n\ndef fit(x):\n    return x[:, :rda.STATS_BLOCK]\n")
+    assert module_references(tmp_path, "cli") & NOT_IN_CLI == {("rda", "STATS_BLOCK")}
+
+
+def test_the_cli_leaves_the_slabs_and_the_labels_to_rda_and_datasets():
+    assert module_references(PACKAGE, "cli") & NOT_IN_CLI == set()
 
 
 def moment_readers(package: Path) -> dict:

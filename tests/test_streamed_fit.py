@@ -1,12 +1,13 @@
 """``roweis fit`` from streamed class statistics against ``rda.fit`` of ``load_csv``.
 
-On the "classes" route the primal and dual fits read the CSV block by block
-(``datasets.csv_blocks``) and merge each STATS_BLOCK-column slab into the
-class statistics (``rda.merge_slab``), holding neither X nor a label per
-row. Wherever that cannot give what ``rda.fit(load_csv(...))`` gives, bit
-for bit, the command makes that call instead. So every run here is
-compared with the same command whose streamed fit is switched off: exit
-code, stdout, stderr and every byte written.
+On the "classes" route the primal and dual fits hand the CSV session's
+blocks (``datasets.CsvSession.blocks``) to ``rda.fit_blocks``, which merges
+each STATS_BLOCK-column slab into the class statistics, holding neither X
+nor a label per row. Wherever that cannot give what
+``rda.fit(load_csv(...))`` gives, bit for bit, the command collects X from
+the same session (``CsvSession.collect``) and makes that call instead. So
+every run here is compared with the same command whose streamed fit is
+switched off: exit code, stdout, stderr and every byte written.
 """
 
 import weakref
@@ -14,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from roweis import cli, datasets, rda
+from roweis import DataError, KernelSpec, cli, datasets, kernel_rda, rda
 from roweis.cli import main
 
 from test_kernel_rda import traced_peak
@@ -24,8 +25,8 @@ from test_text_io import TABLE
 def outcome(tmp_path, capsys, argv) -> tuple:
     """(exit code, stdout, stderr, written files) of one command, whose
     outputs are then removed. An exception that escapes ``main`` stands for
-    the exit code: a file with no feature columns still raises IndexError
-    at r2 > 0, on either path."""
+    the exit code, so one that escapes on either path shows as a difference
+    from the other, not as a crash of the comparison."""
     before = set(tmp_path.iterdir())
     try:
         rc = main([str(a) for a in argv])
@@ -41,20 +42,20 @@ def outcome(tmp_path, capsys, argv) -> tuple:
 
 @pytest.fixture
 def loads(monkeypatch):
-    """The number of ``load_csv`` calls, which only the fallback makes."""
+    """The calls that collect X from a CSV session, which only the fallback makes."""
     calls = []
-    load = datasets.load_csv
-    monkeypatch.setattr(datasets, "load_csv", lambda *args: calls.append(args) or load(*args))
+    collect = datasets.CsvSession.collect
+    monkeypatch.setattr(datasets.CsvSession, "collect", lambda session: calls.append(session) or collect(session))
     return calls
 
 
 def assert_like_the_library(tmp_path, capsys, monkeypatch, argv, streamed: bool, loads):
     """The command's outcome equals the library fit's; ``streamed`` says
-    whether it took the streamed route (no ``load_csv`` call)."""
+    whether it took the streamed route (X never collected)."""
     got = outcome(tmp_path, capsys, argv)
     assert (len(loads) == 0) == streamed, (len(loads), got[:3])
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_streamed_fit", lambda args, config: None)
+        patch.setattr(cli, "_streamed_fit", lambda *args: None)
         want = outcome(tmp_path, capsys, argv)
     assert got == want
     return got
@@ -171,7 +172,7 @@ def test_every_text_io_case_fits_as_the_library_does(tmp_path, capsys, monkeypat
     argv = ["fit", "--data", data, *label, *flags, "--out", tmp_path / "m.txt"]
     got = outcome(tmp_path, capsys, argv)
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "_streamed_fit", lambda args, config: None)
+        patch.setattr(cli, "_streamed_fit", lambda *args: None)
         assert got == outcome(tmp_path, capsys, argv)
 
 
@@ -207,10 +208,10 @@ def test_the_loaded_arrays_are_dead_when_the_manifest_is_written(tmp_path, monke
     monkeypatch.chdir(tmp_path)
     assert main(["fit", "--data", "tall.csv", "--label-col", "label", "--r1", "0.5", "--out", "m.txt"]) == 0
     refs = []
-    load = datasets.load_csv
+    collect = datasets.CsvSession.collect
 
-    def tracked(*args):
-        x, y, names = load(*args)
+    def tracked(session):
+        x, y, names = collect(session)
         refs.extend(weakref.ref(a) for a in (x, y))
         return x, y, names
 
@@ -220,7 +221,62 @@ def test_the_loaded_arrays_are_dead_when_the_manifest_is_written(tmp_path, monke
         assert refs and all(ref() is None for ref in refs)
         manifest(*args)
 
-    monkeypatch.setattr(datasets, "load_csv", tracked)
+    monkeypatch.setattr(datasets.CsvSession, "collect", tracked)
     monkeypatch.setattr(cli, "_write_manifest", checked)
     assert main([str(a) for a in COMMANDS[command]]) == 0
     assert len(refs) == 2
+
+
+# ---------------------------------------------------------------- one layout read
+
+
+COUNTED = {
+    "classes": ("tall.csv", ()),
+    "label Gram": ("tall.csv", ("--label-kernel", "linear")),
+    "span route (n < d)": ("wide.csv", ()),
+    "c d > n": ("many.csv", ()),
+    "block the bulk parse refuses": ("quoted.csv", ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNTED))
+def test_every_fit_reads_the_layout_once(tmp_path, monkeypatch, capsys, case):
+    blob_file(tmp_path / "tall.csv", n=120, d=4)
+    blob_file(tmp_path / "wide.csv", n=20, d=40)
+    blob_file(tmp_path / "many.csv", n=30, d=4, c=10)
+    (tmp_path / "quoted.csv").write_text('f1,f2,label\n1,2,0\n"3",4,1\n5,7,0\n2,9,1\n')
+    counts = []
+    count_rows = datasets._count_rows
+    monkeypatch.setattr(datasets, "_count_rows", lambda handle: counts.append(1) or count_rows(handle))
+    data, flags = COUNTED[case]
+    argv = ["fit", "--data", tmp_path / data, "--label-col", "label", "--r1", 0.5, *flags, "--out", tmp_path / "m.txt"]
+    assert main([str(a) for a in argv]) == 0
+    assert len(counts) == 1
+
+
+# ---------------------------------------------------------------- no feature columns
+
+LABEL_ONLY = "label\n0\n1\n0\n1\n"
+
+
+@pytest.mark.parametrize("flags", [("--r1", 0.5, "--r2", 0.5), ("--r1", 0.5)], ids=["r2 > 0", "r2 = 0"])
+def test_a_file_with_no_feature_columns_is_a_data_error(tmp_path, capsys, flags):
+    data = tmp_path / "data.csv"
+    data.write_text(LABEL_ONLY)
+    argv = ["fit", "--data", data, "--label-col", "label", *flags, "--out", tmp_path / "m.txt"]
+    assert main([str(a) for a in argv]) == cli.EXIT_DATA
+    assert "X has no features" in capsys.readouterr().err
+    assert not (tmp_path / "m.txt").exists()
+
+
+FEATURELESS_FITS = {
+    "fit": lambda x, y: rda.fit(x, y, rda.RoweisConfig(0.5, 0.5)),
+    "fit_direct": lambda x, y: kernel_rda.fit_direct(x, y, rda.RoweisConfig(0.5, 0.5), KernelSpec("rbf", gamma=1.0)),
+    "fit_kernel_pca": lambda x, y: kernel_rda.fit_kernel_pca(x, KernelSpec("rbf")),
+}
+
+
+@pytest.mark.parametrize("fit", sorted(FEATURELESS_FITS))
+def test_the_library_refuses_a_featureless_x(fit):
+    with pytest.raises(DataError, match="X has no features"):
+        FEATURELESS_FITS[fit](np.zeros((0, 4)), np.array([0, 1, 0, 1]))

@@ -446,7 +446,12 @@ def test_a_wide_write_holds_one_chunk_of_floats(tmp_path):
     # as Python floats at once would trace about 2.6 MB.
     values = wide_values().T
     path = tmp_path / "rec.csv"
-    assert traced_peak(lambda: cli._write_matrix(path, [f"f{i + 1}" for i in range(800)], values)) < 1 << 20
+
+    def write():
+        with open(path, "w", newline="") as handle:
+            datasets.write_csv(handle, [f"f{i + 1}" for i in range(800)], values)
+
+    assert traced_peak(write) < 1 << 20
     expected = tmp_path / "expected.csv"
     oracle.write_columns(expected, [f"f{i + 1}" for i in range(800)], values)
     assert path.read_bytes() == expected.read_bytes()

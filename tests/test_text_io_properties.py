@@ -20,7 +20,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import text_io_oracle as oracle  # noqa: E402
-from roweis import cli, datasets, persist  # noqa: E402
+from roweis import datasets, persist  # noqa: E402
 
 from test_text_io import outcome, parse_outcome  # noqa: E402
 
@@ -74,7 +74,8 @@ def test_cli_csv_writer_matches_the_oracle(tmp_path_factory, data):
     lead = data.draw(st.none() | st.lists(st.lists(TEXT, min_size=1, max_size=2), min_size=n, max_size=n))
     header = [f"e{i + 1}" for i in range(values.shape[0])]
     tmp = tmp_path_factory.mktemp("write")
-    cli._write_matrix(str(tmp / "new.csv"), header, values, lead)
+    with open(tmp / "new.csv", "w", newline="") as handle:
+        datasets.write_csv(handle, header, values, lead)
     oracle.write_columns(tmp / "old.csv", header, values, lead)
     assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
