@@ -21,8 +21,8 @@ plus ``eigh``'s buffers, about 5 n^2 doubles.
 ``fit`` reads the CSV's layout once (:func:`roweis.datasets.csv_session`).
 A primal or dual fit on the ``"classes"`` route streams its parse blocks to
 :func:`roweis.rda.fit_blocks`, which owns the slabs and the route's rules,
-so it holds O(c d^2) and one block, never X nor a label per row (flat in n:
-about 39 MB max RSS at n = 200 000, d = 50). Every other fit, and one the
+so it holds O(d^2 + c d) and one block, never X nor a label per row, at
+any class count c (flat in n: about 39 MB max RSS at n = 200 000, d = 50). Every other fit, and one the
 stream cannot reproduce bit for bit (see :func:`_streamed_fit`), collects X
 from the same session and fits it. The commands that load X (the other
 fits, transform, reconstruct, sweep) drop it, its labels and what they

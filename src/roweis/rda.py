@@ -23,10 +23,11 @@ robust repair of an exact identity returns it bit for bit.
 :func:`objective` builds R1 for every fit, the kernel direct fit's M
 included, as the blend (1 - r1) Xc Xc' + r1 Xc K_y Xc'. For class labels
 (the delta kernel) K_y = E E' exactly, with E the n x c class-indicator
-matrix, so the label term (Xc E)(Xc E)' costs O(dn + d^2 c) and no n x n
-array is built. Real-valued targets use an RBF label kernel, which has no
-such factor: their label term is (Xc K_y) Xc', with K_y built n x n. The
-eigen core builds E or K_y once per grid and hands it to :func:`objective`.
+matrix, so the label term (Xc E)(Xc E)' needs no n x n array (the
+``"classes"`` route's class sums are Xc E, with no E). Real-valued targets
+use an RBF label kernel, which has no such factor: their label term is
+(Xc K_y) Xc', with K_y built n x n. The eigen core builds E or K_y once per
+grid and hands it to :func:`objective`.
 
 :func:`constraint` builds R2 for every generalized fit, the kernel direct
 fit's L = r2 * N + (1 - r2) * K_x included, in the form the solver's
@@ -38,20 +39,20 @@ Which matrices the solver sees depends on the shapes and the config's label
 kernel alone (the model's ``route``, :func:`class_grouping`), robust or not:
 
 * ``"classes"`` (d <= n; r1 = r2 = 0, or the label term the class factor E
-  or none with c d <= n): R1 and R2 are sums of three d x d terms, the
-  total scatter S_T = Xc Xc', the within-class scatter S_W and the
-  class-mean term (Xc E)(Xc E)', and Xc E = (M - mu 1') diag(n_c) for the
-  d x c class means M. So the fit needs only each class's count n_c, mean
-  and scatter M2_c (:class:`ClassMoments`), never X itself. They are
-  merged over STATS_BLOCK-column slabs of X in row order with the pairwise
-  update of Chan, Golub & LeVeque 1983 ("Algorithms for computing the
-  sample variance", Am. Stat.; :func:`merge_slab`), and :func:`fit_classes`
-  solves from them. At r1 = r2 = 0 the whole set is one class.
-  :func:`fit_blocks` owns the slabs and this route's rules: it takes X in
-  column blocks, as one block from :func:`fit_grid` or as a CSV's parse
-  blocks from the command line, whose fit so never holds X.
-* ``"dense"`` (d <= n otherwise: a label Gram K_y, real-valued targets, or
-  c d > n): R1 and R2 are built d x d from the centered data and solved as
+  or none, at any class count c): R1 and R2 are sums of three d x d terms,
+  the total scatter S_T = Xc Xc', the pooled within-class scatter S_W and
+  the class-mean term (Xc E)(Xc E)', and Xc E = (M - mu 1') diag(n_c) for
+  the d x c class means M. So the fit needs only each class's count n_c
+  and mean and one S_W (:class:`ClassStats`, O(d^2 + c d)), never X. They
+  are merged over STATS_BLOCK-column slabs of X in row order with the
+  pairwise update of Chan, Golub & LeVeque 1983 ("Algorithms for computing
+  the sample variance", Am. Stat.; :func:`merge_slab`). At r1 = r2 = 0 the
+  whole set is one class. :func:`fit_blocks` owns the slabs, this route's
+  rules and its solve: it takes X in column blocks, as one block from
+  :func:`fit_grid` or as a CSV's parse blocks from the command line, whose
+  fit so never holds X.
+* ``"dense"`` (d <= n otherwise: a label Gram K_y, or real-valued
+  targets): R1 and R2 are built d x d from the centered data and solved as
   they are.
 * ``"span"`` (n < d): everything lives in span(Xc). Take an orthonormal Q
   (d x n, thin QR of Xc; any Q whose span holds span(Xc) will do, so no rank
@@ -177,15 +178,27 @@ class ClassMoments:
     """The second moments of the centered data Xc that a ``"classes"`` fit
     solves from: ``scatter_total`` = Xc Xc' (S_T), ``scatter_within`` = S_W
     and ``class_sums`` = Xc E, the d x c sums of Xc over each class. The eigen
-    core takes them in place of Xc, with the class ids as its labels: over
-    the classes the delta kernel is I, so its factor is I_c and the label
-    term is (Xc E)(Xc E)'. (A plain class: a dataclass costs every command
-    about 9 KB more at import.)"""
+    core takes them in place of Xc, with the class ids as its labels, and the
+    delta kernel's label term is (Xc E)(Xc E)'. (A plain class: a dataclass
+    costs every command about 9 KB more at import.)"""
 
     __slots__ = ("scatter_total", "scatter_within", "class_sums")
 
     def __init__(self, scatter_total, scatter_within, class_sums):
         self.scatter_total, self.scatter_within, self.class_sums = scatter_total, scatter_within, class_sums
+
+
+class ClassStats:
+    """What :func:`merge_slab` keeps of the columns so far, O(d^2 + c d):
+    the class ``keys`` in order of first appearance (None before any), each
+    one's count and mean (``counts``, the d x c ``means``), S_W (``within``)
+    and a d x m scratch buffer (``work``)."""
+
+    __slots__ = ("keys", "counts", "means", "within", "work")
+
+    def __init__(self, d: int):
+        self.keys, self.counts, self.means = None, np.zeros(0), np.zeros((d, 0))
+        self.within, self.work = np.zeros((d, d)), np.zeros(0)
 
 
 def supervision_level(r1: float, r2: float) -> float:
@@ -277,11 +290,11 @@ def objective(centered, r1: float, factor=None, gram=None) -> np.ndarray:
     term is (Xc F)(Xc F)' for a ``factor`` F with F F' = K_y (E for class
     labels), built after ``centered`` is dropped, and (Xc K_y) Xc' for a
     ``gram`` K_y, built before Xc Xc'. At r1 = 0 neither is needed. For
-    :class:`ClassMoments` Xc Xc' is their S_T and Xc F their class sums
-    times the factor in class coordinates."""
+    :class:`ClassMoments` Xc Xc' is their S_T and Xc E their class sums,
+    so they take neither."""
     part = q = None
     if isinstance(centered, ClassMoments):
-        q = centered.class_sums @ factor if r1 > 0 else None
+        q = centered.class_sums if r1 > 0 else None
         out = centered.scatter_total.copy() if r1 < 1 else None
     else:
         if r1 > 0 and factor is not None:
@@ -386,17 +399,17 @@ def select_components(values, cap: int, p: int | None, floor: float = 0.0) -> tu
     return p, ()
 
 
-def _solve_grid(centered, labels, configs, cap, scatter_data=None, lift=None, metric=None, count=0) -> list:
+def _solve_grid(centered, labels, configs, cap, lift=None, metric=None, count=0) -> list:
     """The one eigen core of the generalized fits: (EigPair, p, notes,
     resolved label kernel) per config, in the configs' order.
 
-    ``centered`` are the coordinates a fit solves in: the centered data
-    (dense route), Z = Q' Xc (span route), the kernel range's G H, or the
-    :class:`ClassMoments` of the centered data ("classes" route); S_W is
-    taken of ``scatter_data``, or of ``centered`` when None. The problem is
-    the block of one with ``count`` more dimensions, where R1 is 0 and R2 is
-    (1 - r2) I, or 0 with a ``metric`` (see :func:`constraint`); the factor
-    and :func:`robustify` see them as a :class:`~roweis.linalg.Complement`.
+    ``centered`` are the coordinates a fit solves in, S_W's included: the
+    centered data (dense route), Z = Q' Xc (span route), the kernel range's
+    G H, or the :class:`ClassMoments` of the centered data ("classes"
+    route). The problem is the block of one with ``count`` more dimensions,
+    where R1 is 0 and R2 is (1 - r2) I, or 0 with a ``metric`` (see
+    :func:`constraint`); the factor and :func:`robustify` see them as a
+    :class:`~roweis.linalg.Complement`.
     Each config keeps what :func:`select_components` allows under
     ``cap(r2)``, and only those columns are lifted: ``lift @ U``, sign-fixed.
 
@@ -411,19 +424,18 @@ def _solve_grid(centered, labels, configs, cap, scatter_data=None, lift=None, me
     solve scales R1's rows and columns by the factor instead of multiplying
     by it. Label bandwidths are resolved once per label kernel, and each
     distinct resolved one's term (E or K_y, see :func:`objective`) is built
-    once. R1 is handed over with no reference kept, and so is ``centered`` at
-    the last config, so each is freed after its last product if the caller
-    keeps none either. Each result equals a lone solve bit for bit.
+    once; class moments need neither. R1 is handed over with no reference
+    kept, and so is ``centered`` at the last config, so each is freed after
+    its last product if the caller keeps none either. Each result equals a
+    lone solve bit for bit.
     Eigenvalues at or below EIG_NOISE_RTOL ||centered||_F^2 ((1 - r1) + r1
     max|K_y|) / unit, the factor's unit (1 without a factor), are round-off
     at the scale of R1's inputs: a spectrum of them is refused as one of
     zeros. For class moments ||Xc||_F^2 is tr(S_T).
     """
     configs = list(configs)
-    if isinstance(centered, ClassMoments):
-        noise = EIG_NOISE_RTOL * float(np.trace(centered.scatter_total))
-    else:
-        noise = EIG_NOISE_RTOL * float(np.vdot(centered, centered))
+    moments = isinstance(centered, ClassMoments)
+    noise = EIG_NOISE_RTOL * float(np.trace(centered.scatter_total) if moments else np.vdot(centered, centered))
     groups: dict = {}
     for i, config in enumerate(configs):
         groups.setdefault((config.r2, config.robust and config.r2 > 0), []).append(i)
@@ -436,7 +448,7 @@ def _solve_grid(centered, labels, configs, cap, scatter_data=None, lift=None, me
         factor = None
         if r2 > 0 or metric is not None:
             complement = Complement((1.0 - r2) * (metric is None), count) if count else None
-            r2_mat = constraint(shared[0] if scatter_data is None else scatter_data, labels, r2, metric)
+            r2_mat = constraint(shared[0], labels, r2, metric)
             if robust:
                 r2_mat, complement = robustify(r2_mat, complement)
             factor = factor_constraint(r2_mat, complement)
@@ -447,7 +459,7 @@ def _solve_grid(centered, labels, configs, cap, scatter_data=None, lift=None, me
                 spec = kernels.resolve_label_kernel(config.label_kernel, labels)
                 if spec not in terms:
                     terms[spec] = _label_kernel_scale(spec, labels), (
-                        {"factor": kernels.class_indicator(labels)} if spec.family == "delta"
+                        {} if moments else {"factor": kernels.class_indicator(labels)} if spec.family == "delta"
                         else {"gram": kernels.label_gram(spec, labels, labels)})
                 specs[config.label_kernel] = spec, *terms[spec]
             spec, scale, term = specs[config.label_kernel] if config.r1 > 0 else (None, 1.0, {})
@@ -514,7 +526,7 @@ def _fit_data(x, labels, configs) -> list[RdaModel]:
         q = np.linalg.qr(centered)[0]
         solved = _solve_grid(q.T @ centered, labels, configs, lambda r2: rank, lift=q, count=d - n)
         return _models(configs, solved, mean, "span")
-    solved = _solve_grid(centered, labels, configs, lambda r2: rank, scatter_data=x)
+    solved = _solve_grid(centered, labels, configs, lambda r2: rank)
     return _models(configs, solved, mean, "dense")
 
 
@@ -531,17 +543,19 @@ def class_grouping(config: RoweisConfig, ids, d: int, n: int) -> str | None:
     ``"classes"`` route, or None when it must hold X.
 
     "all" (one group) when it uses no labels (r1 = r2 = 0); "classes" when
-    its label term is the class factor E or none and c d <= n for the c
-    classes ``ids`` (the distinct labels, in ``np.unique`` order); never
-    when n < d (the span route). A label Gram K_y, real-valued targets
-    under the delta kernel (which the dense route refuses) and many classes
-    keep X.
+    its label term is the class factor E or none (r1 = 0, or a delta label
+    kernel, given or the default for class ids), for the class ids ``ids``
+    (the distinct labels, in ``np.unique`` order, or None before they are
+    read), however many; never when n < d (the span route). A label Gram K_y
+    and real-valued targets under the delta kernel (which the dense route
+    refuses) keep X.
     """
     if n < d:
         return None
     if config.r1 == 0 and config.r2 == 0:
         return "all"
-    if not class_factor(config) or not kernels.is_categorical(ids) or ids.size * d > n:
+    gram = config.r1 > 0 and config.label_kernel is not None and config.label_kernel.family != "delta"
+    if gram or not (ids is None or kernels.is_categorical(ids)):
         return None
     return "classes"
 
@@ -552,20 +566,25 @@ def fit_blocks(blocks, n: int, d: int, configs, read_keys) -> list[RdaModel] | N
     give :func:`fit_grid`'s fits of X bit for bit, and the caller fits X.
 
     ``blocks`` yields (features, keys) in column order: a d x k array and
-    the k columns' class keys, any hashable spelling of their labels
+    the k columns' class keys, any sortable spelling of their labels
     (ignored when every config is at r1 = r2 = 0). They are re-sliced into
-    STATS_BLOCK-column slabs, each merged by key (:func:`merge_slab`), so
-    the bits do not depend on the blocks. ``read_keys`` turns the list of
-    distinct keys into their labels, and :func:`fit_classes` solves in the
-    labels' ``np.unique`` order. Gives up on a label Gram, on n < max(d, 2),
-    as soon as c d > n, on blocks of fewer than n columns, on two keys that
-    read as one label, and wherever :func:`class_grouping` refuses.
+    STATS_BLOCK-column slabs merged into one :class:`ClassStats`
+    (:func:`merge_slab`), so the bits do not depend on the blocks.
+    ``read_keys`` turns the list of distinct keys into their labels. Gives
+    up on n < 2, on blocks of fewer than n columns, on two keys that read as
+    one label, and wherever :func:`class_grouping` refuses.
+
+    Then, in the labels' ``np.unique`` order (ids None for one class), with
+    the d x c class means M, counts n_c and mu = M n_c / n: Xc E = (M - mu
+    1') diag(n_c) and S_T = S_W + (Xc E)(M - mu 1')'. These
+    :class:`ClassMoments` and the configs go to :func:`_solve_grid` as from
+    :func:`fit_grid`, with rank cap min(d, n - 1).
     """
     configs = list(configs)
     by_class = any(config.r1 > 0 or config.r2 > 0 for config in configs)
-    if n < max(d, 2) or not all(class_factor(config) for config in configs):
+    if n < 2 or any(class_grouping(config, None, d, n) is None for config in configs):
         return None
-    groups: dict = {}
+    stats = ClassStats(d)
     slab = np.empty((d, min(n, STATS_BLOCK)))
     pieces: list = []
     filled = seen = 0
@@ -579,93 +598,73 @@ def fit_blocks(blocks, n: int, d: int, configs, read_keys) -> list[RdaModel] | N
                 pieces.append(keys[at:at + take])
             filled, at = filled + take, at + take
             if filled == slab.shape[1]:
-                merge_slab(groups, slab, np.concatenate(pieces) if by_class else None)
+                merge_slab(stats, slab, np.concatenate(pieces) if by_class else None)
                 filled, pieces = 0, []
-                if len(groups) * d > n:  # too many classes: X's route
-                    return None
         del part, keys  # one block live at a time
     if filled:
-        merge_slab(groups, slab[:, :filled], np.concatenate(pieces) if by_class else None)
+        merge_slab(stats, slab[:, :filled], np.concatenate(pieces) if by_class else None)
     if seen < n:
         return None
-    if not by_class:
-        return fit_classes([groups[None]], None, configs)
-    found = list(groups)
-    ids, inverse = classes(read_keys(found))
-    if ids.size < len(found) or any(class_grouping(config, ids, d, n) != "classes" for config in configs):
-        return None
-    return fit_classes([groups[found[i]] for i in np.argsort(inverse).tolist()], ids, configs)
-
-
-def class_factor(config: RoweisConfig) -> bool:
-    """Whether the label term of ``config`` is the class factor E or none:
-    r1 = 0, or a delta label kernel (given, or the default for class ids)."""
-    return config.r1 == 0 or config.label_kernel is None or config.label_kernel.family == "delta"
-
-
-def merge_slab(groups: dict, slab, keys) -> None:
-    """Merge the columns of the d x m ``slab`` into the running (count, mean,
-    M2) of ``groups``, one entry per distinct value of ``keys`` (one per
-    column; None puts every column in the entry None).
-
-    Each group's columns of the slab are taken as one C-ordered block, their
-    mean and scatter M2 = Bc Bc' computed, and merged into the group's entry
-    with the pairwise update (Chan, Golub & LeVeque 1983): for counts a and
-    b, means m_a and m_b and delta = m_b - m_a, the merged mean is
-    m_a + delta b / (a + b) and M2 = M2_a + M2_b + (a b / (a + b)) delta
-    delta'. So the bits depend only on which columns each slab holds, in
-    which order, whatever the slab's own layout.
-    """
-    if keys is None:
-        blocks = [(None, np.ascontiguousarray(slab))]
-    else:
-        values, inverse = classes(np.asarray(keys))
-        # compress returns a new C-ordered array, whatever slab's strides.
-        blocks = [(key, slab.compress(inverse == i, axis=1)) for i, key in enumerate(values.tolist())]
-    for key, block in blocks:
-        count = block.shape[1]
-        mean = block.mean(axis=1)
-        block = block - mean[:, None]
-        m2 = block @ block.T
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [count, mean, m2]
-            continue
-        total = group[0] + count
-        delta = mean - group[1]
-        group[1] = group[1] + delta * (count / total)
-        # w (delta_i delta_j) is the same for (i, j) and (j, i): M2 stays symmetric.
-        m2 += (group[0] * count / total) * np.outer(delta, delta)
-        group[2] += m2
-        group[0] = total
-
-
-def fit_classes(groups, ids, configs) -> list[RdaModel]:
-    """Fits at every config from class statistics (route ``"classes"``).
-
-    ``groups`` holds each class's [count, mean, M2] in the order of ``ids``
-    (the class ids, or None for one class over every sample), as
-    :func:`merge_slab` leaves them. With the class means M (d x c) and the
-    counts n_c: mu = M n_c / n, Xc E = (M - mu 1') diag(n_c), S_W = sum_c
-    M2_c and S_T = S_W + (Xc E)(M - mu 1')'. The configs go to
-    :func:`_solve_grid` as they are from :func:`fit_grid`, so R1 comes from
-    :func:`objective` and R2 from :func:`constraint`, with rank cap
-    min(d, n - 1).
-    """
-    counts = np.array([group[0] for group in groups], dtype=float)
-    means = np.column_stack([group[1] for group in groups])
-    d, n = means.shape[0], int(counts.sum())
+    ids, order = None, slice(None)
+    if by_class:
+        ids, inverse = classes(read_keys(stats.keys.tolist()))
+        if ids.size < stats.keys.size or any(class_grouping(config, ids, d, n) != "classes" for config in configs):
+            return None
+        order = np.argsort(inverse)
+    counts, means = stats.counts[order], stats.means[:, order]
     mean = means @ (counts / counts.sum())
     deltas = means - mean[:, None]
     sums = deltas * counts
-    within = groups[0][2].copy()
-    for group in groups[1:]:
-        within += group[2]
-    total = within + sums @ deltas.T
-    moments = ClassMoments(scatter_total=sym(total), scatter_within=sym(within), class_sums=sums)
-    rank = min(d, n - 1)
-    solved = _solve_grid(moments, ids, configs, lambda r2: rank)
+    moments = ClassMoments(scatter_total=sym(stats.within + sums @ deltas.T), scatter_within=sym(stats.within),
+                           class_sums=sums)
+    solved = _solve_grid(moments, ids, configs, lambda r2: min(d, n - 1))
     return _models(configs, solved, mean, "classes")
+
+
+def merge_slab(stats: ClassStats, slab, keys) -> None:
+    """Merge the d x m ``slab`` into ``stats`` by its columns' class keys
+    (None: one class), with no loop over the classes and no slab-sized
+    allocation past the first slab: one scatter-add for the slab's class
+    means, one product of its centered columns for its within-class scatter,
+    and the pairwise update (Chan, Golub & LeVeque 1983) of all its classes
+    at once. For counts a and b and delta = m_b - m_a of the means, the mean
+    gains delta b / (a + b) and S_W the rank-c sum of (a b / (a + b)) delta
+    delta'. Classes go in order of first appearance, so the bits depend on
+    the columns and their order, not on the keys' spelling nor the layout.
+    """
+    d, m = slab.shape
+    one = keys is None  # one class: nothing to sort
+    keys = np.zeros(m, dtype=int) if one else np.asarray(keys)
+    known = keys[:0] if stats.keys is None else stats.keys
+    both = np.concatenate([known, keys])
+    found, inverse = (both[:1], np.zeros(both.size, dtype=int)) if one else classes(both)
+    first = np.full(found.size, inverse.size)
+    np.minimum.at(first, inverse, np.arange(inverse.size))  # a known key's first is its position
+    opens = np.bincount(first, minlength=inverse.size) > 0
+    # Each column's class position: the known keep theirs, the new follow by first appearance.
+    slots = (np.cumsum(opens) - 1)[first[inverse[known.size:]]]
+    stats.keys = np.concatenate([known, keys[opens[known.size:]]])
+    if stats.keys.size > known.size:
+        stats.counts = np.concatenate([stats.counts, np.zeros(stats.keys.size - known.size)])
+        stats.means = np.concatenate([stats.means, np.zeros((d, stats.keys.size - known.size))], axis=1)
+    per = np.bincount(slots, weights=np.ones(m))  # the counts, as floats
+    present = np.flatnonzero(per)
+    local = (np.cumsum(per > 0) - 1)[slots]
+    count = per[present]
+    sums = np.zeros((present.size, d))
+    np.add.at(sums, local, slab.T)
+    means = sums.T / count
+    if stats.work.size < d * m:
+        stats.work = np.empty(d * m)  # kept from slab to slab
+    centered = stats.work[:d * m].reshape(d, m)
+    np.take(means, local, axis=1, out=centered, mode="clip")  # "raise" would buffer ``out``
+    np.subtract(slab, centered, out=centered)
+    before = stats.counts[present]
+    total = before + count
+    delta = means - stats.means[:, present]
+    stats.means[:, present] += delta * (count / total)
+    stats.counts[present] = total
+    stats.within += centered @ centered.T + (delta * (before * count / total)) @ delta.T
 
 
 def project(model: RdaModel, x_any) -> np.ndarray:

@@ -1,8 +1,9 @@
 """The "classes" route of ``rda.fit`` against the route that holds X.
 
-A fit whose label term is the class factor E or none, on d <= n with
-c d <= n, is solved from each class's count, mean and scatter, merged over
-STATS_BLOCK-column slabs (``rda.merge_slab``). Its bits differ from the fit
+A fit whose label term is the class factor E or none, on d <= n with any
+number of classes c, is solved from each class's count and mean and the
+pooled within-class scatter, merged over STATS_BLOCK-column slabs
+(``rda.merge_slab``). Its bits differ from the fit
 on the centered data, so it is compared with that fit, forced by refusing
 the statistics (``class_grouping`` returning None), within round-off:
 eigenvalues to 1e-12 of the largest, components whose eigenvalue is
@@ -19,6 +20,7 @@ from roweis.rda import RoweisConfig
 from roweis.scatter import within_scatter
 
 from conftest import align_columns, labeled_blobs
+from test_kernel_rda import traced_peak
 
 SPECTRUM_RTOL = 1e-12
 BASIS_TOL = 1e-8
@@ -83,6 +85,16 @@ def shapes():
     out.append(("constant feature", x, labels))
     x, labels = labeled_blobs(rng, d=7, n=2 * rda.STATS_BLOCK + 5, c=3)
     out.append(("three slabs", x, labels))
+    x, labels = labeled_blobs(rng, d=4, n=60, c=20)
+    out.append(("c d > n", x, rng.permutation(labels)))
+    x, labels = labeled_blobs(rng, d=3, n=2 * rda.STATS_BLOCK + 6, c=rda.STATS_BLOCK + 3)
+    out.append(("c = n/2", x, rng.permutation(labels)))
+    x = rng.standard_normal((3, 40))
+    out.append(("all singletons", x, rng.permutation(40)))
+    x = rng.standard_normal((2, 2 * rda.STATS_BLOCK + 5))
+    out.append(("c = n", x, rng.permutation(x.shape[1])))
+    x = np.repeat(rng.standard_normal((4, 30)), 2, axis=1)
+    out.append(("duplicate points, c = n/2", x, np.repeat(rng.permutation(30), 2)))
     return out
 
 
@@ -101,44 +113,41 @@ def test_the_statistics_fit_agrees_with_the_fit_on_x(monkeypatch, name, x, label
         assert_same_fit(rda.fit(x, labels, config), want)
 
 
+def merged(x, keys, width) -> rda.ClassStats:
+    stats = rda.ClassStats(x.shape[0])
+    for start in range(0, x.shape[1], width):
+        rda.merge_slab(stats, x[:, start:start + width], keys[start:start + width])
+    return stats
+
+
 def test_the_moments_are_the_scatters_of_x(rng):
     x, labels = labeled_blobs(rng, d=6, n=2500, c=4)
     labels = rng.permutation(labels)
-    groups: dict = {}
-    for start in range(0, x.shape[1], rda.STATS_BLOCK):
-        rda.merge_slab(groups, x[:, start:start + rda.STATS_BLOCK], labels[start:start + rda.STATS_BLOCK])
-    ids = np.unique(labels)
-    counts = [groups[k][0] for k in ids.tolist()]
-    assert counts == [int(np.sum(labels == k)) for k in ids]
-    for k in ids.tolist():
+    stats = merged(x, labels, rda.STATS_BLOCK)
+    # The classes in order of first appearance.
+    assert stats.keys.tolist() == list(dict.fromkeys(labels.tolist()))
+    for k, count, mean in zip(stats.keys.tolist(), stats.counts, stats.means.T):
         members = x[:, labels == k]
-        centered = members - members.mean(axis=1, keepdims=True)
-        np.testing.assert_allclose(groups[k][1], members.mean(axis=1), rtol=1e-14, atol=1e-14)
-        np.testing.assert_allclose(groups[k][2], centered @ centered.T, rtol=1e-12, atol=1e-10)
-        assert np.array_equal(groups[k][2], groups[k][2].T)
-    # The within-class scatter of X, and its total scatter, are what the fit solves.
-    np.testing.assert_allclose(sum(groups[k][2] for k in ids.tolist()), within_scatter(x, labels),
-                               rtol=1e-12, atol=1e-9)
+        assert count == members.shape[1]
+        np.testing.assert_allclose(mean, members.mean(axis=1), rtol=1e-14, atol=1e-14)
+    # The within-class scatter of X, pooled, is what the fit solves.
+    np.testing.assert_allclose(stats.within, within_scatter(x, labels), rtol=1e-12, atol=1e-9)
 
 
 def test_a_slab_is_merged_alike_whatever_its_layout(rng):
-    # fit_blocks merges slabs of a C-ordered buffer; the bits do not depend on that layout.
+    # Keys that sort unlike the labels, on a Fortran-ordered X: the same bits.
     x, labels = labeled_blobs(rng, d=5, n=300, c=3)
-    views, copies = {}, {}
-    fortran = np.asfortranarray(x)
-    for start in range(0, 300, 64):
-        rda.merge_slab(views, fortran[:, start:start + 64], labels[start:start + 64])
-        rda.merge_slab(copies, np.array(x[:, start:start + 64]), [str(k) for k in labels[start:start + 64]])
-    for k in range(3):
-        got, want = views[k], copies[str(k)]
-        assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
+    views = merged(np.asfortranarray(x), labels, 64)
+    copies = merged(x.copy(), np.array(["emu", "dog", "cat"])[labels], 64)
+    for name in ("counts", "means", "within"):
+        assert getattr(views, name).tobytes() == getattr(copies, name).tobytes()
 
 
 @pytest.mark.parametrize("config, labels, d, n, grouping", [
     (RoweisConfig(0.0, 0.0), None, 5, 5, "all"),
     (RoweisConfig(0.0, 0.0), None, 6, 5, None),
     (RoweisConfig(0.5, 0.5), np.arange(3), 5, 15, "classes"),
-    (RoweisConfig(0.5, 0.5), np.arange(4), 5, 15, None),
+    (RoweisConfig(0.5, 0.5), np.arange(4), 5, 15, "classes"),
     (RoweisConfig(0.0, 1.0, label_kernel=kernels.KernelSpec("linear")), np.arange(3), 5, 50, "classes"),
     (RoweisConfig(0.5, 0.0, label_kernel=kernels.KernelSpec("linear")), np.arange(3), 5, 50, None),
     (RoweisConfig(0.5, 0.0), np.array([0.5, 1.0]), 1, 50, None),
@@ -147,6 +156,15 @@ def test_a_slab_is_merged_alike_whatever_its_layout(rng):
         "real targets", "string classes"])
 def test_the_grouping_follows_the_shapes_and_the_label_kernel(config, labels, d, n, grouping):
     assert rda.class_grouping(config, labels, d, n) == grouping
+
+
+def test_a_fit_of_many_classes_holds_no_class_by_class_array(rng):
+    # d = 2, n = 20 000, c = 10 000: a c x c identity alone would be 763 MiB.
+    x = rng.standard_normal((2, 20000))
+    labels = rng.permutation(np.arange(20000) % 10000)
+    config = RoweisConfig(0.5, 0.5)
+    assert rda.fit(x, labels, config).route == "classes"
+    assert traced_peak(lambda: rda.fit(x, labels, config)) < 16 * 2**20
 
 
 def test_a_grid_parts_its_configs_by_route_and_keeps_the_per_config_bits(rng):

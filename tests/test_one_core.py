@@ -15,18 +15,23 @@ grows back in ``objective`` or a caller.
 
 The "classes" route solves from ``rda.ClassMoments`` through the same core:
 ``_solve_grid`` is called only by the fits that hold X (``_fit_data``), by
-``fit_classes`` and by the kernel direct fit. The route itself has one
-home, ``rda.fit_blocks``, which both ``fit_grid`` and the command line's
-streamed fit call: it alone merges slabs (``merge_slab``) and calls
-``fit_classes``, and ``cli`` refers to neither, nor to the slab width or
-the label reading of ``datasets``. The bulk CSV parse, ``_parse_bulk``,
+the route's one home, ``rda.fit_blocks``, and by the kernel direct fit.
+Both ``fit_grid`` and the command line's streamed fit call ``fit_blocks``:
+it alone merges slabs (``merge_slab``), and ``cli`` refers neither to that
+nor to the slab width or the class statistics (``ClassStats``). The bulk CSV parse, ``_parse_bulk``,
 is read only through the CSV session. The moments' fields are read only
 where R1 and R2 are built: S_T and the class sums by ``objective`` (S_T's
 trace also by the core, for its noise floor) and S_W by ``constraint``.
+
+Every (module, name) these guards name, guarded or allowed, must be defined
+at module level in ``src/roweis``, and every moments field must be one of
+``rda.ClassMoments``' slots: a guard on a name that is gone guards nothing.
 """
 
 import ast
 from pathlib import Path
+
+from roweis import rda
 
 from test_dead_code import PACKAGE, package_imports, references
 
@@ -40,18 +45,36 @@ ALLOWED = {
     ("linalg", "symmetric_eig"): {CORE, ("rda", "robustify"), ("kernel_rda", "_fit_trick")},
     ("kernels", "label_gram"): {CORE, ("rda", "label_factor"), ("rda", "_label_kernel_scale")},
     ("kernels", "class_indicator"): {CORE, ("rda", "label_factor")},
-    CORE: {("rda", "_fit_data"), ("rda", "fit_classes"), ("kernel_rda", "fit_direct_grid")},
-    ("rda", "fit_classes"): {("rda", "fit_blocks")},
+    CORE: {("rda", "_fit_data"), ("rda", "fit_blocks"), ("kernel_rda", "fit_direct_grid")},
     ("rda", "merge_slab"): {("rda", "fit_blocks")},
     ("datasets", "_parse_bulk"): {("datasets", "CsvSession")},
 }
 # What the command line leaves to rda.fit_blocks and the CSV session.
-NOT_IN_CLI = {("rda", "merge_slab"), ("rda", "STATS_BLOCK"), ("rda", "fit_classes"), ("datasets", "_parse_labels")}
+NOT_IN_CLI = {("rda", "merge_slab"), ("rda", "STATS_BLOCK"), ("rda", "ClassStats")}
 MOMENTS = {
     "scatter_total": {("rda", "objective"), CORE},
     "class_sums": {("rda", "objective")},
     "scatter_within": {("rda", "constraint")},
 }
+
+
+def undefined(package: Path, pairs) -> set:
+    """The (module, name) pairs among ``pairs`` that no module-level
+    function, class or assignment of ``package`` defines."""
+    defined = set()
+    for path in package.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((path.stem, stmt.name))
+            elif isinstance(stmt, ast.Assign):
+                defined |= {(path.stem, t.id) for t in stmt.targets if isinstance(t, ast.Name)}
+    return set(pairs) - defined
+
+
+def test_a_guard_on_a_name_that_is_gone_is_caught(tmp_path):
+    (tmp_path / "rda.py").write_text("STATS_BLOCK = 4\n\n\ndef fit(x):\n    return x\n\n\nclass Stats:\n    pass\n")
+    assert undefined(tmp_path, {("rda", "STATS_BLOCK"), ("rda", "fit"), ("rda", "Stats"), ("rda", "merge"),
+                                ("cli", "fit")}) == {("rda", "merge"), ("cli", "fit")}
 
 
 def callers(package: Path) -> dict:
@@ -82,6 +105,7 @@ def test_a_second_solve_loop_is_caught(tmp_path):
 
 
 def test_the_solvers_are_referenced_only_where_allowed():
+    assert undefined(PACKAGE, set(ALLOWED).union(*ALLOWED.values())) == set()
     assert callers(PACKAGE) == ALLOWED
 
 
@@ -99,7 +123,8 @@ def test_a_slab_loop_in_the_cli_is_caught(tmp_path):
     assert module_references(tmp_path, "cli") & NOT_IN_CLI == {("rda", "STATS_BLOCK")}
 
 
-def test_the_cli_leaves_the_slabs_and_the_labels_to_rda_and_datasets():
+def test_the_cli_leaves_the_slabs_and_the_statistics_to_rda():
+    assert undefined(PACKAGE, NOT_IN_CLI) == set()
     assert module_references(PACKAGE, "cli") & NOT_IN_CLI == set()
 
 
@@ -127,4 +152,6 @@ def test_a_second_reader_of_the_moments_is_caught(tmp_path):
 
 
 def test_the_moments_are_read_only_where_r1_and_r2_are_built():
+    assert set(MOMENTS) <= set(rda.ClassMoments.__slots__)
+    assert undefined(PACKAGE, set().union(*MOMENTS.values())) == set()
     assert moment_readers(PACKAGE) == MOMENTS

@@ -29,6 +29,9 @@ from oracle import (
     total_scatter,
 )
 
+# A label Gram: a fit at r1 > 0 with it keeps X.
+RBF = kernels.KernelSpec("rbf", gamma=0.5)
+
 
 class TestBlendLabelKernel:
     """rda.objective blends the label term (Xc K_y) Xc' with Xc Xc', for a
@@ -290,11 +293,13 @@ class TestFit:
             align_columns(oracle.vectors, model.basis), oracle.vectors, atol=1e-8
         )
 
-    # d = 12: 3 classes of 12 features hold more than 30 samples, so the fit
-    # at r1 > 0 keeps X ("dense").
-    @pytest.mark.parametrize("d, route", [(6, "classes"), (12, "dense"), (60, "span")])
+    # d = 12: 3 classes of 12 features hold more than 30 samples, which the
+    # class statistics take as they are; a label Gram at r1 > 0 keeps X.
+    @pytest.mark.parametrize("d, spec, route", [(6, None, "classes"), (12, None, "classes"), (12, RBF, "dense"),
+                                                (60, None, "span")],
+                             ids=["6-classes", "12-classes", "12-gram-dense", "60-span"])
     @pytest.mark.parametrize("r1", [0.0, 0.5, 1.0])
-    def test_r2_zero_skips_the_factorization_and_the_solves(self, rng, monkeypatch, d, route, r1):
+    def test_r2_zero_skips_the_factorization_and_the_solves(self, rng, monkeypatch, d, spec, route, r1):
         # R2 = I, so a fit that is not robust solves R1 alone: no constraint
         # spectrum, no Cholesky factor, no triangular solves.
         x, labels = labeled_blobs(rng, d, 30, 3)
@@ -304,10 +309,11 @@ class TestFit:
 
         for name in ("eigvalsh", "cholesky", "solve"):
             monkeypatch.setattr(np.linalg, name, refuse)
-        model = fit(x, labels, RoweisConfig(r1=r1, r2=0.0, p=2))
+        model = fit(x, labels, RoweisConfig(r1=r1, r2=0.0, p=2, label_kernel=spec))
         monkeypatch.undo()
         assert model.route == ("classes" if r1 == 0 and d <= 30 else route) and model.shift == 0.0
-        r1_mat = objective_matrix(x, blend_label_kernel(delta_kernel(labels, labels), r1))
+        k = delta_kernel(labels, labels) if spec is None else kernels.label_gram(spec, labels, labels)
+        r1_mat = objective_matrix(x, blend_label_kernel(k, r1))
         scale = float(model.eigvals[0])
         np.testing.assert_allclose(r1_mat @ model.basis, model.basis * model.eigvals, atol=1e-10 * scale)
         np.testing.assert_allclose(model.basis.T @ model.basis, np.eye(2), atol=1e-12)
@@ -325,15 +331,17 @@ class TestFit:
         np.testing.assert_allclose(small.eigvals, 1e-16 * ref.eigvals, rtol=1e-10)
         np.testing.assert_allclose(align_columns(ref.basis, small.basis), ref.basis, atol=1e-10)
 
-    @pytest.mark.parametrize("route, d", [("classes", 3), ("dense", 12), ("span", 40)])
-    def test_the_datas_units_do_not_change_what_a_discriminant_fit_keeps(self, rng, route, d):
+    @pytest.mark.parametrize("route, d, spec", [("classes", 3, None), ("classes", 12, None), ("dense", 12, RBF),
+                                                ("span", 40, None)], ids=["classes-3", "classes-12", "dense-12",
+                                                                          "span-40"])
+    def test_the_datas_units_do_not_change_what_a_discriminant_fit_keeps(self, rng, route, d, spec):
         # At r2 = 1 R1 and R2 both scale with the data's square, so the
         # spectrum does not move; the noise floor scales with the data too
         # and is divided by the factor's unit, R2's mean diagonal. At 1e8
         # the undivided floor would lie above the dense route's spectrum
         # (the span route's singular R2 is shifted, which lifts its own).
         x, labels = labeled_blobs(rng, d, 20, 3)
-        config = RoweisConfig(0.5, 1.0)
+        config = RoweisConfig(0.5, 1.0, label_kernel=spec)
         ref, big = fit(x, labels, config), fit(1e8 * x, labels, config)
         assert big.route == ref.route == route
         assert big.config.p == ref.config.p and big.eigvals.size == ref.eigvals.size

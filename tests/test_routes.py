@@ -182,9 +182,13 @@ def test_flat_tied_block_stays_on_the_span_route():
 
 
 def test_dense_route_when_d_is_at_most_n():
+    # A label Gram keeps X; the class factor E is solved from class statistics.
     labels = class_labels(N)
+    gram = RoweisConfig(r1=0.5, r2=0.5, label_kernel=kernels.KernelSpec("linear"))
     for d in (N // 2, N):
-        assert fit(class_data(d, N, labels), labels, RoweisConfig(r1=0.5, r2=0.5)).route == "dense"
+        x = class_data(d, N, labels)
+        assert fit(x, labels, gram).route == "dense"
+        assert fit(x, labels, RoweisConfig(r1=0.5, r2=0.5)).route == "classes"
 
 
 def record_orders(monkeypatch) -> list:

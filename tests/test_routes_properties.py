@@ -3,8 +3,9 @@
 For random shapes on both sides of d = n, every fitted basis must satisfy
 ``max|U'(B + shift I)U - I| <= 1e-8`` against the dense d x d constraint B
 (robustified when the fit is robust), and the fit must report the route its
-shape selects: with d <= n, "classes" unless it uses labels and c d > n. Runs only where ``hypothesis`` is installed; it is a test
-extra, not a runtime dependency.
+shape and label kernel select: with d <= n, "classes" however many classes,
+"dense" for a label Gram at r1 > 0. Runs only where ``hypothesis`` is
+installed; it is a test extra, not a runtime dependency.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from roweis.kernels import KernelSpec  # noqa: E402
 from roweis.rda import RoweisConfig, fit  # noqa: E402
 
 from test_routes import RESIDUAL_TOL, dense_problem  # noqa: E402
@@ -37,6 +39,7 @@ def problems(draw):
         r1=draw(st.sampled_from([0.0, 0.3, 1.0])),
         r2=draw(st.sampled_from([0.0, 0.5, 1.0])),
         robust=draw(st.booleans()),
+        label_kernel=draw(st.sampled_from([None, KernelSpec("linear")])),
     )
     return x, labels, config
 
@@ -48,8 +51,7 @@ def test_constraint_residual_against_the_dense_constraint(problem):
     d, n = x.shape
     model = fit(x, labels, config)
     if d <= n:
-        uses_x = (config.r1 > 0 or config.r2 > 0) and np.unique(labels).size * d > n
-        assert model.route == ("dense" if uses_x else "classes")
+        assert model.route == ("dense" if config.r1 > 0 and config.label_kernel else "classes")
     elif not config.robust:
         assert model.route == "span"
     b, _ = dense_problem(x, labels, config)

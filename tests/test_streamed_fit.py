@@ -15,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from roweis import DataError, KernelSpec, cli, datasets, kernel_rda, rda
+from roweis import DataError, KernelSpec, cli, datasets, kernel_rda, persist, rda
 from roweis.cli import main
 
 from test_kernel_rda import traced_peak
@@ -79,7 +79,10 @@ FITS = {
     "robust": ("--r1", 0.5, "--r2", 0.5, "--robust"),
     "delta given": ("--r1", 0.5, "--r2", 0.25, "--label-kernel", "delta", "--p", 2),
     "dual": ("--variant", "dual", "--r1", 0.5),
+    "c d > n": ("--r1", 0.5, "--r2", 0.5),
 }
+# The blob file's classes, where a fit takes other than 3: c d > n at d = 5, n = 300.
+FIT_CLASSES = {"c d > n": 100}
 
 
 def fit_argv(data, fit, out):
@@ -99,7 +102,7 @@ PARSE_BLOCKS = {"one line": 1, "seven lines": 7 * 100, "default": datasets.PARSE
 def test_the_streamed_fit_is_the_library_fit(tmp_path, capsys, monkeypatch, loads, fit, block, stats_block):
     monkeypatch.setattr(datasets, "PARSE_BLOCK", PARSE_BLOCKS[block])
     monkeypatch.setattr(rda, "STATS_BLOCK", stats_block)
-    data = blob_file(tmp_path / "data.csv")
+    data = blob_file(tmp_path / "data.csv", c=FIT_CLASSES.get(fit, 3))
     rc, out, _, written = assert_like_the_library(tmp_path, capsys, monkeypatch,
                                                   fit_argv(data, fit, tmp_path / "m.txt"), True, loads)
     assert rc == 0 and 'route: "classes"' in written["m.txt"].decode().splitlines()
@@ -125,7 +128,6 @@ FALLBACKS = {
     "gram label kernel": (None, ("--r1", 0.5, "--label-kernel", "linear")),
     "one class spelled two ways": ("f1,f2,label\n1,2,1\n3,4,01\n5,7,1\n2,9,2\n4,4,2\n", ("--r1", 0.5)),
     "float class spelled two ways": ("f1,f2,label\n1,2,1.0\n3,4,1.00\n5,7,2.0\n2,9,2\n", ("--r2", 1)),
-    "more classes than c d <= n allows": ("f1,f2,label\n1,2,0\n3,4,1\n5,7,2\n2,9,3\n", ("--r1", 0.5)),
     "n < d": ("f1,f2,f3,label\n1,2,3,0\n3,4,4,1\n", ("--r1", 0.5)),
     "one sample": ("f1,label\n1,0\n", ("--r1", 0.5)),
     "labels missing": ("f1,f2\n1,2\n3,4\n5,6\n", ("--r1", 0.5)),
@@ -145,6 +147,23 @@ def test_a_refusal_of_the_statistics_fit_is_the_librarys(tmp_path, capsys, monke
         tmp_path, capsys, monkeypatch, ["fit", "--data", data, "--label-col", "label", "--out", tmp_path / "m.txt"],
         True, loads)
     assert rc == 4 and "no positive eigenvalues" in err
+
+
+def test_a_fit_of_many_classes_parses_each_row_once(tmp_path, monkeypatch):
+    # 3000 x 4 with 1000 classes (c d > n), one parse block: streamed, not parsed again.
+    path = blob_file(tmp_path / "data.csv", n=3000, d=4, c=1000)
+    rows = []
+    loadtxt = datasets._loadtxt
+    monkeypatch.setattr(datasets, "_loadtxt", lambda lines, usecols: rows.append(len(lines)) or loadtxt(lines, usecols))
+    out = tmp_path / "m.txt"
+    assert main(["fit", "--data", str(path), "--label-col", "label", "--r1", "0.5", "--out", str(out)]) == 0
+    assert sum(rows) == 3000
+    x, y, _ = datasets.load_csv(path, label_col="label")
+    want = rda.fit(x, y, rda.RoweisConfig(0.5))
+    got = persist.load_model(out)
+    assert got.route == want.route == "classes"
+    for name in ("basis", "eigvals", "mean"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 @pytest.mark.parametrize("case", sorted(FALLBACKS))
