@@ -387,10 +387,12 @@ class CsvSession:
 
     @staticmethod
     def read_labels(cells: list[str]) -> np.ndarray:
-        """The labels of label cells: ints if every cell reads as one, else
-        floats if every cell does, else the text."""
+        """The labels of label cells: ints if every cell reads as one (text
+        past 64 bits, as floats would merge ids), else floats if every cell
+        does, else the text."""
         try:
-            return np.array([int(t) for t in cells])
+            ints = np.array([int(t) for t in cells])
+            return ints if ints.dtype.kind not in "fO" else np.array(cells)
         except ValueError:
             pass
         try:

@@ -14,10 +14,10 @@ Two routes into the feature space:
   It is solved in K_x's numerical range. One eigh(K_x) per training set
   keeps the m eigenpairs (V_m, lambda_m) with |lambda| above
   EIG_NOISE_RTOL of the largest. With G = V_m' K_x = Lambda_m V_m' and
-  theta = V_m z, the problem is m x m: V_m' M V_m is
-  :func:`roweis.rda.objective` of G H, so class labels need no n x n P, and
-  V_m' L V_m is :func:`roweis.rda.constraint` of G with the diagonal metric
-  lambda_m (V_m' N V_m is the within-class scatter of G). At r2 = 0 it is
+  theta = V_m z, the problem is m x m: V_m' M V_m and V_m' L V_m (with
+  the diagonal metric lambda_m) are :func:`roweis.rda.objective` and
+  :func:`roweis.rda.constraint` of the class moments of G H, so class
+  labels need no n x n P (V_m' N V_m is S_W of G H). At r2 = 0 L is
   diag(lambda_m) itself, which the solver takes as the vector lambda_m and
   factors in closed form, 1 / sqrt(lambda_m + shift), so those solves
   scale instead of multiplying by an m x m factor. L is 0 on the
@@ -47,8 +47,9 @@ by round-off alone.
 
 One training set is fitted at many (r1, r2) by :func:`fit_direct_grid`
 (:func:`fit_direct` is its one-config case): the input check, the
-bandwidths, K_x and its eigh once, then :func:`roweis.rda._solve_grid` on
-G H with the metric lambda_m, the zero complement and the lift V_m.
+bandwidths, K_x, its eigh and the moments of G H once, then
+:func:`roweis.rda._solve_grid` with the metric lambda_m, the zero
+complement and the lift V_m.
 
 Every model embeds new points as coeffs' k(X, x) - offset, k(X, x) the kernel
 between the retained training matrix and the new points; the direct fit's
@@ -70,10 +71,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._util import as_features, classes, sym, sym_in_place
+from ._util import as_features, sym, sym_in_place
 from .exceptions import ConfigError
 from .linalg import EIG_NOISE_RTOL, _numerical, symmetric_eig
-from .rda import RoweisConfig, _fit_inputs, _solve_grid, label_factor, select_components
+from .rda import RoweisConfig, _fit_inputs, _held_moments, _solve_grid, label_factor, select_components
 
 # New points embedded at a time by project; keep it a multiple of 64. BLAS
 # picks its kernel by the product's shape, so a block's columns can differ
@@ -134,14 +135,13 @@ def fit_direct_grid(x, labels, configs, kernel: kernels.KernelSpec) -> list[Kern
         raise ConfigError("the kernel direct fit has no robust form; robust=True applies to rda.fit only")
     x, labels = _fit_inputs(x, labels, max(c.r1 for c in configs), max(c.r2 for c in configs))
     n = x.shape[1]
-    n_classes = classes(labels)[0].size
 
     kernel = kernels.resolve_gamma(kernel, x)
     train_x = x.copy()
-    # g_c is a one-item list holding G H, so _solve_grid frees it after its last use.
-    vectors, values, *g_c = _gram_range(kernel, x)
-    solved = _solve_grid(g_c.pop(), labels, configs, lambda r2: n_classes - 1 if r2 == 1.0 else n - 1,
-                        lift=vectors, metric=values, count=n - values.size)
+    vectors, values, coords = _gram_range(kernel, x)
+    moments, _, ids, coords = _held_moments(coords, labels, configs)  # ids: the classes, keyed for r2 = 1
+    solved = _solve_grid(moments, labels, configs, lambda r2: ids.size - 1 if r2 == 1.0 else n - 1, coords,
+                         lift=vectors, metric=values, count=n - values.size)
     return [KernelRdaModel(variant="kernel-direct", coeffs=pair.vectors, eigvals=pair.values, train_x=train_x,
                            kernel=kernel, r1=config.r1, r2=config.r2, label_kernel=spec, shift=pair.shift,
                            notes=notes)

@@ -38,8 +38,8 @@ class KernelSpec:
 
     gamma applies to rbf (None means "median heuristic, not yet resolved"),
     degree and offset apply to polynomial. The delta family compares labels
-    for equality; it is a label kernel only, and enters a fit as its exact
-    factor, :func:`class_indicator`.
+    for equality; it is a label kernel only, and enters a fit through its
+    exact factor E, :func:`class_indicator`, or the class sums Xc E.
     """
 
     family: str = "linear"
@@ -177,7 +177,7 @@ def gram(spec: KernelSpec, a, b) -> np.ndarray:
         k += spec.offset
         k **= spec.degree
         return k
-    raise ConfigError("delta kernels compare labels; a fit takes them through class_indicator")
+    raise ConfigError("delta kernels compare class labels; a fit takes them through class_indicator or Xc E")
 
 
 def is_categorical(labels) -> bool:
@@ -200,10 +200,10 @@ def class_indicator(labels) -> np.ndarray:
     """n x c class-indicator matrix E: (E E')[i, j] is 1 when labels i and j
     are equal, the delta label kernel.
 
-    Column j marks the samples of the j-th class in ``np.unique`` order, the
-    grouping :func:`roweis.scatter.within_scatter` uses. This is the exact
-    low-rank factor of the delta label kernel, so supervised fits on class
-    labels never need the n x n kernel itself.
+    Column j marks the samples of the j-th class in ``np.unique`` order.
+    This is the exact low-rank factor of the delta label kernel, so the
+    kernel-trick fits on class labels never need the n x n kernel itself;
+    the other fits take the class sums Xc E in its place.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1:

@@ -20,63 +20,46 @@ At r2 = 0 the constraint is I, so a fit solves the plain eigenproblem of R1
 (:func:`~roweis.linalg.symmetric_eig`) with no shift, robust or not: the
 robust repair of an exact identity returns it bit for bit.
 
-:func:`objective` builds R1 for every fit, the kernel direct fit's M
-included, as the blend (1 - r1) Xc Xc' + r1 Xc K_y Xc'. For class labels
-(the delta kernel) K_y = E E' exactly, with E the n x c class-indicator
-matrix, so the label term (Xc E)(Xc E)' needs no n x n array (the
-``"classes"`` route's class sums are Xc E, with no E). Real-valued targets
-use an RBF label kernel, which has no such factor: their label term is
-(Xc K_y) Xc', with K_y built n x n. The eigen core builds E or K_y once per
-grid and hands it to :func:`objective`.
+:func:`objective` and :func:`constraint` build R1 and R2 for every fit, the
+kernel direct fit's M and L = r2 N + (1 - r2) K_x included, from the
+:class:`~roweis.scatter.ClassMoments` of its coordinates Xc, taken in one
+pass (:func:`roweis.scatter.class_moments`): S_T = Xc Xc', the pooled
+within-class scatter S_W and the class sums Xc E, with E the n x c
+class-indicator matrix. For class labels (the delta kernel) K_y = E E', so
+the label term Xc K_y Xc' is (Xc E)(Xc E)'. A label Gram K_y (real-valued
+targets, or a linear, RBF or polynomial label kernel) has no such factor:
+its term (Xc K_y) Xc' needs Xc and K_y, built once per grid. The direct
+fit's L at r2 = 0 is diag(lambda_m), returned as the vector lambda_m itself
+and factored in closed form.
 
-:func:`constraint` builds R2 for every generalized fit, the kernel direct
-fit's L = r2 * N + (1 - r2) * K_x included, in the form the solver's
-factor takes. S_W (or N) is built only for r2 > 0 and is scaled in place,
-so it dies with its R2. The direct fit's L at r2 = 0 is diag(lambda_m),
-returned as the vector lambda_m itself and factored in closed form.
-
-Which matrices the solver sees depends on the shapes and the config's label
+Which coordinates the pass sees depends on the shapes and the config's label
 kernel alone (the model's ``route``, :func:`class_grouping`), robust or not:
 
-* ``"classes"`` (d <= n; r1 = r2 = 0, or the label term the class factor E
-  or none, at any class count c): R1 and R2 are sums of three d x d terms,
-  the total scatter S_T = Xc Xc', the pooled within-class scatter S_W and
-  the class-mean term (Xc E)(Xc E)', and Xc E = (M - mu 1') diag(n_c) for
-  the d x c class means M. So the fit needs only each class's count n_c
-  and mean and one S_W (:class:`ClassStats`, O(d^2 + c d)), never X. They
-  are merged over STATS_BLOCK-column slabs of X in row order with the
-  pairwise update of Chan, Golub & LeVeque 1983 ("Algorithms for computing
-  the sample variance", Am. Stat.; :func:`merge_slab`). At r1 = r2 = 0 the
-  whole set is one class. :func:`fit_blocks` owns the slabs, this route's
-  rules and its solve: it takes X in column blocks, as one block from
-  :func:`fit_grid` or as a CSV's parse blocks from the command line, whose
-  fit so never holds X.
-* ``"dense"`` (d <= n otherwise: a label Gram K_y, or real-valued
-  targets): R1 and R2 are built d x d from the centered data and solved as
-  they are.
-* ``"span"`` (n < d): everything lives in span(Xc). Take an orthonormal Q
-  (d x n, thin QR of Xc; any Q whose span holds span(Xc) will do, so no rank
-  is decided) and Z = Q' Xc. Then R1 = Q R1(Z) Q', and S_W = Q S_W(Z) Q'
-  because every sample minus its class mean lies in span(Xc). So R2 maps
-  span(Q) into itself and is (1 - r2) I on the complement. Its spectrum is
-  the n x n block's plus d - n copies of 1 - r2, and R1 vanishes on the
-  complement. The n x n problem (R1(Z), R2(Z)) therefore has exactly the
-  nonzero eigenpairs of the d x d one, and U = Q U_Z. The complement is
-  handed to :func:`robustify` and :func:`factor_constraint` as a
-  :class:`~roweis.linalg.Complement`, so the PSD check, the diagonal shift
-  (its unit is trace / d), the health test and the robust 98% cut all see
-  the full spectrum and come out as on the dense route. This holds for
-  every (r1, r2); :func:`roweis.dual.fit_dual` is this fit at r2 = 0.
-  When the robust 98% cut lands inside the eigenvalues tied with 1 - r2
-  (the bottom of R2's spectrum, since S_W is PSD), the tail holds only
-  copies of 1 - r2 and the exact repair changes nothing, so the block is
-  kept as it is.
+* ``"classes"`` (d <= n, and the label term the class factor E or none, at
+  any class count c): X itself, so the fit holds O(d^2 + c d), never X.
+  :func:`fit_blocks` owns this route's rules and its solve: it takes X in
+  column blocks, as one block from :func:`fit_grid` or as a CSV's parse
+  blocks from the command line.
+* ``"dense"`` (d <= n otherwise: a label Gram): the centered data, which
+  the label term needs too.
+* ``"span"`` (n < d): Z = Q' Xc, for an orthonormal Q (d x n, thin QR of
+  Xc; any Q whose span holds span(Xc) will do, so no rank is decided).
+  R1 and S_W live in span(Xc), since every sample minus its class mean
+  lies there, so R2 is (1 - r2) I on the complement, where R1 vanishes: the
+  n x n problem of Z has exactly the nonzero eigenpairs of the d x d one,
+  with U = Q U_Z, for every (r1, r2) (:func:`roweis.dual.fit_dual` is this
+  fit at r2 = 0). The complement goes to :func:`robustify` and
+  :func:`factor_constraint` as a :class:`~roweis.linalg.Complement`, so the
+  PSD check, the shift (its unit is trace / d), the health test and the
+  robust 98% cut see the full spectrum and come out as on the dense route.
+  A robust cut inside the eigenvalues tied with 1 - r2 (the bottom of R2's
+  spectrum) leaves the block as it is: its tail holds only those copies.
 
-All three routes, and the kernel direct fit's range, are configurations of one
-eigen core, :func:`_solve_grid`: coordinates, R2's metric, a complement and
-a lift; :func:`fit_grid` is the core at many configs, and :func:`fit` at
-one. Every fit entry point takes its components from
-:func:`select_components`, on its spectrum and its shape's rank cap.
+All three routes, and the kernel direct fit's range (G H), are
+configurations of one eigen core, :func:`_solve_grid`: class moments, R2's
+metric, a complement and a lift; :func:`fit_grid` is the core at many
+configs, and :func:`fit` at one. Every fit entry point takes its components
+from :func:`select_components`, on its spectrum and its shape's rank cap.
 """
 
 from __future__ import annotations
@@ -87,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, scatter
-from ._util import as_features, as_finite_matrix, as_labels, as_square, classes, sym
+from ._util import as_features, as_finite_matrix, as_labels, as_square, classes, sym, sym_in_place
 from .exceptions import ConfigError, DataError, NumericalError
 from .linalg import (
     EIG_NOISE_RTOL,
@@ -114,11 +97,6 @@ TIE_RTOL = 1e-10
 # the span of the centered data (n < d). "dual" appears only in older model
 # files.
 ROUTES = ("classes", "dense", "span", "dual")
-
-# Columns of X per slab of the class statistics: fit_blocks re-slices any
-# blocks into these, so the bits of a "classes" fit do not depend on how X
-# comes in, held (fit_grid) or streamed (the command line).
-STATS_BLOCK = 1024
 
 # select_components: eigenvalues above this fraction of the largest count as
 # valid, and p=None keeps those whose share of the spectrum is at least
@@ -172,33 +150,6 @@ class RdaModel:
     @property
     def n_components(self) -> int:
         return int(self.basis.shape[1])
-
-
-class ClassMoments:
-    """The second moments of the centered data Xc that a ``"classes"`` fit
-    solves from: ``scatter_total`` = Xc Xc' (S_T), ``scatter_within`` = S_W
-    and ``class_sums`` = Xc E, the d x c sums of Xc over each class. The eigen
-    core takes them in place of Xc, with the class ids as its labels, and the
-    delta kernel's label term is (Xc E)(Xc E)'. (A plain class: a dataclass
-    costs every command about 9 KB more at import.)"""
-
-    __slots__ = ("scatter_total", "scatter_within", "class_sums")
-
-    def __init__(self, scatter_total, scatter_within, class_sums):
-        self.scatter_total, self.scatter_within, self.class_sums = scatter_total, scatter_within, class_sums
-
-
-class ClassStats:
-    """What :func:`merge_slab` keeps of the columns so far, O(d^2 + c d):
-    the class ``keys`` in order of first appearance (None before any), each
-    one's count and mean (``counts``, the d x c ``means``), S_W (``within``)
-    and a d x m scratch buffer (``work``)."""
-
-    __slots__ = ("keys", "counts", "means", "within", "work")
-
-    def __init__(self, d: int):
-        self.keys, self.counts, self.means = None, np.zeros(0), np.zeros((d, 0))
-        self.within, self.work = np.zeros((d, d)), np.zeros(0)
 
 
 def supervision_level(r1: float, r2: float) -> float:
@@ -284,55 +235,41 @@ def label_factor(spec: kernels.KernelSpec, labels) -> np.ndarray:
     return psd_factor(kernels.label_gram(spec, labels, labels)).T
 
 
-def objective(centered, r1: float, factor=None, gram=None) -> np.ndarray:
-    """R1 = (1 - r1) Xc Xc' + r1 Xc K_y Xc' for every fit: Xc is the centered
-    data, its span coordinates, or K_x H for the kernel direct fit. The label
-    term is (Xc F)(Xc F)' for a ``factor`` F with F F' = K_y (E for class
-    labels), built after ``centered`` is dropped, and (Xc K_y) Xc' for a
-    ``gram`` K_y, built before Xc Xc'. At r1 = 0 neither is needed. For
-    :class:`ClassMoments` Xc Xc' is their S_T and Xc E their class sums,
-    so they take neither."""
-    part = q = None
-    if isinstance(centered, ClassMoments):
-        q = centered.class_sums if r1 > 0 else None
-        out = centered.scatter_total.copy() if r1 < 1 else None
-    else:
-        if r1 > 0 and factor is not None:
-            q = centered @ factor
-        elif r1 > 0:
-            part = centered @ gram
-            part = part @ centered.T
-        out = centered @ centered.T if r1 < 1 else None
-    del centered
-    if q is not None:
-        part = q @ q.T
+def objective(moments, r1: float, coords=None, gram=None) -> np.ndarray:
+    """R1 = (1 - r1) Xc Xc' + r1 Xc K_y Xc' for every fit, from the
+    :class:`~roweis.scatter.ClassMoments` of Xc: their S_T, and the label
+    term (Xc E)(Xc E)' from their class sums for class labels (the delta
+    kernel), or (Xc K_y) Xc' for a label ``gram`` K_y with Xc ``coords``."""
+    part = None
+    if r1 > 0 and gram is not None:
+        part = coords @ gram
+        part = part @ coords.T
+    elif r1 > 0:
+        part = moments.class_sums @ moments.class_sums.T
+    out = moments.scatter_total.copy() if r1 < 1 else None
     if part is None:
-        return sym(out)
+        return sym_in_place(out)
     if out is None:
-        return sym(part)
+        return sym_in_place(part)
     # In place, and the bits of r1 part + (1 - r1) Xc Xc': IEEE addition commutes.
     out *= 1.0 - r1
     part *= r1
     out += part
     del part
-    return sym(out)
+    return sym_in_place(out)
 
 
-def constraint(data, labels, r2: float, metric=None) -> np.ndarray:
+def constraint(moments, r2: float, metric=None) -> np.ndarray:
     """R2 = r2 * S_W + (1 - r2) * diag(metric), in the form
-    :func:`~roweis.linalg.factor_constraint` takes: S_W is
-    :func:`roweis.scatter.within_scatter` of ``data``, and ``metric`` is a
+    :func:`~roweis.linalg.factor_constraint` takes: S_W is that of the
+    :class:`~roweis.scatter.ClassMoments` ``moments``, and ``metric`` is a
     vector, all ones (R2's identity) when None. The kernel direct fit passes
-    K_x's kept eigenvalues, the metric of its L in K_x's eigenbasis, and is
-    added on the diagonal, not built as a matrix. At r2 = 0 it returns the
-    metric itself: diag(metric), or None for R2 = I, which needs no factor.
-    For :class:`ClassMoments` S_W is theirs."""
+    K_x's kept eigenvalues, added on the diagonal, not built as a matrix.
+    At r2 = 0 it returns the metric itself: diag(metric), or None for R2 = I,
+    which needs no factor."""
     if r2 == 0:
         return metric
-    if isinstance(data, ClassMoments):
-        out = data.scatter_within.copy()
-    else:
-        out = scatter.within_scatter(data, labels)
+    out = moments.scatter_within.copy()
     if r2 == 1:
         return out
     # In place, and the bits of r2 S_W + (1 - r2) diag(metric): off the
@@ -340,7 +277,7 @@ def constraint(data, labels, r2: float, metric=None) -> np.ndarray:
     out *= r2
     out += 0.0
     out.flat[::out.shape[0] + 1] += (1.0 - r2) * (1.0 if metric is None else metric)
-    return sym(out)
+    return sym_in_place(out)
 
 
 def _fit_inputs(x, labels, r1: float, r2: float):
@@ -399,56 +336,50 @@ def select_components(values, cap: int, p: int | None, floor: float = 0.0) -> tu
     return p, ()
 
 
-def _solve_grid(centered, labels, configs, cap, lift=None, metric=None, count=0) -> list:
+def _solve_grid(moments, labels, configs, cap, coords=None, lift=None, metric=None, count=0) -> list:
     """The one eigen core of the generalized fits: (EigPair, p, notes,
     resolved label kernel) per config, in the configs' order.
 
-    ``centered`` are the coordinates a fit solves in, S_W's included: the
-    centered data (dense route), Z = Q' Xc (span route), the kernel range's
-    G H, or the :class:`ClassMoments` of the centered data ("classes"
-    route). The problem is the block of one with ``count`` more dimensions,
-    where R1 is 0 and R2 is (1 - r2) I, or 0 with a ``metric`` (see
-    :func:`constraint`); the factor and :func:`robustify` see them as a
-    :class:`~roweis.linalg.Complement`.
+    ``moments`` are the :class:`~roweis.scatter.ClassMoments` of the
+    coordinates a fit solves in, and ``coords`` those coordinates, for a
+    label Gram K_y. The problem is the block of one with ``count`` more
+    dimensions, where R1 is 0 and R2 is (1 - r2) I, or 0 with a ``metric``:
+    a :class:`~roweis.linalg.Complement` to the factor and :func:`robustify`.
     Each config keeps what :func:`select_components` allows under
-    ``cap(r2)``, and only those columns are lifted: ``lift @ U``, sign-fixed.
+    ``cap(r2)``; only those columns are lifted, ``lift @ U``, sign-fixed.
 
     R2 depends only on (r2, robust and r2 > 0): the robust repair of I is I
-    bit for bit. So the configs are solved grouped by it: each distinct R2 is
-    built by one :func:`constraint` call (and robustified), factored once
-    (:func:`~roweis.linalg.factor_constraint`) and dropped, and every R1 of
-    the group is solved against that factor. A group at r2 = 0 without a
-    metric, robust or not, has R2 = I and solves R1 alone with
-    :func:`~roweis.linalg.symmetric_eig`. With a metric (the kernel range)
-    that group's R2 is the metric vector, factored in closed form, and each
-    solve scales R1's rows and columns by the factor instead of multiplying
-    by it. Label bandwidths are resolved once per label kernel, and each
-    distinct resolved one's term (E or K_y, see :func:`objective`) is built
-    once; class moments need neither. R1 is handed over with no reference
-    kept, and so is ``centered`` at the last config, so each is freed after
-    its last product if the caller keeps none either. Each result equals a
-    lone solve bit for bit.
-    Eigenvalues at or below EIG_NOISE_RTOL ||centered||_F^2 ((1 - r1) + r1
+    bit for bit. So each distinct R2 is built by one :func:`constraint` call
+    (and robustified), factored once and dropped, and every R1 of its group
+    is solved against that factor; at r2 = 0, R2 = I needs no factor (R1
+    alone, :func:`~roweis.linalg.symmetric_eig`) and a metric vector is
+    factored in closed form. Label bandwidths are resolved once per label
+    kernel and each distinct label Gram is built once. R1 is handed over
+    with no reference kept, and S_W and S_T are dropped from ``moments``
+    after their last use. Each result equals a lone solve bit for bit.
+    Eigenvalues at or below EIG_NOISE_RTOL tr(S_T) ((1 - r1) + r1
     max|K_y|) / unit, the factor's unit (1 without a factor), are round-off
     at the scale of R1's inputs: a spectrum of them is refused as one of
-    zeros. For class moments ||Xc||_F^2 is tr(S_T).
+    zeros.
     """
     configs = list(configs)
-    moments = isinstance(centered, ClassMoments)
-    noise = EIG_NOISE_RTOL * float(np.trace(centered.scatter_total) if moments else np.vdot(centered, centered))
+    noise = EIG_NOISE_RTOL * float(np.trace(moments.scatter_total))
     groups: dict = {}
     for i, config in enumerate(configs):
         groups.setdefault((config.r2, config.robust and config.r2 > 0), []).append(i)
+    # The last group that builds R2 from S_W, and the last config whose R1 takes S_T.
+    last_within = [group for group in groups if group[0] > 0][-1:]
+    last_total = [i for members in groups.values() for i in members if configs[i].r1 < 1][-1:]
     specs: dict = {}
     terms: dict = {}
     out: list = [None] * len(configs)
-    shared, left = [centered], len(configs)
-    del centered
     for (r2, robust), members in groups.items():
         factor = None
         if r2 > 0 or metric is not None:
             complement = Complement((1.0 - r2) * (metric is None), count) if count else None
-            r2_mat = constraint(shared[0], labels, r2, metric)
+            r2_mat = constraint(moments, r2, metric)
+            if [(r2, robust)] == last_within:
+                moments.scatter_within = None
             if robust:
                 r2_mat, complement = robustify(r2_mat, complement)
             factor = factor_constraint(r2_mat, complement)
@@ -458,15 +389,16 @@ def _solve_grid(centered, labels, configs, cap, lift=None, metric=None, count=0)
             if config.r1 > 0 and config.label_kernel not in specs:
                 spec = kernels.resolve_label_kernel(config.label_kernel, labels)
                 if spec not in terms:
+                    # Class sums stand in for E; on real targets label_gram refuses the delta kernel.
+                    delta = spec.family == "delta" and kernels.is_categorical(labels)
                     terms[spec] = _label_kernel_scale(spec, labels), (
-                        {} if moments else {"factor": kernels.class_indicator(labels)} if spec.family == "delta"
-                        else {"gram": kernels.label_gram(spec, labels, labels)})
+                        None if delta else kernels.label_gram(spec, labels, labels))
                 specs[config.label_kernel] = spec, *terms[spec]
-            spec, scale, term = specs[config.label_kernel] if config.r1 > 0 else (None, 1.0, {})
-            left -= 1
-            # No reference to R1 is kept here, nor to ``centered`` at the last
-            # config, so the solver frees the one and objective the other.
-            r1_mat = [objective(shared[0] if left else shared.pop(), config.r1, **term)]
+            spec, scale, gram = specs[config.label_kernel] if config.r1 > 0 else (None, 1.0, None)
+            # No reference to R1 is kept here, so the solver frees it.
+            r1_mat = [objective(moments, config.r1, coords, gram)]
+            if [i] == last_total:
+                moments.scatter_total = None
             pair = symmetric_eig(r1_mat.pop()) if factor is None else generalized_eig(r1_mat.pop(), factor)
             floor = noise * ((1.0 - config.r1) + config.r1 * scale) / (1.0 if factor is None else factor.unit)
             p, notes = select_components(pair.values, cap(r2), config.p, floor=floor)
@@ -477,6 +409,28 @@ def _solve_grid(centered, labels, configs, cap, lift=None, metric=None, count=0)
     return out
 
 
+def _held_moments(coords, labels, configs) -> tuple:
+    """:func:`roweis.scatter.class_moments` of coordinates held as one block
+    for ``configs`` (keyed by class labels some config uses, S_W for
+    r2 > 0), and ``coords`` where a config needs them (:func:`_uses_gram`)."""
+    keyed = labels is not None and kernels.is_categorical(labels) and any(c.r1 > 0 or c.r2 > 0 for c in configs)
+    ids, keys = classes(labels) if keyed else (None, None)
+    # The keys are class positions, so they read as ids[positions].
+    read_keys = (lambda found: ids[found]) if keyed else None
+    found = scatter.class_moments([(coords, keys)], *coords.shape, read_keys, any(c.r2 > 0 for c in configs))
+    return *found, coords if any(_uses_gram(config, labels) for config in configs) else None
+
+
+def _uses_gram(config: RoweisConfig, labels) -> bool:
+    """Whether the label term of ``config`` is a label Gram K_y (not delta,
+    or the default RBF over real targets), which needs the coordinates."""
+    if config.r1 == 0:
+        return False
+    if config.label_kernel is not None:
+        return config.label_kernel.family != "delta"
+    return labels is not None and not kernels.is_categorical(labels)
+
+
 def fit(x, labels, config: RoweisConfig) -> RdaModel:
     """Fit the projection basis at one config: the one-config case of :func:`fit_grid`."""
     return fit_grid(x, labels, [config])[0]
@@ -485,11 +439,9 @@ def fit(x, labels, config: RoweisConfig) -> RdaModel:
 def fit_grid(x, labels, configs) -> list[RdaModel]:
     """Fits of one training set at every config, in the configs' order, each
     equal to :func:`fit` at its config bit for bit. The inputs are checked
-    once (:func:`_fit_inputs`, at the largest r1 and r2). The configs are
-    parted by :func:`class_grouping`, and each part is solved by one
-    :func:`_solve_grid` call: from one pass of class statistics
-    (:func:`fit_blocks`, with X as one block), or from X with the mean, and
-    the span route's QR, taken once."""
+    once (:func:`_fit_inputs`, at the largest r1 and r2). Each part of the
+    configs (:func:`class_grouping`) is solved by one :func:`_solve_grid`
+    call: by :func:`fit_blocks` with X as one block, or by :func:`_fit_data`."""
     configs = list(configs)
     if not configs:
         raise ConfigError("fit_grid needs at least one config")
@@ -515,19 +467,19 @@ def fit_grid(x, labels, configs) -> list[RdaModel]:
 
 
 def _fit_data(x, labels, configs) -> list[RdaModel]:
-    """The fits that hold X: the mean and the centered data once, then the
-    span route's QR (n < d) or the d x d matrices ("dense")."""
+    """The fits that hold X: the span route's Z (n < d) or the centered data."""
     d, n = x.shape
     mean = x.mean(axis=1)
-    centered = x - mean[:, None]
+    coords = x - mean[:, None]
     rank = min(d, n - 1)
+    lift = None
     if n < d:
         # Any orthonormal Q whose span holds span(Xc) is exact: no rank cut.
-        q = np.linalg.qr(centered)[0]
-        solved = _solve_grid(q.T @ centered, labels, configs, lambda r2: rank, lift=q, count=d - n)
-        return _models(configs, solved, mean, "span")
-    solved = _solve_grid(centered, labels, configs, lambda r2: rank)
-    return _models(configs, solved, mean, "dense")
+        lift = np.linalg.qr(coords)[0]
+        coords = lift.T @ coords
+    moments, _, _, coords = _held_moments(coords, labels, configs)
+    solved = _solve_grid(moments, labels, configs, lambda r2: rank, coords, lift=lift, count=max(d - n, 0))
+    return _models(configs, solved, mean, "dense" if lift is None else "span")
 
 
 def _models(configs, solved, mean, route) -> list[RdaModel]:
@@ -539,23 +491,12 @@ def _models(configs, solved, mean, route) -> list[RdaModel]:
 
 
 def class_grouping(config: RoweisConfig, ids, d: int, n: int) -> str | None:
-    """How a fit of ``config`` on d x n data groups its samples for the
-    ``"classes"`` route, or None when it must hold X.
-
-    "all" (one group) when it uses no labels (r1 = r2 = 0); "classes" when
-    its label term is the class factor E or none (r1 = 0, or a delta label
-    kernel, given or the default for class ids), for the class ids ``ids``
-    (the distinct labels, in ``np.unique`` order, or None before they are
-    read), however many; never when n < d (the span route). A label Gram K_y
-    and real-valued targets under the delta kernel (which the dense route
-    refuses) keep X.
-    """
-    if n < d:
-        return None
-    if config.r1 == 0 and config.r2 == 0:
-        return "all"
-    gram = config.r1 > 0 and config.label_kernel is not None and config.label_kernel.family != "delta"
-    if gram or not (ids is None or kernels.is_categorical(ids)):
+    """``"classes"`` when a fit of ``config`` on d x n data solves from the
+    class statistics of X alone, None when it must hold X: for n < d (the
+    span route), a label Gram K_y, or labels that are not class ids (``ids``,
+    the distinct labels, or None before they are read) in use."""
+    labeled = config.r1 > 0 or config.r2 > 0
+    if n < d or _uses_gram(config, ids) or (labeled and not (ids is None or kernels.is_categorical(ids))):
         return None
     return "classes"
 
@@ -565,106 +506,23 @@ def fit_blocks(blocks, n: int, d: int, configs, read_keys) -> list[RdaModel] | N
     in column blocks, in the configs' order; None where that route would not
     give :func:`fit_grid`'s fits of X bit for bit, and the caller fits X.
 
-    ``blocks`` yields (features, keys) in column order: a d x k array and
-    the k columns' class keys, any sortable spelling of their labels
-    (ignored when every config is at r1 = r2 = 0). They are re-sliced into
-    STATS_BLOCK-column slabs merged into one :class:`ClassStats`
-    (:func:`merge_slab`), so the bits do not depend on the blocks.
-    ``read_keys`` turns the list of distinct keys into their labels. Gives
-    up on n < 2, on blocks of fewer than n columns, on two keys that read as
-    one label, and wherever :func:`class_grouping` refuses.
-
-    Then, in the labels' ``np.unique`` order (ids None for one class), with
-    the d x c class means M, counts n_c and mu = M n_c / n: Xc E = (M - mu
-    1') diag(n_c) and S_T = S_W + (Xc E)(M - mu 1')'. These
-    :class:`ClassMoments` and the configs go to :func:`_solve_grid` as from
-    :func:`fit_grid`, with rank cap min(d, n - 1).
+    ``blocks`` and ``read_keys`` go to :func:`roweis.scatter.class_moments`,
+    keyed when some config uses the labels. Gives up on n < 2, where the
+    pass gives up (a short stream, two keys that read as one label) and
+    where :func:`class_grouping` refuses.
     """
     configs = list(configs)
-    by_class = any(config.r1 > 0 or config.r2 > 0 for config in configs)
+    keyed = any(config.r1 > 0 or config.r2 > 0 for config in configs)
     if n < 2 or any(class_grouping(config, None, d, n) is None for config in configs):
         return None
-    stats = ClassStats(d)
-    slab = np.empty((d, min(n, STATS_BLOCK)))
-    pieces: list = []
-    filled = seen = 0
-    for part, keys in blocks:
-        seen += part.shape[1]
-        at = 0
-        while at < part.shape[1]:
-            take = min(slab.shape[1] - filled, part.shape[1] - at)
-            slab[:, filled:filled + take] = part[:, at:at + take]
-            if by_class:
-                pieces.append(keys[at:at + take])
-            filled, at = filled + take, at + take
-            if filled == slab.shape[1]:
-                merge_slab(stats, slab, np.concatenate(pieces) if by_class else None)
-                filled, pieces = 0, []
-        del part, keys  # one block live at a time
-    if filled:
-        merge_slab(stats, slab[:, :filled], np.concatenate(pieces) if by_class else None)
-    if seen < n:
+    found = scatter.class_moments(blocks, d, n, read_keys if keyed else None, any(c.r2 > 0 for c in configs))
+    if found is None:
         return None
-    ids, order = None, slice(None)
-    if by_class:
-        ids, inverse = classes(read_keys(stats.keys.tolist()))
-        if ids.size < stats.keys.size or any(class_grouping(config, ids, d, n) != "classes" for config in configs):
-            return None
-        order = np.argsort(inverse)
-    counts, means = stats.counts[order], stats.means[:, order]
-    mean = means @ (counts / counts.sum())
-    deltas = means - mean[:, None]
-    sums = deltas * counts
-    moments = ClassMoments(scatter_total=sym(stats.within + sums @ deltas.T), scatter_within=sym(stats.within),
-                           class_sums=sums)
+    moments, mean, ids = found
+    if keyed and any(class_grouping(config, ids, d, n) is None for config in configs):
+        return None
     solved = _solve_grid(moments, ids, configs, lambda r2: min(d, n - 1))
     return _models(configs, solved, mean, "classes")
-
-
-def merge_slab(stats: ClassStats, slab, keys) -> None:
-    """Merge the d x m ``slab`` into ``stats`` by its columns' class keys
-    (None: one class), with no loop over the classes and no slab-sized
-    allocation past the first slab: one scatter-add for the slab's class
-    means, one product of its centered columns for its within-class scatter,
-    and the pairwise update (Chan, Golub & LeVeque 1983) of all its classes
-    at once. For counts a and b and delta = m_b - m_a of the means, the mean
-    gains delta b / (a + b) and S_W the rank-c sum of (a b / (a + b)) delta
-    delta'. Classes go in order of first appearance, so the bits depend on
-    the columns and their order, not on the keys' spelling nor the layout.
-    """
-    d, m = slab.shape
-    one = keys is None  # one class: nothing to sort
-    keys = np.zeros(m, dtype=int) if one else np.asarray(keys)
-    known = keys[:0] if stats.keys is None else stats.keys
-    both = np.concatenate([known, keys])
-    found, inverse = (both[:1], np.zeros(both.size, dtype=int)) if one else classes(both)
-    first = np.full(found.size, inverse.size)
-    np.minimum.at(first, inverse, np.arange(inverse.size))  # a known key's first is its position
-    opens = np.bincount(first, minlength=inverse.size) > 0
-    # Each column's class position: the known keep theirs, the new follow by first appearance.
-    slots = (np.cumsum(opens) - 1)[first[inverse[known.size:]]]
-    stats.keys = np.concatenate([known, keys[opens[known.size:]]])
-    if stats.keys.size > known.size:
-        stats.counts = np.concatenate([stats.counts, np.zeros(stats.keys.size - known.size)])
-        stats.means = np.concatenate([stats.means, np.zeros((d, stats.keys.size - known.size))], axis=1)
-    per = np.bincount(slots, weights=np.ones(m))  # the counts, as floats
-    present = np.flatnonzero(per)
-    local = (np.cumsum(per > 0) - 1)[slots]
-    count = per[present]
-    sums = np.zeros((present.size, d))
-    np.add.at(sums, local, slab.T)
-    means = sums.T / count
-    if stats.work.size < d * m:
-        stats.work = np.empty(d * m)  # kept from slab to slab
-    centered = stats.work[:d * m].reshape(d, m)
-    np.take(means, local, axis=1, out=centered, mode="clip")  # "raise" would buffer ``out``
-    np.subtract(slab, centered, out=centered)
-    before = stats.counts[present]
-    total = before + count
-    delta = means - stats.means[:, present]
-    stats.means[:, present] += delta * (count / total)
-    stats.counts[present] = total
-    stats.within += centered @ centered.T + (delta * (before * count / total)) @ delta.T
 
 
 def project(model: RdaModel, x_any) -> np.ndarray:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from roweis import scatter
+
 
 @pytest.fixture
 def rng():
@@ -45,3 +47,17 @@ def with_complement(block: np.ndarray, value: float, count: int) -> np.ndarray:
     full = value * np.eye(m + count)
     full[:m, :m] = block
     return full
+
+
+def moments(coords=None, labels=None, s_w=None) -> scatter.ClassMoments:
+    """The class moments ``rda.objective`` and ``rda.constraint`` take: the
+    package's one pass over held coordinates (``scatter.class_moments``,
+    keyed by ``labels`` unless None), or, with ``s_w``, moments holding
+    that within-class scatter alone."""
+    if s_w is not None:
+        return scatter.ClassMoments(None, s_w, None)
+    coords = np.asarray(coords, dtype=float)
+    if labels is None:
+        return scatter.class_moments([(coords, None)], *coords.shape)[0]
+    ids, keys = np.unique(labels, return_inverse=True)
+    return scatter.class_moments([(coords, keys)], *coords.shape, lambda found: ids[found])[0]

@@ -5,12 +5,12 @@
   R1 = Xc P Xc') were library functions that nothing in the package called;
   they live on here as test oracles.
 * ``ClassPartition`` is the grouping of samples by label that the package
-  built and passed along before ``scatter.within_scatter`` took the labels
+  built and passed along before ``within_scatter`` took the labels
   themselves; ``class_means``, ``between_scatter`` and
   ``kernel_within_scatter`` take it.
 * ``kernel_within_scatter`` is the kernel direct fit's own copy of the
-  within-class scatter loop, which it now takes from
-  ``scatter.within_scatter``; the package must match it bit for bit.
+  within-class scatter loop, which it later took from ``within_scatter``;
+  the two agree bit for bit.
 * ``constraint_matrix`` (R2 = r2 S_W + (1 - r2) I) and
   ``kernel_constraint_matrix`` (L = r2 N + (1 - r2) K_x) are the two
   constraint builders from a given scatter that ``rda.constraint`` replaced;
@@ -47,9 +47,12 @@
   ``kernels.class_indicator``, and ``label_gram`` the package's
   ``kernels.label_gram`` with the delta branch it had then: the dense K_y
   of any label kernel.
-* ``label_term`` is the label term ``rda.objective`` built itself from the
-  resolved label kernel before the eigen core built it once per grid: the
-  class indicator E for the delta kernel, K_y otherwise, as its keywords.
+* ``label_term`` is the label term ``rda.objective`` takes beside the class
+  moments for a resolved label kernel: nothing for the delta kernel, whose
+  term comes from the class sums, and K_y otherwise, as its keywords.
+* ``within_scatter`` is the package's within-class scatter loop as it was
+  before one pass of class statistics (``scatter.class_moments``) gave
+  every fit its S_W; the pass must agree with it to round-off.
 * ``fit_dual``, ``fit_kernel_pca`` and ``fit_kernel_spca`` are the dual and
   kernel-trick fits as they were before they shared one small-side solve
   (``leading_directions``, since folded into ``kernel_rda._fit_trick``) and
@@ -103,7 +106,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from roweis import datasets, evaluate, experiments, kernel_rda, kernels, rda
-from roweis._util import as_features, as_matrix, as_square, sym
+from roweis._util import as_features, as_labels, as_matrix, as_square, classes, sym
 from roweis.exceptions import ConfigError, NumericalError
 from roweis.linalg import (
     CONSTRAINT_COND_MAX,
@@ -221,6 +224,20 @@ def objective_matrix(x, p) -> np.ndarray:
         raise ConfigError(f"P must be n x n with n={x.shape[1]}, got {p.shape}")
     centered = x - x.mean(axis=1, keepdims=True)
     return sym(centered @ p @ centered.T)
+
+
+def within_scatter(x, labels) -> np.ndarray:
+    """Sum over the classes of ``labels`` (a 1-D vector, one label per
+    column of X) of the scatter around each class mean."""
+    x = as_matrix(x, "X")
+    labels = as_labels(labels, x.shape[1])
+    ids, inverse = classes(labels)
+    out = np.zeros((x.shape[0], x.shape[0]))
+    for j in range(ids.size):
+        block = x[:, np.flatnonzero(inverse == j)]
+        centered = block - block.mean(axis=1, keepdims=True)
+        out += centered @ centered.T
+    return sym(out)
 
 
 def kernel_within_scatter(k_x, part: ClassPartition) -> np.ndarray:
@@ -438,10 +455,8 @@ def label_gram(spec, y1, y2) -> np.ndarray:
 
 
 def label_term(spec, labels) -> dict:
-    if spec is None:
+    if spec is None or spec.family == "delta":
         return {}
-    if spec.family == "delta":
-        return {"factor": kernels.class_indicator(labels)}
     return {"gram": kernels.label_gram(spec, labels, labels)}
 
 
@@ -623,7 +638,8 @@ def fit_direct(x, labels, config, kernel) -> KernelRdaModel:
     k_x = _sym(gram(kernel, x, x))
 
     resolved_label = kernels.resolve_label_kernel(config.label_kernel, labels) if r1 > 0 else None
-    m_mat = rda.objective(k_x - k_x.mean(axis=1, keepdims=True), r1, **label_term(resolved_label, labels))
+    k_c = k_x - k_x.mean(axis=1, keepdims=True)
+    m_mat = rda.objective(rda._held_moments(k_c, labels, [config])[0], r1, k_c, **label_term(resolved_label, labels))
 
     n_classes = None
     if r2 > 0:

@@ -41,7 +41,6 @@ from roweis.rda import (
     project,
     robustify,
 )
-from roweis.scatter import within_scatter
 
 from conftest import align_columns, align_rows, labeled_blobs
 from oracle import (
@@ -51,6 +50,7 @@ from oracle import (
     delta_kernel,
     objective_matrix,
     total_scatter,
+    within_scatter,
 )
 from test_kernels import poly_feature_map
 

@@ -18,6 +18,8 @@ import pytest
 from roweis import datasets, kernels, linalg, rda
 from roweis.rda import RoweisConfig
 
+from conftest import moments
+
 TRACE_REPLAY = Path(__file__).resolve().parents[1] / "bench" / "trace_replay.py"
 TREE = ast.parse(TRACE_REPLAY.read_text())
 
@@ -68,7 +70,7 @@ def _load_csv_call(tmp_path):
 def _generalized_eig_call(tmp_path):
     x, y = _blobs()
     xc = x - x.mean(axis=1, keepdims=True)
-    return (xc @ xc.T, linalg.factor_constraint(rda.constraint(x, y, 0.5))), {}
+    return (xc @ xc.T, linalg.factor_constraint(rda.constraint(moments(x, y), 0.5))), {}
 
 
 def _save_model_call(tmp_path):

@@ -1,9 +1,10 @@
 """The "classes" route of ``rda.fit`` against the route that holds X.
 
 A fit whose label term is the class factor E or none, on d <= n with any
-number of classes c, is solved from each class's count and mean and the
-pooled within-class scatter, merged over STATS_BLOCK-column slabs
-(``rda.merge_slab``). Its bits differ from the fit
+number of classes c, is solved from the total scatter, each class's count
+and mean and the pooled within-class scatter, merged over
+STATS_BLOCK-column slabs of X by one pass (``scatter.class_moments``). Its
+bits differ from the fit
 on the centered data, so it is compared with that fit, forced by refusing
 the statistics (``class_grouping`` returning None), within round-off:
 eigenvalues to 1e-12 of the largest, components whose eigenvalue is
@@ -15,11 +16,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from roweis import kernels, rda
+from roweis import kernels, rda, scatter
 from roweis.rda import RoweisConfig
-from roweis.scatter import within_scatter
 
 from conftest import align_columns, labeled_blobs
+from oracle import total_scatter, within_scatter
 from test_kernel_rda import traced_peak
 
 SPECTRUM_RTOL = 1e-12
@@ -83,15 +84,15 @@ def shapes():
     x, labels = labeled_blobs(rng, d=5, n=50, c=2)
     x[1] = 4.25
     out.append(("constant feature", x, labels))
-    x, labels = labeled_blobs(rng, d=7, n=2 * rda.STATS_BLOCK + 5, c=3)
+    x, labels = labeled_blobs(rng, d=7, n=2 * scatter.STATS_BLOCK + 5, c=3)
     out.append(("three slabs", x, labels))
     x, labels = labeled_blobs(rng, d=4, n=60, c=20)
     out.append(("c d > n", x, rng.permutation(labels)))
-    x, labels = labeled_blobs(rng, d=3, n=2 * rda.STATS_BLOCK + 6, c=rda.STATS_BLOCK + 3)
+    x, labels = labeled_blobs(rng, d=3, n=2 * scatter.STATS_BLOCK + 6, c=scatter.STATS_BLOCK + 3)
     out.append(("c = n/2", x, rng.permutation(labels)))
     x = rng.standard_normal((3, 40))
     out.append(("all singletons", x, rng.permutation(40)))
-    x = rng.standard_normal((2, 2 * rda.STATS_BLOCK + 5))
+    x = rng.standard_normal((2, 2 * scatter.STATS_BLOCK + 5))
     out.append(("c = n", x, rng.permutation(x.shape[1])))
     x = np.repeat(rng.standard_normal((4, 30)), 2, axis=1)
     out.append(("duplicate points, c = n/2", x, np.repeat(rng.permutation(30), 2)))
@@ -113,47 +114,86 @@ def test_the_statistics_fit_agrees_with_the_fit_on_x(monkeypatch, name, x, label
         assert_same_fit(rda.fit(x, labels, config), want)
 
 
-def merged(x, keys, width) -> rda.ClassStats:
-    stats = rda.ClassStats(x.shape[0])
-    for start in range(0, x.shape[1], width):
-        rda.merge_slab(stats, x[:, start:start + width], keys[start:start + width])
-    return stats
+def merged(x, keys, width):
+    """(ClassMoments, mean, ids) of the pass over X handed in ``width``-column blocks."""
+    blocks = [(x[:, start:start + width], keys[start:start + width]) for start in range(0, x.shape[1], width)]
+    return scatter.class_moments(blocks, x.shape[0], x.shape[1], np.asarray)
 
 
 def test_the_moments_are_the_scatters_of_x(rng):
     x, labels = labeled_blobs(rng, d=6, n=2500, c=4)
     labels = rng.permutation(labels)
-    stats = merged(x, labels, rda.STATS_BLOCK)
-    # The classes in order of first appearance.
-    assert stats.keys.tolist() == list(dict.fromkeys(labels.tolist()))
-    for k, count, mean in zip(stats.keys.tolist(), stats.counts, stats.means.T):
-        members = x[:, labels == k]
-        assert count == members.shape[1]
-        np.testing.assert_allclose(mean, members.mean(axis=1), rtol=1e-14, atol=1e-14)
-    # The within-class scatter of X, pooled, is what the fit solves.
-    np.testing.assert_allclose(stats.within, within_scatter(x, labels), rtol=1e-12, atol=1e-9)
+    moments, mean, ids = merged(x, labels, 300)
+    assert ids.tolist() == sorted(set(labels.tolist()))
+    np.testing.assert_allclose(mean, x.mean(axis=1), rtol=1e-14, atol=1e-14)
+    xc = x - x.mean(axis=1, keepdims=True)
+    sums = np.stack([xc[:, labels == k].sum(axis=1) for k in ids], axis=1)
+    np.testing.assert_allclose(moments.class_sums, sums, rtol=1e-12, atol=1e-9)
+    np.testing.assert_allclose(moments.scatter_total, total_scatter(x), rtol=1e-12, atol=1e-9)
+    np.testing.assert_allclose(moments.scatter_within, within_scatter(x, labels), rtol=1e-12, atol=1e-9)
 
 
 def test_a_slab_is_merged_alike_whatever_its_layout(rng):
-    # Keys that sort unlike the labels, on a Fortran-ordered X: the same bits.
-    x, labels = labeled_blobs(rng, d=5, n=300, c=3)
-    views = merged(np.asfortranarray(x), labels, 64)
-    copies = merged(x.copy(), np.array(["emu", "dog", "cat"])[labels], 64)
-    for name in ("counts", "means", "within"):
-        assert getattr(views, name).tobytes() == getattr(copies, name).tobytes()
+    # Keys that sort unlike the labels, on a Fortran-ordered X, in other
+    # blocks: the same bits.
+    x, labels = labeled_blobs(rng, d=5, n=3000, c=3)
+    views = merged(np.asfortranarray(x), labels, 700)
+    copies = merged(x.copy(), np.array(["emu", "dog", "cat"])[labels], scatter.STATS_BLOCK)
+    assert views[2].tolist() == [0, 1, 2] and copies[2].tolist() == ["cat", "dog", "emu"]
+    for name in ("scatter_total", "scatter_within"):
+        assert getattr(views[0], name).tobytes() == getattr(copies[0], name).tobytes()
+    assert views[0].class_sums.tobytes() == copies[0].class_sums[:, ::-1].tobytes()
+    assert views[1].tobytes() == copies[1].tobytes()
+
+
+def test_the_total_scatter_does_not_depend_on_the_keys(rng):
+    x, labels = labeled_blobs(rng, d=4, n=2100, c=5)
+    keyed = merged(x, labels, 500)
+    plain = scatter.class_moments([(x, None)], 4, 2100)
+    assert keyed[0].scatter_total.tobytes() == plain[0].scatter_total.tobytes()
+    assert keyed[1].tobytes() == plain[1].tobytes()
+    assert plain[0].scatter_within is None and plain[0].class_sums is None and plain[2] is None
+
+
+def test_no_sort_in_a_merge_sees_more_keys_than_its_slab(monkeypatch):
+    # n = c streamed in blocks: each merge sorts only its own slab's keys,
+    # never the classes seen so far, so the pass is linear in c.
+    rng = np.random.default_rng(4)
+    n = 3 * scatter.STATS_BLOCK + 17
+    x, keys = rng.standard_normal((2, n)), rng.permutation(n)
+    slabs, seen = [], []
+    merge = scatter.merge_slab
+
+    def traced(stats, slab, slab_keys, work):
+        slabs.append(slab.shape[1])
+        try:
+            merge(stats, slab, slab_keys, work)
+        finally:
+            slabs.pop()
+
+    for name in ("argsort", "sort", "unique", "lexsort", "partition", "argpartition"):
+        original = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda a, *args, _f=original, **kwargs: (
+            seen.append((np.size(a), slabs[-1])) if slabs else None) or _f(a, *args, **kwargs))
+    monkeypatch.setattr(scatter, "merge_slab", traced)
+    blocks = [(x[:, start:start + 300], keys[start:start + 300]) for start in range(0, n, 300)]
+    moments, _, ids = scatter.class_moments(blocks, 2, n, np.asarray)
+    assert ids.size == n and len(seen) >= 4
+    assert all(size <= width for size, width in seen)
 
 
 @pytest.mark.parametrize("config, labels, d, n, grouping", [
-    (RoweisConfig(0.0, 0.0), None, 5, 5, "all"),
+    (RoweisConfig(0.0, 0.0), None, 5, 5, "classes"),
     (RoweisConfig(0.0, 0.0), None, 6, 5, None),
     (RoweisConfig(0.5, 0.5), np.arange(3), 5, 15, "classes"),
     (RoweisConfig(0.5, 0.5), np.arange(4), 5, 15, "classes"),
     (RoweisConfig(0.0, 1.0, label_kernel=kernels.KernelSpec("linear")), np.arange(3), 5, 50, "classes"),
     (RoweisConfig(0.5, 0.0, label_kernel=kernels.KernelSpec("linear")), np.arange(3), 5, 50, None),
     (RoweisConfig(0.5, 0.0), np.array([0.5, 1.0]), 1, 50, None),
+    (RoweisConfig(0.0, 0.0), np.array([0.5, 1.0]), 1, 50, "classes"),
     (RoweisConfig(0.5, 0.0), np.array(["a", "b"]), 1, 50, "classes"),
 ], ids=["unsupervised", "span", "c d = n", "c d > n", "r1 = 0 ignores the label kernel", "label Gram",
-        "real targets", "string classes"])
+        "real targets", "real targets unused", "string classes"])
 def test_the_grouping_follows_the_shapes_and_the_label_kernel(config, labels, d, n, grouping):
     assert rda.class_grouping(config, labels, d, n) == grouping
 

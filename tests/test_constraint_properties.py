@@ -1,7 +1,9 @@
 """Property: ``rda.constraint`` gives the bits of the two builders it replaced.
 
-R2 = r2 S_W + (1 - r2) I must equal ``oracle.constraint_matrix`` of the
-within-class scatter, and with a metric vector (the kernel direct fit passes
+Given the class moments of a within-class scatter S_W (the oracle's
+``within_scatter``; the pass that builds it is checked against it in
+``test_scatter.py``), R2 = r2 S_W + (1 - r2) I must equal
+``oracle.constraint_matrix`` of S_W, and with a metric vector (the kernel direct fit passes
 K_x's kept eigenvalues) r2 N + (1 - r2) diag(metric) must equal
 ``oracle.kernel_constraint_matrix`` of ``oracle.kernel_within_scatter`` and
 the diagonal matrix, bit for bit, on random shapes with 1 to 5 classes
@@ -26,9 +28,9 @@ from roweis import kernels  # noqa: E402
 from roweis._util import sym  # noqa: E402
 from roweis.linalg import factor_constraint  # noqa: E402
 from roweis.rda import constraint  # noqa: E402
-from roweis.scatter import within_scatter  # noqa: E402
 
 import oracle  # noqa: E402
+from conftest import moments  # noqa: E402
 
 R2 = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 
@@ -49,26 +51,28 @@ def test_constraint_is_bit_identical_to_the_old_builders(d, n, c, r2, family, se
     labels = rng.integers(0, c, size=n)
     part = oracle.ClassPartition.from_labels(labels)
 
-    want = oracle.constraint_matrix(within_scatter(x, labels), r2)
+    s_w = oracle.within_scatter(x, labels)
+    want = oracle.constraint_matrix(s_w, r2)
     if r2 == 0:
         ones = np.ones(d)
-        got = constraint(x, labels, r2, metric=ones)
+        got = constraint(moments(s_w=s_w), r2, metric=ones)
         assert got is ones
         got, want = factor_constraint(got), factor_constraint(want)
         assert got.shift == want.shift and got.chol_inv.tobytes() == np.diag(want.chol_inv).tobytes()
     else:
-        got = constraint(x, labels, r2)
+        got = constraint(moments(s_w=s_w), r2)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     spec = kernels.KernelSpec(family, gamma=0.5) if family == "rbf" else kernels.KernelSpec(family)
     k = sym(kernels.gram(spec, x, x))
     metric = np.diag(k).copy()
-    want = oracle.kernel_constraint_matrix(oracle.kernel_within_scatter(k, part), np.diag(metric), r2)
+    n_mat = oracle.kernel_within_scatter(k, part)
+    want = oracle.kernel_constraint_matrix(n_mat, np.diag(metric), r2)
     if r2 == 0:
-        got = constraint(k, labels, r2, metric=metric)
+        got = constraint(moments(s_w=n_mat), r2, metric=metric)
         assert got is metric
         got, want = factor_constraint(got), factor_constraint(want)
         assert got.shift == want.shift and got.chol_inv.tobytes() == np.diag(want.chol_inv).tobytes()
         return
-    got = constraint(k, labels, r2, metric=metric)
+    got = constraint(moments(s_w=n_mat), r2, metric=metric)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -88,8 +88,8 @@ def dead_functions(package: Path, exports: set) -> list:
 
 def test_the_scan_sees_the_package():
     defined, referenced = scan(PACKAGE)
-    assert ("rda", "objective") in defined and ("scatter", "within_scatter") in defined
-    assert ("scatter", "within_scatter") in referenced
+    assert ("rda", "objective") in defined and ("scatter", "class_moments") in defined
+    assert ("scatter", "class_moments") in referenced
     assert {("rda", "project"), ("kernel_rda", "project"), ("rda", "fit")} <= exported()
 
 

@@ -234,20 +234,26 @@ def test_a_robust_fit_at_r2_zero_is_the_plain_fit(rng, monkeypatch, d, r1):
 
 
 class TestFitGrid:
-    @pytest.mark.parametrize("d", (3, 40))
-    def test_edge_cases_match_the_per_config_fit(self, rng, d):
-        # Classes (d <= n) and span (n < d) routes; r2 not grouped in the
-        # config order, robust and not, p above the rank cap, and two label
-        # kernels that resolve to the same delta kernel.
+    @pytest.mark.parametrize("d, gram", [(3, False), (40, False), (3, True), (40, True)],
+                             ids=["3", "40", "3, label Gram", "40, label Gram"])
+    def test_edge_cases_match_the_per_config_fit(self, rng, d, gram):
+        # Classes (d <= n) and span (n < d) routes, and with a label Gram the
+        # dense route beside the classes one; r2 not grouped in the config
+        # order, (0, 0) among labeled configs, robust and not, p above the
+        # rank cap, and two label kernels that resolve to the same kernel.
         x, labels = labeled_blobs(rng, d=d, n=20, c=3)
+        same = kernels.KernelSpec("linear" if gram else "delta")
         configs = [
             RoweisConfig(1.0, 0.5, p=2), RoweisConfig(0.5, 1.0, p=30, robust=True), RoweisConfig(0.0, 0.0),
-            RoweisConfig(1.0, 0.0, p=2, label_kernel=kernels.KernelSpec("delta")),
+            RoweisConfig(1.0, 0.0, p=2, label_kernel=same),
             RoweisConfig(0.5, 0.5, robust=True), RoweisConfig(0.0, 0.5, p=2), RoweisConfig(0.5, 0.0, robust=True),
         ]
+        if gram:
+            configs = [dataclasses.replace(config, label_kernel=same) for config in configs]
         models = rda.fit_grid(x, labels, configs)
         assert len(models) == len(configs)
-        assert {model.route for model in models} == {"classes" if d <= 20 else "span"}
+        routes = {"span"} if d > 20 else {"classes", "dense"} if gram else {"classes"}
+        assert {model.route for model in models} == routes
         assert models[1].notes
         for config, model in zip(configs, models):
             assert_same_rda_model(model, rda.fit(x, labels, config))

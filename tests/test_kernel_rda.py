@@ -18,11 +18,12 @@ from roweis.kernel_rda import (
 from roweis.linalg import EIG_NOISE_RTOL
 from roweis.rda import RoweisConfig, fit, objective
 from roweis.rda import project as project_primal
-from roweis.scatter import within_scatter
 
-from conftest import align_rows, labeled_blobs
+from conftest import align_rows, labeled_blobs, moments
 import oracle
-from oracle import ClassPartition, blend_label_kernel, centering_matrix, delta_kernel, project_kernel
+from oracle import (
+    ClassPartition, blend_label_kernel, centering_matrix, delta_kernel, project_kernel, within_scatter,
+)
 from test_kernels import poly_feature_map
 
 
@@ -49,19 +50,19 @@ class TestKernelObjectiveMatrix:
         x = rng.standard_normal((2, 6))
         k = kernels.gram(kernels.KernelSpec("linear"), x, x)
         h = centering_matrix(6)
-        np.testing.assert_allclose(objective(row_centered(k), 0.0), k @ h @ k, atol=1e-10)
+        np.testing.assert_allclose(objective(moments(row_centered(k)), 0.0), k @ h @ k, atol=1e-10)
 
     def test_identity_gram(self, rng):
         labels = rng.permutation(np.arange(5) % 2)
         p = 0.4 * delta_kernel(labels, labels) + 0.6 * np.eye(5)
         h = centering_matrix(5)
-        got = objective(row_centered(np.eye(5)), 0.4, factor=kernels.class_indicator(labels))
+        got = objective(moments(row_centered(np.eye(5)), labels), 0.4)
         np.testing.assert_allclose(got, h @ p @ h, atol=1e-12)
 
     def test_symmetric(self, rng):
         x, labels = labeled_blobs(rng, d=3, n=10, c=2)
         k = kernels.gram(kernels.KernelSpec("rbf", gamma=0.4), x, x)
-        m = objective(row_centered(k), 1.0, factor=kernels.class_indicator(labels))
+        m = objective(moments(row_centered(k), labels), 1.0)
         assert np.max(np.abs(m - m.T)) <= 1e-10
 
     @pytest.mark.parametrize("r1", [0.0, 0.3, 1.0])
@@ -75,12 +76,14 @@ class TestKernelObjectiveMatrix:
         k = kernels.gram(kernels.KernelSpec("rbf", gamma=0.3), x, x)
         p_mat = blend_label_kernel(oracle.label_gram(label_kernel, labels, labels), r1)
         want = oracle.kernel_objective_matrix(k, p_mat)
-        got = objective(row_centered(k), r1, **oracle.label_term(label_kernel, labels))
+        k_c = row_centered(k)
+        keys = labels if label_kernel.family == "delta" else None
+        got = objective(moments(k_c, keys), r1, k_c, **oracle.label_term(label_kernel, labels))
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
 
 
 class TestKernelWithinScatter:
-    """N = sum_j K_j H_j K_j' is ``scatter.within_scatter`` of the Gram matrix."""
+    """N = sum_j K_j H_j K_j' is the oracle's ``within_scatter`` of the Gram matrix."""
 
     @pytest.mark.parametrize("spec", [kernels.KernelSpec("rbf", gamma=0.4), kernels.KernelSpec("linear"),
                                       kernels.KernelSpec("polynomial", degree=3)], ids=lambda s: s.family)
@@ -140,7 +143,7 @@ class TestKernelConstraint:
             want = vectors.T @ oracle.kernel_constraint_matrix(n_mat, k, r2) @ vectors
             # At r2 = 0, L is diag(lambda) there, which the eigen core hands
             # to the solver as the eigenvalues themselves.
-            got = np.diag(values) if r2 == 0.0 else rda.constraint(values[:, None] * vectors.T, labels, r2,
+            got = np.diag(values) if r2 == 0.0 else rda.constraint(moments(values[:, None] * vectors.T, labels), r2,
                                                                    metric=values)
             np.testing.assert_allclose(got, want, atol=1e-10 * np.abs(want).max())
 
@@ -508,13 +511,14 @@ class TestInPlaceBuilders:
         assert pairs[0][0] is owned
         # At r2 = 0 a metric's constraint is the vector itself
         # (test_rda.py::TestConstraint), and no fit builds R2 = I.
-        assert rda.constraint(other, labels, 0.0, metric=metric) is metric
+        n_mat, s_w = oracle.kernel_within_scatter(other, part), within_scatter(other, labels)
+        assert rda.constraint(moments(s_w=n_mat), 0.0, metric=metric) is metric
         for r in (0.3, 1.0):
             pairs.append((
-                rda.constraint(other, labels, r, metric=metric),
-                oracle.kernel_constraint_matrix(oracle.kernel_within_scatter(other, part), np.diag(metric), r),
+                rda.constraint(moments(s_w=n_mat), r, metric=metric),
+                oracle.kernel_constraint_matrix(n_mat, np.diag(metric), r),
             ))
-            pairs.append((rda.constraint(other, labels, r), oracle.constraint_matrix(within_scatter(other, labels), r)))
+            pairs.append((rda.constraint(moments(s_w=s_w), r), oracle.constraint_matrix(s_w, r)))
         for got, want in pairs:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert (k.tobytes(), other.tobytes(), metric.tobytes()) == before

@@ -22,10 +22,9 @@ from roweis.rda import (
     label_factor,
     project,
 )
-from roweis.scatter import within_scatter
 
 from conftest import align_rows
-from oracle import blend_label_kernel, constraint_matrix, delta_kernel, objective_matrix
+from oracle import blend_label_kernel, constraint_matrix, delta_kernel, objective_matrix, within_scatter
 
 SPECTRUM_RTOL = 1e-10
 EMBEDDING_RTOL = 1e-8

@@ -15,11 +15,10 @@ from roweis.linalg import (
     psd_factor,
     symmetric_eig,
 )
-from roweis.scatter import within_scatter
 
 from conftest import align_columns, random_psd, with_complement
 import oracle
-from oracle import ClassPartition, between_scatter, centering_matrix, total_scatter
+from oracle import ClassPartition, between_scatter, centering_matrix, total_scatter, within_scatter
 
 
 class TestCenteringMatrix:

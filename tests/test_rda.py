@@ -16,9 +16,8 @@ from roweis.rda import (
     select_components,
     supervision_level,
 )
-from roweis.scatter import within_scatter
 
-from conftest import align_columns, align_rows, labeled_blobs, with_complement
+from conftest import align_columns, align_rows, labeled_blobs, moments, with_complement
 from oracle import (
     blend_label_kernel,
     centering_matrix,
@@ -27,6 +26,7 @@ from oracle import (
     kernel_constraint_matrix,
     objective_matrix,
     total_scatter,
+    within_scatter,
 )
 
 # A label Gram: a fit at r1 > 0 with it keeps X.
@@ -44,13 +44,13 @@ class TestBlendLabelKernel:
 
     def test_r1_zero_gives_identity(self, rng):
         xc, y = self.targets(rng)
-        got = objective(xc, 0.0)
+        got = objective(moments(xc), 0.0)
         np.testing.assert_allclose(got, xc @ xc.T, rtol=0.0, atol=1e-14 * np.abs(got).max())
 
     def test_r1_one_gives_kernel(self, rng):
         xc, y = self.targets(rng)
         spec = kernels.KernelSpec("rbf", gamma=0.5)
-        got = objective(xc, 1.0, gram=kernels.label_gram(spec, y, y))
+        got = objective(moments(xc), 1.0, xc, kernels.label_gram(spec, y, y))
         want = xc @ kernels.label_gram(spec, y, y) @ xc.T
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
 
@@ -59,7 +59,7 @@ class TestBlendLabelKernel:
         spec = kernels.KernelSpec("rbf", gamma=0.5)
         for r1 in (0.3, 0.5):
             want = objective_matrix(xc, blend_label_kernel(kernels.label_gram(spec, y, y), r1))
-            got = objective(xc, r1, gram=kernels.label_gram(spec, y, y))
+            got = objective(moments(xc), r1, xc, kernels.label_gram(spec, y, y))
             assert np.array_equal(got, got.T)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
 
@@ -98,19 +98,19 @@ class TestConstraint:
         # vector itself, which is factored in closed form
         # (test_linalg.py::TestDiagonalFactor); R2 = I is the all-ones metric.
         ones = np.ones(2)
-        assert constraint(self.X, self.LABELS, 0.0, metric=ones) is ones
+        assert constraint(moments(self.X, self.LABELS), 0.0, metric=ones) is ones
         np.testing.assert_array_equal(factor_constraint(ones).chol_inv, np.ones(2))
         metric = np.array([2.0, 3.0])
-        assert constraint(self.X, self.LABELS, 0.0, metric=metric) is metric
+        assert constraint(moments(self.X, self.LABELS), 0.0, metric=metric) is metric
 
     def test_r2_one(self):
-        np.testing.assert_allclose(constraint(self.X, self.LABELS, 1.0), np.diag([4.0, 0.0]))
-        got = constraint(self.X, self.LABELS, 1.0, metric=np.array([2.0, 3.0]))
+        np.testing.assert_allclose(constraint(moments(self.X, self.LABELS), 1.0), np.diag([4.0, 0.0]))
+        got = constraint(moments(self.X, self.LABELS), 1.0, metric=np.array([2.0, 3.0]))
         np.testing.assert_allclose(got, np.diag([4.0, 0.0]))
 
     def test_midpoint(self):
-        np.testing.assert_allclose(constraint(self.X, self.LABELS, 0.5), np.diag([2.5, 0.5]))
-        got = constraint(self.X, self.LABELS, 0.5, metric=np.array([2.0, 3.0]))
+        np.testing.assert_allclose(constraint(moments(self.X, self.LABELS), 0.5), np.diag([2.5, 0.5]))
+        got = constraint(moments(self.X, self.LABELS), 0.5, metric=np.array([2.0, 3.0]))
         np.testing.assert_allclose(got, np.diag([3.0, 1.5]))
 
     @pytest.mark.parametrize("r2", [0.0, 0.3, 0.5, 1.0])
@@ -123,12 +123,13 @@ class TestConstraint:
         x = rng.standard_normal((6, 20))
         labels = rng.integers(0, 3, size=20)
         metric = rng.random(6) + 0.5
-        want = kernel_constraint_matrix(within_scatter(x, labels), np.diag(metric), r2)
+        s_w = within_scatter(x, labels)
+        want = kernel_constraint_matrix(s_w, np.diag(metric), r2)
         if r2 == 0.0:
-            got, want = factor_constraint(constraint(x, labels, r2, metric=metric)), factor_constraint(want)
+            got, want = factor_constraint(constraint(moments(s_w=s_w), r2, metric=metric)), factor_constraint(want)
             assert got.shift == want.shift and got.chol_inv.tobytes() == np.diag(want.chol_inv).tobytes()
             return
-        got = constraint(x, labels, r2, metric=metric)
+        got = constraint(moments(s_w=s_w), r2, metric=metric)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 

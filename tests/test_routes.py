@@ -25,11 +25,10 @@ from roweis.rda import (
     project,
     robustify,
 )
-from roweis.scatter import within_scatter
 
 from conftest import align_rows
 import oracle
-from oracle import blend_label_kernel, constraint_matrix, objective_matrix
+from oracle import blend_label_kernel, constraint_matrix, objective_matrix, within_scatter
 
 SPECTRUM_RTOL = 1e-10
 SHIFT_RTOL = 1e-12

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from roweis.exceptions import ConfigError
-from roweis.scatter import within_scatter
+from roweis import kernel_rda, kernels, rda, scatter
+from roweis.exceptions import ConfigError, NumericalError
 
 from conftest import labeled_blobs
-from oracle import ClassPartition, between_scatter, class_means, total_scatter
+from oracle import ClassPartition, between_scatter, class_means, total_scatter, within_scatter
 
 
 def numerical_rank(matrix: np.ndarray) -> int:
@@ -116,3 +116,75 @@ class TestScatterInvariants:
         x = rng.standard_normal((2, 5))
         with pytest.raises(ConfigError):
             within_scatter(x, [0, 1, 0])
+
+
+# ---------------------------------------------------------------- the pass against the oracle
+
+def pass_cases():
+    """(name, n, labels of n): random shapes and degenerate ones."""
+    out = []
+    for trial in range(3):
+        out.append((f"random {trial}", 60 + 37 * trial, lambda n: np.arange(n) % (2 + n % 3)))
+    out.append(("singleton classes", 40, lambda n: np.concatenate([[7, 8], np.arange(n - 2) % 3])))
+    out.append(("duplicate points", 40, lambda n: np.arange(n) % 3))
+    out.append(("c = n/2", 2 * scatter.STATS_BLOCK + 6, lambda n: np.arange(n) // 2))
+    out.append(("one class", 50, lambda n: np.zeros(n, dtype=int)))
+    out.append(("string keys", 45, lambda n: np.array(["emu", "cat", "dog"])[np.arange(n) % 3]))
+    return out
+
+
+PASS_CASES = pass_cases()
+
+
+def coordinates_and_moments(route, x, labels, monkeypatch):
+    """The coordinates a fit of ``route`` solves in and the class moments its
+    eigen core receives (copied before the core drops them)."""
+    seen = []
+    solve = rda._solve_grid
+
+    def capture(moments, *args, **kwargs):
+        seen.append((moments.scatter_total.copy(), moments.scatter_within.copy(), moments.class_sums.copy(),
+                     kwargs.get("lift")))
+        return solve(moments, *args, **kwargs)
+
+    monkeypatch.setattr(rda, "_solve_grid", capture)
+    monkeypatch.setattr(kernel_rda, "_solve_grid", capture)
+    config = rda.RoweisConfig(0.5, 0.5)
+    kernel = kernels.KernelSpec("rbf", gamma=0.5)
+    with monkeypatch.context() as patch:
+        if route == "dense":
+            patch.setattr(rda, "class_grouping", lambda *args: None)
+        try:
+            if route == "kernel":
+                kernel_rda.fit_direct(x, labels, config, kernel)
+            else:
+                assert rda.fit(x, labels, config).route == route
+        except (NumericalError, ConfigError):
+            pass  # refused by the solver, after the moments were taken
+    s_t, s_w, sums, lift = seen[0]
+    centered = x - x.mean(axis=1)[:, None]
+    if route == "kernel":
+        return kernel_rda._gram_range(kernel, x)[2], (s_t, s_w, sums)
+    return (lift.T @ centered if route == "span" else x if route == "classes" else centered), (s_t, s_w, sums)
+
+
+@pytest.mark.parametrize("route", ["classes", "dense", "span", "kernel"])
+@pytest.mark.parametrize("name, n, make_labels", PASS_CASES, ids=[case[0] for case in PASS_CASES])
+def test_the_pass_matches_the_oracle_on_every_route(monkeypatch, route, name, n, make_labels):
+    if route in ("span", "kernel"):
+        n = min(n, 300)  # an n x n problem
+    rng = np.random.default_rng(n)
+    labels = make_labels(n)
+    d = n + 3 if route == "span" else 4
+    x = rng.standard_normal((d, n)) + np.unique(labels, return_inverse=True)[1]
+    if name == "duplicate points":
+        x[:, n // 2:] = x[:, :n - n // 2]
+    coords, (s_t, s_w, sums) = coordinates_and_moments(route, x, labels, monkeypatch)
+    xc = coords - coords.mean(axis=1, keepdims=True)
+    inverse = np.unique(labels, return_inverse=True)[1]
+    e = (inverse[:, None] == np.arange(inverse.max() + 1)).astype(float)
+    # Relative to the sums of absolute terms that each entry rounds over.
+    scale = np.abs(xc) @ np.abs(xc).T
+    for got, want in ((s_t, total_scatter(coords)), (s_w, within_scatter(coords, labels))):
+        assert np.all(np.abs(got - want) <= 1e-12 * scale.max())
+    assert np.all(np.abs(sums - xc @ e) <= 1e-12 * (np.abs(xc) @ e).max())

@@ -1,8 +1,9 @@
 """``roweis fit`` from streamed class statistics against ``rda.fit`` of ``load_csv``.
 
 On the "classes" route the primal and dual fits hand the CSV session's
-blocks (``datasets.CsvSession.blocks``) to ``rda.fit_blocks``, which merges
-each STATS_BLOCK-column slab into the class statistics, holding neither X
+blocks (``datasets.CsvSession.blocks``) to ``rda.fit_blocks``, whose pass
+(``scatter.class_moments``) merges each STATS_BLOCK-column slab into the
+class statistics, holding neither X
 nor a label per row. Wherever that cannot give what
 ``rda.fit(load_csv(...))`` gives, bit for bit, the command collects X from
 the same session (``CsvSession.collect``) and makes that call instead. So
@@ -15,7 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
-from roweis import DataError, KernelSpec, cli, datasets, kernel_rda, persist, rda
+from roweis import DataError, KernelSpec, cli, datasets, kernel_rda, persist, rda, scatter
 from roweis.cli import main
 
 from test_kernel_rda import traced_peak
@@ -96,12 +97,12 @@ def fit_argv(data, fit, out):
 PARSE_BLOCKS = {"one line": 1, "seven lines": 7 * 100, "default": datasets.PARSE_BLOCK, "whole file": 1 << 30}
 
 
-@pytest.mark.parametrize("stats_block", [7, rda.STATS_BLOCK], ids=["7-column slabs", "default slabs"])
+@pytest.mark.parametrize("stats_block", [7, scatter.STATS_BLOCK], ids=["7-column slabs", "default slabs"])
 @pytest.mark.parametrize("block", sorted(PARSE_BLOCKS))
 @pytest.mark.parametrize("fit", sorted(FITS))
 def test_the_streamed_fit_is_the_library_fit(tmp_path, capsys, monkeypatch, loads, fit, block, stats_block):
     monkeypatch.setattr(datasets, "PARSE_BLOCK", PARSE_BLOCKS[block])
-    monkeypatch.setattr(rda, "STATS_BLOCK", stats_block)
+    monkeypatch.setattr(scatter, "STATS_BLOCK", stats_block)
     data = blob_file(tmp_path / "data.csv", c=FIT_CLASSES.get(fit, 3))
     rc, out, _, written = assert_like_the_library(tmp_path, capsys, monkeypatch,
                                                   fit_argv(data, fit, tmp_path / "m.txt"), True, loads)
@@ -137,6 +138,26 @@ FALLBACKS = {
     "bad arguments and a bad file": ("f1,label\n1,0\nx,1\n", ("--r1", 2)),
     "bad arguments": (None, ("--r1", 2)),
 }
+
+
+def test_ids_past_64_bits_stay_apart(tmp_path, capsys, monkeypatch, loads):
+    # Integer cells that no 64-bit integer holds read as text ids, exactly,
+    # so no two classes merge as they did through float64.
+    ids = ["12345678901234567890", "12345678901234567891", "7"]
+    assert np.unique(datasets.CsvSession.read_labels([ids[0], ids[1], "7", "7"])).size == 3
+    positions = np.arange(120) % 3
+    data = blob_file(tmp_path / "data.csv", n=120, labels=np.array(ids)[positions])
+    rc, _, _, written = assert_like_the_library(tmp_path, capsys, monkeypatch,
+                                                fit_argv(data, "double", tmp_path / "m.txt"), True, loads)
+    assert rc == 0
+    (tmp_path / "m.txt").write_bytes(written["m.txt"])
+    x, y, _ = datasets.load_csv(data, label_col="label")
+    assert sorted(set(y.tolist())) == sorted(ids)
+    # The ids sort as their positions do, so the fit is that of the positions, bit for bit.
+    want = rda.fit(x, positions, rda.RoweisConfig(1.0, 1.0))
+    got = persist.load_model(tmp_path / "m.txt")
+    for name in ("basis", "eigvals", "mean"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_a_refusal_of_the_statistics_fit_is_the_librarys(tmp_path, capsys, monkeypatch, loads):
