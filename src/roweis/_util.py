@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from .exceptions import ConfigError, DataError
@@ -43,6 +45,19 @@ def as_labels(labels, n: int) -> np.ndarray:
     if arr.dtype.kind in "fc" and not np.all(np.isfinite(arr)):
         raise DataError("labels hold non-finite values (nan or inf)")
     return arr
+
+
+def as_number(value, name: str, whole: bool = False):
+    """``value`` as a Python float (an int when ``whole``), which JSON writes
+    and reads back as it was; ConfigError for a bool, a non-number, a number
+    past float's range or a ``whole`` one with a fraction."""
+    number = None
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int past float's range
+            number = float(value)
+    if number is None or (whole and not number.is_integer()):
+        raise ConfigError(f"{name} must be a {'whole ' if whole else ''}number, got {value!r}")
+    return int(value) if whole else number
 
 
 def classes(labels) -> tuple[np.ndarray, np.ndarray]:

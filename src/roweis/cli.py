@@ -19,13 +19,13 @@ that use them, not by every command. A kernel fit peaks at ``K_x``
 plus ``eigh``'s buffers, about 5 n^2 doubles.
 
 ``fit`` reads the CSV's layout once (:func:`roweis.datasets.csv_session`).
-A primal or dual fit on the ``"classes"`` route streams its parse blocks to
-:func:`roweis.rda.fit_blocks`, so it holds O(d^2 + c d) and one block, never
-X nor a label per row, at any class count c (flat in n: about 37 MB max RSS
-at n = 200 000, d = 50). Every other fit, and one the stream cannot
-reproduce bit for bit (see :func:`_streamed_fit`), collects X from the same
-session and fits it. The commands that load X drop it, its labels and what
-they computed from it before they write their CSV and manifest.
+A primal or dual fit on d <= n with no label Gram streams its parse blocks
+to :func:`roweis.rda.fit_blocks`, so it holds O(d^2 + c d) and one block,
+never X nor a label per row, at any class count c (flat in n: about 37 MB
+max RSS at n = 200 000, d = 50). Every other fit, and one the stream
+cannot reproduce bit for bit (see :func:`_streamed_fit`), collects X from
+the same session and fits it. The commands that load X drop it, its labels
+and what they computed from it before they write their CSV and manifest.
 """
 
 from __future__ import annotations

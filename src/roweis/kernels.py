@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import as_matrix, as_square, classes
+from ._util import as_matrix, as_number, as_square, classes
 from .exceptions import ConfigError
 
 FAMILIES = ("linear", "rbf", "polynomial", "delta")
@@ -39,7 +39,9 @@ class KernelSpec:
     gamma applies to rbf (None means "median heuristic, not yet resolved"),
     degree and offset apply to polynomial. The delta family compares labels
     for equality; it is a label kernel only, and enters a fit through its
-    exact factor E, :func:`class_indicator`, or the class sums Xc E.
+    exact factor E, :func:`class_indicator`, or the class sums Xc E. Its
+    numbers are Python floats, degree an int, so :meth:`to_dict` reads back
+    as it was; a bool, a string or a fractional degree raises ConfigError.
     """
 
     family: str = "linear"
@@ -50,6 +52,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown kernel family {self.family!r}, expected one of {FAMILIES}")
+        if self.gamma is not None:
+            object.__setattr__(self, "gamma", as_number(self.gamma, "gamma"))
+        object.__setattr__(self, "degree", as_number(self.degree, "degree", whole=True))
+        object.__setattr__(self, "offset", as_number(self.offset, "offset"))
         if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
         if not math.isfinite(self.offset):
@@ -68,12 +74,7 @@ class KernelSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KernelSpec":
-        return cls(
-            family=data.get("family", "linear"),
-            gamma=data.get("gamma"),
-            degree=int(data.get("degree", 2)),
-            offset=float(data.get("offset", 1.0)),
-        )
+        return cls(**{key: data[key] for key in ("family", "gamma", "degree", "offset") if key in data})
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

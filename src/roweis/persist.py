@@ -4,13 +4,15 @@ Layout: a format tag, one ``key: value`` line per scalar (values are JSON),
 then ``array <name> <rows> <cols>`` blocks holding row-major numbers written
 with shortest round-trip repr, so a save/load cycle is bit-exact. Optional
 scalars take a default when absent, so files written before a key existed
-still load (a primal file without ``route`` loads as ``"dense"``), and the
-retired ``valid_eig_threshold``, ``auto_dim_ratio`` and ``reg`` lines are
-ignored. A missing required scalar, a scalar of the wrong type or range
-(in both layouts r1 and r2 lie in [0, 1], shift is finite and >= 0, and
-notes is a list of strings), an array holding NaN or inf, arrays that
-disagree in shape, or a kernel model without a kernel it can embed with (a
-linear, polynomial, or rbf one with its gamma) does not load.
+still load (a primal file without ``route`` loads as ``"dense"``, an older
+route), and the retired ``valid_eig_threshold``, ``auto_dim_ratio`` and
+``reg`` lines are ignored. A missing required scalar, a scalar of the
+wrong type or range (in both layouts r1 and r2 lie in [0, 1], shift is
+finite and >= 0, notes is a list of strings, and a kernel's gamma, degree
+and offset are numbers, not booleans, with a whole degree), an array
+holding NaN or inf, arrays that disagree in shape, or a kernel model
+without a kernel it can embed with (a linear, polynomial, or rbf one with
+its gamma) does not load.
 
 Primal files with route ``"dual"`` (older dual fits) still load, as do files
 of the earlier ``variant: dual`` layout, which held the factor W, its right
@@ -196,7 +198,7 @@ def _scalar(scalars: dict, key: str, path, convert, default=_REQUIRED):
         return default
     try:
         return convert(scalars[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, ConfigError):
         raise DataError(f"{path}: malformed value for {key!r}: {scalars[key]!r}") from None
 
 
@@ -206,10 +208,7 @@ def _kernel_spec(value) -> KernelSpec | None:
         return None
     if not isinstance(value, dict):
         raise TypeError
-    try:
-        return KernelSpec.from_dict(value)
-    except ConfigError as exc:
-        raise ValueError from exc
+    return KernelSpec.from_dict(value)
 
 
 def _data_kernel(value) -> KernelSpec:

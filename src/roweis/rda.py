@@ -32,16 +32,14 @@ its term (Xc K_y) Xc' needs Xc and K_y, built once per grid. The direct
 fit's L at r2 = 0 is diag(lambda_m), returned as the vector lambda_m itself
 and factored in closed form.
 
-Which coordinates the pass sees depends on the shapes and the config's label
-kernel alone (the model's ``route``, :func:`class_grouping`), robust or not:
+Which coordinates the pass sees depends on the shape alone (the model's
+``route``), whatever the label kernel, robust or not:
 
-* ``"classes"`` (d <= n, and the label term the class factor E or none, at
-  any class count c): X itself, so the fit holds O(d^2 + c d), never X.
-  :func:`fit_blocks` owns this route's rules and its solve: it takes X in
-  column blocks, as one block from :func:`fit_grid` or as a CSV's parse
-  blocks from the command line.
-* ``"dense"`` (d <= n otherwise: a label Gram): the centered data, which
-  the label term needs too.
+* ``"classes"`` (d <= n): X itself, so the statistics hold O(d^2 + c d) at
+  any class count c. Xc = X - mean is built only for a label Gram.
+  :func:`fit_grid` takes the moments of X held as one block, and
+  :func:`fit_blocks` of X streamed in column blocks (a CSV's parse
+  blocks), never holding X; both give the same bits.
 * ``"span"`` (n < d): Z = Q' Xc, for an orthonormal Q (d x n, thin QR of
   Xc; any Q whose span holds span(Xc) will do, so no rank is decided).
   R1 and S_W live in span(Xc), since every sample minus its class mean
@@ -51,15 +49,15 @@ kernel alone (the model's ``route``, :func:`class_grouping`), robust or not:
   fit at r2 = 0). The complement goes to :func:`robustify` and
   :func:`factor_constraint` as a :class:`~roweis.linalg.Complement`, so the
   PSD check, the shift (its unit is trace / d), the health test and the
-  robust 98% cut see the full spectrum and come out as on the dense route.
+  robust 98% cut see the full spectrum and come out as in the d x d one.
   A robust cut inside the eigenvalues tied with 1 - r2 (the bottom of R2's
   spectrum) leaves the block as it is: its tail holds only those copies.
 
-All three routes, and the kernel direct fit's range (G H), are
-configurations of one eigen core, :func:`_solve_grid`: class moments, R2's
-metric, a complement and a lift; :func:`fit_grid` is the core at many
-configs, and :func:`fit` at one. Every fit entry point takes its components
-from :func:`select_components`, on its spectrum and its shape's rank cap.
+Both routes, and the kernel direct fit's range (G H), are configurations
+of one eigen core, :func:`_solve_grid`: class moments, R2's metric, a
+complement and a lift; :func:`fit_grid` is the core at many configs, and
+:func:`fit` at one. Every fit entry point takes its components from
+:func:`select_components`, on its spectrum and its shape's rank cap.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, scatter
-from ._util import as_features, as_finite_matrix, as_labels, as_square, classes, sym, sym_in_place
+from ._util import as_features, as_finite_matrix, as_labels, as_number, as_square, classes, sym, sym_in_place
 from .exceptions import ConfigError, DataError, NumericalError
 from .linalg import (
     EIG_NOISE_RTOL,
@@ -93,9 +91,9 @@ SPECTRUM_MASS = 0.98
 # count as tied with it when robustify places its cut.
 TIE_RTOL = 1e-10
 
-# How a fit was solved: from class statistics, on the d x d matrices, or in
-# the span of the centered data (n < d). "dual" appears only in older model
-# files.
+# How a fit was solved: from the class statistics of X (d <= n) or in the
+# span of the centered data (n < d). "dense" (the centered data, for a
+# label Gram) and "dual" appear only in older model files.
 ROUTES = ("classes", "dense", "span", "dual")
 
 # select_components: eigenvalues above this fraction of the largest count as
@@ -112,7 +110,8 @@ class RoweisConfig:
     p=None selects the dimensionality automatically from the eigenvalue
     shares (see :func:`select_components`). label_kernel=None picks
     the equality kernel for class labels and an RBF with the
-    median-heuristic bandwidth for real-valued targets.
+    median-heuristic bandwidth for real-valued targets. r1 and r2 are held
+    as Python floats; a bool or a string raises ConfigError.
     """
 
     r1: float = 0.0
@@ -122,6 +121,8 @@ class RoweisConfig:
     robust: bool = False
 
     def __post_init__(self):
+        for name in ("r1", "r2"):
+            object.__setattr__(self, name, as_number(getattr(self, name), name))
         supervision_level(self.r1, self.r2)  # r1 and r2 must lie in [0, 1]
         if self.p is not None and self.p < 1:
             raise ConfigError(f"p must be a positive integer, got {self.p}")
@@ -139,9 +140,9 @@ class RdaModel:
     eigvals: np.ndarray
     mean: np.ndarray
     config: RoweisConfig
+    route: str
     shift: float = 0.0
     notes: tuple = ()
-    route: str = "dense"
 
     @property
     def n_features(self) -> int:
@@ -411,8 +412,8 @@ def _solve_grid(moments, labels, configs, cap, coords=None, lift=None, metric=No
 
 def _held_moments(coords, labels, configs) -> tuple:
     """:func:`roweis.scatter.class_moments` of coordinates held as one block
-    for ``configs`` (keyed by class labels some config uses, S_W for
-    r2 > 0), and ``coords`` where a config needs them (:func:`_uses_gram`)."""
+    (X, Z or G H) for ``configs`` (keyed by class labels some config uses,
+    S_W for r2 > 0), and ``coords`` where a config needs them (:func:`_uses_gram`)."""
     keyed = labels is not None and kernels.is_categorical(labels) and any(c.r1 > 0 or c.r2 > 0 for c in configs)
     ids, keys = classes(labels) if keyed else (None, None)
     # The keys are class positions, so they read as ids[positions].
@@ -438,48 +439,30 @@ def fit(x, labels, config: RoweisConfig) -> RdaModel:
 
 def fit_grid(x, labels, configs) -> list[RdaModel]:
     """Fits of one training set at every config, in the configs' order, each
-    equal to :func:`fit` at its config bit for bit. The inputs are checked
-    once (:func:`_fit_inputs`, at the largest r1 and r2). Each part of the
-    configs (:func:`class_grouping`) is solved by one :func:`_solve_grid`
-    call: by :func:`fit_blocks` with X as one block, or by :func:`_fit_data`."""
+    equal to :func:`fit` at its config bit for bit: the inputs checked once
+    (:func:`_fit_inputs`, at the largest r1 and r2), one pass of class
+    statistics (:func:`_held_moments`) and one :func:`_solve_grid` call.
+    For d <= n the pass sees X, and Xc = X - mean is built only where a
+    config needs it; for n < d it sees the span route's Z."""
     configs = list(configs)
     if not configs:
         raise ConfigError("fit_grid needs at least one config")
     x, labels = _fit_inputs(x, labels, max(c.r1 for c in configs), max(c.r2 for c in configs))
     d, n = x.shape
-    ids = keys = None
-    if any(config.r1 > 0 or config.r2 > 0 for config in configs):
-        ids, keys = classes(labels)
-    parts: dict = {}
-    for i, config in enumerate(configs):
-        parts.setdefault(class_grouping(config, ids, d, n), []).append(i)
-    models: list = [None] * len(configs)
-    for grouping, members in parts.items():
-        part = [configs[i] for i in members]
-        if grouping is None:
-            fitted = _fit_data(x, labels, part)
-        else:
-            # The keys are class positions, so they read as ids[positions].
-            fitted = fit_blocks([(x, keys)], n, d, part, lambda found: ids[found])
-        for i, model in zip(members, fitted):
-            models[i] = model
-    return models
-
-
-def _fit_data(x, labels, configs) -> list[RdaModel]:
-    """The fits that hold X: the span route's Z (n < d) or the centered data."""
-    d, n = x.shape
-    mean = x.mean(axis=1)
-    coords = x - mean[:, None]
-    rank = min(d, n - 1)
     lift = None
     if n < d:
+        mean = x.mean(axis=1)
+        coords = x - mean[:, None]
         # Any orthonormal Q whose span holds span(Xc) is exact: no rank cut.
         lift = np.linalg.qr(coords)[0]
         coords = lift.T @ coords
-    moments, _, _, coords = _held_moments(coords, labels, configs)
-    solved = _solve_grid(moments, labels, configs, lambda r2: rank, coords, lift=lift, count=max(d - n, 0))
-    return _models(configs, solved, mean, "dense" if lift is None else "span")
+        moments, _, _, coords = _held_moments(coords, labels, configs)
+    else:
+        moments, mean, _, coords = _held_moments(x, labels, configs)
+        if coords is not None:
+            coords = x - mean[:, None]  # Xc, for a label Gram
+    solved = _solve_grid(moments, labels, configs, lambda r2: min(d, n - 1), coords, lift=lift, count=max(d - n, 0))
+    return _models(configs, solved, mean, "classes" if lift is None else "span")
 
 
 def _models(configs, solved, mean, route) -> list[RdaModel]:
@@ -490,39 +473,39 @@ def _models(configs, solved, mean, route) -> list[RdaModel]:
             for config, (pair, p, notes, spec) in zip(configs, solved)]
 
 
-def class_grouping(config: RoweisConfig, ids, d: int, n: int) -> str | None:
-    """``"classes"`` when a fit of ``config`` on d x n data solves from the
-    class statistics of X alone, None when it must hold X: for n < d (the
-    span route), a label Gram K_y, or labels that are not class ids (``ids``,
-    the distinct labels, or None before they are read) in use."""
-    labeled = config.r1 > 0 or config.r2 > 0
-    if n < d or _uses_gram(config, ids) or (labeled and not (ids is None or kernels.is_categorical(ids))):
-        return None
-    return "classes"
-
-
 def fit_blocks(blocks, n: int, d: int, configs, read_keys) -> list[RdaModel] | None:
-    """Fits at every config on the ``"classes"`` route from a d x n X given
-    in column blocks, in the configs' order; None where that route would not
-    give :func:`fit_grid`'s fits of X bit for bit, and the caller fits X.
-
-    ``blocks`` and ``read_keys`` go to :func:`roweis.scatter.class_moments`,
-    keyed when some config uses the labels. Gives up on n < 2, where the
-    pass gives up (a short stream, two keys that read as one label) and
-    where :func:`class_grouping` refuses.
-    """
+    """:func:`fit_grid`'s fits of a d x n X given in column blocks, bit for
+    bit, never holding X; None where they cannot be had so, and the caller
+    fits X. ``blocks`` and ``read_keys`` go to the pass,
+    :func:`roweis.scatter.class_moments`, keyed when the labels are in use.
+    Gives up on n < max(d, 2), a label Gram, a short stream, two keys that
+    read as one label, and labels in use that are not class ids (those of
+    the first block are read before the rest)."""
     configs = list(configs)
     keyed = any(config.r1 > 0 or config.r2 > 0 for config in configs)
-    if n < 2 or any(class_grouping(config, None, d, n) is None for config in configs):
+    if n < max(d, 2) or any(_uses_gram(config, None) for config in configs):
         return None
+    if keyed:
+        blocks = _ids_first(blocks, read_keys)
     found = scatter.class_moments(blocks, d, n, read_keys if keyed else None, any(c.r2 > 0 for c in configs))
-    if found is None:
+    if found is None or (keyed and not kernels.is_categorical(found[2])):
         return None
     moments, mean, ids = found
-    if keyed and any(class_grouping(config, ids, d, n) is None for config in configs):
-        return None
     solved = _solve_grid(moments, ids, configs, lambda r2: min(d, n - 1))
     return _models(configs, solved, mean, "classes")
+
+
+def _ids_first(blocks, read_keys):
+    """``blocks``, ended before the first if its distinct keys do not read as
+    class ids, so the pass gives up before the rest is parsed. Checked as the
+    pass takes it: read before the pass's buffers, it cost ``tall`` 0.12 MB."""
+    blocks = iter(blocks)
+    first = next(blocks, None)
+    if first is None or not kernels.is_categorical(read_keys(list(dict.fromkeys(first[1])))):
+        return
+    yield first
+    del first  # before the next block is parsed
+    yield from blocks
 
 
 def project(model: RdaModel, x_any) -> np.ndarray:

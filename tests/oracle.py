@@ -89,6 +89,13 @@
   report did. Below 1024 new points ``project_kernel`` equals the
   blocked projection bit for bit, so these loops give the package's outputs
   byte for byte.
+* ``fit_centered`` is the d <= n fit on the centered data Xc, as the
+  package's ``"dense"`` route solved it before every d <= n fit took the
+  class statistics of X itself: the sample mean, the one pass over Xc
+  (``rda._held_moments``) and the package's eigen core, ``rda._solve_grid``.
+  Its models record route ``"dense"``. The package must agree with it
+  within round-off: its spectrum, mean, shift and separated components,
+  and exactly in dims, config and notes.
 * ``stratified_train_indices`` is the stratified branch of
   ``datasets.train_test_split`` with the leftover allocation it had before
   it handed one more sample to the leading ``remainder`` classes in one
@@ -628,6 +635,18 @@ def fit_kernel_spca(x, labels, kernel_x, kernel_y=None, p=None) -> KernelRdaMode
 
 
 # ---------------------------------------------------------------- per-config loops
+
+def fit_centered(x, labels, config) -> rda.RdaModel:
+    x, labels = _fit_inputs(x, labels, config.r1, config.r2)
+    d, n = x.shape
+    if n < d:
+        raise ConfigError("the centered-data fit is the d <= n oracle")
+    mean = x.mean(axis=1)
+    centered = x - mean[:, None]
+    moments, _, _, coords = rda._held_moments(centered, labels, [config])
+    solved = rda._solve_grid(moments, labels, [config], lambda r2: min(d, n - 1), coords)
+    return rda._models([config], solved, mean, "dense")[0]
+
 
 def fit_direct(x, labels, config, kernel) -> KernelRdaModel:
     r1, r2 = config.r1, config.r2

@@ -1,17 +1,17 @@
-"""The "classes" route of ``rda.fit`` against the route that holds X.
+"""The "classes" route of ``rda.fit`` against the fit on the centered data.
 
-A fit whose label term is the class factor E or none, on d <= n with any
-number of classes c, is solved from the total scatter, each class's count
-and mean and the pooled within-class scatter, merged over
-STATS_BLOCK-column slabs of X by one pass (``scatter.class_moments``). Its
-bits differ from the fit
-on the centered data, so it is compared with that fit, forced by refusing
-the statistics (``class_grouping`` returning None), within round-off:
-eigenvalues to 1e-12 of the largest, components whose eigenvalue is
-positive and isolated to 1e-8 up to sign, the same p, notes and shift.
+Every fit on d <= n, with any label kernel and any number of classes c, is
+solved from the total scatter, each class's count and mean and the pooled
+within-class scatter, merged over STATS_BLOCK-column slabs of X by one pass
+(``scatter.class_moments``); a label Gram takes Xc beside them. Its bits
+differ from the fit on the centered data, so it is compared with that fit,
+the oracle's ``fit_centered``, within round-off: eigenvalues to 1e-12 of
+the largest, components whose eigenvalue is positive and isolated to 1e-8
+up to sign, the same p, notes and shift.
 """
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from roweis import kernels, rda, scatter
 from roweis.rda import RoweisConfig
 
 from conftest import align_columns, labeled_blobs
-from oracle import total_scatter, within_scatter
+from oracle import fit_centered, total_scatter, within_scatter
 from test_kernel_rda import traced_peak
 
 SPECTRUM_RTOL = 1e-12
@@ -31,13 +31,9 @@ CONFIGS = [
     RoweisConfig(0.0, 0.0), RoweisConfig(1.0, 0.0), RoweisConfig(0.0, 1.0), RoweisConfig(1.0, 1.0),
     RoweisConfig(0.5, 0.5), RoweisConfig(0.5, 0.5, robust=True), RoweisConfig(0.3, 1.0, robust=True),
     RoweisConfig(1.0, 0.0, p=50), RoweisConfig(0.5, 0.0, label_kernel=kernels.KernelSpec("delta")),
+    RoweisConfig(0.5, 0.5, label_kernel=kernels.KernelSpec("linear")),
+    RoweisConfig(1.0, 0.0, label_kernel=kernels.KernelSpec("polynomial", degree=2, offset=0.5)),
 ]
-
-
-def data_route_fit(monkeypatch, x, labels, config):
-    with monkeypatch.context() as patch:
-        patch.setattr(rda, "class_grouping", lambda *args: None)
-        return rda.fit(x, labels, config)
 
 
 def separated(values, p) -> list:
@@ -103,10 +99,10 @@ SHAPES = shapes()
 
 
 @pytest.mark.parametrize("name, x, labels", SHAPES, ids=[s[0] for s in SHAPES])
-def test_the_statistics_fit_agrees_with_the_fit_on_x(monkeypatch, name, x, labels):
+def test_the_statistics_fit_agrees_with_the_fit_on_x(name, x, labels):
     for config in CONFIGS:
         try:
-            want = data_route_fit(monkeypatch, x, labels, config)
+            want = fit_centered(x, labels, config)
         except rda.NumericalError:
             with pytest.raises(rda.NumericalError):
                 rda.fit(x, labels, config)
@@ -182,20 +178,66 @@ def test_no_sort_in_a_merge_sees_more_keys_than_its_slab(monkeypatch):
     assert all(size <= width for size, width in seen)
 
 
-@pytest.mark.parametrize("config, labels, d, n, grouping", [
-    (RoweisConfig(0.0, 0.0), None, 5, 5, "classes"),
-    (RoweisConfig(0.0, 0.0), None, 6, 5, None),
-    (RoweisConfig(0.5, 0.5), np.arange(3), 5, 15, "classes"),
-    (RoweisConfig(0.5, 0.5), np.arange(4), 5, 15, "classes"),
-    (RoweisConfig(0.0, 1.0, label_kernel=kernels.KernelSpec("linear")), np.arange(3), 5, 50, "classes"),
-    (RoweisConfig(0.5, 0.0, label_kernel=kernels.KernelSpec("linear")), np.arange(3), 5, 50, None),
-    (RoweisConfig(0.5, 0.0), np.array([0.5, 1.0]), 1, 50, None),
-    (RoweisConfig(0.0, 0.0), np.array([0.5, 1.0]), 1, 50, "classes"),
-    (RoweisConfig(0.5, 0.0), np.array(["a", "b"]), 1, 50, "classes"),
-], ids=["unsupervised", "span", "c d = n", "c d > n", "r1 = 0 ignores the label kernel", "label Gram",
-        "real targets", "real targets unused", "string classes"])
-def test_the_grouping_follows_the_shapes_and_the_label_kernel(config, labels, d, n, grouping):
-    assert rda.class_grouping(config, labels, d, n) == grouping
+GIVE_UPS = {
+    # (config, labels, d, n): whether fit_blocks streams them or gives up.
+    "unsupervised": (RoweisConfig(0.0, 0.0), None, 5, 5, True),
+    "span": (RoweisConfig(0.0, 0.0), None, 6, 5, False),
+    "one sample": (RoweisConfig(0.0, 0.0), None, 1, 1, False),
+    "c d = n": (RoweisConfig(0.5, 0.5), np.arange(15) % 3, 5, 15, True),
+    "c d > n": (RoweisConfig(0.5, 0.5), np.arange(15) % 4, 5, 15, True),
+    "r1 = 0 ignores the label kernel": (RoweisConfig(0.0, 1.0, label_kernel=kernels.KernelSpec("linear")),
+                                        np.arange(50) % 3, 5, 50, True),
+    "label Gram": (RoweisConfig(0.5, 0.0, label_kernel=kernels.KernelSpec("linear")), np.arange(50) % 3, 5, 50,
+                   False),
+    "real targets": (RoweisConfig(0.5, 0.0), np.linspace(0.5, 1.0, 50), 1, 50, False),
+    "real targets past the first block": (RoweisConfig(0.5, 0.0), np.append(np.arange(49) % 2, 0.5), 1, 50, False),
+    "real targets unused": (RoweisConfig(0.0, 0.0), np.linspace(0.5, 1.0, 50), 1, 50, True),
+    "string classes": (RoweisConfig(0.5, 0.0), np.array(["a", "b"])[np.arange(50) % 2], 1, 50, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GIVE_UPS))
+def test_the_stream_gives_up_where_it_needs_x(rng, case):
+    # Where it streams, the fit is rda.fit's bit for bit; blocks of 10
+    # columns, so that a give-up after the first block shows.
+    config, labels, d, n, streamed = GIVE_UPS[case]
+    x = rng.standard_normal((d, n))
+    keys = np.zeros(n, dtype=int) if labels is None else labels
+    handed = []
+
+    def blocks():
+        for at in range(0, n, 10):
+            handed.append(at)
+            yield x[:, at:at + 10], keys[at:at + 10]
+
+    got = rda.fit_blocks(blocks(), n, d, [config], np.asarray)
+    assert (got is not None) == streamed
+    if case == "real targets":
+        assert handed == [0]  # given up after the first block's labels
+    if streamed:
+        want = rda.fit(x, labels, config)
+        assert got[0].route == want.route == "classes"
+        for name in ("basis", "eigvals", "mean"):
+            assert getattr(got[0], name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_the_first_block_dies_with_its_merge(rng, monkeypatch):
+    # fit_blocks checks the first block's labels before the rest is parsed;
+    # that block must be gone by the next merge, as every other block is.
+    x, labels = labeled_blobs(rng, d=3, n=40, c=2)
+    monkeypatch.setattr(scatter, "STATS_BLOCK", 10)
+    refs, dead = [], []
+    merge = scatter.merge_slab
+    monkeypatch.setattr(scatter, "merge_slab", lambda *a: dead.append([r() is None for r in refs]) or merge(*a))
+
+    def blocks():
+        for at in range(0, 40, 10):
+            part = x[:, at:at + 10].copy()
+            refs.append(weakref.ref(part))
+            yield part, labels[at:at + 10]
+
+    assert rda.fit_blocks(blocks(), 40, 3, [RoweisConfig(0.5, 0.5)], np.asarray) is not None
+    assert dead == [[False], [True, False], [True, True, False], [True, True, True, False]]
 
 
 def test_a_fit_of_many_classes_holds_no_class_by_class_array(rng):
@@ -207,13 +249,17 @@ def test_a_fit_of_many_classes_holds_no_class_by_class_array(rng):
     assert traced_peak(lambda: rda.fit(x, labels, config)) < 16 * 2**20
 
 
-def test_a_grid_parts_its_configs_by_route_and_keeps_the_per_config_bits(rng):
+def test_a_grid_of_delta_and_label_gram_configs_takes_one_pass(rng, monkeypatch):
     x, labels = labeled_blobs(rng, d=4, n=90, c=3)
     linear = kernels.KernelSpec("linear")
     configs = [RoweisConfig(0.5, 0.5), RoweisConfig(0.5, 0.0, label_kernel=linear), RoweisConfig(0.0, 0.0),
                RoweisConfig(1.0, 1.0, robust=True)]
+    passes = []
+    class_moments = scatter.class_moments
+    monkeypatch.setattr(scatter, "class_moments", lambda *a: passes.append(1) or class_moments(*a))
     models = rda.fit_grid(x, labels, configs)
-    assert [m.route for m in models] == ["classes", "dense", "classes", "classes"]
+    assert len(passes) == 1
+    assert [m.route for m in models] == ["classes"] * 4
     for config, model in zip(configs, models):
         lone = rda.fit(x, labels, config)
         assert dataclasses.replace(model, basis=None, eigvals=None, mean=None) == \

@@ -285,7 +285,7 @@ class TestSharedSmallSideSolve:
         for p in PS:
             want = oracle.fit_dual(x, y, r1, p=p, label_kernel=label_kernel)
             got = fit_dual(x, y, r1, p=p, label_kernel=label_kernel)
-            assert got.route in ("span", "dense")
+            assert got.route == "span"
             k = got.n_components
             assert (k, got.notes) == select_components(want.eigvals, want.eigvals.size, p)
             assert got.mean.tobytes() == want.mean.tobytes()
@@ -309,18 +309,17 @@ class TestSharedSmallSideSolve:
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("labels", sorted(LABEL_KERNELS))
     @pytest.mark.parametrize("r1", (0.0, 0.5, 1.0))
-    def test_dual_dense_route_agrees_with_the_oracles_svd(self, r1, labels, shape):
+    def test_dual_classes_route_agrees_with_the_oracles_svd(self, r1, labels, shape):
         # W has at least d columns: the d x d eigenproblem of W W' replaced
-        # the oracle's SVD of W. With no label term or the class factor E it
-        # is solved from class statistics, whose mean is the sample mean to
-        # round-off.
+        # the oracle's SVD of W. It is solved from the class statistics of
+        # X, whose mean is the sample mean to round-off, with Xc beside
+        # them for a label Gram.
         label_kernel, targets = LABEL_KERNELS[labels]
         x, y = small_side_data(3, 3, 12, shape, targets)
-        route = "classes" if r1 == 0 or labels == "classes" else "dense"
         for p in PS:
             want = oracle.fit_dual(x, y, r1, p=p, label_kernel=label_kernel)
             got = fit_dual(x, y, r1, p=p, label_kernel=label_kernel)
-            assert got.route == route and want.route == "dual"
+            assert got.route == "classes" and want.route == "dual"
             k = got.n_components
             assert k == select_components(want.eigvals, want.eigvals.size, p)[0]
             np.testing.assert_allclose(got.mean, want.mean, rtol=0.0, atol=1e-15 * np.abs(x).max())

@@ -237,8 +237,8 @@ class TestFitGrid:
     @pytest.mark.parametrize("d, gram", [(3, False), (40, False), (3, True), (40, True)],
                              ids=["3", "40", "3, label Gram", "40, label Gram"])
     def test_edge_cases_match_the_per_config_fit(self, rng, d, gram):
-        # Classes (d <= n) and span (n < d) routes, and with a label Gram the
-        # dense route beside the classes one; r2 not grouped in the config
+        # Classes (d <= n) and span (n < d) routes, with and without a label
+        # Gram, which takes Xc beside X's moments; r2 not grouped in the config
         # order, (0, 0) among labeled configs, robust and not, p above the
         # rank cap, and two label kernels that resolve to the same kernel.
         x, labels = labeled_blobs(rng, d=d, n=20, c=3)
@@ -252,8 +252,7 @@ class TestFitGrid:
             configs = [dataclasses.replace(config, label_kernel=same) for config in configs]
         models = rda.fit_grid(x, labels, configs)
         assert len(models) == len(configs)
-        routes = {"span"} if d > 20 else {"classes", "dense"} if gram else {"classes"}
-        assert {model.route for model in models} == routes
+        assert {model.route for model in models} == {"span" if d > 20 else "classes"}
         assert models[1].notes
         for config, model in zip(configs, models):
             assert_same_rda_model(model, rda.fit(x, labels, config))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -76,6 +77,24 @@ class TestKernelSpec:
     def test_dict_round_trip(self):
         spec = KernelSpec(family="polynomial", degree=3, offset=0.5)
         assert KernelSpec.from_dict(spec.to_dict()) == spec
+
+    @pytest.mark.parametrize("field, value", [
+        ("degree", 2.5), ("degree", True), ("degree", "3"), ("degree", math.inf),
+        pytest.param("degree", 10**400, id="degree-past-float"),
+        ("gamma", True), ("gamma", "0.5"), ("offset", "1"), ("offset", False),
+        pytest.param("offset", 10**400, id="offset-past-float"),
+    ])
+    def test_rejects_a_bool_a_string_or_a_fractional_degree(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            KernelSpec(family="polynomial" if field != "gamma" else "rbf", **{field: value})
+
+    def test_numbers_are_held_as_python_numbers(self):
+        rbf = KernelSpec(family="rbf", gamma=np.float32(0.5))
+        poly = KernelSpec(family="polynomial", degree=np.float64(3.0), offset=np.int64(2))
+        assert (rbf.gamma, poly.degree, poly.offset) == (0.5, 3, 2.0)
+        assert [type(v) for v in (rbf.gamma, poly.degree, poly.offset)] == [float, int, float]
+        for spec in (rbf, poly):
+            assert KernelSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
 
 class TestGram:

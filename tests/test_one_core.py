@@ -16,13 +16,15 @@ kernel-trick fits: every other fit takes its class sums Xc E from the
 class statistics.
 
 Every route solves from ``scatter.ClassMoments`` through the same core:
-``_solve_grid`` is called only by the fits that hold their coordinates
-(``_fit_data``), by the "classes" route's one home, ``rda.fit_blocks``,
-and by the kernel direct fit. One pass of class statistics,
-``scatter.class_moments``, gives all of them S_T, S_W and the class sums:
-it alone merges slabs (``merge_slab``) into ``ClassStats``, and ``cli``
-refers to neither, nor to the pass, the slab width or the class
-indicator. The bulk CSV parse, ``_parse_bulk``, is read only through the
+``_solve_grid`` is called only by the primal fit of held coordinates
+(``rda.fit_grid``: X, or the span route's Z), by the primal fit of
+streamed ones (``rda.fit_blocks``: X in a CSV's parse blocks) and by the
+kernel direct fit. A route follows from the shape alone, so nothing
+parts the configs by their label kernel: ``rda.class_grouping`` is gone.
+One pass of class statistics, ``scatter.class_moments``, gives all of
+them S_T, S_W and the class sums: it alone merges slabs (``merge_slab``)
+into ``ClassStats``, and ``cli`` refers to neither, nor to the pass, the
+slab width or the class indicator. The bulk CSV parse, ``_parse_bulk``, is read only through the
 CSV session. The moments' fields are read only where R1 and R2 are
 built: S_T and the class sums by ``objective`` (S_T's trace also by the
 core, for its noise floor) and S_W by ``constraint``. ``objective``,
@@ -52,7 +54,7 @@ ALLOWED = {
     ("linalg", "symmetric_eig"): {CORE, ("rda", "robustify"), ("kernel_rda", "_fit_trick")},
     ("kernels", "label_gram"): {CORE, ("rda", "label_factor"), ("rda", "_label_kernel_scale")},
     ("kernels", "class_indicator"): {("rda", "label_factor")},
-    CORE: {("rda", "_fit_data"), ("rda", "fit_blocks"), ("kernel_rda", "fit_direct_grid")},
+    CORE: {("rda", "fit_grid"), ("rda", "fit_blocks"), ("kernel_rda", "fit_direct_grid")},
     ("scatter", "merge_slab"): {("scatter", "class_moments")},
     ("scatter", "ClassStats"): {("scatter", "class_moments"), ("scatter", "merge_slab")},
     ("datasets", "_parse_bulk"): {("datasets", "CsvSession")},
@@ -207,3 +209,4 @@ def test_every_route_hands_the_core_its_class_moments():
     assert {name: params[name][0] for name in TAKE_MOMENTS} == {name: "moments" for name in TAKE_MOMENTS}
     assert "factor" not in params[("rda", "objective")]
     assert ("scatter", "within_scatter") not in params
+    assert undefined(PACKAGE, {("rda", "class_grouping")}) == {("rda", "class_grouping")}

@@ -37,6 +37,20 @@ class TestRoundTrips:
         probe = rng.standard_normal((3, 5))
         assert np.array_equal(project(loaded, probe), project(model, probe))
 
+    @pytest.mark.parametrize("r1, r2, label_kernel", [
+        (np.float32(0.5), np.float64(0.25), None),
+        (1, 0, kernels.KernelSpec("polynomial", degree=np.int64(3), offset=np.float32(0.5))),
+        (np.float16(0.5), 0.0, kernels.KernelSpec("rbf", gamma=np.float32(0.75))),
+    ], ids=["numpy floats", "ints", "numpy kernel"])
+    def test_every_accepted_scalar_reads_back(self, tmp_path, data, r1, r2, label_kernel):
+        x, labels = data
+        model = fit(x, labels, RoweisConfig(r1, r2, p=1, label_kernel=label_kernel))
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.config == model.config
+        assert [type(v) for v in (loaded.config.r1, loaded.config.r2)] == [float, float]
+
     def test_dual(self, tmp_path, data, rng):
         x, labels = data
         model = fit_dual(x, labels, 1.0)
@@ -96,15 +110,26 @@ class TestRoute:
         assert loaded.route == "span"
         assert np.array_equal(loaded.basis, model.basis)
 
-    @pytest.mark.parametrize("label_kernel, route", [(None, "classes"), (kernels.KernelSpec("linear"), "dense")])
-    def test_dense_route_round_trip(self, tmp_path, data, label_kernel, route):
-        # Class labels under the delta kernel are fitted from class
-        # statistics; a label Gram holds X.
+    @pytest.mark.parametrize("label_kernel", [None, kernels.KernelSpec("linear")], ids=["delta", "label Gram"])
+    def test_classes_route_round_trip(self, tmp_path, data, label_kernel):
+        # Every d <= n fit is fitted from the class statistics of X.
         x, labels = data
         model = fit(x, labels, RoweisConfig(0.5, 0.5, p=2, label_kernel=label_kernel))
         path = tmp_path / "m.txt"
         save_model(model, path)
-        assert model.route == load_model(path).route == route
+        assert model.route == load_model(path).route == "classes"
+
+    def test_a_dense_route_file_still_loads(self, tmp_path, data, rng):
+        # Older fits with a label Gram on d <= n recorded route "dense".
+        x, labels = data
+        model = fit(x, labels, RoweisConfig(0.5, 0.5, p=2, label_kernel=kernels.KernelSpec("linear")))
+        path = tmp_path / "m.txt"
+        save_model(model, path)
+        path.write_text(path.read_text().replace('route: "classes"', 'route: "dense"'))
+        loaded = load_model(path)
+        assert loaded.route == "dense" and loaded.config == model.config
+        probe = rng.standard_normal((3, 4))
+        assert np.array_equal(project(loaded, probe), project(model, probe))
 
     def test_file_without_route_loads_as_dense(self, tmp_path, rng):
         x, labels = labeled_blobs(rng, d=20, n=8, c=2)
@@ -393,8 +418,14 @@ class TestKernelScalars:
         ("kernel-direct", "kernel", '{"family": "rbf"}', "malformed value for 'kernel'"),
         ("kernel-direct", "kernel", '{"family": "delta"}', "malformed value for 'kernel'"),
         ("kernel-spca", "kernel", '{"family": "polynomial", "degree": "two"}', "malformed value for 'kernel'"),
+        ("kernel-spca", "kernel", '{"family": "polynomial", "degree": 2.5}', "malformed value for 'kernel'"),
+        ("kernel-spca", "kernel", '{"family": "polynomial", "degree": true}', "malformed value for 'kernel'"),
+        ("kernel-spca", "kernel", '{"family": "polynomial", "degree": "3"}', "malformed value for 'kernel'"),
+        ("kernel-direct", "kernel", '{"family": "rbf", "gamma": true}', "malformed value for 'kernel'"),
+        ("primal", "label_kernel", '{"family": "polynomial", "offset": "1"}', "malformed value for 'label_kernel'"),
     ], ids=["label kernel string", "negative label gamma", "label kernel list", "no kernel", "null kernel",
-            "kernel string", "rbf without gamma", "delta data kernel", "non-integer degree"])
+            "kernel string", "rbf without gamma", "delta data kernel", "non-integer degree", "fractional degree",
+            "boolean degree", "string degree", "boolean gamma", "string offset"])
     def test_unusable_kernel_is_a_data_error(self, tmp_path, data, layout, key, raw, message):
         path = _saved(tmp_path, data, layout)
         _set_scalar(path, key, raw)

@@ -295,10 +295,10 @@ class TestFit:
         )
 
     # d = 12: 3 classes of 12 features hold more than 30 samples, which the
-    # class statistics take as they are; a label Gram at r1 > 0 keeps X.
-    @pytest.mark.parametrize("d, spec, route", [(6, None, "classes"), (12, None, "classes"), (12, RBF, "dense"),
+    # class statistics take as they are; a label Gram at r1 > 0 takes Xc too.
+    @pytest.mark.parametrize("d, spec, route", [(6, None, "classes"), (12, None, "classes"), (12, RBF, "classes"),
                                                 (60, None, "span")],
-                             ids=["6-classes", "12-classes", "12-gram-dense", "60-span"])
+                             ids=["6-classes", "12-classes", "12-gram-classes", "60-span"])
     @pytest.mark.parametrize("r1", [0.0, 0.5, 1.0])
     def test_r2_zero_skips_the_factorization_and_the_solves(self, rng, monkeypatch, d, spec, route, r1):
         # R2 = I, so a fit that is not robust solves R1 alone: no constraint
@@ -312,14 +312,14 @@ class TestFit:
             monkeypatch.setattr(np.linalg, name, refuse)
         model = fit(x, labels, RoweisConfig(r1=r1, r2=0.0, p=2, label_kernel=spec))
         monkeypatch.undo()
-        assert model.route == ("classes" if r1 == 0 and d <= 30 else route) and model.shift == 0.0
+        assert model.route == route and model.shift == 0.0
         k = delta_kernel(labels, labels) if spec is None else kernels.label_gram(spec, labels, labels)
         r1_mat = objective_matrix(x, blend_label_kernel(k, r1))
         scale = float(model.eigvals[0])
         np.testing.assert_allclose(r1_mat @ model.basis, model.basis * model.eigvals, atol=1e-10 * scale)
         np.testing.assert_allclose(model.basis.T @ model.basis, np.eye(2), atol=1e-12)
 
-    @pytest.mark.parametrize("route, d", [("dense", 2), ("span", 12)])
+    @pytest.mark.parametrize("route, d", [("classes", 2), ("span", 12)])
     def test_the_targets_units_do_not_change_what_a_fit_keeps(self, rng, route, d):
         # With a linear label kernel R1 = (Xc y)(Xc y)' scales with the
         # targets' square: at 1e-8 its eigenvalue is near 1e-15, far below a
@@ -332,14 +332,14 @@ class TestFit:
         np.testing.assert_allclose(small.eigvals, 1e-16 * ref.eigvals, rtol=1e-10)
         np.testing.assert_allclose(align_columns(ref.basis, small.basis), ref.basis, atol=1e-10)
 
-    @pytest.mark.parametrize("route, d, spec", [("classes", 3, None), ("classes", 12, None), ("dense", 12, RBF),
-                                                ("span", 40, None)], ids=["classes-3", "classes-12", "dense-12",
+    @pytest.mark.parametrize("route, d, spec", [("classes", 3, None), ("classes", 12, None), ("classes", 12, RBF),
+                                                ("span", 40, None)], ids=["classes-3", "classes-12", "gram-12",
                                                                           "span-40"])
     def test_the_datas_units_do_not_change_what_a_discriminant_fit_keeps(self, rng, route, d, spec):
         # At r2 = 1 R1 and R2 both scale with the data's square, so the
         # spectrum does not move; the noise floor scales with the data too
         # and is divided by the factor's unit, R2's mean diagonal. At 1e8
-        # the undivided floor would lie above the dense route's spectrum
+        # the undivided floor would lie above the d <= n fits' spectrum
         # (the span route's singular R2 is shifted, which lifts its own).
         x, labels = labeled_blobs(rng, d, 20, 3)
         config = RoweisConfig(0.5, 1.0, label_kernel=spec)
@@ -441,6 +441,11 @@ class TestFit:
             fit(x[:, :1], None, RoweisConfig(0.0, 0.0))
         with pytest.raises(ConfigError):
             RoweisConfig(1.2, 0.0)
+        for value in (True, "0.5", None):
+            with pytest.raises(ConfigError, match="r1 must be a number"):
+                RoweisConfig(value, 0.0)
+        config = RoweisConfig(np.float32(0.5), np.int64(1))
+        assert (config.r1, config.r2) == (0.5, 1.0) and type(config.r1) is type(config.r2) is float
 
     def test_regression_targets_allowed_on_orthonormal_edge(self, rng):
         x = rng.standard_normal((3, 20))
@@ -458,6 +463,7 @@ class TestProjectReconstruct:
             eigvals=np.array([1.0]),
             mean=x.mean(axis=1),
             config=RoweisConfig(0.0, 0.0, p=1),
+            route="classes",
         )
         centered = x - x.mean(axis=1, keepdims=True)
         np.testing.assert_allclose(project(model, x), centered[:1], atol=1e-12)

@@ -1,6 +1,6 @@
 """The span route of ``rda.fit`` (n < d) against the dense d x d oracle.
 
-The oracle builds the full problem the way the dense route does:
+The oracle builds the full d x d problem:
 ``oracle.objective_matrix`` on the dense blended label kernel,
 ``oracle.constraint_matrix`` on the within-class scatter, ``robustify`` on
 the d x d constraint, and ``generalized_eig`` on the pair. Spectra must agree to 1e-10 relative to the
@@ -180,14 +180,15 @@ def test_flat_tied_block_stays_on_the_span_route():
     assert_matches_dense(x, labels, RoweisConfig(r1=0.5, r2=0.0, robust=True))
 
 
-def test_dense_route_when_d_is_at_most_n():
-    # A label Gram keeps X; the class factor E is solved from class statistics.
+def test_classes_route_when_d_is_at_most_n():
+    # The class statistics of X, with Xc beside them for a label Gram.
     labels = class_labels(N)
     gram = RoweisConfig(r1=0.5, r2=0.5, label_kernel=kernels.KernelSpec("linear"))
     for d in (N // 2, N):
         x = class_data(d, N, labels)
-        assert fit(x, labels, gram).route == "dense"
+        assert fit(x, labels, gram).route == "classes"
         assert fit(x, labels, RoweisConfig(r1=0.5, r2=0.5)).route == "classes"
+    assert fit(class_data(N + 1, N, labels), labels, gram).route == "span"
 
 
 def record_orders(monkeypatch) -> list:

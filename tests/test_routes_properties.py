@@ -3,9 +3,9 @@
 For random shapes on both sides of d = n, every fitted basis must satisfy
 ``max|U'(B + shift I)U - I| <= 1e-8`` against the dense d x d constraint B
 (robustified when the fit is robust), and the fit must report the route its
-shape and label kernel select: with d <= n, "classes" however many classes,
-"dense" for a label Gram at r1 > 0. Runs only where ``hypothesis`` is
-installed; it is a test extra, not a runtime dependency.
+shape selects, whatever the label kernel: with d <= n, "classes" however
+many classes. Runs only where ``hypothesis`` is installed; it is a test
+extra, not a runtime dependency.
 """
 
 import numpy as np
@@ -51,7 +51,7 @@ def test_constraint_residual_against_the_dense_constraint(problem):
     d, n = x.shape
     model = fit(x, labels, config)
     if d <= n:
-        assert model.route == ("dense" if config.r1 > 0 and config.label_kernel else "classes")
+        assert model.route == "classes"
     elif not config.robust:
         assert model.route == "span"
     b, _ = dense_problem(x, labels, config)

@@ -5,7 +5,7 @@ from roweis import kernel_rda, kernels, rda, scatter
 from roweis.exceptions import ConfigError, NumericalError
 
 from conftest import labeled_blobs
-from oracle import ClassPartition, between_scatter, class_means, total_scatter, within_scatter
+from oracle import ClassPartition, between_scatter, class_means, fit_centered, total_scatter, within_scatter
 
 
 def numerical_rank(matrix: np.ndarray) -> int:
@@ -138,7 +138,8 @@ PASS_CASES = pass_cases()
 
 def coordinates_and_moments(route, x, labels, monkeypatch):
     """The coordinates a fit of ``route`` solves in and the class moments its
-    eigen core receives (copied before the core drops them)."""
+    eigen core receives (copied before the core drops them); ``"dense"`` is
+    the oracle's fit on the centered data."""
     seen = []
     solve = rda._solve_grid
 
@@ -151,16 +152,13 @@ def coordinates_and_moments(route, x, labels, monkeypatch):
     monkeypatch.setattr(kernel_rda, "_solve_grid", capture)
     config = rda.RoweisConfig(0.5, 0.5)
     kernel = kernels.KernelSpec("rbf", gamma=0.5)
-    with monkeypatch.context() as patch:
-        if route == "dense":
-            patch.setattr(rda, "class_grouping", lambda *args: None)
-        try:
-            if route == "kernel":
-                kernel_rda.fit_direct(x, labels, config, kernel)
-            else:
-                assert rda.fit(x, labels, config).route == route
-        except (NumericalError, ConfigError):
-            pass  # refused by the solver, after the moments were taken
+    try:
+        if route == "kernel":
+            kernel_rda.fit_direct(x, labels, config, kernel)
+        else:
+            assert (fit_centered if route == "dense" else rda.fit)(x, labels, config).route == route
+    except (NumericalError, ConfigError):
+        pass  # refused by the solver, after the moments were taken
     s_t, s_w, sums, lift = seen[0]
     centered = x - x.mean(axis=1)[:, None]
     if route == "kernel":

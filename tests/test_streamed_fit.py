@@ -187,6 +187,26 @@ def test_a_fit_of_many_classes_parses_each_row_once(tmp_path, monkeypatch):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
+def test_a_file_of_real_targets_is_parsed_once_and_one_block(tmp_path, monkeypatch):
+    # Real targets under the default RBF label kernel need X: the stream
+    # gives up on the first block's labels, before the rest is parsed, and
+    # the library fit parses the file once.
+    rng = np.random.default_rng(2)
+    n = 2000
+    path = tmp_path / "data.csv"
+    datasets.save_csv(path, rng.standard_normal((4, n)), rng.standard_normal(n))
+    monkeypatch.setattr(datasets, "PARSE_BLOCK", 100 * 100)  # about 100 of its lines
+    rows = []
+    loadtxt = datasets._loadtxt
+    monkeypatch.setattr(datasets, "_loadtxt", lambda lines, usecols: rows.append(len(lines)) or loadtxt(lines, usecols))
+    out = tmp_path / "m.txt"
+    assert main(["fit", "--data", str(path), "--label-col", "label", "--r1", "0.5", "--out", str(out)]) == 0
+    assert rows[0] < n // 10 and sum(rows) == n + rows[0]
+    x, y, _ = datasets.load_csv(path, label_col="label")
+    want = rda.fit(x, y, rda.RoweisConfig(0.5))
+    assert persist.load_model(out).basis.tobytes() == want.basis.tobytes()
+
+
 @pytest.mark.parametrize("case", sorted(FALLBACKS))
 def test_each_fallback_is_the_library_fit(tmp_path, capsys, monkeypatch, loads, case):
     text, flags = FALLBACKS[case]
