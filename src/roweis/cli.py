@@ -14,8 +14,8 @@ manifest's input hashes import ``hashlib``, which maps OpenSSL (about 3.6
 MB), so it is imported only when the manifest is written, after a fit's
 arrays are freed; ``numpy.random`` imports it anyway, so gen, sweep and
 experiments hold it from their first draw. Likewise ``persist`` (model
-files) and ``experiments`` and ``evaluate`` are imported by the commands
-that use them, not by every command. A kernel fit peaks at ``K_x``
+files) and ``experiments`` (with ``evaluate``, which only it imports) are
+imported by the commands that use them. A kernel fit peaks at ``K_x``
 plus ``eigh``'s buffers, about 5 n^2 doubles.
 
 ``fit`` reads the CSV's layout once (:func:`roweis.datasets.csv_session`).
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import os
 import sys
@@ -100,13 +99,6 @@ def _output(path: str, newline: str | None = None):
             yield handle
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from None
-
-
-def _write_rows(path: str, header: list, rows) -> None:
-    with _output(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------- kernels
@@ -302,7 +294,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--grid must be at least 2 per axis, got {args.grid}")
     rows, kind, data_kernel, requested = _sweep_rows(args)
     out = args.out or "sweep.csv"
-    _write_rows(out, ["r1", "r2", "s", "metric", "value"], rows)
+    with _output(out, newline="") as handle:
+        datasets.write_csv(handle, ["r1", "r2", "s", "metric", "value"], np.empty((0, len(rows))), rows)
     config_dict = {
         "variant": args.variant,
         "grid": args.grid,
@@ -322,10 +315,11 @@ def cmd_sweep(args) -> int:
 
 
 def _sweep_rows(args):
-    """(rows, kind, data kernel, requested label kernel) of a sweep; the data,
-    the split and the embeddings die on return, before the sweep's CSV is
-    written."""
-    from . import evaluate, experiments  # here, so the other commands do not hold them
+    """(rows, kind, data kernel, requested label kernel) of a sweep; its rows
+    are text cells for :func:`roweis.datasets.write_csv`, its one grid is
+    scored by :func:`roweis.experiments.grid_scores`. The data, the split and
+    the embeddings die on return, before the sweep's CSV is written."""
+    from . import experiments  # here, so the other commands do not hold it
 
     x, y, _ = datasets.load_csv(args.data, args.label_col)
     if y is None:
@@ -338,26 +332,19 @@ def _sweep_rows(args):
     if args.variant == "kernel":
         data_kernel = kernels.resolve_gamma(data_kernel, train.X)
     requested = _label_kernel_from_args(args)
-    # Resolved once for the split, not once per grid point.
-    label_kernel = kernels.resolve_label_kernel(requested, train.y)
 
     values = np.linspace(0.0, 1.0, args.grid)
     # The within-class scatter that r2 > 0 needs exists only for class labels.
     r2_values = values if kind == "classification" else values[:1]
     configs = [
-        rda.RoweisConfig(r1=float(r1), r2=float(r2), p=args.p, label_kernel=label_kernel)
+        rda.RoweisConfig(r1=float(r1), r2=float(r2), p=args.p, label_kernel=requested)
         for r1 in values for r2 in r2_values
     ]
-    rows = []
-    for config, (emb_train, emb_test) in zip(
-        configs, experiments.grid_embeddings(args.variant, train, test, configs, data_kernel)
-    ):
-        if kind == "classification":
-            metric, value = "error-rate", evaluate.knn_classify(emb_train, train.y, emb_test, test.y)
-        else:
-            metric, value = "rmse", evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y)
-        s = rda.supervision_level(config.r1, config.r2)
-        rows.append([repr(config.r1), repr(config.r2), repr(s), metric, repr(value)])
+    metric = "error-rate" if kind == "classification" else "rmse"
+    rows = [
+        [repr(config.r1), repr(config.r2), repr(rda.supervision_level(config.r1, config.r2)), metric, repr(value)]
+        for config, value in zip(configs, experiments.grid_scores(args.variant, train, test, configs, data_kernel))
+    ]
     return rows, kind, data_kernel, requested
 
 
@@ -385,7 +372,9 @@ def cmd_experiments(args) -> int:
         [cell.method, repr(cell.r1), str(cell.bench_id), repr(cell.mean), repr(cell.std)]
         for cell in cells
     ]
-    _write_rows(table_csv, ["method", "r1", "benchmark", "rmse_mean", "rmse_std"], rows)
+    header = ["method", "r1", "benchmark", "rmse_mean", "rmse_std"]
+    with _output(table_csv, newline="") as handle:
+        datasets.write_csv(handle, header, np.empty((0, len(rows))), rows)
     table_txt = os.path.join(out_dir, "regression_table.txt")
     with _output(table_txt) as handle:
         handle.write("\n".join(experiments.benchmark_table_lines(cells)) + "\n")

@@ -8,8 +8,9 @@ A CSV is read through one session (:func:`csv_session`), which reads its
 layout once and then parses its rows block by block, either into X
 (:func:`load_csv` is the one-call form) or for a reader that keeps no X,
 such as the command line's streamed fit, whose slabs and class statistics
-are :func:`roweis.rda.fit_blocks`'. :func:`write_csv` is the one CSV writer
-of data files, embeddings, reconstructions and experiment panels.
+are :func:`roweis.rda.fit_blocks`'. :func:`write_csv` is the one CSV writer:
+data files, embeddings, reconstructions, sweeps, the experiments' table and
+panels. Numeric arguments are checked by :func:`roweis._util.as_number`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_labels, classes, float_rows
+from ._util import as_labels, as_number, classes, float_rows
 from .exceptions import ConfigError, DataError
 
 XOR_MARGIN = 0.05
@@ -59,7 +60,8 @@ class Dataset:
 
 
 def _checked_seed(seed: int) -> int:
-    """``seed``, or ConfigError for a negative one, which numpy refuses."""
+    """``seed`` as an int, or ConfigError unless it is a whole number >= 0."""
+    seed = as_number(seed, "seed", whole=True)
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     return seed
@@ -72,6 +74,7 @@ def gen_xor(n: int, seed: int, margin: float = XOR_MARGIN) -> Dataset:
     Classes alternate sample by sample, so counts are balanced within one.
     Draw order: quadrant picks, then |x1| values, then |x2| values.
     """
+    n, margin = as_number(n, "n", whole=True), as_number(margin, "margin")
     if n < 4:
         raise ConfigError(f"n must be at least 4, got {n}")
     if not 0.0 <= margin < 1.0:
@@ -99,6 +102,8 @@ def gen_rings(
     Class 0 sits on the inner radius, class 1 on the outer; classes alternate
     sample by sample. Draw order: angles, then radial noise.
     """
+    n = as_number(n, "n", whole=True)
+    inner, outer, noise = as_number(inner, "inner"), as_number(outer, "outer"), as_number(noise, "noise")
     if n < 4:
         raise ConfigError(f"n must be at least 4, got {n}")
     if not (0.0 <= inner < outer < math.inf and 0.0 <= noise < math.inf):
@@ -127,6 +132,7 @@ def gen_regression_benchmark(bench_id: int, n: int, seed: int, noise_scale: floa
     batches in sequence), then the per-sample noise. ``noise_scale``
     multiplies eps and exists so tests can pin the noiseless surface.
     """
+    n, noise_scale = as_number(n, "n", whole=True), as_number(noise_scale, "noise_scale")
     if n < 1:
         raise ConfigError(f"n must be at least 1, got {n}")
     if not 0.0 <= noise_scale < math.inf:
@@ -164,6 +170,7 @@ def train_test_split(ds: Dataset, train_fraction: float, seed: int) -> tuple[Dat
     per-class proportions within one sample. A class with fewer than two
     members triggers a warning and a plain non-stratified split.
     """
+    train_fraction = as_number(train_fraction, "train_fraction")
     if not 0.0 < train_fraction < 1.0:
         raise ConfigError(f"train_fraction must lie in (0, 1), got {train_fraction}")
     n = ds.n
@@ -332,18 +339,17 @@ class CsvSession:
         self.width = width = len(first)
 
         label_idx = None
-        if label_col is not None:
-            if isinstance(label_col, str) and not label_col.lstrip("-").isdigit():
-                if header is None:
-                    raise DataError(f"{path}: label column {label_col!r} needs a header row")
-                if label_col not in header:
-                    raise DataError(f"{path}: no column named {label_col!r}")
-                label_idx = header.index(label_col)
-            else:
-                label_idx = int(label_col)
-                if not -width <= label_idx < width:
-                    raise DataError(f"{path}: label column index {label_idx} out of range")
-                label_idx %= width
+        if isinstance(label_col, str) and not label_col.removeprefix("-").isdecimal():
+            if header is None:
+                raise DataError(f"{path}: label column {label_col!r} needs a header row")
+            if label_col not in header:
+                raise DataError(f"{path}: no column named {label_col!r}")
+            label_idx = header.index(label_col)
+        elif label_col is not None:
+            label_idx = int(label_col) if isinstance(label_col, str) else as_number(label_col, "label_col", whole=True)
+            if not -width <= label_idx < width:
+                raise DataError(f"{path}: label column index {label_idx} out of range")
+            label_idx %= width
         self.label_idx = label_idx
         self.feature_idx = [i for i in range(width) if i != label_idx]
         self.names = [header[i] for i in self.feature_idx] if header else [f"f{i + 1}" for i in self.feature_idx]

@@ -13,7 +13,8 @@ leading embedding dimensions of the train and test splits.
 Both, and the CLI sweep, fit and embed a split's whole grid with
 :func:`grid_embeddings`, which resolves each bandwidth and builds each label
 term once per split; the results are those of one fit per grid point, bit
-for bit.
+for bit. The table and the sweep score it with :func:`grid_scores`, the
+one caller of :mod:`roweis.evaluate`.
 
 The table's splits are independent, each seeded on its own, so they run
 side by side, one process per CPU in this process's affinity (see
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import datasets, evaluate, kernel_rda, kernels, rda
+from ._util import as_number
 from .exceptions import ConfigError
 
 BENCH_IDS = (1, 2, 3)
@@ -54,7 +56,7 @@ class BenchCell:
 
 
 def _cell_seed(base_seed: int, bench_id: int, rep: int) -> int:
-    seq = np.random.SeedSequence([datasets._checked_seed(int(base_seed)), int(bench_id), int(rep)])
+    seq = np.random.SeedSequence([datasets._checked_seed(base_seed), bench_id, rep])
     return int(seq.generate_state(1)[0])
 
 
@@ -70,6 +72,14 @@ def grid_embeddings(variant, train, test, configs, data_kernel) -> list[tuple[np
     return list(zip(kernel_rda.project_grid(models, train.X), kernel_rda.project_grid(models, test.X)))
 
 
+def grid_scores(variant, train, test, configs, data_kernel) -> list[float]:
+    """The test score of every config's :func:`grid_embeddings`: the 1-NN
+    error rate on a classification split, the OLS RMSE otherwise."""
+    score = evaluate.knn_classify if train.kind == "classification" else evaluate.linear_regression_rmse
+    return [score(emb_train, train.y, emb_test, test.y)
+            for emb_train, emb_test in grid_embeddings(variant, train, test, configs, data_kernel)]
+
+
 def _split_rmse(job) -> list[float]:
     """Test RMSE of the linear, then the kernel method at each r1 of
     BENCH_R1_VALUES, on the split that ``job = (bench_id, n, seed)`` draws;
@@ -79,12 +89,8 @@ def _split_rmse(job) -> list[float]:
     train, test = datasets.train_test_split(ds, TRAIN_FRACTION, seed)
     label_kernel = kernels.resolve_label_kernel(kernels.KernelSpec(family="rbf"), train.y)
     configs = [rda.RoweisConfig(r1=r1, r2=0.0, p=2, label_kernel=label_kernel) for r1 in BENCH_R1_VALUES]
-    data_kernel = kernels.KernelSpec(family="rbf")
-    return [
-        evaluate.linear_regression_rmse(emb_train, train.y, emb_test, test.y)
-        for variant in ("primal", "kernel")
-        for emb_train, emb_test in grid_embeddings(variant, train, test, configs, data_kernel)
-    ]
+    return [score for variant in ("primal", "kernel")
+            for score in grid_scores(variant, train, test, configs, kernels.KernelSpec(family="rbf"))]
 
 
 def _leading(fn, jobs: list, first: int, step: int) -> dict:
@@ -168,6 +174,7 @@ def _map(fn, jobs: list) -> list:
 def regression_benchmark_table(repetitions: int = 50, n: int = 100, base_seed: int = 0) -> list[BenchCell]:
     """Mean and spread of test RMSE per (method, r1, benchmark) cell, over
     BENCH_IDS and BENCH_R1_VALUES."""
+    repetitions, n = as_number(repetitions, "repetitions", whole=True), as_number(n, "n", whole=True)
     if repetitions < 1:
         raise ConfigError(f"repetitions must be at least 1, got {repetitions}")
     methods = [(method, r1) for method in ("linear", "kernel") for r1 in BENCH_R1_VALUES]

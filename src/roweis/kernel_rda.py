@@ -168,7 +168,7 @@ def _gram_range(kernel: kernels.KernelSpec, x) -> tuple[np.ndarray, np.ndarray, 
 
 def fit_kernel_pca(x, kernel: kernels.KernelSpec, p: int | None = None) -> KernelRdaModel:
     """Kernel-trick fit of the (0, 0) corner: the unlabeled case of :func:`_fit_trick`."""
-    return _fit_trick(x, None, 0.0, kernel, None, p)
+    return _fit_trick(x, None, RoweisConfig(0.0, 0.0, p), kernel)
 
 
 def fit_kernel_spca(
@@ -179,7 +179,7 @@ def fit_kernel_spca(
     p: int | None = None,
 ) -> KernelRdaModel:
     """Kernel-trick fit of the (1, 0) corner: the labeled case of :func:`_fit_trick`."""
-    return _fit_trick(x, labels, 1.0, kernel_x, kernel_y, p)
+    return _fit_trick(x, labels, RoweisConfig(1.0, 0.0, p, kernel_y), kernel_x)
 
 
 def fold_centering(right, sigma, upsilon, row_means) -> tuple[np.ndarray, np.ndarray]:
@@ -194,13 +194,13 @@ def fold_centering(right, sigma, upsilon, row_means) -> tuple[np.ndarray, np.nda
     return coeffs, row_means @ coeffs
 
 
-def _fit_trick(x, labels, r1: float, kernel, label_kernel, p) -> KernelRdaModel:
-    """The kernel-trick fit at (r1, 0): kernel PCA without labels (r1 = 0),
-    kernel SPCA with them (r1 = 1). Solves the core Upsilon' Kc Upsilon =
-    V diag(sigma^2) V' and keeps the components select_components allows on
-    sigma^2. The training embedding is sigma * V'.
+def _fit_trick(x, labels, config: RoweisConfig, kernel) -> KernelRdaModel:
+    """The kernel-trick fit at ``config``'s (r1, 0): kernel PCA without
+    labels (r1 = 0), kernel SPCA with them (r1 = 1). Solves the core
+    Upsilon' Kc Upsilon = V diag(sigma^2) V' and keeps the components
+    select_components allows on sigma^2. The training embedding is sigma * V'.
     """
-    x, labels = _fit_inputs(x, labels, r1, 0.0)
+    x, labels = _fit_inputs(x, labels, config.r1, 0.0)
     kernel = kernels.resolve_gamma(kernel, x)
     gram = sym_in_place(kernels.gram(kernel, x, x))
     row_means = gram.mean(axis=1)
@@ -208,14 +208,14 @@ def _fit_trick(x, labels, r1: float, kernel, label_kernel, p) -> KernelRdaModel:
     # Upsilon' Kc Upsilon) with no reference kept here, and can free it.
     core = [kernels.double_center(gram)]
     del gram
-    upsilon = None
+    upsilon = label_kernel = None
     if labels is not None:
-        label_kernel = kernels.resolve_label_kernel(label_kernel, labels)
+        label_kernel = kernels.resolve_label_kernel(config.label_kernel, labels)
         upsilon = label_factor(label_kernel, labels)
         core = [sym_in_place(upsilon.T @ core.pop() @ upsilon)]
     pair = symmetric_eig(core.pop())
     sigma = np.sqrt(np.clip(pair.values, 0.0, None))
-    p, notes = select_components(sigma**2, sigma.size, p)
+    p, notes = select_components(sigma**2, sigma.size, config.p)
     right, sigma = pair.vectors[:, :p].copy(), sigma[:p].copy()
     coeffs, offset = fold_centering(right, sigma, upsilon, row_means)
     return KernelRdaModel(
@@ -224,7 +224,7 @@ def _fit_trick(x, labels, r1: float, kernel, label_kernel, p) -> KernelRdaModel:
         eigvals=sigma**2,
         train_x=x.copy(),
         kernel=kernel,
-        r1=r1,
+        r1=config.r1,
         r2=0.0,
         label_kernel=label_kernel,
         right_vectors=right,

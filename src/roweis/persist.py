@@ -7,9 +7,9 @@ scalars take a default when absent, so files written before a key existed
 still load (a primal file without ``route`` loads as ``"dense"``, an older
 route), and the retired ``valid_eig_threshold``, ``auto_dim_ratio`` and
 ``reg`` lines are ignored. A missing required scalar, a scalar of the
-wrong type or range (in both layouts r1 and r2 lie in [0, 1], shift is
-finite and >= 0, notes is a list of strings, and a kernel's gamma, degree
-and offset are numbers, not booleans, with a whole degree), an array
+wrong type or range (r1, r2 and robust as RoweisConfig checks them, shift
+finite and >= 0, notes a list of strings, and a kernel's gamma, degree
+and offset numbers, not booleans, with a whole degree), an array
 holding NaN or inf, arrays that disagree in shape, or a kernel model
 without a kernel it can embed with (a linear, polynomial, or rbf one with
 its gamma) does not load.
@@ -202,6 +202,11 @@ def _scalar(scalars: dict, key: str, path, convert, default=_REQUIRED):
         raise DataError(f"{path}: malformed value for {key!r}: {scalars[key]!r}") from None
 
 
+def _setting(scalars: dict, key: str, path, default=_REQUIRED):
+    """:func:`_scalar` of a fit setting (r1, r2 or robust), as :class:`RoweisConfig` checks it."""
+    return _scalar(scalars, key, path, lambda value: getattr(RoweisConfig(**{key: value}), key), default)
+
+
 def _kernel_spec(value) -> KernelSpec | None:
     """KernelSpec from its JSON object, None from null."""
     if value is None:
@@ -219,13 +224,6 @@ def _data_kernel(value) -> KernelSpec:
     return spec
 
 
-def _fraction(value) -> float:
-    """r1 or r2: a JSON number in [0, 1], not a boolean; other JSON values fail to compare."""
-    if isinstance(value, bool) or not 0.0 <= value <= 1.0:
-        raise ValueError
-    return float(value)
-
-
 def _shift(value) -> float:
     """A finite JSON number >= 0, not a boolean; other JSON values fail to compare."""
     if isinstance(value, bool) or not 0.0 <= value <= sys.float_info.max:
@@ -238,13 +236,6 @@ def _notes(value) -> tuple:
     if not isinstance(value, list) or not all(isinstance(note, str) for note in value):
         raise TypeError
     return tuple(value)
-
-
-def _flag(value) -> bool:
-    """A JSON true or false, and nothing else."""
-    if not isinstance(value, bool):
-        raise TypeError
-    return value
 
 
 def _from_dual_layout(scalars: dict, arrays: dict, path) -> tuple[dict, dict]:
@@ -294,11 +285,11 @@ def _model(path, scalars: dict, arrays: dict):
         _agree(path, "'mean' entries", mean.size, "'basis' rows", basis.shape[0])
         _agree(path, "'eigvals' entries", eigvals.size, "'basis' columns", basis.shape[1])
         config = RoweisConfig(
-            r1=_scalar(scalars, "r1", path, _fraction),
-            r2=_scalar(scalars, "r2", path, _fraction),
+            r1=_setting(scalars, "r1", path),
+            r2=_setting(scalars, "r2", path),
             p=int(basis.shape[1]),
             label_kernel=_scalar(scalars, "label_kernel", path, _kernel_spec, None),
-            robust=_scalar(scalars, "robust", path, _flag, False),
+            robust=_setting(scalars, "robust", path, False),
         )
         return RdaModel(
             basis=basis,
@@ -350,8 +341,8 @@ def _kernel_fields(path, scalars: dict, arrays: dict) -> dict:
         components = right.shape[1]
     _agree(path, "'eigvals' entries", fields["eigvals"].size, "components", components)
     fields.update(
-        r1=_scalar(scalars, "r1", path, _fraction, 0.0),
-        r2=_scalar(scalars, "r2", path, _fraction, 0.0),
+        r1=_setting(scalars, "r1", path, 0.0),
+        r2=_setting(scalars, "r2", path, 0.0),
         shift=_scalar(scalars, "shift", path, _shift, 0.0),
     )
     return fields

@@ -110,8 +110,9 @@ class RoweisConfig:
     p=None selects the dimensionality automatically from the eigenvalue
     shares (see :func:`select_components`). label_kernel=None picks
     the equality kernel for class labels and an RBF with the
-    median-heuristic bandwidth for real-valued targets. r1 and r2 are held
-    as Python floats; a bool or a string raises ConfigError.
+    median-heuristic bandwidth for real-valued targets. The one check of a
+    fit's settings: r1 and r2 are held as Python floats, p as an int, robust
+    as a bool, a label kernel as a KernelSpec; anything else raises ConfigError.
     """
 
     r1: float = 0.0
@@ -124,8 +125,14 @@ class RoweisConfig:
         for name in ("r1", "r2"):
             object.__setattr__(self, name, as_number(getattr(self, name), name))
         supervision_level(self.r1, self.r2)  # r1 and r2 must lie in [0, 1]
-        if self.p is not None and self.p < 1:
-            raise ConfigError(f"p must be a positive integer, got {self.p}")
+        if self.p is not None:
+            object.__setattr__(self, "p", as_number(self.p, "p", whole=True))
+            if self.p < 1:
+                raise ConfigError(f"p must be a positive integer, got {self.p}")
+        if not isinstance(self.robust, bool):
+            raise ConfigError(f"robust must be True or False, got {self.robust!r}")
+        if not isinstance(self.label_kernel, (kernels.KernelSpec, type(None))):
+            raise ConfigError(f"label_kernel must be a KernelSpec or None, got {self.label_kernel!r}")
 
 
 @dataclass(frozen=True)
@@ -320,10 +327,8 @@ def select_components(values, cap: int, p: int | None, floor: float = 0.0) -> tu
     them round-off sets the directions. p=None keeps the eigenvalues whose
     share of the spectrum is at least DEFAULT_AUTO_DIM_RATIO (at least one);
     a larger requested p is cut, with a note. Eigenvalues at or below
-    ``floor`` count as zero.
+    ``floor`` count as zero. ``p`` is a :class:`RoweisConfig`'s, checked there.
     """
-    if p is not None and p < 1:
-        raise ConfigError(f"p must be a positive integer, got {p}")
     values = np.asarray(values, dtype=float)
     if values.size == 0 or values[0] <= floor:
         raise NumericalError("no positive eigenvalues; the data carry no variance")

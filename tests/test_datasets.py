@@ -273,6 +273,15 @@ class TestCsv:
         with pytest.raises(DataError):
             load_csv(path, label_col="missing")
 
+    # Text is an index only when it is a minus sign at most and decimal
+    # digits; int() refuses the others, so they are column names.
+    @pytest.mark.parametrize("text", ["²", "--1", "+1", " 1"])
+    def test_label_text_that_int_refuses_is_a_name(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text("f1,f2\n1.0,2.0\n")
+        with pytest.raises(DataError, match="no column named"):
+            load_csv(path, label_col=text)
+
     def test_binary_file_is_data_error(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_bytes(b"\xff\xfe\x00binary")

@@ -7,13 +7,16 @@ fitted model embeds is a DataError too; data with more than two axes is a
 ConfigError, and so is a linear, polynomial or RBF label kernel over labels
 that are not numbers; a LinAlgError escaping
 LAPACK inside ``roweis.linalg`` surfaces as NumericalError; an unknown panel
-dataset is a ConfigError.
+dataset is a ConfigError. So is a fit setting ``RoweisConfig`` refuses (a p
+that is not a whole number, a robust flag that is not a bool, a label kernel
+by name) and a public numeric argument of ``datasets`` or ``experiments``
+of the wrong type, or fractional where a whole number belongs.
 """
 
 import numpy as np
 import pytest
 
-from roweis import kernels
+from roweis import datasets, experiments, kernels
 from roweis.dual import fit_dual
 from roweis.exceptions import ConfigError, DataError, NumericalError
 from roweis.experiments import embedding_panels
@@ -182,3 +185,49 @@ def test_linalg_error_becomes_numerical_error(monkeypatch):
 def test_unknown_panel_dataset_is_a_config_error():
     with pytest.raises(ConfigError, match="unknown panel dataset"):
         embedding_panels("moons")
+
+
+# Each call holds one setting or numeric argument of the wrong type, or a
+# fraction where a whole number belongs. Called with (x, labels, csv path).
+BAD_ARGUMENTS = {
+    "RoweisConfig p=2.5": lambda x, y, path: RoweisConfig(p=2.5),
+    "RoweisConfig p='2'": lambda x, y, path: RoweisConfig(p="2"),
+    "RoweisConfig p=True": lambda x, y, path: RoweisConfig(p=True),
+    "RoweisConfig robust='no'": lambda x, y, path: RoweisConfig(0.5, 0.5, robust="no"),
+    "RoweisConfig robust=np.True_": lambda x, y, path: RoweisConfig(0.5, 0.5, robust=np.True_),
+    "RoweisConfig label_kernel='delta'": lambda x, y, path: RoweisConfig(label_kernel="delta"),
+    "rda.fit p=2.5": lambda x, y, path: fit(x, None, RoweisConfig(0, 0, p=2.5)),
+    "fit_kernel_pca p=2.5": lambda x, y, path: fit_kernel_pca(x, KERNEL, p=2.5),
+    "fit_kernel_spca label kernel 'rbf'": lambda x, y, path: fit_kernel_spca(x, y, KERNEL, "rbf"),
+    "fit_dual p='2'": lambda x, y, path: fit_dual(x, y, 0.5, p="2"),
+    "gen_xor n=4.5": lambda x, y, path: datasets.gen_xor(4.5, 0),
+    "gen_xor seed=1.5": lambda x, y, path: datasets.gen_xor(10, 1.5),
+    "gen_xor margin='0.05'": lambda x, y, path: datasets.gen_xor(10, 0, margin="0.05"),
+    "gen_rings n=4.5": lambda x, y, path: datasets.gen_rings(4.5, 0),
+    "gen_rings seed='1'": lambda x, y, path: datasets.gen_rings(10, "1"),
+    "gen_rings noise='0.1'": lambda x, y, path: datasets.gen_rings(10, 0, noise="0.1"),
+    "gen_regression_benchmark n=4.5": lambda x, y, path: datasets.gen_regression_benchmark(1, 4.5, 0),
+    "gen_regression_benchmark seed=1.5": lambda x, y, path: datasets.gen_regression_benchmark(1, 10, 1.5),
+    "gen_regression_benchmark noise_scale='1'": (
+        lambda x, y, path: datasets.gen_regression_benchmark(1, 10, 0, noise_scale="1")),
+    "train_test_split fraction='0.5'": (
+        lambda x, y, path: datasets.train_test_split(datasets.gen_xor(10, 0), "0.5", 0)),
+    "train_test_split seed='1'": lambda x, y, path: datasets.train_test_split(datasets.gen_xor(10, 0), 0.5, "1"),
+    "load_csv label_col=1.5": lambda x, y, path: datasets.load_csv(path, 1.5),
+    "load_csv label_col=True": lambda x, y, path: datasets.load_csv(path, True),
+    "regression_benchmark_table repetitions=2.5": lambda x, y, path: experiments.regression_benchmark_table(2.5, 20),
+    "regression_benchmark_table n='20'": lambda x, y, path: experiments.regression_benchmark_table(1, "20"),
+    "regression_benchmark_table base_seed=1.5": (
+        lambda x, y, path: experiments.regression_benchmark_table(1, 20, base_seed=1.5)),
+    "embedding_panels n=4.5": lambda x, y, path: experiments.embedding_panels("xor", n=4.5),
+    "embedding_panels seed='1'": lambda x, y, path: experiments.embedding_panels("xor", n=20, seed="1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_a_bad_setting_or_argument_is_a_config_error(case, tmp_path, rng):
+    x, y = rng.standard_normal((3, 10)), np.arange(10) % 2
+    path = tmp_path / "data.csv"
+    datasets.save_csv(path, x, y)
+    with pytest.raises(ConfigError, match="must be"):
+        BAD_ARGUMENTS[case](x, y, path)

@@ -272,10 +272,17 @@ class TestSelectComponents:
     def test_negative_eigenvalues_have_no_share(self):
         assert select_components([1.0, 0.5, -0.5], 3, None) == (2, ())
 
+
+class TestRoweisConfig:
+    # The one check of a fit's p: select_components takes it as checked here.
     @pytest.mark.parametrize("p", [0, -2])
     def test_p_below_one_rejected(self, p):
         with pytest.raises(ConfigError, match="positive integer"):
-            select_components([1.0], 1, p)
+            RoweisConfig(p=p)
+
+    @pytest.mark.parametrize("p", [2, 2.0, np.int64(2), np.float32(2.0)])
+    def test_a_whole_p_is_held_as_an_int(self, p):
+        assert type(RoweisConfig(p=p).p) is int and RoweisConfig(p=p).p == 2
 
 
 class TestFit:
