@@ -104,12 +104,9 @@ def _output(path: str, newline: str | None = None):
 # ---------------------------------------------------------------- kernels
 
 def _kernel_from_args(family: str, gamma, degree, offset) -> kernels.KernelSpec:
-    return kernels.KernelSpec(
-        family=family,
-        gamma=gamma,
-        degree=degree if degree is not None else 2,
-        offset=offset if offset is not None else 1.0,
-    )
+    """The KernelSpec of the given flags; one not given takes its default."""
+    given = {"gamma": gamma, "degree": degree, "offset": offset}
+    return kernels.KernelSpec(family, **{name: value for name, value in given.items() if value is not None})
 
 
 def _label_kernel_from_args(args) -> kernels.KernelSpec | None:
@@ -163,8 +160,8 @@ def _print_spectrum(values) -> None:
 
 
 def _fit_settings(args, r1: float, r2: float):
-    """(label kernel, data kernel, config) of ``fit``'s arguments, or the
-    ConfigError a fit of them raises before it reads the data."""
+    """(data kernel, config) of ``fit``'s arguments, or the ConfigError a
+    fit of them raises before it reads the data."""
     variant = args.variant
     if variant == "kernel-pca" and (r1 != 0.0 or r2 != 0.0):
         raise ConfigError("kernel-pca is the r1=0, r2=0 corner; drop --r1/--r2 or use --variant kernel")
@@ -172,10 +169,9 @@ def _fit_settings(args, r1: float, r2: float):
         raise ConfigError("kernel-spca is the r1=1, r2=0 corner; drop --r1/--r2 or use --variant kernel")
     if args.robust and variant != "primal":
         raise ConfigError(f"--robust repairs the primal constraint only; --variant {variant} has no robust form")
-    label_kernel = _label_kernel_from_args(args)
     data_kernel = _kernel_from_args(args.kernel, args.gamma, args.degree, args.offset)
-    config = rda.RoweisConfig(r1=r1, r2=r2, p=args.p, label_kernel=label_kernel, robust=args.robust)
-    return label_kernel, data_kernel, config
+    config = rda.RoweisConfig(r1=r1, r2=r2, p=args.p, label_kernel=_label_kernel_from_args(args), robust=args.robust)
+    return data_kernel, config
 
 
 def _streamed_fit(args, session, config: rda.RoweisConfig):
@@ -212,7 +208,7 @@ def cmd_fit(args) -> int:
     r2 = args.r2 if args.r2 is not None else 0.0
     with datasets.csv_session(args.data, args.label_col) as session:
         try:
-            label_kernel, data_kernel, config = _fit_settings(args, r1, r2)
+            data_kernel, config = _fit_settings(args, r1, r2)
         except ConfigError:
             # A bad file is reported before bad arguments, as when X is read first.
             session.collect()
@@ -237,7 +233,7 @@ def cmd_fit(args) -> int:
         "p": args.p,
         "robust": args.robust,
         "kernel": data_kernel.to_dict(),
-        "label_kernel": label_kernel.to_dict() if label_kernel else None,
+        "label_kernel": config.label_kernel.to_dict() if config.label_kernel else None,
         "label_col": args.label_col,
     }
     _write_manifest("fit", config_dict, None, [args.data], [out])
@@ -381,7 +377,7 @@ def cmd_experiments(args) -> int:
 
     outputs = [table_csv, table_txt]
     for panel in panels:
-        path = os.path.join(panel_dir, f"{panel.dataset}_r1_{panel.r1:g}_r2_{panel.r2:g}.csv")
+        path = os.path.join(panel_dir, f"{panel.dataset}_r1_{panel.config.r1:g}_r2_{panel.config.r2:g}.csv")
         header = ["split", "label"] + [f"e{i + 1}" for i in range(panel.train_emb.shape[0])]
         lead = [["train", str(y)] for y in panel.train_y] + [["test", str(y)] for y in panel.test_y]
         with _output(path, newline="") as handle:

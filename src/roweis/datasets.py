@@ -132,7 +132,8 @@ def gen_regression_benchmark(bench_id: int, n: int, seed: int, noise_scale: floa
     batches in sequence), then the per-sample noise. ``noise_scale``
     multiplies eps and exists so tests can pin the noiseless surface.
     """
-    n, noise_scale = as_number(n, "n", whole=True), as_number(noise_scale, "noise_scale")
+    bench_id, n = as_number(bench_id, "bench_id", whole=True), as_number(n, "n", whole=True)
+    noise_scale = as_number(noise_scale, "noise_scale")
     if n < 1:
         raise ConfigError(f"n must be at least 1, got {n}")
     if not 0.0 <= noise_scale < math.inf:

@@ -210,8 +210,7 @@ def benchmark_table_lines(cells: list[BenchCell]) -> list[str]:
 @dataclass(frozen=True)
 class Panel:
     dataset: str
-    r1: float
-    r2: float
+    config: rda.RoweisConfig
     train_emb: np.ndarray
     test_emb: np.ndarray
     train_y: np.ndarray
@@ -235,7 +234,7 @@ def embedding_panels(dataset_name: str, n: int = 400, seed: int = 7) -> list[Pan
     train, test = datasets.train_test_split(ds, TRAIN_FRACTION, seed)
     configs = [rda.RoweisConfig(r1=r1, r2=r2, p=2) for r1 in PANEL_R_VALUES for r2 in PANEL_R_VALUES]
     return [
-        Panel(dataset_name, config.r1, config.r2, train_emb, test_emb, train.y, test.y)
+        Panel(dataset_name, config, train_emb, test_emb, train.y, test.y)
         for config, (train_emb, test_emb) in zip(
             configs, grid_embeddings("kernel", train, test, configs, kernels.KernelSpec(family="rbf")))
     ]

@@ -66,7 +66,7 @@ a kernel never exposes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,8 +88,11 @@ PROJECT_BLOCK = 1024
 @dataclass(frozen=True)
 class KernelRdaModel:
     """Fitted feature-space subspace: new points x embed as coeffs' k(X, x)
-    minus offset. The trick variants keep their raw pieces (right_vectors,
-    sigma, and the label-kernel factor upsilon), which their files hold.
+    minus offset. ``config`` holds the fit's settings as on
+    :class:`~roweis.rda.RdaModel`, its p the number of kept components and
+    its label kernel the resolved one (None where no label term entered).
+    The trick variants keep their raw pieces (right_vectors, sigma, and the
+    label-kernel factor upsilon), which their files hold.
     """
 
     variant: str  # kernel-direct | kernel-pca | kernel-spca
@@ -97,9 +100,7 @@ class KernelRdaModel:
     eigvals: np.ndarray
     train_x: np.ndarray
     kernel: kernels.KernelSpec
-    r1: float
-    r2: float
-    label_kernel: kernels.KernelSpec | None = None
+    config: RoweisConfig
     right_vectors: np.ndarray | None = None
     sigma: np.ndarray | None = None
     upsilon: np.ndarray | None = None
@@ -143,9 +144,9 @@ def fit_direct_grid(x, labels, configs, kernel: kernels.KernelSpec) -> list[Kern
     solved = _solve_grid(moments, labels, configs, lambda r2: ids.size - 1 if r2 == 1.0 else n - 1, coords,
                          lift=vectors, metric=values, count=n - values.size)
     return [KernelRdaModel(variant="kernel-direct", coeffs=pair.vectors, eigvals=pair.values, train_x=train_x,
-                           kernel=kernel, r1=config.r1, r2=config.r2, label_kernel=spec, shift=pair.shift,
-                           notes=notes)
-            for config, (pair, _, notes, spec) in zip(configs, solved)]
+                           kernel=kernel, config=replace(config, p=p, label_kernel=spec),
+                           shift=pair.shift, notes=notes)
+            for config, (pair, p, notes, spec) in zip(configs, solved)]
 
 
 def _gram_range(kernel: kernels.KernelSpec, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,9 +225,7 @@ def _fit_trick(x, labels, config: RoweisConfig, kernel) -> KernelRdaModel:
         eigvals=sigma**2,
         train_x=x.copy(),
         kernel=kernel,
-        r1=config.r1,
-        r2=0.0,
-        label_kernel=label_kernel,
+        config=replace(config, p=p, label_kernel=label_kernel),
         right_vectors=right,
         sigma=sigma,
         upsilon=upsilon,

@@ -11,14 +11,16 @@ matrices reuse the training bandwidth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from ._util import as_matrix, as_number, as_square, classes
 from .exceptions import ConfigError
 
-FAMILIES = ("linear", "rbf", "polynomial", "delta")
+# The parameters each kernel family reads, in to_dict's order.
+PARAMETERS = {"linear": (), "rbf": ("gamma",), "polynomial": ("degree", "offset"), "delta": ()}
+FAMILIES = tuple(PARAMETERS)
 
 # median_heuristic_gamma recomputes, NEAR_BLOCK pairs at a time, the squared
 # distances within NEAR_RTOL * 2 max |a|^2, the expansion's round-off: equal
@@ -37,11 +39,14 @@ class KernelSpec:
     """Kernel family plus hyperparameters.
 
     gamma applies to rbf (None means "median heuristic, not yet resolved"),
-    degree and offset apply to polynomial. The delta family compares labels
-    for equality; it is a label kernel only, and enters a fit through its
-    exact factor E, :func:`class_indicator`, or the class sums Xc E. Its
-    numbers are Python floats, degree an int, so :meth:`to_dict` reads back
-    as it was; a bool, a string or a fractional degree raises ConfigError.
+    degree and offset apply to polynomial (PARAMETERS). The delta family
+    compares labels for equality; it is a label kernel only, and enters a
+    fit through its exact factor E, :func:`class_indicator`, or the class
+    sums Xc E. Its numbers are Python floats, degree an int; a bool, a
+    string or a fractional degree raises ConfigError. Every given value is
+    checked, then the parameters the family does not read are reset to
+    their defaults, so two specs that compute the same kernel are equal and
+    :meth:`to_dict` reads back as it was.
     """
 
     family: str = "linear"
@@ -62,15 +67,12 @@ class KernelSpec:
             raise ConfigError(f"offset must be finite, got {self.offset}")
         if self.family == "polynomial" and self.degree < 1:
             raise ConfigError(f"polynomial degree must be >= 1, got {self.degree}")
+        for field in fields(self)[1:]:
+            if field.name not in PARAMETERS[self.family]:
+                object.__setattr__(self, field.name, field.default)
 
     def to_dict(self) -> dict:
-        out = {"family": self.family}
-        if self.family == "rbf":
-            out["gamma"] = self.gamma
-        if self.family == "polynomial":
-            out["degree"] = self.degree
-            out["offset"] = self.offset
-        return out
+        return {"family": self.family, **{name: getattr(self, name) for name in PARAMETERS[self.family]}}
 
     @classmethod
     def from_dict(cls, data: dict) -> "KernelSpec":

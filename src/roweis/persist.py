@@ -61,8 +61,10 @@ def _kernel_dict(spec: KernelSpec | None):
 
 def _fields(model) -> tuple[list, list]:
     """The model's (key, value) scalars and (name, array) blocks, in file order."""
+    if not isinstance(model, (RdaModel, KernelRdaModel)):
+        raise DataError(f"cannot persist object of type {type(model).__name__}")
+    cfg = model.config
     if isinstance(model, RdaModel):
-        cfg = model.config
         scalars = [
             ("variant", "primal"),
             ("r1", cfg.r1),
@@ -74,13 +76,13 @@ def _fields(model) -> tuple[list, list]:
             ("route", model.route),
         ]
         arrays = [("mean", model.mean), ("eigvals", model.eigvals), ("basis", model.basis)]
-    elif isinstance(model, KernelRdaModel):
+    else:
         scalars = [
             ("variant", model.variant),
-            ("r1", model.r1),
-            ("r2", model.r2),
+            ("r1", cfg.r1),
+            ("r2", cfg.r2),
             ("kernel", _kernel_dict(model.kernel)),
-            ("label_kernel", _kernel_dict(model.label_kernel)),
+            ("label_kernel", _kernel_dict(cfg.label_kernel)),
             ("shift", model.shift),
             ("notes", list(model.notes)),
         ]
@@ -91,8 +93,6 @@ def _fields(model) -> tuple[list, list]:
             arrays += [("sigma", model.sigma), ("right_vectors", model.right_vectors)]
             if model.upsilon is not None:
                 arrays.append(("upsilon", model.upsilon))
-    else:
-        raise DataError(f"cannot persist object of type {type(model).__name__}")
     return scalars, arrays
 
 
@@ -202,9 +202,21 @@ def _scalar(scalars: dict, key: str, path, convert, default=_REQUIRED):
         raise DataError(f"{path}: malformed value for {key!r}: {scalars[key]!r}") from None
 
 
-def _setting(scalars: dict, key: str, path, default=_REQUIRED):
-    """:func:`_scalar` of a fit setting (r1, r2 or robust), as :class:`RoweisConfig` checks it."""
-    return _scalar(scalars, key, path, lambda value: getattr(RoweisConfig(**{key: value}), key), default)
+def _config(scalars: dict, path, p: int, kernel: bool) -> RoweisConfig:
+    """The fit settings of a file of ``p`` components, in both layouts, r1,
+    r2 and robust each checked as :class:`RoweisConfig` checks it. A primal
+    file needs r1 and r2; a kernel file takes 0.0 for them and has no
+    robust form, so a robust line in it is ignored. A file of no
+    components does not load."""
+    def setting(key, default):
+        return _scalar(scalars, key, path, lambda value: getattr(RoweisConfig(**{key: value}), key), default)
+
+    if p < 1:
+        raise DataError(f"{path}: the model has no components")
+    default = 0.0 if kernel else _REQUIRED
+    return RoweisConfig(setting("r1", default), setting("r2", default), p,
+                        _scalar(scalars, "label_kernel", path, _kernel_spec, None),
+                        not kernel and setting("robust", False))
 
 
 def _kernel_spec(value) -> KernelSpec | None:
@@ -284,18 +296,11 @@ def _model(path, scalars: dict, arrays: dict):
         mean, eigvals = _vec(arrays, "mean", path), _vec(arrays, "eigvals", path)
         _agree(path, "'mean' entries", mean.size, "'basis' rows", basis.shape[0])
         _agree(path, "'eigvals' entries", eigvals.size, "'basis' columns", basis.shape[1])
-        config = RoweisConfig(
-            r1=_setting(scalars, "r1", path),
-            r2=_setting(scalars, "r2", path),
-            p=int(basis.shape[1]),
-            label_kernel=_scalar(scalars, "label_kernel", path, _kernel_spec, None),
-            robust=_setting(scalars, "robust", path, False),
-        )
         return RdaModel(
             basis=basis,
             eigvals=eigvals,
             mean=mean,
-            config=config,
+            config=_config(scalars, path, basis.shape[1], kernel=False),
             shift=_scalar(scalars, "shift", path, _shift, 0.0),
             notes=notes,
             route=route,
@@ -319,7 +324,6 @@ def _kernel_fields(path, scalars: dict, arrays: dict) -> dict:
         "variant": variant,
         "notes": _scalar(scalars, "notes", path, _notes, ()),
         "kernel": _scalar(scalars, "kernel", path, _data_kernel),
-        "label_kernel": _scalar(scalars, "label_kernel", path, _kernel_spec, None),
         "train_x": _mat(arrays, "train_x", path),
         "eigvals": _vec(arrays, "eigvals", path),
     }
@@ -340,9 +344,6 @@ def _kernel_fields(path, scalars: dict, arrays: dict) -> dict:
         _agree(path, "'sigma' entries", sigma.size, "'right_vectors' columns", right.shape[1])
         components = right.shape[1]
     _agree(path, "'eigvals' entries", fields["eigvals"].size, "components", components)
-    fields.update(
-        r1=_setting(scalars, "r1", path, 0.0),
-        r2=_setting(scalars, "r2", path, 0.0),
-        shift=_scalar(scalars, "shift", path, _shift, 0.0),
-    )
+    fields.update(config=_config(scalars, path, components, kernel=True),
+                  shift=_scalar(scalars, "shift", path, _shift, 0.0))
     return fields

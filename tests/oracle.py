@@ -108,7 +108,7 @@ Do not change them to match the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -614,7 +614,8 @@ def fit_kernel_pca(x, kernel, p=None) -> KernelRdaModel:
     coeffs, offset = fold_centering(right.copy(), sigma.copy(), None, k_x.mean(axis=1))
     return KernelRdaModel(
         variant="kernel-pca", coeffs=coeffs, eigvals=sigma**2, train_x=x.copy(), kernel=kernel,
-        r1=0.0, r2=0.0, right_vectors=right.copy(), sigma=sigma.copy(), notes=notes, offset=offset,
+        config=rda.RoweisConfig(0.0, 0.0, p=sigma.size), right_vectors=right.copy(), sigma=sigma.copy(),
+        notes=notes, offset=offset,
     )
 
 
@@ -629,7 +630,8 @@ def fit_kernel_spca(x, labels, kernel_x, kernel_y=None, p=None) -> KernelRdaMode
     coeffs, offset = fold_centering(right.copy(), sigma.copy(), upsilon.copy(), k_x.mean(axis=1))
     return KernelRdaModel(
         variant="kernel-spca", coeffs=coeffs, eigvals=sigma**2, train_x=x.copy(), kernel=kernel_x,
-        r1=1.0, r2=0.0, label_kernel=spec_y, right_vectors=right.copy(), sigma=sigma.copy(),
+        config=rda.RoweisConfig(1.0, 0.0, p=sigma.size, label_kernel=spec_y), right_vectors=right.copy(),
+        sigma=sigma.copy(),
         upsilon=upsilon.copy(), notes=notes, offset=offset,
     )
 
@@ -677,9 +679,7 @@ def fit_direct(x, labels, config, kernel) -> KernelRdaModel:
         eigvals=pair.values[:p].copy(),
         train_x=x.copy(),
         kernel=kernel,
-        r1=r1,
-        r2=r2,
-        label_kernel=resolved_label,
+        config=replace(config, p=p, label_kernel=resolved_label),
         shift=pair.shift,
         notes=tuple(notes),
     )
@@ -748,9 +748,10 @@ def embedding_panels(dataset_name, n=400, seed=7, train_fraction=0.7,
     panels = []
     for r1 in r_values:
         for r2 in r_values:
-            model = kernel_rda.fit_direct(train.X, train.y, rda.RoweisConfig(r1=r1, r2=r2, p=2), kernel)
+            config = rda.RoweisConfig(r1=r1, r2=r2, p=2)
+            model = kernel_rda.fit_direct(train.X, train.y, config, kernel)
             panels.append(experiments.Panel(
-                dataset=dataset_name, r1=r1, r2=r2,
+                dataset=dataset_name, config=config,
                 train_emb=project_kernel(model, train.X), test_emb=project_kernel(model, test.X),
                 train_y=train.y, test_y=test.y,
             ))

@@ -175,7 +175,7 @@ class TestFit:
                    "--label-kernel", "rbf", "--label-gamma", 0.5, "--out", model_path) == 0
         spec = kernels.KernelSpec("rbf", gamma=0.5)
         model = persist.load_model(model_path)
-        assert (model.config.label_kernel if variant == "primal" else model.label_kernel) == spec
+        assert model.config.label_kernel == spec
         manifest = json.loads((tmp_path / "model.txt.manifest.json").read_text())
         assert manifest["config"]["label_kernel"] == spec.to_dict()
 

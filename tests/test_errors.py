@@ -206,6 +206,8 @@ BAD_ARGUMENTS = {
     "gen_rings n=4.5": lambda x, y, path: datasets.gen_rings(4.5, 0),
     "gen_rings seed='1'": lambda x, y, path: datasets.gen_rings(10, "1"),
     "gen_rings noise='0.1'": lambda x, y, path: datasets.gen_rings(10, 0, noise="0.1"),
+    "gen_regression_benchmark bench_id=True": lambda x, y, path: datasets.gen_regression_benchmark(True, 10, 0),
+    "gen_regression_benchmark bench_id=1.5": lambda x, y, path: datasets.gen_regression_benchmark(1.5, 10, 0),
     "gen_regression_benchmark n=4.5": lambda x, y, path: datasets.gen_regression_benchmark(1, 4.5, 0),
     "gen_regression_benchmark seed=1.5": lambda x, y, path: datasets.gen_regression_benchmark(1, 10, 1.5),
     "gen_regression_benchmark noise_scale='1'": (
@@ -231,3 +233,8 @@ def test_a_bad_setting_or_argument_is_a_config_error(case, tmp_path, rng):
     datasets.save_csv(path, x, y)
     with pytest.raises(ConfigError, match="must be"):
         BAD_ARGUMENTS[case](x, y, path)
+
+
+def test_a_whole_float_benchmark_id_is_that_benchmark():
+    want, got = datasets.gen_regression_benchmark(1, 10, 0), datasets.gen_regression_benchmark(1.0, 10, 0)
+    assert got.X.tobytes() == want.X.tobytes() and got.y.tobytes() == want.y.tobytes()

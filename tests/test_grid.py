@@ -47,8 +47,7 @@ def assert_same_model(got, want):
     assert got.shift == want.shift
     assert got.notes == want.notes
     assert got.kernel == want.kernel
-    assert got.label_kernel == want.label_kernel
-    assert (got.r1, got.r2) == (want.r1, want.r2)
+    assert got.config == want.config
 
 
 # ---------------------------------------------------------------- fit_direct_grid
@@ -77,8 +76,8 @@ class TestFitDirectGrid:
         y = rng.standard_normal(25)
         configs = [RoweisConfig(r1, 0.0, p=2) for r1 in (0.0, 0.5, 1.0)]
         models = fit_direct_grid(x, y, configs, kernels.KernelSpec("rbf"))
-        assert models[1].label_kernel is models[2].label_kernel
-        assert models[1].label_kernel.family == "rbf" and models[1].label_kernel.gamma
+        assert models[1].config.label_kernel is models[2].config.label_kernel
+        assert models[1].config.label_kernel.family == "rbf" and models[1].config.label_kernel.gamma
         for config, model in zip(configs, models):
             assert_same_model(model, fit_direct(x, y if config.r1 else None, config, kernels.KernelSpec("rbf")))
 
@@ -304,6 +303,22 @@ def test_grid_fits_build_the_label_gram_once(rng, monkeypatch):
         assert len(models) == 3
 
 
+def test_label_kernels_that_differ_only_in_ignored_parameters_share_one_label_gram(rng, monkeypatch):
+    x, labels = labeled_blobs(rng, d=3, n=30, c=3)
+    real, sizes = kernels.label_gram, []
+
+    def counting(spec, y1, y2):
+        sizes.append(len(y1))
+        return real(spec, y1, y2)
+
+    monkeypatch.setattr(kernels, "label_gram", counting)
+    configs = [RoweisConfig(0.5, 0.0, p=2, label_kernel=kernels.KernelSpec("linear")),
+               RoweisConfig(1.0, 0.5, p=2, label_kernel=kernels.KernelSpec("linear", degree=3, offset=-2.0))]
+    models = rda.fit_grid(x, labels, configs)
+    assert sizes.count(30) == 1
+    assert models[0].config.label_kernel == models[1].config.label_kernel
+
+
 class TestProjectGrid:
     def test_equals_each_models_projection(self, rng):
         x, labels = labeled_blobs(rng, d=2, n=40, c=3)
@@ -318,6 +333,14 @@ class TestProjectGrid:
             for model, emb in zip(models, project_grid(models, x_new)):
                 want = project(model, x_new)
                 assert emb.shape == want.shape and emb.tobytes() == want.tobytes()
+
+    def test_takes_kernels_that_differ_only_in_ignored_parameters(self, rng):
+        x, labels = labeled_blobs(rng, d=2, n=20, c=2)
+        models = [fit_direct(x, labels, RoweisConfig(0.5, 0.5, p=2), kernels.KernelSpec("rbf", gamma=0.3, **extra))
+                  for extra in ({}, {"degree": 3, "offset": 0.0})]
+        x_new = rng.standard_normal((2, 5))
+        for model, emb in zip(models, project_grid(models, x_new)):
+            assert emb.tobytes() == project(model, x_new).tobytes()
 
     def test_refuses_models_of_different_training_sets(self, rng):
         kern = kernels.KernelSpec("rbf", gamma=0.3)
@@ -399,7 +422,7 @@ def test_experiments_write_the_per_config_loops_bytes(tmp_path):
             lead = ([("train", str(y)) for y in panel.train_y]
                     + [("test", str(y)) for y in panel.test_y])
             text_io_oracle.write_columns(expected, header, np.hstack([panel.train_emb, panel.test_emb]), lead)
-            path = out_dir / "panels" / f"{name}_r1_{panel.r1:g}_r2_{panel.r2:g}.csv"
+            path = out_dir / "panels" / f"{name}_r1_{panel.config.r1:g}_r2_{panel.config.r2:g}.csv"
             assert path.read_bytes() == expected.read_bytes()
 
 

@@ -17,9 +17,15 @@ It and the other kernel builders that keep one n x n array have the bits of
 their copying forms (``oracle.*_copying``), on drawn shapes and layouts of
 the points of ``test_one_array.py``.
 
+Every ``KernelSpec`` the constructor accepts, values in the parameters its
+family ignores included, comes back equal, with an equal hash, from its
+``to_dict`` through JSON, which holds the family's parameters alone.
+
 Runs only where ``hypothesis`` is installed; it is a test extra, not a
 runtime dependency.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -29,7 +35,15 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from roweis._util import sym_in_place  # noqa: E402
-from roweis.kernels import double_center, median_heuristic_gamma, squared_distances  # noqa: E402
+from roweis.exceptions import ConfigError  # noqa: E402
+from roweis.kernels import (  # noqa: E402
+    FAMILIES,
+    PARAMETERS,
+    KernelSpec,
+    double_center,
+    median_heuristic_gamma,
+    squared_distances,
+)
 
 import oracle  # noqa: E402
 from test_one_array import DIMS, LAYOUTS, gram_like, points, same_bits  # noqa: E402
@@ -86,3 +100,31 @@ def test_every_builder_keeps_its_bits(d, n, m, layout, seed):
     k = gram_like(rng, n)
     assert same_bits(sym_in_place(k.copy()), oracle.sym_copying(k))
     assert same_bits(double_center(k.copy()), oracle.double_center_copying(k))
+
+
+# Every number a KernelSpec parameter may be given, accepted or not.
+ANY_VALUES = {
+    "gammas": st.none() | st.floats(0.0, exclude_min=True, allow_infinity=False) | st.integers(1, 10**6),
+    "degrees": st.integers(-3, 40) | st.sampled_from([2.0, np.int64(3), np.float32(4.0)]),
+    "offsets": st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**6, 10**6),
+}
+
+
+@st.composite
+def kernel_specs(draw, families=FAMILIES, gammas=ANY_VALUES["gammas"], degrees=ANY_VALUES["degrees"],
+                 offsets=ANY_VALUES["offsets"]):
+    """A KernelSpec the constructor accepts, drawn with a value for every
+    parameter, read by its family or not."""
+    try:
+        return KernelSpec(draw(st.sampled_from(families)), draw(gammas), draw(degrees), draw(offsets))
+    except ConfigError:
+        hypothesis.reject()
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=kernel_specs())
+def test_a_spec_reads_back_equal_from_its_dict(spec):
+    data = spec.to_dict()
+    assert tuple(data) == ("family", *PARAMETERS[spec.family])
+    back = KernelSpec.from_dict(json.loads(json.dumps(data)))
+    assert back == spec and hash(back) == hash(spec)

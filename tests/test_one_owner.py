@@ -13,7 +13,14 @@
   split for its two grids;
 * ``rda.RoweisConfig`` alone checks a fit's settings: the second copies
   (``persist._fraction`` and ``persist._flag``) and the CLI's own CSV
-  writer (``cli._write_rows``) are gone.
+  writer (``cli._write_rows``) are gone;
+* ``rda.RoweisConfig`` alone holds them: no other class declares an
+  ``r1``, ``r2`` or ``label_kernel`` field (a model holds a ``config``),
+  except the table's ``experiments.BenchCell``, whose ``r1`` names a row of
+  fits over splits that each resolve their own label kernel;
+* ``kernels.PARAMETERS`` alone says which parameters a kernel family reads:
+  ``KernelSpec.__post_init__`` resets the others from it and
+  ``KernelSpec.to_dict`` writes the family's from it.
 """
 
 import ast
@@ -26,6 +33,8 @@ IMPORTERS = {"csv": {"datasets"}, "evaluate": {"experiments"}}
 RESOLVE = ("kernels", "resolve_label_kernel")
 RESOLVERS = {("rda", "_solve_grid"), ("kernel_rda", "_fit_trick"), ("experiments", "_split_rmse")}
 GONE = {("persist", "_fraction"), ("persist", "_flag"), ("cli", "_write_rows")}
+SETTINGS = {"r1", "r2", "label_kernel"}
+SETTINGS_HOLDERS = {("rda", "RoweisConfig"), ("experiments", "BenchCell")}
 
 
 def importers(package: Path, name: str) -> set:
@@ -88,3 +97,42 @@ def test_label_kernels_are_resolved_only_by_the_fits_and_the_table():
 
 def test_the_second_copies_are_gone():
     assert undefined(PACKAGE, GONE) == GONE
+
+
+def field_holders(package: Path, names: set) -> set:
+    """The (module, class) pairs of ``package`` whose class declares a field
+    named in ``names``: an annotated name in its body, or an attribute of
+    ``self`` assigned in one of its methods."""
+    out = set()
+    for path in sorted(package.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            declared = {stmt.target.id for stmt in cls.body
+                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
+            declared |= {node.attr for node in ast.walk(cls) if isinstance(node, ast.Attribute)
+                         and isinstance(node.ctx, ast.Store) and isinstance(node.value, ast.Name)
+                         and node.value.id == "self"}
+            if declared & names:
+                out.add((path.stem, cls.name))
+    return out
+
+
+def test_a_second_settings_holder_is_caught(tmp_path):
+    (tmp_path / "rda.py").write_text("class RoweisConfig:\n    r1: float\n\n\nclass Model:\n    config: object\n")
+    (tmp_path / "kernel_rda.py").write_text("class KernelModel:\n    label_kernel: object = None\n")
+    (tmp_path / "scatter.py").write_text("class Stats:\n    def __init__(self):\n        self.r2 = 0.0\n")
+    assert field_holders(tmp_path, SETTINGS) == {("rda", "RoweisConfig"), ("kernel_rda", "KernelModel"),
+                                                 ("scatter", "Stats")}
+
+
+def test_only_roweis_config_holds_a_fits_settings():
+    assert field_holders(PACKAGE, SETTINGS) == SETTINGS_HOLDERS
+
+
+def test_one_table_says_which_parameters_a_kernel_family_reads():
+    tree = ast.parse((PACKAGE / "kernels.py").read_text())
+    spec = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "KernelSpec")
+    readers = {method.name for method in spec.body if isinstance(method, ast.FunctionDef)
+               and any(isinstance(node, ast.Name) and node.id == "PARAMETERS" for node in ast.walk(method))}
+    assert readers == {"__post_init__", "to_dict"}

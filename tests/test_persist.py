@@ -72,7 +72,7 @@ class TestRoundTrips:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.kernel == model.kernel
-        assert loaded.label_kernel == model.label_kernel
+        assert loaded.config == model.config
         probe = rng.standard_normal((3, 4))
         assert np.array_equal(project_kernel(loaded, probe), project_kernel(model, probe))
 
@@ -320,7 +320,7 @@ class TestMalformedScalars:
         for key, raw in (("r1", "1"), ("r2", "0"), ("shift", "0"), ("notes", '["a", ""]')):
             _set_scalar(path, key, raw)
         model = load_model(path)
-        r1, r2 = (model.config.r1, model.config.r2) if layout == "primal" else (model.r1, model.r2)
+        r1, r2 = model.config.r1, model.config.r2
         assert (r1, r2, model.shift, model.notes) == (1.0, 0.0, 0.0, ("a", ""))
         assert all(type(value) is float for value in (r1, r2, model.shift))
 
@@ -330,7 +330,7 @@ class TestMalformedScalars:
         _set_scalar(path, "r1", None)
         _set_scalar(path, "r2", None)
         model = load_model(path)
-        assert (model.r1, model.r2) == (0.0, 0.0)
+        assert (model.config.r1, model.config.r2) == (0.0, 0.0)
 
 
 # The lines primal files carried while these were fit settings: their
@@ -457,6 +457,17 @@ class TestArrayShapes:
         path = _saved(tmp_path, data, layout)
         _set_array(path, name, change)
         with pytest.raises(DataError, match=f"arrays disagree in shape: {message}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("layout, names", [
+        ("primal", ("eigvals", "basis")), ("kernel-direct", ("eigvals", "coeffs")),
+        ("kernel-pca", ("eigvals", "sigma", "right_vectors")), ("kernel-spca", ("eigvals", "sigma", "right_vectors")),
+    ])
+    def test_a_file_of_no_components_is_a_data_error(self, tmp_path, data, layout, names):
+        path = _saved(tmp_path, data, layout)
+        for name in names:
+            _set_array(path, name, lambda a: a[:, :0])
+        with pytest.raises(DataError, match="the model has no components"):
             load_model(path)
 
     @pytest.mark.parametrize("layout", sorted(SAVED))

@@ -419,7 +419,7 @@ def test_experiments_outputs_match_the_oracle(tmp_path):
             lead = ([("train", str(y)) for y in panel.train_y]
                     + [("test", str(y)) for y in panel.test_y])
             oracle.write_columns(expected, header, np.hstack([panel.train_emb, panel.test_emb]), lead)
-            path = out_dir / "panels" / f"{name}_r1_{panel.r1:g}_r2_{panel.r2:g}.csv"
+            path = out_dir / "panels" / f"{name}_r1_{panel.config.r1:g}_r2_{panel.config.r2:g}.csv"
             assert path.read_bytes() == expected.read_bytes()
 
 

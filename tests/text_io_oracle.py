@@ -200,10 +200,10 @@ def save_model(model, path) -> None:
         _write_array(lines, "basis", model.basis)
     elif isinstance(model, KernelRdaModel):
         _write_scalar(lines, "variant", model.variant)
-        _write_scalar(lines, "r1", model.r1)
-        _write_scalar(lines, "r2", model.r2)
+        _write_scalar(lines, "r1", model.config.r1)
+        _write_scalar(lines, "r2", model.config.r2)
         _write_scalar(lines, "kernel", _kernel_dict(model.kernel))
-        _write_scalar(lines, "label_kernel", _kernel_dict(model.label_kernel))
+        _write_scalar(lines, "label_kernel", _kernel_dict(model.config.label_kernel))
         _write_scalar(lines, "shift", model.shift)
         _write_scalar(lines, "notes", list(model.notes))
         _write_array(lines, "eigvals", model.eigvals)
