@@ -10,13 +10,21 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure. The default seed comes from the ROWEIS_SEED environment variable.
 
 Memory: starting Python and importing numpy costs about 27 MB of RSS. The
-manifest's input hashes import ``hashlib``, which maps OpenSSL (about 3.6
-MB), so it is imported only when the manifest is written, after a fit's
-arrays are freed; ``numpy.random`` imports it anyway, so gen, sweep and
-experiments hold it from their first draw. Likewise ``persist`` (model
-files) and ``experiments`` (with ``evaluate``, which only it imports) are
-imported by the commands that use them. A kernel fit peaks at ``K_x``
-plus ``eigh``'s buffers, about 5 n^2 doubles.
+manifest's input hashes come from CPython's built-in SHA-256 (see
+:func:`_sha256`), so fit, transform and reconstruct never load OpenSSL:
+``hashlib`` maps ``_hashlib`` and OpenSSL with it, 3.5 MB of max RSS in a
+process that has imported numpy, and those pages set the final peak of
+every linear fit. ``numpy.random`` still imports OpenSSL (through
+``secrets``), so gen, sweep and experiments hold it from their first draw.
+Likewise ``persist`` (model files) and ``experiments`` (with ``evaluate``,
+which only it imports) are imported by the commands that use them. A kernel
+fit peaks at ``K_x`` plus ``eigh``'s buffers, about 5 n^2 doubles.
+
+Exit: run as the program (``argv`` None), :func:`main` first freezes the
+objects that exist (``gc.freeze``), numpy's import-time objects among them,
+so no collection visits them again; the exit of a fit on the benchmark's
+``tall.csv`` took 6.8 ms in place of 23.9 (medians of 15, 2-CPU x86-64,
+Python 3.11). A caller that passes ``argv`` keeps the collector as it was.
 
 ``fit`` reads the CSV's layout once (:func:`roweis.datasets.csv_session`).
 A primal or dual fit on d <= n with no label Gram streams its parse blocks
@@ -32,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -58,12 +67,22 @@ def _default_seed() -> int:
 def _sha256(path: str) -> str:
     """Hex SHA-256 of the file's bytes, for the manifest's ``inputs``.
 
-    Imports ``hashlib`` here, not at module level, so that OpenSSL's pages
-    come in after a fit's arrays are freed (see the module docstring).
+    Takes the digest from CPython's built-in SHA-256 (``_sha2`` on 3.12+,
+    ``_sha256`` on 3.10-3.11), which maps no OpenSSL, and from ``hashlib``
+    only where neither exists (see the module docstring). It is slower than
+    OpenSSL's on large inputs: 15.9 ms against 6.4 ms for the benchmark's
+    ``tall.csv`` (3.9 MB, a cold process, the import included), which the
+    shorter exit of :func:`main` more than pays back.
     """
-    import hashlib
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
 
-    digest = hashlib.sha256()
+    digest = sha256()
     try:
         with open(path, "rb") as handle:
             for chunk in iter(lambda: handle.read(1 << 16), b""):
@@ -217,7 +236,7 @@ def cmd_fit(args) -> int:
         if model is None:
             x, y, _ = session.collect()
             model = _fit_data(variant, x, y, config, data_kernel)
-            del x, y  # not beside the model file's text nor the manifest's OpenSSL
+            del x, y  # not beside the model file's text
 
     from . import persist
 
@@ -479,6 +498,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # The program's own run: leave the import-time objects out of every
+        # later collection, the exit's included. In-process callers keep theirs.
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "seed", 0) is None:

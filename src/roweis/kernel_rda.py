@@ -144,7 +144,7 @@ def fit_direct_grid(x, labels, configs, kernel: kernels.KernelSpec) -> list[Kern
     solved = _solve_grid(moments, labels, configs, lambda r2: ids.size - 1 if r2 == 1.0 else n - 1, coords,
                          lift=vectors, metric=values, count=n - values.size)
     return [KernelRdaModel(variant="kernel-direct", coeffs=pair.vectors, eigvals=pair.values, train_x=train_x,
-                           kernel=kernel, config=replace(config, p=p, label_kernel=spec),
+                           kernel=kernel, config=replace(config, p=p, label_kernel=spec or config.label_kernel),
                            shift=pair.shift, notes=notes)
             for config, (pair, p, notes, spec) in zip(configs, solved)]
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from ._util import as_matrix, as_number, as_square, classes
-from .exceptions import ConfigError
+from .exceptions import ConfigError, NumericalError
 
 # The parameters each kernel family reads, in to_dict's order.
 PARAMETERS = {"linear": (), "rbf": ("gamma",), "polynomial": ("degree", "offset"), "delta": ()}
@@ -162,25 +162,34 @@ def resolve_gamma(spec: KernelSpec, x) -> KernelSpec:
 
 
 def gram(spec: KernelSpec, a, b) -> np.ndarray:
-    """Gram matrix between the columns of a and the columns of b."""
+    """Gram matrix between the columns of a and the columns of b.
+
+    A Gram that overflows float64 (a high polynomial degree, say) raises
+    NumericalError here, before any eigensolve sees its inf or NaN.
+    """
     a = as_matrix(a, "A")
     b = as_matrix(b, "B")
     if a.shape[0] != b.shape[0]:
         raise ConfigError(f"dimension mismatch: A has d={a.shape[0]}, B has d={b.shape[0]}")
     if spec.family == "linear":
-        return a.T @ b
-    if spec.family == "rbf":
+        k = a.T @ b
+    elif spec.family == "rbf":
         if spec.gamma is None:
             raise ConfigError("rbf gamma is unresolved; call resolve_gamma on the training data first")
         k = squared_distances(a, b)
         k *= -spec.gamma
-        return np.exp(k, out=k)
-    if spec.family == "polynomial":
+        np.exp(k, out=k)
+    elif spec.family == "polynomial":
         k = a.T @ b
         k += spec.offset
         k **= spec.degree
-        return k
-    raise ConfigError("delta kernels compare class labels; a fit takes them through class_indicator or Xc E")
+    else:
+        raise ConfigError("delta kernels compare class labels; a fit takes them through class_indicator or Xc E")
+    # max and min carry NaN and inf without a boolean copy of k.
+    if k.size and not (math.isfinite(k.max()) and math.isfinite(k.min())):
+        raise NumericalError(f"the {spec.family} Gram holds inf or nan (float64 overflow); "
+                             "rescale the data or the kernel's parameters")
+    return k
 
 
 def is_categorical(labels) -> bool:

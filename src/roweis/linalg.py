@@ -53,6 +53,7 @@ Everything here is pure and thread-safe.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,11 +130,18 @@ def _numerical(name: str):
 
 
 def require_symmetric(a: np.ndarray, name: str = "matrix") -> float:
-    """max |A - A.T|, the symmetry gap; ConfigError when it exceeds SYMMETRY_ATOL."""
+    """max |A - A.T|, the symmetry gap; ConfigError when it exceeds SYMMETRY_ATOL.
+
+    An inf or NaN in A makes the gap inf or NaN, which raises NumericalError:
+    LAPACK's eigh can spin without end on such a matrix.
+    """
     if not a.size:
         return 0.0
     gap = a - a.T
     gap = float(np.max(np.abs(gap, out=gap)))
+    if not math.isfinite(gap):
+        raise NumericalError(f"{name} holds inf or nan (float64 overflow); "
+                             "rescale the data or the kernel's parameters")
     if gap > SYMMETRY_ATOL:
         raise ConfigError(f"{name} is not symmetric: max |A - A.T| = {gap:.3e} > {SYMMETRY_ATOL:.1e}")
     return gap

@@ -179,6 +179,17 @@ class TestFit:
         manifest = json.loads((tmp_path / "model.txt.manifest.json").read_text())
         assert manifest["config"]["label_kernel"] == spec.to_dict()
 
+    def test_a_label_kernel_at_r1_0_is_recorded_by_every_variant(self, tmp_path, xor_csv):
+        # At r1 = 0 no fit reads the label kernel; each model keeps the one asked for.
+        lines = []
+        for variant in ("primal", "kernel"):
+            model_path = tmp_path / f"{variant}.txt"
+            assert run("fit", "--data", xor_csv, "--label-col", "label", "--variant", variant, "--r1", 0,
+                       "--r2", 0.5, "--label-kernel", "rbf", "--label-gamma", 0.5, "--out", model_path) == 0
+            assert persist.load_model(model_path).config.label_kernel == kernels.KernelSpec("rbf", gamma=0.5)
+            lines += [line for line in model_path.read_text().splitlines() if line.startswith("label_kernel: ")]
+        assert lines == ['label_kernel: {"family": "rbf", "gamma": 0.5}'] * 2
+
     @pytest.mark.parametrize("variant", ["primal", "kernel-spca"])
     @pytest.mark.parametrize("gamma", [["--label-gamma", 0.5], []], ids=["given", "median heuristic"])
     def test_rbf_label_kernel_on_string_labels_is_config_error(self, tmp_path, capsys, variant, gamma):

@@ -6,12 +6,19 @@ raises the same error for the same faulty input; NaN or inf in the points a
 fitted model embeds is a DataError too; data with more than two axes is a
 ConfigError, and so is a linear, polynomial or RBF label kernel over labels
 that are not numbers; a LinAlgError escaping
-LAPACK inside ``roweis.linalg`` surfaces as NumericalError; an unknown panel
+LAPACK inside ``roweis.linalg`` surfaces as NumericalError, and so does a
+matrix holding inf or NaN before LAPACK sees it (finite data can overflow a
+kernel's Gram or the statistics of its coordinates); an unknown panel
 dataset is a ConfigError. So is a fit setting ``RoweisConfig`` refuses (a p
 that is not a whole number, a robust flag that is not a bool, a label kernel
 by name) and a public numeric argument of ``datasets`` or ``experiments``
 of the wrong type, or fractional where a whole number belongs.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +29,7 @@ from roweis.exceptions import ConfigError, DataError, NumericalError
 from roweis.experiments import embedding_panels
 from roweis.kernel_rda import fit_direct, fit_kernel_pca, fit_kernel_spca
 from roweis.kernel_rda import project as project_kernel
-from roweis.linalg import symmetric_eig
+from roweis.linalg import factor_constraint, symmetric_eig
 from roweis.rda import RoweisConfig, fit, project, reconstruct
 
 KERNEL = kernels.KernelSpec("rbf", gamma=0.5)
@@ -180,6 +187,33 @@ def test_linalg_error_becomes_numerical_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", not_converging)
     with pytest.raises(NumericalError, match="symmetric_eig: Eigenvalues did not converge"):
         symmetric_eig(np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("solve", [symmetric_eig, factor_constraint], ids=["symmetric_eig", "factor_constraint"])
+def test_a_non_finite_matrix_never_reaches_lapack(solve, bad):
+    a = np.eye(3)
+    a[1, 1] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="holds inf or nan"):
+        solve(a)
+
+
+def test_an_overflowing_polynomial_direct_fit_is_a_numerical_error():
+    # Its Gram is finite (about 1e186), the statistics of its coordinates
+    # are not, and eigh on them once spun in LAPACK: a child process keeps
+    # a regression from hanging the suite.
+    code = ("import numpy as np, warnings; warnings.simplefilter('ignore')\n"
+            "from roweis import KernelSpec, NumericalError, RoweisConfig, kernel_rda\n"
+            "x = np.random.default_rng(0).standard_normal((3, 14))\n"
+            "try:\n"
+            "    kernel_rda.fit_direct(x, np.arange(14) % 3, RoweisConfig(0.5, 0.5),\n"
+            "                          KernelSpec('polynomial', degree=200, offset=1.0))\n"
+            "except NumericalError as exc:\n"
+            "    print(exc)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert "holds inf or nan" in out.stdout
 
 
 def test_unknown_panel_dataset_is_a_config_error():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import roweis
-from roweis.exceptions import ConfigError
+from roweis.exceptions import ConfigError, NumericalError
 from roweis.kernels import (
     KernelSpec,
     class_indicator,
@@ -138,6 +138,17 @@ class TestGram:
     def test_delta_family_rejected_for_vectors(self):
         with pytest.raises(ConfigError):
             gram(KernelSpec("delta"), np.eye(2), np.eye(2))
+
+    @pytest.mark.parametrize("spec, row", [
+        (KernelSpec("linear"), [1e200, 1.0]),
+        (KernelSpec("rbf", gamma=1.0), [1e200, -1e200, 0.0]),
+        (KernelSpec("polynomial", degree=3, offset=0.0), [-1e110, 1.0]),
+        (KernelSpec("polynomial", degree=400, offset=1.0), [3.0, 1.0]),
+    ], ids=["linear", "rbf", "polynomial -inf", "polynomial inf"])
+    def test_an_overflowing_gram_is_a_numerical_error(self, spec, row):
+        # Finite data whose Gram overflows float64: no eigensolve may see it.
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match=f"the {spec.family} Gram holds inf"):
+            gram(spec, np.array([row]), np.array([row]))
 
 
 def delta_of(labels) -> np.ndarray:

@@ -1,13 +1,18 @@
-"""The manifest's input digests, and when computing them loads OpenSSL.
+"""The manifest's input digests, and that computing them loads no OpenSSL.
 
-Every manifest records the SHA-256 of each input file. ``hashlib`` maps
-OpenSSL (``_hashlib``, about 3.6 MB resident), so the CLI imports it only to
-write the manifest, after a fit's buffers are freed: importing ``roweis.cli``
-or asking for ``--version`` loads neither module. Importing ``roweis.cli``
-loads a pinned set of the package's modules, and none of ``persist``,
-``experiments`` and ``evaluate``, which the commands that use them import.
+Every manifest records the SHA-256 of each input file. The CLI takes it from
+CPython's built-in SHA-256 (``_sha2``, or ``_sha256`` before Python 3.12)
+and imports ``hashlib`` only where neither exists, because ``hashlib`` maps
+OpenSSL (``_hashlib``), 3.5 MB of max RSS in a process that has imported
+numpy: so fit, transform and reconstruct never load it, and importing
+``roweis.cli`` or asking for ``--version`` loads neither module. Importing
+``roweis.cli`` loads a pinned set of the package's modules, and none of
+``persist``, ``experiments`` and ``evaluate``, which the commands that use
+them import. Run as the program, ``main`` freezes the collector's objects
+(``gc.freeze``) to shorten the exit; called with ``argv``, it does not.
 """
 
+import gc
 import hashlib
 import json
 import os
@@ -78,25 +83,82 @@ def test_version_loads_no_hashlib():
     assert probe(code) == "[]"
 
 
-def test_fit_loads_hashlib_only_to_write_the_manifest(tmp_path):
+def test_fit_transform_and_reconstruct_never_load_openssl(tmp_path):
     # Written here, not by `roweis gen`: numpy.random itself imports _hashlib.
-    data = tmp_path / "rings.csv"
-    rings = datasets.gen_rings(60, seed=2)
-    datasets.save_csv(data, rings.X, rings.y)
-    model = tmp_path / "model.txt"
-    code = ("import sys; from roweis import cli\n"
+    blobs, rings = tmp_path / "blobs.csv", tmp_path / "rings.csv"
+    labels = np.arange(120) % 3
+    datasets.save_csv(blobs, np.random.default_rng(2).standard_normal((4, 120)) + labels, labels)
+    data = datasets.gen_rings(60, seed=2)
+    datasets.save_csv(rings, data.X, data.y)
+    primal, collected, kernel = (tmp_path / name for name in ("primal.txt", "collected.txt", "kernel.txt"))
+    emb, rec = tmp_path / "emb.csv", tmp_path / "rec.csv"
+    commands = [
+        ["fit", "--data", blobs, "--label-col", "label", "--r1", 0.5, "--r2", 0.5, "--out", primal],
+        ["fit", "--data", blobs, "--label-col", "label", "--r1", 0.5, "--label-kernel", "linear",
+         "--out", collected],
+        ["fit", "--data", rings, "--label-col", "label", "--variant", "kernel", "--r1", 0.5, "--r2", 0.5,
+         "--out", kernel],
+        ["transform", "--model", kernel, "--data", rings, "--label-col", "label", "--out", emb],
+        ["reconstruct", "--model", primal, "--data", blobs, "--label-col", "label", "--out", rec],
+    ]
+    # Per command: its exit code, whether it collected X (only the first,
+    # streamed fit does not), and which of hashlib and _hashlib it loaded.
+    code = ("import json, sys; from roweis import cli, datasets\n"
+            "collect = datasets.CsvSession.collect\n"
+            "calls = []\n"
+            "datasets.CsvSession.collect = lambda session: calls.append(1) or collect(session)\n"
             "seen = []\n"
-            "write = cli._write_manifest\n"
-            "def recording(*args):\n"
-            "    seen.append('_hashlib' in sys.modules)\n"
-            "    write(*args)\n"
-            "    seen.append('_hashlib' in sys.modules)\n"
-            "cli._write_manifest = recording\n"
-            "print(cli.main(sys.argv[1:]), seen)")
-    out = probe(code, "fit", "--data", data, "--label-col", "label", "--variant", "kernel",
-                "--r1", 0.5, "--r2", 0.5, "--out", model)
-    assert out.splitlines()[-1] == "0 [False, True]"
-    assert manifest(model)["inputs"] == {str(data): sha256(data)}
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    calls.clear()\n"
+            "    rc = cli.main(argv)\n"
+            "    seen.append([rc, bool(calls), sorted(m for m in sys.modules if m in ('hashlib', '_hashlib'))])\n"
+            "print(json.dumps(seen))")
+    out = probe(code, json.dumps([[str(a) for a in argv] for argv in commands]))
+    assert json.loads(out.splitlines()[-1]) == [[0, False, []]] + [[0, True, []]] * 4
+    for path, inputs in ((primal, [blobs]), (collected, [blobs]), (kernel, [rings]), (emb, [kernel, rings]),
+                         (rec, [primal, blobs])):
+        assert manifest(path)["inputs"] == {str(p): sha256(p) for p in inputs}
+
+
+def test_each_fallback_gives_the_same_digest(large_csv):
+    # A module set to None in sys.modules fails to import, as one this
+    # CPython lacks: blocking _sha2 and then _sha256 walks down the chain.
+    code = ("import sys\n"
+            "for name in sys.argv[2:]:\n"
+            "    sys.modules[name] = None\n"
+            "from roweis import cli\n"
+            "print(cli._sha256(sys.argv[1]), '_hashlib' in sys.modules)")
+    want = sha256(large_csv)
+    outs = [probe(code, large_csv, *blocked) for blocked in ([], ["_sha2"], ["_sha2", "_sha256"])]
+    digests, openssl = zip(*(out.splitlines()[-1].split() for out in outs))
+    assert digests == (want, want, want)
+    # Only the last fallback, hashlib, loads OpenSSL.
+    assert openssl == ("False", "False", "True")
+
+
+# ---------------------------------------------------------------- the collector
+
+def test_main_with_argv_leaves_the_collector_as_it_was(tmp_path, capsys):
+    before = gc.get_freeze_count()
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    data = tmp_path / "blobs.csv"
+    labels = np.arange(30) % 2
+    datasets.save_csv(data, np.random.default_rng(1).standard_normal((3, 30)) + labels, labels)
+    assert run("fit", "--data", data, "--label-col", "label", "--out", tmp_path / "model.txt") == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_the_program_freezes_its_import_time_objects():
+    code = ("import gc, sys; from roweis.cli import main\n"
+            "sys.argv = ['roweis', '--version']\n"
+            "before = gc.get_freeze_count()\n"
+            "try:\n"
+            "    main()\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(before, gc.get_freeze_count() > 0)")
+    assert probe(code).splitlines()[-1] == "0 True"
 
 
 # ---------------------------------------------------------------- digests

@@ -20,7 +20,10 @@
   fits over splits that each resolve their own label kernel;
 * ``kernels.PARAMETERS`` alone says which parameters a kernel family reads:
   ``KernelSpec.__post_init__`` resets the others from it and
-  ``KernelSpec.to_dict`` writes the family's from it.
+  ``KernelSpec.to_dict`` writes the family's from it;
+* ``cli._sha256`` alone imports ``hashlib``, and only as the last fallback
+  after CPython's built-in SHA-256 modules, because ``hashlib`` maps OpenSSL
+  (``test_manifest.py``).
 """
 
 import ast
@@ -35,24 +38,28 @@ RESOLVERS = {("rda", "_solve_grid"), ("kernel_rda", "_fit_trick"), ("experiments
 GONE = {("persist", "_fraction"), ("persist", "_flag"), ("cli", "_write_rows")}
 SETTINGS = {"r1", "r2", "label_kernel"}
 SETTINGS_HOLDERS = {("rda", "RoweisConfig"), ("experiments", "BenchCell")}
+# CPython's built-in SHA-256: _sha2 on 3.12+, _sha256 on 3.10-3.11.
+BUILTIN_SHA256 = ["_sha2", "_sha256"]
+
+
+def imports(node, name: str, modules: set) -> bool:
+    """Whether ``node`` imports the module ``name``: the standard library's
+    (``import csv``, ``from csv import ...``) or, for one of the package's
+    ``modules``, by a relative import."""
+    if name in modules:
+        return isinstance(node, ast.ImportFrom) and node.level == 1 and (
+            node.module == name or (node.module is None and name in {a.name for a in node.names}))
+    return (isinstance(node, ast.Import) and name in {a.name.split(".")[0] for a in node.names}) or (
+        isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == name)
 
 
 def importers(package: Path, name: str) -> set:
-    """The modules of ``package`` that import the module ``name``: the
-    standard library's (``import csv``, ``from csv import ...``) or, for a
-    module of the package, by a relative import."""
+    """The modules of ``package`` that import the module ``name`` (see :func:`imports`)."""
     modules = {p.stem for p in package.glob("*.py")}
     out = set()
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if name in modules:
-                hit = isinstance(node, ast.ImportFrom) and node.level == 1 and (
-                    node.module == name or (node.module is None and name in {a.name for a in node.names}))
-            else:
-                hit = (isinstance(node, ast.Import) and name in {a.name.split(".")[0] for a in node.names}) or (
-                    isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == name)
-            if hit:
-                out.add(path.stem)
+        if any(imports(node, name, modules) for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))):
+            out.add(path.stem)
     return out
 
 
@@ -136,3 +143,47 @@ def test_one_table_says_which_parameters_a_kernel_family_reads():
     readers = {method.name for method in spec.body if isinstance(method, ast.FunctionDef)
                and any(isinstance(node, ast.Name) and node.id == "PARAMETERS" for node in ast.walk(method))}
     assert readers == {"__post_init__", "to_dict"}
+
+
+def fallbacks(node, name: str, tried: list):
+    """For each import of the module ``name`` under ``node``, the modules
+    that the ``try`` blocks it is a fallback of import first, outermost first."""
+    if imports(node, name, set()):
+        yield tried
+    elif isinstance(node, ast.Try):
+        first = [alias.name if isinstance(stmt, ast.Import) else stmt.module
+                 for stmt in node.body if isinstance(stmt, (ast.Import, ast.ImportFrom)) for alias in stmt.names]
+        for child in node.body:
+            yield from fallbacks(child, name, tried)
+        for child in (child for handler in node.handlers for child in handler.body):
+            yield from fallbacks(child, name, tried + first)
+        for child in node.orelse + node.finalbody:
+            yield from fallbacks(child, name, tried)
+    else:
+        for child in ast.iter_child_nodes(node):
+            yield from fallbacks(child, name, tried)
+
+
+def import_sites(package: Path, name: str) -> list:
+    """(module, owner, tried) for each import of the module ``name`` in
+    ``package``: owner is the module-level function or class it sits in,
+    tried what :func:`fallbacks` says."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            out.extend((path.stem, getattr(stmt, "name", None), tried) for tried in fallbacks(stmt, name, []))
+    return out
+
+
+def test_an_early_hashlib_import_is_caught(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "import hashlib\n\n\ndef digest():\n    try:\n        from _sha256 import sha256\n"
+        "    except ImportError:\n        from hashlib import sha256\n    else:\n        import hashlib.x\n")
+    (tmp_path / "persist.py").write_text("def save():\n    try:\n        import _sha2\n    finally:\n"
+                                         "        import hashlib\n")
+    assert import_sites(tmp_path, "hashlib") == [("cli", None, []), ("cli", "digest", ["_sha256"]),
+                                                 ("cli", "digest", []), ("persist", "save", [])]
+
+
+def test_hashlib_is_only_the_last_fallback_of_the_manifest_digest():
+    assert import_sites(PACKAGE, "hashlib") == [("cli", "_sha256", BUILTIN_SHA256)]
